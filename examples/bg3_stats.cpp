@@ -114,7 +114,8 @@ int main() {
   printf("background reports emitted: %llu\n",
          (unsigned long long)background_reports);
 
-  // Full registry dump — every BG3_TIMED_SCOPE histogram, the CloudStore's
+  // Full registry dump — every BG3_TIMED_SCOPE's `<name>_ns` histogram (its
+  // spans, named `<name>`, go to the trace planes instead), the CloudStore's
   // I/O counters (bg3.cloud.store0.*), and this DB's forest/GC callbacks
   // (bg3.db0.*) appear here.
   printf("\n--- metrics registry (JSON) ---\n%s\n", db.DumpMetrics().c_str());

@@ -12,7 +12,9 @@ scrapes and validates every route while the process keeps serving:
   /metrics   Prometheus text exposition: every sample line parses, known
              bg3 counters are present and non-negative
   /tracez    chrome-tracing JSON: traceEvents parse; when a traced request
-             ran, its span tree covers >= --min-layers layers
+             ran, its span tree covers >= --min-layers layers; no span is
+             named like a histogram (spans are named by operation,
+             histograms by unit, so a `_ns` span is a doubled instrument)
   /costz     cost JSON: pricing block, cloud bill arithmetic consistent
              with the advertised pricing, per-layer attribution present
 
@@ -153,6 +155,12 @@ def check_tracez(port, min_layers):
     traces = doc.get("traces", [])
     if not traces:
         fail("/tracez: no retained traces (the demo runs a traced request)")
+        return
+    unit_named = sorted({e.get("name") for e in events
+                         if isinstance(e, dict)
+                         and str(e.get("name", "")).endswith("_ns")})
+    if unit_named:
+        fail(f"/tracez: spans named like histograms: {unit_named}")
         return
     layers = {e.get("cat") for e in events if isinstance(e, dict)}
     layers.discard(None)

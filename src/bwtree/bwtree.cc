@@ -171,7 +171,7 @@ Status BwTree::Delete(const Slice& key, const OpContext* ctx) {
 }
 
 Status BwTree::Write(DeltaEntry entry, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.write_ns");
+  BG3_TIMED_SCOPE("bg3.bwtree.write");
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree write"));
   std::unique_lock<SharedMutex> lock;
   LeafPage* leaf = FindAndLatchLeafExclusive(entry.key, &lock);
@@ -259,7 +259,7 @@ Result<cloud::PagePointer> BwTree::RetryingAppend(cloud::StreamId stream,
                                                   const OpContext* ctx) {
   // Every cloud append the tree issues funnels through here; bill it to
   // the bwtree layer in the request's account.
-  OpLayerScope layer(OpLayer::kBwtree);
+  obs::Scope layer(OpLayer::kBwtree);
   RetryOptions retry = opts_.retry;
   retry.retries = &store_->stats().retries;
   retry.retry_exhausted = &store_->stats().retry_exhausted;
@@ -271,7 +271,7 @@ Result<cloud::PagePointer> BwTree::RetryingAppend(cloud::StreamId stream,
 
 Result<std::string> BwTree::RetryingRead(const cloud::PagePointer& ptr,
                                          const OpContext* ctx) {
-  OpLayerScope layer(OpLayer::kBwtree);
+  obs::Scope layer(OpLayer::kBwtree);
   RetryOptions retry = opts_.retry;
   retry.retry_corruption = true;  // wire corruption is transient
   retry.retries = &store_->stats().retries;
@@ -410,7 +410,7 @@ size_t BwTree::EvictPage(PageId id) {
 }
 
 Status BwTree::ConsolidateLocked(LeafPage* leaf, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.consolidate_ns");
+  BG3_TIMED_SCOPE("bg3.bwtree.consolidate");
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
   stats_.consolidations.Inc();
   // Invalidate the storage images being superseded.
@@ -446,7 +446,7 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
     if (chain_entries <= opts_.max_leaf_entries) return Status::OK();
   }
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
-  BG3_TIMED_SCOPE("bg3.bwtree.smo_split_ns");
+  BG3_TIMED_SCOPE("bg3.bwtree.smo_split");
   stats_.splits.Inc();
   // Fold everything so we can cut the full ordered content in half.
   const cloud::PagePointer old_base = leaf->base_ptr;
@@ -572,7 +572,7 @@ void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
 }
 
 Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.get_ns");
+  BG3_TIMED_SCOPE("bg3.bwtree.get");
   stats_.gets.Inc();
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree get"));
 
@@ -740,7 +740,7 @@ Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
 
 Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,
                     const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.scan_ns");
+  BG3_TIMED_SCOPE("bg3.bwtree.scan");
   stats_.scans.Inc();
   std::string cursor = options.start_key;
   const size_t target = options.limit == std::numeric_limits<size_t>::max()

@@ -181,27 +181,21 @@ void ByteGraphDB::CacheErase(const std::string& key) {
 
 Status ByteGraphDB::AddVertex(graph::VertexId id, const Slice& properties,
                               const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.add_vertex_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.add_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.add_vertex", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   return CachedPut(VertexKey(id), properties.ToString());
 }
 
 Result<std::string> ByteGraphDB::GetVertex(graph::VertexId id,
                                            const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.get_vertex_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.get_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.get_vertex", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   return CachedGet(VertexKey(id));
 }
 
 Status ByteGraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
                                  const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.delete_vertex_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.delete_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.delete_vertex", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   std::lock_guard<std::mutex> lock(StripeFor(id, type));
   CacheErase(VertexKey(id));
@@ -225,9 +219,7 @@ Status ByteGraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
                             graph::VertexId dst, const Slice& properties,
                             graph::TimestampUs created_us,
                             const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.add_edge_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.add_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.add_edge", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   std::lock_guard<std::mutex> lock(StripeFor(src, type));
   Meta meta;
@@ -298,9 +290,7 @@ Status ByteGraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
 
 Status ByteGraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
                                graph::VertexId dst, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.delete_edge_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.delete_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.delete_edge", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   std::lock_guard<std::mutex> lock(StripeFor(src, type));
   auto meta_data = CachedGet(MetaKey(src, type));
@@ -332,9 +322,7 @@ Result<std::string> ByteGraphDB::GetEdge(graph::VertexId src,
                                          graph::EdgeType type,
                                          graph::VertexId dst,
                                          const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.get_edge_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.get_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.get_edge", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   auto meta_data = CachedGet(MetaKey(src, type));
   BG3_RETURN_IF_ERROR(meta_data.status());
@@ -364,9 +352,7 @@ Status ByteGraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
                                  size_t limit,
                                  std::vector<graph::Neighbor>* out,
                                  const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bytegraph.get_neighbors_ns");
-  BG3_OP_SCOPE("bg3.bytegraph.get_neighbors", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.bytegraph.get_neighbors", OpLayer::kApi, ctx);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx));
   auto meta_data = CachedGet(MetaKey(src, type));
   if (meta_data.status().IsNotFound()) return Status::OK();

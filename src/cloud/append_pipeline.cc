@@ -50,7 +50,7 @@ size_t AppendPipeline::Outstanding() const {
 void AppendPipeline::WorkerMain() {
   // Background appends are WAL work for I/O attribution no matter which
   // layer's request sealed the batch.
-  OpLayerScope wal_layer(OpLayer::kWal);
+  obs::Scope wal_layer(OpLayer::kWal);
   for (;;) {
     Completion done;
     std::string payload;
@@ -66,7 +66,7 @@ void AppendPipeline::WorkerMain() {
       ++active_;
     }
     {
-      BG3_TIMED_SCOPE("bg3.wal.sync_ns");
+      BG3_TIMED_SCOPE("bg3.wal.sync");
       RetryOptions retry = opts_.retry;
       retry.ctx = nullptr;
       retry.retries = &store_->stats().retries;

@@ -155,7 +155,7 @@ Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
                                            uint64_t term, const Slice& record,
                                            uint64_t* latency_us,
                                            const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.cloud.append_ns");
+  BG3_TIMED_SCOPE("bg3.cloud.append");
   Stream* s = GetStream(stream);
   if (s == nullptr) return Status::InvalidArgument("unknown stream");
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "cloud append"));
@@ -236,7 +236,7 @@ Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
 Result<std::string> CloudStore::Read(const PagePointer& ptr,
                                      uint64_t* latency_us,
                                      const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.cloud.read_ns");
+  BG3_TIMED_SCOPE("bg3.cloud.read");
   Stream* s = GetStream(ptr.stream_id);
   if (s == nullptr) return Status::InvalidArgument("unknown stream");
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "cloud read"));

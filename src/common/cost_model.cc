@@ -117,7 +117,7 @@ std::string RenderCostz() {
            ? snap.counters.at("bg3.cost.total_nanousd") / 1e9
            : 0.0);
 
-  // Per-request attribution, folded in by trace::OpScope via RecordOp.
+  // Per-request attribution, folded in by a trace root scope via RecordOp.
   const std::string class_prefix = "bg3.cost.class.";
   const std::string layer_prefix = "bg3.cost.layer.";
   const std::string nano_suffix = ".nanousd";

@@ -59,8 +59,9 @@ class CostModel {
   CostModelOptions opts_;
 };
 
-/// Process-wide cost accounting: trace::OpScope folds each finished traced
-/// request's OpStats in here, which breaks the dollars down into
+/// Process-wide cost accounting: the root BG3_TIMED_SCOPE of each finished
+/// traced request folds its OpStats in here, which breaks the dollars down
+/// into
 /// `bg3.cost.*` counters in the default metrics registry (integer
 /// **nano-USD**, so they stay exact counters):
 ///

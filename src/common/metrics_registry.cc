@@ -140,7 +140,7 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   Snapshot snap;
   // Copy the directory under the lock, then read the metrics unlocked:
   // callbacks and external metrics may call into engine code that itself
-  // creates metrics (BG3_TIMED_SCOPE first-use registration), so holding
+  // creates metrics (a BG3_TIMED_SCOPE registering its histogram), so holding
   // mu_ across evaluation would invert lock order. The pointers stay valid
   // because components deregister before dying and snapshots are not taken
   // concurrently with component teardown.

@@ -22,8 +22,9 @@ namespace bg3 {
 /// Two ways a metric gets in:
 ///  - **Owned**: `GetCounter/GetGauge/GetHistogram(name)` get-or-create a
 ///    registry-owned metric. Idempotent per name; repeated calls return the
-///    same object (the `BG3_TIMED_SCOPE` fast path caches the pointer in a
-///    function-local static). Owned metrics live until ResetForTesting().
+///    same object (`BG3_TIMED_SCOPE` caches its `<name>_ns` histogram
+///    pointer in a function-local static). Owned metrics live until
+///    ResetForTesting().
 ///  - **External**: `Register{Counter,Gauge,Histogram,Callback}` expose a
 ///    metric owned by some component instance (a CloudStore's IoStats, an
 ///    RoNode's sync-latency histogram). The component must `Deregister`

@@ -36,7 +36,7 @@ struct OpContext {
   uint64_t deadline_us = 0;           ///< absolute; 0 = no deadline.
 
   /// Nonzero joins this request into a `/tracez` span tree (see
-  /// trace::OpScope). 0 = untraced.
+  /// obs::Scope). 0 = untraced.
   uint64_t trace_id = 0;
   /// Workload class for cost/latency attribution ("online", "analytics",
   /// "backfill", ...). Must be a string literal or otherwise outlive the

@@ -5,71 +5,9 @@
 #include <cstdint>
 #include <string>
 
+#include "common/trace.h"
+
 namespace bg3 {
-
-/// Layer that issued a piece of I/O, for per-request attribution. The
-/// request path stamps the current layer into a thread-local (OpLayerScope)
-/// on the way down; the cloud store reads it back when it bills bytes to a
-/// request's OpStats, so a k-hop read's storage fetches show up as
-/// "bwtree", a WAL group flush as "wal", a relocation as "gc" — the
-/// breakdown the cost model reports per layer (DESIGN.md §5.8).
-enum class OpLayer : uint8_t {
-  kApi = 0,
-  kQuery,
-  kForest,
-  kBwtree,
-  kWal,
-  kGc,
-  kReplication,
-  kOther,  ///< nothing declared a layer (direct store access, tests).
-};
-inline constexpr size_t kOpLayerCount = 8;
-
-inline const char* OpLayerName(OpLayer layer) {
-  switch (layer) {
-    case OpLayer::kApi: return "api";
-    case OpLayer::kQuery: return "query";
-    case OpLayer::kForest: return "forest";
-    case OpLayer::kBwtree: return "bwtree";
-    case OpLayer::kWal: return "wal";
-    case OpLayer::kGc: return "gc";
-    case OpLayer::kReplication: return "replication";
-    case OpLayer::kOther: return "other";
-  }
-  return "other";
-}
-
-namespace internal {
-/// Innermost declared layer of the calling thread (kOther when none).
-/// Function-local rather than a namespace-scope extern: gcc's cross-TU TLS
-/// wrapper can hand instrumented callers a null address for the extern form
-/// (PR 85400-style), which ubsan flags on freshly spawned worker threads.
-/// The accessor form is init-on-first-use and still compiles to a direct
-/// TLS slot access for this trivially constructed type.
-inline OpLayer& TlsOpLayer() {
-  thread_local OpLayer layer = OpLayer::kOther;
-  return layer;
-}
-}  // namespace internal
-
-inline OpLayer CurrentOpLayer() { return internal::TlsOpLayer(); }
-
-/// RAII layer declaration: the innermost scope wins, so a forest op that
-/// descends into a Bw-tree bills its storage reads to "bwtree". Costs one
-/// thread-local store each way — cheap enough for every hot path.
-class OpLayerScope {
- public:
-  explicit OpLayerScope(OpLayer layer) : prev_(internal::TlsOpLayer()) {
-    internal::TlsOpLayer() = layer;
-  }
-  ~OpLayerScope() { internal::TlsOpLayer() = prev_; }
-
-  OpLayerScope(const OpLayerScope&) = delete;
-  OpLayerScope& operator=(const OpLayerScope&) = delete;
-
- private:
-  const OpLayer prev_;
-};
 
 /// Per-request I/O and scheduling account, attached to an OpContext
 /// (`ctx->stats`) and populated by every layer the request crosses: cloud
@@ -88,7 +26,8 @@ struct OpStats {
     std::atomic<uint64_t> cloud_append_ops{0};
     std::atomic<uint64_t> cloud_append_bytes{0};
   };
-  /// Cloud I/O by issuing layer, indexed by OpLayer.
+  /// Cloud I/O by issuing layer, indexed by OpLayer: the innermost layer a
+  /// BG3_TIMED_SCOPE declared on the billing thread (CurrentOpLayer()).
   LayerIo layers[kOpLayerCount];
 
   std::atomic<uint64_t> wal_appends{0};        ///< records handed to the WAL.

@@ -2,89 +2,111 @@
 #define BG3_COMMON_TIMED_SCOPE_H_
 
 #include <cstdint>
-#include <new>
 
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/metrics_registry.h"
+#include "common/op_context.h"
 #include "common/trace.h"
 
 namespace bg3 {
+namespace obs {
 
-/// Scoped latency probe: on destruction records the elapsed wall time (ns)
-/// into `hist` and, when tracing / slow-op logging is on, emits a trace
-/// span named `name`. The common spelling is the BG3_TIMED_SCOPE macro
-/// below, which resolves the histogram from the default registry once per
-/// call site.
+/// The one instrumentation primitive: an RAII scope at a layer boundary.
+/// The common spelling is the BG3_TIMED_SCOPE macro below. On a single
+/// begin/end pair it
+///  - records the elapsed wall time into the `<name>_ns` histogram (timing
+///    on, the default);
+///  - emits one span named `<name>` to the firehose ring (BG3_TRACE), the
+///    bound request's capture, and the slow-op log (BG3_SLOW_OP_US);
+///  - sets the calling thread's I/O billing layer, when given one;
+///  - when given a traced OpContext and it is the outermost scope of that
+///    trace on its thread, becomes the trace root: binds the trace to the
+///    thread, and on exit makes the tail-retention decision and folds the
+///    request's OpStats into CostAccounting::Default().
+/// A layer-only scope (`obs::Scope s(OpLayer::kWal);`) just sets the layer.
 ///
-/// Cost model (measured in observability_overhead_test, documented in
-/// DESIGN.md §5.3):
-///  - everything off (SetTimingEnabled(false), no trace): one relaxed
-///    atomic load + branch, ~1 ns — safe to leave in the hottest paths.
-///  - timing on (default): two clock_gettime calls + one sharded histogram
-///    record, ~50 ns.
-///  - tracing on: + one ring-buffer emit, ~20 ns.
-class TimedScope {
+/// Cost model (measured in observability_test, documented in DESIGN.md
+/// §5.3):
+///  - everything off (SetTimingEnabled(false), no trace, untraced or null
+///    context): one relaxed atomic load + branch and the layer save/restore,
+///    a few ns — safe to leave in the hottest paths.
+///  - timing on (default): two clock reads + one sharded histogram record,
+///    ~50 ns.
+///  - spans on: + the span bookkeeping, sharing the same two clock reads.
+class Scope {
  public:
-  TimedScope(Histogram* hist, const char* name) {
-    const uint32_t flags = obs::Flags();
-    if (flags == 0) return;
-    if (flags & obs::kTimingBit) {
-      hist_ = hist;
-      start_ns_ = NowNanos();
-    }
-    if (flags & (obs::kTraceBit | obs::kSlowOpBit | obs::kReqTraceBit)) {
-      span_.emplace(name);
-    }
+  explicit Scope(OpLayer layer) : prev_layer_(internal::ThisThread().layer) {
+    internal::ThisThread().layer = layer;
+  }
+  /// `name` must be a string literal (spans store the pointer).
+  Scope(const char* name, Histogram* hist)
+      : prev_layer_(internal::ThisThread().layer) {
+    Begin(name, hist, nullptr);
+  }
+  Scope(const char* name, Histogram* hist, OpLayer layer,
+        const OpContext* ctx = nullptr)
+      : Scope(layer) {
+    Begin(name, hist, ctx);
   }
 
-  ~TimedScope() {
-    if (hist_ != nullptr) hist_->Record(NowNanos() - start_ns_);
-    // span_ (if any) ends after the record so the span covers only the
-    // traced region, not the histogram update — close enough either way.
+  ~Scope() {
+    if (name_ != nullptr) {
+      const uint64_t end_ns = NowNanos();
+      if (hist_ != nullptr) hist_->Record(end_ns - start_ns_);
+      if (span_) EndSpan(end_ns);
+    }
+    internal::ThisThread().layer = prev_layer_;
   }
 
-  TimedScope(const TimedScope&) = delete;
-  TimedScope& operator=(const TimedScope&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
-  // Manual optional<TraceSpan> without <optional> overhead in the fast
-  // path: TraceSpan's constructor is trivial when inactive, so holding it
-  // unconditionally would also work; the explicit flag keeps intent clear.
-  struct SpanSlot {
-    alignas(trace::TraceSpan) unsigned char buf[sizeof(trace::TraceSpan)];
-    bool engaged = false;
-    void emplace(const char* name) {
-      new (buf) trace::TraceSpan(name);
-      engaged = true;
-    }
-    ~SpanSlot() {
-      if (engaged) reinterpret_cast<trace::TraceSpan*>(buf)->~TraceSpan();
-    }
-  };
+  void Begin(const char* name, Histogram* hist, const OpContext* ctx) {
+    const uint32_t flags = Flags();
+    const bool traced = ctx != nullptr && ctx->trace_id != 0;
+    if (flags == 0 && !traced) return;
+    name_ = name;
+    start_ns_ = NowNanos();
+    if (flags & kTimingBit) hist_ = hist;
+    if (traced || (flags & kSpanBits)) BeginSpan(traced ? ctx : nullptr);
+  }
+  // Out of line in trace.cc, next to the rings and captures they feed.
+  void BeginSpan(const OpContext* traced_ctx);
+  void EndSpan(uint64_t end_ns);
 
+  const OpLayer prev_layer_;
+  const char* name_ = nullptr;  ///< nonnull while timing or a span is open.
   Histogram* hist_ = nullptr;
   uint64_t start_ns_ = 0;
-  SpanSlot span_;
+  bool span_ = false;
+  const OpContext* root_ctx_ = nullptr;  ///< nonnull only on a trace root.
+  uint64_t span_id_ = 0;  ///< nonzero only when bound to a traced request.
+  uint64_t parent_id_ = 0;
+  // Thread binding saved by a root, restored when it ends.
+  uint64_t prev_trace_id_ = 0;
+  uint64_t prev_span_id_ = 0;
+  const char* prev_class_ = nullptr;
 };
 
+}  // namespace obs
 }  // namespace bg3
 
 #define BG3_OBS_CONCAT_INNER(a, b) a##b
 #define BG3_OBS_CONCAT(a, b) BG3_OBS_CONCAT_INNER(a, b)
 
-/// Times the enclosing scope into the default-registry histogram named
-/// `name_literal` (created on first execution of the call site) and emits a
-/// trace span of the same name. `name_literal` must be a string literal,
-/// conventionally `bg3.<layer>.<op>_ns`.
-#define BG3_TIMED_SCOPE(name_literal)                                        \
+/// BG3_TIMED_SCOPE(name [, layer [, ctx]]) instruments the enclosing scope
+/// as operation `name_literal`, conventionally `bg3.<layer>.<op>`: it times
+/// into the default-registry histogram `name_literal "_ns"` (resolved once
+/// per call site), emits a span named `name_literal`, optionally sets the
+/// OpLayer, and roots the request's trace when `ctx` is traced. Spans are
+/// named by operation, histograms by unit.
+#define BG3_TIMED_SCOPE(name_literal, ...)                                   \
   static ::bg3::Histogram* const BG3_OBS_CONCAT(bg3_ts_hist_, __LINE__) =    \
-      ::bg3::MetricsRegistry::Default().GetHistogram(name_literal);          \
-  ::bg3::TimedScope BG3_OBS_CONCAT(bg3_ts_scope_, __LINE__)(                 \
-      BG3_OBS_CONCAT(bg3_ts_hist_, __LINE__), name_literal)
-
-/// Variant for call sites that already hold the Histogram*.
-#define BG3_TIMED_SCOPE_HIST(hist_ptr, name_literal) \
-  ::bg3::TimedScope BG3_OBS_CONCAT(bg3_ts_scope_, __LINE__)(hist_ptr, name_literal)
+      ::bg3::MetricsRegistry::Default().GetHistogram(name_literal "_ns");    \
+  ::bg3::obs::Scope BG3_OBS_CONCAT(bg3_ts_scope_, __LINE__)(                 \
+      name_literal,                                                          \
+      BG3_OBS_CONCAT(bg3_ts_hist_, __LINE__) __VA_OPT__(, ) __VA_ARGS__)
 
 #endif  // BG3_COMMON_TIMED_SCOPE_H_

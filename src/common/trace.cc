@@ -12,6 +12,7 @@
 #include "common/json_writer.h"
 #include "common/metrics_registry.h"
 #include "common/op_context.h"
+#include "common/timed_scope.h"
 
 namespace bg3 {
 
@@ -160,19 +161,9 @@ Ring& ThisThreadRing() {
 
 std::atomic<uint64_t> g_next_trace_id{1};
 std::atomic<uint64_t> g_next_span_id{1};
-// Traced roots currently in flight; drives obs::kReqTraceBit so TraceSpan
+// Traced roots currently in flight; drives obs::kReqTraceBit so a scope
 // stays one-flag-load cheap when no request is being traced.
 std::atomic<uint32_t> g_traced_roots{0};
-
-/// The thread's current trace identity: which trace new spans join and who
-/// their parent is. Installed by the root OpScope, propagated across
-/// threads with TraceBinding.
-struct Binding {
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;  ///< innermost open span (next span's parent).
-  const char* workload_class = nullptr;
-};
-thread_local Binding tls_binding;
 
 void IncTracedRoots() {
   if (g_traced_roots.fetch_add(1, std::memory_order_relaxed) == 0) {
@@ -265,7 +256,7 @@ void RetainTrace(SlowTrace st) {
 }
 
 // Category = second dot-component of the metric-style name
-// ("bg3.bwtree.get_ns" -> "bwtree"), so chrome://tracing can filter by
+// ("bg3.bwtree.get" -> "bwtree"), so chrome://tracing can filter by
 // layer.
 std::string CategoryOf(const char* name) {
   const std::string full(name);
@@ -285,44 +276,25 @@ std::string TraceIdHex(uint64_t id) {
   return std::string(buf);
 }
 
-// Per-thread span bookkeeping for depth and the slow-op log. The slow-op
-// log buffers spans completed inside the current top-level operation so a
-// threshold breach can print the whole tree, not just the root.
-struct SpanState {
-  uint32_t depth = 0;
-  struct Done {
-    const char* name;
-    uint64_t start_ns;
-    uint64_t dur_ns;
-    uint32_t depth;
-  };
-  std::vector<Done> op_log;
-  static constexpr size_t kMaxOpLog = 512;
-};
-
-SpanState& ThisThreadSpans() {
-  thread_local SpanState state;
-  return state;
-}
-
-void DumpSlowOp(const SpanState& state, const char* root_name,
-                uint64_t root_start_ns, uint64_t root_dur_ns) {
+void DumpSlowOp(const obs::internal::ThreadState& t, const char* root_name,
+                uint64_t root_start_ns, uint64_t root_dur_ns,
+                uint64_t trace_id, const char* workload_class, bool root) {
   // Traced requests get their identity on the line so the log entry joins
   // against /tracez.
-  char trace_tag[96] = "";
-  if (tls_binding.trace_id != 0) {
-    std::snprintf(trace_tag, sizeof(trace_tag), " (trace=%016llx class=%s)",
-                  static_cast<unsigned long long>(tls_binding.trace_id),
-                  tls_binding.workload_class != nullptr
-                      ? tls_binding.workload_class
-                      : "default");
+  char trace_tag[128] = "";
+  if (trace_id != 0) {
+    std::snprintf(trace_tag, sizeof(trace_tag),
+                  " (trace=%016llx class=%s)%s",
+                  static_cast<unsigned long long>(trace_id),
+                  workload_class != nullptr ? workload_class : "default",
+                  root ? " retained in /tracez" : "");
   }
   fprintf(stderr, "[bg3 slow-op] %s took %.3f ms (threshold %.3f ms)%s\n",
           root_name, root_dur_ns / 1e6,
           g_slow_op_threshold_ns.load(std::memory_order_relaxed) / 1e6,
           trace_tag);
   // Children completed in start order; indent by recorded depth.
-  for (const auto& d : state.op_log) {
+  for (const auto& d : t.op_log) {
     fprintf(stderr, "[bg3 slow-op]   %*s%s +%.3fms dur=%.3fms\n",
             static_cast<int>(2 * d.depth), "", d.name,
             (d.start_ns - root_start_ns) / 1e6, d.dur_ns / 1e6);
@@ -335,23 +307,25 @@ uint64_t NewTraceId() {
   return g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-uint64_t CurrentTraceId() { return tls_binding.trace_id; }
-uint64_t CurrentSpanId() { return tls_binding.span_id; }
+uint64_t CurrentTraceId() { return obs::internal::ThisThread().trace_id; }
+uint64_t CurrentSpanId() { return obs::internal::ThisThread().span_id; }
 
 TraceBinding::TraceBinding(uint64_t trace_id, uint64_t parent_span_id,
-                           const char* workload_class)
-    : prev_trace_id_(tls_binding.trace_id),
-      prev_span_id_(tls_binding.span_id),
-      prev_class_(tls_binding.workload_class) {
-  tls_binding.trace_id = trace_id;
-  tls_binding.span_id = parent_span_id;
-  if (workload_class != nullptr) tls_binding.workload_class = workload_class;
+                           const char* workload_class) {
+  obs::internal::ThreadState& t = obs::internal::ThisThread();
+  prev_trace_id_ = t.trace_id;
+  prev_span_id_ = t.span_id;
+  prev_class_ = t.workload_class;
+  t.trace_id = trace_id;
+  t.span_id = parent_span_id;
+  if (workload_class != nullptr) t.workload_class = workload_class;
 }
 
 TraceBinding::~TraceBinding() {
-  tls_binding.trace_id = prev_trace_id_;
-  tls_binding.span_id = prev_span_id_;
-  tls_binding.workload_class = prev_class_;
+  obs::internal::ThreadState& t = obs::internal::ThisThread();
+  t.trace_id = prev_trace_id_;
+  t.span_id = prev_span_id_;
+  t.workload_class = prev_class_;
 }
 
 void Trace::SetEnabled(bool on) {
@@ -385,7 +359,7 @@ uint64_t Trace::SlowOpCount() {
 
 void Trace::Instant(const char* name) {
   if (!Enabled()) return;
-  ThisThreadRing().Emit(name, NowNanos(), 0, ThisThreadSpans().depth,
+  ThisThreadRing().Emit(name, NowNanos(), 0, obs::internal::ThisThread().depth,
                         kPhaseInstant);
 }
 
@@ -545,122 +519,89 @@ std::string Trace::RenderTracez() {
   return w.TakeString();
 }
 
-void TraceSpan::Begin(const char* name) {
-  name_ = name;
-  start_ns_ = NowNanos();
-  active_ = true;
-  ++ThisThreadSpans().depth;
-  Binding& b = tls_binding;
-  if (b.trace_id != 0) {
-    span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-    parent_id_ = b.span_id;
-    b.span_id = span_id_;
+}  // namespace trace
+
+namespace obs {
+
+using trace::ActiveTrace;
+
+void Scope::BeginSpan(const OpContext* traced_ctx) {
+  span_ = true;
+  internal::ThreadState& t = internal::ThisThread();
+  if (traced_ctx != nullptr && t.trace_id != traced_ctx->trace_id) {
+    // Outermost scope of this trace on the thread: become its root.
+    root_ctx_ = traced_ctx;
+    prev_trace_id_ = t.trace_id;
+    prev_span_id_ = t.span_id;
+    prev_class_ = t.workload_class;
+    t.trace_id = traced_ctx->trace_id;
+    t.span_id = 0;
+    t.workload_class = traced_ctx->workload_class;
+    trace::IncTracedRoots();
+    trace::StartCapture(traced_ctx->trace_id, name_,
+                        traced_ctx->workload_class_name(), start_ns_);
   }
+  if (t.trace_id != 0) {
+    span_id_ = trace::g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+    parent_id_ = t.span_id;
+    t.span_id = span_id_;
+  }
+  ++t.depth;
 }
 
-void TraceSpan::End() {
-  const uint64_t end_ns = NowNanos();
+void Scope::EndSpan(uint64_t end_ns) {
   const uint64_t dur_ns = end_ns - start_ns_;
-  SpanState& state = ThisThreadSpans();
-  const uint32_t depth = --state.depth;
-  const uint32_t flags = obs::Flags();
-  if (flags & obs::kTraceBit)
-    ThisThreadRing().Emit(name_, start_ns_, dur_ns, depth, kPhaseComplete);
+  internal::ThreadState& t = internal::ThisThread();
+  const uint32_t depth = --t.depth;
+  const uint32_t flags = Flags();
+  if (flags & kTraceBit) {
+    trace::ThisThreadRing().Emit(name_, start_ns_, dur_ns, depth,
+                                 trace::kPhaseComplete);
+  }
+  const uint64_t trace_id = t.trace_id;
   if (span_id_ != 0) {
-    Binding& b = tls_binding;
-    b.span_id = parent_id_;
-    if (b.trace_id != 0) {
-      AppendSpanToCapture(b.trace_id,
-                          {name_, span_id_, parent_id_, start_ns_, dur_ns,
-                           ThisThreadTid()});
+    t.span_id = parent_id_;
+    if (trace_id != 0) {
+      trace::AppendSpanToCapture(trace_id,
+                                 {name_, span_id_, parent_id_, start_ns_,
+                                  dur_ns, trace::ThisThreadTid()});
     }
   }
-  if (flags & obs::kSlowOpBit) {
-    if (depth > 0) {
-      if (state.op_log.size() < SpanState::kMaxOpLog)
-        state.op_log.push_back({name_, start_ns_, dur_ns, depth});
-    } else {
-      const uint64_t threshold =
-          g_slow_op_threshold_ns.load(std::memory_order_relaxed);
-      if (threshold > 0 && dur_ns >= threshold) {
-        g_slow_ops.fetch_add(1, std::memory_order_relaxed);
-        MetricsRegistry::Default().GetCounter("bg3.trace.slow_ops")->Inc();
-        DumpSlowOp(state, name_, start_ns_, dur_ns);
-      }
-      state.op_log.clear();
+  if (root_ctx_ == nullptr && depth > 0) {
+    if ((flags & kSlowOpBit) &&
+        t.op_log.size() < internal::ThreadState::kMaxOpLog) {
+      t.op_log.push_back({name_, start_ns_, dur_ns, depth});
     }
+    return;
   }
-}
 
-OpScope::OpScope(const char* name, const OpContext* ctx) {
-  if (ctx == nullptr || ctx->trace_id == 0) return;
-  ctx_ = ctx;
-  Begin(name);
-}
-
-void OpScope::Begin(const char* name) {
-  name_ = name;
-  start_ns_ = NowNanos();
-  active_ = true;
-  Binding& b = tls_binding;
-  root_ = b.trace_id != ctx_->trace_id;
-  if (root_) {
-    prev_trace_id_ = b.trace_id;
-    prev_span_id_ = b.span_id;
-    prev_class_ = b.workload_class;
-    b.trace_id = ctx_->trace_id;
-    b.span_id = 0;
-    b.workload_class = ctx_->workload_class;
-    IncTracedRoots();
-    StartCapture(ctx_->trace_id, name, ctx_->workload_class_name(),
-                 start_ns_);
+  // A top-level operation: a trace root, or the outermost scope on the
+  // thread. It alone decides slowness, so one slow op counts once.
+  const char* workload_class = t.workload_class;
+  std::unique_ptr<ActiveTrace> capture;
+  if (root_ctx_ != nullptr) {
+    t.trace_id = prev_trace_id_;
+    t.span_id = prev_span_id_;
+    t.workload_class = prev_class_;
+    trace::DecTracedRoots();
+    capture = trace::FinishCapture(trace_id);
   }
-  span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  parent_id_ = b.span_id;
-  b.span_id = span_id_;
-  ++ThisThreadSpans().depth;
-}
-
-void OpScope::End() {
-  const uint64_t end_ns = NowNanos();
-  const uint64_t dur_ns = end_ns - start_ns_;
-  SpanState& state = ThisThreadSpans();
-  const uint32_t depth = --state.depth;
-  if (obs::Flags() & obs::kTraceBit)
-    ThisThreadRing().Emit(name_, start_ns_, dur_ns, depth, kPhaseComplete);
-  Binding& b = tls_binding;
-  b.span_id = parent_id_;
-  AppendSpanToCapture(ctx_->trace_id, {name_, span_id_, parent_id_, start_ns_,
-                                       dur_ns, ThisThreadTid()});
-  if (!root_) return;
-
-  // Root teardown: restore the thread binding, close the capture, decide
-  // retention (tail-based), and fold the request's account into the cost
-  // counters.
-  b.trace_id = prev_trace_id_;
-  b.span_id = prev_span_id_;
-  b.workload_class = prev_class_;
-  DecTracedRoots();
-  std::unique_ptr<ActiveTrace> capture = FinishCapture(ctx_->trace_id);
-  state.op_log.clear();
-
   const uint64_t threshold =
-      g_slow_op_threshold_ns.load(std::memory_order_relaxed);
+      internal::g_slow_op_threshold_ns.load(std::memory_order_relaxed);
   const bool slow = threshold > 0 && dur_ns >= threshold;
   if (slow) {
-    g_slow_ops.fetch_add(1, std::memory_order_relaxed);
+    internal::g_slow_ops.fetch_add(1, std::memory_order_relaxed);
     MetricsRegistry::Default().GetCounter("bg3.trace.slow_ops")->Inc();
-    fprintf(stderr,
-            "[bg3 slow-op] %s took %.3f ms (threshold %.3f ms) "
-            "(trace=%016llx class=%s) retained in /tracez\n",
-            name_, dur_ns / 1e6, threshold / 1e6,
-            static_cast<unsigned long long>(ctx_->trace_id),
-            ctx_->workload_class_name());
+    trace::DumpSlowOp(t, name_, start_ns_, dur_ns, trace_id, workload_class,
+                      root_ctx_ != nullptr);
   }
+  t.op_log.clear();
+  if (root_ctx_ == nullptr) return;
+
   // threshold == 0 means "retain every traced request" (tests, opt-in
   // always-on capture); otherwise only slow roots survive.
   if ((threshold == 0 || slow) && capture != nullptr) {
-    SlowTrace st;
+    trace::SlowTrace st;
     st.trace_id = capture->trace_id;
     st.root_name = capture->root_name;
     st.workload_class = capture->workload_class != nullptr
@@ -670,14 +611,13 @@ void OpScope::End() {
     st.root_dur_ns = dur_ns;
     st.dropped_spans = capture->dropped;
     st.spans = std::move(capture->spans);
-    RetainTrace(std::move(st));
+    trace::RetainTrace(std::move(st));
   }
-
-  if (ctx_->stats != nullptr) {
-    CostAccounting::Default().RecordOp(*ctx_->stats,
-                                       ctx_->workload_class_name());
+  if (root_ctx_->stats != nullptr) {
+    CostAccounting::Default().RecordOp(*root_ctx_->stats,
+                                       root_ctx_->workload_class_name());
   }
 }
 
-}  // namespace trace
+}  // namespace obs
 }  // namespace bg3

@@ -8,7 +8,37 @@
 
 namespace bg3 {
 
-struct OpContext;
+/// Layer that issued a piece of I/O, for per-request attribution. Every
+/// BG3_TIMED_SCOPE that names a layer stamps it into the calling thread's
+/// record on the way down; the cloud store reads it back when it bills bytes
+/// to a request's OpStats, so a k-hop read's storage fetches show up as
+/// "bwtree", a WAL group flush as "wal", a relocation as "gc" — the
+/// breakdown the cost model reports per layer (DESIGN.md §5.8).
+enum class OpLayer : uint8_t {
+  kApi = 0,
+  kQuery,
+  kForest,
+  kBwtree,
+  kWal,
+  kGc,
+  kReplication,
+  kOther,  ///< nothing declared a layer (direct store access, tests).
+};
+inline constexpr size_t kOpLayerCount = 8;
+
+inline const char* OpLayerName(OpLayer layer) {
+  switch (layer) {
+    case OpLayer::kApi: return "api";
+    case OpLayer::kQuery: return "query";
+    case OpLayer::kForest: return "forest";
+    case OpLayer::kBwtree: return "bwtree";
+    case OpLayer::kWal: return "wal";
+    case OpLayer::kGc: return "gc";
+    case OpLayer::kReplication: return "replication";
+    case OpLayer::kOther: return "other";
+  }
+  return "other";
+}
 
 // ---------------------------------------------------------------------------
 // Global observability switches, packed into one atomic word so the
@@ -26,16 +56,50 @@ namespace obs {
 inline constexpr uint32_t kTimingBit = 1u;
 inline constexpr uint32_t kTraceBit = 2u;
 inline constexpr uint32_t kSlowOpBit = 4u;
-/// Set while at least one traced request (OpContext::Traced + trace::OpScope
-/// root) is in flight anywhere in the process; makes every TraceSpan check
-/// its thread's trace binding. Maintained by trace::OpScope, never by hand.
+/// Set while at least one traced request (a BG3_TIMED_SCOPE given an
+/// OpContext::Traced context) is in flight anywhere in the process; makes
+/// every scope open a span and check its thread's trace binding. Maintained
+/// by the request's root scope, never by hand.
 inline constexpr uint32_t kReqTraceBit = 8u;
+/// Any bit that makes a scope open a span (not just time itself).
+inline constexpr uint32_t kSpanBits = kTraceBit | kSlowOpBit | kReqTraceBit;
 
 namespace internal {
 /// Bit set of the flags above; mutate via the setters only.
 extern std::atomic<uint32_t> g_flags;
 /// Forces the env-var read before first use (harmless to call repeatedly).
 void EnsureInitFromEnv();
+
+/// Everything a scope keeps per thread, in one record: the billing layer,
+/// the open-span depth, the trace binding (which trace new spans join and
+/// who their parent is), and the spans completed inside the current
+/// top-level operation, so a slow-op breach can print the whole tree.
+struct ThreadState {
+  OpLayer layer = OpLayer::kOther;  ///< innermost declared layer.
+  uint32_t depth = 0;               ///< open spans on this thread.
+  uint64_t trace_id = 0;            ///< bound trace; 0 = none.
+  uint64_t span_id = 0;             ///< innermost open span (next parent).
+  const char* workload_class = nullptr;
+  struct Done {
+    const char* name;
+    uint64_t start_ns;
+    uint64_t dur_ns;
+    uint32_t depth;
+  };
+  std::vector<Done> op_log;  ///< filled only while the slow-op log is on.
+  static constexpr size_t kMaxOpLog = 512;
+};
+
+/// The calling thread's record. Function-local rather than a namespace-scope
+/// extern: gcc's cross-TU TLS wrapper can hand instrumented callers a null
+/// address for the extern form (PR 85400-style), which ubsan flags on
+/// freshly spawned worker threads. The accessor form is init-on-first-use;
+/// after the first call it costs one guard-byte check plus the TLS slot
+/// access.
+inline ThreadState& ThisThread() {
+  thread_local ThreadState state;
+  return state;
+}
 }  // namespace internal
 
 inline uint32_t Flags() {
@@ -46,6 +110,9 @@ inline bool TimingEnabled() { return Flags() & kTimingBit; }
 void SetTimingEnabled(bool on);
 
 }  // namespace obs
+
+/// Innermost layer declared on the calling thread (kOther when none).
+inline OpLayer CurrentOpLayer() { return obs::internal::ThisThread().layer; }
 
 namespace trace {
 
@@ -84,7 +151,8 @@ struct SlowTrace {
 ///    into its own lock-free ring buffer (single-writer; overwrites oldest
 ///    on wrap); ExportChromeJson() merges all rings into a
 ///    chrome://tracing-loadable JSON document.
-///  - **Per-request** (OpContext::Traced + OpScope): spans are additionally
+///  - **Per-request** (a BG3_TIMED_SCOPE given an OpContext::Traced
+///    context becomes the request's root): spans are additionally
 ///    keyed by trace id with parent/child causality and buffered per trace;
 ///    when the root ends, the whole tree is retained iff the root was slow
 ///    (tail-based), and served from RetainedTraces() / `/tracez`.
@@ -168,86 +236,7 @@ class TraceBinding {
   const char* prev_class_;
 };
 
-/// RAII request-root span, placed at every public API entry that accepts an
-/// OpContext (GraphDB ops, Query::Execute, ByteGraph ops). Inert — one
-/// pointer compare — unless `ctx` is traced (ctx->trace_id != 0).
-///
-/// The *outermost* OpScope of a trace on its thread becomes the trace root:
-/// it starts per-request capture, binds the trace to the thread, and on
-/// destruction makes the tail-based retention decision and folds the
-/// request's OpStats into the cost accounting (CostAccounting::Default()).
-/// Nested OpScopes of the same trace record ordinary child spans. `name`
-/// must be a string literal, conventionally `bg3.<layer>.<op>` (no unit
-/// suffix — it is an operation, not a histogram).
-class OpScope {
- public:
-  OpScope(const char* name, const OpContext* ctx);
-  ~OpScope() {
-    if (active_) End();
-  }
-
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-
- private:
-  void Begin(const char* name);
-  void End();
-
-  const char* name_ = nullptr;
-  const OpContext* ctx_ = nullptr;
-  uint64_t start_ns_ = 0;
-  uint64_t span_id_ = 0;
-  uint64_t parent_id_ = 0;
-  // Thread binding saved by the root, restored when the root ends.
-  uint64_t prev_trace_id_ = 0;
-  uint64_t prev_span_id_ = 0;
-  const char* prev_class_ = nullptr;
-  bool active_ = false;
-  bool root_ = false;
-};
-
-/// RAII begin/end span: records one complete ('X') trace event on scope
-/// exit, maintains the per-thread span depth, feeds the slow-op log, and —
-/// when the thread carries a trace binding — records a causal span into the
-/// bound trace's capture. Near-zero cost (one flag load) when tracing,
-/// slow-op logging, and request tracing are all off. `name` must be a
-/// string literal.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (obs::Flags() &
-        (obs::kTraceBit | obs::kSlowOpBit | obs::kReqTraceBit)) {
-      Begin(name);
-    }
-  }
-  ~TraceSpan() {
-    if (active_) End();
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  void Begin(const char* name);
-  void End();
-
-  const char* name_ = nullptr;
-  uint64_t start_ns_ = 0;
-  uint64_t span_id_ = 0;   ///< nonzero only when bound to a traced request.
-  uint64_t parent_id_ = 0;
-  bool active_ = false;
-};
-
 }  // namespace trace
 }  // namespace bg3
-
-/// Standalone trace span (no histogram); use BG3_TIMED_SCOPE when the scope
-/// should also feed a latency histogram.
-#define BG3_TRACE_SPAN(name_literal) \
-  ::bg3::trace::TraceSpan bg3_trace_span_##__LINE__(name_literal)
-
-/// Request-root span at an OpContext-accepting API boundary.
-#define BG3_OP_SCOPE(name_literal, ctx_expr) \
-  ::bg3::trace::OpScope bg3_op_scope_##__LINE__(name_literal, ctx_expr)
 
 #endif  // BG3_COMMON_TRACE_H_

@@ -603,9 +603,7 @@ void GraphDB::RefreshOverloadState() {
 
 Status GraphDB::AddVertex(graph::VertexId id, const Slice& properties,
                           const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.add_vertex_ns");
-  BG3_OP_SCOPE("bg3.api.add_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.add_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   return vertex_tree_->Upsert(graph::EncodeDstKey(id), properties, ctx);
@@ -613,9 +611,7 @@ Status GraphDB::AddVertex(graph::VertexId id, const Slice& properties,
 
 Result<std::string> GraphDB::GetVertex(graph::VertexId id,
                                        const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.get_vertex_ns");
-  BG3_OP_SCOPE("bg3.api.get_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.get_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
   return vertex_tree_->Get(graph::EncodeDstKey(id), ctx);
@@ -623,9 +619,7 @@ Result<std::string> GraphDB::GetVertex(graph::VertexId id,
 
 Status GraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
                              const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.delete_vertex_ns");
-  BG3_OP_SCOPE("bg3.api.delete_vertex", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.delete_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   {
@@ -647,9 +641,7 @@ Status GraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
 Status GraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
                         graph::VertexId dst, const Slice& properties,
                         graph::TimestampUs created_us, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.add_edge_ns");
-  BG3_OP_SCOPE("bg3.api.add_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.add_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   if (created_us == 0) created_us = time_source_->NowUs();
@@ -660,9 +652,7 @@ Status GraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
 
 Status GraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
                            graph::VertexId dst, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.delete_edge_ns");
-  BG3_OP_SCOPE("bg3.api.delete_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.delete_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   return forest_->Delete(graph::MakeOwnerId(src, type),
@@ -672,9 +662,7 @@ Status GraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
 Result<std::string> GraphDB::GetEdge(graph::VertexId src, graph::EdgeType type,
                                      graph::VertexId dst,
                                      const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.get_edge_ns");
-  BG3_OP_SCOPE("bg3.api.get_edge", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.get_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
   auto value = forest_->Get(graph::MakeOwnerId(src, type),
@@ -694,9 +682,7 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
                              size_t limit,
                              std::vector<graph::Neighbor>* out,
                              const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.api.get_neighbors_ns");
-  BG3_OP_SCOPE("bg3.api.get_neighbors", ctx);
-  OpLayerScope api_layer(OpLayer::kApi);
+  BG3_TIMED_SCOPE("bg3.api.get_neighbors", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
   std::vector<bwtree::Entry> entries;
@@ -718,7 +704,7 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
 }
 
 Status GraphDB::RunGcCycle() {
-  BG3_TIMED_SCOPE("bg3.api.run_gc_cycle_ns");
+  BG3_TIMED_SCOPE("bg3.api.run_gc_cycle");
   // GC competes under its own (small) admission class so a maintenance
   // storm cannot crowd out foreground work; it never carries a deadline.
   AdmissionController::Permit permit;

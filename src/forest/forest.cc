@@ -88,8 +88,7 @@ std::shared_ptr<BwTreeForest::OwnerState> BwTreeForest::FindState(
 
 Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
                             const Slice& value, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.forest.upsert_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_TIMED_SCOPE("bg3.forest.upsert", OpLayer::kForest);
   auto owned = GetOrCreateState(owner);
   OwnerState* state = owned.get();
   bool check_init_capacity = false;
@@ -140,8 +139,7 @@ Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
 
 Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
                                       const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.forest.lookup_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_TIMED_SCOPE("bg3.forest.lookup", OpLayer::kForest);
   auto owned = FindState(owner);
   if (owned == nullptr) return Status::NotFound("unknown owner");
   OwnerState* state = owned.get();
@@ -160,8 +158,7 @@ Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
 Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
                                size_t limit, std::vector<bwtree::Entry>* out,
                                const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.forest.scan_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_TIMED_SCOPE("bg3.forest.scan", OpLayer::kForest);
   auto owned = FindState(owner);
   if (owned == nullptr) return Status::OK();  // no entries yet
   OwnerState* state = owned.get();
@@ -209,8 +206,7 @@ Status BwTreeForest::DedicateOwner(OwnerId owner) {
 
 Status BwTreeForest::SplitOutLocked(OwnerId owner, OwnerState* state,
                                     LightCounter* reason) {
-  BG3_TIMED_SCOPE("bg3.forest.split_out_ns");
-  OpLayerScope forest_layer(OpLayer::kForest);
+  BG3_TIMED_SCOPE("bg3.forest.split_out", OpLayer::kForest);
   BG3_CHECK(state->tree == nullptr);
   const bwtree::TreeId id =
       next_tree_id_.fetch_add(1, std::memory_order_relaxed);

@@ -32,8 +32,7 @@ SpaceReclaimer::SpaceReclaimer(cloud::CloudStore* store,
 
 Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
                                              size_t max_extents) {
-  BG3_TIMED_SCOPE("bg3.gc.cycle_ns");
-  OpLayerScope gc_layer(OpLayer::kGc);
+  BG3_TIMED_SCOPE("bg3.gc.cycle", OpLayer::kGc);
   CycleResult result;
   const uint64_t now = tracker_->NowUs();
 
@@ -48,7 +47,7 @@ Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
 
   // Phase 1: free extents whose TTL elapsed — no data movement at all.
   if (opts_.ttl_us != 0) {
-    BG3_TIMED_SCOPE("bg3.gc.expire_phase_ns");
+    BG3_TIMED_SCOPE("bg3.gc.expire_phase");
     std::vector<GcCandidate> remaining;
     remaining.reserve(candidates.size());
     for (GcCandidate& cand : candidates) {
@@ -79,7 +78,7 @@ Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
       total == 0 ? 0.0
                  : static_cast<double>(total - live) / static_cast<double>(total);
   if (dead_ratio > opts_.target_dead_ratio) {
-    BG3_TIMED_SCOPE("bg3.gc.relocate_phase_ns");
+    BG3_TIMED_SCOPE("bg3.gc.relocate_phase");
     std::unordered_map<cloud::ExtentId, uint64_t> used_bytes;
     for (const GcCandidate& cand : candidates) {
       used_bytes[cand.stats.id] = cand.stats.used_bytes;
@@ -115,8 +114,7 @@ Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
 
 Result<uint64_t> SpaceReclaimer::RelocateExtent(cloud::StreamId stream,
                                                 cloud::ExtentId extent) {
-  BG3_TIMED_SCOPE("bg3.gc.relocate_extent_ns");
-  OpLayerScope gc_layer(OpLayer::kGc);
+  BG3_TIMED_SCOPE("bg3.gc.relocate_extent", OpLayer::kGc);
   auto records = RetryResultWithBackoff(StoreRetryOptions(), [&] {
     return store_->ReadValidRecords(stream, extent);
   });

@@ -139,9 +139,7 @@ Query& Query::Sample(size_t k, uint64_t seed) {
 }
 
 Result<std::vector<graph::VertexId>> Query::Execute() {
-  BG3_TIMED_SCOPE("bg3.query.execute_ns");
-  BG3_OP_SCOPE("bg3.query.execute", ctx_);
-  OpLayerScope query_layer(OpLayer::kQuery);
+  BG3_TIMED_SCOPE("bg3.query.execute", OpLayer::kQuery, ctx_);
   BG3_RETURN_IF_ERROR(ValidateOpContext(ctx_));
   Frontier f;
   f.vertices = sources_;

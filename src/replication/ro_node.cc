@@ -47,8 +47,7 @@ RoNode::~RoNode() {
 }
 
 Status RoNode::PollWal() {
-  BG3_TIMED_SCOPE("bg3.replication.poll_ns");
-  OpLayerScope repl_layer(OpLayer::kReplication);
+  BG3_TIMED_SCOPE("bg3.replication.poll", OpLayer::kReplication);
   WriterMutexLock lock(&mu_);
   return PollWalLocked(/*force=*/true);
 }
@@ -509,8 +508,7 @@ RoNode::FastRead RoNode::TryGetFastLocked(bwtree::TreeId tree, const Slice& key,
 
 Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
                                 const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.replication.ro_get_ns");
-  OpLayerScope repl_layer(OpLayer::kReplication);
+  BG3_TIMED_SCOPE("bg3.replication.ro_get", OpLayer::kReplication);
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro get"));
   if (opts_.min_poll_gap_us > 0) {
     // Warm-path attempt under the shared latch: a cached, fully replayed
@@ -546,8 +544,7 @@ Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
 Status RoNode::Scan(bwtree::TreeId tree, const Slice& start_key,
                     const Slice& end_key, size_t limit,
                     std::vector<bwtree::Entry>* out, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.replication.ro_scan_ns");
-  OpLayerScope repl_layer(OpLayer::kReplication);
+  BG3_TIMED_SCOPE("bg3.replication.ro_scan", OpLayer::kReplication);
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro scan"));
   WriterMutexLock lock(&mu_);
   BG3_RETURN_IF_ERROR(PollWalLocked());

@@ -103,8 +103,7 @@ WalWriter::~WalWriter() {
 }
 
 Status WalWriter::Append(WalRecord record, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.wal.append_ns");
-  OpLayerScope wal_layer(OpLayer::kWal);
+  BG3_TIMED_SCOPE("bg3.wal.append", OpLayer::kWal);
   if (ctx != nullptr && ctx->stats != nullptr) {
     // Bill the record to the request at enqueue time — the group flush that
     // eventually publishes it may run under a different request's context.
@@ -141,8 +140,7 @@ Status WalWriter::Append(WalRecord record, const OpContext* ctx) {
 
 Status WalWriter::AppendAsync(WalRecord record, const OpContext* ctx,
                               WalTicket* ticket) {
-  BG3_TIMED_SCOPE("bg3.wal.enqueue_ns");
-  OpLayerScope wal_layer(OpLayer::kWal);
+  BG3_TIMED_SCOPE("bg3.wal.enqueue", OpLayer::kWal);
   if (ctx != nullptr && ctx->stats != nullptr) {
     OpStats::RecordWalAppend(ctx->stats, 1, record.EncodedSize());
   }
@@ -191,7 +189,7 @@ Status WalWriter::WaitCommitted(WalTicket ticket, const OpContext* ctx) {
 }
 
 Status WalWriter::Flush(const OpContext* ctx) {
-  OpLayerScope wal_layer(OpLayer::kWal);
+  obs::Scope wal_layer(OpLayer::kWal);
   if (opts_.mode == WalWriterMode::kSync) {
     std::lock_guard<std::mutex> lock(mu_);
     return FlushLocked(ctx);
@@ -250,7 +248,7 @@ void WalWriter::SerializerMain() {
     // Stamp each record's simulated publish latency — its residency in the
     // group buffer plus the append latency of the batch itself — then
     // encode exactly once, off every caller's thread.
-    BG3_TIMED_SCOPE("bg3.wal.serialize_ns");
+    BG3_TIMED_SCOPE("bg3.wal.serialize");
     const uint64_t append_latency =
         store_->latency_model().AppendLatencyUs(BatchBodySize(batch.records));
     for (WalRecord& r : batch.records) {
@@ -352,7 +350,7 @@ void WalWriter::KickParked(uint64_t below_seq) {
 }
 
 Status WalWriter::WaitTicket(uint64_t target, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.wal.commit_wait_ns");
+  BG3_TIMED_SCOPE("bg3.wal.commit_wait");
   for (;;) {
     // Two-phase wait: snapshot the disturb epoch, then check the parked
     // state, then wait against the snapshot. A failure that parks before
@@ -400,10 +398,9 @@ uint64_t WalWriter::zombie_drained() const {
 
 Status WalWriter::FlushLocked(const OpContext* ctx) {
   if (buffer_.empty()) return Status::OK();
-  BG3_TIMED_SCOPE("bg3.wal.sync_ns");
   // The batch append's cloud I/O is WAL work regardless of which layer's
   // request happened to trigger the flush.
-  OpLayerScope wal_layer(OpLayer::kWal);
+  BG3_TIMED_SCOPE("bg3.wal.sync", OpLayer::kWal);
   // Stamp each record's simulated publish latency: its residency in the
   // group buffer plus the append latency of the batch itself (sized before
   // stamping, without the historical probe encode).

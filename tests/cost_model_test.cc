@@ -9,6 +9,7 @@
 #include "common/cost_model.h"
 #include "common/metrics_registry.h"
 #include "common/op_stats.h"
+#include "common/timed_scope.h"
 
 namespace bg3 {
 namespace {
@@ -50,12 +51,12 @@ TEST(CostModelTest, OpCostSumsReadsAndAppendsAcrossLayers) {
 
   OpStats s;
   {
-    OpLayerScope bwtree(OpLayer::kBwtree);
+    obs::Scope bwtree(OpLayer::kBwtree);
     OpStats::RecordCloudRead(&s, 100);
     OpStats::RecordCloudRead(&s, 100);
   }
   {
-    OpLayerScope wal(OpLayer::kWal);
+    obs::Scope wal(OpLayer::kWal);
     OpStats::RecordCloudAppend(&s, 300);
   }
   EXPECT_EQ(s.CloudReadOps(), 2u);
@@ -84,13 +85,13 @@ TEST(CostModelTest, AccountingFoldsIntoNanoUsdCounters) {
 
   OpStats s;
   {
-    OpLayerScope bwtree(OpLayer::kBwtree);
+    obs::Scope bwtree(OpLayer::kBwtree);
     OpStats::RecordCloudRead(&s, 4096);  // $0.001
     OpStats::RecordCloudRead(&s, 4096);  // $0.001
     OpStats::RecordCloudRead(&s, 4096);  // $0.001
   }
   {
-    OpLayerScope wal(OpLayer::kWal);
+    obs::Scope wal(OpLayer::kWal);
     OpStats::RecordCloudAppend(&s, 512);  // $0.002
   }
 

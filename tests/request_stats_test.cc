@@ -2,8 +2,10 @@
 // k-hop query produces a `/tracez` span tree crossing query -> api ->
 // forest -> bwtree -> cloud, its OpStats cloud counters reconcile exactly
 // with the store's IoStats delta, the finished request folds nonzero
-// bg3.cost.* attribution by layer and class, and the satellite OpContext
-// fixes (WithTimeout saturation, trace-tagged deadline errors) hold.
+// bg3.cost.* attribution by layer and class, each traced boundary yields
+// one span, one slow-op count and one firehose event, and the satellite
+// OpContext fixes (WithTimeout saturation, trace-tagged deadline errors)
+// hold.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -43,6 +45,14 @@ uint64_t CounterOrZero(const MetricsRegistry::Snapshot& snap,
   auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
 }
+
+uint64_t HistCountOrZero(const MetricsRegistry::Snapshot& snap,
+                         const std::string& name) {
+  auto it = snap.histograms.find(name);
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+constexpr const char* kNbrHist = "bg3.api.get_neighbors_ns";
 
 class RequestStatsTest : public ::testing::Test {
  protected:
@@ -89,6 +99,7 @@ TEST_F(RequestStatsTest, TracedKHopQueryEndToEnd) {
   OpContext ctx = OpContext::Traced("khop_test", &stats);
 
   const auto cost_before = MetricsRegistry::Default().TakeSnapshot();
+  const uint64_t nbr_calls_before = HistCountOrZero(cost_before, kNbrHist);
   const uint64_t reads_before = store.stats().read_ops.Get();
   const uint64_t read_bytes_before = store.stats().read_bytes.Get();
 
@@ -142,6 +153,23 @@ TEST_F(RequestStatsTest, TracedKHopQueryEndToEnd) {
           << s.name << " has dangling parent " << s.parent_id;
     }
   }
+  // One span per layer boundary: spans are named by operation, never by
+  // the histogram unit, and each GetNeighbors call the query made shows up
+  // exactly once.
+  const uint64_t nbr_calls =
+      HistCountOrZero(MetricsRegistry::Default().TakeSnapshot(), kNbrHist) -
+      nbr_calls_before;
+  EXPECT_GT(nbr_calls, 1u);
+  EXPECT_EQ(mine->dropped_spans, 0u);
+  size_t nbr_spans = 0;
+  for (const trace::SpanRecord& s : mine->spans) {
+    const std::string name(s.name);
+    EXPECT_FALSE(name.size() > 3 && name.substr(name.size() - 3) == "_ns")
+        << "span named like a histogram: " << name;
+    if (name == "bg3.api.get_neighbors") ++nbr_spans;
+  }
+  EXPECT_EQ(nbr_spans, nbr_calls);
+
   EXPECT_GE(layers.size(), 4u) << "layers: "
                                << ::testing::PrintToString(layers);
   EXPECT_TRUE(layers.count("query"));
@@ -275,6 +303,53 @@ TEST_F(RequestStatsTest, TracedWriteFoldsOneRequest) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// A traced slow op is one top-level operation: the API scope is both the
+// trace root and the outermost scope on the thread, so it is counted and
+// logged once.
+TEST_F(RequestStatsTest, TracedSlowOpCountedOnce) {
+  cloud::CloudStore store;
+  core::GraphDB db(&store, core::GraphDBOptions{});
+  OpContext ctx = OpContext::Traced("slow_test", nullptr);
+
+  const uint64_t count_before = trace::Trace::SlowOpCount();
+  const uint64_t counter_before = CounterOrZero(
+      MetricsRegistry::Default().TakeSnapshot(), "bg3.trace.slow_ops");
+  trace::Trace::SetSlowOpThresholdNs(1);  // every op is slow
+  ASSERT_TRUE(db.AddEdge(1, kFollows, 2, "p", 1, &ctx).ok());
+  trace::Trace::SetSlowOpThresholdNs(0);
+
+  EXPECT_EQ(trace::Trace::SlowOpCount() - count_before, 1u);
+  EXPECT_EQ(CounterOrZero(MetricsRegistry::Default().TakeSnapshot(),
+                          "bg3.trace.slow_ops") -
+                counter_before,
+            1u);
+}
+
+// With the firehose on (BG3_TRACE=1), one traced GetNeighbors writes one
+// event for the API boundary, not one per stacked instrument.
+TEST_F(RequestStatsTest, FirehoseWritesOneEventPerBoundary) {
+  cloud::CloudStore store;
+  core::GraphDB db(&store, core::GraphDBOptions{});
+  ASSERT_TRUE(db.AddEdge(1, kFollows, 2, "p", 1).ok());
+  OpContext ctx = OpContext::Traced("firehose_test", nullptr);
+
+  trace::Trace::SetEnabled(true);
+  trace::Trace::Reset();
+  std::vector<graph::Neighbor> out;
+  ASSERT_TRUE(db.GetNeighbors(1, kFollows, 10, &out, &ctx).ok());
+  trace::Trace::SetEnabled(false);
+  ASSERT_EQ(out.size(), 1u);
+
+  const std::string json = trace::Trace::ExportChromeJson();
+  const std::string needle = "\"name\":\"bg3.api.get_neighbors";
+  size_t events = 0;
+  for (size_t pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + 1)) {
+    ++events;
+  }
+  EXPECT_EQ(events, 1u) << json;
 }
 
 }  // namespace
