@@ -46,6 +46,11 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
   if (!pages.front().low_key.empty()) {
     return Status::InvalidArgument("first page must cover the key space start");
   }
+  if (pages.back().has_high_key) {
+    // A bounded last page (its split sibling's image missing) would route
+    // every key past its high key back to itself.
+    return Status::InvalidArgument("last page must cover the key space end");
+  }
   PageId max_id = 0;
   for (size_t i = 0; i < pages.size(); ++i) {
     RecoveredPage& rp = pages[i];

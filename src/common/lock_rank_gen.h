@@ -29,10 +29,10 @@
 //   RoNode::mu_ -> CloudStore::manifest_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
 //   RwNode::flush_mu_ -> CloudStore::manifest_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
 //   RwNode::flush_mu_ -> CloudStore::topology_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
+//   RwNode::flush_mu_ -> ImageStager::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
 //   RwNode::flush_mu_ -> LeafPage::latch  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
 //   RwNode::flush_mu_ -> PageIndex::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> DirtyPageIds()]
 //   RwNode::flush_mu_ -> RwNode::ckpt_ptr_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
-//   RwNode::flush_mu_ -> RwNode::staged_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
 //   RwNode::flush_mu_ -> Stream::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
 
 #ifndef BG3_COMMON_LOCK_RANK_GEN_H_
@@ -47,9 +47,9 @@ inline constexpr int kRoNode_mu = 4;  // RoNode::mu_
 inline constexpr int kRwNode_flush_mu = 5;  // RwNode::flush_mu_
 inline constexpr int kCloudStore_manifest_mu = 6;  // CloudStore::manifest_mu_
 inline constexpr int kCloudStore_topology_mu = 7;  // CloudStore::topology_mu_
-inline constexpr int kPageIndex_mu = 8;  // PageIndex::mu_
-inline constexpr int kRwNode_ckpt_ptr_mu = 9;  // RwNode::ckpt_ptr_mu_
-inline constexpr int kRwNode_staged_mu = 10;  // RwNode::staged_mu_
+inline constexpr int kImageStager_mu = 8;  // ImageStager::mu_
+inline constexpr int kPageIndex_mu = 9;  // PageIndex::mu_
+inline constexpr int kRwNode_ckpt_ptr_mu = 10;  // RwNode::ckpt_ptr_mu_
 inline constexpr int kStream_mu = 11;  // Stream::mu_
 
 // Unranked (dynamic order; stay kUnranked):

@@ -26,6 +26,29 @@ AdmissionOptions AdmissionWithDbClock(AdmissionOptions a,
 /// stay off the per-op fast path.
 constexpr uint64_t kWritesPerOverloadRefresh = 256;
 
+/// Raises `lsn` to at least `floor`, so post-restore mutations keep
+/// flushed_lsn <= last_lsn on every restored page.
+void RaiseLsnFloor(std::atomic<bwtree::Lsn>* lsn, bwtree::Lsn floor) {
+  bwtree::Lsn cur = lsn->load(std::memory_order_relaxed);
+  while (cur < floor &&
+         !lsn->compare_exchange_weak(cur, floor, std::memory_order_relaxed)) {
+  }
+}
+
+/// Flushes `tree`'s dirty pages until a pass sees no split, so its
+/// published images tile its current key space.
+Status FlushTreeUntilStable(bwtree::BwTree* tree) {
+  size_t leaves;
+  do {
+    leaves = tree->LeafCount();
+    for (bwtree::PageId page : tree->DirtyPageIds()) {
+      Status s = tree->FlushPage(page);
+      if (!s.ok() && !s.IsNotFound()) return s;
+    }
+  } while (tree->LeafCount() != leaves);
+  return Status::OK();
+}
+
 }  // namespace
 
 bwtree::BwTree* GraphDB::ResolverImpl::Resolve(bwtree::TreeId id) {
@@ -52,12 +75,13 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   // which trees come up in bootstrap mode with their checkpointed layout.
   replication::CheckpointManifest restore_manifest;
   bool restoring = false;
-  if (opts_.checkpoint.enabled && opts_.checkpoint.restore) {
+  if (opts_.checkpoint.enabled) {
     auto loaded = replication::LoadCheckpoint(store_, kCheckpointScope);
     if (loaded.ok()) {
       restore_manifest = std::move(loaded.value().manifest);
       checkpoint_fell_back_ = loaded.value().fell_back;
       restoring = true;
+      RaiseLsnFloor(&lsn_, restore_manifest.checkpoint_lsn);
     }
   }
   std::vector<bwtree::RecoveredPage> vertex_pages;
@@ -74,13 +98,13 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   vertex_opts.flush_mode = opts_.forest.tree_options.flush_mode;
   vertex_opts.tolerate_missing_extents = opts_.edge_ttl_us != 0;
   vertex_opts.tick_source = &access_tick_;
+  vertex_opts.lsn_source = &lsn_;
   if (opts_.checkpoint.enabled) {
-    // Checkpointing owns durability: writes stay in memory and the cycle's
-    // bounded flush rounds persist them (the staged images publish through
-    // image_listener_).
+    // Checkpointing owns durability: writes stay in memory and the
+    // checkpointer's bounded flush rounds persist them (the images publish
+    // through the stager at each commit).
     vertex_opts.flush_mode = bwtree::FlushMode::kDeferred;
-    vertex_opts.listener = &image_listener_;
-    vertex_opts.lsn_source = &vertex_lsn_;
+    vertex_opts.listener = &stager_;
   }
   vertex_opts.bootstrap = !vertex_pages.empty();
   vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
@@ -105,9 +129,10 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   forest_opts.tree_options.delta_stream = delta_stream_;
   forest_opts.tree_options.tolerate_missing_extents = opts_.edge_ttl_us != 0;
   forest_opts.tree_options.tick_source = &access_tick_;
+  forest_opts.tree_options.lsn_source = &lsn_;
   if (opts_.checkpoint.enabled) {
     forest_opts.tree_options.flush_mode = bwtree::FlushMode::kDeferred;
-    forest_opts.tree_options.listener = &image_listener_;
+    forest_opts.tree_options.listener = &stager_;
   }
   std::vector<bwtree::RecoveredPage> init_pages;
   if (restoring) init_pages = LoadTreeImages(0);
@@ -148,10 +173,6 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                            &forest_->stats().split_outs);
   reg.RegisterLightCounter(metrics_prefix_ + "forest.evictions",
                            &forest_->stats().evictions);
-  reg.RegisterLightCounter(metrics_prefix_ + "checkpoint.pages_flushed",
-                           &ckpt_pages_flushed_);
-  reg.RegisterLightCounter(metrics_prefix_ + "checkpoint.manifests_written",
-                           &ckpt_manifests_written_);
   reg.RegisterLightCounter(metrics_prefix_ + "checkpoint.replay_bytes",
                            &ckpt_replay_bytes_);
   reg.RegisterCallback(metrics_prefix_ + "forest.tree_count",
@@ -221,6 +242,16 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                          [this] { return reclaimer_->totals().bytes_freed; });
   }
 
+  if (opts_.checkpoint.enabled) {
+    replication::CheckpointerOptions ckpt_opts;
+    ckpt_opts.interval_ms = opts_.checkpoint.interval_ms;
+    ckpt_opts.max_pages_per_round = opts_.checkpoint.max_pages_per_cycle;
+    // The cast happens here, where the private base is accessible.
+    replication::CheckpointTarget* target = this;
+    checkpointer_ =
+        std::make_unique<replication::Checkpointer>(store_, target, ckpt_opts);
+  }
+
   if (opts_.debug_server.enabled) {
     // Best effort: a debug endpoint that cannot bind (port in use) must
     // not fail database startup. debug_server_port() stays 0.
@@ -236,7 +267,7 @@ GraphDB::~GraphDB() {
   // Stop serving before engine teardown so no handler renders metrics while
   // callbacks registered against this instance are being torn down.
   debug_server_.Stop();
-  StopCheckpointing();
+  checkpointer_.reset();  // stops its thread before the trees go away
   StopMaintenance();
   MetricsRegistry::Default().DeregisterPrefix(metrics_prefix_);
   store_->SetObserver(nullptr);
@@ -254,8 +285,11 @@ void GraphDB::StartMaintenance(uint64_t interval_ms) {
       if (maint_stop_) return;
       lock.unlock();
       // Best-effort background cycle; failures surface via gc stats and the
-      // next foreground RunGcCycle caller.
+      // next foreground RunGcCycle caller. Restore warming keeps its queue
+      // entry on failure, so the next tick retries it.
       BG3_IGNORE_STATUS(RunGcCycle());
+      BG3_IGNORE_STATUS(
+          WarmRestoredPages(opts_.checkpoint.warm_pages_per_cycle).status());
       lock.lock();
     }
   });
@@ -271,27 +305,6 @@ void GraphDB::StopMaintenance() {
   }
   maint_cv_.notify_all();
   joinee.join();
-}
-
-void GraphDB::ImageListener::OnPageFlushed(
-    bwtree::TreeId tree, bwtree::PageId page, bwtree::Lsn flushed_lsn,
-    const cloud::PagePointer& base_ptr,
-    const std::vector<cloud::PagePointer>& delta_ptrs,
-    const std::string& low_key, const std::string& high_key,
-    bool has_high_key) {
-  StagedImage staged;
-  staged.tree = tree;
-  staged.page = page;
-  staged.meta.flushed_lsn = flushed_lsn;
-  staged.meta.base_ptr = base_ptr;
-  staged.meta.delta_ptrs = delta_ptrs;
-  staged.meta.low_key = low_key;
-  staged.meta.high_key = high_key;
-  staged.meta.has_high_key = has_high_key;
-  std::lock_guard<std::mutex> lock(db_->staged_mu_);
-  bwtree::Lsn& tree_lsn = db_->ckpt_tree_lsn_[tree];
-  tree_lsn = std::max(tree_lsn, flushed_lsn);
-  db_->ckpt_staged_.push_back(std::move(staged));
 }
 
 std::vector<bwtree::RecoveredPage> GraphDB::LoadTreeImages(
@@ -326,6 +339,9 @@ std::vector<bwtree::RecoveredPage> GraphDB::LoadTreeImages(
     rp.resident = meta.base_ptr.IsNull();
     pages.push_back(std::move(rp));
   }
+  // Images of a cut that never reached its manifest may sit past the
+  // manifest's LSN; they are installed all the same.
+  for (const auto& rp : pages) RaiseLsnFloor(&lsn_, rp.last_lsn);
   return pages;
 }
 
@@ -349,135 +365,74 @@ void GraphDB::RestoreFromManifest(
       BG3_IGNORE_STATUS(forest_->RestoreOwner(rec, {}));
     }
   }
-  // Post-restore mutations must extend the checkpointed LSN order so the
-  // per-page flushed_lsn <= last_lsn invariant holds.
-  forest_->RestoreLsnFloor(manifest.checkpoint_lsn);
-  bwtree::Lsn cur = vertex_lsn_.load(std::memory_order_relaxed);
-  while (cur < manifest.checkpoint_lsn &&
-         !vertex_lsn_.compare_exchange_weak(cur, manifest.checkpoint_lsn,
-                                            std::memory_order_relaxed)) {
-  }
-  {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    for (const auto& t : manifest.trees) {
-      bwtree::Lsn& tree_lsn = ckpt_tree_lsn_[t.tree_id];
-      tree_lsn = std::max(tree_lsn, t.flushed_lsn);
-    }
-  }
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  ckpt_epoch_ = manifest.epoch;
   restored_from_checkpoint_ = true;
 }
 
-void GraphDB::PublishStagedImages() {
-  std::vector<StagedImage> staged;
-  {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    staged.swap(ckpt_staged_);
-  }
-  if (staged.empty()) return;
-  // Children before parents (page ids are allocated monotonically, so a
-  // split child always outranks its parent) and one image per page — the
-  // same ordering the RW node's group flush uses, so a crash between puts
-  // can only leave an overlap (caught by restore's tiling validation),
-  // never a silent hole.
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedImage& a, const StagedImage& b) {
-              return a.page > b.page;
-            });
-  for (auto it = staged.begin(); it != staged.end();) {
-    auto next = it + 1;
-    if (next != staged.end() && next->tree == it->tree &&
-        next->page == it->page) {
-      if (next->meta.flushed_lsn < it->meta.flushed_lsn) *next = *it;
-      it = staged.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const StagedImage& s : staged) {
-    store_->ManifestPut(replication::PageImageKey(s.tree, s.page),
-                        s.meta.Encode());
-  }
-  ckpt_pages_flushed_.Add(staged.size());
+replication::CheckpointTarget::Scope GraphDB::CheckpointScope() const {
+  return Scope{kCheckpointScope, std::nullopt};
 }
 
-Status GraphDB::CheckpointCycle() {
-  if (!opts_.checkpoint.enabled) {
-    return Status::InvalidArgument("checkpointing disabled");
-  }
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  return CheckpointCycleLocked();
-}
-
-Status GraphDB::CheckpointCycleLocked() {
-  if (!ckpt_cut_.active) {
-    // Begin a fuzzy cut: snapshot every tree's dirty pages. Writers keep
-    // mutating; pages dirtied after this point belong to the next cut.
-    ckpt_cut_.active = true;
-    ckpt_cut_.pending.clear();
-    ckpt_cut_.next = 0;
-    std::vector<bwtree::BwTree*> trees;
-    forest_->AppendTrees(&trees);
-    trees.push_back(vertex_tree_.get());
-    for (bwtree::BwTree* t : trees) {
-      for (bwtree::PageId id : t->DirtyPageIds()) {
-        ckpt_cut_.pending.emplace_back(t->options().tree_id, id);
-      }
-    }
-    return Status::OK();
-  }
-  // One bounded flush round.
-  size_t budget = opts_.checkpoint.max_pages_per_cycle;
-  while (ckpt_cut_.next < ckpt_cut_.pending.size() && budget > 0) {
-    const auto& [tree_id, page_id] = ckpt_cut_.pending[ckpt_cut_.next];
-    bwtree::BwTree* tree = resolver_->Resolve(tree_id);
-    if (tree != nullptr) {
-      Status s = tree->FlushPage(page_id);
-      // NotFound: the page merged away since the snapshot — nothing to
-      // cover. Any other failure keeps the cut open for retry.
-      if (!s.ok() && !s.IsNotFound()) {
-        PublishStagedImages();
-        return s;
-      }
-    }
-    ++ckpt_cut_.next;
-    --budget;
-  }
-  PublishStagedImages();
-  if (ckpt_cut_.next < ckpt_cut_.pending.size()) return Status::OK();
-  // Cut drained: images first, manifest last — the manifest's promise must
-  // never be readable before the images it promises.
-  replication::CheckpointManifest manifest;
-  manifest.epoch = ckpt_epoch_ + 1;
-  {
-    std::lock_guard<std::mutex> staged_lock(staged_mu_);
-    manifest.trees.reserve(ckpt_tree_lsn_.size());
-    for (const auto& [tree_id, lsn] : ckpt_tree_lsn_) {
-      manifest.trees.push_back(replication::CheckpointTree{tree_id, lsn});
-      manifest.checkpoint_lsn = std::max(manifest.checkpoint_lsn, lsn);
-    }
-  }
+Status GraphDB::BeginCut(CutStart* cut) {
+  cut->lsn = CurrentLsn();
+  // Trees a cut begins with: the vertex tree, INIT, and the dedicated trees
+  // of the owner registry (a tree still being populated by a split-out is
+  // not yet in it, and is treated as born during the cut).
+  std::vector<bwtree::BwTree*> trees = {vertex_tree_.get(),
+                                        forest_->ResolveTree(0)};
   for (const forest::OwnerRecord& rec : forest_->ExportOwners()) {
-    manifest.owners.push_back(
-        replication::CheckpointOwner{rec.owner, rec.tree_id, rec.entry_count});
+    if (rec.tree_id != 0) trees.push_back(forest_->ResolveTree(rec.tree_id));
   }
-  BG3_RETURN_IF_ERROR(
-      replication::PublishCheckpoint(store_, kCheckpointScope, manifest));
-  ++ckpt_epoch_;
-  ckpt_manifests_written_.Inc();
-  ckpt_cut_ = CheckpointCut{};
+  cut_leaves_.clear();
+  for (bwtree::BwTree* t : trees) {
+    const bwtree::TreeId id = t->options().tree_id;
+    cut_leaves_[id] = t->LeafCount();
+    for (bwtree::PageId page : t->DirtyPageIds()) {
+      cut->dirty.emplace_back(id, page);
+    }
+  }
   return Status::OK();
 }
 
-Status GraphDB::CheckpointNow() {
-  if (!opts_.checkpoint.enabled) {
-    return Status::InvalidArgument("checkpointing disabled");
+Status GraphDB::FlushPage(bwtree::TreeId tree, bwtree::PageId page) {
+  bwtree::BwTree* t = resolver_->Resolve(tree);
+  return t == nullptr ? Status::NotFound("tree") : t->FlushPage(page);
+}
+
+Status GraphDB::CommitCheckpoint(bwtree::Lsn cut_lsn,
+                                 replication::CheckpointManifest* manifest) {
+  // Without a WAL the images alone must rebuild each tree, so they must
+  // tile it. The cut's rounds flushed a snapshot page by page; a split
+  // during the cut can leave a narrowed page flushed without its new
+  // sibling. Re-flush every tree that split since the cut began.
+  for (const auto& [id, leaves] : cut_leaves_) {
+    bwtree::BwTree* tree = resolver_->Resolve(id);
+    if (tree != nullptr && tree->LeafCount() != leaves) {
+      BG3_RETURN_IF_ERROR(FlushTreeUntilStable(tree));
+    }
   }
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  const uint64_t target = ckpt_epoch_ + 1;
-  while (ckpt_epoch_ < target) {
-    BG3_RETURN_IF_ERROR(CheckpointCycleLocked());
+  // One owner snapshot, taken after INIT's last flush: an owner it places
+  // in INIT left INIT, if at all, after those images. A dedicated tree born
+  // during the cut (a split-out) had no page in the cut, so flush it now —
+  // otherwise the manifest would route its owner to a tree with no images
+  // while INIT's images already lack the owner's edges.
+  const std::vector<forest::OwnerRecord> owners = forest_->ExportOwners();
+  for (const forest::OwnerRecord& rec : owners) {
+    if (rec.tree_id == 0 || cut_leaves_.count(rec.tree_id) != 0) continue;
+    bwtree::BwTree* tree = forest_->ResolveTree(rec.tree_id);
+    if (tree != nullptr) BG3_RETURN_IF_ERROR(FlushTreeUntilStable(tree));
+  }
+  // Images first, manifest last (the Checkpointer publishes it after this
+  // returns). Every image published so far carries an LSN at or below the
+  // cut's, or is in this batch, so the max is the highest LSN any image
+  // covers — restore raises the LSN floor to it.
+  manifest->checkpoint_lsn = cut_lsn;
+  for (const auto& [tree_id, lsn] : stager_.Publish(store_)) {
+    manifest->trees.push_back(replication::CheckpointTree{tree_id, lsn});
+    manifest->checkpoint_lsn = std::max(manifest->checkpoint_lsn, lsn);
+  }
+  for (const forest::OwnerRecord& rec : owners) {
+    manifest->owners.push_back(
+        replication::CheckpointOwner{rec.owner, rec.tree_id, rec.entry_count});
   }
   return Status::OK();
 }
@@ -501,46 +456,6 @@ Result<size_t> GraphDB::WarmRestoredPages(size_t max) {
     ++warmed;
   }
   return warm_queue_.size() - warm_next_;
-}
-
-uint64_t GraphDB::checkpoint_epoch() const {
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  return ckpt_epoch_;
-}
-
-void GraphDB::StartCheckpointing() {
-  if (!opts_.checkpoint.enabled) return;
-  std::lock_guard<std::mutex> lock(ckpt_thread_mu_);
-  if (ckpt_thread_.joinable()) return;
-  ckpt_stop_ = false;
-  const uint64_t interval_ms = opts_.checkpoint.interval_ms;
-  ckpt_thread_ = std::thread([this, interval_ms] {
-    std::unique_lock<std::mutex> lock(ckpt_thread_mu_);
-    while (!ckpt_stop_) {
-      ckpt_thread_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                               [this] { return ckpt_stop_; });
-      if (ckpt_stop_) return;
-      lock.unlock();
-      // Restore warming first (time-to-full-QPS), then one checkpoint
-      // increment. Best-effort: failures keep the cut/queue for retry.
-      BG3_IGNORE_STATUS(
-          WarmRestoredPages(opts_.checkpoint.warm_pages_per_cycle).status());
-      BG3_IGNORE_STATUS(CheckpointCycle());
-      lock.lock();
-    }
-  });
-}
-
-void GraphDB::StopCheckpointing() {
-  std::thread joinee;
-  {
-    std::lock_guard<std::mutex> lock(ckpt_thread_mu_);
-    if (!ckpt_thread_.joinable()) return;
-    ckpt_stop_ = true;
-    joinee = std::move(ckpt_thread_);
-  }
-  ckpt_thread_cv_.notify_all();
-  joinee.join();
 }
 
 bool GraphDB::EdgeExpired(graph::TimestampUs created_us) const {

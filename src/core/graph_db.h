@@ -33,7 +33,12 @@ namespace bg3::core {
 ///
 /// One GraphDB installs itself as the CloudStore's observer for extent
 /// usage tracking — create at most one GraphDB per CloudStore.
-class GraphDB : public graph::GraphEngine {
+///
+/// With options.checkpoint.enabled, the DB is the target of a
+/// replication::Checkpointer (privately: only its checkpointer drives the
+/// CheckpointTarget calls).
+class GraphDB : public graph::GraphEngine,
+                private replication::CheckpointTarget {
  public:
   /// `store` must outlive the GraphDB. Aborts on invalid options (validate
   /// beforehand for graceful handling).
@@ -75,35 +80,25 @@ class GraphDB : public graph::GraphEngine {
   /// for determinism).
   Status RunGcCycle();
 
-  /// Starts a background thread running RunGcCycle every `interval_ms`.
+  /// Starts a background thread running, every `interval_ms`, RunGcCycle
+  /// and a restore-queue warm of checkpoint.warm_pages_per_cycle pages.
   /// Idempotent; stopped automatically at destruction.
   void StartMaintenance(uint64_t interval_ms);
   /// Stops the background maintenance thread (blocks until joined).
   void StopMaintenance();
 
   // --- continuous fuzzy checkpointing (DESIGN.md §5.7) ----------------------
-  // Only meaningful with options.checkpoint.enabled: trees run deferred
-  // flushing, and these entry points drive the incremental checkpoint state
-  // machine (begin cut -> bounded flush rounds -> manifest publish).
 
-  /// One bounded increment: begins a cut (snapshotting every tree's dirty
-  /// pages), flushes the next page round, or publishes the "db"-scope
-  /// manifest once the cut drains. Deterministic test entry point; also
-  /// what each background checkpoint tick runs. An I/O failure abandons
-  /// the increment but keeps the cut open for retry.
-  Status CheckpointCycle();
-  /// Drives the current (or a fresh) cut to a durable manifest.
-  Status CheckpointNow();
-
-  /// Starts/stops the decoupled checkpoint thread (cadence from
-  /// options.checkpoint.interval_ms; also drains the restore warm queue).
-  /// Idempotent; stopped automatically at destruction.
-  void StartCheckpointing();
-  void StopCheckpointing();
+  /// The checkpoint state machine over every tree (forest + vertex):
+  /// Step/CheckpointNow drive it deterministically, Start/Stop run it on
+  /// its own thread at options.checkpoint.interval_ms. Null unless
+  /// options.checkpoint.enabled.
+  replication::Checkpointer* checkpointer() { return checkpointer_.get(); }
 
   /// Warms up to `max` pages off the restore-priority queue (demand reads
-  /// warm their own pages concurrently); returns how many queue entries
-  /// remain. 0 = restore fully materialized.
+  /// warm their own pages concurrently; StartMaintenance drains it in the
+  /// background); returns how many queue entries remain. 0 = restore fully
+  /// materialized.
   Result<size_t> WarmRestoredPages(size_t max);
 
   /// True when construction found a usable "db" checkpoint manifest and
@@ -112,15 +107,6 @@ class GraphDB : public graph::GraphEngine {
   /// True when the head manifest slot was torn and the previous epoch's
   /// slot was restored instead.
   bool CheckpointFellBack() const { return checkpoint_fell_back_; }
-  /// Epoch of the newest durable manifest (published or restored).
-  uint64_t checkpoint_epoch() const;
-
-  uint64_t checkpoint_pages_flushed() const {
-    return ckpt_pages_flushed_.Get();
-  }
-  uint64_t checkpoint_manifests_written() const {
-    return ckpt_manifests_written_.Get();
-  }
   /// Storage bytes fetched rematerializing restored pages (warm sweep +
   /// nothing else; demand-read fills count through the store's read stats).
   uint64_t checkpoint_replay_bytes() const {
@@ -187,51 +173,28 @@ class GraphDB : public graph::GraphEngine {
 
   static constexpr bwtree::TreeId kVertexTreeId = 1ull << 62;
 
-  /// Stages page images while checkpointing is enabled. Publication is
-  /// deferred to the cycle (children before parents, like the RW node's
-  /// group flush) so a crash mid-cycle can never leave a child-image hole
-  /// inside a published parent range.
-  class ImageListener : public bwtree::TreeListener {
-   public:
-    explicit ImageListener(GraphDB* db) : db_(db) {}
-    void OnTreeInit(bwtree::TreeId, bwtree::PageId) override {}
-    void OnMutation(bwtree::TreeId, bwtree::PageId, bwtree::Lsn,
-                    const bwtree::DeltaEntry&) override {}
-    void OnSplit(bwtree::TreeId, bwtree::PageId, bwtree::PageId, bwtree::Lsn,
-                 const std::string&) override {}
-    void OnPageFlushed(bwtree::TreeId tree, bwtree::PageId page,
-                       bwtree::Lsn flushed_lsn,
-                       const cloud::PagePointer& base_ptr,
-                       const std::vector<cloud::PagePointer>& delta_ptrs,
-                       const std::string& low_key, const std::string& high_key,
-                       bool has_high_key) override;
-
-   private:
-    GraphDB* const db_;
-  };
-
-  struct StagedImage {
-    bwtree::TreeId tree = 0;
-    bwtree::PageId page = bwtree::kInvalidPage;
-    replication::PageImageMeta meta;
-  };
-
-  struct CheckpointCut {
-    bool active = false;
-    /// Dirty snapshot across every tree at cut begin, drained in order.
-    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> pending;
-    size_t next = 0;
-  };
+  // --- replication::CheckpointTarget -----------------------------------------
+  Scope CheckpointScope() const override;
+  bwtree::Lsn CurrentLsn() const override {
+    return lsn_.load(std::memory_order_acquire);
+  }
+  bool HasPendingImages() const override { return stager_.HasStaged(); }
+  /// No WAL: the cut is the DB LSN plus every tree's dirty snapshot.
+  Status BeginCut(CutStart* cut) override;
+  Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) override;
+  /// Makes the images tile every tree the manifest names (see the
+  /// definition), publishes them, and fills the manifest with one owner
+  /// snapshot. checkpoint_lsn is the highest LSN the images cover.
+  Status CommitCheckpoint(bwtree::Lsn cut_lsn,
+                          replication::CheckpointManifest* manifest) override;
 
   /// Loads every published page image of `tree` as a demand-paged
-  /// (non-resident) recovered layout; empty if any image is unusable (the
-  /// caller falls back to a fresh tree).
+  /// (non-resident) recovered layout and raises the LSN floor past it;
+  /// empty if any image is unusable (the caller falls back to a fresh
+  /// tree).
   std::vector<bwtree::RecoveredPage> LoadTreeImages(bwtree::TreeId tree);
   /// Restores forest/vertex state from `manifest`; called from the ctor.
   void RestoreFromManifest(const replication::CheckpointManifest& manifest);
-  /// Publishes staged images, children (larger ids) first, deduped.
-  void PublishStagedImages();
-  Status CheckpointCycleLocked();
 
   bool EdgeExpired(graph::TimestampUs created_us) const;
   /// Boundary validation + admission for one public op; on success the
@@ -252,6 +215,10 @@ class GraphDB : public graph::GraphEngine {
   /// (via BwTreeOptions::tick_source), so the memory budget can rank leaf
   /// coldness across all of them with comparable ticks.
   mutable std::atomic<uint64_t> access_tick_{0};
+  /// The one LSN order of the DB: the vertex tree and every forest tree
+  /// draw from it, so "no LSN since the last manifest" means no write. Its
+  /// own cache line: every leaf access bumps access_tick_.
+  alignas(64) std::atomic<bwtree::Lsn> lsn_{0};
 
   std::unique_ptr<gc::ExtentUsageTracker> tracker_;
   std::unique_ptr<bwtree::BwTree> vertex_tree_;
@@ -281,40 +248,23 @@ class GraphDB : public graph::GraphEngine {
 
   // --- checkpoint state (options.checkpoint.enabled) ------------------------
 
-  ImageListener image_listener_{this};
-  /// LSN source of the vertex tree; restored past the checkpoint LSN so
-  /// post-restore mutations keep flushed_lsn <= last_lsn per page.
-  std::atomic<bwtree::Lsn> vertex_lsn_{0};
-
-  /// Serializes checkpoint cycles; plain std::mutex (like maint_mu_) — it
-  /// never nests inside ranked locks.
-  mutable std::mutex ckpt_mu_;
-  CheckpointCut ckpt_cut_;   // guarded by ckpt_mu_
-  uint64_t ckpt_epoch_ = 0;  // guarded by ckpt_mu_
-
-  /// Images staged by OnPageFlushed (called under the flushing leaf's
-  /// latch) awaiting ordered publication by the cycle.
-  std::mutex staged_mu_;
-  std::vector<StagedImage> ckpt_staged_;
-  std::unordered_map<bwtree::TreeId, bwtree::Lsn> ckpt_tree_lsn_;
+  /// Every tree's listener: stages flushed images for CommitCheckpoint.
+  replication::ImageStager stager_;
+  /// Leaf count per tree at cut begin — trees absent here were born during
+  /// the cut. Touched only by the checkpointer's (serialized) calls.
+  std::unordered_map<bwtree::TreeId, size_t> cut_leaves_;
 
   /// Restore-priority queue: every non-resident page installed at restore,
-  /// drained by WarmRestoredPages (background thread or tests).
+  /// drained by WarmRestoredPages (maintenance thread or tests).
   std::mutex warm_mu_;
   std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> warm_queue_;
   size_t warm_next_ = 0;
 
   bool restored_from_checkpoint_ = false;
   bool checkpoint_fell_back_ = false;
-
-  LightCounter ckpt_pages_flushed_;
-  LightCounter ckpt_manifests_written_;
   LightCounter ckpt_replay_bytes_;
 
-  std::mutex ckpt_thread_mu_;
-  std::condition_variable ckpt_thread_cv_;
-  bool ckpt_stop_ = false;
-  std::thread ckpt_thread_;
+  std::unique_ptr<replication::Checkpointer> checkpointer_;
 };
 
 }  // namespace bg3::core

@@ -66,24 +66,23 @@ struct GraphDBOptions {
 
   /// Continuous fuzzy checkpointing of the whole engine (DESIGN.md §5.7).
   /// When enabled, every tree (forest + vertex) runs deferred flushing and
-  /// a decoupled checkpoint thread incrementally flushes dirty pages,
-  /// publishes their images in the shared mapping table, and commits a
-  /// checkpoint manifest (tree list + forest owner registry) under the
-  /// "db" scope. Restart restores the manifest's layout with demand-paged
-  /// (non-resident) pages: reads go live at checkpoint consistency after a
-  /// bounded amount of I/O, independent of database size. Durability is
+  /// reports its flushed images to one replication::ImageStager, and the DB
+  /// builds a replication::Checkpointer (GraphDB::checkpointer()) that
+  /// incrementally flushes dirty pages, publishes their images in the
+  /// shared mapping table, and commits a checkpoint manifest (tree list +
+  /// forest owner registry) under the "db" scope. Construction restores
+  /// from that manifest when one exists, with demand-paged (non-resident)
+  /// pages: reads go live at checkpoint consistency after a bounded amount
+  /// of I/O, independent of database size. Durability is
   /// checkpoint-granular — the WAL that narrows the loss window to the
   /// replayed suffix lives in the replication layer (RwNode/RwRestart).
   struct CheckpointPolicy {
     bool enabled = false;
-    /// Background checkpoint thread cadence (StartCheckpointing).
+    /// Checkpointer thread cadence (checkpointer()->Start()).
     uint64_t interval_ms = 200;
-    /// Dirty pages flushed per CheckpointCycle — the increment size.
+    /// Dirty pages flushed per checkpointer Step — the increment size.
     size_t max_pages_per_cycle = 64;
-    /// Look for a "db"-scope checkpoint manifest at construction and
-    /// restore from it (no-op when none exists).
-    bool restore = true;
-    /// Pages the background thread rewarm per cycle after a restore (the
+    /// Pages the maintenance thread rewarms per tick after a restore (the
     /// restore-priority queue drain rate; demand reads warm their own
     /// pages regardless).
     size_t warm_pages_per_cycle = 32;

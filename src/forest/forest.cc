@@ -433,13 +433,6 @@ Status BwTreeForest::InstallInitPages(std::vector<bwtree::RecoveredPage> pages) 
   return init_tree_->InstallRecoveredPages(std::move(pages));
 }
 
-void BwTreeForest::RestoreLsnFloor(bwtree::Lsn lsn) {
-  bwtree::Lsn cur = lsn_source_.load(std::memory_order_relaxed);
-  while (cur < lsn && !lsn_source_.compare_exchange_weak(
-                          cur, lsn, std::memory_order_relaxed)) {
-  }
-}
-
 void BwTreeForest::CheckInvariants() const {
   {
     MutexLock lock(&registry_mu_);

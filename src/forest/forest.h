@@ -33,8 +33,8 @@ struct ForestOptions {
   /// with the most edges", §3.2.1).
   size_t init_tree_capacity = 4u << 20;
 
-  /// Template for every tree the forest creates; tree_id / lsn_source /
-  /// page_id_source are managed by the forest itself.
+  /// Template for every tree the forest creates; tree_id is managed by the
+  /// forest itself, and so are lsn_source / page_id_source unless set.
   bwtree::BwTreeOptions tree_options;
 
   /// Shard count of the owner hash table.
@@ -166,11 +166,6 @@ class BwTreeForest {
 
   /// Installs the INIT tree's checkpointed layout (requires bootstrap_init).
   Status InstallInitPages(std::vector<bwtree::RecoveredPage> pages);
-
-  /// Raises the shared LSN source to at least `lsn` so post-restore
-  /// mutations never run the per-page flushed_lsn <= last_lsn invariant
-  /// backwards (page-id collision safety is handled per install).
-  void RestoreLsnFloor(bwtree::Lsn lsn);
 
   /// INIT-tree composite key helpers, exposed for tests.
   static std::string MakeInitKey(OwnerId owner, const Slice& sort_key);

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/time_source.h"
-#include "replication/rw_node.h"
 
 namespace bg3::replication {
 
@@ -335,18 +334,18 @@ uint64_t AutotuneCheckpointIntervalMs(const CheckpointerOptions& opts,
   return clamp(static_cast<uint64_t>(ival));
 }
 
-Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
+Checkpointer::Checkpointer(cloud::CloudStore* store, CheckpointTarget* target,
                            const CheckpointerOptions& options)
     : store_(store),
-      node_(node),
+      target_(target),
       opts_(options),
-      scope_(WalCheckpointScope(node->options().wal.stream)),
+      scope_(target->CheckpointScope()),
       metrics_prefix_("bg3.replication.ckpt" +
                       std::to_string(MetricsRegistry::NextInstanceId("ckpt")) +
                       ".") {
   // Continue the epoch sequence of any prior incarnation, so slot
   // alternation keeps protecting the previous manifest.
-  if (auto prior = LoadCheckpoint(store_, scope_); prior.ok()) {
+  if (auto prior = LoadCheckpoint(store_, scope_.name); prior.ok()) {
     epoch_ = prior.value().manifest.epoch;
     published_lsn_ = prior.value().manifest.checkpoint_lsn;
   }
@@ -354,8 +353,9 @@ Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
   autotune_clock_ = opts_.time_source != nullptr ? opts_.time_source
                                                  : DefaultWallTimeSource();
   last_publish_us_ = autotune_clock_->NowUs();
-  last_publish_wal_bytes_ =
-      store_->TotalBytes(node->options().wal.stream);
+  if (scope_.wal_stream) {
+    last_publish_wal_bytes_ = store_->TotalBytes(*scope_.wal_stream);
+  }
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.RegisterCounter(metrics_prefix_ + "cuts_started", &stats_.cuts_started);
   reg.RegisterCounter(metrics_prefix_ + "pages_flushed", &stats_.pages_flushed);
@@ -443,32 +443,32 @@ uint64_t Checkpointer::effective_interval_ms() const {
 
 Status Checkpointer::StepLocked() {
   if (!cut_.active) {
-    const bwtree::Lsn l0 = node_->CurrentLsn();
-    if (l0 == published_lsn_ && !node_->HasStagedImages()) {
+    if (target_->CurrentLsn() == published_lsn_ &&
+        !target_->HasPendingImages()) {
       return Status::OK();  // nothing durable to add since the last manifest
     }
-    // Fuzzy-cut capture order — LSN, then WAL flush + cursor, then the
-    // dirty snapshot (see the class comment for the soundness argument).
-    // The Flush barrier waits out every in-flight pipelined append, so the
-    // committed cursor it leaves behind is gap-free: nothing with a higher
-    // seq can land physically before it.
-    BG3_RETURN_IF_ERROR(node_->wal_writer()->Flush());
-    cut_.lsn = l0;
-    cut_.wal_cursor = node_->wal_writer()->committed_cursor();
-    cut_.pending = node_->tree()->DirtyPageIds();
+    // Fuzzy-cut capture (see the class comment for the soundness argument).
+    // The target's WAL flush barrier waits out every in-flight pipelined
+    // append, so the committed cursor it leaves behind is gap-free: nothing
+    // with a higher seq can land physically before it.
+    CheckpointTarget::CutStart start;
+    BG3_RETURN_IF_ERROR(target_->BeginCut(&start));
+    cut_.start = std::move(start);
     cut_.next = 0;
     cut_.active = true;
     stats_.cuts_started.Inc();
     return Status::OK();
   }
 
-  if (cut_.next < cut_.pending.size()) {
+  const auto& pending = cut_.start.dirty;
+  if (cut_.next < pending.size()) {
     const size_t end =
-        std::min(cut_.pending.size(), cut_.next + opts_.max_pages_per_round);
+        std::min(pending.size(), cut_.next + opts_.max_pages_per_round);
     while (cut_.next < end) {
       // A page the group flusher beat us to is already clean — FlushPage is
       // a latched no-op then; its staged image publishes with our commit.
-      Status s = node_->tree()->FlushPage(cut_.pending[cut_.next]);
+      const auto& [tree, page] = pending[cut_.next];
+      Status s = target_->FlushPage(tree, page);
       if (!s.ok() && !s.IsNotFound()) {
         stats_.step_errors.Inc();
         return s;
@@ -476,7 +476,7 @@ Status Checkpointer::StepLocked() {
       stats_.pages_flushed.Inc();
       ++cut_.next;
     }
-    if (cut_.next < cut_.pending.size()) return Status::OK();
+    if (cut_.next < pending.size()) return Status::OK();
   }
 
   if (Status s = PublishCutLocked(); !s.ok()) {
@@ -488,28 +488,28 @@ Status Checkpointer::StepLocked() {
 
 Status Checkpointer::PublishCutLocked() {
   // Every page of the cut has an image staged (or already published).
-  // Publish order: mapping entries + WAL checkpoint record first, the
-  // checkpoint manifest last — the manifest's promise ("images cover
-  // everything <= checkpoint_lsn") must never be readable before the
+  // Publish order: mapping entries (+ the RW node's WAL checkpoint record)
+  // first, the checkpoint manifest last — the manifest's promise ("images
+  // cover everything <= checkpoint_lsn") must never be readable before the
   // images themselves are.
-  BG3_RETURN_IF_ERROR(node_->CommitCheckpoint(cut_.lsn));
+  const bwtree::Lsn lsn = cut_.start.lsn;
+  const wal::WalCursor& cursor = cut_.start.wal_cursor;
   CheckpointManifest m;
+  BG3_RETURN_IF_ERROR(target_->CommitCheckpoint(lsn, &m));
   m.epoch = epoch_ + 1;
-  m.wal_stream = node_->options().wal.stream;
-  m.wal_cursor = cut_.wal_cursor.ptr;
-  m.wal_term = cut_.wal_cursor.term;
-  m.wal_seq = cut_.wal_cursor.seq;
-  m.checkpoint_lsn = cut_.lsn;
-  m.trees.push_back({node_->options().tree.tree_id, cut_.lsn});
-  BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_, m));
+  m.wal_stream = scope_.wal_stream.value_or(0);
+  m.wal_cursor = cursor.ptr;
+  m.wal_term = cursor.term;
+  m.wal_seq = cursor.seq;
+  BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_.name, m));
   epoch_ = m.epoch;
-  published_lsn_ = cut_.lsn;
+  published_lsn_ = lsn;
   stats_.manifests_written.Inc();
-  if (opts_.truncate_wal && !cut_.wal_cursor.ptr.IsNull()) {
-    stats_.wal_extents_truncated.Add(store_->TruncateStreamBefore(
-        m.wal_stream, cut_.wal_cursor.ptr.extent_id));
+  if (opts_.truncate_wal && !cursor.ptr.IsNull()) {
+    stats_.wal_extents_truncated.Add(
+        store_->TruncateStreamBefore(m.wal_stream, cursor.ptr.extent_id));
   }
-  if (opts_.target_suffix_replay_bytes > 0) {
+  if (opts_.target_suffix_replay_bytes > 0 && scope_.wal_stream) {
     // Re-derive the cadence from the append rate observed since the last
     // publish: faster writers get shorter intervals, so the WAL suffix a
     // promotion must replay stays near the byte target.

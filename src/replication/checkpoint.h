@@ -3,8 +3,10 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bwtree/bwtree.h"
@@ -15,8 +17,6 @@
 #include "wal/record.h"
 
 namespace bg3::replication {
-
-class RwNode;
 
 /// One tree covered by a checkpoint: every mutation of `tree_id` with
 /// LSN <= `flushed_lsn` is contained in the published page images.
@@ -184,8 +184,50 @@ struct CheckpointerStats {
   Counter step_errors;  ///< Steps abandoned on I/O error (cut stays open).
 };
 
+/// What a Checkpointer checkpoints (DESIGN.md §5.7): an RwNode's tree
+/// under its WAL, or a GraphDB's forest and vertex tree without one. Every
+/// call comes from the Checkpointer with its state-machine mutex held, so
+/// calls never overlap.
+class CheckpointTarget {
+ public:
+  /// The starting point of a cut, captured in fuzzy-cut order.
+  struct CutStart {
+    bwtree::Lsn lsn = 0;
+    /// WAL batch covering every record <= lsn; null ptr without a WAL.
+    wal::WalCursor wal_cursor;
+    /// Dirty (tree, page) snapshot, drained in order.
+    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> dirty;
+  };
+
+  /// Manifest scope of the cuts, and the WAL stream their cursors point
+  /// into (nullopt without a WAL).
+  struct Scope {
+    std::string name;
+    std::optional<cloud::StreamId> wal_stream;
+  };
+
+  virtual ~CheckpointTarget() = default;
+
+  virtual Scope CheckpointScope() const = 0;
+  /// Newest LSN handed out; with HasPendingImages, the "anything new since
+  /// the last manifest?" probe.
+  virtual bwtree::Lsn CurrentLsn() const = 0;
+  /// True while flushed-page images await publication.
+  virtual bool HasPendingImages() const = 0;
+  /// Begins a cut: LSN, then the WAL made durable through it and its
+  /// cursor, then the dirty snapshot.
+  virtual Status BeginCut(CutStart* cut) = 0;
+  /// Flushes one page of the cut; NotFound when it no longer exists.
+  virtual Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) = 0;
+  /// The cut drained: publishes the staged images and fills `manifest`'s
+  /// trees, owners and checkpoint_lsn. Images first — the manifest that
+  /// promises them is published after this returns.
+  virtual Status CommitCheckpoint(bwtree::Lsn cut_lsn,
+                                  CheckpointManifest* manifest) = 0;
+};
+
 /// The decoupled checkpoint thread (DESIGN.md §5.7): incrementally flushes
-/// the RW node's dirty pages and publishes a checkpoint manifest, without
+/// its target's dirty pages and publishes a checkpoint manifest, without
 /// ever blocking the write path for more than one bounded flush round.
 ///
 /// A cut is fuzzy in the ARIES sense — writers keep mutating while it
@@ -200,7 +242,7 @@ struct CheckpointerStats {
 /// covers is harmless (RO replay is LSN-gated per page).
 class Checkpointer {
  public:
-  Checkpointer(cloud::CloudStore* store, RwNode* node,
+  Checkpointer(cloud::CloudStore* store, CheckpointTarget* target,
                const CheckpointerOptions& options = {});
   ~Checkpointer();
 
@@ -228,16 +270,14 @@ class Checkpointer {
   /// The cadence currently in effect: interval_ms until the autotuner's
   /// first observation, then the derived value.
   uint64_t effective_interval_ms() const;
-  const std::string& scope() const { return scope_; }
+  const std::string& scope() const { return scope_.name; }
   CheckpointerStats& stats() { return stats_; }
 
  private:
   struct Cut {
     bool active = false;
-    bwtree::Lsn lsn = 0;
-    wal::WalCursor wal_cursor;
-    std::vector<bwtree::PageId> pending;  ///< dirty snapshot, drained in order.
-    size_t next = 0;
+    CheckpointTarget::CutStart start;
+    size_t next = 0;  ///< next entry of start.dirty to flush.
   };
 
   Status StepLocked();
@@ -245,9 +285,9 @@ class Checkpointer {
   void ThreadMain();
 
   cloud::CloudStore* const store_;
-  RwNode* const node_;
+  CheckpointTarget* const target_;
   const CheckpointerOptions opts_;
-  const std::string scope_;
+  const CheckpointTarget::Scope scope_;
 
   /// Serializes Step/CheckpointNow/Stop; plain std::mutex (like the GraphDB
   /// maintenance thread) — it never nests inside ranked locks.

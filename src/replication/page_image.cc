@@ -1,0 +1,69 @@
+#include "replication/page_image.h"
+
+#include <algorithm>
+
+#include "cloud/cloud_store.h"
+#include "common/lock_rank.h"
+
+namespace bg3::replication {
+
+ImageStager::ImageStager() {
+  mu_.SetRank(lock_rank::kImageStager_mu, "ImageStager::mu_");
+}
+
+void ImageStager::OnPageFlushed(
+    bwtree::TreeId tree, bwtree::PageId page, bwtree::Lsn flushed_lsn,
+    const cloud::PagePointer& base_ptr,
+    const std::vector<cloud::PagePointer>& delta_ptrs,
+    const std::string& low_key, const std::string& high_key,
+    bool has_high_key) {
+  StagedImage staged;
+  staged.tree = tree;
+  staged.page = page;
+  staged.meta.flushed_lsn = flushed_lsn;
+  staged.meta.base_ptr = base_ptr;
+  staged.meta.delta_ptrs = delta_ptrs;
+  staged.meta.low_key = low_key;
+  staged.meta.high_key = high_key;
+  staged.meta.has_high_key = has_high_key;
+  MutexLock lock(&mu_);
+  staged_.push_back(std::move(staged));
+}
+
+bool ImageStager::HasStaged() const {
+  MutexLock lock(&mu_);
+  return !staged_.empty();
+}
+
+std::map<bwtree::TreeId, bwtree::Lsn> ImageStager::Publish(
+    cloud::CloudStore* store) {
+  std::vector<StagedImage> staged;
+  {
+    MutexLock lock(&mu_);
+    staged.swap(staged_);
+  }
+  // Children before parents: descending page id (ids are allocated
+  // monotonically, so a split child always outranks its parent). Within a
+  // page, newest first, so the dedupe below keeps the newest image (a page
+  // may flush several times between publishes, e.g. via GC relocation).
+  std::sort(staged.begin(), staged.end(),
+            [](const StagedImage& a, const StagedImage& b) {
+              if (a.page != b.page) return a.page > b.page;
+              if (a.tree != b.tree) return a.tree < b.tree;
+              return a.meta.flushed_lsn > b.meta.flushed_lsn;
+            });
+  staged.erase(std::unique(staged.begin(), staged.end(),
+                           [](const StagedImage& a, const StagedImage& b) {
+                             return a.page == b.page && a.tree == b.tree;
+                           }),
+               staged.end());
+  std::map<bwtree::TreeId, bwtree::Lsn> tree_lsn;
+  for (const StagedImage& s : staged) {
+    store->ManifestPut(PageImageKey(s.tree, s.page), s.meta.Encode());
+    bwtree::Lsn& lsn = tree_lsn[s.tree];
+    lsn = std::max(lsn, s.meta.flushed_lsn);
+  }
+  return tree_lsn;
+}
+
+}  // namespace bg3::replication

@@ -1,12 +1,19 @@
 #ifndef BG3_REPLICATION_PAGE_IMAGE_H_
 #define BG3_REPLICATION_PAGE_IMAGE_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "bwtree/listener.h"
 #include "bwtree/page.h"
 #include "cloud/types.h"
 #include "common/coding.h"
+#include "common/thread_annotations.h"
+
+namespace bg3::cloud {
+class CloudStore;
+}  // namespace bg3::cloud
 
 namespace bg3::replication {
 
@@ -86,6 +93,43 @@ inline bool ParsePageImageKey(const std::string& key, bwtree::TreeId* tree,
   *page = strtoull(key.c_str() + slash + 1, &end, 10);
   return *end == '\0';
 }
+
+/// The one staged-image publish path (DESIGN.md §5.7). Installed as a
+/// tree's listener (or fed by one), it stages the image every page flush
+/// reports; Publish then makes them visible in the shared mapping table in
+/// a single ordered pass. Flushes report under the leaf latch, so staging
+/// is a short push under `mu_`; the cloud puts happen in Publish.
+class ImageStager : public bwtree::TreeListener {
+ public:
+  ImageStager();
+
+  void OnPageFlushed(bwtree::TreeId tree, bwtree::PageId page,
+                     bwtree::Lsn flushed_lsn,
+                     const cloud::PagePointer& base_ptr,
+                     const std::vector<cloud::PagePointer>& delta_ptrs,
+                     const std::string& low_key, const std::string& high_key,
+                     bool has_high_key) override;
+
+  /// True while flushed-page images await publication.
+  bool HasStaged() const;
+
+  /// Publishes every staged image, children before parents, one (the
+  /// newest) image per page — a crash between puts can then only leave an
+  /// overlap for restore's tiling check, never a hole behind a published
+  /// parent. Returns the highest flushed LSN per tree among the published
+  /// images (empty when nothing was staged).
+  std::map<bwtree::TreeId, bwtree::Lsn> Publish(cloud::CloudStore* store);
+
+ private:
+  struct StagedImage {
+    bwtree::TreeId tree = 0;
+    bwtree::PageId page = bwtree::kInvalidPage;
+    PageImageMeta meta;
+  };
+
+  mutable Mutex mu_;
+  std::vector<StagedImage> staged_ BG3_GUARDED_BY(mu_);
+};
 
 }  // namespace bg3::replication
 

@@ -1,7 +1,5 @@
 #include "replication/rw_node.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "replication/ro_node.h"
 
@@ -16,9 +14,6 @@ RwNode::RwNode(cloud::CloudStore* store, const RwNodeOptions& options)
   tree_opts.listener = this;
   if (tree_opts.lsn_source == nullptr) tree_opts.lsn_source = &lsn_source_;
   tree_ = std::make_unique<bwtree::BwTree>(store_, tree_opts);
-  if (opts_.async_group_flush) {
-    flusher_ = std::thread([this] { FlusherMain(); });
-  }
 }
 
 RwNode::RwNode(BootstrapTag, cloud::CloudStore* store,
@@ -32,43 +27,10 @@ RwNode::RwNode(BootstrapTag, cloud::CloudStore* store,
   tree_opts.bootstrap = true;  // layout installed by Recover()
   if (tree_opts.lsn_source == nullptr) tree_opts.lsn_source = &lsn_source_;
   tree_ = std::make_unique<bwtree::BwTree>(store_, tree_opts);
-  if (opts_.async_group_flush) {
-    flusher_ = std::thread([this] { FlusherMain(); });
-  }
-}
-
-RwNode::~RwNode() {
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      flusher_stop_ = true;
-    }
-    flusher_cv_.notify_all();
-    flusher_.join();
-  }
-}
-
-void RwNode::FlusherMain() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(flusher_mu_);
-      flusher_cv_.wait(lock,
-                       [this] { return flusher_stop_ || flush_requested_; });
-      // A request signalled before stop still runs (a write crossed the
-      // threshold and was told the flusher would take it).
-      if (flusher_stop_ && !flush_requested_) return;
-      flush_requested_ = false;
-    }
-    async_flushes_.Inc();
-    // Failures are counted, not retried here: the dirty pages stay dirty,
-    // so the next threshold crossing re-signals and retries naturally.
-    if (Status s = FlushGroup(); !s.ok()) async_flush_errors_.Inc();
-  }
 }
 
 void RwNode::SetLockRanks() {
   flush_mu_.SetRank(lock_rank::kRwNode_flush_mu, "RwNode::flush_mu_");
-  staged_mu_.SetRank(lock_rank::kRwNode_staged_mu, "RwNode::staged_mu_");
   ckpt_ptr_mu_.SetRank(lock_rank::kRwNode_ckpt_ptr_mu, "RwNode::ckpt_ptr_mu_");
 }
 
@@ -153,14 +115,6 @@ Status RwNode::MaybeFlushGroup() {
       tree_->DirtyPageIds().size() < opts_.flush_group_pages) {
     return Status::OK();
   }
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      flush_requested_ = true;
-    }
-    flusher_cv_.notify_one();
-    return Status::OK();
-  }
   return FlushGroup();
 }
 
@@ -179,9 +133,33 @@ Status RwNode::FlushGroup() {
   return PublishStagedLocked(checkpoint, /*force_record=*/!dirty.empty());
 }
 
-Status RwNode::CommitCheckpoint(bwtree::Lsn checkpoint_lsn) {
-  MutexLock flush_lock(&flush_mu_);
-  return PublishStagedLocked(checkpoint_lsn, /*force_record=*/false);
+CheckpointTarget::Scope RwNode::CheckpointScope() const {
+  return Scope{WalCheckpointScope(opts_.wal.stream), opts_.wal.stream};
+}
+
+Status RwNode::BeginCut(CutStart* cut) {
+  cut->lsn = CurrentLsn();
+  BG3_RETURN_IF_ERROR(wal_.Flush());
+  cut->wal_cursor = wal_.committed_cursor();
+  for (bwtree::PageId id : tree_->DirtyPageIds()) {
+    cut->dirty.emplace_back(opts_.tree.tree_id, id);
+  }
+  return Status::OK();
+}
+
+Status RwNode::FlushPage(bwtree::TreeId /*tree*/, bwtree::PageId page) {
+  return tree_->FlushPage(page);
+}
+
+Status RwNode::CommitCheckpoint(bwtree::Lsn cut_lsn,
+                                CheckpointManifest* manifest) {
+  {
+    MutexLock flush_lock(&flush_mu_);
+    BG3_RETURN_IF_ERROR(PublishStagedLocked(cut_lsn, /*force_record=*/false));
+  }
+  manifest->checkpoint_lsn = cut_lsn;
+  manifest->trees.push_back({opts_.tree.tree_id, cut_lsn});
+  return Status::OK();
 }
 
 Status RwNode::PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record) {
@@ -189,37 +167,11 @@ Status RwNode::PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record) {
   // (RO nodes replay from the WAL on top of published images).
   BG3_RETURN_IF_ERROR(wal_.Flush());
 
-  // Publish staged mapping entries, children before parents (descending
-  // page id; page ids are allocated monotonically, so a split child always
-  // has a larger id than its parent). This guarantees an RO node never
-  // observes a parent's post-split image while the child image is missing.
-  std::vector<StagedImage> staged;
-  {
-    MutexLock lock(&staged_mu_);
-    staged.swap(staged_);
-  }
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedImage& a, const StagedImage& b) {
-              return a.page > b.page;
-            });
-  // Deduplicate: keep only the newest image per page (a page may flush
-  // multiple times between groups via GC relocation).
-  for (auto it = staged.begin(); it != staged.end();) {
-    auto next = it + 1;
-    if (next != staged.end() && next->tree == it->tree &&
-        next->page == it->page) {
-      // Same page: keep the entry with the larger flushed_lsn.
-      if (next->meta.flushed_lsn < it->meta.flushed_lsn) *next = *it;
-      it = staged.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const StagedImage& s : staged) {
-    store_->ManifestPut(PageImageKey(s.tree, s.page), s.meta.Encode());
-  }
+  // Children before parents, so an RO node never observes a parent's
+  // post-split image while the child image is missing.
+  const bool published = !stager_.Publish(store_).empty();
 
-  if (force_record || !staged.empty()) {
+  if (force_record || published) {
     wal::WalRecord rec;
     rec.type = wal::WalRecord::Type::kCheckpoint;
     rec.tree_id = opts_.tree.tree_id;
@@ -292,17 +244,8 @@ void RwNode::OnPageFlushed(bwtree::TreeId tree, bwtree::PageId page,
                            const std::vector<cloud::PagePointer>& delta_ptrs,
                            const std::string& low_key,
                            const std::string& high_key, bool has_high_key) {
-  StagedImage staged;
-  staged.tree = tree;
-  staged.page = page;
-  staged.meta.flushed_lsn = flushed_lsn;
-  staged.meta.base_ptr = base_ptr;
-  staged.meta.delta_ptrs = delta_ptrs;
-  staged.meta.low_key = low_key;
-  staged.meta.high_key = high_key;
-  staged.meta.has_high_key = has_high_key;
-  MutexLock lock(&staged_mu_);
-  staged_.push_back(std::move(staged));
+  stager_.OnPageFlushed(tree, page, flushed_lsn, base_ptr, delta_ptrs, low_key,
+                        high_key, has_high_key);
 }
 
 }  // namespace bg3::replication

@@ -2,16 +2,14 @@
 #define BG3_REPLICATION_RW_NODE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "bwtree/bwtree.h"
 #include "bwtree/listener.h"
 #include "common/metrics.h"
 #include "common/thread_annotations.h"
+#include "replication/checkpoint.h"
 #include "replication/page_image.h"
 #include "replication/ro_node.h"
 #include "wal/writer.h"
@@ -38,15 +36,6 @@ struct RwNodeOptions {
   /// growing the backlog without bound — reads keep serving from memory.
   /// 0 disables the watermark (historical behavior).
   size_t wal_backlog_watermark = 0;
-
-  /// Run threshold-triggered group flushes on a dedicated background thread
-  /// (the paper's "flushed by a background thread"), unifying them with the
-  /// WAL pipeline's off-caller-thread I/O: a Put/Delete that crosses the
-  /// dirty threshold just signals the flusher and returns, instead of
-  /// paying the page-flush + publication round trip inline. Explicit
-  /// FlushGroup()/CommitCheckpoint() calls stay synchronous. Off by default
-  /// (historical inline behavior, which deterministic tests rely on).
-  bool async_group_flush = false;
 };
 
 /// The Read/Write node of BG3's write-once read-many architecture (§3.4,
@@ -54,14 +43,11 @@ struct RwNodeOptions {
 /// to the WAL on shared storage (steps (1)-(2)); dirty pages are flushed in
 /// groups (step (7)); after a group the node publishes new page-table
 /// versions to the shared mapping area and appends a checkpoint record
-/// (step (8)).
-class RwNode : public bwtree::TreeListener {
+/// (step (8)). It is also a Checkpointer's target: fuzzy cuts over its
+/// tree commit through the same publication path as the group flush.
+class RwNode : public bwtree::TreeListener, public CheckpointTarget {
  public:
   RwNode(cloud::CloudStore* store, const RwNodeOptions& options);
-  /// Joins the background group flusher (async_group_flush), running any
-  /// signalled-but-unstarted flush first. WAL teardown (and its loss
-  /// surface) is the WalWriter destructor's.
-  ~RwNode();
 
   /// Crash recovery: rebuilds an RW node purely from shared storage — the
   /// published mapping-table images plus WAL replay (the same machinery RO
@@ -101,39 +87,35 @@ class RwNode : public bwtree::TreeListener {
   /// records until the next group flush rewrites the tail; monitor it.
   uint64_t wal_append_errors() const { return wal_append_errors_.Get(); }
 
-  /// Flushes a dirty-page group if the threshold is reached (with
-  /// async_group_flush: signals the background flusher and returns).
+  /// Flushes a dirty-page group if the threshold is reached.
   Status MaybeFlushGroup();
-  /// Group flushes handed to the background flusher / failed there.
-  uint64_t async_flushes() const { return async_flushes_.Get(); }
-  uint64_t async_flush_errors() const { return async_flush_errors_.Get(); }
   /// Flushes all dirty pages, publishes their mapping entries (children
   /// before parents) and appends the checkpoint WAL record.
   Status FlushGroup();
-
-  /// Publishes every staged mapping entry and appends a checkpoint WAL
-  /// record announcing coverage through `checkpoint_lsn`. The incremental
-  /// (fuzzy) checkpoint commit path: the Checkpointer has already flushed
-  /// the pages of its cut, one bounded round at a time, and calls this once
-  /// the cut drains. Never regresses last_checkpoint_lsn (a concurrent
-  /// group flush may have checkpointed further).
-  Status CommitCheckpoint(bwtree::Lsn checkpoint_lsn);
 
   bwtree::BwTree* tree() { return tree_.get(); }
   wal::WalWriter* wal_writer() { return &wal_; }
   const RwNodeOptions& options() const { return opts_; }
 
+  // --- CheckpointTarget ----------------------------------------------------
+  /// Scope wal<stream>, cursors into the node's WAL.
+  Scope CheckpointScope() const override;
   /// Newest LSN handed out; mutations at or below it are in memory and
   /// (once the WAL flushes) durable. The fuzzy-cut capture point.
-  bwtree::Lsn CurrentLsn() const {
+  bwtree::Lsn CurrentLsn() const override {
     return lsn_source_.load(std::memory_order_acquire);
   }
-
-  /// True while flushed-page mapping entries await publication.
-  bool HasStagedImages() const {
-    MutexLock lock(&staged_mu_);
-    return !staged_.empty();
-  }
+  bool HasPendingImages() const override { return stager_.HasStaged(); }
+  Status BeginCut(CutStart* cut) override;
+  Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) override;
+  /// Publishes every staged mapping entry and appends a checkpoint WAL
+  /// record announcing coverage through `cut_lsn` — the incremental
+  /// (fuzzy) counterpart of FlushGroup, whose pages the Checkpointer has
+  /// already flushed one bounded round at a time. Never regresses
+  /// last_checkpoint_lsn (a concurrent group flush may have checkpointed
+  /// further). The manifest covers the node's one tree through `cut_lsn`.
+  Status CommitCheckpoint(bwtree::Lsn cut_lsn,
+                          CheckpointManifest* manifest) override;
 
   bwtree::Lsn last_checkpoint_lsn() const {
     return last_checkpoint_.load(std::memory_order_relaxed);
@@ -162,20 +144,15 @@ class RwNode : public bwtree::TreeListener {
                      bool has_high_key) override;
 
  private:
-  struct StagedImage {
-    bwtree::TreeId tree;
-    bwtree::PageId page;
-    PageImageMeta meta;
-  };
-
   struct BootstrapTag {};
   RwNode(BootstrapTag, cloud::CloudStore* store, const RwNodeOptions& options);
 
-  /// Enrolls flush_mu_/staged_mu_/ckpt_ptr_mu_ in debug lock-rank checking.
+  /// Enrolls flush_mu_/ckpt_ptr_mu_ in debug lock-rank checking (the
+  /// stager ranks its own mutex).
   void SetLockRanks();
 
   /// Shared tail of FlushGroup/CommitCheckpoint: WAL flush, staged mapping
-  /// publication (children before parents, deduped), checkpoint record.
+  /// publication (the stager's one ordered pass), checkpoint record.
   /// `force_record` appends the record even with nothing staged (a group
   /// flush that wrote pages whose images were published by a racing commit).
   Status PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record)
@@ -188,27 +165,16 @@ class RwNode : public bwtree::TreeListener {
   std::unique_ptr<bwtree::BwTree> tree_;
 
   Mutex flush_mu_;  ///< one group flush at a time.
-  mutable Mutex staged_mu_;
-  std::vector<StagedImage> staged_ BG3_GUARDED_BY(staged_mu_);
+  /// Images of flushed pages awaiting publication by PublishStagedLocked.
+  ImageStager stager_;
 
   mutable Mutex ckpt_ptr_mu_;
   cloud::PagePointer last_checkpoint_wal_ptr_ BG3_GUARDED_BY(ckpt_ptr_mu_);
 
   std::atomic<bwtree::Lsn> last_checkpoint_{0};
 
-  // Background group flusher (async_group_flush). Plain std::mutex: it only
-  // guards the signal flags and never nests inside ranked locks.
-  void FlusherMain();
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  bool flusher_stop_ = false;
-  bool flush_requested_ = false;
-  std::thread flusher_;
-
   LightCounter writes_shed_;
   LightCounter wal_append_errors_;
-  LightCounter async_flushes_;
-  LightCounter async_flush_errors_;
 };
 
 }  // namespace bg3::replication

@@ -2,15 +2,21 @@
 // random interleavings of writes, bounded checkpoint steps, group flushes
 // and crash/recover must always recover to the in-memory model, and once a
 // checkpoint manifest is durable, recovery replays strictly less WAL than
-// the stream holds (the bounded-restart property).
+// the stream holds (the bounded-restart property). The GraphDB schedules
+// check the WAL-less "db" scope: a reopened graph holds every edge and
+// vertex acknowledged before the last published cut began, and nothing
+// that was never written.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "cloud/cloud_store.h"
 #include "common/random.h"
+#include "core/graph_db.h"
 #include "replication/checkpoint.h"
 #include "replication/ro_node.h"
 #include "replication/rw_node.h"
@@ -155,6 +161,120 @@ TEST(CheckpointPropertyTest, StepIsAlwaysSafeToInterleaveWithWrites) {
   EXPECT_GT(h.ckpt->epoch(), 0u) << "dense stepping must publish manifests";
   ASSERT_TRUE(h.CrashAndRecover().ok());
   VerifyModel(h, model, seed, 600);
+}
+
+// --- GraphDB "db" scope ------------------------------------------------------
+
+constexpr int kOwners = 4;
+constexpr graph::EdgeType kEdgeType = 1;
+
+/// Identity of one acknowledged write: an edge (owner, dst) or a vertex
+/// (-1, id). Every write uses a fresh dst / vertex id, so a present item
+/// is exactly one write.
+using Item = std::pair<int, uint64_t>;
+
+std::string ItemValue(const Item& item) {
+  return (item.first < 0 ? "vertex-" : "edge-") + std::to_string(item.second);
+}
+
+core::GraphDBOptions PropertyDbOptions() {
+  core::GraphDBOptions opts;
+  opts.checkpoint.enabled = true;
+  opts.checkpoint.max_pages_per_cycle = 2;  // cuts straddle many writes
+  opts.forest.split_out_threshold = 12;     // owners split out mid-cut
+  opts.forest.tree_options.max_leaf_entries = 8;  // and leaves split
+  opts.vertex_tree_max_leaf_entries = 8;
+  return opts;
+}
+
+/// Everything the reopened `db` serves, checked against the writes ever
+/// made: a present item must be one that was written, with its value.
+std::set<Item> ReadAll(core::GraphDB& db, uint64_t next_dst, uint64_t next_vid,
+                       const std::string& where) {
+  std::set<Item> seen;
+  for (int owner = 0; owner < kOwners; ++owner) {
+    std::vector<graph::Neighbor> nbrs;
+    Status s = db.GetNeighbors(owner, kEdgeType, ~size_t{0}, &nbrs);
+    EXPECT_TRUE(s.ok()) << where << " " << s.ToString();
+    for (const graph::Neighbor& n : nbrs) {
+      const Item item{owner, n.dst};
+      EXPECT_LT(n.dst, next_dst) << where << " edge never written";
+      EXPECT_EQ(n.properties, ItemValue(item)) << where;
+      seen.insert(item);
+    }
+  }
+  for (uint64_t vid = 0; vid < next_vid + 8; ++vid) {
+    auto got = db.GetVertex(vid);
+    if (got.status().IsNotFound()) continue;
+    EXPECT_TRUE(got.ok()) << where << " " << got.status().ToString();
+    EXPECT_LT(vid, next_vid) << where << " vertex never written";
+    const Item item{-1, vid};
+    EXPECT_EQ(got.value(), ItemValue(item)) << where;
+    seen.insert(item);
+  }
+  return seen;
+}
+
+TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryWriteAckedBeforeTheCut) {
+  const uint64_t seed = test::AnnouncedSeed(
+      "GraphDbCheckpointPropertyTest.ReopenKeepsEveryWriteAckedBeforeTheCut",
+      0xDB5C0);
+  for (int round = 0; round < 4; ++round) {
+    Random rng(seed + round * 0x9E3779B97F4A7C15ull);
+    auto store = std::make_unique<cloud::CloudStore>();
+    auto db = std::make_unique<core::GraphDB>(store.get(), PropertyDbOptions());
+    uint64_t next_dst = 0;
+    uint64_t next_vid = 0;
+    // Guaranteed after a reopen: what the previous reopen restored, plus
+    // the writes since then up to the start of the last published cut.
+    std::set<Item> restored;
+    std::vector<Item> log;  // writes since the last reopen, in ack order.
+    size_t durable = 0;     // prefix of `log` the last manifest covers.
+    size_t cut_start = 0;   // prefix of `log` the open cut covers.
+    const int kSteps = 300;
+    for (int step = 0; step <= kSteps; ++step) {
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " round=" + std::to_string(round) +
+                                " step=" + std::to_string(step);
+      replication::Checkpointer* ckpt = db->checkpointer();
+      const uint32_t dice = step == kSteps ? 99 : rng.Next() % 100;
+      if (dice < 45) {
+        const Item item{static_cast<int>(rng.Next() % kOwners), next_dst++};
+        ASSERT_TRUE(db->AddEdge(item.first, kEdgeType, item.second,
+                                ItemValue(item), item.second + 1)
+                        .ok())
+            << where;
+        log.push_back(item);
+      } else if (dice < 60) {
+        const Item item{-1, next_vid++};
+        ASSERT_TRUE(db->AddVertex(item.second, ItemValue(item)).ok()) << where;
+        log.push_back(item);
+      } else if (dice < 90) {
+        const bool was_open = ckpt->CutInProgress();
+        const uint64_t epoch = ckpt->epoch();
+        ASSERT_TRUE((dice < 85 ? ckpt->Step() : ckpt->CheckpointNow()).ok())
+            << where;
+        // A cut opened by this call covers every write acked so far.
+        if (!was_open) cut_start = log.size();
+        if (ckpt->epoch() > epoch) durable = cut_start;
+      } else {  // destroy and reopen, possibly mid-cut
+        db.reset();
+        db = std::make_unique<core::GraphDB>(store.get(), PropertyDbOptions());
+        const std::set<Item> seen = ReadAll(*db, next_dst, next_vid, where);
+        std::set<Item> expected = restored;
+        expected.insert(log.begin(), log.begin() + durable);
+        for (const Item& item : expected) {
+          ASSERT_TRUE(seen.count(item) != 0)
+              << where << " lost " << ItemValue(item) << " of owner "
+              << item.first;
+        }
+        restored = seen;
+        log.clear();
+        durable = 0;
+        cut_start = 0;
+      }
+    }
+  }
 }
 
 }  // namespace

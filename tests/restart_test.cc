@@ -313,10 +313,10 @@ TEST(GraphDbCheckpointTest, CheckpointThenRestoreServesGraph) {
     for (int e = 0; e < 200; ++e) {
       ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "edge", e).ok());
     }
-    ASSERT_TRUE(db.CheckpointNow().ok());
-    EXPECT_GE(db.checkpoint_epoch(), 1u);
-    EXPECT_GT(db.checkpoint_pages_flushed(), 0u);
-    EXPECT_GT(db.checkpoint_manifests_written(), 0u);
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    EXPECT_GE(db.checkpointer()->epoch(), 1u);
+    EXPECT_GT(db.checkpointer()->stats().pages_flushed.Get(), 0u);
+    EXPECT_GT(db.checkpointer()->stats().manifests_written.Get(), 0u);
   }  // "crash": all volatile state gone
 
   core::GraphDB db(store.get(), CheckpointedDbOptions());
@@ -339,9 +339,9 @@ TEST(GraphDbCheckpointTest, CheckpointThenRestoreServesGraph) {
 
   // The restored instance checkpoints onward from the restored epoch.
   ASSERT_TRUE(db.AddVertex(999, "after-restore").ok());
-  const uint64_t epoch = db.checkpoint_epoch();
-  ASSERT_TRUE(db.CheckpointNow().ok());
-  EXPECT_GT(db.checkpoint_epoch(), epoch);
+  const uint64_t epoch = db.checkpointer()->epoch();
+  ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+  EXPECT_GT(db.checkpointer()->epoch(), epoch);
 }
 
 TEST(GraphDbCheckpointTest, WritesPastCheckpointAreNotDurableWithoutWal) {
@@ -351,7 +351,7 @@ TEST(GraphDbCheckpointTest, WritesPastCheckpointAreNotDurableWithoutWal) {
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
     ASSERT_TRUE(db.AddVertex(1, "durable").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
     ASSERT_TRUE(db.AddVertex(2, "volatile").ok());  // never checkpointed
   }
   core::GraphDB db(store.get(), CheckpointedDbOptions());
@@ -366,10 +366,10 @@ TEST(GraphDbCheckpointTest, TornHeadSlotFallsBackToPreviousEpoch) {
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
     ASSERT_TRUE(db.AddVertex(1, "epoch1").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
     ASSERT_TRUE(db.AddVertex(2, "epoch2").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
-    epoch2 = db.checkpoint_epoch();
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    epoch2 = db.checkpointer()->epoch();
   }
   // Tear the newest manifest slot: restore must fall back one epoch.
   store->ManifestPut(CheckpointSlotKey(core::GraphDB::kCheckpointScope, epoch2),
@@ -385,7 +385,7 @@ TEST(GraphDbCheckpointTest, BothSlotsTornComesUpFresh) {
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
     ASSERT_TRUE(db.AddVertex(1, "x").ok());
-    ASSERT_TRUE(db.CheckpointNow().ok());
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
   }
   store->ManifestPut(CheckpointSlotKey(core::GraphDB::kCheckpointScope, 0),
                      "torn");
@@ -403,17 +403,70 @@ TEST(GraphDbCheckpointTest, BackgroundThreadCheckpointsContinuously) {
   core::GraphDBOptions opts = CheckpointedDbOptions();
   opts.checkpoint.interval_ms = 1;
   core::GraphDB db(store.get(), opts);
-  db.StartCheckpointing();
+  db.checkpointer()->Start();
   for (int v = 0; v < 300; ++v) {
     ASSERT_TRUE(db.AddVertex(v, "bg").ok());
   }
   // The decoupled thread must reach a durable manifest on its own.
-  for (int spin = 0; spin < 2000 && db.checkpoint_epoch() == 0; ++spin) {
+  for (int spin = 0; spin < 2000 && db.checkpointer()->epoch() == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  db.StopCheckpointing();
-  EXPECT_GT(db.checkpoint_epoch(), 0u);
-  EXPECT_GT(db.checkpoint_manifests_written(), 0u);
+  db.checkpointer()->Stop();
+  EXPECT_GT(db.checkpointer()->epoch(), 0u);
+  EXPECT_GT(db.checkpointer()->stats().manifests_written.Get(), 0u);
+}
+
+TEST(GraphDbCheckpointTest, SplitOutDuringCutKeepsPreCutEdges) {
+  // An owner that splits out to a dedicated tree after a cut began: INIT's
+  // images lose its edges, while the new tree had no page in the cut. The
+  // commit must flush that tree before the manifest routes the owner to it.
+  auto store = std::make_unique<cloud::CloudStore>();
+  core::GraphDBOptions opts = CheckpointedDbOptions();
+  opts.forest.split_out_threshold = 64;
+  {
+    core::GraphDB db(store.get(), opts);
+    for (int e = 0; e < 40; ++e) {
+      ASSERT_TRUE(db.AddEdge(7, 1, 1000 + e, "pre", e + 1).ok());
+    }
+    ASSERT_TRUE(db.checkpointer()->Step().ok());  // begins the cut
+    ASSERT_TRUE(db.checkpointer()->CutInProgress());
+    for (int e = 40; e < 100; ++e) {
+      ASSERT_TRUE(db.AddEdge(7, 1, 1000 + e, "post", e + 1).ok());
+    }
+    ASSERT_GT(db.forest()->TreeCount(), 1u) << "owner 7 must split out";
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+  }
+  core::GraphDB db(store.get(), opts);
+  ASSERT_TRUE(db.RestoredFromCheckpoint());
+  for (int e = 0; e < 40; ++e) {
+    auto got = db.GetEdge(7, 1, 1000 + e);
+    ASSERT_TRUE(got.ok()) << e << " " << got.status().ToString();
+    EXPECT_EQ(got.value(), "pre") << e;
+  }
+}
+
+TEST(GraphDbCheckpointTest, MaintenanceDrainsRestoreQueue) {
+  auto store = std::make_unique<cloud::CloudStore>();
+  {
+    core::GraphDB db(store.get(), CheckpointedDbOptions());
+    for (int e = 0; e < 300; ++e) {
+      ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "edge", e + 1).ok());
+    }
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+  }
+  core::GraphDB db(store.get(), CheckpointedDbOptions());
+  ASSERT_TRUE(db.RestoredFromCheckpoint());
+  ASSERT_GT(db.WarmRestoredPages(0).value(), 0u) << "restore must queue pages";
+  EXPECT_EQ(db.checkpoint_replay_bytes(), 0u);
+  // The maintenance thread alone drains the queue.
+  db.StartMaintenance(1);
+  for (int spin = 0; spin < 5000 && db.WarmRestoredPages(0).value() != 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  db.StopMaintenance();
+  EXPECT_EQ(db.WarmRestoredPages(0).value(), 0u);
+  EXPECT_GT(db.checkpoint_replay_bytes(), 0u);
 }
 
 // --- cluster wiring ----------------------------------------------------------
