@@ -47,7 +47,7 @@ Point Run(size_t extent_capacity) {
 
   Point p;
   p.moved_mb = store.stats().gc_moved_bytes.Get() / 1e6;
-  p.freed_mb = db.Stats().gc_bytes_freed / 1e6;
+  p.freed_mb = db.reclaimer()->totals().bytes_freed / 1e6;
   p.move_ratio = p.freed_mb > 0 ? p.moved_mb / p.freed_mb : 0;
   return p;
 }

@@ -108,10 +108,10 @@ GcRun RunRiskControlTtl(core::GcPolicyKind policy, bool use_ttl,
   }
   BG3_IGNORE_STATUS(db.RunGcCycle());
   const double sim_seconds = kOps * kOpIntervalUs / 1e6;
-  const core::DbStats stats = db.Stats();
+  const gc::CycleResult& totals = db.reclaimer()->totals();
   r.moved_mb_per_s = store.stats().gc_moved_bytes.Get() / 1e6 / sim_seconds;
-  r.expired_extents = static_cast<double>(stats.gc_extents_expired);
-  r.freed_mb = stats.gc_bytes_freed / 1e6;
+  r.expired_extents = static_cast<double>(totals.extents_expired);
+  r.freed_mb = totals.bytes_freed / 1e6;
   r.resident_mb = store.TotalBytes() / 1e6;
   return r;
 }

@@ -1,7 +1,6 @@
 // Observability tour: run a short Follow-style workload against a BG3
-// GraphDB while a background StatsReporter periodically renders the
-// process-wide metrics registry, then dump the full registry (JSON and
-// Prometheus text) plus the per-layer latency breakdown.
+// GraphDB, then dump the process-wide metrics registry (JSON and Prometheus
+// text), which carries the per-layer latency breakdown.
 //
 //   $ ./bg3_stats                  # metrics dump on stdout
 //   $ BG3_TRACE=1 ./bg3_stats      # additionally writes bg3_trace.json
@@ -18,7 +17,6 @@
 #include "cloud/cloud_store.h"
 #include "common/metrics_registry.h"
 #include "common/op_context.h"
-#include "common/stats_reporter.h"
 #include "common/trace.h"
 #include "core/graph_db.h"
 #include "query/query.h"
@@ -49,19 +47,6 @@ int main() {
            static_cast<unsigned>(db.debug_server_port()));
     fflush(stdout);
   }
-
-  // Periodic reporter, as a service deployment would run it. The interval
-  // is short so this demo produces at least one background report.
-  StatsReporterOptions rep_opts;
-  rep_opts.interval_ms = 50;
-  rep_opts.format = "json";
-  StatsReporter reporter(rep_opts);
-  uint64_t background_reports = 0;
-  reporter.SetSink([&background_reports](const std::string&) {
-    // A real deployment would push this to a scraper; the demo just counts.
-    ++background_reports;
-  });
-  reporter.Start();
 
   // Drive a mixed read/write social-follow workload through every layer:
   // API -> forest -> bw-tree -> WAL-less write path -> cloud store, plus GC.
@@ -110,15 +95,12 @@ int main() {
     printf("traced demo query: %s\n", op_stats.ToJson().c_str());
   }
 
-  reporter.Stop();
-  printf("background reports emitted: %llu\n",
-         (unsigned long long)background_reports);
-
   // Full registry dump — every BG3_TIMED_SCOPE's `<name>_ns` histogram (its
   // spans, named `<name>`, go to the trace planes instead), the CloudStore's
   // I/O counters (bg3.cloud.store0.*), and this DB's forest/GC callbacks
   // (bg3.db0.*) appear here.
-  printf("\n--- metrics registry (JSON) ---\n%s\n", db.DumpMetrics().c_str());
+  printf("\n--- metrics registry (JSON) ---\n%s\n",
+         MetricsRegistry::Default().RenderJson().c_str());
 
   printf("--- metrics registry (Prometheus text) ---\n%s",
          MetricsRegistry::Default().RenderPrometheus().c_str());

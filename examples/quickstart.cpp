@@ -47,7 +47,16 @@ int main() {
   BG3_CHECK(db.GetNeighbors(kAlice, kFollows, 10, &followees).ok());
   printf("after unfollow, alice follows %zu user(s)\n", followees.size());
 
-  // Engine internals.
-  printf("--- db stats ---\n%s\n", db.Stats().ToString().c_str());
+  // Engine internals, read from the objects that own them.
+  const cloud::IoStats& io = store.stats();
+  printf("--- engine ---\n");
+  printf("forest: trees=%zu init_entries=%zu approx_memory=%zuB\n",
+         db.forest()->TreeCount(), db.forest()->InitEntryCount(),
+         db.forest()->ApproxMemoryBytes());
+  printf("storage: total=%lluB live=%lluB appends=%llu reads=%llu\n",
+         (unsigned long long)store.TotalBytes(),
+         (unsigned long long)store.LiveBytes(),
+         (unsigned long long)io.append_ops.Get(),
+         (unsigned long long)io.read_ops.Get());
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "cloud/cloud_store.h"
+#include "common/metrics_registry.h"
 #include "core/graph_db.h"
 #include "graph/algorithms.h"
 #include "graph/traversal.h"
@@ -92,9 +93,11 @@ int main() {
   printf("douyin-recommendation: %llu queries in %.2fs -> %.0f QPS\n",
          (unsigned long long)result.ops, result.seconds, result.qps);
 
-  const core::DbStats stats = db.Stats();
-  printf("bw-trees=%llu, approx memory=%.1f MB\n",
-         (unsigned long long)stats.tree_count,
-         stats.approx_memory_bytes / 1e6);
+  const uint64_t approx_memory = MetricsRegistry::Default()
+                                     .TakeSnapshot()
+                                     .counters.at(db.metrics_prefix() +
+                                                  "approx_memory_bytes");
+  printf("bw-trees=%zu, approx memory=%.1f MB\n", db.forest()->TreeCount(),
+         approx_memory / 1e6);
   return 0;
 }

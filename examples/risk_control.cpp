@@ -64,16 +64,15 @@ int main() {
 
   // TTL expiry: after the audit window, reads stop returning the data and
   // GC frees the extents outright — no relocation bandwidth (Table 2).
-  const core::DbStats before = db.Stats();
+  const uint64_t storage_before = store.TotalBytes();
   clock.AdvanceUs(30ull * 60 * 1'000'000);  // +30 minutes
   BG3_CHECK(db.RunGcCycle().ok());
-  const core::DbStats after = db.Stats();
   printf("\nTTL reclamation:\n");
-  printf("  storage before : %.1f KB\n", before.storage_total_bytes / 1e3);
-  printf("  storage after  : %.1f KB\n", after.storage_total_bytes / 1e3);
+  printf("  storage before : %.1f KB\n", storage_before / 1e3);
+  printf("  storage after  : %.1f KB\n", store.TotalBytes() / 1e3);
   printf("  extents expired: %llu, bytes moved by GC: %llu (expect 0)\n",
-         (unsigned long long)after.gc_extents_expired,
-         (unsigned long long)after.gc_moved_bytes);
+         (unsigned long long)db.reclaimer()->totals().extents_expired,
+         (unsigned long long)store.stats().gc_moved_bytes.Get());
 
   auto gone = db.GetEdge(100, kTransfer, 101);
   printf("expired edge visible: %s\n", gone.ok() ? "yes (BUG)" : "no");

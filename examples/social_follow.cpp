@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "cloud/cloud_store.h"
+#include "common/metrics_registry.h"
 #include "core/graph_db.h"
 #include "workload/driver.h"
 #include "workload/graph_gen.h"
@@ -55,24 +56,30 @@ int main() {
          (unsigned long long)result.ops, result.seconds, result.qps,
          (unsigned long long)result.errors);
 
-  const core::DbStats stats = db.Stats();
+  // DB-wide leaf-latch conflicts (forest + vertex tree) as /metrics serves
+  // them; the forest and the store answer the rest directly.
+  const auto counters = MetricsRegistry::Default().TakeSnapshot().counters;
+  const std::string& db_prefix = db.metrics_prefix();
+  const uint64_t latch_conflicts =
+      counters.at(db_prefix + "bwtree.latch.shared_conflicts") +
+      counters.at(db_prefix + "bwtree.latch.exclusive_conflicts");
+  const cloud::IoStats& io = store.stats();
   printf("\nforest after the run:\n");
-  printf("  bw-trees          : %llu (hot users split out: %llu)\n",
-         (unsigned long long)stats.tree_count,
-         (unsigned long long)stats.split_outs);
-  printf("  INIT-tree entries : %llu\n", (unsigned long long)stats.init_entries);
-  printf("  latch conflicts   : %llu\n",
-         (unsigned long long)stats.latch_conflicts);
+  printf("  bw-trees          : %zu (hot users split out: %llu)\n",
+         db.forest()->TreeCount(),
+         (unsigned long long)db.forest()->stats().split_outs.Get());
+  printf("  INIT-tree entries : %zu\n", db.forest()->InitEntryCount());
+  printf("  latch conflicts   : %llu\n", (unsigned long long)latch_conflicts);
   printf("storage:\n");
   printf("  total=%.1f MB live=%.1f MB appends=%llu reads=%llu\n",
-         stats.storage_total_bytes / 1e6, stats.storage_live_bytes / 1e6,
-         (unsigned long long)stats.append_ops,
-         (unsigned long long)stats.read_ops);
+         store.TotalBytes() / 1e6, store.LiveBytes() / 1e6,
+         (unsigned long long)io.append_ops.Get(),
+         (unsigned long long)io.read_ops.Get());
 
   // One reclamation pass to clean up overwrite garbage.
   BG3_CHECK(db.RunGcCycle().ok());
-  const core::DbStats after = db.Stats();
   printf("after GC: extents freed=%llu moved=%.1f MB\n",
-         (unsigned long long)after.extents_freed, after.gc_moved_bytes / 1e6);
+         (unsigned long long)io.extents_freed.Get(),
+         io.gc_moved_bytes.Get() / 1e6);
   return 0;
 }

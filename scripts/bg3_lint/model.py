@@ -13,9 +13,9 @@ under scripts/bg3_lint/tests/ pins its behavior per pass.
 Known, documented blind spots (see DESIGN.md §5.6):
   - lambda bodies are indexed as separate synthetic functions; calls inside
     a lambda are *not* attributed to the enclosing function, because most
-    lambdas here are deferred work (thread-pool tasks, retry ops). Blocking
-    executors (RetryWithBackoff, ThreadPool::Submit) are themselves
-    BG3_BLOCKING, so the discipline still holds at the dispatch site.
+    lambdas here are deferred work (worker-thread bodies, retry ops). The
+    blocking executor (RetryWithBackoff) is itself BG3_BLOCKING, so the
+    discipline still holds at the dispatch site.
   - calls through function pointers / std::function are invisible.
   - templates are analyzed textually, once, not per instantiation.
 """

@@ -250,8 +250,6 @@ class BwTree {
   cloud::CloudStore* store() { return store_; }
 
  private:
-  friend class BwTreeIterator;
-
   Lsn NextLsn() {
     return lsn_source_->fetch_add(1, std::memory_order_relaxed) + 1;
   }

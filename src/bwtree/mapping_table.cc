@@ -168,7 +168,7 @@ LeafPage* PageIndex::NextLeaf(const LeafPage& page) const {
 
 size_t PageIndex::PageCount() const {
   ReaderMutexLock lock(&mu_);
-  return pages_.size();
+  return snapshot_->pages.size();
 }
 
 void PageIndex::ForEachPage(const std::function<void(LeafPage*)>& fn) const {

@@ -143,6 +143,10 @@ class PageIndex {
   /// Leaf following `page` in key order (nullptr if last).
   LeafPage* NextLeaf(const LeafPage& page) const;
 
+  /// Leaves published in the route table: the set ForEachPage visits. A
+  /// split sibling counts once its route is published, not when its page
+  /// is inserted, so a count read before a ForEachPage pass differs from
+  /// one read after it whenever that pass may have missed a leaf.
   size_t PageCount() const;
 
   /// Published snapshot version; bumps on every route change.

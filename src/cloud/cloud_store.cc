@@ -1,38 +1,10 @@
 #include "cloud/cloud_store.h"
 
-#include <sstream>
-
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/timed_scope.h"
 
 namespace bg3::cloud {
-
-void IoStats::Reset() {
-  append_ops.Reset();
-  append_bytes.Reset();
-  read_ops.Reset();
-  read_bytes.Reset();
-  gc_moved_bytes.Reset();
-  extents_freed.Reset();
-  manifest_updates.Reset();
-  injected_faults.Reset();
-  retries.Reset();
-  retry_exhausted.Reset();
-}
-
-std::string IoStats::ToString() const {
-  std::ostringstream os;
-  os << "appends=" << append_ops.Get() << " (" << append_bytes.Get()
-     << " B) reads=" << read_ops.Get() << " (" << read_bytes.Get()
-     << " B) gc_moved=" << gc_moved_bytes.Get()
-     << " B extents_freed=" << extents_freed.Get()
-     << " manifest_updates=" << manifest_updates.Get()
-     << " injected_faults=" << injected_faults.Get()
-     << " retries=" << retries.Get()
-     << " retry_exhausted=" << retry_exhausted.Get();
-  return os.str();
-}
 
 void IoStats::RegisterWith(MetricsRegistry* registry,
                            const std::string& prefix) const {

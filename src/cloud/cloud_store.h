@@ -29,8 +29,9 @@ namespace bg3::cloud {
 /// Aggregate I/O accounting. Read/write amplification figures (Figs. 9/10,
 /// Table 2, storage-cost saving) are all computed from these counters.
 /// Every CloudStore registers its IoStats with the default MetricsRegistry
-/// under a per-instance prefix (`bg3.cloud.store<N>.`), so DumpMetrics()
-/// and the bench JSON read the same counters the figures are computed from.
+/// under a per-instance prefix (`bg3.cloud.store<N>.`), so the registry
+/// read-outs (RenderJson, DebugServer /metrics) and the bench JSON read the
+/// same counters the figures are computed from.
 struct IoStats {
   Counter append_ops;
   Counter append_bytes;
@@ -46,9 +47,6 @@ struct IoStats {
   Counter injected_faults;
   Counter retries;
   Counter retry_exhausted;
-
-  void Reset();
-  std::string ToString() const;
 
   /// Registers every counter as an external metric `<prefix><field>` in
   /// `registry`; undo with registry->DeregisterPrefix(prefix). The stats

@@ -15,9 +15,10 @@
 
 namespace bg3 {
 
-/// Process-wide named-metrics registry: the single place `DumpMetrics()`,
-/// the StatsReporter, the benches and `examples/bg3_stats` read from, so
-/// every surface reports the same source-of-truth counters.
+/// Process-wide named-metrics registry: the one read-out of engine state.
+/// `RenderJson`/`RenderPrometheus`, DebugServer's `/metrics`, the benches
+/// and `examples/bg3_stats` all read it, so every surface reports the same
+/// source-of-truth counters.
 ///
 /// Two ways a metric gets in:
 ///  - **Owned**: `GetCounter/GetGauge/GetHistogram(name)` get-or-create a

@@ -163,9 +163,10 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
         store_, resolver_.get(), gc_policy_.get(), tracker_.get(), reclaim);
   }
 
-  // Publish forest/GC internals in the process-wide registry so DumpMetrics
-  // and the bench JSON see the same numbers DbStats reports. Per-instance
-  // prefix: tests and benches routinely run several GraphDBs per process.
+  // Publish forest/GC internals in the process-wide registry, the one
+  // read-out of engine state (RenderJson, RenderPrometheus, DebugServer
+  // /metrics). Per-instance prefix: tests and benches routinely run several
+  // GraphDBs per process.
   metrics_prefix_ =
       "bg3.db" + std::to_string(MetricsRegistry::NextInstanceId("db")) + ".";
   MetricsRegistry& reg = MetricsRegistry::Default();
@@ -208,10 +209,8 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                        [latch_counters] {
                          return latch_counters().exclusive_conflicts;
                        });
-  reg.RegisterCallback(metrics_prefix_ + "approx_memory_bytes", [this] {
-    return uint64_t{forest_->ApproxMemoryBytes() +
-                    vertex_tree_->ApproxMemoryBytes()};
-  });
+  reg.RegisterCallback(metrics_prefix_ + "approx_memory_bytes",
+                       [this] { return uint64_t{ApproxMemoryBytes()}; });
   reg.RegisterCallback(metrics_prefix_ + "bwtree.resident_bytes", [this] {
     return uint64_t{forest_->TotalResidentBytes() +
                     vertex_tree_->ResidentBytes()};
@@ -502,8 +501,7 @@ void GraphDB::RefreshOverloadState() {
   }
   if (opts_.memory_budget_bytes != 0 &&
       opts_.admission.memory_throttle_ratio > 0) {
-    const size_t memory =
-        forest_->ApproxMemoryBytes() + vertex_tree_->ApproxMemoryBytes();
+    const size_t memory = ApproxMemoryBytes();
     const double limit =
         opts_.admission.memory_throttle_ratio *
         static_cast<double>(opts_.memory_budget_bytes);
@@ -626,8 +624,7 @@ Status GraphDB::RunGcCycle() {
   BG3_RETURN_IF_ERROR(admission_.Admit(OpClass::kBackground, nullptr,
                                        &permit));
   if (opts_.memory_budget_bytes != 0) {
-    const size_t memory =
-        forest_->ApproxMemoryBytes() + vertex_tree_->ApproxMemoryBytes();
+    const size_t memory = ApproxMemoryBytes();
     if (memory > opts_.memory_budget_bytes) {
       // One buffer pool over every tree (forest + vertex): evict the
       // globally coldest clean leaves until resident payload fits in the
@@ -659,50 +656,8 @@ Status GraphDB::RunGcCycle() {
   return Status::OK();
 }
 
-std::string GraphDB::DumpMetrics(int indent) const {
-  return MetricsRegistry::Default().RenderJson(indent);
-}
-
-DbStats GraphDB::Stats() const {
-  DbStats s;
-  s.storage_total_bytes = store_->TotalBytes();
-  s.storage_live_bytes = store_->LiveBytes();
-  const cloud::IoStats& io = store_->stats();
-  s.append_ops = io.append_ops.Get();
-  s.append_bytes = io.append_bytes.Get();
-  s.read_ops = io.read_ops.Get();
-  s.read_bytes = io.read_bytes.Get();
-  s.gc_moved_bytes = io.gc_moved_bytes.Get();
-  s.extents_freed = io.extents_freed.Get();
-
-  s.tree_count = forest_->TreeCount();
-  s.init_entries = forest_->InitEntryCount();
-  s.split_outs = forest_->stats().split_outs.Get();
-  s.evictions = forest_->stats().evictions.Get();
-  {
-    forest::BwTreeForest::LatchCounters agg =
-        forest_->AggregateLatchCounters();
-    const bwtree::BwTreeStats& vs = vertex_tree_->stats();
-    s.latch_conflicts = agg.shared_conflicts + agg.exclusive_conflicts +
-                        vs.latch_shared_conflicts.Get() +
-                        vs.latch_exclusive_conflicts.Get();
-    s.latch_shared_acquires =
-        agg.shared_acquires + vs.latch_shared_acquires.Get();
-    s.latch_exclusive_acquires =
-        agg.exclusive_acquires + vs.latch_exclusive_acquires.Get();
-  }
-  s.approx_memory_bytes =
-      forest_->ApproxMemoryBytes() + vertex_tree_->ApproxMemoryBytes();
-  s.resident_bytes = forest_->TotalResidentBytes() +
-                     vertex_tree_->ResidentBytes();
-
-  if (reclaimer_ != nullptr) {
-    const gc::CycleResult& totals = reclaimer_->totals();
-    s.gc_extents_reclaimed = totals.extents_reclaimed;
-    s.gc_extents_expired = totals.extents_expired;
-    s.gc_bytes_freed = totals.bytes_freed;
-  }
-  return s;
+size_t GraphDB::ApproxMemoryBytes() const {
+  return forest_->ApproxMemoryBytes() + vertex_tree_->ApproxMemoryBytes();
 }
 
 }  // namespace bg3::core

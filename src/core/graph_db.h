@@ -15,7 +15,6 @@
 #include "bwtree/bwtree.h"
 #include "cloud/cloud_store.h"
 #include "core/admission.h"
-#include "core/db_stats.h"
 #include "core/options.h"
 #include "forest/forest.h"
 #include "gc/extent_usage.h"
@@ -116,15 +115,9 @@ class GraphDB : public graph::GraphEngine,
   /// Checkpoint-manifest scope of GraphDB-level checkpoints.
   static constexpr const char* kCheckpointScope = "db";
 
-  DbStats Stats() const;
-
-  /// Structured dump of the process-wide metrics registry (counters, gauges,
-  /// per-layer latency histograms) as JSON. The forest/GC internals of this
-  /// instance appear under its `bg3.db<N>.` prefix; see metrics_prefix().
-  std::string DumpMetrics(int indent = 2) const;
-
   /// Per-instance metric-name prefix this DB registered its forest and GC
-  /// stats under (`bg3.db<N>.`).
+  /// stats under (`bg3.db<N>.`) in MetricsRegistry::Default(), the one
+  /// read-out of DB internals.
   const std::string& metrics_prefix() const { return metrics_prefix_; }
 
   /// Front-door admission controller (see AdmissionOptions). Exposed so
@@ -197,6 +190,9 @@ class GraphDB : public graph::GraphEngine,
   void RestoreFromManifest(const replication::CheckpointManifest& manifest);
 
   bool EdgeExpired(graph::TimestampUs created_us) const;
+  /// Forest + vertex-tree memory footprint the budget and the memory
+  /// watermark act on (also exported as `approx_memory_bytes`).
+  size_t ApproxMemoryBytes() const;
   /// Boundary validation + admission for one public op; on success the
   /// permit holds the op's concurrency slot until it returns.
   Status AdmitOp(OpClass cls, const OpContext* ctx,

@@ -21,8 +21,8 @@ namespace bg3::wal {
 /// append whose acknowledgment the writer lost, or replay past a
 /// conservative cursor) are dropped, and a term change (writer restart)
 /// resets the expected seq to 1 and abandons holds from the dead term
-/// (those batches were never acknowledged). Legacy v1 batches carry no
-/// frame and pass straight through.
+/// (those batches were never acknowledged). An unframed batch is
+/// Corruption.
 class WalReader {
  public:
   WalReader(cloud::CloudStore* store, cloud::StreamId stream)
@@ -33,34 +33,29 @@ class WalReader {
 
   /// Suffix-bounded entry point for checkpoint recovery: positions the
   /// reader so the next Poll() returns only batches appended strictly after
-  /// `cursor`. The store seeks straight to the cursor's extent, so none of
-  /// the prefix is read (or re-read) — replay cost is proportional to the
-  /// WAL suffix, not its total length. Mutation records with
+  /// `cursor.ptr`. The store seeks straight to the cursor's extent, so none
+  /// of the prefix is read (or re-read) — replay cost is proportional to
+  /// the WAL suffix, not its total length. Mutation records with
   /// lsn <= `lsn_floor` that a suffix batch may still carry are dropped at
   /// decode time (the checkpoint guarantees published page images cover
   /// them); structural records (tree-init, split, checkpoint) always pass
   /// through — their replay is idempotent.
   ///
-  /// This legacy overload has no (term, seq) anchor, so the first framed
-  /// batch encountered anchors the expected sequence — only safe when the
-  /// suffix was appended in order (single in-flight append), which every
-  /// barrier-produced cursor guarantees. Prefer the WalCursor overload.
-  void SeekTo(const cloud::PagePointer& cursor, bwtree::Lsn lsn_floor = 0) {
-    Reset(cursor, lsn_floor);
-    anchor_on_first_ = true;
-  }
-
-  /// Cursor-exact seek: resumes after `cursor.ptr` expecting
-  /// (cursor.term, cursor.seq) to be the last delivered batch. Batches of
-  /// that term at or below the seq (late-landing duplicates of already
-  /// acknowledged appends) are dropped; higher terms restart at seq 1. A
-  /// null cursor means "the stream's true beginning": the first term is
-  /// expected to open at seq 1 even if a later batch lands physically
-  /// first (the strict mode an out-of-order async writer needs).
+  /// The seek is cursor-exact: (cursor.term, cursor.seq) is expected to be
+  /// the last delivered batch. Batches of that term at or below the seq
+  /// (late-landing duplicates of already acknowledged appends) are dropped;
+  /// higher terms restart at seq 1. A null cursor means "the stream's true
+  /// beginning": the first term is expected to open at seq 1 even if a
+  /// later batch lands physically first (the strict mode an out-of-order
+  /// async writer needs).
   void SeekTo(const WalCursor& cursor, bwtree::Lsn lsn_floor = 0) {
-    Reset(cursor.ptr, lsn_floor);
+    cursor_ = cursor.ptr;
+    raw_cursor_ = cursor.ptr;
+    lsn_floor_ = lsn_floor;
     expected_term_ = cursor.term;
     delivered_seq_ = cursor.seq;
+    anchor_on_first_ = false;
+    held_.clear();
   }
 
   /// Epoch-boundary notification (DESIGN.md §5.10): a promotion published
@@ -111,16 +106,6 @@ class WalReader {
   }
 
  private:
-  void Reset(const cloud::PagePointer& cursor, bwtree::Lsn lsn_floor) {
-    cursor_ = cursor;
-    raw_cursor_ = cursor;
-    lsn_floor_ = lsn_floor;
-    expected_term_ = 0;
-    delivered_seq_ = 0;
-    anchor_on_first_ = false;
-    held_.clear();
-  }
-
   /// Applies the lsn floor and appends `batch` to `out`.
   void Deliver(std::vector<WalRecord>&& batch, std::vector<WalRecord>* out);
 
@@ -129,15 +114,15 @@ class WalReader {
   cloud::PagePointer cursor_;      ///< safe (truncation/restart) position.
   cloud::PagePointer raw_cursor_;  ///< physical tail position.
   bwtree::Lsn lsn_floor_ = 0;  ///< mutations at or below are checkpointed.
-  uint64_t expected_term_ = 0;   ///< 0 until the first framed batch.
+  uint64_t expected_term_ = 0;   ///< 0 until the first batch.
   uint64_t delivered_seq_ = 0;   ///< newest delivered seq of expected_term_.
-  /// Adopt the first framed batch seen as the sequence anchor. The default
-  /// (and legacy SeekTo) state: a never-positioned reader replays whatever
-  /// physically survives — a truncated stream starts mid-term at a
-  /// barrier-cursor boundary, so its head is in order and the anchor is
-  /// exact. Cleared by the WalCursor SeekTo, whose anchor is explicit; seek
-  /// to a null WalCursor for a strict expect-seq-1 replay of an untruncated
-  /// stream that may open out of order.
+  /// Adopt the first batch seen as the sequence anchor. The default state:
+  /// a never-positioned reader replays whatever physically survives — a
+  /// truncated stream starts mid-term at a barrier-cursor boundary, so its
+  /// head is in order and the anchor is exact. Cleared by SeekTo, whose
+  /// anchor is explicit; seek to a null WalCursor for a strict
+  /// expect-seq-1 replay of an untruncated stream that may open out of
+  /// order.
   bool anchor_on_first_ = true;
   std::map<uint64_t, std::vector<WalRecord>> held_;  ///< seq -> records.
   uint64_t batches_consumed_ = 0;

@@ -89,20 +89,10 @@ Status DecodeBatchBody(Slice input, std::vector<WalRecord>* out) {
 
 }  // namespace
 
-std::string EncodeBatch(const std::vector<WalRecord>& records) {
-  std::string out;
-  AppendBatchBody(&out, records);
-  return out;
-}
-
-Status DecodeBatch(Slice input, std::vector<WalRecord>* out) {
-  return DecodeBatchBody(input, out);
-}
-
 std::string EncodeFramedBatch(uint64_t term, uint64_t seq,
                               const std::vector<WalRecord>& records) {
   std::string out;
-  out.push_back(0);  // v2 marker; a v1 batch never starts with 0x00.
+  out.push_back(0);  // frame marker
   PutVarint64(&out, term);
   PutVarint64(&out, seq);
   const size_t crc_at = out.size();
@@ -116,11 +106,11 @@ std::string EncodeFramedBatch(uint64_t term, uint64_t seq,
   return out;
 }
 
-Status DecodeAnyBatch(Slice input, BatchHeader* header,
-                      std::vector<WalRecord>* out) {
+Status DecodeFramedBatch(Slice input, BatchHeader* header,
+                         std::vector<WalRecord>* out) {
   *header = BatchHeader{};
   if (input.empty()) return Status::Corruption("empty batch");
-  if (input[0] != 0) return DecodeBatchBody(input, out);  // legacy v1
+  if (input[0] != 0) return Status::Corruption("unframed batch");
   input.remove_prefix(1);
   uint32_t crc = 0;
   if (!GetVarint64(&input, &header->term) ||

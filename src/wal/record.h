@@ -55,7 +55,7 @@ struct WalRecord {
 /// durable prefix of the term.
 struct BatchHeader {
   uint64_t term = 0;
-  uint64_t seq = 0;  ///< 0 = legacy v1 batch (no framing).
+  uint64_t seq = 0;
 };
 
 /// A resumable WAL position: the physical pointer bounds the byte scan
@@ -71,22 +71,18 @@ struct WalCursor {
   bool IsNull() const { return ptr.IsNull() && term == 0 && seq == 0; }
 };
 
-/// Legacy v1 batch framing: [count v32] (length-prefixed WalRecord)*.
-std::string EncodeBatch(const std::vector<WalRecord>& records);
-Status DecodeBatch(Slice input, std::vector<WalRecord>* out);
-
-/// v2 framing prepends [0x00][term v64][seq v64][crc32 fixed32] to the v1
-/// body; the CRC covers the body only. The 0x00 marker can never open a v1
-/// batch — v1 starts with a varint record count and empty batches are never
-/// appended — so readers accept both formats from one stream.
+/// The one WAL batch format: [0x00][term v64][seq v64][crc32 fixed32]
+/// followed by the body [count v32] (length-prefixed WalRecord)*; the CRC
+/// covers the body only.
 std::string EncodeFramedBatch(uint64_t term, uint64_t seq,
                               const std::vector<WalRecord>& records);
 
-/// Decodes either framing. v1 input yields header {0, 0}. A v2 frame whose
-/// CRC does not match its body fails with Corruption (torn or bit-flipped
-/// payloads that slipped past the substrate's record CRC).
-Status DecodeAnyBatch(Slice input, BatchHeader* header,
-                      std::vector<WalRecord>* out);
+/// Decodes a framed batch. Input without the 0x00 frame marker (an unframed
+/// body), zero term/seq ids, or a CRC that does not match the body (torn
+/// or bit-flipped payloads that slipped past the substrate's record CRC)
+/// fail with Corruption.
+Status DecodeFramedBatch(Slice input, BatchHeader* header,
+                         std::vector<WalRecord>* out);
 
 }  // namespace bg3::wal
 

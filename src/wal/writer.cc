@@ -23,7 +23,7 @@ bool PhysicallyAfter(const cloud::PagePointer& a, const cloud::PagePointer& b) {
   return a.offset > b.offset;
 }
 
-/// Size of the v1 batch body EncodeBatch would produce for `records` with
+/// Size of the batch body EncodeFramedBatch frames for `records` with
 /// their current field values — the basis for the simulated append latency
 /// (computed before latency stamping, matching the legacy probe encode).
 size_t BatchBodySize(const std::vector<WalRecord>& records) {
@@ -35,8 +35,8 @@ size_t BatchBodySize(const std::vector<WalRecord>& records) {
   return n;
 }
 
-/// Exact wire size of EncodeFramedBatch(term, seq, records): the v2 frame
-/// (marker byte, term and seq varints, fixed32 crc) plus the v1 body.
+/// Exact wire size of EncodeFramedBatch(term, seq, records): the frame
+/// (marker byte, term and seq varints, fixed32 crc) plus the body.
 size_t FramedBatchSize(uint64_t term, uint64_t seq,
                        const std::vector<WalRecord>& records) {
   return 1 + VarintLength(term) + VarintLength(seq) + 4 +

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bwtree/bwtree.h"
-#include "bwtree/iterator.h"
 #include "bwtree/page.h"
 #include "cloud/cloud_store.h"
 
@@ -342,31 +341,6 @@ TEST(BwTreeTest, ScanAcrossManyLeaves) {
   ASSERT_TRUE(f.tree->Scan({}, &out).ok());
   ASSERT_EQ(out.size(), 200u);
   for (int i = 0; i < 200; ++i) EXPECT_EQ(out[i].key, Key(i));
-}
-
-TEST(BwTreeIteratorTest, IteratesInChunks) {
-  BwTreeOptions opts;
-  opts.max_leaf_entries = 8;
-  TreeFixture f(opts);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(f.tree->Upsert(Key(i), std::to_string(i)).ok());
-  }
-  BwTreeIterator it(f.tree.get(), Key(5), Key(95), /*chunk_size=*/9);
-  int expected = 5;
-  while (it.Valid()) {
-    EXPECT_EQ(it.key(), Key(expected));
-    it.Next();
-    ++expected;
-  }
-  EXPECT_TRUE(it.status().ok());
-  EXPECT_EQ(expected, 95);
-}
-
-TEST(BwTreeIteratorTest, EmptyRange) {
-  TreeFixture f;
-  ASSERT_TRUE(f.tree->Upsert("m", "v").ok());
-  BwTreeIterator it(f.tree.get(), "x", "z");
-  EXPECT_FALSE(it.Valid());
 }
 
 // --- flush modes ------------------------------------------------------------------

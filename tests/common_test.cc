@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
@@ -21,7 +20,6 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/threadpool.h"
 #include "test_seed.h"
 
 namespace bg3 {
@@ -427,80 +425,6 @@ TEST(HistogramTest, HugeValuesDoNotOverflow) {
   h.Record(1);
   EXPECT_EQ(h.Max(), ~0ull);
   EXPECT_GE(h.Percentile(0.99), 1u);
-}
-
-// --- threadpool --------------------------------------------------------------
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit([&done] { done.fetch_add(1); }).ok());
-  }
-  pool.Drain();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(ThreadPoolTest, DrainWaitsForInFlight) {
-  ThreadPool pool(2);
-  std::atomic<bool> finished{false};
-  ASSERT_TRUE(pool.Submit([&finished] {
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(50));
-                     finished.store(true);
-                   }).ok());
-  pool.Drain();
-  EXPECT_TRUE(finished.load());
-}
-
-TEST(ThreadPoolTest, ShutdownIsIdempotentAndDropsLateTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  ASSERT_TRUE(pool.Submit([&count] { count.fetch_add(1); }).ok());
-  pool.Shutdown();
-  pool.Shutdown();
-  // A late Submit is refused, visibly: Aborted, and the task never runs.
-  const Status late = pool.Submit([&count] { count.fetch_add(1); });
-  EXPECT_TRUE(late.IsAborted()) << late.ToString();
-  EXPECT_LE(count.load(), 1);
-}
-
-TEST(ThreadPoolTest, TrySubmitShedsWhenBoundedQueueIsFull) {
-  // One worker pinned on a gate; capacity 2 fills with the next two tasks.
-  ThreadPool pool(1, /*queue_capacity=*/2);
-  std::mutex gate;
-  gate.lock();
-  ASSERT_TRUE(pool.TrySubmit([&gate] { gate.lock(); gate.unlock(); }));
-  // Wait until the worker picked the gate task up, so the queue is empty.
-  while (pool.QueueDepth() > 0) std::this_thread::yield();
-  EXPECT_TRUE(pool.TrySubmit([] {}));
-  EXPECT_TRUE(pool.TrySubmit([] {}));
-  EXPECT_FALSE(pool.TrySubmit([] {})) << "full bounded queue must shed";
-  EXPECT_EQ(pool.QueueDepth(), 2u);
-  gate.unlock();
-  pool.Drain();
-  EXPECT_EQ(pool.QueueDepth(), 0u);
-}
-
-TEST(ThreadPoolTest, BoundedSubmitBlocksUntilSpaceFrees) {
-  ThreadPool pool(1, /*queue_capacity=*/1);
-  std::mutex gate;
-  gate.lock();
-  ASSERT_TRUE(pool.Submit([&gate] { gate.lock(); gate.unlock(); }).ok());
-  while (pool.QueueDepth() > 0) std::this_thread::yield();
-  ASSERT_TRUE(pool.Submit([] {}).ok());  // fills the queue
-  std::atomic<bool> third_submitted{false};
-  std::thread blocked([&] {
-    // Blocks on the full queue until the gate task finishes.
-    EXPECT_TRUE(pool.Submit([] {}).ok());
-    third_submitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_submitted.load()) << "Submit must apply backpressure";
-  gate.unlock();
-  blocked.join();
-  EXPECT_TRUE(third_submitted.load());
-  pool.Drain();
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "cloud/cloud_store.h"
+#include "common/metrics_registry.h"
 #include "core/graph_db.h"
 
 namespace bg3::core {
@@ -17,6 +19,18 @@ struct DbFixture {
     if (opts.time_source == nullptr) opts.time_source = &clock;
     db = std::make_unique<GraphDB>(store.get(), opts);
   }
+  /// Engine state as /metrics serves it: `name` under this DB's prefix.
+  uint64_t DbMetric(const std::string& name) const {
+    return Metric(db->metrics_prefix() + name);
+  }
+  /// `name` under the store's `bg3.cloud.store<N>.` prefix.
+  uint64_t StoreMetric(const std::string& name) const {
+    return Metric(store->metrics_prefix() + name);
+  }
+  static uint64_t Metric(const std::string& full_name) {
+    return MetricsRegistry::Default().TakeSnapshot().counters.at(full_name);
+  }
+
   cloud::ManualTimeSource clock;
   std::unique_ptr<cloud::CloudStore> store;
   std::unique_ptr<GraphDB> db;
@@ -131,8 +145,7 @@ TEST(GraphDBTest, GcCycleReclaimsChurnedSpace) {
     }
   }
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(f.db->RunGcCycle().ok());
-  const DbStats stats = f.db->Stats();
-  EXPECT_GT(stats.extents_freed, 0u);
+  EXPECT_GT(f.StoreMetric("extents_freed"), 0u);
   // Data survives reclamation.
   std::vector<graph::Neighbor> out;
   ASSERT_TRUE(f.db->GetNeighbors(1, 1, 100, &out).ok());
@@ -152,9 +165,9 @@ TEST(GraphDBTest, TtlWorkloadExpiresWholeExtentsWithoutMovement) {
   }
   f.clock.AdvanceUs(10'000'000);
   ASSERT_TRUE(f.db->RunGcCycle().ok());
-  const DbStats stats = f.db->Stats();
-  EXPECT_GT(stats.gc_extents_expired, 0u);
-  EXPECT_EQ(stats.gc_moved_bytes, 0u);  // Table 2: TTL -> zero movement
+  EXPECT_GT(f.DbMetric("gc.extents_expired"), 0u);
+  // Table 2: TTL -> zero movement
+  EXPECT_EQ(f.StoreMetric("gc_moved_bytes"), 0u);
 }
 
 TEST(GraphDBTest, StatsSnapshotIsCoherent) {
@@ -162,13 +175,17 @@ TEST(GraphDBTest, StatsSnapshotIsCoherent) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(f.db->AddEdge(i % 5, 1, i, "p", 0).ok());
   }
-  const DbStats stats = f.db->Stats();
-  EXPECT_GT(stats.append_ops, 0u);
-  EXPECT_GT(stats.storage_total_bytes, 0u);
-  EXPECT_GE(stats.storage_total_bytes, stats.storage_live_bytes);
-  EXPECT_GE(stats.tree_count, 1u);
-  EXPECT_GT(stats.approx_memory_bytes, 0u);
-  EXPECT_FALSE(stats.ToString().empty());
+  const auto counters = MetricsRegistry::Default().TakeSnapshot().counters;
+  const std::string& db = f.db->metrics_prefix();
+  const std::string& store = f.store->metrics_prefix();
+  EXPECT_GT(counters.at(store + "append_ops"), 0u);
+  EXPECT_GT(counters.at(store + "total_bytes"), 0u);
+  EXPECT_GE(counters.at(store + "total_bytes"),
+            counters.at(store + "live_bytes"));
+  EXPECT_GE(counters.at(db + "forest.tree_count"), 1u);
+  EXPECT_GT(counters.at(db + "approx_memory_bytes"), 0u);
+  EXPECT_GT(counters.at(db + "bwtree.latch.exclusive_acquires"), 0u);
+  EXPECT_GT(counters.at(db + "bwtree.resident_bytes"), 0u);
 }
 
 TEST(GraphDBTest, ConcurrentMixedWorkload) {
@@ -223,7 +240,7 @@ TEST(GraphDBTest, BackgroundMaintenanceRunsAndStops) {
   std::vector<graph::Neighbor> out;
   ASSERT_TRUE(f.db->GetNeighbors(1, 1, 100, &out).ok());
   EXPECT_EQ(out.size(), 20u);
-  EXPECT_GT(f.db->Stats().extents_freed, 0u);
+  EXPECT_GT(f.StoreMetric("extents_freed"), 0u);
 }
 
 }  // namespace
@@ -240,9 +257,9 @@ TEST(GraphDBTest, MemoryBudgetEvictsDuringMaintenance) {
   for (graph::VertexId d = 0; d < 2000; ++d) {
     ASSERT_TRUE(f.db->AddEdge(1, 1, d, std::string(64, 'x'), 0).ok());
   }
-  const size_t before = f.db->Stats().approx_memory_bytes;
+  const uint64_t before = f.DbMetric("approx_memory_bytes");
   ASSERT_TRUE(f.db->RunGcCycle().ok());  // maintenance = eviction here
-  EXPECT_LT(f.db->Stats().approx_memory_bytes, before / 2);
+  EXPECT_LT(f.DbMetric("approx_memory_bytes"), before / 2);
   // Data remains fully readable (reloaded from flushed images).
   std::vector<graph::Neighbor> out;
   ASSERT_TRUE(f.db->GetNeighbors(1, 1, 5000, &out).ok());

@@ -2,11 +2,10 @@
 // merge, the process-wide MetricsRegistry (ownership, collisions, snapshot
 // determinism), the per-thread trace ring (wraparound, cross-thread export,
 // slow-op log), the per-request plane (trace roots, cross-thread binding,
-// tail retention), JsonWriter, StatsReporter, and BG3_TIMED_SCOPE — its
+// tail retention), JsonWriter, and BG3_TIMED_SCOPE — its
 // histogram, its layer, and its disabled-path cost (see DESIGN.md §5.3 for
 // the budget).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +18,6 @@
 #include "common/json_writer.h"
 #include "common/metrics_registry.h"
 #include "common/op_context.h"
-#include "common/stats_reporter.h"
 #include "common/timed_scope.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
@@ -546,38 +544,6 @@ TEST(ObsScopeTest, DisabledUntracedOverheadUnderBudget) {
 #else
   EXPECT_LT(ns_per_op, 1'000.0);  // debug/sanitizer: sanity bound only
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// StatsReporter
-// ---------------------------------------------------------------------------
-
-TEST(StatsReporterTest, ReportOnceRendersThroughSink) {
-  MetricsRegistry::Default().GetCounter("obs_test.reporter.c")->Add(11);
-  StatsReporterOptions opts;
-  opts.format = "json";
-  StatsReporter reporter(opts);
-  std::string captured;
-  reporter.SetSink([&captured](const std::string& s) { captured = s; });
-  reporter.ReportOnce();
-  EXPECT_NE(captured.find("obs_test.reporter.c"), std::string::npos);
-  EXPECT_EQ(reporter.reports(), 1u);
-}
-
-TEST(StatsReporterTest, BackgroundThreadReportsAndStops) {
-  StatsReporterOptions opts;
-  opts.interval_ms = 1;
-  StatsReporter reporter(opts);
-  std::atomic<uint64_t> count{0};
-  reporter.SetSink([&count](const std::string&) { ++count; });
-  reporter.Start();
-  reporter.Start();  // idempotent
-  while (count.load() < 3) std::this_thread::yield();
-  reporter.Stop();
-  reporter.Stop();  // idempotent
-  const uint64_t at_stop = count.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(count.load(), at_stop);  // thread really stopped
 }
 
 }  // namespace

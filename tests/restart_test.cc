@@ -4,6 +4,9 @@
 // checkpoint/restore, and the cluster checkpointer wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -442,6 +445,95 @@ TEST(GraphDbCheckpointTest, SplitOutDuringCutKeepsPreCutEdges) {
     auto got = db.GetEdge(7, 1, 1000 + e);
     ASSERT_TRUE(got.ok()) << e << " " << got.status().ToString();
     EXPECT_EQ(got.value(), "pre") << e;
+  }
+}
+
+TEST(GraphDbCheckpointTest, ConcurrentWritersKeepEveryEdgeAckedBeforeTheCut) {
+  // Writers race a "db" checkpoint commit. Every edge acknowledged before
+  // the cut began must survive the restore; edges acknowledged after it
+  // may or may not be in the images, but no edge that was never written
+  // may appear. Small leaves and a low split-out threshold put leaf splits
+  // and owner split-outs inside the cut.
+  constexpr int kWriters = 4;
+  constexpr int kOwnersPerWriter = 6;
+  constexpr int kMaxEdgesPerWriter = 3000;
+  // Writer w owns vertices [w * kOwnersPerWriter, (w + 1) * kOwnersPerWriter)
+  // and its i-th edge is owner(w, i) -> 10000 + i: a distinct edge per i.
+  auto owner = [](int w, int i) {
+    return static_cast<graph::VertexId>(w * kOwnersPerWriter +
+                                        i % kOwnersPerWriter);
+  };
+  auto dst = [](int i) { return static_cast<graph::VertexId>(10000 + i); };
+  auto store = std::make_unique<cloud::CloudStore>();
+  core::GraphDBOptions opts = CheckpointedDbOptions();
+  opts.forest.split_out_threshold = 12;
+  opts.forest.tree_options.max_leaf_entries = 8;
+  std::array<std::atomic<int>, kWriters> issued{};
+  std::array<std::atomic<int>, kWriters> acked{};
+  std::array<int, kWriters> acked_before_cut{};
+  {
+    core::GraphDB db(store.get(), opts);
+    std::atomic<bool> stop{false};
+    std::atomic<int> write_errors{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kMaxEdgesPerWriter && !stop.load(); ++i) {
+          issued[w].store(i + 1);
+          if (!db.AddEdge(owner(w, i), 1, dst(i), "e", i + 1).ok()) {
+            write_errors.fetch_add(1);
+            return;
+          }
+          acked[w].store(i + 1);
+        }
+      });
+    }
+    auto wait_for_acks = [&](const std::array<int, kWriters>& floor) {
+      for (int w = 0; w < kWriters; ++w) {
+        while (acked[w].load() < std::min(floor[w], kMaxEdgesPerWriter) &&
+               write_errors.load() == 0) {
+          std::this_thread::yield();
+        }
+      }
+    };
+    wait_for_acks({100, 100, 100, 100});
+    for (int w = 0; w < kWriters; ++w) acked_before_cut[w] = acked[w].load();
+    Status cut = db.checkpointer()->Step();  // begins the cut
+    const bool cut_open = db.checkpointer()->CutInProgress();
+    // Writes keep landing while the cut's pages flush and it commits.
+    std::array<int, kWriters> past_cut{};
+    for (int w = 0; w < kWriters; ++w) past_cut[w] = acked_before_cut[w] + 50;
+    wait_for_acks(past_cut);
+    Status commit = db.checkpointer()->CheckpointNow();
+    stop.store(true);
+    for (std::thread& t : writers) t.join();
+    ASSERT_EQ(write_errors.load(), 0);
+    ASSERT_TRUE(cut.ok()) << cut.ToString();
+    ASSERT_TRUE(cut_open);
+    ASSERT_TRUE(commit.ok()) << commit.ToString();
+    ASSERT_GT(db.forest()->TreeCount(), 1u) << "owners must split out";
+  }
+
+  core::GraphDB db(store.get(), opts);
+  ASSERT_TRUE(db.RestoredFromCheckpoint());
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < acked_before_cut[w]; ++i) {
+      auto got = db.GetEdge(owner(w, i), 1, dst(i));
+      ASSERT_TRUE(got.ok()) << "writer " << w << " edge " << i << " acked "
+                            << "before the cut: " << got.status().ToString();
+      EXPECT_EQ(got.value(), "e");
+    }
+    for (int o = 0; o < kOwnersPerWriter; ++o) {
+      const graph::VertexId v = owner(w, o);
+      std::vector<graph::Neighbor> nbrs;
+      ASSERT_TRUE(db.GetNeighbors(v, 1, 1'000'000, &nbrs).ok());
+      for (const graph::Neighbor& n : nbrs) {
+        const int i = static_cast<int>(n.dst) - 10000;
+        EXPECT_TRUE(i >= 0 && i < issued[w].load() && owner(w, i) == v)
+            << "owner " << v << " has edge to " << n.dst
+            << " that was never written";
+      }
+    }
   }
 }
 

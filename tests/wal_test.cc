@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "cloud/cloud_store.h"
+#include "common/coding.h"
 #include "wal/reader.h"
 #include "wal/record.h"
 #include "wal/writer.h"
@@ -83,17 +84,21 @@ TEST(WalRecordTest, RejectsGarbage) {
 TEST(WalBatchTest, RoundTripMultipleRecords) {
   std::vector<WalRecord> records = {Mutation(1, "a", "1"), Mutation(2, "b", "2"),
                                     Mutation(3, "c", "3")};
-  const std::string batch = EncodeBatch(records);
+  const std::string batch = EncodeFramedBatch(/*term=*/3, /*seq=*/9, records);
+  BatchHeader header;
   std::vector<WalRecord> out;
-  ASSERT_TRUE(DecodeBatch(Slice(batch), &out).ok());
+  ASSERT_TRUE(DecodeFramedBatch(Slice(batch), &header, &out).ok());
+  EXPECT_EQ(header.term, 3u);
+  EXPECT_EQ(header.seq, 9u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2].entry.key, "c");
 }
 
 TEST(WalBatchTest, EmptyBatch) {
-  const std::string batch = EncodeBatch({});
+  const std::string batch = EncodeFramedBatch(/*term=*/1, /*seq=*/1, {});
+  BatchHeader header;
   std::vector<WalRecord> out;
-  ASSERT_TRUE(DecodeBatch(Slice(batch), &out).ok());
+  ASSERT_TRUE(DecodeFramedBatch(Slice(batch), &header, &out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -215,7 +220,7 @@ TEST(WalReaderTest, SeekToReturnsOnlySuffixBatches) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k" + std::to_string(i), "v")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   for (int i = 10; i < 15; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k" + std::to_string(i), "v")).ok());
   }
@@ -233,7 +238,7 @@ TEST(WalReaderTest, SeekToConsumesOnlySuffixBytes) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "key", "payload-payload")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   for (int i = 100; i < 110; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "key", "payload-payload")).ok());
   }
@@ -260,7 +265,7 @@ TEST(WalReaderTest, SeekToLsnFloorFiltersCoveredMutations) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "pre" + std::to_string(i), "v")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   WalRecord split;
   split.type = WalRecord::Type::kSplit;
   split.tree_id = 1;
@@ -293,7 +298,7 @@ TEST(WalReaderTest, SeekToNullCursorIsFullReplay) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k", "v")).ok());
   }
   WalReader seeked(f.store.get(), 0);
-  seeked.SeekTo(cloud::PagePointer{});  // no checkpoint: replay everything
+  seeked.SeekTo(WalCursor{});  // no checkpoint: replay everything
   EXPECT_EQ(seeked.Poll().value().size(), 5u);
 }
 
@@ -302,7 +307,7 @@ TEST(WalReaderTest, SeekToThenPollTracksCursorForTruncation) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(f.writer->Append(Mutation(i, "k", "v")).ok());
   }
-  const cloud::PagePointer cursor = f.writer->last_append_ptr();
+  const WalCursor cursor = f.writer->committed_cursor();
   ASSERT_TRUE(f.writer->Append(Mutation(8, "tail", "v")).ok());
   WalReader seeked(f.store.get(), 0);
   seeked.SeekTo(cursor);
@@ -311,6 +316,23 @@ TEST(WalReaderTest, SeekToThenPollTracksCursorForTruncation) {
   // Further appends flow normally after the seek-primed first poll.
   ASSERT_TRUE(f.writer->Append(Mutation(9, "more", "v")).ok());
   EXPECT_EQ(seeked.Poll().value().size(), 1u);
+}
+
+// The only batch format is the framed one: a bare body ([count v32]
+// (length-prefixed record)*, no frame header) in the stream is Corruption,
+// not a batch delivered outside the (term, seq) order.
+TEST(WalReaderTest, UnframedBatchIsCorruption) {
+  WalFixture f;
+  std::string record;
+  Mutation(1, "k", "v").EncodeTo(&record);
+  std::string unframed;
+  PutVarint32(&unframed, 1);
+  PutLengthPrefixedSlice(&unframed, record);
+  ASSERT_TRUE(f.store->Append(0, unframed).ok());
+  auto records = f.reader->Poll();
+  ASSERT_FALSE(records.ok()) << "unframed batch delivered "
+                             << records.value().size() << " record(s)";
+  EXPECT_TRUE(records.status().IsCorruption()) << records.status().ToString();
 }
 
 TEST(WalReaderTest, SurvivesTruncationOfConsumedPrefix) {

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "cloud/cloud_store.h"
+#include "common/metrics_registry.h"
 #include "core/graph_db.h"
 #include "workload/driver.h"
 #include "workload/graph_gen.h"
@@ -157,10 +158,9 @@ TEST(PartitionedEngineTest, RoutesBySourceVertex) {
     EXPECT_TRUE(part.GetEdge(v, 1, v + 1000).ok());
   }
   // And both partitions hold some share of the data.
-  core::DbStats st1 = db1.Stats();
-  core::DbStats st2 = db2.Stats();
-  EXPECT_GT(st1.append_ops, 0u);
-  EXPECT_GT(st2.append_ops, 0u);
+  const auto counters = MetricsRegistry::Default().TakeSnapshot().counters;
+  EXPECT_GT(counters.at(s1.metrics_prefix() + "append_ops"), 0u);
+  EXPECT_GT(counters.at(s2.metrics_prefix() + "append_ops"), 0u);
 }
 
 }  // namespace
