@@ -259,34 +259,6 @@ void BwTree::FoldChainLocked(LeafPage* leaf) {
       ApplyDeltaChain(std::move(leaf->base_entries), oldest_first);
 }
 
-Result<cloud::PagePointer> BwTree::RetryingAppend(cloud::StreamId stream,
-                                                  const Slice& record,
-                                                  const OpContext* ctx) {
-  // Every cloud append the tree issues funnels through here; bill it to
-  // the bwtree layer in the request's account.
-  obs::Scope layer(OpLayer::kBwtree);
-  RetryOptions retry = opts_.retry;
-  retry.retries = &store_->stats().retries;
-  retry.retry_exhausted = &store_->stats().retry_exhausted;
-  retry.ctx = ctx;
-  retry.breaker = &store_->breaker();
-  return RetryResultWithBackoff(
-      retry, [&] { return store_->Append(stream, record, nullptr, ctx); });
-}
-
-Result<std::string> BwTree::RetryingRead(const cloud::PagePointer& ptr,
-                                         const OpContext* ctx) {
-  obs::Scope layer(OpLayer::kBwtree);
-  RetryOptions retry = opts_.retry;
-  retry.retry_corruption = true;  // wire corruption is transient
-  retry.retries = &store_->stats().retries;
-  retry.retry_exhausted = &store_->stats().retry_exhausted;
-  retry.ctx = ctx;
-  retry.breaker = &store_->breaker();
-  return RetryResultWithBackoff(
-      retry, [&] { return store_->Read(ptr, nullptr, ctx); });
-}
-
 Status BwTree::EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx) {
   if (leaf->resident) {
     OpStats::RecordCacheHit(ctx != nullptr ? ctx->stats : nullptr);
@@ -294,7 +266,10 @@ Status BwTree::EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx) {
   }
   OpStats::RecordCacheMiss(ctx != nullptr ? ctx->stats : nullptr);
   if (!leaf->base_ptr.IsNull()) {
-    auto base = RetryingRead(leaf->base_ptr, ctx);
+    // Every cloud read and append the tree issues is billed to the bwtree
+    // layer in the request's account.
+    obs::Scope layer(OpLayer::kBwtree);
+    auto base = store_->Read(leaf->base_ptr, nullptr, ctx);
     if (!base.ok()) {
       if (opts_.tolerate_missing_extents && base.status().IsIOError()) {
         leaf->base_entries.clear();
@@ -523,7 +498,8 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
 Status BwTree::AppendBaseLocked(LeafPage* leaf, const OpContext* ctx) {
   const std::string record = EncodeBasePage(opts_.tree_id, leaf->id,
                                             leaf->last_lsn, leaf->base_entries);
-  auto res = RetryingAppend(opts_.base_stream, record, ctx);
+  obs::Scope layer(OpLayer::kBwtree);
+  auto res = store_->Append(opts_.base_stream, record, nullptr, ctx);
   BG3_RETURN_IF_ERROR(res.status());
   leaf->base_ptr = res.value();
   leaf->flushed_lsn = leaf->last_lsn;
@@ -535,7 +511,8 @@ Status BwTree::AppendDeltaLocked(LeafPage* leaf, LeafPage::Delta* delta,
                                  Lsn lsn, const OpContext* ctx) {
   const std::string record =
       EncodeDelta(opts_.tree_id, leaf->id, lsn, delta->entries);
-  auto res = RetryingAppend(opts_.delta_stream, record, ctx);
+  obs::Scope layer(OpLayer::kBwtree);
+  auto res = store_->Append(opts_.delta_stream, record, nullptr, ctx);
   BG3_RETURN_IF_ERROR(res.status());
   delta->ptr = res.value();
   leaf->flushed_lsn = lsn;
@@ -638,10 +615,11 @@ Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
 Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
                                            std::vector<Entry>* out,
                                            const OpContext* ctx) {
+  obs::Scope layer(OpLayer::kBwtree);
   out->clear();
   std::vector<Entry> base;
   if (!leaf->base_ptr.IsNull()) {
-    auto res = RetryingRead(leaf->base_ptr, ctx);
+    auto res = store_->Read(leaf->base_ptr, nullptr, ctx);
     if (!res.ok()) {
       if (!(opts_.tolerate_missing_extents && res.status().IsIOError())) {
         return res.status();
@@ -656,7 +634,7 @@ Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
   std::vector<std::vector<DeltaEntry>> chains;  // oldest-first
   for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
     if (it->ptr.IsNull()) continue;
-    auto res = RetryingRead(it->ptr, ctx);
+    auto res = store_->Read(it->ptr, nullptr, ctx);
     if (!res.ok()) {
       if (opts_.tolerate_missing_extents && res.status().IsIOError()) continue;
       return res.status();
@@ -841,8 +819,9 @@ Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
     return uint64_t{0};
   }
   WriterMutexLock lock(&leaf->latch);
+  obs::Scope layer(OpLayer::kBwtree);
   if (header.kind == RecordKind::kBasePage && leaf->base_ptr == old_ptr) {
-    auto res = RetryingAppend(opts_.base_stream, record_bytes);
+    auto res = store_->Append(opts_.base_stream, record_bytes);
     BG3_RETURN_IF_ERROR(res.status());
     leaf->base_ptr = res.value();
     store_->MarkInvalid(old_ptr);
@@ -852,7 +831,7 @@ Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
   if (header.kind == RecordKind::kDelta) {
     for (auto& d : leaf->chain) {
       if (d.ptr == old_ptr) {
-        auto res = RetryingAppend(opts_.delta_stream, record_bytes);
+        auto res = store_->Append(opts_.delta_stream, record_bytes);
         BG3_RETURN_IF_ERROR(res.status());
         d.ptr = res.value();
         store_->MarkInvalid(old_ptr);

@@ -15,7 +15,6 @@
 #include "cloud/cloud_store.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "common/retry.h"
 
 namespace bg3::bwtree {
 
@@ -66,13 +65,6 @@ struct BwTreeOptions {
   /// Treat reads hitting freed extents as absent data instead of IOError
   /// (TTL workloads where whole extents expire, §3.3 Observation 2).
   bool tolerate_missing_extents = false;
-
-  /// Retry policy for every store append/read this tree issues (flush,
-  /// consolidation, cache-miss reads, GC relocation). Reads additionally
-  /// retry Corruption: an injected corrupt read models bit flips on the
-  /// wire, so re-reading the intact record succeeds; genuinely damaged
-  /// media keeps failing and surfaces once the budget is spent.
-  RetryOptions retry;
 
   cloud::StreamId base_stream = 0;
   cloud::StreamId delta_stream = 0;
@@ -155,7 +147,7 @@ class BwTree {
 
   /// All foreground ops take an optional OpContext (DESIGN.md §5.5): its
   /// deadline is checked at entry, per leaf hop (scans), and before every
-  /// store I/O the op issues, and it rides the retry loop so an expired
+  /// store I/O the op issues, and it rides the store's retry loop so an expired
   /// request stops burning attempts. Null = exact historical behavior.
   Status Upsert(const Slice& key, const Slice& value,
                 const OpContext* ctx = nullptr);
@@ -289,15 +281,6 @@ class BwTree {
   /// Reloads an evicted page's base entries from its storage image.
   Status EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
-
-  /// Store I/O with the tree's bounded retry policy applied (retry
-  /// accounting wired to the store's IoStats, exhaustion reported to the
-  /// store's circuit breaker, and the caller's deadline riding the loop).
-  Result<cloud::PagePointer> RetryingAppend(cloud::StreamId stream,
-                                            const Slice& record,
-                                            const OpContext* ctx = nullptr);
-  Result<std::string> RetryingRead(const cloud::PagePointer& ptr,
-                                   const OpContext* ctx = nullptr);
 
   Status AppendBaseLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);

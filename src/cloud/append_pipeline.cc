@@ -67,19 +67,12 @@ void AppendPipeline::WorkerMain() {
     }
     {
       BG3_TIMED_SCOPE("bg3.wal.sync");
-      RetryOptions retry = opts_.retry;
-      retry.ctx = nullptr;
-      retry.retries = &store_->stats().retries;
-      retry.retry_exhausted = &store_->stats().retry_exhausted;
-      retry.breaker = &store_->breaker();
       uint64_t latency_us = 0;
-      auto res = RetryResultWithBackoff(retry, [&] {
-        if (opts_.term != 0) {
-          return store_->AppendFenced(opts_.stream, opts_.term, payload,
-                                      &latency_us, nullptr);
-        }
-        return store_->Append(opts_.stream, payload, &latency_us, nullptr);
-      });
+      auto res = opts_.term != 0
+                     ? store_->AppendFenced(opts_.stream, opts_.term, payload,
+                                            &latency_us, nullptr)
+                     : store_->Append(opts_.stream, payload, &latency_us,
+                                      nullptr);
       if (opts_.wall_latency_scale > 0 && latency_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(
             static_cast<uint64_t>(latency_us * opts_.wall_latency_scale)));

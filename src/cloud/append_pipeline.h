@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cloud/cloud_store.h"
-#include "common/retry.h"
 #include "common/thread_annotations.h"
 
 namespace bg3::cloud {
@@ -23,10 +22,6 @@ struct AppendPipelineOptions {
   /// overlap: while one batch rides its (ms-level) cloud round trip, later
   /// batches are already on the wire.
   size_t inflight = 4;
-  /// Per-attempt retry policy; runs with a null context (the pipeline has
-  /// no single caller — deadlines bound the *wait* for acknowledgment, not
-  /// the background I/O). Counter/breaker wiring is filled from the store.
-  RetryOptions retry;
   /// When > 0, workers additionally sleep `simulated latency * scale` in
   /// wall time after each append, so latency benches observe real queueing
   /// (the store itself completes in memory speed). 0 — the default — keeps
@@ -44,7 +39,9 @@ struct AppendPipelineOptions {
 /// hands over an encoded payload keyed by a monotone sequence number and
 /// returns without touching the store; `inflight` workers drain the queue
 /// lowest-seq-first (so retries and fresh batches start in log order) and
-/// run the append under the standard retry/backoff/breaker loop. The
+/// run the append through the store's retry loop with a null context (the
+/// pipeline has no single caller — deadlines bound the *wait* for
+/// acknowledgment, not the background I/O). The
 /// completion callback fires from worker threads, potentially out of
 /// submission order — putting completions back *in* order is the commit
 /// ledger's job, one layer up.

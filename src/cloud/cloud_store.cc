@@ -91,6 +91,25 @@ Status CloudStore::CheckBreaker() const {
   return Status::Overloaded("cloud circuit breaker open");
 }
 
+template <typename Op>
+auto CloudStore::Retry(const OpContext* ctx, bool retry_corruption,
+                       Op&& op) const -> decltype(op()) {
+  return RetryWithBackoff(
+      opts_.retry, ctx,
+      [retry_corruption](const Status& s) {
+        return IsTransient(s) || (retry_corruption && s.IsCorruption());
+      },
+      [&] {
+        stats_.retries.Inc();
+        OpStats::RecordRetry(ctx != nullptr ? ctx->stats : nullptr);
+      },
+      [&] {
+        stats_.retry_exhausted.Inc();
+        breaker_.RecordFailure();
+      },
+      op);
+}
+
 FaultDecision CloudStore::DecideFault(FaultOp op) const {
   FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
   if (injector == nullptr) return {};
@@ -102,15 +121,19 @@ FaultDecision CloudStore::DecideFault(FaultOp op) const {
 Result<PagePointer> CloudStore::Append(StreamId stream, const Slice& record,
                                        uint64_t* latency_us,
                                        const OpContext* ctx) {
-  return AppendImpl(stream, /*fenced=*/false, /*term=*/0, record, latency_us,
-                    ctx);
+  return Retry(ctx, /*retry_corruption=*/false, [&] {
+    return AppendImpl(stream, /*fenced=*/false, /*term=*/0, record,
+                      latency_us, ctx);
+  });
 }
 
 Result<PagePointer> CloudStore::AppendFenced(StreamId stream, uint64_t term,
                                              const Slice& record,
                                              uint64_t* latency_us,
                                              const OpContext* ctx) {
-  return AppendImpl(stream, /*fenced=*/true, term, record, latency_us, ctx);
+  return Retry(ctx, /*retry_corruption=*/false, [&] {
+    return AppendImpl(stream, /*fenced=*/true, term, record, latency_us, ctx);
+  });
 }
 
 void CloudStore::FenceStream(StreamId stream, uint64_t min_term) {
@@ -208,6 +231,13 @@ Result<PagePointer> CloudStore::AppendImpl(StreamId stream, bool fenced,
 Result<std::string> CloudStore::Read(const PagePointer& ptr,
                                      uint64_t* latency_us,
                                      const OpContext* ctx) {
+  return Retry(ctx, /*retry_corruption=*/true,
+               [&] { return ReadOnce(ptr, latency_us, ctx); });
+}
+
+Result<std::string> CloudStore::ReadOnce(const PagePointer& ptr,
+                                         uint64_t* latency_us,
+                                         const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.cloud.read");
   Stream* s = GetStream(ptr.stream_id);
   if (s == nullptr) return Status::InvalidArgument("unknown stream");
@@ -264,10 +294,12 @@ void CloudStore::MarkInvalid(const PagePointer& ptr) {
 Status CloudStore::FreeExtent(StreamId stream, ExtentId extent) {
   Stream* s = GetStream(stream);
   if (s == nullptr) return Status::InvalidArgument("unknown stream");
-  if (DecideFault(FaultOp::kFreeExtent).fail) {
-    return Status::IOError("injected transient free-extent failure");
-  }
-  BG3_RETURN_IF_ERROR(s->FreeExtent(extent));
+  BG3_RETURN_IF_ERROR(Retry(nullptr, /*retry_corruption=*/false, [&] {
+    if (DecideFault(FaultOp::kFreeExtent).fail) {
+      return Status::IOError("injected transient free-extent failure");
+    }
+    return s->FreeExtent(extent);
+  }));
   stats_.extents_freed.Inc();
   if (StoreObserver* obs = observer_.load(std::memory_order_acquire)) {
     obs->OnExtentFreed(stream, extent);
@@ -308,21 +340,25 @@ CloudStore::TailRecords(StreamId stream, const PagePointer& cursor,
                         size_t max_records, const OpContext* ctx) {
   Stream* s = GetStream(stream);
   if (s == nullptr) return Status::InvalidArgument("unknown stream");
-  BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "cloud tail"));
-  BG3_RETURN_IF_ERROR(CheckBreaker());
-  if (DecideFault(FaultOp::kTail).fail) {
-    breaker_.RecordError();
-    return Status::IOError("injected transient tail failure");
-  }
-  auto out = s->TailRecords(cursor, max_records);
-  for (const auto& [ptr, data] : out) {
-    stats_.read_ops.Inc();
-    stats_.read_bytes.Add(data.size());
-    OpStats::RecordCloudRead(ctx != nullptr ? ctx->stats : nullptr,
-                             data.size());
-  }
-  breaker_.RecordSuccess();
-  return out;
+  return Retry(
+      ctx, /*retry_corruption=*/false,
+      [&]() -> Result<std::vector<std::pair<PagePointer, std::string>>> {
+        BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "cloud tail"));
+        BG3_RETURN_IF_ERROR(CheckBreaker());
+        if (DecideFault(FaultOp::kTail).fail) {
+          breaker_.RecordError();
+          return Status::IOError("injected transient tail failure");
+        }
+        auto out = s->TailRecords(cursor, max_records);
+        for (const auto& [ptr, data] : out) {
+          stats_.read_ops.Inc();
+          stats_.read_bytes.Add(data.size());
+          OpStats::RecordCloudRead(ctx != nullptr ? ctx->stats : nullptr,
+                                   data.size());
+        }
+        breaker_.RecordSuccess();
+        return out;
+      });
 }
 
 bool CloudStore::CorruptRecordForTesting(const PagePointer& ptr,
@@ -359,19 +395,21 @@ Result<uint64_t> CloudStore::ManifestCas(const std::string& key,
 Result<std::string> CloudStore::ManifestGet(const std::string& key,
                                             uint64_t* version,
                                             const OpContext* ctx) const {
-  BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "cloud manifest get"));
-  BG3_RETURN_IF_ERROR(CheckBreaker());
-  if (DecideFault(FaultOp::kManifestGet).fail) {
-    breaker_.RecordError();
-    return Status::IOError("injected transient manifest-get failure");
-  }
-  MutexLock lock(&manifest_mu_);
-  auto it = manifest_.find(key);
-  // NotFound is an answer from a healthy substrate, not a substrate error.
-  breaker_.RecordSuccess();
-  if (it == manifest_.end()) return Status::NotFound("manifest key " + key);
-  if (version != nullptr) *version = it->second.second;
-  return it->second.first;
+  return Retry(ctx, /*retry_corruption=*/false, [&]() -> Result<std::string> {
+    BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "cloud manifest get"));
+    BG3_RETURN_IF_ERROR(CheckBreaker());
+    if (DecideFault(FaultOp::kManifestGet).fail) {
+      breaker_.RecordError();
+      return Status::IOError("injected transient manifest-get failure");
+    }
+    MutexLock lock(&manifest_mu_);
+    auto it = manifest_.find(key);
+    // NotFound is an answer from a healthy substrate, not a substrate error.
+    breaker_.RecordSuccess();
+    if (it == manifest_.end()) return Status::NotFound("manifest key " + key);
+    if (version != nullptr) *version = it->second.second;
+    return it->second.first;
+  });
 }
 
 std::vector<std::pair<std::string, std::string>> CloudStore::ManifestList(

@@ -18,6 +18,7 @@
 #include "common/metrics.h"
 #include "common/op_context.h"
 #include "common/result.h"
+#include "common/retry.h"
 #include "common/thread_annotations.h"
 
 namespace bg3 {
@@ -42,8 +43,8 @@ struct IoStats {
   Counter manifest_updates;
 
   // Fault-injection observability (zero in every default bench run):
-  // faults fired by an attached FaultInjector, re-attempts spent by callers'
-  // RetryWithBackoff wrappers, and budgets that ran dry.
+  // faults fired by an attached FaultInjector, re-attempts spent by the
+  // store's retry loop (CloudStoreOptions::retry), and budgets that ran dry.
   Counter injected_faults;
   Counter retries;
   Counter retry_exhausted;
@@ -58,10 +59,20 @@ struct CloudStoreOptions {
   size_t extent_capacity = 1 << 20;  ///< 1 MiB, ArkDB-style uniform extents.
   LatencyModelOptions latency;
 
+  /// Retry policy of every fault-capable entry point (Append/AppendFenced,
+  /// Read, FreeExtent, TailRecords, ManifestGet; DESIGN.md §5.2). IOError
+  /// and Busy are retried everywhere, Corruption on Read only (a corrupt
+  /// read models bit flips on the wire; the stored record is intact);
+  /// Fenced, Overloaded and NotFound never. On exhaustion the call returns
+  /// the first error and reports the failure to the breaker. Each attempt
+  /// keeps its own breaker, deadline and fault check; the call's OpContext
+  /// deadline bounds the whole schedule. max_attempts = 1 disables retries.
+  RetryOptions retry;
+
   /// Circuit breaker around the store (DESIGN.md §5.5). Disabled by
-  /// default; when enabled, retry-exhaustion reports from callers trip it
-  /// open and every operation fails fast with Status::Overloaded until
-  /// half-open probes prove the substrate recovered.
+  /// default; when enabled, exhausted retry budgets trip it open and every
+  /// operation fails fast with Status::Overloaded until half-open probes
+  /// prove the substrate recovered.
   CircuitBreakerOptions breaker;
 
   /// Clock for the breaker's failure window / cooldown and for
@@ -69,6 +80,14 @@ struct CloudStoreOptions {
   /// tests pass a ManualTimeSource.
   const TimeSource* time_source = nullptr;
 };
+
+/// The failures the store retries on every entry point (IOError, Busy).
+/// Once a call returns one of them its retry budget is spent, and the
+/// caller degrades instead of failing: the WAL keeps the batch buffered,
+/// the RO node serves stale-but-consistent reads, GC defers the extent.
+inline bool IsTransient(const Status& s) {
+  return s.IsIOError() || s.IsBusy();
+}
 
 /// Event hook consumed by the GC usage tracker (§3.3 "Extent Usage
 /// Tracking"): it needs to timestamp appends and invalidations per extent to
@@ -206,10 +225,10 @@ class CloudStore {
   LatencyModel& latency_model() { return latency_model_; }
   const CloudStoreOptions& options() const { return opts_; }
 
-  /// The store's circuit breaker. Retry-wrapped callers pass this as
-  /// RetryOptions::breaker so exhausted budgets feed the trip threshold;
-  /// the store itself records successes and gates every entry point on
-  /// Allow(). Inert unless CloudStoreOptions::breaker.enabled.
+  /// The store's circuit breaker. The store feeds it itself: exhausted
+  /// retry budgets count toward the trip threshold, every attempt records
+  /// its success or error, and the append/read/tail/manifest entry points
+  /// gate on Allow(). Inert unless CloudStoreOptions::breaker.enabled.
   CircuitBreaker& breaker() const { return breaker_; }
 
   /// Clock in effect (options().time_source or the process wall clock).
@@ -239,9 +258,19 @@ class CloudStore {
 
  private:
   Stream* GetStream(StreamId id) const;
+  /// Runs `op`, one attempt of an entry point, under opts_.retry: counts
+  /// retries and exhaustion in stats_ (and retries in the request's
+  /// OpStats) and reports an exhausted budget to the breaker.
+  template <typename Op>
+  auto Retry(const OpContext* ctx, bool retry_corruption, Op&& op) const
+      -> decltype(op());
+  /// One Append/AppendFenced attempt (both retry it).
   Result<PagePointer> AppendImpl(StreamId stream, bool fenced, uint64_t term,
                                  const Slice& record, uint64_t* latency_us,
                                  const OpContext* ctx);
+  /// One Read attempt (Read retries it).
+  Result<std::string> ReadOnce(const PagePointer& ptr, uint64_t* latency_us,
+                               const OpContext* ctx);
   /// Consults the attached injector (if any) for `op`; counts fired faults.
   FaultDecision DecideFault(FaultOp op) const;
   /// Overloaded when the breaker rejects, OK otherwise.

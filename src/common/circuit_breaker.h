@@ -27,17 +27,16 @@ struct CircuitBreakerOptions {
 };
 
 /// Classic three-state circuit breaker (DESIGN.md §5.5) wrapped around the
-/// cloud store: when callers' retry budgets keep dying (the substrate is
+/// cloud store: when the store's retry budgets keep dying (the substrate is
 /// down or badly degraded), the breaker trips open and every operation
 /// fails fast with Status::Overloaded instead of burning its full retry
 /// schedule — the difference between a latency blip and a metastable
 /// retry storm. After `open_cooldown_us` it half-opens and lets a few
 /// probes through; probe successes close it, a probe failure re-opens it.
 ///
-/// Failure reports come from RetryOptions::breaker (wired by every
-/// retry-wrapped store caller): only *exhausted* retry budgets count, a
-/// single transient blip never trips anything. Successes are recorded by
-/// the store itself on completed operations.
+/// The store feeds it itself: its retry loop reports every *exhausted*
+/// budget as a failure — a single transient blip never trips anything —
+/// and each attempt records its own success or error.
 ///
 /// Thread safe. State transitions take a mutex; the closed-state hot path
 /// (Allow/RecordSuccess with no recent failures) is a relaxed atomic load.
@@ -60,7 +59,7 @@ class CircuitBreaker {
   /// after enough probes; resets the failure window when closed).
   void RecordSuccess();
 
-  /// A caller's retry budget died against the store (reopens from
+  /// A retry budget died against the store (reopens from
   /// half-open; counts toward the trip threshold when closed).
   void RecordFailure();
 

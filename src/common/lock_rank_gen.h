@@ -27,6 +27,7 @@
 //   OwnerState::mu -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   OwnerState::mu -> Stream::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   RoNode::mu_ -> CloudStore::manifest_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
+//   RoNode::mu_ -> CloudStore::topology_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
 //   RwNode::flush_mu_ -> CloudStore::manifest_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
 //   RwNode::flush_mu_ -> CloudStore::topology_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
 //   RwNode::flush_mu_ -> ImageStager::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <optional>
 
-#include "common/circuit_breaker.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/op_context.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -17,10 +15,10 @@
 
 namespace bg3 {
 
-/// Shared bounded retry/backoff policy for cloud-store I/O. The simulated
-/// substrate (and the real service it stands in for) produces transient
-/// IOError / Busy results and occasional in-flight corruption; every caller
-/// that talks to the store wraps its I/O in RetryWithBackoff so one blip
+/// Bounded retry/backoff policy. The simulated substrate (and the real
+/// service it stands in for) produces transient IOError / Busy results and
+/// occasional in-flight corruption; CloudStore applies this one policy
+/// (CloudStoreOptions::retry) to every fault-capable entry point so one blip
 /// does not surface as a request failure. The budget is deliberately small:
 /// persistent errors must reach the caller quickly so it can degrade
 /// (GC defers the extent, the RO node falls behind) instead of spinning.
@@ -41,33 +39,11 @@ struct RetryOptions {
   bool jitter = true;
   uint64_t jitter_seed = 0;
 
-  // Which error codes count as transient. Corruption is off by default:
-  // an append never "partially corrupts" on retryable paths, but read
-  // paths opt in because an injected corrupt read models bit-flips on the
-  // wire, not on the medium (the stored record is intact).
-  bool retry_io_error = true;
-  bool retry_busy = true;
-  bool retry_corruption = false;
-
   /// Backoff wait hook. Null (the default) skips waiting — correct for the
   /// simulated store, whose failures are schedule- not time-driven; drivers
   /// with a real or virtual clock pass e.g.
   /// `[&clock](uint64_t us) { clock.AdvanceUs(us); }`.
   std::function<void(uint64_t)> sleep;
-
-  /// Request deadline. Checked before every attempt (including after a
-  /// backoff sleep advanced a virtual clock): once expired, the loop stops
-  /// with Status::DeadlineExceeded carrying the first (root-cause) error
-  /// observed so far. Null = no deadline, exact pre-deadline behavior.
-  const OpContext* ctx = nullptr;
-
-  /// Observability hooks (normally CloudStore's IoStats counters).
-  Counter* retries = nullptr;          ///< incremented per re-attempt.
-  Counter* retry_exhausted = nullptr;  ///< incremented when the budget dies.
-
-  /// Circuit breaker to notify when the budget dies against a retryable
-  /// error (normally the CloudStore's breaker; see DESIGN.md §5.5).
-  CircuitBreaker* breaker = nullptr;
 };
 
 /// Exponential backoff schedule: initial, initial*m, initial*m^2, ... capped
@@ -112,12 +88,6 @@ class Backoff {
   Random rng_;
 };
 
-inline bool IsRetryableError(const RetryOptions& opts, const Status& s) {
-  return (opts.retry_io_error && s.IsIOError()) ||
-         (opts.retry_busy && s.IsBusy()) ||
-         (opts.retry_corruption && s.IsCorruption());
-}
-
 /// DeadlineExceeded for a deadline that ran out inside the retry loop,
 /// preserving the first (root-cause) error of the sequence — later attempts
 /// often fail with derived or less specific messages.
@@ -130,59 +100,49 @@ inline Status RetryDeadlineExceeded(const Status& first) {
                                   first.ToString());
 }
 
-/// Runs `op` (a callable returning Status) until it succeeds, returns a
-/// non-retryable error, the deadline expires, or the attempt budget is
-/// exhausted. On exhaustion the *first* error is returned — it is the root
-/// cause; on deadline expiry DeadlineExceeded wraps that root cause.
-template <typename Op>
-BG3_BLOCKING Status RetryWithBackoff(const RetryOptions& opts, Op&& op) {
-  BG3_DCHECK_GE(opts.max_attempts, 1)
-      << "retry budget must allow at least one attempt";
-  Backoff backoff(opts);
-  Status first;
-  for (int attempt = 1;; ++attempt) {
-    if (opts.ctx != nullptr && opts.ctx->Expired()) {
-      return RetryDeadlineExceeded(first);
-    }
-    Status s = op();
-    if (s.ok() || !IsRetryableError(opts, s)) return s;
-    if (first.ok()) first = std::move(s);
-    if (attempt >= opts.max_attempts) {
-      if (opts.retry_exhausted != nullptr) opts.retry_exhausted->Inc();
-      if (opts.breaker != nullptr) opts.breaker->RecordFailure();
-      return first;
-    }
-    if (opts.retries != nullptr) opts.retries->Inc();
-    OpStats::RecordRetry(opts.ctx != nullptr ? opts.ctx->stats : nullptr);
-    const uint64_t delay = backoff.NextDelayUs();
-    if (opts.sleep) opts.sleep(delay);
-  }
+namespace retry_internal {
+inline const Status& StatusOf(const Status& s) { return s; }
+template <typename T>
+const Status& StatusOf(const Result<T>& r) {
+  return r.status();
 }
+}  // namespace retry_internal
 
-/// Result<T> variant: `op` returns Result<T>; the successful value is
-/// passed through, exhaustion surfaces the first error.
-template <typename Op>
-BG3_BLOCKING auto RetryResultWithBackoff(const RetryOptions& opts, Op&& op)
+/// Runs `op` (a callable returning Status or Result<T>) until it succeeds,
+/// fails with an error `retryable` rejects, `ctx`'s deadline expires
+/// (checked before every attempt), or the attempt budget is spent.
+/// `on_retry()` runs before each re-attempt, `on_exhausted()` once when the
+/// budget dies. On exhaustion the *first* error is returned — it is the root
+/// cause; on deadline expiry DeadlineExceeded wraps that root cause. The
+/// Backoff (and its seed draw) is built only after a first failure, so the
+/// no-fault path costs one call and one status check.
+template <typename Op, typename Retryable, typename OnRetry,
+          typename OnExhausted>
+BG3_BLOCKING auto RetryWithBackoff(const RetryOptions& opts,
+                                   const OpContext* ctx, Retryable&& retryable,
+                                   OnRetry&& on_retry,
+                                   OnExhausted&& on_exhausted, Op&& op)
     -> decltype(op()) {
+  using R = decltype(op());
   BG3_DCHECK_GE(opts.max_attempts, 1)
       << "retry budget must allow at least one attempt";
-  Backoff backoff(opts);
+  std::optional<Backoff> backoff;
   Status first;
   for (int attempt = 1;; ++attempt) {
-    if (opts.ctx != nullptr && opts.ctx->Expired()) {
-      return decltype(op())(RetryDeadlineExceeded(first));
+    if (ctx != nullptr && ctx->Expired()) {
+      return R(RetryDeadlineExceeded(first));
     }
-    auto res = op();
-    if (res.ok() || !IsRetryableError(opts, res.status())) return res;
-    if (first.ok()) first = res.status();
+    R res = op();
+    const Status& s = retry_internal::StatusOf(res);
+    if (s.ok() || !retryable(s)) return res;
+    if (first.ok()) first = s;
     if (attempt >= opts.max_attempts) {
-      if (opts.retry_exhausted != nullptr) opts.retry_exhausted->Inc();
-      if (opts.breaker != nullptr) opts.breaker->RecordFailure();
-      return decltype(op())(first);
+      on_exhausted();
+      return R(first);
     }
-    if (opts.retries != nullptr) opts.retries->Inc();
-    OpStats::RecordRetry(opts.ctx != nullptr ? opts.ctx->stats : nullptr);
-    const uint64_t delay = backoff.NextDelayUs();
+    on_retry();
+    if (!backoff) backoff.emplace(opts);
+    const uint64_t delay = backoff->NextDelayUs();
     if (opts.sleep) opts.sleep(delay);
   }
 }

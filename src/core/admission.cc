@@ -8,13 +8,8 @@ namespace bg3::core {
 namespace {
 
 std::string ThrottleReasonString(uint32_t reasons) {
-  std::string s;
-  if (reasons & ThrottleReason::kMemoryPressure) s += "memory-pressure";
-  if (reasons & ThrottleReason::kWalBacklog) {
-    if (!s.empty()) s += "+";
-    s += "wal-backlog";
-  }
-  return s.empty() ? "unknown" : s;
+  return (reasons & ThrottleReason::kMemoryPressure) ? "memory-pressure"
+                                                     : "unknown";
 }
 
 }  // namespace

@@ -35,7 +35,6 @@ inline const char* OpClassName(OpClass c) {
 /// Why writes are currently being shed (bitmask; 0 = not throttled).
 struct ThrottleReason {
   static constexpr uint32_t kMemoryPressure = 1u << 0;  ///< resident > budget
-  static constexpr uint32_t kWalBacklog = 1u << 1;      ///< WAL flush backlog
 };
 
 struct AdmissionOptions {

@@ -476,29 +476,10 @@ Status GraphDB::AdmitOp(OpClass cls, const OpContext* ctx,
   return Status::OK();
 }
 
-void GraphDB::SetWalBacklogProbe(std::function<size_t()> probe,
-                                 size_t watermark) {
-  {
-    std::lock_guard<std::mutex> lock(wal_probe_mu_);
-    wal_backlog_probe_ = std::move(probe);
-    wal_backlog_watermark_ = watermark;
-  }
-  RefreshOverloadState();
-}
-
 void GraphDB::RefreshOverloadState() {
   writes_since_refresh_.store(0, std::memory_order_relaxed);
   if (!admission_.enabled()) return;
   uint32_t reasons = admission_.write_throttle_reasons();
-  {
-    std::lock_guard<std::mutex> lock(wal_probe_mu_);
-    if (wal_backlog_probe_ && wal_backlog_watermark_ > 0 &&
-        wal_backlog_probe_() >= wal_backlog_watermark_) {
-      reasons |= ThrottleReason::kWalBacklog;
-    } else {
-      reasons &= ~ThrottleReason::kWalBacklog;
-    }
-  }
   if (opts_.memory_budget_bytes != 0 &&
       opts_.admission.memory_throttle_ratio > 0) {
     const size_t memory = ApproxMemoryBytes();

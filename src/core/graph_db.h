@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -124,22 +123,11 @@ class GraphDB : public graph::GraphEngine,
   /// replication facades and tests can share / inspect it.
   AdmissionController& admission() { return admission_; }
 
-  /// Re-evaluates the graceful-degradation watermarks (resident memory vs.
-  /// budget, plus the WAL commit backlog when a probe is installed) and
-  /// updates the write throttle. Runs inline every few hundred writes and
+  /// Re-evaluates the graceful-degradation watermark (resident memory vs.
+  /// budget) and updates the write throttle. Runs inline every few hundred writes and
   /// on each RunGcCycle; cheap enough for both.
   void RefreshOverloadState();
 
-  /// Installs the WAL commit-backlog input of the write throttle: `probe`
-  /// returns the records enqueued to the WAL but not yet durably
-  /// acknowledged (WalWriter::BufferedRecords — under the pipelined writer
-  /// this counts batches riding their cloud round trip, not just failed
-  /// appends). While the probe reads at or above `watermark`,
-  /// RefreshOverloadState raises ThrottleReason::kWalBacklog and kWrite ops
-  /// shed at the door; it clears once the pipeline drains below. A null
-  /// probe or watermark 0 removes the input (and clears the bit at the
-  /// next refresh). The probe must be thread safe and outlive the DB.
-  void SetWalBacklogProbe(std::function<size_t()> probe, size_t watermark);
 
   /// Port of the in-process debug HTTP server (options.debug_server), 0
   /// when disabled or the bind failed. With port 0 in the options this is
@@ -226,12 +214,6 @@ class GraphDB : public graph::GraphEngine,
   AdmissionController admission_;
   /// Writes since the last watermark refresh (RefreshOverloadState cadence).
   std::atomic<uint64_t> writes_since_refresh_{0};
-
-  /// WAL commit-backlog throttle input (SetWalBacklogProbe); the mutex only
-  /// orders install against refresh — the probe itself is thread safe.
-  mutable std::mutex wal_probe_mu_;
-  std::function<size_t()> wal_backlog_probe_;
-  size_t wal_backlog_watermark_ = 0;
 
   /// Debug/observability HTTP endpoint (started in the ctor when
   /// options.debug_server.enabled; stopped before teardown).

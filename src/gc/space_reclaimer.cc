@@ -1,7 +1,6 @@
 #include "gc/space_reclaimer.h"
 
 #include "common/logging.h"
-#include "common/retry.h"
 #include "common/timed_scope.h"
 
 namespace bg3::gc {
@@ -9,10 +8,12 @@ namespace bg3::gc {
 namespace {
 
 /// Errors that defer a victim to the next cycle rather than failing it:
-/// substrate trouble (transient or not) is survivable — the extent is not
-/// going anywhere; logic errors (InvalidArgument etc.) still propagate.
+/// the store already spent its retry budget on a transient failure, and a
+/// damaged record is skipped the same way — background reclamation must
+/// ride out storage trouble, not amplify it, and the extent is not going
+/// anywhere. Logic errors (InvalidArgument etc.) still propagate.
 bool IsDeferrable(const Status& s) {
-  return s.IsIOError() || s.IsBusy() || s.IsCorruption();
+  return cloud::IsTransient(s) || s.IsCorruption();
 }
 
 }  // namespace
@@ -53,9 +54,7 @@ Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
     for (GcCandidate& cand : candidates) {
       const uint64_t deadline = cand.usage.TtlDeadlineUs(opts_.ttl_us);
       if (deadline != 0 && deadline <= now) {
-        const Status s = RetryWithBackoff(StoreRetryOptions(), [&] {
-          return store_->FreeExtent(stream, cand.stats.id);
-        });
+        const Status s = store_->FreeExtent(stream, cand.stats.id);
         if (!s.ok()) {
           if (!IsDeferrable(s)) return s;
           // The deadline stays in the past; next cycle frees it.
@@ -115,9 +114,7 @@ Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
 Result<uint64_t> SpaceReclaimer::RelocateExtent(cloud::StreamId stream,
                                                 cloud::ExtentId extent) {
   BG3_TIMED_SCOPE("bg3.gc.relocate_extent", OpLayer::kGc);
-  auto records = RetryResultWithBackoff(StoreRetryOptions(), [&] {
-    return store_->ReadValidRecords(stream, extent);
-  });
+  auto records = store_->ReadValidRecords(stream, extent);
   BG3_RETURN_IF_ERROR(records.status());
   uint64_t moved = 0;
   for (const auto& [ptr, bytes] : records.value()) {
@@ -135,17 +132,9 @@ Result<uint64_t> SpaceReclaimer::RelocateExtent(cloud::StreamId stream,
     moved += n.value();
   }
   // All valid records re-installed elsewhere: release the extent.
-  BG3_RETURN_IF_ERROR(RetryWithBackoff(
-      StoreRetryOptions(), [&] { return store_->FreeExtent(stream, extent); }));
+  BG3_RETURN_IF_ERROR(store_->FreeExtent(stream, extent));
   store_->stats().gc_moved_bytes.Add(moved);
   return moved;
-}
-
-RetryOptions SpaceReclaimer::StoreRetryOptions() const {
-  RetryOptions retry = opts_.retry;
-  retry.retries = &store_->stats().retries;
-  retry.retry_exhausted = &store_->stats().retry_exhausted;
-  return retry;
 }
 
 }  // namespace bg3::gc

@@ -8,7 +8,6 @@
 
 #include "bwtree/bwtree.h"
 #include "cloud/cloud_store.h"
-#include "common/retry.h"
 #include "gc/extent_usage.h"
 #include "gc/policy.h"
 
@@ -41,11 +40,6 @@ struct ReclaimOptions {
   /// Trigger threshold: a cycle relocates only while the stream's dead-byte
   /// ratio exceeds this (background GC runs ahead of space pressure).
   double target_dead_ratio = 0.10;
-  /// Retry policy for the cycle's store I/O (extent frees, valid-record
-  /// reads). Once a victim's budget is exhausted the extent is *deferred* —
-  /// skipped this cycle, retried next — rather than failing the cycle:
-  /// background reclamation must ride out storage trouble, not amplify it.
-  RetryOptions retry;
 };
 
 /// Outcome of one reclamation cycle; Table 2's "Write Amplification Bwd
@@ -82,8 +76,6 @@ class SpaceReclaimer {
  private:
   Result<uint64_t> RelocateExtent(cloud::StreamId stream,
                                   cloud::ExtentId extent);
-  /// opts_.retry with accounting wired to the store's IoStats.
-  RetryOptions StoreRetryOptions() const;
 
   cloud::CloudStore* const store_;
   TreeResolver* const resolver_;

@@ -199,7 +199,9 @@ Result<ChaosReport> RunChaos(const ChaosOptions& opts) {
   fopts.latency_spike_p = opts.latency_spike_p;
   cloud::FaultInjector injector(fopts);
 
-  auto store = std::make_unique<cloud::CloudStore>();
+  cloud::CloudStoreOptions sopts;
+  if (opts.transient_error_p > 0) sopts.retry.max_attempts = 6;
+  auto store = std::make_unique<cloud::CloudStore>(sopts);
   ClusterOptions copts;
   copts.partitions = opts.partitions;
   copts.followers_per_partition = opts.followers_per_partition;
@@ -212,11 +214,6 @@ Result<ChaosReport> RunChaos(const ChaosOptions& opts) {
   // Followers tail eagerly — chaos probes consistency, not poll latency.
   copts.ro.poll_interval_us = 0;
   copts.wal.group_window_us = 0;
-  if (opts.transient_error_p > 0) {
-    copts.tree_retry.max_attempts = 6;
-    copts.wal.retry.max_attempts = 6;
-    copts.ro.retry.max_attempts = 6;
-  }
   copts.checkpointing = opts.checkpointing;
   copts.checkpointer.interval_ms = 1;
   Bg3Cluster cluster(store.get(), copts);

@@ -110,22 +110,12 @@ Status PublishCheckpoint(cloud::CloudStore* store, const std::string& scope,
 
 namespace {
 
-Result<std::string> RetryingGet(cloud::CloudStore* store,
-                                const std::string& key,
-                                const RetryOptions& retry,
-                                const OpContext* ctx) {
-  RetryOptions opts = retry;
-  opts.ctx = ctx;
-  return RetryResultWithBackoff(
-      opts, [&] { return store->ManifestGet(key, nullptr, ctx); });
-}
-
 /// Decodes one slot; any failure (missing, torn, epoch echo mismatch) is
 /// reported as a non-OK status so the caller can fall back.
 Status TryLoadSlot(cloud::CloudStore* store, const std::string& scope,
-                   uint64_t epoch, const RetryOptions& retry,
-                   const OpContext* ctx, CheckpointManifest* out) {
-  auto raw = RetryingGet(store, CheckpointSlotKey(scope, epoch), retry, ctx);
+                   uint64_t epoch, const OpContext* ctx,
+                   CheckpointManifest* out) {
+  auto raw = store->ManifestGet(CheckpointSlotKey(scope, epoch), nullptr, ctx);
   BG3_RETURN_IF_ERROR(raw.status());
   BG3_RETURN_IF_ERROR(CheckpointManifest::Decode(Slice(raw.value()), out));
   if (out->epoch != epoch) {
@@ -138,9 +128,8 @@ Status TryLoadSlot(cloud::CloudStore* store, const std::string& scope,
 
 Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
                                         const std::string& scope,
-                                        const RetryOptions& retry,
                                         const OpContext* ctx) {
-  auto head_raw = RetryingGet(store, CheckpointHeadKey(scope), retry, ctx);
+  auto head_raw = store->ManifestGet(CheckpointHeadKey(scope), nullptr, ctx);
   if (head_raw.status().IsNotFound()) {
     return Status::NotFound("no checkpoint published for scope " + scope);
   }
@@ -160,16 +149,14 @@ Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
 
   LoadedCheckpoint loaded;
   if (head_ok) {
-    Status s =
-        TryLoadSlot(store, scope, head_epoch, retry, ctx, &loaded.manifest);
+    Status s = TryLoadSlot(store, scope, head_epoch, ctx, &loaded.manifest);
     if (s.ok()) return loaded;
     if (!s.IsNotFound() && !s.IsCorruption()) return s;  // substrate failure
     // Torn or missing head slot: fall back to the previous epoch's slot —
     // the publish order (slot, then head) guarantees it was complete before
     // the head ever pointed past it.
     loaded.fell_back = true;
-    s = TryLoadSlot(store, scope, head_epoch - 1, retry, ctx,
-                    &loaded.manifest);
+    s = TryLoadSlot(store, scope, head_epoch - 1, ctx, &loaded.manifest);
     if (s.ok()) return loaded;
     if (!s.IsNotFound() && !s.IsCorruption()) return s;
     return Status::NotFound("no usable checkpoint for scope " + scope);
@@ -178,10 +165,8 @@ Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
   // Torn head: probe both slots and take the newest decodable manifest.
   loaded.fell_back = true;
   CheckpointManifest a, b;
-  const bool have_a =
-      TryLoadSlot(store, scope, 0, retry, ctx, &a).ok();
-  const bool have_b =
-      TryLoadSlot(store, scope, 1, retry, ctx, &b).ok();
+  const bool have_a = TryLoadSlot(store, scope, 0, ctx, &a).ok();
+  const bool have_b = TryLoadSlot(store, scope, 1, ctx, &b).ok();
   if (!have_a && !have_b) {
     return Status::NotFound("no usable checkpoint for scope " + scope);
   }
@@ -296,6 +281,15 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
       return existing.status();
     }
     if (existing.status().IsNotFound()) slot_version = 0;
+    // The version is read after the load above: a rival that published
+    // this epoch in between must still make us lose, not hand us its
+    // version to CAS over its record.
+    EpochRecord prior;
+    if (existing.ok() &&
+        EpochRecord::Decode(Slice(existing.value()), &prior).ok() &&
+        prior.epoch >= rec.epoch) {
+      return Status::Aborted("lost promotion race for scope " + scope);
+    }
   }
   auto cas = store->ManifestCas(slot_key, slot_version, rec.Encode());
   if (!cas.ok()) {

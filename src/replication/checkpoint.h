@@ -13,7 +13,6 @@
 #include "cloud/cloud_store.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "wal/record.h"
 
 namespace bg3::replication {
@@ -92,7 +91,6 @@ struct LoadedCheckpoint {
 /// exists (never checkpointed, or both slots torn — full-WAL replay).
 Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
                                         const std::string& scope,
-                                        const RetryOptions& retry = {},
                                         const OpContext* ctx = nullptr);
 
 // --- failover epoch records (DESIGN.md §5.10) ------------------------------

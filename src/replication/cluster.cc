@@ -80,7 +80,6 @@ RwNodeOptions Bg3Cluster::LeaderOptions(const Partition& part) const {
   RwNodeOptions rw;
   rw.tree.tree_id = part.tree_id;
   rw.tree.max_leaf_entries = opts_.max_leaf_entries;
-  rw.tree.retry = opts_.tree_retry;
   rw.tree.base_stream = store_->CreateStream(
       "cluster-p" + std::to_string(part.tree_id - 1) + "-base");
   rw.tree.delta_stream = store_->CreateStream(

@@ -24,9 +24,6 @@ struct ClusterOptions {
   size_t max_leaf_entries = 256;
   size_t flush_group_pages = 64;
   uint64_t flush_group_mutations = 8192;
-  /// Retry policy for every leader tree's store I/O (the WAL and RO
-  /// policies travel in their own option templates below).
-  RetryOptions tree_retry;
   wal::WalWriterOptions wal;  ///< template; stream assigned per partition.
   RoNodeOptions ro;           ///< template; wal_stream assigned per partition.
 

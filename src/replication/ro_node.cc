@@ -52,34 +52,6 @@ Status RoNode::PollWal() {
   return PollWalLocked(/*force=*/true);
 }
 
-RetryOptions RoNode::StoreRetryOptions(const OpContext* ctx) const {
-  RetryOptions retry = opts_.retry;
-  retry.retries = &store_->stats().retries;
-  retry.retry_exhausted = &store_->stats().retry_exhausted;
-  retry.ctx = ctx;
-  retry.breaker = &store_->breaker();
-  return retry;
-}
-
-RetryOptions RoNode::ReadRetryOptions(const OpContext* ctx) const {
-  RetryOptions retry = StoreRetryOptions(ctx);
-  retry.retry_corruption = true;  // wire corruption is transient
-  return retry;
-}
-
-Result<std::string> RoNode::RetryingManifestGet(const std::string& key,
-                                               const OpContext* ctx) {
-  return RetryResultWithBackoff(
-      StoreRetryOptions(ctx),
-      [&] { return store_->ManifestGet(key, nullptr, ctx); });
-}
-
-Result<std::string> RoNode::RetryingStorageRead(const cloud::PagePointer& ptr,
-                                                const OpContext* ctx) {
-  return RetryResultWithBackoff(ReadRetryOptions(ctx),
-                                [&] { return store_->Read(ptr, nullptr, ctx); });
-}
-
 Status RoNode::PollWalLocked(bool force) {
   if (!bootstrapped_) {
     BootstrapFromManifestLocked();
@@ -95,13 +67,12 @@ Status RoNode::PollWalLocked(bool force) {
   // Drain everything appended since the last poll (the reader returns at
   // most a bounded batch count per call).
   for (;;) {
-    auto records = RetryResultWithBackoff(StoreRetryOptions(),
-                                          [&] { return reader_.Poll(); });
-    if (!records.ok() && IsRetryableError(StoreRetryOptions(),
-                                          records.status())) {
-      // Degradation, not failure: the WAL cursor has not moved, so the node
-      // simply falls behind and catches up on a later poll. Reads served
-      // meanwhile see the last consistently replicated state.
+    auto records = reader_.Poll();
+    if (!records.ok() && cloud::IsTransient(records.status())) {
+      // The tail's retry budget ran dry. Degradation, not failure: the WAL
+      // cursor has not moved, so the node simply falls behind and catches
+      // up on a later poll. Reads served meanwhile see the last
+      // consistently replicated state.
       stats_.poll_degraded.Inc();
       stats_.degraded.Set(1);
       return Status::OK();
@@ -124,8 +95,8 @@ void RoNode::BootstrapFromManifestLocked() {
   // Any load failure (never checkpointed, torn slots, substrate down) falls
   // back to the historical full-WAL replay — strictly slower, never wrong.
   if (opts_.resume_from_checkpoint) {
-    auto loaded = LoadCheckpoint(
-        store_, WalCheckpointScope(opts_.wal_stream), StoreRetryOptions());
+    auto loaded =
+        LoadCheckpoint(store_, WalCheckpointScope(opts_.wal_stream));
     if (loaded.ok()) {
       const CheckpointManifest& m = loaded.value().manifest;
       // Cursor-exact seek: the manifest's (term, seq) lets the reader drop
@@ -367,7 +338,7 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
     bool restart = false;
     for (;;) {
       chain.push_back(cur);
-      auto manifest = RetryingManifestGet(PageImageKey(tree, cur), ctx);
+      auto manifest = store_->ManifestGet(PageImageKey(tree, cur), nullptr, ctx);
       if (manifest.ok()) {
         BG3_RETURN_IF_ERROR(
             PageImageMeta::Decode(Slice(manifest.value()), &image));
@@ -398,7 +369,7 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
     bwtree::Lsn base_lsn = 0;
     if (have_image) {
       base_lsn = image.flushed_lsn;
-      auto base = RetryingStorageRead(image.base_ptr, ctx);
+      auto base = store_->Read(image.base_ptr, nullptr, ctx);
       BG3_RETURN_IF_ERROR(base.status());
       stats_.storage_reads.Inc();
       Slice in(base.value());
@@ -407,7 +378,7 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
       BG3_RETURN_IF_ERROR(bwtree::DecodeBasePagePayload(in, &entries));
       std::vector<std::vector<bwtree::DeltaEntry>> chains;
       for (const auto& ptr : image.delta_ptrs) {
-        auto delta = RetryingStorageRead(ptr, ctx);
+        auto delta = store_->Read(ptr, nullptr, ctx);
         BG3_RETURN_IF_ERROR(delta.status());
         stats_.storage_reads.Inc();
         Slice din(delta.value());
@@ -610,7 +581,7 @@ Result<RoNode::ExportedTree> RoNode::ExportTree(bwtree::TreeId tree) {
     // Attach the current storage image so the recovered node's first flush
     // can invalidate it (keeps GC accounting exact). NotFound = the page
     // was never flushed; any other failure must not be treated that way.
-    auto manifest = RetryingManifestGet(PageImageKey(tree, page_id));
+    auto manifest = store_->ManifestGet(PageImageKey(tree, page_id));
     if (manifest.ok()) {
       PageImageMeta image;
       BG3_RETURN_IF_ERROR(PageImageMeta::Decode(Slice(manifest.value()), &image));

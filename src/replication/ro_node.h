@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "common/thread_annotations.h"
 #include "wal/reader.h"
 
@@ -37,12 +36,6 @@ struct RoNodeOptions {
   /// tail on a cadence so reads are not serialized on the WAL stream.
   uint64_t min_poll_gap_us = 0;
   uint64_t seed = 0x20;
-  /// Retry policy for the node's store I/O (WAL tailing, manifest gets,
-  /// base/delta reads). When a tail's budget is exhausted the node
-  /// *degrades* instead of failing reads: it serves the last consistent
-  /// state, leaves its WAL cursor in place, and catches up on a later poll
-  /// (stats().poll_degraded counts these episodes).
-  RetryOptions retry;
   /// Bootstrap from the durable checkpoint manifest when one exists: seek
   /// the WAL reader past the checkpoint cursor so only the suffix is read
   /// (DESIGN.md §5.7). With no checkpoint published (or the manifest
@@ -229,18 +222,6 @@ class RoNode {
   Status PollWalLocked(bool force = false) BG3_REQUIRES(mu_);
   Status ApplyWalRecordLocked(const wal::WalRecord& record) BG3_REQUIRES(mu_);
 
-  /// opts_.retry with accounting wired to the store's IoStats and
-  /// exhaustion reported to the store's circuit breaker; the read variant
-  /// additionally retries Corruption (wire bit-flips re-read fine). The
-  /// caller's deadline (if any) bounds the whole retry schedule.
-  RetryOptions StoreRetryOptions(const OpContext* ctx = nullptr) const;
-  RetryOptions ReadRetryOptions(const OpContext* ctx = nullptr) const;
-  /// ManifestGet with retry; NotFound (a semantic "no image") passes
-  /// through untouched.
-  Result<std::string> RetryingManifestGet(const std::string& key,
-                                          const OpContext* ctx = nullptr);
-  Result<std::string> RetryingStorageRead(const cloud::PagePointer& ptr,
-                                          const OpContext* ctx = nullptr);
   /// Seeds route/meta from the shared mapping table, so a node can come up
   /// against a truncated WAL (images + ranges substitute for the dropped
   /// prefix of TreeInit/Split records).

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/coding.h"
-#include "common/retry.h"
 #include "common/timed_scope.h"
 
 namespace bg3::wal {
@@ -76,7 +75,6 @@ WalWriter::WalWriter(cloud::CloudStore* store, const WalWriterOptions& options)
     cloud::AppendPipelineOptions po;
     po.stream = opts_.stream;
     po.inflight = opts_.inflight_appends;
-    po.retry = opts_.retry;
     po.wall_latency_scale = opts_.wall_latency_scale;
     po.term = term_;
     pipeline_ = std::make_unique<cloud::AppendPipeline>(
@@ -202,12 +200,13 @@ Status WalWriter::Flush(const OpContext* ctx) {
     target = enqueued_records_;
   }
   if (sealed != 0) led_cv_.notify_all();
-  // A barrier is a retry point for everything already sealed — including a
-  // batch this very call sealed, should it fail while we wait (the next
-  // WaitTicket round re-kicks nothing; failures surface as errors).
-  KickParked(sealed != 0 ? sealed : std::numeric_limits<uint64_t>::max());
   if (target == 0) return Status::OK();
-  return WaitTicket(target, ctx);
+  // A barrier is a retry point for everything sealed before it: the wait
+  // re-kicks each parked batch once — the ones parked now and the ones in
+  // flight now that park while it waits — but never the batch this call
+  // sealed (its failure surfaces as the error).
+  return WaitTicket(target, ctx,
+                    sealed != 0 ? sealed : std::numeric_limits<uint64_t>::max());
 }
 
 uint64_t WalWriter::SealLocked(const OpContext* ctx) {
@@ -265,10 +264,17 @@ void WalWriter::SerializerMain() {
 void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
   uint64_t newly_committed = 0;
   bool failed = false;
+  std::vector<Resubmission> again;
   {
     std::lock_guard<std::mutex> lock(led_mu_);
     --outstanding_;
-    if (done.status.IsFenced()) {
+    if (done.status.IsOverloaded() && !BreakerOpen()) {
+      // Rejected by a half-open breaker whose probe slots were all taken:
+      // a verdict on admission, not on the substrate. Wait for an in-flight
+      // probe to settle (below) instead of failing the waiters.
+      probe_wait_.emplace(done.seq, std::make_pair(std::move(done.payload),
+                                                   done.record_count));
+    } else if (done.status.IsFenced()) {
       // Deposed: a newer leader fenced the stream. The batch never landed
       // and never will — drop it (no park, no retry), account the records
       // as drained, and latch the fence so every current and future waiter
@@ -313,44 +319,86 @@ void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
             WalCursor{max_physical_ptr_, term_, next_commit_seq_ - 1});
       }
     }
+    // Batches waiting on a probe go again once one settles (any other
+    // completion), or right away when nothing of ours is in flight — the
+    // slots are then held by other store callers and free up shortly. A
+    // breaker that reopened meanwhile fails them fast like any rejection.
+    if (!probe_wait_.empty() &&
+        (outstanding_ == 0 || !done.status.IsOverloaded())) {
+      const bool open = BreakerOpen();
+      for (auto& [seq, item] : probe_wait_) {
+        if (fenced_) {
+          zombie_drained_ += item.second;
+          buffered_records_.fetch_sub(item.second, std::memory_order_relaxed);
+        } else if (open) {
+          parked_.emplace(seq, std::move(item));
+          last_error_ = Status::Overloaded("cloud circuit breaker open");
+          failed = true;
+        } else {
+          again.emplace_back(seq, std::move(item));
+          ++outstanding_;
+        }
+      }
+      probe_wait_.clear();
+    }
   }
-  if (failed) {
-    sequencer_.Disturb();
-  } else {
-    sequencer_.Advance(newly_committed);
-  }
+  Resubmit(&again);
+  if (newly_committed != 0) sequencer_.Advance(newly_committed);
+  if (failed) sequencer_.Disturb();
+}
+
+bool WalWriter::BreakerOpen() const {
+  return store_->breaker().state() == CircuitBreaker::State::kOpen;
 }
 
 void WalWriter::KickParked(uint64_t below_seq) {
-  std::vector<std::pair<uint64_t, std::pair<std::string, uint64_t>>> again;
+  std::vector<Resubmission> again;
   {
     std::lock_guard<std::mutex> lock(led_mu_);
-    if (parked_.empty()) return;
-    if (fenced_) {
-      // A fenced writer's parked batches are dead — resubmitting them would
-      // only bounce off the stream fence. Drain them so the zombie reaches
-      // a quiescent state instead of churning the pipeline.
-      for (auto& [seq, item] : parked_) {
-        zombie_drained_ += item.second;
-        buffered_records_.fetch_sub(item.second, std::memory_order_relaxed);
-      }
-      parked_.clear();
-      return;
-    }
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      if (it->first >= below_seq) break;  // sealed by (or after) the caller
-      again.emplace_back(it->first, std::move(it->second));
-      ++outstanding_;
-      it = parked_.erase(it);
-    }
+    TakeParkedLocked(below_seq, nullptr, &again);
   }
-  for (auto& [seq, item] : again) {
-    pipeline_->Submit(seq, std::move(item.first), item.second);
+  Resubmit(&again);
+}
+
+void WalWriter::TakeParkedLocked(uint64_t below_seq,
+                                 std::set<uint64_t>* kicked,
+                                 std::vector<Resubmission>* again) {
+  if (parked_.empty()) return;
+  if (fenced_) {
+    // A fenced writer's parked batches are dead — resubmitting them would
+    // only bounce off the stream fence. Drain them so the zombie reaches
+    // a quiescent state instead of churning the pipeline.
+    for (auto& [seq, item] : parked_) {
+      zombie_drained_ += item.second;
+      buffered_records_.fetch_sub(item.second, std::memory_order_relaxed);
+    }
+    parked_.clear();
+    return;
+  }
+  for (auto it = parked_.begin(); it != parked_.end();) {
+    if (it->first >= below_seq) break;  // sealed by (or after) the caller
+    if (kicked != nullptr && !kicked->insert(it->first).second) {
+      ++it;  // this barrier already gave it its fresh shot
+      continue;
+    }
+    again->emplace_back(it->first, std::move(it->second));
+    ++outstanding_;
+    it = parked_.erase(it);
   }
 }
 
-Status WalWriter::WaitTicket(uint64_t target, const OpContext* ctx) {
+void WalWriter::Resubmit(std::vector<Resubmission>* again) {
+  for (auto& [seq, item] : *again) {
+    pipeline_->Submit(seq, std::move(item.first), item.second);
+  }
+  again->clear();
+}
+
+Status WalWriter::WaitTicket(uint64_t target, const OpContext* ctx,
+                             uint64_t rekick_below) {
   BG3_TIMED_SCOPE("bg3.wal.commit_wait");
+  std::set<uint64_t> kicked;  // batches this barrier has re-kicked
+  std::vector<Resubmission> again;
   for (;;) {
     // Two-phase wait: snapshot the disturb epoch, then check the parked
     // state, then wait against the snapshot. A failure that parks before
@@ -368,11 +416,21 @@ Status WalWriter::WaitTicket(uint64_t target, const OpContext* ctx) {
                                       : Status::Fenced("wal writer deposed");
       }
       if (!parked_.empty()) {
-        // Some batch exhausted its retries. Surface the append error with
-        // the records still buffered — the legacy inline flush's contract.
-        return last_error_.ok() ? Status::IOError("wal append failed")
-                                : last_error_;
+        // A barrier gives every parked batch below its bound one fresh
+        // shot, including one still in flight when the barrier began.
+        if (rekick_below != 0) TakeParkedLocked(rekick_below, &kicked, &again);
+        // Otherwise some batch exhausted its retries. Surface the append
+        // error with the records still buffered — the legacy inline
+        // flush's contract.
+        if (again.empty()) {
+          return last_error_.ok() ? Status::IOError("wal append failed")
+                                  : last_error_;
+        }
       }
+    }
+    if (!again.empty()) {
+      Resubmit(&again);
+      continue;
     }
     Status s = sequencer_.WaitReached(target, epoch, ctx);
     if (s.ok()) return s;
@@ -415,15 +473,9 @@ Status WalWriter::FlushLocked(const OpContext* ctx) {
   // The batch keeps its seq across failed attempts (the records stay
   // buffered), so readers never see a hole in the seq sequence.
   const std::string batch = EncodeFramedBatch(term_, sync_seq_ + 1, buffer_);
-  RetryOptions retry = opts_.retry;
-  retry.retries = &store_->stats().retries;
-  retry.retry_exhausted = &store_->stats().retry_exhausted;
-  retry.ctx = ctx;
-  retry.breaker = &store_->breaker();
   uint64_t latency_us = 0;
-  auto res = RetryResultWithBackoff(retry, [&] {
-    return store_->AppendFenced(opts_.stream, term_, batch, &latency_us, ctx);
-  });
+  auto res =
+      store_->AppendFenced(opts_.stream, term_, batch, &latency_us, ctx);
   if (res.status().IsFenced()) {
     // Deposed mid-flush: latch the fence (sync mode keeps the records
     // buffered — they were never acknowledged, and every later flush fails

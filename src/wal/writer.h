@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "common/commit_sequencer.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/retry.h"
 #include "common/seqlock.h"
 #include "wal/record.h"
 
@@ -48,14 +48,6 @@ struct WalWriterOptions {
   /// before its batch is appended. Feeds sim_publish_latency_us.
   uint64_t group_window_us = 10'000;
   uint64_t seed = 0x57a1;
-  /// Batch-append retry policy. A torn or transiently failed append is
-  /// simply re-appended: the damaged copy never passes its CRC check, so
-  /// tailing readers skip it, and duplicate *successful* batches are safe
-  /// (batches carry (term, seq) identities the reader dedupes on, and
-  /// replay is LSN-gated besides). On exhaustion the records stay buffered
-  /// — the WAL falls behind and the next Append/Flush tries again; nothing
-  /// acknowledged is ever dropped.
-  RetryOptions retry;
 
   WalWriterMode mode = WalWriterMode::kPipelined;
   /// Cloud appends allowed in flight at once (pipelined mode).
@@ -99,6 +91,14 @@ struct WalTicket {
 /// readers restore log order, and all externally visible state —
 /// acknowledgments, committed_cursor(), batches_appended() — moves strictly
 /// in log order regardless of completion order.
+///
+/// A torn or transiently failed batch append is re-appended by the store's
+/// retry loop (CloudStoreOptions::retry): the damaged copy never passes its
+/// CRC check, so tailing readers skip it, and duplicate *successful*
+/// batches are safe (batches carry (term, seq) identities the reader
+/// dedupes on, and replay is LSN-gated besides). Once the budget is spent
+/// the records stay buffered — the WAL falls behind and the next
+/// Append/Flush tries again; nothing acknowledged is ever dropped.
 class WalWriter {
  public:
   WalWriter(cloud::CloudStore* store, const WalWriterOptions& options);
@@ -198,15 +198,32 @@ class WalWriter {
   /// was empty.
   uint64_t SealLocked(const OpContext* ctx);
   void SerializerMain();
+  /// Parks failed batches and commits landed ones in seq order. A batch
+  /// the breaker rejected while half-open (all probe slots taken) is not
+  /// parked: it waits in probe_wait_ and is re-submitted once an in-flight
+  /// probe settles (DESIGN.md §5.5); an open breaker still fails fast.
   void OnAppendComplete(cloud::AppendPipeline::Completion done);
+  bool BreakerOpen() const;
+  /// (seq, (payload, record_count)) of a batch headed back to the pipeline.
+  using Resubmission = std::pair<uint64_t, std::pair<std::string, uint64_t>>;
   /// Moves parked (failed) batches with seq < `below_seq` back into the
   /// append queue. The bound keeps a sealing Append from re-kicking its own
   /// just-failed batch — a failure must surface on that call, not get a
   /// retry its policy never granted.
   void KickParked(uint64_t below_seq);
+  /// KickParked's ledger half: moves the batches into `again` (counted as
+  /// outstanding again), skipping — and otherwise recording — seqs already
+  /// in `kicked` when given. A fenced writer drains them instead.
+  void TakeParkedLocked(uint64_t below_seq, std::set<uint64_t>* kicked,
+                        std::vector<Resubmission>* again);
+  void Resubmit(std::vector<Resubmission>* again);
   /// Waits for `target` tickets to commit, mapping pipeline failures to the
-  /// append error exactly like the legacy inline flush surfaced it.
-  BG3_BLOCKING Status WaitTicket(uint64_t target, const OpContext* ctx);
+  /// append error exactly like the legacy inline flush surfaced it. A
+  /// nonzero `rekick_below` makes the wait a barrier (Flush): each batch
+  /// below it that is parked, or parks while the barrier waits, is re-kicked
+  /// once before its failure surfaces.
+  BG3_BLOCKING Status WaitTicket(uint64_t target, const OpContext* ctx,
+                                 uint64_t rekick_below = 0);
 
   cloud::CloudStore* const store_;
   const WalWriterOptions opts_;
@@ -227,6 +244,8 @@ class WalWriter {
       pending_;                                 ///< landed out of order.
   std::map<uint64_t, std::pair<std::string, uint64_t>>
       parked_;                                  ///< failed; await re-kick.
+  std::map<uint64_t, std::pair<std::string, uint64_t>>
+      probe_wait_;  ///< rejected by a half-open breaker; await a probe.
   uint64_t next_commit_seq_ = 1;
   uint64_t committed_record_count_ = 0;
   uint64_t outstanding_ = 0;  ///< serializing / queued / mid-append batches.

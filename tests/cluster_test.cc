@@ -194,6 +194,7 @@ TEST_P(ClusterFaultMatrixTest, EveryLeaderRecoversAndFollowersConverge) {
   copts.followers_per_partition = 2;
   copts.max_leaf_entries = 32;
   copts.flush_group_pages = 8;
+  cloud::CloudStoreOptions sopts;
   switch (cls) {
     case cloud::FaultClass::kTransientError:
       fopts.transient_error_p = 0.02;
@@ -209,13 +210,11 @@ TEST_P(ClusterFaultMatrixTest, EveryLeaderRecoversAndFollowersConverge) {
       // from memory): a higher rate makes sure the class fires, and a
       // deeper budget keeps exhaustion negligible (0.15^6).
       fopts.corrupt_read_p = 0.15;
-      copts.tree_retry.max_attempts = 6;
-      copts.wal.retry.max_attempts = 6;
-      copts.ro.retry.max_attempts = 6;
+      sopts.retry.max_attempts = 6;
       break;
   }
   cloud::FaultInjector fi(fopts);
-  auto store = std::make_unique<cloud::CloudStore>();
+  auto store = std::make_unique<cloud::CloudStore>(sopts);
   Bg3Cluster cluster(store.get(), copts);
   store->SetFaultInjector(&fi);
 

@@ -512,15 +512,31 @@ TEST(BackoffTest, AutoSeededInstancesDrawDistinctStreams) {
   EXPECT_GT(differing, 0) << "independent streams should diverge";
 }
 
+// The loop as CloudStore drives it, minus the store: IOError and Busy are
+// retried, and the hooks count re-attempts and exhausted budgets.
+template <typename Op>
+auto Retry(const RetryOptions& opts, Op&& op, Counter* retries = nullptr,
+           Counter* exhausted = nullptr) {
+  return RetryWithBackoff(
+      opts, /*ctx=*/nullptr,
+      [](const Status& s) { return s.IsIOError() || s.IsBusy(); },
+      [&] {
+        if (retries != nullptr) retries->Inc();
+      },
+      [&] {
+        if (exhausted != nullptr) exhausted->Inc();
+      },
+      op);
+}
+
 TEST(RetryTest, SucceedsAfterTransientFailures) {
   Counter retries, exhausted;
   RetryOptions opts;
-  opts.retries = &retries;
-  opts.retry_exhausted = &exhausted;
   int calls = 0;
-  const Status s = RetryWithBackoff(opts, [&] {
-    return ++calls < 3 ? Status::IOError("blip") : Status::OK();
-  });
+  const Status s = Retry(
+      opts,
+      [&] { return ++calls < 3 ? Status::IOError("blip") : Status::OK(); },
+      &retries, &exhausted);
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(retries.Get(), 2u);
@@ -531,12 +547,11 @@ TEST(RetryTest, ExhaustionSurfacesTheFirstError) {
   Counter retries, exhausted;
   RetryOptions opts;
   opts.max_attempts = 3;
-  opts.retries = &retries;
-  opts.retry_exhausted = &exhausted;
   int calls = 0;
-  const Status s = RetryWithBackoff(opts, [&] {
-    return Status::IOError("attempt " + std::to_string(++calls));
-  });
+  const Status s = Retry(
+      opts,
+      [&] { return Status::IOError("attempt " + std::to_string(++calls)); },
+      &retries, &exhausted);
   EXPECT_TRUE(s.IsIOError());
   // The first failure is the root cause; later ones are often derived.
   EXPECT_NE(s.ToString().find("attempt 1"), std::string::npos) << s.ToString();
@@ -549,7 +564,7 @@ TEST(RetryTest, SingleAttemptBudgetDisablesRetries) {
   RetryOptions opts;
   opts.max_attempts = 1;
   int calls = 0;
-  const Status s = RetryWithBackoff(opts, [&] {
+  const Status s = Retry(opts, [&] {
     ++calls;
     return Status::IOError("down");
   });
@@ -560,27 +575,12 @@ TEST(RetryTest, SingleAttemptBudgetDisablesRetries) {
 TEST(RetryTest, NonRetryableErrorReturnsImmediately) {
   RetryOptions opts;
   int calls = 0;
-  const Status s = RetryWithBackoff(opts, [&] {
+  const Status s = Retry(opts, [&] {
     ++calls;
     return Status::InvalidArgument("caller bug");
   });
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_EQ(calls, 1) << "logic errors must not be retried";
-}
-
-TEST(RetryTest, CorruptionRetriedOnlyWhenOptedIn) {
-  int calls = 0;
-  auto corrupt_once = [&] {
-    return ++calls == 1 ? Status::Corruption("wire flip") : Status::OK();
-  };
-
-  RetryOptions opts;  // default: corruption is terminal.
-  EXPECT_TRUE(RetryWithBackoff(opts, corrupt_once).IsCorruption());
-
-  calls = 0;
-  opts.retry_corruption = true;  // read path: re-read the intact record.
-  EXPECT_TRUE(RetryWithBackoff(opts, corrupt_once).ok());
-  EXPECT_EQ(calls, 2);
 }
 
 TEST(RetryTest, SleepHookDrivesManualClockThroughTheSchedule) {
@@ -592,7 +592,7 @@ TEST(RetryTest, SleepHookDrivesManualClockThroughTheSchedule) {
   opts.max_backoff_us = 64'000;
   opts.sleep = [&clock](uint64_t us) { clock.AdvanceUs(us); };
   int calls = 0;
-  const Status s = RetryWithBackoff(opts, [&] {
+  const Status s = Retry(opts, [&] {
     ++calls;
     return Status::IOError("down");
   });
@@ -605,7 +605,7 @@ TEST(RetryTest, SleepHookDrivesManualClockThroughTheSchedule) {
 TEST(RetryTest, ResultVariantPassesValueThrough) {
   RetryOptions opts;
   int calls = 0;
-  auto res = RetryResultWithBackoff(opts, [&]() -> Result<int> {
+  auto res = Retry(opts, [&]() -> Result<int> {
     return ++calls < 2 ? Result<int>(Status::Busy("throttled"))
                        : Result<int>(42);
   });
@@ -618,7 +618,7 @@ TEST(RetryTest, ResultVariantSurfacesFirstErrorOnExhaustion) {
   RetryOptions opts;
   opts.max_attempts = 2;
   int calls = 0;
-  auto res = RetryResultWithBackoff(opts, [&]() -> Result<int> {
+  auto res = Retry(opts, [&]() -> Result<int> {
     return Status::IOError("err " + std::to_string(++calls));
   });
   EXPECT_TRUE(res.status().IsIOError());
@@ -744,11 +744,11 @@ TEST(RetryDeathTest, ZeroAttemptBudgetTrapsWhenDchecksOn) {
   RetryOptions opts;
   opts.max_attempts = 0;
   if (BG3_DCHECK_IS_ON()) {
-    EXPECT_DEATH((void)RetryWithBackoff(opts, [] { return Status::OK(); }),
+    EXPECT_DEATH((void)Retry(opts, [] { return Status::OK(); }),
                  "BG3_CHECK failed");
   } else {
     // Release builds don't trap; the loop still runs the op at least once.
-    EXPECT_TRUE(RetryWithBackoff(opts, [] { return Status::OK(); }).ok());
+    EXPECT_TRUE(Retry(opts, [] { return Status::OK(); }).ok());
   }
 }
 

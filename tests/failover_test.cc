@@ -77,7 +77,7 @@ TEST(StreamFencingTest, FencedRejectionIsNotRetryableAndNotABreakerError) {
   store.FenceStream(s, 10);
   const Status fenced = store.AppendFenced(s, 2, "x").status();
   ASSERT_TRUE(fenced.IsFenced());
-  EXPECT_FALSE(IsRetryableError(RetryOptions{}, fenced));
+  EXPECT_FALSE(cloud::IsTransient(fenced));
   // A healthy substrate correctly rejecting a deposed writer must not open
   // the circuit breaker: hammer the fence, then check a fresh stream works.
   for (int i = 0; i < 200; ++i) {
@@ -194,12 +194,13 @@ TEST(WalWriterFencingTest, ParkedRetryBatchesDrainWhenKickedIntoTheFence) {
   // retry budget exhausted) and parks; the promotion fences the stream
   // while it sits parked; the zombie's next Flush re-kicks it (KickParked)
   // straight into the fence. It must drain — not retry forever, not ack.
-  cloud::CloudStore store;
+  cloud::CloudStoreOptions sopts;
+  sopts.retry.max_attempts = 1;
+  cloud::CloudStore store(sopts);
   cloud::FaultInjector injector;
   wal::WalWriterOptions w;
   w.stream = store.CreateStream("wal");
   w.group_window_us = 0;
-  w.retry.max_attempts = 1;
   wal::WalWriter writer(&store, w);
   ASSERT_TRUE(writer.Append(Mutation(1, "a", "1")).ok());
 

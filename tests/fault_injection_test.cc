@@ -15,6 +15,8 @@
 #include "cloud/cloud_store.h"
 #include "cloud/fault_injector.h"
 #include "cloud/types.h"
+#include "common/circuit_breaker.h"
+#include "common/logging.h"
 #include "common/retry.h"
 #include "gc/extent_usage.h"
 #include "gc/policy.h"
@@ -105,9 +107,13 @@ TEST(FaultInjectorTest, ArmNextTargetsOnlyItsOpType) {
 
 // --- store-level semantics per fault class ------------------------------------
 
+// `max_attempts` is the store's retry budget; 1 gives a bare store whose
+// injected faults surface on the first attempt.
 struct StoreFixture {
-  StoreFixture() {
-    store = std::make_unique<CloudStore>();
+  explicit StoreFixture(int max_attempts = RetryOptions{}.max_attempts) {
+    cloud::CloudStoreOptions opts;
+    opts.retry.max_attempts = max_attempts;
+    store = std::make_unique<CloudStore>(opts);
     stream = store->CreateStream("data");
     store->SetFaultInjector(&fi);
   }
@@ -126,18 +132,16 @@ TEST(CloudFaultTest, DefaultStoreReportsZeroInjectedFaults) {
 }
 
 TEST(CloudFaultTest, TransientAppendFailsBareSucceedsUnderRetry) {
-  StoreFixture f;
-  // Bare call (a retries-disabled caller): the injected fault surfaces.
-  f.fi.ArmNext(FaultOp::kAppend, FaultClass::kTransientError);
-  EXPECT_TRUE(f.store->Append(f.stream, "rec").status().IsIOError());
-  EXPECT_EQ(f.store->stats().injected_faults.Get(), 1u);
+  // Bare store (retries disabled): the injected fault surfaces.
+  StoreFixture bare(/*max_attempts=*/1);
+  bare.fi.ArmNext(FaultOp::kAppend, FaultClass::kTransientError);
+  EXPECT_TRUE(bare.store->Append(bare.stream, "rec").status().IsIOError());
+  EXPECT_EQ(bare.store->stats().injected_faults.Get(), 1u);
 
-  // Same fault under the shared retry wrapper: absorbed.
+  // Same fault under the store's default retry policy: absorbed.
+  StoreFixture f;
   f.fi.ArmNext(FaultOp::kAppend, FaultClass::kTransientError);
-  RetryOptions retry;
-  retry.retries = &f.store->stats().retries;
-  auto res = RetryResultWithBackoff(
-      retry, [&] { return f.store->Append(f.stream, "rec"); });
+  auto res = f.store->Append(f.stream, "rec");
   EXPECT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_GT(f.store->stats().retries.Get(), 0u);
 }
@@ -157,7 +161,7 @@ TEST(CloudFaultTest, LatencySpikeInflatesReportedLatency) {
 }
 
 TEST(CloudFaultTest, TornAppendIsInvisibleToTailReaders) {
-  StoreFixture f;
+  StoreFixture f(/*max_attempts=*/1);
   ASSERT_TRUE(f.store->Append(f.stream, "first").ok());
   f.fi.ArmNext(FaultOp::kAppend, FaultClass::kTornAppend);
   EXPECT_TRUE(f.store->Append(f.stream, "torn-victim").status().IsIOError());
@@ -173,31 +177,169 @@ TEST(CloudFaultTest, TornAppendIsInvisibleToTailReaders) {
 }
 
 TEST(CloudFaultTest, CorruptReadKeepsDataIntactAndRetriesHeal) {
+  // Bare read sees the injected checksum mismatch.
+  StoreFixture bare(/*max_attempts=*/1);
+  auto bare_ptr = bare.store->Append(bare.stream, "payload");
+  ASSERT_TRUE(bare_ptr.ok());
+  bare.fi.ArmNext(FaultOp::kRead, FaultClass::kCorruptRead);
+  EXPECT_TRUE(bare.store->Read(bare_ptr.value()).status().IsCorruption());
+
+  // Read retries Corruption (the flip happened on the wire): the re-read
+  // returns the intact record.
   StoreFixture f;
   auto ptr = f.store->Append(f.stream, "payload");
   ASSERT_TRUE(ptr.ok());
-
-  // Bare read sees the injected checksum mismatch.
   f.fi.ArmNext(FaultOp::kRead, FaultClass::kCorruptRead);
-  EXPECT_TRUE(f.store->Read(ptr.value()).status().IsCorruption());
-
-  // A read-path retry policy (retry_corruption=true: the flip happened on
-  // the wire) re-reads the intact record.
-  f.fi.ArmNext(FaultOp::kRead, FaultClass::kCorruptRead);
-  RetryOptions retry;
-  retry.retry_corruption = true;
-  auto res =
-      RetryResultWithBackoff(retry, [&] { return f.store->Read(ptr.value()); });
+  auto res = f.store->Read(ptr.value());
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res.value(), "payload");
 }
 
 TEST(CloudFaultTest, ManifestGetFaultSurfacesAsIOError) {
-  StoreFixture f;
+  StoreFixture f(/*max_attempts=*/1);
   f.store->ManifestPut("route", "v1");
   f.fi.ArmNext(FaultOp::kManifestGet, FaultClass::kTransientError);
   EXPECT_TRUE(f.store->ManifestGet("route").status().IsIOError());
   EXPECT_EQ(f.store->ManifestGet("route").value(), "v1");
+}
+
+// --- the store's retry loop, one entry point per FaultOp ----------------------
+
+// A store with one record, one manifest key and sealed extents on a second
+// stream, so every fault-capable entry point has something to act on.
+struct RetryHarness {
+  explicit RetryHarness(cloud::CloudStoreOptions opts = {}) {
+    opts.extent_capacity = 256;  // a few records seal an extent.
+    store = std::make_unique<CloudStore>(opts);
+    stream = store->CreateStream("data");
+    ptr = store->Append(stream, "payload").value();
+    store->ManifestPut("route", "v1");
+    gc_stream = store->CreateStream("gc");
+    const std::string filler(100, 'x');
+    for (int i = 0; i < 8; ++i) BG3_CHECK(store->Append(gc_stream, filler).ok());
+    BG3_CHECK(!store->SealedExtentStats(gc_stream).empty());
+    store->SetFaultInjector(&fi);
+  }
+
+  // One call to the entry point `op` faults on.
+  Status Call(FaultOp op, const OpContext* ctx = nullptr) {
+    switch (op) {
+      case FaultOp::kAppend:
+        return store->Append(stream, "rec", nullptr, ctx).status();
+      case FaultOp::kRead:
+        return store->Read(ptr, nullptr, ctx).status();
+      case FaultOp::kFreeExtent:
+        return store->FreeExtent(gc_stream,
+                                 store->SealedExtentStats(gc_stream)[0].id);
+      case FaultOp::kManifestGet:
+        return store->ManifestGet("route", nullptr, ctx).status();
+      case FaultOp::kTail:
+        return store->TailRecords(stream, cloud::PagePointer(), 100, ctx)
+            .status();
+    }
+    return Status::InvalidArgument("unknown fault op");
+  }
+
+  FaultInjector fi;
+  std::unique_ptr<CloudStore> store;
+  cloud::StreamId stream = 0;
+  cloud::StreamId gc_stream = 0;
+  cloud::PagePointer ptr;
+};
+
+class CloudStoreRetryTest : public ::testing::TestWithParam<FaultOp> {};
+
+TEST_P(CloudStoreRetryTest, OneTransientFaultIsAbsorbedAndCounted) {
+  RetryHarness h;
+  h.fi.ArmNext(GetParam(), FaultClass::kTransientError);
+  const Status s = h.Call(GetParam());
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(h.store->stats().injected_faults.Get(), 1u);
+  EXPECT_EQ(h.store->stats().retries.Get(), 1u);
+  EXPECT_EQ(h.store->stats().retry_exhausted.Get(), 0u);
+}
+
+TEST_P(CloudStoreRetryTest, ExhaustedBudgetIsCountedAndTripsTheBreaker) {
+  cloud::CloudStoreOptions opts;
+  opts.retry.max_attempts = 3;
+  opts.breaker.enabled = true;
+  opts.breaker.failure_threshold = 1;
+  FaultInjectorOptions fopts;
+  fopts.transient_error_p = 1.0;
+  FaultInjector always(fopts);
+  RetryHarness h(opts);
+  h.store->SetFaultInjector(&always);
+
+  const Status s = h.Call(GetParam());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(always.OpCount(GetParam()), 3u);
+  EXPECT_EQ(h.store->stats().retries.Get(), 2u);
+  EXPECT_EQ(h.store->stats().retry_exhausted.Get(), 1u);
+  EXPECT_EQ(h.store->breaker().trips(), 1u);
+  EXPECT_EQ(h.store->breaker().state(), CircuitBreaker::State::kOpen);
+}
+
+TEST_P(CloudStoreRetryTest, DeadlineExpiringMidRetryCarriesTheFirstError) {
+  if (GetParam() == FaultOp::kFreeExtent) {
+    GTEST_SKIP() << "FreeExtent is background GC I/O and takes no deadline";
+  }
+  cloud::ManualTimeSource clock;
+  cloud::CloudStoreOptions opts;
+  opts.time_source = &clock;
+  opts.retry.max_attempts = 10;
+  opts.retry.jitter = false;
+  opts.retry.initial_backoff_us = 600'000;
+  opts.retry.max_backoff_us = 600'000;
+  opts.retry.sleep = [&clock](uint64_t us) { clock.AdvanceUs(us); };
+  FaultInjectorOptions fopts;
+  fopts.transient_error_p = 1.0;
+  FaultInjector always(fopts);
+  RetryHarness h(opts);
+  h.store->SetFaultInjector(&always);
+
+  // Attempts at t=0 and t=0.6s fail; the third would start past the 1s
+  // deadline.
+  const OpContext ctx = OpContext::WithTimeout(&clock, 1'000'000);
+  const Status s = h.Call(GetParam(), &ctx);
+  EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
+  EXPECT_NE(s.ToString().find("deadline expired during retry"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.ToString().find("first error: IOError: injected"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(always.OpCount(GetParam()), 2u);
+  EXPECT_EQ(h.store->stats().retry_exhausted.Get(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEntryPoints, CloudStoreRetryTest,
+                         ::testing::Values(FaultOp::kAppend, FaultOp::kRead,
+                                           FaultOp::kFreeExtent,
+                                           FaultOp::kManifestGet,
+                                           FaultOp::kTail),
+                         [](const ::testing::TestParamInfo<FaultOp>& i) {
+                           return cloud::FaultOpName(i.param);
+                         });
+
+TEST(CloudStoreRetryTest, WireCorruptionHealsOnReadOnly) {
+  // An injected corrupt read is a flip on the wire: Read re-reads the
+  // intact record.
+  RetryHarness h;
+  h.fi.ArmNext(FaultOp::kRead, FaultClass::kCorruptRead);
+  auto res = h.store->Read(h.ptr);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value(), "payload");
+  EXPECT_EQ(h.store->stats().retries.Get(), 1u);
+
+  // Damaged media is Corruption on every path. Read spends its budget on
+  // it; the extent scan GC relocates from is not retried at all.
+  ASSERT_TRUE(h.store->CorruptRecordForTesting(h.ptr, 0));
+  EXPECT_TRUE(h.store->Read(h.ptr).status().IsCorruption());
+  EXPECT_EQ(h.store->stats().retries.Get(), 4u);
+  EXPECT_EQ(h.store->stats().retry_exhausted.Get(), 1u);
+  auto scan = h.store->ReadValidRecords(h.stream, h.ptr.extent_id);
+  EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+  EXPECT_EQ(h.store->stats().retries.Get(), 4u);
 }
 
 // --- WAL writer hardening -----------------------------------------------------
@@ -214,10 +356,9 @@ wal::WalRecord Mutation(bwtree::Lsn lsn, const std::string& key,
 }
 
 TEST(WalFaultTest, TransientFaultFailsWriterWithoutRetries) {
-  StoreFixture f;
+  StoreFixture f(/*max_attempts=*/1);  // retries disabled.
   wal::WalWriterOptions w;
   w.stream = f.stream;
-  w.retry.max_attempts = 1;  // retries disabled.
   wal::WalWriter writer(f.store.get(), w);
 
   f.fi.ArmNext(FaultOp::kAppend, FaultClass::kTransientError);
@@ -269,10 +410,9 @@ TEST(WalFaultTest, TornAppendRepairedByRetryWithoutDuplicates) {
 }
 
 TEST(WalFaultTest, TornAppendLosesBatchWithoutRetries) {
-  StoreFixture f;
+  StoreFixture f(/*max_attempts=*/1);
   wal::WalWriterOptions w;
   w.stream = f.stream;
-  w.retry.max_attempts = 1;
   wal::WalWriter writer(f.store.get(), w);
 
   f.fi.ArmNext(FaultOp::kAppend, FaultClass::kTornAppend);
@@ -291,14 +431,15 @@ TEST(WalFaultTest, TornAppendLosesBatchWithoutRetries) {
 
 struct TreeFixture {
   explicit TreeFixture(int max_attempts) {
-    store = std::make_unique<CloudStore>();
+    cloud::CloudStoreOptions store_opts;
+    store_opts.retry.max_attempts = max_attempts;
+    store = std::make_unique<CloudStore>(store_opts);
     store->SetFaultInjector(&fi);
     bwtree::BwTreeOptions opts;
     opts.tree_id = 1;
     opts.base_stream = store->CreateStream("base");
     opts.delta_stream = store->CreateStream("delta");
     opts.read_cache = bwtree::ReadCacheMode::kNone;  // every Get hits storage.
-    opts.retry.max_attempts = max_attempts;
     tree = std::make_unique<bwtree::BwTree>(store.get(), opts);
   }
   std::unique_ptr<CloudStore> store;
@@ -335,8 +476,10 @@ TEST(BwTreeFaultTest, TransientReadFaultHealedByRetry) {
 // --- RO node degradation ------------------------------------------------------
 
 struct RoFixture {
-  explicit RoFixture(int ro_max_attempts) {
-    store = std::make_unique<CloudStore>();
+  explicit RoFixture(int max_attempts) {
+    cloud::CloudStoreOptions store_opts;
+    store_opts.retry.max_attempts = max_attempts;
+    store = std::make_unique<CloudStore>(store_opts);
     store->SetFaultInjector(&fi);
     rw_opts.tree.tree_id = 1;
     rw_opts.tree.base_stream = store->CreateStream("base");
@@ -344,7 +487,6 @@ struct RoFixture {
     rw_opts.wal.stream = store->CreateStream("wal");
     rw = std::make_unique<replication::RwNode>(store.get(), rw_opts);
     ro_opts.wal_stream = rw_opts.wal.stream;
-    ro_opts.retry.max_attempts = ro_max_attempts;
     ro = std::make_unique<replication::RoNode>(store.get(), ro_opts);
   }
   std::unique_ptr<CloudStore> store;
@@ -356,7 +498,7 @@ struct RoFixture {
 };
 
 TEST(RoFaultTest, TailFaultDegradesToStaleReadThenCatchesUp) {
-  RoFixture f(/*ro_max_attempts=*/1);  // degradation path, no retries.
+  RoFixture f(/*max_attempts=*/1);  // degradation path, no retries.
   ASSERT_TRUE(f.rw->Put("k", "v1").ok());
   EXPECT_EQ(f.ro->Get(1, "k").value(), "v1");
 
@@ -372,7 +514,7 @@ TEST(RoFaultTest, TailFaultDegradesToStaleReadThenCatchesUp) {
 }
 
 TEST(RoFaultTest, TailFaultAbsorbedByRetryStaysConsistent) {
-  RoFixture f(/*ro_max_attempts=*/4);
+  RoFixture f(/*max_attempts=*/4);
   ASSERT_TRUE(f.rw->Put("k", "v1").ok());
   EXPECT_EQ(f.ro->Get(1, "k").value(), "v1");
 
@@ -386,9 +528,11 @@ TEST(RoFaultTest, TailFaultAbsorbedByRetryStaysConsistent) {
 // --- GC deferral --------------------------------------------------------------
 
 struct GcFixture {
-  explicit GcFixture(int max_attempts) {
+  explicit GcFixture(int max_attempts, CircuitBreakerOptions breaker = {}) {
     cloud::CloudStoreOptions store_opts;
     store_opts.extent_capacity = 256;  // a few records seal an extent.
+    store_opts.retry.max_attempts = max_attempts;
+    store_opts.breaker = breaker;
     store = std::make_unique<CloudStore>(store_opts);
     store->SetFaultInjector(&fi);
     stream = store->CreateStream("ttl-data");
@@ -404,7 +548,6 @@ struct GcFixture {
 
     gc::ReclaimOptions opts;
     opts.ttl_us = 1'000;
-    opts.retry.max_attempts = max_attempts;
     reclaimer = std::make_unique<gc::SpaceReclaimer>(
         store.get(), resolver.get(), &policy, tracker.get(), opts);
   }
@@ -463,6 +606,24 @@ TEST(GcFaultTest, FreeExtentFaultAbsorbedByRetry) {
   EXPECT_EQ(cycle.value().extents_expired, sealed);
   EXPECT_GT(f.store->stats().retries.Get(), 0u);
   EXPECT_TRUE(f.store->SealedExtentStats(f.stream).empty());
+}
+
+TEST(GcFaultTest, ExhaustedFreeExtentTripsTheBreaker) {
+  // GC's extent frees run through the same store retry loop as every other
+  // caller, so an exhausted budget reaches the breaker like any other.
+  CircuitBreakerOptions breaker;
+  breaker.enabled = true;
+  breaker.failure_threshold = 1;
+  GcFixture f(/*max_attempts=*/1, breaker);
+  f.FillAndExpire();
+
+  f.fi.ArmNext(FaultOp::kFreeExtent, FaultClass::kTransientError);
+  auto cycle = f.reclaimer->RunCycle(f.stream, 100);
+  ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+  EXPECT_EQ(cycle.value().extents_deferred, 1u);
+  EXPECT_EQ(f.store->stats().retry_exhausted.Get(), 1u);
+  EXPECT_EQ(f.store->breaker().trips(), 1u)
+      << "GC retry exhaustion must feed the circuit breaker";
 }
 
 // --- probability-driven soak: the whole stack rides out a noisy substrate ----

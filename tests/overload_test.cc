@@ -17,7 +17,6 @@
 #include "common/circuit_breaker.h"
 #include "common/metrics_registry.h"
 #include "common/op_context.h"
-#include "common/retry.h"
 #include "common/time_source.h"
 #include "core/admission.h"
 #include "core/graph_db.h"
@@ -116,13 +115,11 @@ TEST(AdmissionTest, WriteThrottleShedsOnlyWrites) {
   opts.enabled = true;
   AdmissionController ctrl(opts);
 
-  ctrl.SetWriteThrottle(ThrottleReason::kMemoryPressure |
-                        ThrottleReason::kWalBacklog);
+  ctrl.SetWriteThrottle(ThrottleReason::kMemoryPressure);
   AdmissionController::Permit p;
   const Status s = ctrl.Admit(OpClass::kWrite, nullptr, &p);
   EXPECT_TRUE(s.IsOverloaded());
-  EXPECT_NE(s.ToString().find("memory-pressure+wal-backlog"),
-            std::string::npos)
+  EXPECT_NE(s.ToString().find("memory-pressure"), std::string::npos)
       << s.ToString();
 
   // Reads and background catch-up work drain pressure; they pass.
@@ -474,29 +471,33 @@ TEST(DeadlineBoundaryTest, ValidDeadlineWithRoomSucceeds) {
   EXPECT_EQ(f.db->GetVertex(1, &ctx).value(), "v");
 }
 
+// The store's retry loop under a request deadline, driven through
+// ManifestGet (no latency-model admission check, so every attempt reaches
+// the injector).
 TEST(DeadlineRetryTest, MidRetryExpiryPreservesFirstRootCause) {
   ManualTimeSource clock;
   const OpContext ctx = OpContext::WithTimeout(&clock, 5'000);
-  RetryOptions opts;
-  opts.ctx = &ctx;
-  opts.max_attempts = 10;
-  opts.jitter = false;
-  opts.initial_backoff_us = 4'000;
-  opts.sleep = [&clock](uint64_t us) { clock.AdvanceUs(us); };
+  cloud::CloudStoreOptions sopts;
+  sopts.retry.max_attempts = 10;
+  sopts.retry.jitter = false;
+  sopts.retry.initial_backoff_us = 4'000;
+  sopts.retry.sleep = [&clock](uint64_t us) { clock.AdvanceUs(us); };
+  cloud::CloudStore store(sopts);
+  cloud::FaultInjectorOptions fopts;
+  fopts.transient_error_p = 1.0;
+  cloud::FaultInjector fi(fopts);
+  store.SetFaultInjector(&fi);
 
-  int attempts = 0;
-  const Status s = RetryWithBackoff(opts, [&]() -> Status {
-    ++attempts;
-    return Status::IOError("root-cause: extent 42 unreachable");
-  });
+  const Status s = store.ManifestGet("route", nullptr, &ctx).status();
+  const uint64_t attempts = fi.OpCount(cloud::FaultOp::kManifestGet);
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_NE(s.ToString().find("deadline expired during retry"),
             std::string::npos)
       << s.ToString();
-  EXPECT_NE(s.ToString().find("root-cause: extent 42 unreachable"),
+  EXPECT_NE(s.ToString().find("injected transient manifest-get failure"),
             std::string::npos)
       << "the first error of the sequence must survive: " << s.ToString();
-  EXPECT_LT(attempts, 10) << "the deadline, not the budget, must end the loop";
+  EXPECT_LT(attempts, 10u) << "the deadline, not the budget, must end the loop";
 }
 
 TEST(DeadlineRetryTest, ExpiryBeforeFirstAttemptSaysSo) {
@@ -505,16 +506,15 @@ TEST(DeadlineRetryTest, ExpiryBeforeFirstAttemptSaysSo) {
   OpContext ctx;
   ctx.clock = &clock;
   ctx.deadline_us = 50;  // already past
-  RetryOptions opts;
-  opts.ctx = &ctx;
-  int attempts = 0;
-  const Status s = RetryWithBackoff(opts, [&]() -> Status {
-    ++attempts;
-    return Status::OK();
-  });
+  cloud::CloudStore store;
+  store.ManifestPut("route", "v1");
+  cloud::FaultInjector fi;  // inert: only counts attempts.
+  store.SetFaultInjector(&fi);
+  const Status s = store.ManifestGet("route", nullptr, &ctx).status();
+  const uint64_t attempts = fi.OpCount(cloud::FaultOp::kManifestGet);
   EXPECT_TRUE(s.IsDeadlineExceeded());
   EXPECT_NE(s.ToString().find("before I/O attempt"), std::string::npos);
-  EXPECT_EQ(attempts, 0) << "no work may start past the deadline";
+  EXPECT_EQ(attempts, 0u) << "no work may start past the deadline";
 }
 
 TEST(DeadlineQueryTest, TraversalStopsBetweenHops) {
@@ -663,7 +663,9 @@ TEST(WalBacklogTest, ZeroWatermarkKeepsHistoricalBehavior) {
 }
 
 TEST(RoDegradeTest, GaugeTracksStaleServingAndCatchUp) {
-  auto store = std::make_unique<cloud::CloudStore>();
+  cloud::CloudStoreOptions sopts;
+  sopts.retry.max_attempts = 2;
+  auto store = std::make_unique<cloud::CloudStore>(sopts);
   replication::RwNodeOptions rw_opts;
   rw_opts.tree.tree_id = 1;
   rw_opts.tree.base_stream = store->CreateStream("base");
@@ -674,7 +676,6 @@ TEST(RoDegradeTest, GaugeTracksStaleServingAndCatchUp) {
 
   replication::RoNodeOptions ro_opts;
   ro_opts.wal_stream = rw_opts.wal.stream;
-  ro_opts.retry.max_attempts = 2;
   replication::RoNode ro(store.get(), ro_opts);
 
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(rw.Put(Key(i), "v0").ok());

@@ -226,7 +226,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RecoveryFaultTest, TornWalAppendPlusCrashLosesAckedWriteWithoutRetries) {
   for (const bool retries_enabled : {false, true}) {
     cloud::FaultInjector fi;
-    auto store = std::make_unique<cloud::CloudStore>();
+    cloud::CloudStoreOptions sopts;
+    if (!retries_enabled) sopts.retry.max_attempts = 1;
+    auto store = std::make_unique<cloud::CloudStore>(sopts);
     RwNodeOptions opts;
     opts.tree.tree_id = 1;
     opts.tree.base_stream = store->CreateStream("base");
@@ -235,7 +237,6 @@ TEST(RecoveryFaultTest, TornWalAppendPlusCrashLosesAckedWriteWithoutRetries) {
     // Durability rests on the WAL alone: no group flush ever triggers.
     opts.flush_group_pages = 1'000'000;
     opts.flush_group_mutations = 1'000'000'000;
-    if (!retries_enabled) opts.wal.retry.max_attempts = 1;
     auto rw = std::make_unique<RwNode>(store.get(), opts);
     store->SetFaultInjector(&fi);
 

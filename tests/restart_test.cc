@@ -35,9 +35,11 @@ std::string Key(int i) {
 }
 
 struct RestartFixture {
-  explicit RestartFixture(size_t extent_capacity = 1 << 16) {
+  explicit RestartFixture(size_t extent_capacity = 1 << 16,
+                          int max_attempts = RetryOptions{}.max_attempts) {
     cloud::CloudStoreOptions copts;
     copts.extent_capacity = extent_capacity;
+    copts.retry.max_attempts = max_attempts;
     store = std::make_unique<cloud::CloudStore>(copts);
     opts.node.tree.tree_id = 1;
     opts.node.tree.max_leaf_entries = 16;
@@ -261,9 +263,7 @@ INSTANTIATE_TEST_SUITE_P(AllBoundaries, CrashPointScheduleTest,
                          });
 
 TEST(CrashPointScheduleTest, MidCheckpointFaultKeepsCutOpenThenPublishes) {
-  RestartFixture f;
-  f.opts.node.tree.retry.max_attempts = 1;  // faults hit, not absorbed
-  f.rw = std::make_unique<RwNode>(f.store.get(), f.opts.node);
+  RestartFixture f(1 << 16, /*max_attempts=*/1);  // faults hit, not absorbed
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v").ok());
   }

@@ -63,6 +63,13 @@ void ExpectContiguousPrefix(const std::vector<WalRecord>& records,
   }
 }
 
+// transient_error_p^6: exhaustion ~never.
+cloud::CloudStoreOptions DeepRetry() {
+  cloud::CloudStoreOptions sopts;
+  sopts.retry.max_attempts = 6;
+  return sopts;
+}
+
 WalWriterOptions PipelinedOptions(cloud::StreamId stream, Random& rng) {
   WalWriterOptions w;
   w.stream = stream;
@@ -71,7 +78,6 @@ WalWriterOptions PipelinedOptions(cloud::StreamId stream, Random& rng) {
   w.group_size = 1 + rng.Uniform(3);
   w.group_window_us = 0;
   w.inflight_appends = 2 + rng.Uniform(3);  // 2..4 parallel appends.
-  w.retry.max_attempts = 6;  // transient_error_p^6: exhaustion ~never.
   // Sleep a slice of the simulated latency for real, so a latency spike
   // genuinely delays one in-flight append past its successors — the
   // completion-order permutation these properties are about.
@@ -98,7 +104,7 @@ TEST(WalPipelineTest, AcksAreLogOrderedUnderCompletionReorder) {
   Random rng(seed);
   for (int trial = 0; trial < 10; ++trial) {
     cloud::FaultInjector fi(SpikyFaults(rng));
-    cloud::CloudStore store;
+    cloud::CloudStore store(DeepRetry());
     store.SetFaultInjector(&fi);
     const cloud::StreamId stream = store.CreateStream("wal");
     WalWriter writer(&store, PipelinedOptions(stream, rng));
@@ -141,7 +147,7 @@ TEST(WalPipelineTest, CrashLeavesContiguousCommittedPrefix) {
   Random rng(seed);
   for (int trial = 0; trial < 10; ++trial) {
     cloud::FaultInjector fi(SpikyFaults(rng));
-    cloud::CloudStore store;
+    cloud::CloudStore store(DeepRetry());
     store.SetFaultInjector(&fi);
     const cloud::StreamId stream = store.CreateStream("wal");
 
@@ -179,7 +185,7 @@ TEST(WalPipelineTest, SeekToCursorReplaysExactSuffix) {
   Random rng(seed);
   for (int trial = 0; trial < 10; ++trial) {
     cloud::FaultInjector fi(SpikyFaults(rng));
-    cloud::CloudStore store;
+    cloud::CloudStore store(DeepRetry());
     store.SetFaultInjector(&fi);
     const cloud::StreamId stream = store.CreateStream("wal");
     WalWriter writer(&store, PipelinedOptions(stream, rng));

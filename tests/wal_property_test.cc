@@ -111,13 +111,14 @@ TEST(WalPropertyTest, InjectedTearsWithRetryLoseAndDuplicateNothing) {
     fopts.torn_append_p = 0.15;
     fopts.transient_error_p = 0.05;
     cloud::FaultInjector fi(fopts);
-    cloud::CloudStore store;
+    cloud::CloudStoreOptions sopts;
+    sopts.retry.max_attempts = 6;  // 0.15^6: exhaustion is effectively never.
+    cloud::CloudStore store(sopts);
     store.SetFaultInjector(&fi);
 
     WalWriterOptions w;
     w.stream = store.CreateStream("wal");
     w.group_size = 1 + rng.Uniform(4);
-    w.retry.max_attempts = 6;  // 0.15^6: exhaustion is effectively never.
     WalWriter writer(&store, w);
 
     const size_t n = 30 + rng.Uniform(40);
