@@ -1,12 +1,12 @@
 // Leader failover (DESIGN.md §5.10): write-unavailability window and
 // promotion replay cost across 1x/4x/16x WAL backlog.
 //
-//   checkpointed — the partition ran a Checkpointer; the promotion
-//       candidate is a *cold* follower that bootstraps from the manifest
-//       and replays only the WAL suffix past its cursor, so the bytes a
-//       promotion must read are bounded by the checkpoint suffix, not the
-//       total WAL length.
-//   full_replay  — the same backlog with checkpointing off: the cold
+//   checkpointed — the leader checkpointed after the backlog; the
+//       promotion candidate is a *cold* follower that bootstraps from the
+//       manifest and replays only the WAL suffix past its cursor, so the
+//       bytes a promotion must read are bounded by the checkpoint suffix,
+//       not the total WAL length.
+//   full_replay  — the same backlog never checkpointed: the cold
 //       candidate re-reads the entire WAL before it can be promoted.
 //
 // The unavailability window (fence -> epoch CAS -> catch-up -> reopen ->
@@ -49,6 +49,8 @@ struct Measured {
 /// Builds one single-partition cluster with `scale * kBaseWrites` writes of
 /// backlog (plus a constant suffix past the checkpoint when checkpointing),
 /// then fails the leader over to a cold follower and measures the window.
+/// The group flush triggers never fire, so only `checkpointing` publishes a
+/// manifest before the promotion.
 Measured RunFailover(int scale, bool checkpointing) {
   auto store = std::make_unique<cloud::CloudStore>();
   replication::ClusterOptions copts;
@@ -58,7 +60,6 @@ Measured RunFailover(int scale, bool checkpointing) {
   copts.flush_group_pages = 1'000'000;  // the checkpointer flushes
   copts.flush_group_mutations = 1'000'000'000;
   copts.wal.group_window_us = 0;
-  copts.checkpointing = checkpointing;
   replication::Bg3Cluster cluster(store.get(), copts);
   // CreateStream is name-idempotent: this resolves the id of the WAL
   // stream the cluster created for partition 0.
@@ -81,21 +82,19 @@ Measured RunFailover(int scale, bool checkpointing) {
 
   Measured m;
   const uint64_t start = NowMicros();
+  // The candidate's catch-up, inside the window: promotion consumes the
+  // candidate into the new leader, so its replay is read off here. The
+  // catch-up poll inside PromoteFollower then finds nothing new.
+  replication::RoNode* candidate = cluster.follower(0, 0);
+  BG3_CHECK(candidate->PollWal().ok());
+  m.replay_bytes = candidate->WalBytesReplayed();
+  m.resumed_from_checkpoint = candidate->ResumedFromCheckpoint();
+  m.total_wal_bytes = store->TotalBytes(wal_stream);
   BG3_CHECK(cluster.PromoteFollower(0, 0).ok());
   BG3_CHECK(cluster.Put(Key(20'000'000), kPayload).ok());
   m.unavailability_us = NowMicros() - start;
   BG3_CHECK(cluster.Get(Key(20'000'000)).ok());
   m.first_follower_read_us = NowMicros() - start;
-
-  // The candidate itself was consumed into the new leader, but the
-  // replacement follower in the promoted slot bootstraps exactly like the
-  // candidate did (same manifest, same suffix) — its replay bytes are the
-  // promotion's replay bytes.
-  replication::RoNode* fresh = cluster.follower(0, 0);
-  BG3_CHECK(fresh->PollWal().ok());
-  m.replay_bytes = fresh->WalBytesReplayed();
-  m.resumed_from_checkpoint = fresh->ResumedFromCheckpoint();
-  m.total_wal_bytes = store->TotalBytes(wal_stream);
   return m;
 }
 

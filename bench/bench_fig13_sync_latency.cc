@@ -59,7 +59,7 @@ LatencyPoint RunAtLoad(uint64_t write_qps) {
     BG3_IGNORE_STATUS(rw.Put(key, graph::EncodeEdgeValue(i, "risk-audit-record")));
     if (i % 512 == 0) (void)ro.PollWal();
   }
-  BG3_IGNORE_STATUS(rw.FlushGroup());
+  BG3_IGNORE_STATUS(rw.checkpointer()->CheckpointNow());
   BG3_IGNORE_STATUS(ro.PollWal());
 
   LatencyPoint p;

@@ -62,8 +62,7 @@ CrashedStore BuildCrashedStore(int scale) {
   for (int i = 0; i < kBaseWrites * scale; ++i) {
     BG3_IGNORE_STATUS(rw->Put(Key(i), kPayload));
   }
-  replication::Checkpointer ckpt(c.store.get(), rw.get());
-  BG3_IGNORE_STATUS(ckpt.CheckpointNow());
+  BG3_IGNORE_STATUS(rw->checkpointer()->CheckpointNow());
   for (int i = 0; i < kSuffixWrites; ++i) {
     BG3_IGNORE_STATUS(rw->Put(Key(10'000'000 + i), kPayload));
   }

@@ -28,13 +28,6 @@
 //   OwnerState::mu -> Stream::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   RoNode::mu_ -> CloudStore::manifest_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
 //   RoNode::mu_ -> CloudStore::topology_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
-//   RwNode::flush_mu_ -> CloudStore::manifest_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
-//   RwNode::flush_mu_ -> CloudStore::topology_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
-//   RwNode::flush_mu_ -> ImageStager::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
-//   RwNode::flush_mu_ -> LeafPage::latch  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
-//   RwNode::flush_mu_ -> PageIndex::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> DirtyPageIds()]
-//   RwNode::flush_mu_ -> RwNode::ckpt_ptr_mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> PublishStagedLocked()]
-//   RwNode::flush_mu_ -> Stream::mu_  [src/replication/rw_node.cc:bg3::replication::RwNode::FlushGroup -> FlushPage()]
 
 #ifndef BG3_COMMON_LOCK_RANK_GEN_H_
 #define BG3_COMMON_LOCK_RANK_GEN_H_
@@ -44,14 +37,11 @@ namespace bg3::lock_rank {
 inline constexpr int kBwTreeForest_evict_mu = 1;  // BwTreeForest::evict_mu_
 inline constexpr int kOwnerState_mu = 2;  // OwnerState::mu
 inline constexpr int kBwTreeForest_registry_mu = 3;  // BwTreeForest::registry_mu_
-inline constexpr int kRoNode_mu = 4;  // RoNode::mu_
-inline constexpr int kRwNode_flush_mu = 5;  // RwNode::flush_mu_
+inline constexpr int kPageIndex_mu = 4;  // PageIndex::mu_
+inline constexpr int kRoNode_mu = 5;  // RoNode::mu_
 inline constexpr int kCloudStore_manifest_mu = 6;  // CloudStore::manifest_mu_
 inline constexpr int kCloudStore_topology_mu = 7;  // CloudStore::topology_mu_
-inline constexpr int kImageStager_mu = 8;  // ImageStager::mu_
-inline constexpr int kPageIndex_mu = 9;  // PageIndex::mu_
-inline constexpr int kRwNode_ckpt_ptr_mu = 10;  // RwNode::ckpt_ptr_mu_
-inline constexpr int kStream_mu = 11;  // Stream::mu_
+inline constexpr int kStream_mu = 8;  // Stream::mu_
 
 // Unranked (dynamic order; stay kUnranked):
 //   LeafPage::latch: per-leaf latch; ordered dynamically by latch coupling

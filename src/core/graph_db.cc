@@ -35,20 +35,6 @@ void RaiseLsnFloor(std::atomic<bwtree::Lsn>* lsn, bwtree::Lsn floor) {
   }
 }
 
-/// Flushes `tree`'s dirty pages until a pass sees no split, so its
-/// published images tile its current key space.
-Status FlushTreeUntilStable(bwtree::BwTree* tree) {
-  size_t leaves;
-  do {
-    leaves = tree->LeafCount();
-    for (bwtree::PageId page : tree->DirtyPageIds()) {
-      Status s = tree->FlushPage(page);
-      if (!s.ok() && !s.IsNotFound()) return s;
-    }
-  } while (tree->LeafCount() != leaves);
-  return Status::OK();
-}
-
 }  // namespace
 
 bwtree::BwTree* GraphDB::ResolverImpl::Resolve(bwtree::TreeId id) {
@@ -406,7 +392,7 @@ Status GraphDB::CommitCheckpoint(bwtree::Lsn cut_lsn,
   for (const auto& [id, leaves] : cut_leaves_) {
     bwtree::BwTree* tree = resolver_->Resolve(id);
     if (tree != nullptr && tree->LeafCount() != leaves) {
-      BG3_RETURN_IF_ERROR(FlushTreeUntilStable(tree));
+      BG3_RETURN_IF_ERROR(replication::FlushTreeUntilStable(tree));
     }
   }
   // One owner snapshot, taken after INIT's last flush: an owner it places
@@ -418,7 +404,7 @@ Status GraphDB::CommitCheckpoint(bwtree::Lsn cut_lsn,
   for (const forest::OwnerRecord& rec : owners) {
     if (rec.tree_id == 0 || cut_leaves_.count(rec.tree_id) != 0) continue;
     bwtree::BwTree* tree = forest_->ResolveTree(rec.tree_id);
-    if (tree != nullptr) BG3_RETURN_IF_ERROR(FlushTreeUntilStable(tree));
+    if (tree != nullptr) BG3_RETURN_IF_ERROR(replication::FlushTreeUntilStable(tree));
   }
   // Images first, manifest last (the Checkpointer publishes it after this
   // returns). Every image published so far carries an LSN at or below the

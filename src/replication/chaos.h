@@ -54,9 +54,6 @@ struct ChaosOptions {
   double transient_error_p = 0.0;
   double latency_spike_p = 0.0;
 
-  /// Run a checkpointer per partition so mid-schedule promotions bootstrap
-  /// their replacement followers from a manifest (suffix-bounded replay).
-  bool checkpointing = true;
   /// Full-keyspace model verification after every promotion (always done
   /// once at the end regardless).
   bool verify_after_promote = true;

@@ -6,7 +6,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/time_source.h"
 
 namespace bg3::replication {
 
@@ -304,28 +303,16 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
   return rec;
 }
 
-uint64_t AutotuneCheckpointIntervalMs(const CheckpointerOptions& opts,
-                                      uint64_t bytes_appended,
-                                      uint64_t elapsed_us,
-                                      uint64_t fallback_ms) {
-  const uint64_t lo = opts.min_interval_ms == 0 ? 1 : opts.min_interval_ms;
-  const uint64_t hi = std::max(lo, opts.max_interval_ms);
-  const auto clamp = [lo, hi](uint64_t v) {
-    return std::min(hi, std::max(lo, v));
-  };
-  if (opts.target_suffix_replay_bytes == 0 || elapsed_us == 0 ||
-      bytes_appended == 0) {
-    return clamp(fallback_ms);
-  }
-  // interval such that rate * interval == target:
-  //   target_bytes / (bytes / elapsed_ms)
-  const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
-  const double rate = static_cast<double>(bytes_appended) / elapsed_ms;
-  const double ival =
-      static_cast<double>(opts.target_suffix_replay_bytes) / rate;
-  if (ival >= static_cast<double>(hi)) return hi;
-  if (ival <= static_cast<double>(lo)) return lo;
-  return clamp(static_cast<uint64_t>(ival));
+Status FlushTreeUntilStable(bwtree::BwTree* tree) {
+  size_t leaves;
+  do {
+    leaves = tree->LeafCount();
+    for (bwtree::PageId page : tree->DirtyPageIds()) {
+      Status s = tree->FlushPage(page);
+      if (!s.ok() && !s.IsNotFound()) return s;
+    }
+  } while (tree->LeafCount() != leaves);
+  return Status::OK();
 }
 
 Checkpointer::Checkpointer(cloud::CloudStore* store, CheckpointTarget* target,
@@ -342,13 +329,6 @@ Checkpointer::Checkpointer(cloud::CloudStore* store, CheckpointTarget* target,
   if (auto prior = LoadCheckpoint(store_, scope_.name); prior.ok()) {
     epoch_ = prior.value().manifest.epoch;
     published_lsn_ = prior.value().manifest.checkpoint_lsn;
-  }
-  effective_interval_ms_ = opts_.interval_ms;
-  autotune_clock_ = opts_.time_source != nullptr ? opts_.time_source
-                                                 : DefaultWallTimeSource();
-  last_publish_us_ = autotune_clock_->NowUs();
-  if (scope_.wal_stream) {
-    last_publish_wal_bytes_ = store_->TotalBytes(*scope_.wal_stream);
   }
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.RegisterCounter(metrics_prefix_ + "cuts_started", &stats_.cuts_started);
@@ -389,10 +369,9 @@ void Checkpointer::Stop() {
 
 void Checkpointer::ThreadMain() {
   for (;;) {
-    const uint64_t tick_ms = effective_interval_ms();
     {
       std::unique_lock<std::mutex> lock(thread_mu_);
-      thread_cv_.wait_for(lock, std::chrono::milliseconds(tick_ms),
+      thread_cv_.wait_for(lock, std::chrono::milliseconds(opts_.interval_ms),
                           [this] { return stop_; });
       if (stop_) return;
     }
@@ -408,10 +387,19 @@ Status Checkpointer::Step() {
 }
 
 Status Checkpointer::CheckpointNow() {
+  // Read before waiting for the mutex: a caller whose mutations a
+  // concurrent call already made durable then returns at once.
+  const bwtree::Lsn entry_lsn = target_->CurrentLsn();
   std::lock_guard<std::mutex> lock(mu_);
+  if (!cut_.active && published_lsn_ >= entry_lsn &&
+      !target_->HasPendingImages()) {
+    return Status::OK();
+  }
+  // An open cut may have begun before some of the caller's mutations;
+  // finishing it alone would leave them uncovered, so a second cut follows.
   do {
     BG3_RETURN_IF_ERROR(StepLocked());
-  } while (cut_.active);
+  } while (cut_.active || published_lsn_ < entry_lsn);
   return Status::OK();
 }
 
@@ -428,11 +416,6 @@ uint64_t Checkpointer::epoch() const {
 bwtree::Lsn Checkpointer::published_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return published_lsn_;
-}
-
-uint64_t Checkpointer::effective_interval_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return effective_interval_ms_;
 }
 
 Status Checkpointer::StepLocked() {
@@ -459,8 +442,9 @@ Status Checkpointer::StepLocked() {
     const size_t end =
         std::min(pending.size(), cut_.next + opts_.max_pages_per_round);
     while (cut_.next < end) {
-      // A page the group flusher beat us to is already clean — FlushPage is
-      // a latched no-op then; its staged image publishes with our commit.
+      // A page flushed since the snapshot (say, by GC relocation) is
+      // already clean — FlushPage is a latched no-op then; its staged image
+      // publishes with our commit.
       const auto& [tree, page] = pending[cut_.next];
       Status s = target_->FlushPage(tree, page);
       if (!s.ok() && !s.IsNotFound()) {
@@ -502,18 +486,6 @@ Status Checkpointer::PublishCutLocked() {
   if (opts_.truncate_wal && !cursor.ptr.IsNull()) {
     stats_.wal_extents_truncated.Add(
         store_->TruncateStreamBefore(m.wal_stream, cursor.ptr.extent_id));
-  }
-  if (opts_.target_suffix_replay_bytes > 0 && scope_.wal_stream) {
-    // Re-derive the cadence from the append rate observed since the last
-    // publish: faster writers get shorter intervals, so the WAL suffix a
-    // promotion must replay stays near the byte target.
-    const uint64_t now_us = autotune_clock_->NowUs();
-    const uint64_t wal_bytes = store_->TotalBytes(m.wal_stream);
-    effective_interval_ms_ = AutotuneCheckpointIntervalMs(
-        opts_, wal_bytes - last_publish_wal_bytes_,
-        now_us - last_publish_us_, effective_interval_ms_);
-    last_publish_us_ = now_us;
-    last_publish_wal_bytes_ = wal_bytes;
   }
   cut_ = Cut{};
   return Status::OK();

@@ -136,8 +136,7 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
 
 /// Continuous fuzzy checkpointing options.
 struct CheckpointerOptions {
-  /// Background thread cadence; each tick runs one bounded Step(). With
-  /// autotuning enabled this is only the starting value.
+  /// Background thread cadence; each tick runs one bounded Step().
   uint64_t interval_ms = 20;
   /// Dirty pages flushed per Step() — the increment size. Small values keep
   /// the checkpoint thread from monopolizing the store; the cut just takes
@@ -148,31 +147,7 @@ struct CheckpointerOptions {
   /// checkpoint (single-node deployments, or truncation coordinated by
   /// Cluster::TruncateWal); hence off by default.
   bool truncate_wal = false;
-  /// Cadence autotuning (DESIGN.md §5.10): when > 0, the effective interval
-  /// is re-derived at every publish from the observed WAL append rate so
-  /// the expected suffix a promotion must replay stays at or below this
-  /// many bytes — promotion cost stays bounded as the write rate grows
-  /// instead of scaling with whatever fixed interval accumulated. 0 keeps
-  /// the fixed interval_ms cadence.
-  uint64_t target_suffix_replay_bytes = 0;
-  /// Clamp for the autotuned interval.
-  uint64_t min_interval_ms = 1;
-  uint64_t max_interval_ms = 1000;
-  /// Clock for rate observation (autotuning only). Null = process wall
-  /// clock; tests pass a ManualTimeSource.
-  const TimeSource* time_source = nullptr;
 };
-
-/// The pure cadence rule behind the autotuner, exposed for deterministic
-/// unit testing: given `bytes_appended` WAL bytes observed over
-/// `elapsed_us`, returns the interval at which the append rate accumulates
-/// about `opts.target_suffix_replay_bytes` between publishes, clamped to
-/// [min_interval_ms, max_interval_ms]. A zero rate (idle stream, or zero
-/// elapsed time) returns `fallback_ms` clamped — no observation, no change.
-uint64_t AutotuneCheckpointIntervalMs(const CheckpointerOptions& opts,
-                                      uint64_t bytes_appended,
-                                      uint64_t elapsed_us,
-                                      uint64_t fallback_ms);
 
 struct CheckpointerStats {
   Counter cuts_started;
@@ -181,6 +156,12 @@ struct CheckpointerStats {
   Counter wal_extents_truncated;
   Counter step_errors;  ///< Steps abandoned on I/O error (cut stays open).
 };
+
+/// Flushes `tree`'s dirty pages until a pass sees no split, so its staged
+/// images tile its current key space. A cut's rounds flush a snapshot page
+/// by page; a page that split during the cut must not publish its narrowed
+/// image without its new sibling's.
+Status FlushTreeUntilStable(bwtree::BwTree* tree);
 
 /// What a Checkpointer checkpoints (DESIGN.md §5.7): an RwNode's tree
 /// under its WAL, or a GraphDB's forest and vertex tree without one. Every
@@ -258,16 +239,15 @@ class Checkpointer {
   /// the cut open — the next step retries the remaining pages.
   Status Step();
 
-  /// Drives the current (or a fresh) cut to a durable manifest.
+  /// Makes every LSN handed out before the call durable: drives an open
+  /// cut to its manifest, then cuts again when the target's LSN at entry
+  /// lies past it.
   Status CheckpointNow();
 
   bool CutInProgress() const;
   uint64_t epoch() const;
   /// LSN of the newest durable (manifest-published) checkpoint.
   bwtree::Lsn published_lsn() const;
-  /// The cadence currently in effect: interval_ms until the autotuner's
-  /// first observation, then the derived value.
-  uint64_t effective_interval_ms() const;
   const std::string& scope() const { return scope_.name; }
   CheckpointerStats& stats() { return stats_; }
 
@@ -293,12 +273,6 @@ class Checkpointer {
   Cut cut_;
   uint64_t epoch_ = 0;
   bwtree::Lsn published_lsn_ = 0;
-  // Autotuner state (under mu_): cadence in effect plus the (time, WAL
-  // bytes) sample taken at the previous publish.
-  uint64_t effective_interval_ms_ = 0;
-  uint64_t last_publish_us_ = 0;
-  uint64_t last_publish_wal_bytes_ = 0;
-  const TimeSource* autotune_clock_ = nullptr;
 
   std::thread thread_;
   std::mutex thread_mu_;

@@ -22,10 +22,6 @@ Bg3Cluster::Bg3Cluster(cloud::CloudStore* store, const ClusterOptions& options)
     part->leader = std::make_unique<RwNode>(store_, LeaderOptions(*part));
     part->term.store(part->leader->wal_writer()->term(),
                      std::memory_order_relaxed);
-    if (opts_.checkpointing) {
-      part->checkpointer = std::make_unique<Checkpointer>(
-          store_, part->leader.get(), opts_.checkpointer);
-    }
     for (int f = 0; f < opts_.followers_per_partition; ++f) {
       part->followers.push_back(MakeFollower(*part, f));
     }
@@ -88,6 +84,7 @@ RwNodeOptions Bg3Cluster::LeaderOptions(const Partition& part) const {
   rw.wal.stream = part.wal_stream;
   rw.flush_group_pages = opts_.flush_group_pages;
   rw.flush_group_mutations = opts_.flush_group_mutations;
+  rw.checkpoint = opts_.checkpointer;
   return rw;
 }
 
@@ -139,7 +136,7 @@ Status Bg3Cluster::Scan(const Slice& start_key, const Slice& end_key,
 
 Status Bg3Cluster::FlushAll() {
   for (auto& part : parts_) {
-    BG3_RETURN_IF_ERROR(part->leader->FlushGroup());
+    BG3_RETURN_IF_ERROR(part->leader->checkpointer()->CheckpointNow());
   }
   return Status::OK();
 }
@@ -150,7 +147,6 @@ Status Bg3Cluster::CrashAndRecoverLeader(int partition) {
   }
   Partition& part = *parts_[partition];
   const RwNodeOptions opts = LeaderOptions(part);
-  part.checkpointer.reset();  // dies with the leader it observed
   {
     std::lock_guard<std::mutex> lock(zombie_mu_);
     part.leader.reset();  // crash: all volatile state gone
@@ -164,10 +160,6 @@ Status Bg3Cluster::CrashAndRecoverLeader(int partition) {
     part.leader = recovered.take();
     part.term.store(part.leader->wal_writer()->term(),
                     std::memory_order_relaxed);
-  }
-  if (opts_.checkpointing) {
-    part.checkpointer = std::make_unique<Checkpointer>(
-        store_, part.leader.get(), opts_.checkpointer);
   }
   return Status::OK();
 }
@@ -195,6 +187,11 @@ Status Bg3Cluster::PromoteFollower(int partition, int follower_index) {
   // stream or any node.
   auto crowned = PublishEpochRecord(store_, scope, term, part.wal_stream);
   BG3_RETURN_IF_ERROR(crowned.status());
+
+  // The old leader is deposed from here on: stop its checkpoint thread
+  // before the fence, so a cut it is committing finishes under its still
+  // valid term and no later one starts (its fenced commit would fail).
+  part.leader->checkpointer()->Stop();
 
   // Fence the WAL at the crowned term: from this instant the old leader's
   // in-flight pipelined groups land nowhere (Status::Fenced) and the tail
@@ -228,10 +225,9 @@ Status Bg3Cluster::PromoteFollower(int partition, int follower_index) {
   auto promoted = RwNode::FromExport(store_, opts, exported.take());
   BG3_RETURN_IF_ERROR(promoted.status());
 
-  // Depose. The checkpointer dies first (it observes the old leader); the
-  // old leader itself lives on as the partition zombie so its in-flight and
-  // parked batches drain against the fence instead of vanishing silently.
-  part.checkpointer.reset();
+  // Depose. The old leader lives on as the partition zombie so its
+  // in-flight and parked batches drain against the fence instead of
+  // vanishing silently.
   {
     std::lock_guard<std::mutex> lock(zombie_mu_);
     if (part.zombie != nullptr) {
@@ -246,10 +242,6 @@ Status Bg3Cluster::PromoteFollower(int partition, int follower_index) {
   // Refill the promoted follower's pool slot with a fresh node; it
   // bootstraps from the checkpoint manifest (suffix-only replay).
   part.followers[follower_index] = MakeFollower(part, follower_index);
-  if (opts_.checkpointing) {
-    part.checkpointer = std::make_unique<Checkpointer>(
-        store_, part.leader.get(), opts_.checkpointer);
-  }
   promotions_.Inc();
   return Status::OK();
 }
@@ -400,15 +392,11 @@ std::string Bg3Cluster::HealthJson() const {
 }
 
 void Bg3Cluster::StartCheckpointers() {
-  for (auto& part : parts_) {
-    if (part->checkpointer != nullptr) part->checkpointer->Start();
-  }
+  for (auto& part : parts_) part->leader->checkpointer()->Start();
 }
 
 void Bg3Cluster::StopCheckpointers() {
-  for (auto& part : parts_) {
-    if (part->checkpointer != nullptr) part->checkpointer->Stop();
-  }
+  for (auto& part : parts_) part->leader->checkpointer()->Stop();
 }
 
 size_t Bg3Cluster::TruncateWal(int partition) {

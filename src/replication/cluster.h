@@ -27,13 +27,11 @@ struct ClusterOptions {
   wal::WalWriterOptions wal;  ///< template; stream assigned per partition.
   RoNodeOptions ro;           ///< template; wal_stream assigned per partition.
 
-  /// Continuous fuzzy checkpointing (DESIGN.md §5.7): every partition
-  /// leader gets a Checkpointer publishing wal<stream>-scope manifests, so
-  /// leader recovery and fresh followers replay only the WAL suffix and
-  /// TruncateWal can reclaim the covered prefix. Threads are not started
-  /// automatically — call StartCheckpointers(), or step deterministically
-  /// via checkpointer(partition) in tests.
-  bool checkpointing = false;
+  /// Every leader's own Checkpointer (RwNodeOptions::checkpoint): its cuts
+  /// publish the wal<stream>-scope manifests leader recovery and fresh
+  /// followers resume from, so they replay only the WAL suffix and
+  /// TruncateWal can reclaim the covered prefix. Group flushes run it
+  /// synchronously; background threads run only after StartCheckpointers().
   CheckpointerOptions checkpointer;
 };
 
@@ -65,7 +63,7 @@ class Bg3Cluster {
               std::vector<bwtree::Entry>* out);
 
   // --- operations --------------------------------------------------------------
-  /// Group-flush every partition leader (checkpoint everywhere).
+  /// Checkpoints every partition leader (CheckpointNow on each).
   Status FlushAll();
 
   /// Simulates a leader crash on `partition` and rebuilds it from shared
@@ -79,8 +77,10 @@ class Bg3Cluster {
   /// fences the WAL stream at the new term — from that instant the old
   /// leader's in-flight pipelined groups land nowhere — catches the
   /// follower up to the now-final WAL tail, drops stale-term holds, and
-  /// reopens the follower's materialized state as the leader. The old
-  /// leader is *not* destroyed: it becomes the partition's zombie
+  /// reopens the follower's materialized state as the leader, whose
+  /// install-time cut publishes a manifest at the promotion point. The old
+  /// leader's checkpointer thread is stopped once the term is crowned. The
+  /// old leader is *not* destroyed: it becomes the partition's zombie
   /// (`zombie(partition)`), still alive and still trying to append, which
   /// is exactly the failure mode term fencing exists for. The promoted
   /// follower's pool slot is refilled with a fresh node bootstrapped from
@@ -141,16 +141,16 @@ class Bg3Cluster {
   size_t TruncateWal(int partition);
 
   // --- introspection -------------------------------------------------------------
-  /// Starts/stops every partition's checkpoint thread (no-op unless
-  /// options.checkpointing).
+  /// Starts/stops every current leader's checkpoint thread. A leader that
+  /// replaces one later (recovery, promotion) starts with its thread off.
   void StartCheckpointers();
   void StopCheckpointers();
 
   int partitions() const { return static_cast<int>(parts_.size()); }
   RwNode* leader(int partition) { return parts_[partition]->leader.get(); }
-  /// Per-partition checkpointer; nullptr unless options.checkpointing.
+  /// The partition leader's checkpointer.
   Checkpointer* checkpointer(int partition) {
-    return parts_[partition]->checkpointer.get();
+    return parts_[partition]->leader->checkpointer();
   }
   RoNode* follower(int partition, int index) {
     return parts_[partition]->followers[index].get();
@@ -165,7 +165,6 @@ class Bg3Cluster {
     cloud::StreamId wal_stream = 0;
     std::unique_ptr<RwNode> leader;
     std::unique_ptr<RwNode> zombie;  ///< latest deposed leader, until reaped.
-    std::unique_ptr<Checkpointer> checkpointer;
     std::vector<std::unique_ptr<RoNode>> followers;
     /// Current leadership term (atomic: read by metric callbacks / Health()
     /// while promotions swap the leader).

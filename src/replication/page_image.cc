@@ -3,13 +3,8 @@
 #include <algorithm>
 
 #include "cloud/cloud_store.h"
-#include "common/lock_rank.h"
 
 namespace bg3::replication {
-
-ImageStager::ImageStager() {
-  mu_.SetRank(lock_rank::kImageStager_mu, "ImageStager::mu_");
-}
 
 void ImageStager::OnPageFlushed(
     bwtree::TreeId tree, bwtree::PageId page, bwtree::Lsn flushed_lsn,
@@ -33,6 +28,11 @@ void ImageStager::OnPageFlushed(
 bool ImageStager::HasStaged() const {
   MutexLock lock(&mu_);
   return !staged_.empty();
+}
+
+void ImageStager::Discard() {
+  MutexLock lock(&mu_);
+  staged_.clear();
 }
 
 std::map<bwtree::TreeId, bwtree::Lsn> ImageStager::Publish(

@@ -101,8 +101,6 @@ inline bool ParsePageImageKey(const std::string& key, bwtree::TreeId* tree,
 /// is a short push under `mu_`; the cloud puts happen in Publish.
 class ImageStager : public bwtree::TreeListener {
  public:
-  ImageStager();
-
   void OnPageFlushed(bwtree::TreeId tree, bwtree::PageId page,
                      bwtree::Lsn flushed_lsn,
                      const cloud::PagePointer& base_ptr,
@@ -119,6 +117,9 @@ class ImageStager : public bwtree::TreeListener {
   /// parent. Returns the highest flushed LSN per tree among the published
   /// images (empty when nothing was staged).
   std::map<bwtree::TreeId, bwtree::Lsn> Publish(cloud::CloudStore* store);
+
+  /// Drops every staged image unpublished (a deposed writer's flushes).
+  void Discard();
 
  private:
   struct StagedImage {

@@ -566,6 +566,7 @@ Result<RoNode::ExportedTree> RoNode::ExportTree(bwtree::TreeId tree) {
   ExportedTree out;
   out.tree_id = tree;
   out.max_lsn = max_lsn_seen_;
+  out.wal_cursor = reader_.Cursor();
   out.pages.reserve(ts.route.size());
   for (const auto& [low_key, page_id] : ts.route) {
     auto cp = GetPageLocked(tree, page_id);

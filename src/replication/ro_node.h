@@ -114,6 +114,7 @@ class RoNode {
     bwtree::TreeId tree_id = 0;
     std::vector<bwtree::RecoveredPage> pages;  ///< key order.
     bwtree::Lsn max_lsn = 0;                   ///< newest LSN in the WAL.
+    wal::WalCursor wal_cursor;  ///< WAL position the export covers through.
   };
   Result<ExportedTree> ExportTree(bwtree::TreeId tree);
 

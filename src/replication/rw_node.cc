@@ -6,32 +6,22 @@
 namespace bg3::replication {
 
 RwNode::RwNode(cloud::CloudStore* store, const RwNodeOptions& options)
+    : RwNode(store, options, /*bootstrap=*/false) {}
+
+RwNode::RwNode(cloud::CloudStore* store, const RwNodeOptions& options,
+               bool bootstrap)
     : store_(store), opts_(options), wal_(store, options.wal) {
-  SetLockRanks();
   bwtree::BwTreeOptions tree_opts = opts_.tree;
   tree_opts.flush_mode = bwtree::FlushMode::kDeferred;
   tree_opts.read_cache = bwtree::ReadCacheMode::kFull;
   tree_opts.listener = this;
+  tree_opts.bootstrap = bootstrap;
   if (tree_opts.lsn_source == nullptr) tree_opts.lsn_source = &lsn_source_;
   tree_ = std::make_unique<bwtree::BwTree>(store_, tree_opts);
-}
-
-RwNode::RwNode(BootstrapTag, cloud::CloudStore* store,
-               const RwNodeOptions& options)
-    : store_(store), opts_(options), wal_(store, options.wal) {
-  SetLockRanks();
-  bwtree::BwTreeOptions tree_opts = opts_.tree;
-  tree_opts.flush_mode = bwtree::FlushMode::kDeferred;
-  tree_opts.read_cache = bwtree::ReadCacheMode::kFull;
-  tree_opts.listener = this;
-  tree_opts.bootstrap = true;  // layout installed by Recover()
-  if (tree_opts.lsn_source == nullptr) tree_opts.lsn_source = &lsn_source_;
-  tree_ = std::make_unique<bwtree::BwTree>(store_, tree_opts);
-}
-
-void RwNode::SetLockRanks() {
-  flush_mu_.SetRank(lock_rank::kRwNode_flush_mu, "RwNode::flush_mu_");
-  ckpt_ptr_mu_.SetRank(lock_rank::kRwNode_ckpt_ptr_mu, "RwNode::ckpt_ptr_mu_");
+  // The cast happens here, where the private base is accessible.
+  CheckpointTarget* target = this;
+  checkpointer_ =
+      std::make_unique<Checkpointer>(store_, target, opts_.checkpoint);
 }
 
 Result<std::unique_ptr<RwNode>> RwNode::Recover(cloud::CloudStore* store,
@@ -51,18 +41,21 @@ Result<std::unique_ptr<RwNode>> RwNode::Recover(cloud::CloudStore* store,
 Result<std::unique_ptr<RwNode>> RwNode::FromExport(
     cloud::CloudStore* store, const RwNodeOptions& options,
     RoNode::ExportedTree&& exported) {
-  auto node = std::unique_ptr<RwNode>(new RwNode(BootstrapTag{}, store, options));
+  auto node = std::unique_ptr<RwNode>(
+      new RwNode(store, options, /*bootstrap=*/true));
   // Resume the LSN sequence after everything already in the WAL, so the
   // recovered node's records extend the same total order.
   node->lsn_source_.store(exported.max_lsn, std::memory_order_release);
   node->last_checkpoint_.store(exported.max_lsn, std::memory_order_release);
+  node->export_cursor_ = exported.wal_cursor;
   BG3_RETURN_IF_ERROR(
       node->tree_->InstallRecoveredPages(std::move(exported.pages)));
   // Republish images for pages the WAL suffix touched and checkpoint, so RO
-  // replay logs can be discarded and the WAL prefix becomes logically dead.
-  // Pages whose exported content still matches their published image were
-  // installed clean — this flush is bounded by the suffix, not the DB size.
-  BG3_RETURN_IF_ERROR(node->FlushGroup());
+  // replay logs can be discarded and fresh readers seek past the exported
+  // prefix. Pages whose exported content still matches their published
+  // image were installed clean — this cut is bounded by the suffix, not the
+  // DB size.
+  BG3_RETURN_IF_ERROR(node->checkpointer_->CheckpointNow());
   return node;
 }
 
@@ -86,14 +79,14 @@ Status RwNode::Put(const Slice& key, const Slice& value,
   BG3_RETURN_IF_ERROR(
       CheckWalBacklog(wal_, opts_.wal_backlog_watermark, &writes_shed_));
   BG3_RETURN_IF_ERROR(tree_->Upsert(key, value, ctx));
-  return MaybeFlushGroup();
+  return MaybeCheckpoint();
 }
 
 Status RwNode::Delete(const Slice& key, const OpContext* ctx) {
   BG3_RETURN_IF_ERROR(
       CheckWalBacklog(wal_, opts_.wal_backlog_watermark, &writes_shed_));
   BG3_RETURN_IF_ERROR(tree_->Delete(key, ctx));
-  return MaybeFlushGroup();
+  return MaybeCheckpoint();
 }
 
 Result<std::string> RwNode::Get(const Slice& key, const OpContext* ctx) {
@@ -105,32 +98,17 @@ Status RwNode::Scan(const bwtree::BwTree::ScanOptions& options,
   return tree_->Scan(options, out, ctx);
 }
 
-Status RwNode::MaybeFlushGroup() {
+Status RwNode::MaybeCheckpoint() {
   const bwtree::Lsn lsn = lsn_source_.load(std::memory_order_relaxed);
   const bool mutation_pressure =
       lsn - last_checkpoint_.load(std::memory_order_relaxed) >=
       opts_.flush_group_mutations;
-  // Cheap dirty-count probe; exact flush happens under flush_mu_.
+  // Cheap dirty-count probe; the cut takes the exact snapshot.
   if (!mutation_pressure &&
       tree_->DirtyPageIds().size() < opts_.flush_group_pages) {
     return Status::OK();
   }
-  return FlushGroup();
-}
-
-Status RwNode::FlushGroup() {
-  MutexLock flush_lock(&flush_mu_);
-  // Every mutation with LSN <= checkpoint will be covered by the images we
-  // are about to flush (all currently dirty pages are flushed; later
-  // mutations may also sneak into the images, which is harmless — RO replay
-  // is LSN-gated per page).
-  const bwtree::Lsn checkpoint =
-      lsn_source_.load(std::memory_order_acquire);
-  const std::vector<bwtree::PageId> dirty = tree_->DirtyPageIds();
-  for (bwtree::PageId id : dirty) {
-    BG3_RETURN_IF_ERROR(tree_->FlushPage(id));
-  }
-  return PublishStagedLocked(checkpoint, /*force_record=*/!dirty.empty());
+  return checkpointer_->CheckpointNow();
 }
 
 CheckpointTarget::Scope RwNode::CheckpointScope() const {
@@ -141,6 +119,8 @@ Status RwNode::BeginCut(CutStart* cut) {
   cut->lsn = CurrentLsn();
   BG3_RETURN_IF_ERROR(wal_.Flush());
   cut->wal_cursor = wal_.committed_cursor();
+  if (cut->wal_cursor.IsNull()) cut->wal_cursor = export_cursor_;
+  cut_leaves_ = tree_->LeafCount();
   for (bwtree::PageId id : tree_->DirtyPageIds()) {
     cut->dirty.emplace_back(opts_.tree.tree_id, id);
   }
@@ -153,45 +133,43 @@ Status RwNode::FlushPage(bwtree::TreeId /*tree*/, bwtree::PageId page) {
 
 Status RwNode::CommitCheckpoint(bwtree::Lsn cut_lsn,
                                 CheckpointManifest* manifest) {
-  {
-    MutexLock flush_lock(&flush_mu_);
-    BG3_RETURN_IF_ERROR(PublishStagedLocked(cut_lsn, /*force_record=*/false));
+  // An RO node rebuilds a page with no image from its split parent's image,
+  // so a parent image newer than the split needs the child's beside it.
+  if (tree_->LeafCount() != cut_leaves_) {
+    BG3_RETURN_IF_ERROR(FlushTreeUntilStable(tree_.get()));
   }
-  manifest->checkpoint_lsn = cut_lsn;
-  manifest->trees.push_back({opts_.tree.tree_id, cut_lsn});
-  return Status::OK();
-}
-
-Status RwNode::PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record) {
   // The WAL must be visible before any manifest entry that presumes it
   // (RO nodes replay from the WAL on top of published images).
   BG3_RETURN_IF_ERROR(wal_.Flush());
 
+  // A deposed leader's images would overwrite its successor's in the shared
+  // mapping table. A fence landing after this check still races the puts
+  // below (DESIGN.md §5.10).
+  if (store_->StreamFenceTerm(opts_.wal.stream) > wal_.term()) {
+    stager_.Discard();
+    return Status::Fenced("deposed leader publishes no page image");
+  }
+
   // Children before parents, so an RO node never observes a parent's
   // post-split image while the child image is missing.
-  const bool published = !stager_.Publish(store_).empty();
+  stager_.Publish(store_);
 
-  if (force_record || published) {
-    wal::WalRecord rec;
-    rec.type = wal::WalRecord::Type::kCheckpoint;
-    rec.tree_id = opts_.tree.tree_id;
-    rec.lsn = checkpoint;
-    BG3_RETURN_IF_ERROR(wal_.Append(std::move(rec)));
-    BG3_RETURN_IF_ERROR(wal_.Flush());
-    // Max-update: a fuzzy-cut commit carries the cut's (older) LSN and must
-    // not roll back a further-along group-flush checkpoint.
-    bwtree::Lsn prev = last_checkpoint_.load(std::memory_order_relaxed);
-    while (prev < checkpoint &&
-           !last_checkpoint_.compare_exchange_weak(
-               prev, checkpoint, std::memory_order_release,
-               std::memory_order_relaxed)) {
-    }
+  wal::WalRecord rec;
+  rec.type = wal::WalRecord::Type::kCheckpoint;
+  rec.tree_id = opts_.tree.tree_id;
+  rec.lsn = cut_lsn;
+  BG3_RETURN_IF_ERROR(wal_.Append(std::move(rec)));
+  BG3_RETURN_IF_ERROR(wal_.Flush());
+  last_checkpoint_.store(cut_lsn, std::memory_order_release);
+  {
     // Committed cursor, not the raw physical tail: with pipelined appends
     // the tail may belong to an out-of-order batch whose predecessors are
     // still in flight — truncating up to it could drop unacked records.
     MutexLock lock(&ckpt_ptr_mu_);
     last_checkpoint_wal_ptr_ = wal_.committed_cursor().ptr;
   }
+  manifest->checkpoint_lsn = cut_lsn;
+  manifest->trees.push_back({opts_.tree.tree_id, cut_lsn});
   return Status::OK();
 }
 

@@ -36,6 +36,10 @@ struct RwNodeOptions {
   /// growing the backlog without bound — reads keep serving from memory.
   /// 0 disables the watermark (historical behavior).
   size_t wal_backlog_watermark = 0;
+
+  /// The node's Checkpointer: flush round size and background cadence. The
+  /// group flush triggers above run the same checkpointer synchronously.
+  CheckpointerOptions checkpoint;
 };
 
 /// The Read/Write node of BG3's write-once read-many architecture (§3.4,
@@ -43,9 +47,10 @@ struct RwNodeOptions {
 /// to the WAL on shared storage (steps (1)-(2)); dirty pages are flushed in
 /// groups (step (7)); after a group the node publishes new page-table
 /// versions to the shared mapping area and appends a checkpoint record
-/// (step (8)). It is also a Checkpointer's target: fuzzy cuts over its
-/// tree commit through the same publication path as the group flush.
-class RwNode : public bwtree::TreeListener, public CheckpointTarget {
+/// (step (8)). A group flush is a cut of the node's own Checkpointer, the
+/// one path that publishes page images (privately: only that checkpointer
+/// drives the CheckpointTarget calls).
+class RwNode : public bwtree::TreeListener, private CheckpointTarget {
  public:
   RwNode(cloud::CloudStore* store, const RwNodeOptions& options);
 
@@ -58,10 +63,10 @@ class RwNode : public bwtree::TreeListener, public CheckpointTarget {
                                                  const RwNodeOptions& options);
 
   /// Builds an RW node from an already-materialized tree export (the tail
-  /// half of Recover(); RwRestart uses it after demand-driven restore). The
-  /// export's clean/dirty page marking bounds the install-time flush to the
-  /// pages the WAL suffix actually touched — restart work is proportional
-  /// to the suffix, not the database.
+  /// half of Recover(); RwRestart uses it after demand-driven restore) and
+  /// checkpoints it. The export's clean/dirty page marking bounds that
+  /// checkpoint to the pages the WAL suffix actually touched — restart
+  /// work is proportional to the suffix, not the database.
   static Result<std::unique_ptr<RwNode>> FromExport(
       cloud::CloudStore* store, const RwNodeOptions& options,
       RoNode::ExportedTree&& exported);
@@ -87,39 +92,14 @@ class RwNode : public bwtree::TreeListener, public CheckpointTarget {
   /// records until the next group flush rewrites the tail; monitor it.
   uint64_t wal_append_errors() const { return wal_append_errors_.Get(); }
 
-  /// Flushes a dirty-page group if the threshold is reached.
-  Status MaybeFlushGroup();
-  /// Flushes all dirty pages, publishes their mapping entries (children
-  /// before parents) and appends the checkpoint WAL record.
-  Status FlushGroup();
+  /// The node's checkpoint state machine (DESIGN.md §5.7). Group flushes
+  /// and FromExport run CheckpointNow(); Start()/Stop() run its background
+  /// thread at options.checkpoint.interval_ms.
+  Checkpointer* checkpointer() { return checkpointer_.get(); }
 
   bwtree::BwTree* tree() { return tree_.get(); }
   wal::WalWriter* wal_writer() { return &wal_; }
   const RwNodeOptions& options() const { return opts_; }
-
-  // --- CheckpointTarget ----------------------------------------------------
-  /// Scope wal<stream>, cursors into the node's WAL.
-  Scope CheckpointScope() const override;
-  /// Newest LSN handed out; mutations at or below it are in memory and
-  /// (once the WAL flushes) durable. The fuzzy-cut capture point.
-  bwtree::Lsn CurrentLsn() const override {
-    return lsn_source_.load(std::memory_order_acquire);
-  }
-  bool HasPendingImages() const override { return stager_.HasStaged(); }
-  Status BeginCut(CutStart* cut) override;
-  Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) override;
-  /// Publishes every staged mapping entry and appends a checkpoint WAL
-  /// record announcing coverage through `cut_lsn` — the incremental
-  /// (fuzzy) counterpart of FlushGroup, whose pages the Checkpointer has
-  /// already flushed one bounded round at a time. Never regresses
-  /// last_checkpoint_lsn (a concurrent group flush may have checkpointed
-  /// further). The manifest covers the node's one tree through `cut_lsn`.
-  Status CommitCheckpoint(bwtree::Lsn cut_lsn,
-                          CheckpointManifest* manifest) override;
-
-  bwtree::Lsn last_checkpoint_lsn() const {
-    return last_checkpoint_.load(std::memory_order_relaxed);
-  }
 
   /// WAL location of the newest checkpoint record. Extents strictly before
   /// it hold only data covered by published images — the upper bound for
@@ -144,19 +124,31 @@ class RwNode : public bwtree::TreeListener, public CheckpointTarget {
                      bool has_high_key) override;
 
  private:
-  struct BootstrapTag {};
-  RwNode(BootstrapTag, cloud::CloudStore* store, const RwNodeOptions& options);
+  /// `bootstrap`: the tree layout is installed afterwards (FromExport).
+  RwNode(cloud::CloudStore* store, const RwNodeOptions& options,
+         bool bootstrap);
 
-  /// Enrolls flush_mu_/ckpt_ptr_mu_ in debug lock-rank checking (the
-  /// stager ranks its own mutex).
-  void SetLockRanks();
+  /// Checkpoints once the dirty-page or mutation threshold is reached.
+  Status MaybeCheckpoint();
 
-  /// Shared tail of FlushGroup/CommitCheckpoint: WAL flush, staged mapping
-  /// publication (the stager's one ordered pass), checkpoint record.
-  /// `force_record` appends the record even with nothing staged (a group
-  /// flush that wrote pages whose images were published by a racing commit).
-  Status PublishStagedLocked(bwtree::Lsn checkpoint, bool force_record)
-      BG3_REQUIRES(flush_mu_);
+  // --- CheckpointTarget ----------------------------------------------------
+  /// Scope wal<stream>, cursors into the node's WAL.
+  Scope CheckpointScope() const override;
+  /// Newest LSN handed out; mutations at or below it are in memory and
+  /// (once the WAL flushes) durable. The fuzzy-cut capture point.
+  bwtree::Lsn CurrentLsn() const override {
+    return lsn_source_.load(std::memory_order_acquire);
+  }
+  bool HasPendingImages() const override { return stager_.HasStaged(); }
+  Status BeginCut(CutStart* cut) override;
+  Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) override;
+  /// Publishes every staged mapping entry (the stager's one ordered pass)
+  /// and appends a checkpoint WAL record announcing coverage through
+  /// `cut_lsn`; the manifest covers the node's one tree through it. A
+  /// deposed leader, whose stream is fenced past its term, drops its staged
+  /// images and fails with Fenced instead.
+  Status CommitCheckpoint(bwtree::Lsn cut_lsn,
+                          CheckpointManifest* manifest) override;
 
   cloud::CloudStore* const store_;
   RwNodeOptions opts_;
@@ -164,17 +156,26 @@ class RwNode : public bwtree::TreeListener, public CheckpointTarget {
   std::atomic<bwtree::Lsn> lsn_source_{0};
   std::unique_ptr<bwtree::BwTree> tree_;
 
-  Mutex flush_mu_;  ///< one group flush at a time.
-  /// Images of flushed pages awaiting publication by PublishStagedLocked.
+  /// Images of flushed pages awaiting publication by CommitCheckpoint.
   ImageStager stager_;
 
   mutable Mutex ckpt_ptr_mu_;
   cloud::PagePointer last_checkpoint_wal_ptr_ BG3_GUARDED_BY(ckpt_ptr_mu_);
 
+  /// LSN of the newest committed cut; the mutation trigger reads it without
+  /// taking the checkpointer's mutex.
   std::atomic<bwtree::Lsn> last_checkpoint_{0};
+  /// WAL position an exported tree was materialized through: the cut
+  /// cursor until this incarnation has committed a batch of its own.
+  wal::WalCursor export_cursor_;
+  /// Leaf count when the open cut began (checkpointer calls only).
+  size_t cut_leaves_ = 0;
 
   LightCounter writes_shed_;
   LightCounter wal_append_errors_;
+
+  /// Last member: destroyed (its thread stopped) before what it drives.
+  std::unique_ptr<Checkpointer> checkpointer_;
 };
 
 }  // namespace bg3::replication

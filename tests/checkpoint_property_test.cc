@@ -1,5 +1,5 @@
 // Property test for continuous fuzzy checkpointing (DESIGN.md §5.7):
-// random interleavings of writes, bounded checkpoint steps, group flushes
+// random interleavings of writes, bounded checkpoint steps, whole cuts
 // and crash/recover must always recover to the in-memory model, and once a
 // checkpoint manifest is durable, recovery replays strictly less WAL than
 // the stream holds (the bounded-restart property). The GraphDB schedules
@@ -41,30 +41,23 @@ struct Harness {
     opts.wal.stream = store->CreateStream("wal");
     opts.flush_group_pages = 1'000'000;  // explicit flushes only
     opts.flush_group_mutations = 1'000'000'000;
+    opts.checkpoint.max_pages_per_round = 3;  // cuts straddle crashes
     rw = std::make_unique<RwNode>(store.get(), opts);
-    NewCheckpointer();
   }
 
-  void NewCheckpointer() {
-    CheckpointerOptions copts;
-    copts.max_pages_per_round = 3;  // small rounds → cuts straddle crashes
-    ckpt = std::make_unique<Checkpointer>(store.get(), rw.get(), copts);
-  }
+  Checkpointer* ckpt() { return rw->checkpointer(); }
 
   Status CrashAndRecover() {
-    ckpt.reset();  // dies with the node it observes
     rw.reset();
     auto recovered = RwNode::Recover(store.get(), opts);
     BG3_RETURN_IF_ERROR(recovered.status());
     rw = recovered.take();
-    NewCheckpointer();
     return Status::OK();
   }
 
   std::unique_ptr<cloud::CloudStore> store;
   RwNodeOptions opts;
   std::unique_ptr<RwNode> rw;
-  std::unique_ptr<Checkpointer> ckpt;
 };
 
 void VerifyModel(Harness& h, const std::map<std::string, std::string>& model,
@@ -102,10 +95,10 @@ TEST(CheckpointPropertyTest, RandomSchedulesRecoverToModel) {
         ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
         model.erase(k);
       } else if (dice < 85) {  // one bounded checkpoint increment
-        ASSERT_TRUE(h.ckpt->Step().ok());
-        checkpointed |= h.ckpt->epoch() > 0;
-      } else if (dice < 92) {  // group flush (the RW node's own checkpoint)
-        ASSERT_TRUE(h.rw->FlushGroup().ok());
+        ASSERT_TRUE(h.ckpt()->Step().ok());
+        checkpointed |= h.ckpt()->epoch() > 0;
+      } else if (dice < 92) {  // a whole cut, as a group flush runs it
+        ASSERT_TRUE(h.ckpt()->CheckpointNow().ok());
       } else {  // crash at an arbitrary point — possibly mid-cut
         ASSERT_NO_FATAL_FAILURE({
           Status s = h.CrashAndRecover();
@@ -116,7 +109,7 @@ TEST(CheckpointPropertyTest, RandomSchedulesRecoverToModel) {
       }
     }
     // Drive the cut to a durable manifest, then final crash + recover.
-    ASSERT_TRUE(h.ckpt->CheckpointNow().ok());
+    ASSERT_TRUE(h.ckpt()->CheckpointNow().ok());
     checkpointed = true;
     ASSERT_TRUE(h.CrashAndRecover().ok());
     VerifyModel(h, model, seed, kSteps);
@@ -156,9 +149,9 @@ TEST(CheckpointPropertyTest, StepIsAlwaysSafeToInterleaveWithWrites) {
     const std::string v = "v" + std::to_string(i);
     ASSERT_TRUE(h.rw->Put(k, v).ok());
     model[k] = v;
-    ASSERT_TRUE(h.ckpt->Step().ok()) << i;
+    ASSERT_TRUE(h.ckpt()->Step().ok()) << i;
   }
-  EXPECT_GT(h.ckpt->epoch(), 0u) << "dense stepping must publish manifests";
+  EXPECT_GT(h.ckpt()->epoch(), 0u) << "dense stepping must publish manifests";
   ASSERT_TRUE(h.CrashAndRecover().ok());
   VerifyModel(h, model, seed, 600);
 }
@@ -252,11 +245,14 @@ TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryWriteAckedBeforeTheCut) {
       } else if (dice < 90) {
         const bool was_open = ckpt->CutInProgress();
         const uint64_t epoch = ckpt->epoch();
-        ASSERT_TRUE((dice < 85 ? ckpt->Step() : ckpt->CheckpointNow()).ok())
+        const bool now = dice >= 85;
+        ASSERT_TRUE((now ? ckpt->CheckpointNow() : ckpt->Step()).ok())
             << where;
-        // A cut opened by this call covers every write acked so far.
+        // A cut opened by this call covers every write acked so far, and
+        // CheckpointNow returns with every one of them durable.
         if (!was_open) cut_start = log.size();
         if (ckpt->epoch() > epoch) durable = cut_start;
+        if (now) durable = log.size();
       } else {  // destroy and reopen, possibly mid-cut
         db.reset();
         db = std::make_unique<core::GraphDB>(store.get(), PropertyDbOptions());

@@ -707,8 +707,8 @@ TEST(LockRankTest, GeneratedRankingRespectsWitnessedEdges) {
   // Acquisition orders witnessed by the static pass; regeneration may
   // renumber the constants but must keep these edges strict.
   EXPECT_LT(lock_rank::kBwTreeForest_evict_mu, lock_rank::kOwnerState_mu);
-  EXPECT_LT(lock_rank::kRwNode_flush_mu, lock_rank::kImageStager_mu);
-  EXPECT_LT(lock_rank::kRwNode_flush_mu, lock_rank::kRwNode_ckpt_ptr_mu);
+  EXPECT_LT(lock_rank::kRoNode_mu, lock_rank::kCloudStore_manifest_mu);
+  EXPECT_LT(lock_rank::kRoNode_mu, lock_rank::kCloudStore_topology_mu);
   EXPECT_GT(lock_rank::kBwTreeForest_evict_mu, lock_rank::kUnranked);
 }
 

@@ -1,6 +1,6 @@
 // Failover suite (DESIGN.md §5.10): term-fenced appends, epoch-record CAS
 // promotion, zombie-leader drain, cluster promotion / rolling restart, the
-// checkpoint-cadence autotuner, and the seeded chaos harness. The
+// promotion replay bound, and the seeded chaos harness. The
 // `failover-smoke` CI job runs everything here under asan and tsan
 // (`ctest -L failover`).
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "cloud/cloud_store.h"
 #include "cloud/fault_injector.h"
 #include "common/debug_server.h"
-#include "common/time_source.h"
 #include "replication/chaos.h"
 #include "replication/checkpoint.h"
 #include "replication/cluster.h"
@@ -275,15 +274,13 @@ TEST(WalReaderFencingTest, AdvanceTermDropsStaleHeldBatches) {
 // --- cluster promotion --------------------------------------------------------
 
 struct FailoverFixture {
-  explicit FailoverFixture(int partitions = 2, int followers = 2,
-                           bool checkpointing = false) {
+  explicit FailoverFixture(int partitions = 2, int followers = 2) {
     store = std::make_unique<cloud::CloudStore>();
     ClusterOptions opts;
     opts.partitions = partitions;
     opts.followers_per_partition = followers;
     opts.max_leaf_entries = 32;
     opts.flush_group_pages = 8;
-    opts.checkpointing = checkpointing;
     cluster = std::make_unique<Bg3Cluster>(store.get(), opts);
   }
   std::unique_ptr<cloud::CloudStore> store;
@@ -348,6 +345,37 @@ TEST(ClusterFailoverTest, ZombieWritesAreFencedAndNeverVisible) {
   EXPECT_EQ(f.cluster->fenced_appends(), fenced_total);
 }
 
+TEST(ClusterFailoverTest, ZombieCheckpointPublishesNoImages) {
+  // A deposed leader whose WAL writer has nothing in flight flushes its
+  // pages cleanly; its commit must still publish none of their images, or
+  // they would overwrite the new leader's in the shared mapping table.
+  FailoverFixture f(/*partitions=*/1, /*followers=*/2);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(f.cluster->Put(Key(i), "v1").ok());
+  ASSERT_TRUE(f.cluster->PromoteFollower(0, 0).ok());
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(f.cluster->Put(Key(i), "v2").ok());
+  ASSERT_TRUE(f.cluster->checkpointer(0)->CheckpointNow().ok());
+
+  const std::string scope =
+      WalCheckpointScope(f.store->CreateStream("cluster-p0-wal"));
+  const uint64_t epoch =
+      LoadCheckpoint(f.store.get(), scope).value().manifest.epoch;
+  Checkpointer* zombie = f.cluster->zombie(0)->checkpointer();
+  const Status s = zombie->CheckpointNow();
+  EXPECT_TRUE(s.IsFenced()) << s.ToString();
+  EXPECT_GT(zombie->stats().pages_flushed.Get(), 0u)
+      << "the zombie must get as far as flushing its stale pages";
+  EXPECT_EQ(LoadCheckpoint(f.store.get(), scope).value().manifest.epoch, epoch)
+      << "no manifest from the deposed term";
+
+  // Both recovery paths rebuild from the mapping table: each sees v2.
+  ASSERT_TRUE(f.cluster->CrashAndRecoverLeader(0).ok());
+  ASSERT_TRUE(f.cluster->RestartFollower(0, 1).ok());
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(f.cluster->GetFromLeader(Key(i)).value(), "v2") << i;
+    EXPECT_EQ(f.cluster->follower(0, 1)->Get(1, Key(i)).value(), "v2") << i;
+  }
+}
+
 TEST(ClusterFailoverTest, HealthReportsRolesTermsAndCursors) {
   FailoverFixture f(/*partitions=*/2, /*followers=*/2);
   ASSERT_TRUE(f.cluster->Put(Key(1), "v").ok());
@@ -385,8 +413,7 @@ TEST(ClusterFailoverTest, FreshFollowerBootstrapsAcrossTheEpochBoundary) {
   // A follower starts its checkpoint SeekTo against the old term's manifest
   // while a promotion lands: its first poll crosses the epoch boundary and
   // must deliver the new term's batches without replaying stale ones.
-  FailoverFixture f(/*partitions=*/1, /*followers=*/2,
-                    /*checkpointing=*/true);
+  FailoverFixture f(/*partitions=*/1, /*followers=*/2);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(f.cluster->Put(Key(i), "v1").ok());
   }
@@ -451,8 +478,7 @@ TEST(RollingRestartTest, FollowerRestartPreWarmsFromPeerResidentSet) {
 }
 
 TEST(RollingRestartTest, WholeClusterSurvivesARollingRestart) {
-  FailoverFixture f(/*partitions=*/2, /*followers=*/2,
-                    /*checkpointing=*/true);
+  FailoverFixture f(/*partitions=*/2, /*followers=*/2);
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(f.cluster->Put(Key(i), "v" + std::to_string(i)).ok());
   }
@@ -482,79 +508,40 @@ TEST(RollingRestartTest, WholeClusterSurvivesARollingRestart) {
   }
 }
 
-// --- checkpoint-cadence autotuning --------------------------------------------
+// --- promotion replay bound -------------------------------------------------
 
-TEST(CheckpointAutotuneTest, RuleDerivesIntervalFromObservedRate) {
-  CheckpointerOptions opts;
-  opts.target_suffix_replay_bytes = 1000;
-  opts.min_interval_ms = 2;
-  opts.max_interval_ms = 500;
-  // 1000 bytes over 1 second = 1 byte/ms; 1000-byte target -> 1000 ms,
-  // clamped to max.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 1000, 1'000'000, 20), 500u);
-  // 100x the rate -> 10 ms.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 100'000, 1'000'000, 20), 10u);
-  // Absurd rate clamps at the floor.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 100'000'000, 1'000'000, 20),
-            2u);
-  // No observation (idle stream or zero elapsed) -> fallback, clamped.
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 0, 1'000'000, 20), 20u);
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 1000, 0, 20), 20u);
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(opts, 0, 0, 9999), 500u);
-  // Autotuning off -> fallback untouched.
-  CheckpointerOptions off;
-  off.target_suffix_replay_bytes = 0;
-  EXPECT_EQ(AutotuneCheckpointIntervalMs(off, 1'000'000, 1'000'000, 20), 20u);
-}
-
-TEST(CheckpointAutotuneTest, CheckpointerDerivesCadenceFromManualClock) {
-  cloud::CloudStore store;
-  RwNodeOptions node;
-  node.tree.tree_id = 1;
-  node.tree.max_leaf_entries = 16;
-  node.tree.base_stream = store.CreateStream("base");
-  node.tree.delta_stream = store.CreateStream("delta");
-  node.wal.stream = store.CreateStream("wal");
-  node.flush_group_pages = 1'000'000;
-  node.flush_group_mutations = 1'000'000'000;
-  RwNode rw(&store, node);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rw.Put(Key(i), "warmup").ok());
+TEST(ClusterFailoverTest, MutationTriggerBoundsColdPromotionReplay) {
+  // Every group flush publishes a manifest, so flush_group_mutations bounds
+  // the suffix a cold promotion candidate replays by record count: it stays
+  // flat while the backlog grows 16x.
+  const int scales[3] = {1, 4, 16};
+  uint64_t replayed[3] = {0, 0, 0};
+  uint64_t total[3] = {0, 0, 0};
+  for (int s = 0; s < 3; ++s) {
+    cloud::CloudStore store;
+    ClusterOptions opts;
+    opts.partitions = 1;
+    opts.followers_per_partition = 2;
+    opts.max_leaf_entries = 64;
+    opts.flush_group_pages = 1'000'000;
+    opts.flush_group_mutations = 64;
+    Bg3Cluster cluster(&store, opts);
+    for (int i = 0; i < 400 * scales[s]; ++i) {
+      ASSERT_TRUE(cluster.Put(Key(i), "backlog-payload-backlog").ok());
+    }
+    ASSERT_TRUE(cluster.RestartFollower(0, 0).ok());  // cold candidate
+    RoNode* candidate = cluster.follower(0, 0);
+    ASSERT_TRUE(candidate->PollWal().ok());
+    EXPECT_TRUE(candidate->ResumedFromCheckpoint()) << scales[s];
+    replayed[s] = candidate->WalBytesReplayed();
+    total[s] = store.TotalBytes(store.CreateStream("cluster-p0-wal"));
+    ASSERT_TRUE(cluster.PromoteFollower(0, 0).ok());
+    EXPECT_EQ(cluster.Get(Key(0)).value(), "backlog-payload-backlog");
   }
-
-  ManualTimeSource clock;
-  clock.SetUs(1'000'000);
-  CheckpointerOptions copts;
-  copts.interval_ms = 50;
-  copts.target_suffix_replay_bytes = 1 << 20;
-  copts.min_interval_ms = 1;
-  copts.max_interval_ms = 400;
-  copts.time_source = &clock;
-  Checkpointer ckpt(&store, &rw, copts);
-  EXPECT_EQ(ckpt.effective_interval_ms(), 50u);  // no observation yet
-
-  // The checkpointer sampled (t0, bytes0) at construction; everything
-  // appended from here on is the observed rate.
-  const uint64_t bytes0 = store.TotalBytes(node.wal.stream);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(rw.Put(Key(i), std::string(64, 'x')).ok());
+  EXPECT_GT(total[2], 12 * total[0]) << "the backlog must actually grow";
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_LT(replayed[s], total[0] / 2) << "scale " << scales[s];
   }
-  clock.AdvanceUs(2'000'000);
-  ASSERT_TRUE(ckpt.CheckpointNow().ok());
-
-  const uint64_t observed = store.TotalBytes(node.wal.stream) - bytes0;
-  ASSERT_GT(observed, 0u);
-  const uint64_t expected =
-      AutotuneCheckpointIntervalMs(copts, observed, 2'000'000, 50);
-  EXPECT_EQ(ckpt.effective_interval_ms(), expected);
-  EXPECT_NE(ckpt.effective_interval_ms(), 50u)
-      << "pick rates so the derived cadence differs from the seed value";
-
-  // Idle window: the next publish observes ~no bytes and keeps the cadence
-  // rather than flailing to the max.
-  clock.AdvanceUs(1'000'000);
-  ASSERT_TRUE(ckpt.CheckpointNow().ok());
-  EXPECT_EQ(ckpt.effective_interval_ms(), expected);
 }
 
 // --- chaos harness ------------------------------------------------------------

@@ -23,8 +23,9 @@ std::string Key(int i) {
 }
 
 struct CrashFixture {
-  explicit CrashFixture(size_t flush_group_pages = 8,
-                        size_t max_leaf_entries = 32) {
+  explicit CrashFixture(
+      size_t flush_group_pages = 8, size_t max_leaf_entries = 32,
+      size_t max_pages_per_round = CheckpointerOptions{}.max_pages_per_round) {
     store = std::make_unique<cloud::CloudStore>();
     rw_opts.tree.tree_id = 1;
     rw_opts.tree.max_leaf_entries = max_leaf_entries;
@@ -32,6 +33,7 @@ struct CrashFixture {
     rw_opts.tree.delta_stream = store->CreateStream("delta");
     rw_opts.wal.stream = store->CreateStream("wal");
     rw_opts.flush_group_pages = flush_group_pages;
+    rw_opts.checkpoint.max_pages_per_round = max_pages_per_round;
     rw = std::make_unique<RwNode>(store.get(), rw_opts);
   }
 
@@ -281,7 +283,7 @@ TEST(RecoveryCheckpointTest, CrashBetweenManifestPutAndTruncationAdvance) {
   // Publish a durable checkpoint but crash before the truncation advance
   // (truncate_wal off models exactly that window: manifest durable, WAL
   // prefix still present).
-  Checkpointer ckpt(f.store.get(), f.rw.get());
+  Checkpointer& ckpt = *f.rw->checkpointer();
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   ASSERT_GT(ckpt.epoch(), 0u);
   const uint64_t wal_total = f.store->TotalBytes(f.rw_opts.wal.stream);
@@ -322,13 +324,12 @@ TEST(RecoveryCheckpointTest, CrashAfterTruncationAdvanceStillRecovers) {
   opts.tree.delta_stream = store->CreateStream("delta");
   opts.wal.stream = store->CreateStream("wal");
   opts.flush_group_pages = 8;
+  opts.checkpoint.truncate_wal = true;
   auto rw = std::make_unique<RwNode>(store.get(), opts);
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(rw->Put(Key(i), "pre-truncate").ok());
   }
-  CheckpointerOptions copts2;
-  copts2.truncate_wal = true;
-  Checkpointer ckpt(store.get(), rw.get(), copts2);
+  Checkpointer& ckpt = *rw->checkpointer();
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   EXPECT_GT(ckpt.stats().wal_extents_truncated.Get(), 0u)
       << "test must actually exercise a truncated prefix";
@@ -348,9 +349,10 @@ TEST(RecoveryCheckpointTest, CrashAfterTruncationAdvanceStillRecovers) {
 }
 
 TEST(RecoveryCheckpointTest, TornManifestHeadFallsBackToPreviousCheckpoint) {
-  CrashFixture f;
+  // No group flush: the two explicit cuts are the only manifests.
+  CrashFixture f(/*flush_group_pages=*/1'000'000);
   const std::string scope = WalCheckpointScope(f.rw_opts.wal.stream);
-  Checkpointer ckpt(f.store.get(), f.rw.get());
+  Checkpointer& ckpt = *f.rw->checkpointer();
 
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "epoch1").ok());
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
@@ -367,25 +369,28 @@ TEST(RecoveryCheckpointTest, TornManifestHeadFallsBackToPreviousCheckpoint) {
   EXPECT_TRUE(loaded.value().fell_back);
   EXPECT_EQ(loaded.value().manifest.epoch, epoch1);
 
-  // Recovery still serves everything: the older checkpoint plus a longer
-  // WAL suffix replay covers the full acknowledged state.
-  f.Crash();
-  ASSERT_TRUE(f.Recover().ok());
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "epoch1");
-  for (int i = 100; i < 200; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "epoch2");
-
+  // A follower bootstrapping now falls back the same way. (It bootstraps
+  // before the crash: the recovered node's own cut republishes the slot.)
   RoNodeOptions ro_opts;
   ro_opts.wal_stream = f.rw_opts.wal.stream;
   RoNode follower(f.store.get(), ro_opts);
   ASSERT_TRUE(follower.PollWal().ok());
   EXPECT_TRUE(follower.ResumedFromCheckpoint());
   EXPECT_TRUE(follower.CheckpointFellBack());
+
+  // Recovery still serves everything: the older checkpoint plus a longer
+  // WAL suffix replay covers the full acknowledged state.
+  f.Crash();
+  ASSERT_TRUE(f.Recover().ok());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "epoch1");
+  for (int i = 100; i < 200; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "epoch2");
+  for (int i = 0; i < 200; ++i) EXPECT_TRUE(follower.Get(1, Key(i)).ok()) << i;
 }
 
 TEST(RecoveryCheckpointTest, BothSlotsTornFallsBackToFullReplay) {
   CrashFixture f;
   const std::string scope = WalCheckpointScope(f.rw_opts.wal.stream);
-  Checkpointer ckpt(f.store.get(), f.rw.get());
+  Checkpointer& ckpt = *f.rw->checkpointer();
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "a").ok());
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   for (int i = 100; i < 200; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "b").ok());
@@ -395,16 +400,18 @@ TEST(RecoveryCheckpointTest, BothSlotsTornFallsBackToFullReplay) {
   f.store->ManifestPut(CheckpointSlotKey(scope, 1), "torn");
   EXPECT_TRUE(LoadCheckpoint(f.store.get(), scope).status().IsNotFound());
 
-  f.Crash();
-  ASSERT_TRUE(f.Recover().ok());  // full-WAL replay path
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "a");
-  for (int i = 100; i < 200; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "b");
-
+  // A follower bootstrapping now replays the full WAL. (It bootstraps
+  // before the crash: the recovered node's own cut publishes a new slot.)
   RoNodeOptions ro_opts;
   ro_opts.wal_stream = f.rw_opts.wal.stream;
   RoNode follower(f.store.get(), ro_opts);
   ASSERT_TRUE(follower.PollWal().ok());
   EXPECT_FALSE(follower.ResumedFromCheckpoint());
+
+  f.Crash();
+  ASSERT_TRUE(f.Recover().ok());  // full-WAL replay path
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "a");
+  for (int i = 100; i < 200; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "b");
 }
 
 TEST(RecoveryCheckpointTest, CrashAfterEveryCheckpointStep) {
@@ -412,15 +419,14 @@ TEST(RecoveryCheckpointTest, CrashAfterEveryCheckpointStep) {
   // intermediate state (cut open, images partially published, manifest
   // committed) must recover to the full acknowledged state.
   for (int crash_after = 1; crash_after <= 6; ++crash_after) {
-    CrashFixture f(/*flush_group_pages=*/1'000'000, /*max_leaf_entries=*/8);
+    // Two pages per round: many steps per cut.
+    CrashFixture f(/*flush_group_pages=*/1'000'000, /*max_leaf_entries=*/8,
+                   /*max_pages_per_round=*/2);
     for (int i = 0; i < 120; ++i) {
       ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
     }
-    CheckpointerOptions copts;
-    copts.max_pages_per_round = 2;  // many steps per cut
-    Checkpointer ckpt(f.store.get(), f.rw.get(), copts);
     for (int s = 0; s < crash_after; ++s) {
-      ASSERT_TRUE(ckpt.Step().ok()) << "step " << s;
+      ASSERT_TRUE(f.rw->checkpointer()->Step().ok()) << "step " << s;
     }
     f.Crash();
     ASSERT_TRUE(f.Recover().ok()) << "crash_after=" << crash_after;

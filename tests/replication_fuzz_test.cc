@@ -98,7 +98,7 @@ TEST_P(ReplicationFuzzTest, RoAlwaysMatchesModel) {
         EXPECT_EQ(out[j].value, expected[j].second);
       }
     } else if (action < 93) {
-      ASSERT_TRUE(rw->FlushGroup().ok());
+      ASSERT_TRUE(rw->checkpointer()->CheckpointNow().ok());
     } else if (action < 95) {
       ro.CompactPendingLogs();
     } else if (action < 96) {

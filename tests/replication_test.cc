@@ -157,12 +157,12 @@ TEST(RwRoSyncTest, RoSeesWritesAfterGroupFlushAndCheckpoint) {
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE(f.rw->FlushGroup().ok());
+  ASSERT_TRUE(f.rw->checkpointer()->CheckpointNow().ok());
   for (int i = 0; i < 300; ++i) {
     EXPECT_EQ(f.ro->Get(1, Key(i)).value(), "v" + std::to_string(i)) << i;
   }
   // Checkpoints let the RO discard replay log entries.
-  EXPECT_GT(f.rw->last_checkpoint_lsn(), 0u);
+  EXPECT_GT(f.rw->checkpointer()->published_lsn(), 0u);
   BG3_IGNORE_STATUS(f.ro->PollWal());
   EXPECT_EQ(f.ro->PendingRecordCount(), 0u);
 }
@@ -356,7 +356,7 @@ TEST(RwRoSyncTest, MutationPressureTriggersCheckpoints) {
   for (int i = 0; i < 20'000; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i % 64), "v" + std::to_string(i)).ok());
   }
-  EXPECT_GT(f.rw->last_checkpoint_lsn(), 0u);
+  EXPECT_GT(f.rw->checkpointer()->published_lsn(), 0u);
   BG3_IGNORE_STATUS(f.ro->PollWal());
   EXPECT_LT(f.ro->PendingRecordCount(), 10'000u);
   for (int i = 0; i < 64; ++i) EXPECT_TRUE(f.ro->Get(1, Key(i)).ok());
@@ -379,12 +379,52 @@ TEST(RwRoSyncTest, CheckpointDoesNotStalenessCachedPages) {
   // New writes to the same page, then a checkpoint that discards them.
   for (int i = 1; i < 50; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "v").ok());
   ASSERT_TRUE(f.rw->Put(Key(0), "updated").ok());
-  ASSERT_TRUE(f.rw->FlushGroup().ok());
+  ASSERT_TRUE(f.rw->checkpointer()->CheckpointNow().ok());
   // The cached page must reflect everything the checkpoint covered.
   EXPECT_EQ(f.ro->Get(1, Key(0)).value(), "updated");
   for (int i = 1; i < 50; ++i) {
     EXPECT_TRUE(f.ro->Get(1, Key(i)).ok()) << i;
   }
+}
+
+// Group flushes triggered on several writer threads cut while the other
+// writers split pages. A follower bootstrapping from whatever manifest is
+// current must rebuild every page: a parent's post-split image never
+// publishes without its new sibling's.
+TEST(RwRoSyncTest, ConcurrentGroupFlushesPublishRebuildableImages) {
+  ReplFixture f(/*flush_group_pages=*/4, /*max_leaf_entries=*/8);
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 400;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&f, t] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        EXPECT_TRUE(f.rw->Put(Key(i * kWriters + t), "v").ok());
+      }
+    });
+  }
+  RoNodeOptions ro_opts;
+  ro_opts.wal_stream = f.wal_stream;
+  std::atomic<bool> done{false};
+  std::atomic<int> corrupt{0};
+  std::thread bootstrapper([&] {
+    while (!done.load()) {
+      RoNode fresh(f.store.get(), ro_opts);
+      for (int i = 0; i < kWriters * kPerWriter; i += 7) {
+        if (fresh.Get(1, Key(i)).status().IsCorruption()) corrupt.fetch_add(1);
+      }
+    }
+  });
+  for (auto& w : writers) w.join();
+  done.store(true);
+  bootstrapper.join();
+  EXPECT_EQ(corrupt.load(), 0);
+
+  RoNode fresh(f.store.get(), ro_opts);
+  for (int i = 0; i < kWriters * kPerWriter; ++i) {
+    EXPECT_EQ(fresh.Get(1, Key(i)).value(), "v") << i;
+  }
+  EXPECT_TRUE(fresh.ResumedFromCheckpoint());
 }
 
 // --- shared-latch fast reads (min_poll_gap_us > 0) ---------------------------

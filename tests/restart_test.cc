@@ -35,8 +35,10 @@ std::string Key(int i) {
 }
 
 struct RestartFixture {
-  explicit RestartFixture(size_t extent_capacity = 1 << 16,
-                          int max_attempts = RetryOptions{}.max_attempts) {
+  explicit RestartFixture(
+      size_t extent_capacity = 1 << 16,
+      int max_attempts = RetryOptions{}.max_attempts,
+      size_t max_pages_per_round = CheckpointerOptions{}.max_pages_per_round) {
     cloud::CloudStoreOptions copts;
     copts.extent_capacity = extent_capacity;
     copts.retry.max_attempts = max_attempts;
@@ -48,13 +50,13 @@ struct RestartFixture {
     opts.node.wal.stream = store->CreateStream("wal");
     opts.node.flush_group_pages = 1'000'000;  // checkpointer flushes, not GC
     opts.node.flush_group_mutations = 1'000'000'000;
+    opts.node.checkpoint.max_pages_per_round = max_pages_per_round;
     rw = std::make_unique<RwNode>(store.get(), opts.node);
   }
 
   void Checkpoint() {
-    Checkpointer ckpt(store.get(), rw.get());
-    ASSERT_TRUE(ckpt.CheckpointNow().ok());
-    ASSERT_GT(ckpt.epoch(), 0u);
+    ASSERT_TRUE(rw->checkpointer()->CheckpointNow().ok());
+    ASSERT_GT(rw->checkpointer()->epoch(), 0u);
   }
 
   void Crash() { rw.reset(); }
@@ -263,13 +265,12 @@ INSTANTIATE_TEST_SUITE_P(AllBoundaries, CrashPointScheduleTest,
                          });
 
 TEST(CrashPointScheduleTest, MidCheckpointFaultKeepsCutOpenThenPublishes) {
-  RestartFixture f(1 << 16, /*max_attempts=*/1);  // faults hit, not absorbed
+  // Faults hit, not absorbed; two pages per round.
+  RestartFixture f(1 << 16, /*max_attempts=*/1, /*max_pages_per_round=*/2);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v").ok());
   }
-  CheckpointerOptions copts;
-  copts.max_pages_per_round = 2;
-  Checkpointer ckpt(f.store.get(), f.rw.get(), copts);
+  Checkpointer& ckpt = *f.rw->checkpointer();
   ASSERT_TRUE(ckpt.Step().ok());  // begin the cut
   ASSERT_TRUE(ckpt.CutInProgress());
 
@@ -570,7 +571,6 @@ TEST(ClusterCheckpointTest, LeaderRecoveryResumesFromCheckpoint) {
   ClusterOptions opts;
   opts.partitions = 2;
   opts.followers_per_partition = 1;
-  opts.checkpointing = true;
   Bg3Cluster cluster(&store, opts);
   ASSERT_NE(cluster.checkpointer(0), nullptr);
   ASSERT_NE(cluster.checkpointer(1), nullptr);
@@ -613,11 +613,46 @@ TEST(ClusterCheckpointTest, LeaderRecoveryResumesFromCheckpoint) {
   }
 }
 
+TEST(ClusterCheckpointTest, FlushAllLeavesNoMutationToReplay) {
+  // FlushAll is a checkpoint on every leader: leader recovery and a
+  // restarted follower resume from its manifest and replay no mutation.
+  cloud::CloudStore store;
+  ClusterOptions opts;
+  opts.partitions = 2;
+  opts.followers_per_partition = 2;
+  Bg3Cluster cluster(&store, opts);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(cluster.Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(cluster.FlushAll().ok());
+  for (int p = 0; p < cluster.partitions(); ++p) {
+    // RwNode::Recover materializes its tree through an RO view built
+    // exactly like this one.
+    RoNodeOptions ro;
+    ro.wal_stream = cluster.leader(p)->options().wal.stream;
+    ro.cache_capacity_pages = ~0ull;
+    RoNode view(&store, ro);
+    ASSERT_TRUE(view.PollWal().ok());
+    EXPECT_TRUE(view.ResumedFromCheckpoint()) << p;
+    EXPECT_EQ(view.stats().wal_mutations.Get(), 0u) << p;
+    ASSERT_TRUE(cluster.CrashAndRecoverLeader(p).ok()) << p;
+
+    ASSERT_TRUE(cluster.RestartFollower(p, 1).ok()) << p;
+    RoNode* follower = cluster.follower(p, 1);
+    ASSERT_TRUE(follower->PollWal().ok());
+    EXPECT_TRUE(follower->ResumedFromCheckpoint()) << p;
+    EXPECT_EQ(follower->stats().wal_mutations.Get(), 0u) << p;
+  }
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(cluster.GetFromLeader(Key(i)).value(), "v" + std::to_string(i));
+    EXPECT_EQ(cluster.Get(Key(i)).value(), "v" + std::to_string(i));
+  }
+}
+
 TEST(ClusterCheckpointTest, BackgroundCheckpointersRunUnderLoad) {
   cloud::CloudStore store;
   ClusterOptions opts;
   opts.partitions = 2;
-  opts.checkpointing = true;
   opts.checkpointer.interval_ms = 1;
   Bg3Cluster cluster(&store, opts);
   cluster.StartCheckpointers();
@@ -641,13 +676,35 @@ TEST(ClusterCheckpointTest, BackgroundCheckpointersRunUnderLoad) {
   }
 }
 
-TEST(ClusterCheckpointTest, CheckpointingOffMeansNoCheckpointer) {
+TEST(ClusterCheckpointTest, CheckpointerFollowsTheLeader) {
+  // Every leader owns its checkpointer. Promotion stops the deposed
+  // leader's thread and the new leader arrives with its own, already
+  // checkpointed by its install-time cut.
   cloud::CloudStore store;
   ClusterOptions opts;
+  opts.partitions = 1;
+  opts.followers_per_partition = 2;
+  opts.checkpointer.interval_ms = 1;
   Bg3Cluster cluster(&store, opts);
-  EXPECT_EQ(cluster.checkpointer(0), nullptr);
-  cluster.StartCheckpointers();  // no-op, must not crash
+  Checkpointer* first = cluster.checkpointer(0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first, cluster.leader(0)->checkpointer());
+  cluster.StartCheckpointers();
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(cluster.Put(Key(i), "v").ok());
+
+  ASSERT_TRUE(cluster.PromoteFollower(0, 0).ok());
+  ASSERT_NE(cluster.zombie(0), nullptr);
+  EXPECT_EQ(cluster.zombie(0)->checkpointer(), first);
+  ASSERT_NE(cluster.checkpointer(0), first);
+  EXPECT_GT(cluster.checkpointer(0)->published_lsn(), 0u);
+
+  // The zombie's tree still moves, but no cut starts on it any more.
+  const uint64_t cuts = first->stats().cuts_started.Get();
+  BG3_IGNORE_STATUS(cluster.zombie(0)->Put(Key(0), "zombie"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(first->stats().cuts_started.Get(), cuts);
   cluster.StopCheckpointers();
+  EXPECT_EQ(cluster.GetFromLeader(Key(0)).value(), "v");
 }
 
 }  // namespace
