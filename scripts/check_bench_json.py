@@ -39,6 +39,7 @@ KNOWN_LAYERS = {
 # Per-bench structural expectations, keyed by the JSON's "bench" name.
 # `series`: names that must each appear in at least one row;
 # `scalars`: (name, min_value) pairs that must be present and >= min;
+# `scalar_max`: (name, max_value) pairs that must be present and <= max;
 # `scalar_order`: (smaller, larger) pairs — both must be present and
 # smaller <= larger (pins orderings like "workload-aware GC costs no more
 # than FIFO" without hard-coding machine-dependent absolute dollars).
@@ -70,6 +71,10 @@ BENCH_EXPECTATIONS = {
         # series rows for inspection.
         "scalars": [("replay_savings_16x", 0.5),
                     ("full_vs_checkpoint_replay_ratio_16x", 4.0)],
+        # RwNode::Recover reads the WAL suffix and the pages it touched,
+        # and installs every other page demand-paged: its storage reads at
+        # 16x base volume stay within 1.5x of those at 1x (same suffix).
+        "scalar_max": [("recover_reads_growth_16x_over_1x", 1.5)],
     },
     "failover": {
         "series": ["checkpointed", "full_replay"],
@@ -178,6 +183,13 @@ def check_bench(path):
                     scalars[name] < minimum:
                 fail(path, f"scalar {name}={scalars[name]!r} below "
                            f"required minimum {minimum}")
+        for name, maximum in expect.get("scalar_max", []):
+            if name not in scalars:
+                fail(path, f"expected scalar '{name}' missing")
+            elif not isinstance(scalars[name], (int, float)) or \
+                    scalars[name] > maximum:
+                fail(path, f"scalar {name}={scalars[name]!r} above "
+                           f"allowed maximum {maximum}")
         for smaller, larger in expect.get("scalar_order", []):
             missing = [n for n in (smaller, larger) if n not in scalars]
             if missing:

@@ -52,6 +52,7 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
     return Status::InvalidArgument("last page must cover the key space end");
   }
   PageId max_id = 0;
+  std::vector<PageId> non_resident;
   for (size_t i = 0; i < pages.size(); ++i) {
     RecoveredPage& rp = pages[i];
     if (rp.id == kInvalidPage) return Status::InvalidArgument("bad page id");
@@ -87,6 +88,7 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
         // Metadata-only install: the first read (or the warm sweep)
         // demand-loads the base image via EnsureResidentLocked.
         page->resident = false;
+        non_resident.push_back(rp.id);
       }
     }
     max_id = std::max(max_id, rp.id);
@@ -97,6 +99,10 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
   PageId cur = page_id_source_->load(std::memory_order_relaxed);
   while (cur <= max_id && !page_id_source_->compare_exchange_weak(
                               cur, max_id + 1, std::memory_order_relaxed)) {
+  }
+  if (!non_resident.empty()) {
+    restore_queue_ = std::make_unique<RestoreQueue>();
+    restore_queue_->ids = std::move(non_resident);
   }
   return Status::OK();
 }
@@ -298,6 +304,19 @@ Result<size_t> BwTree::WarmPage(PageId id, const OpContext* ctx) {
   return bytes;
 }
 
+Result<size_t> BwTree::WarmRestoredPages(size_t max, uint64_t* bytes_read) {
+  if (restore_queue_ == nullptr) return size_t{0};
+  RestoreQueue& q = *restore_queue_;
+  std::lock_guard<std::mutex> lock(q.mu);
+  for (size_t warmed = 0; q.next < q.ids.size() && warmed < max; ++warmed) {
+    auto bytes = WarmPage(q.ids[q.next]);
+    BG3_RETURN_IF_ERROR(bytes.status());  // stays queued: the next call retries
+    if (bytes_read != nullptr) *bytes_read += bytes.value();
+    ++q.next;
+  }
+  return q.ids.size() - q.next;
+}
+
 size_t BwTree::EvictColdPages(size_t target_resident) {
   // Collect eviction candidates: resident, clean, with a flushed base image
   // (or nothing to lose), coldest first. Shared latches — the scan races
@@ -414,7 +433,6 @@ Status BwTree::ConsolidateLocked(LeafPage* leaf, const OpContext* ctx) {
 }
 
 Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
-  if (!opts_.allow_split) return Status::OK();
   size_t chain_entries = 0;
   for (const auto& d : leaf->chain) chain_entries += d.entries.size();
   if ((leaf->resident ? leaf->base_entries.size() : 0) + chain_entries <=

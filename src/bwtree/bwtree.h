@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,6 @@ struct BwTreeOptions {
   uint32_t consolidate_threshold = 10;
   /// Split a leaf once its merged entry count exceeds this.
   size_t max_leaf_entries = 256;
-  bool allow_split = true;  ///< Fig. 9/10 restrict splitting for fairness.
   ReadCacheMode read_cache = ReadCacheMode::kFull;
   FlushMode flush_mode = FlushMode::kSync;
   /// Treat reads hitting freed extents as absent data instead of IOError
@@ -106,9 +106,10 @@ struct RecoveredPage {
   /// the WAL suffix touched — bounded restart instead of O(DB).
   bool clean = false;
   /// Install with content materialized (the default). False installs only
-  /// the metadata + base_ptr; the first access demand-loads the base image
-  /// (checkpoint restore: reads go live before the warm sweep finishes).
-  /// Requires `clean` with a non-null base_ptr.
+  /// the metadata + base_ptr; the first access (or the tree's warm sweep,
+  /// BwTree::WarmRestoredPages) demand-loads the base image, so reads go
+  /// live before every page is fetched. Requires `clean` with a non-null
+  /// base_ptr.
   bool resident = true;
 };
 
@@ -213,13 +214,22 @@ class BwTree {
   /// `bootstrap = true`. Pages must tile the key space (first low_key empty,
   /// contiguous ranges). Pages not marked `clean` come up dirty so the next
   /// group flush republishes fresh images; clean pages keep their published
-  /// image authoritative. Call once, before any other operation.
+  /// image authoritative. Pages installed non-resident join the tree's
+  /// restore queue (WarmRestoredPages). Call once, before any other
+  /// operation.
   Status InstallRecoveredPages(std::vector<RecoveredPage> pages);
 
-  /// Materializes one non-resident page (checkpoint-restore warm sweep or
-  /// restore-priority queue). Returns the storage bytes read — 0 if the
-  /// page was already resident (demand reads may win the race).
+  /// Materializes one non-resident page. Returns the storage bytes read —
+  /// 0 if the page was already resident (demand reads may win the race).
   Result<size_t> WarmPage(PageId id, const OpContext* ctx = nullptr);
+
+  /// The restore warm sweep: materializes up to `max` pages off the queue
+  /// of pages InstallRecoveredPages installed non-resident, in key order,
+  /// and returns how many queue entries remain (0 = every restored page
+  /// has been fetched; `max` 0 just counts). Demand reads warm their own
+  /// pages meanwhile. Adds the storage bytes read to `*bytes_read` when
+  /// given. A failed fetch stays queued and is retried by the next call.
+  Result<size_t> WarmRestoredPages(size_t max, uint64_t* bytes_read = nullptr);
 
   // --- space-reclamation support (GC, §3.3) --------------------------------
 
@@ -331,6 +341,16 @@ class BwTree {
   std::atomic<Lsn>* lsn_source_;
   std::atomic<PageId>* page_id_source_;
   std::atomic<uint64_t>* tick_source_;
+
+  /// Pages InstallRecoveredPages installed non-resident, and the warm
+  /// sweep's cursor into them. Null unless a restore installed any (one
+  /// pointer per tree: forests hold many trees).
+  struct RestoreQueue {
+    std::mutex mu;  ///< serializes sweeps; held across each fetch.
+    std::vector<PageId> ids;  ///< fixed at install.
+    size_t next = 0;          ///< guarded by mu.
+  };
+  std::unique_ptr<RestoreQueue> restore_queue_;
 };
 
 }  // namespace bg3::bwtree

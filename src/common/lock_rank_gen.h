@@ -28,6 +28,7 @@
 //   OwnerState::mu -> Stream::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   RoNode::mu_ -> CloudStore::manifest_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
 //   RoNode::mu_ -> CloudStore::topology_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
+//   RoNode::mu_ -> Stream::mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::ExportTree -> TotalBytes()]
 
 #ifndef BG3_COMMON_LOCK_RANK_GEN_H_
 #define BG3_COMMON_LOCK_RANK_GEN_H_

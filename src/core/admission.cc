@@ -28,8 +28,9 @@ AdmissionController::AdmissionController(const AdmissionOptions& options)
   state(OpClass::kRead).queue_cap = opts_.read_queue;
   state(OpClass::kWrite).slots = opts_.write_slots;
   state(OpClass::kWrite).queue_cap = opts_.write_queue;
-  state(OpClass::kBackground).slots = opts_.background_slots;
-  state(OpClass::kBackground).queue_cap = opts_.background_queue;
+  // Background work is internal and never bursty: a small fixed share.
+  state(OpClass::kBackground).slots = 4;
+  state(OpClass::kBackground).queue_cap = 8;
 }
 
 Status AdmissionController::Admit(OpClass cls, const OpContext* ctx,

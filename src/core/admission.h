@@ -43,17 +43,16 @@ struct AdmissionOptions {
   /// tests and benches get without opting in.
   bool enabled = false;
 
-  /// Concurrent in-flight ops per class. 0 = unlimited for that class.
+  /// Concurrent in-flight reads / writes. 0 = unlimited for that class.
+  /// Background work always gets 4 slots and 8 queued waiters.
   size_t read_slots = 64;
   size_t write_slots = 32;
-  size_t background_slots = 4;
 
   /// Waiters allowed per class once slots are full; arrivals beyond this
   /// are shed immediately with Overloaded (bounded queues are the whole
   /// point — an unbounded queue converts overload into latency collapse).
   size_t read_queue = 128;
   size_t write_queue = 64;
-  size_t background_queue = 8;
 
   /// Queue waits poll at this granularity so deadlines driven by a
   /// ManualTimeSource still fire (a condition variable cannot watch a

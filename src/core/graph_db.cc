@@ -13,6 +13,9 @@ namespace bg3::core {
 
 namespace {
 
+/// Restored pages per tree the maintenance thread warms each tick.
+constexpr size_t kWarmPagesPerTick = 32;
+
 /// The admission controller's queue-wait clock defaults to the DB's own
 /// time source, so benches driving a ManualTimeSource get consistent
 /// service-time estimates.
@@ -94,20 +97,13 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   }
   vertex_opts.bootstrap = !vertex_pages.empty();
   vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
-  if (vertex_opts.bootstrap) {
-    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> warm;
-    for (const auto& rp : vertex_pages) {
-      if (!rp.resident) warm.emplace_back(kVertexTreeId, rp.id);
-    }
-    if (vertex_tree_->InstallRecoveredPages(std::move(vertex_pages)).ok()) {
-      warm_queue_.insert(warm_queue_.end(), warm.begin(), warm.end());
-    } else {
-      // Unusable layout (e.g. a crash tore a split's image pair): fall back
-      // to a fresh tree — the vertex data beyond the last coherent images
-      // is past the restore horizon.
-      vertex_opts.bootstrap = false;
-      vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
-    }
+  if (vertex_opts.bootstrap &&
+      !vertex_tree_->InstallRecoveredPages(std::move(vertex_pages)).ok()) {
+    // Unusable layout (e.g. a crash tore a split's image pair): fall back
+    // to a fresh tree — the vertex data beyond the last coherent images is
+    // past the restore horizon.
+    vertex_opts.bootstrap = false;
+    vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
   }
 
   forest::ForestOptions forest_opts = opts_.forest;
@@ -124,17 +120,10 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   if (restoring) init_pages = LoadTreeImages(0);
   forest_opts.bootstrap_init = !init_pages.empty();
   forest_ = std::make_unique<forest::BwTreeForest>(store_, forest_opts);
-  if (forest_opts.bootstrap_init) {
-    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> warm;
-    for (const auto& rp : init_pages) {
-      if (!rp.resident) warm.emplace_back(0, rp.id);
-    }
-    if (forest_->InstallInitPages(std::move(init_pages)).ok()) {
-      warm_queue_.insert(warm_queue_.end(), warm.begin(), warm.end());
-    } else {
-      forest_opts.bootstrap_init = false;
-      forest_ = std::make_unique<forest::BwTreeForest>(store_, forest_opts);
-    }
+  if (forest_opts.bootstrap_init &&
+      !forest_->InstallInitPages(std::move(init_pages)).ok()) {
+    forest_opts.bootstrap_init = false;
+    forest_ = std::make_unique<forest::BwTreeForest>(store_, forest_opts);
   }
   if (restoring) RestoreFromManifest(restore_manifest);
 
@@ -270,11 +259,10 @@ void GraphDB::StartMaintenance(uint64_t interval_ms) {
       if (maint_stop_) return;
       lock.unlock();
       // Best-effort background cycle; failures surface via gc stats and the
-      // next foreground RunGcCycle caller. Restore warming keeps its queue
-      // entry on failure, so the next tick retries it.
+      // next foreground RunGcCycle caller. A failed restore warm stays
+      // queued, so the next tick retries it.
       BG3_IGNORE_STATUS(RunGcCycle());
-      BG3_IGNORE_STATUS(
-          WarmRestoredPages(opts_.checkpoint.warm_pages_per_cycle).status());
+      BG3_IGNORE_STATUS(WarmRestoredPages(kWarmPagesPerTick).status());
       lock.lock();
     }
   });
@@ -311,18 +299,7 @@ std::vector<bwtree::RecoveredPage> GraphDB::LoadTreeImages(
       // resurrecting a partial layout.
       return {};
     }
-    bwtree::RecoveredPage rp;
-    rp.id = page;
-    rp.low_key = meta.low_key;
-    rp.high_key = meta.high_key;
-    rp.has_high_key = meta.has_high_key;
-    rp.last_lsn = meta.flushed_lsn;
-    rp.base_ptr = meta.base_ptr;
-    rp.clean = true;
-    // Demand-paged install whenever there is an image to demand; a null
-    // base pointer means the page flushed empty — install it resident.
-    rp.resident = meta.base_ptr.IsNull();
-    pages.push_back(std::move(rp));
+    pages.push_back(replication::RecoveredPageFromImage(page, meta));
   }
   // Images of a cut that never reached its manifest may sit past the
   // manifest's LSN; they are installed all the same.
@@ -339,13 +316,7 @@ void GraphDB::RestoreFromManifest(
     rec.entry_count = owner.entry_count;
     std::vector<bwtree::RecoveredPage> pages;
     if (rec.tree_id != 0) pages = LoadTreeImages(rec.tree_id);
-    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> warm;
-    for (const auto& rp : pages) {
-      if (!rp.resident) warm.emplace_back(rec.tree_id, rp.id);
-    }
-    if (forest_->RestoreOwner(rec, std::move(pages)).ok()) {
-      warm_queue_.insert(warm_queue_.end(), warm.begin(), warm.end());
-    } else {
+    if (!forest_->RestoreOwner(rec, std::move(pages)).ok()) {
       // Dedicated layout unusable: restore the owner empty, INIT-resident.
       BG3_IGNORE_STATUS(forest_->RestoreOwner(rec, {}));
     }
@@ -423,24 +394,18 @@ Status GraphDB::CommitCheckpoint(bwtree::Lsn cut_lsn,
 }
 
 Result<size_t> GraphDB::WarmRestoredPages(size_t max) {
-  std::lock_guard<std::mutex> lock(warm_mu_);
-  size_t warmed = 0;
-  while (warm_next_ < warm_queue_.size() && warmed < max) {
-    const auto& [tree_id, page_id] = warm_queue_[warm_next_];
-    bwtree::BwTree* tree = resolver_->Resolve(tree_id);
-    if (tree != nullptr) {
-      auto bytes = tree->WarmPage(page_id);
-      if (bytes.ok()) {
-        ckpt_replay_bytes_.Add(bytes.value());
-      } else if (!bytes.status().IsNotFound()) {
-        // Leave the entry in place; the next drain retries it.
-        return bytes.status();
-      }
-    }
-    ++warm_next_;
-    ++warmed;
+  if (!restored_from_checkpoint_) return size_t{0};
+  std::vector<bwtree::BwTree*> trees = {vertex_tree_.get()};
+  forest_->AppendTrees(&trees);
+  size_t remaining = 0;
+  for (bwtree::BwTree* tree : trees) {
+    uint64_t bytes = 0;
+    auto left = tree->WarmRestoredPages(max, &bytes);
+    ckpt_replay_bytes_.Add(bytes);
+    BG3_RETURN_IF_ERROR(left.status());
+    remaining += left.value();
   }
-  return warm_queue_.size() - warm_next_;
+  return remaining;
 }
 
 bool GraphDB::EdgeExpired(graph::TimestampUs created_us) const {

@@ -79,7 +79,7 @@ class GraphDB : public graph::GraphEngine,
   Status RunGcCycle();
 
   /// Starts a background thread running, every `interval_ms`, RunGcCycle
-  /// and a restore-queue warm of checkpoint.warm_pages_per_cycle pages.
+  /// and a restore warm of up to 32 pages per tree.
   /// Idempotent; stopped automatically at destruction.
   void StartMaintenance(uint64_t interval_ms);
   /// Stops the background maintenance thread (blocks until joined).
@@ -93,10 +93,10 @@ class GraphDB : public graph::GraphEngine,
   /// options.checkpoint.enabled.
   replication::Checkpointer* checkpointer() { return checkpointer_.get(); }
 
-  /// Warms up to `max` pages off the restore-priority queue (demand reads
-  /// warm their own pages concurrently; StartMaintenance drains it in the
-  /// background); returns how many queue entries remain. 0 = restore fully
-  /// materialized.
+  /// Warms up to `max` restored pages of each tree (each tree's
+  /// BwTree::WarmRestoredPages; demand reads warm their own pages
+  /// concurrently, StartMaintenance drains them in the background); returns
+  /// how many remain queued. 0 = restore fully materialized.
   Result<size_t> WarmRestoredPages(size_t max);
 
   /// True when construction found a usable "db" checkpoint manifest and
@@ -231,12 +231,6 @@ class GraphDB : public graph::GraphEngine,
   /// Leaf count per tree at cut begin — trees absent here were born during
   /// the cut. Touched only by the checkpointer's (serialized) calls.
   std::unordered_map<bwtree::TreeId, size_t> cut_leaves_;
-
-  /// Restore-priority queue: every non-resident page installed at restore,
-  /// drained by WarmRestoredPages (maintenance thread or tests).
-  std::mutex warm_mu_;
-  std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> warm_queue_;
-  size_t warm_next_ = 0;
 
   bool restored_from_checkpoint_ = false;
   bool checkpoint_fell_back_ = false;

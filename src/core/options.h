@@ -75,17 +75,13 @@ struct GraphDBOptions {
   /// pages: reads go live at checkpoint consistency after a bounded amount
   /// of I/O, independent of database size. Durability is
   /// checkpoint-granular — the WAL that narrows the loss window to the
-  /// replayed suffix lives in the replication layer (RwNode/RwRestart).
+  /// replayed suffix lives in the replication layer (RwNode::Recover).
   struct CheckpointPolicy {
     bool enabled = false;
     /// Checkpointer thread cadence (checkpointer()->Start()).
     uint64_t interval_ms = 200;
     /// Dirty pages flushed per checkpointer Step — the increment size.
     size_t max_pages_per_cycle = 64;
-    /// Pages the maintenance thread rewarms per tick after a restore (the
-    /// restore-priority queue drain rate; demand reads warm their own
-    /// pages regardless).
-    size_t warm_pages_per_cycle = 32;
   };
   CheckpointPolicy checkpoint;
 

@@ -26,7 +26,7 @@ struct ChaosEvent {
   Kind kind = Kind::kPut;
   int partition = 0;  ///< target partition (promote/resume/restart/reap).
   int index = 0;      ///< follower index (promote/restart).
-  uint64_t key = 0;   ///< key id (put/read), in [0, keyspace).
+  uint64_t key = 0;   ///< key id (put/read), in [0, 128).
 };
 
 const char* ChaosEventName(ChaosEvent::Kind kind);
@@ -38,25 +38,11 @@ struct ChaosOptions {
   int steps = 600;
   int partitions = 2;
   int followers_per_partition = 2;
-  uint64_t keyspace = 128;
-
-  // Relative step-mix weights (normalized internally).
-  double put_weight = 0.55;
-  double read_weight = 0.22;
-  double leader_read_weight = 0.05;
-  double promote_weight = 0.06;
-  double zombie_resume_weight = 0.05;
-  double follower_restart_weight = 0.04;
-  double reap_weight = 0.03;
 
   /// Substrate faults layered *under* the node schedule, forwarded to the
   /// fault injector (0 = clean substrate; node chaos only).
   double transient_error_p = 0.0;
   double latency_spike_p = 0.0;
-
-  /// Full-keyspace model verification after every promotion (always done
-  /// once at the end regardless).
-  bool verify_after_promote = true;
 };
 
 struct ChaosReport {

@@ -213,11 +213,12 @@ Status Bg3Cluster::PromoteFollower(int partition, int follower_index) {
     follower->AdvanceWalTerm(term);
   }
 
-  // Reopen the candidate's materialized state as the RW leader, stamping
-  // the crowned term into every batch it will write. Because the candidate
-  // tails continuously (or bootstrapped from the checkpoint manifest), the
-  // WAL it ever read is bounded by the checkpoint suffix — promotion cost
-  // does not scale with total WAL length.
+  // Reopen the candidate's state as the RW leader, stamping the crowned
+  // term into every batch it will write. Because the candidate tails
+  // continuously (or bootstrapped from the checkpoint manifest), the WAL it
+  // ever read is bounded by the checkpoint suffix, and the export fetches
+  // only pages it neither caches nor can leave on storage — promotion cost
+  // does not scale with total WAL length or database size.
   auto exported = cand->ExportTree(part.tree_id);
   BG3_RETURN_IF_ERROR(exported.status());
   RwNodeOptions opts = LeaderOptions(part);

@@ -77,7 +77,8 @@ class Bg3Cluster {
   /// fences the WAL stream at the new term — from that instant the old
   /// leader's in-flight pipelined groups land nowhere — catches the
   /// follower up to the now-final WAL tail, drops stale-term holds, and
-  /// reopens the follower's materialized state as the leader, whose
+  /// reopens the follower's state as the leader (RwNode::FromExport: its
+  /// cached pages as they are, untouched ones demand-paged), whose
   /// install-time cut publishes a manifest at the promotion point. The old
   /// leader's checkpointer thread is stopped once the term is crowned. The
   /// old leader is *not* destroyed: it becomes the partition's zombie

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "bwtree/bwtree.h"
 #include "bwtree/listener.h"
 #include "bwtree/page.h"
 #include "cloud/types.h"
@@ -70,6 +71,24 @@ struct PageImageMeta {
     return Status::OK();
   }
 };
+
+/// The demand-paged install of a published image (DESIGN.md §5.7): the
+/// page's range and base pointer only, clean at the image's LSN, so the
+/// first access fetches the base. An image that flushed empty has no base
+/// to fetch and installs resident. Requires an image without deltas.
+inline bwtree::RecoveredPage RecoveredPageFromImage(bwtree::PageId id,
+                                                    const PageImageMeta& image) {
+  bwtree::RecoveredPage rp;
+  rp.id = id;
+  rp.low_key = image.low_key;
+  rp.high_key = image.high_key;
+  rp.has_high_key = image.has_high_key;
+  rp.last_lsn = image.flushed_lsn;
+  rp.base_ptr = image.base_ptr;
+  rp.clean = true;
+  rp.resident = image.base_ptr.IsNull();
+  return rp;
+}
 
 /// Manifest key of a page's image meta.
 inline std::string PageImageKey(bwtree::TreeId tree, bwtree::PageId page) {

@@ -19,6 +19,19 @@ bool KeyInRange(const Slice& key, const std::string& low,
          (!has_high || key.compare(Slice(high)) < 0);
 }
 
+/// Reads a page's published image into `*image`; false when the page was
+/// never flushed (NotFound). Any other failure must not be mistaken for
+/// that: rebuilding such a page from its ancestors would lose the image.
+Result<bool> LoadImage(cloud::CloudStore* store, bwtree::TreeId tree,
+                       bwtree::PageId page, PageImageMeta* image,
+                       const OpContext* ctx = nullptr) {
+  auto manifest = store->ManifestGet(PageImageKey(tree, page), nullptr, ctx);
+  if (manifest.status().IsNotFound()) return false;
+  BG3_RETURN_IF_ERROR(manifest.status());
+  BG3_RETURN_IF_ERROR(PageImageMeta::Decode(Slice(manifest.value()), image));
+  return true;
+}
+
 }  // namespace
 
 RoNode::RoNode(cloud::CloudStore* store, const RoNodeOptions& options)
@@ -105,7 +118,6 @@ void RoNode::BootstrapFromManifestLocked() {
       max_lsn_seen_ = std::max(max_lsn_seen_, m.checkpoint_lsn);
       resumed_from_checkpoint_ = true;
       checkpoint_fell_back_ = loaded.value().fell_back;
-      resume_checkpoint_lsn_ = m.checkpoint_lsn;
     }
   }
   // Published page images carry their key ranges, so the route/meta tables
@@ -127,6 +139,12 @@ void RoNode::BootstrapFromManifestLocked() {
     ts.route[image.low_key] = page_id;
     max_lsn_seen_ = std::max(max_lsn_seen_, image.flushed_lsn);
   }
+  // A tree whose first cut is still publishing (children before parents)
+  // has no image at the key-space start yet. No manifest covers it, so its
+  // WAL is whole: replay builds its layout instead.
+  std::erase_if(trees_, [](const auto& tree) {
+    return tree.second.route.count("") == 0;
+  });
 }
 
 Status RoNode::ApplyWalRecordLocked(const wal::WalRecord& rec) {
@@ -338,10 +356,9 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
     bool restart = false;
     for (;;) {
       chain.push_back(cur);
-      auto manifest = store_->ManifestGet(PageImageKey(tree, cur), nullptr, ctx);
-      if (manifest.ok()) {
-        BG3_RETURN_IF_ERROR(
-            PageImageMeta::Decode(Slice(manifest.value()), &image));
+      auto found = LoadImage(store_, tree, cur, &image, ctx);
+      BG3_RETURN_IF_ERROR(found.status());
+      if (found.value()) {
         if (cur != page && image.flushed_lsn >= descend_split_lsn) {
           // The ancestor's image postdates the split we walked through, so
           // it no longer contains our key range — but then our own image
@@ -351,11 +368,7 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
         have_image = true;
         break;
       }
-      // Only NotFound means "no image published yet" (keep walking up the
-      // split-origin chain); a manifest the substrate would not serve must
-      // not be mistaken for an unflushed page — that would rebuild the view
-      // from ancestors and silently lose the image's contents.
-      if (!manifest.status().IsNotFound()) return manifest.status();
+      // No image published yet: keep walking up the split-origin chain.
       auto mit = ts.meta.find(cur);
       BG3_CHECK(mit != ts.meta.end());
       if (mit->second.parent == bwtree::kInvalidPage) break;  // empty base
@@ -567,11 +580,41 @@ Result<RoNode::ExportedTree> RoNode::ExportTree(bwtree::TreeId tree) {
   out.tree_id = tree;
   out.max_lsn = max_lsn_seen_;
   out.wal_cursor = reader_.Cursor();
+  out.replay.wal_bytes_replayed = reader_.bytes_consumed();
+  out.replay.total_wal_bytes = store_->TotalBytes(opts_.wal_stream);
+  out.replay.resumed_from_checkpoint = resumed_from_checkpoint_;
+  out.replay.checkpoint_fell_back = checkpoint_fell_back_;
   out.pages.reserve(ts.route.size());
   for (const auto& [low_key, page_id] : ts.route) {
+    const PageMeta& meta = ts.meta[page_id];
+    // The published image is the page's whole content when it has no
+    // deltas, still covers the page's range (a later split narrows the
+    // range) and no replayed mutation is newer. Such a page exports
+    // demand-paged: its base is fetched on first access, not here, so an
+    // export reads only the pages the WAL suffix touched.
+    const auto whole_content = [&](const PageImageMeta& image,
+                                   bwtree::Lsn applied_lsn) {
+      return image.delta_ptrs.empty() && applied_lsn == image.flushed_lsn &&
+             image.low_key == meta.low_key &&
+             image.has_high_key == meta.has_high_key &&
+             (!meta.has_high_key || image.high_key == meta.high_key);
+    };
+    PageImageMeta image;
+    if (cache_.count({tree, page_id}) == 0) {
+      auto found = LoadImage(store_, tree, page_id, &image);
+      BG3_RETURN_IF_ERROR(found.status());
+      auto pit = ts.pending.find(page_id);
+      const bool replayed_newer =
+          pit != ts.pending.end() && !pit->second.records.empty() &&
+          pit->second.records.back().lsn > image.flushed_lsn;
+      if (found.value() && !replayed_newer &&
+          whole_content(image, image.flushed_lsn)) {
+        out.pages.push_back(RecoveredPageFromImage(page_id, image));
+        continue;
+      }
+    }
     auto cp = GetPageLocked(tree, page_id);
     BG3_RETURN_IF_ERROR(cp.status());
-    const PageMeta& meta = ts.meta[page_id];
     bwtree::RecoveredPage rp;
     rp.id = page_id;
     rp.low_key = meta.low_key;
@@ -579,27 +622,15 @@ Result<RoNode::ExportedTree> RoNode::ExportTree(bwtree::TreeId tree) {
     rp.has_high_key = meta.has_high_key;
     rp.entries = cp.value()->entries;
     rp.last_lsn = cp.value()->applied_lsn;
-    // Attach the current storage image so the recovered node's first flush
-    // can invalidate it (keeps GC accounting exact). NotFound = the page
-    // was never flushed; any other failure must not be treated that way.
-    auto manifest = store_->ManifestGet(PageImageKey(tree, page_id));
-    if (manifest.ok()) {
-      PageImageMeta image;
-      BG3_RETURN_IF_ERROR(PageImageMeta::Decode(Slice(manifest.value()), &image));
+    // Attach the image current after the build, so the recovered node's
+    // first flush invalidates it (keeps GC accounting exact). Clean pages
+    // keep their image authoritative, which bounds the recovered node's
+    // first flush to the WAL suffix.
+    auto found = LoadImage(store_, tree, page_id, &image);
+    BG3_RETURN_IF_ERROR(found.status());
+    if (found.value()) {
       rp.base_ptr = image.base_ptr;
-      // Clean ⇔ the exported content is byte-equivalent to the published
-      // base image: no delta records, no replayed mutation newer than the
-      // image, and the same key range (a post-flush split narrows the live
-      // range without touching applied_lsn — such a page must reflush).
-      // Clean pages keep their image authoritative, which is what bounds
-      // the recovered node's first flush to the WAL suffix.
-      rp.clean = image.delta_ptrs.empty() &&
-                 cp.value()->applied_lsn == image.flushed_lsn &&
-                 image.low_key == meta.low_key &&
-                 image.has_high_key == meta.has_high_key &&
-                 (!meta.has_high_key || image.high_key == meta.high_key);
-    } else if (!manifest.status().IsNotFound()) {
-      return manifest.status();
+      rp.clean = whole_content(image, rp.last_lsn);
     }
     out.pages.push_back(std::move(rp));
   }
@@ -637,31 +668,6 @@ bool RoNode::ResumedFromCheckpoint() const {
 bool RoNode::CheckpointFellBack() const {
   ReaderMutexLock lock(&mu_);
   return checkpoint_fell_back_;
-}
-
-bwtree::Lsn RoNode::ResumeCheckpointLsn() const {
-  ReaderMutexLock lock(&mu_);
-  return resume_checkpoint_lsn_;
-}
-
-Result<size_t> RoNode::WarmPages(bwtree::TreeId tree, size_t max) {
-  WriterMutexLock lock(&mu_);
-  BG3_RETURN_IF_ERROR(PollWalLocked());
-  auto tit = trees_.find(tree);
-  if (tit == trees_.end()) return Status::NotFound("tree not replicated yet");
-  size_t warmed = 0;
-  size_t remaining = 0;
-  for (const auto& [low_key, page_id] : tit->second.route) {
-    if (cache_.count({tree, page_id}) > 0) continue;
-    if (warmed >= max) {
-      ++remaining;
-      continue;
-    }
-    auto cp = GetPageLocked(tree, page_id);
-    BG3_RETURN_IF_ERROR(cp.status());
-    ++warmed;
-  }
-  return remaining;
 }
 
 std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> RoNode::ResidentPages()

@@ -107,14 +107,30 @@ class RoNode {
   /// Background maintenance: merge pending logs page by page.
   void CompactPendingLogs();
 
-  /// Full materialized layout of one tree, for crash recovery of an RW
-  /// node: every leaf page's key range and logical content as of the
-  /// latest WAL state (see replication::RecoverRwNode).
+  /// What building a node's state from shared storage replayed.
+  struct ReplayStats {
+    /// WAL payload bytes read vs the stream's total: with a checkpoint
+    /// resume, only the suffix past the checkpoint cursor.
+    uint64_t wal_bytes_replayed = 0;
+    uint64_t total_wal_bytes = 0;
+    bool resumed_from_checkpoint = false;
+    bool checkpoint_fell_back = false;  ///< head slot torn; previous used.
+  };
+
+  /// Layout of one tree as of the latest WAL state, for building an RW
+  /// node (RwNode::Recover, RwNode::FromExport): every leaf's key range,
+  /// and its content or a demand-paged stand-in. A page that is not cached
+  /// and whose published image is its whole content (no deltas, same key
+  /// range, no newer replayed mutation) is exported non-resident and clean
+  /// with its base pointer, without reading it; every other page is built
+  /// from storage plus replay. An export thus reads only the pages the WAL
+  /// suffix touched.
   struct ExportedTree {
     bwtree::TreeId tree_id = 0;
     std::vector<bwtree::RecoveredPage> pages;  ///< key order.
     bwtree::Lsn max_lsn = 0;                   ///< newest LSN in the WAL.
     wal::WalCursor wal_cursor;  ///< WAL position the export covers through.
+    ReplayStats replay;
   };
   Result<ExportedTree> ExportTree(bwtree::TreeId tree);
 
@@ -136,14 +152,6 @@ class RoNode {
   /// True when the head checkpoint slot was torn and the previous epoch's
   /// manifest was used instead.
   bool CheckpointFellBack() const;
-  /// LSN of the checkpoint the node resumed from (0 = full replay).
-  bwtree::Lsn ResumeCheckpointLsn() const;
-
-  /// Checkpoint-restore warm sweep: materializes up to `max` uncached pages
-  /// of `tree` (route order) and returns how many remain unmaterialized.
-  /// `max` 0 just counts. Demand reads warm their own pages concurrently —
-  /// the restore-priority rule is simply "whoever is read first, first".
-  Result<size_t> WarmPages(bwtree::TreeId tree, size_t max);
 
   /// Snapshot of the cache's resident (tree, page) set — what a rolling
   /// restart hands the replacement node so it pre-warms the peer's working
@@ -253,7 +261,6 @@ class RoNode {
   bool bootstrapped_ BG3_GUARDED_BY(mu_) = false;
   bool resumed_from_checkpoint_ BG3_GUARDED_BY(mu_) = false;
   bool checkpoint_fell_back_ BG3_GUARDED_BY(mu_) = false;
-  bwtree::Lsn resume_checkpoint_lsn_ BG3_GUARDED_BY(mu_) = 0;
   uint64_t last_poll_us_ BG3_GUARDED_BY(mu_) = 0;
   bwtree::Lsn max_lsn_seen_ BG3_GUARDED_BY(mu_) = 0;
   std::map<bwtree::TreeId, TreeState> trees_ BG3_GUARDED_BY(mu_);

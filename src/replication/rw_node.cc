@@ -26,9 +26,10 @@ RwNode::RwNode(cloud::CloudStore* store, const RwNodeOptions& options,
 
 Result<std::unique_ptr<RwNode>> RwNode::Recover(cloud::CloudStore* store,
                                                 const RwNodeOptions& options) {
-  // Materialize the full tree state the way an RO node would: the durable
+  // Rebuild the tree state the way an RO node would: the durable
   // checkpoint (if any) bounds the WAL scan to the suffix past its cursor;
-  // manifest images ("old mapping") supply everything the prefix held.
+  // manifest images ("old mapping") supply everything the prefix held, and
+  // the export leaves the pages the suffix did not touch on storage.
   RoNodeOptions ro_opts;
   ro_opts.wal_stream = options.wal.stream;
   ro_opts.cache_capacity_pages = ~0ull;
@@ -48,13 +49,14 @@ Result<std::unique_ptr<RwNode>> RwNode::FromExport(
   node->lsn_source_.store(exported.max_lsn, std::memory_order_release);
   node->last_checkpoint_.store(exported.max_lsn, std::memory_order_release);
   node->export_cursor_ = exported.wal_cursor;
+  node->recovery_ = exported.replay;
   BG3_RETURN_IF_ERROR(
       node->tree_->InstallRecoveredPages(std::move(exported.pages)));
   // Republish images for pages the WAL suffix touched and checkpoint, so RO
   // replay logs can be discarded and fresh readers seek past the exported
-  // prefix. Pages whose exported content still matches their published
-  // image were installed clean — this cut is bounded by the suffix, not the
-  // DB size.
+  // prefix. Pages whose published image is still their content were
+  // installed clean (most of them demand-paged) — this cut is bounded by
+  // the suffix, not the DB size.
   BG3_RETURN_IF_ERROR(node->checkpointer_->CheckpointNow());
   return node;
 }

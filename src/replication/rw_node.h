@@ -54,18 +54,24 @@ class RwNode : public bwtree::TreeListener, private CheckpointTarget {
  public:
   RwNode(cloud::CloudStore* store, const RwNodeOptions& options);
 
-  /// Crash recovery: rebuilds an RW node purely from shared storage — the
-  /// published mapping-table images plus WAL replay (the same machinery RO
-  /// nodes use for lazy page reconstruction). The recovered node continues
-  /// the existing WAL (LSNs resume after the highest recovered LSN), so RO
-  /// nodes that were tailing before the crash keep working unchanged.
+  /// Crash recovery, the one restart path (DESIGN.md §5.7): rebuilds an
+  /// RW node purely from shared storage — the published mapping-table
+  /// images plus WAL replay (the same machinery RO nodes use for lazy page
+  /// reconstruction). The newest checkpoint bounds the WAL read to its
+  /// suffix, and pages the suffix did not touch install demand-paged, so
+  /// recovery reads only the suffix and the pages it touched. Reads serve
+  /// at once; tree()->WarmRestoredPages fetches the rest in the background.
+  /// The recovered node continues the existing WAL (LSNs resume after the
+  /// highest recovered LSN), so RO nodes that were tailing before the crash
+  /// keep working unchanged.
   static Result<std::unique_ptr<RwNode>> Recover(cloud::CloudStore* store,
                                                  const RwNodeOptions& options);
 
-  /// Builds an RW node from an already-materialized tree export (the tail
-  /// half of Recover(); RwRestart uses it after demand-driven restore) and
-  /// checkpoints it. The export's clean/dirty page marking bounds that
-  /// checkpoint to the pages the WAL suffix actually touched — restart
+  /// Builds an RW node from a tree export (the tail half of Recover();
+  /// follower promotion uses it on the follower's own export) and
+  /// checkpoints it. Demand-paged pages install non-resident and queue for
+  /// the tree's warm sweep. The export's clean/dirty page marking bounds
+  /// that checkpoint to the pages the WAL suffix actually touched — restart
   /// work is proportional to the suffix, not the database.
   static Result<std::unique_ptr<RwNode>> FromExport(
       cloud::CloudStore* store, const RwNodeOptions& options,
@@ -96,6 +102,10 @@ class RwNode : public bwtree::TreeListener, private CheckpointTarget {
   /// and FromExport run CheckpointNow(); Start()/Stop() run its background
   /// thread at options.checkpoint.interval_ms.
   Checkpointer* checkpointer() { return checkpointer_.get(); }
+
+  /// What building this node from storage replayed (Recover/FromExport);
+  /// all zero for a node that started empty.
+  const RoNode::ReplayStats& recovery() const { return recovery_; }
 
   bwtree::BwTree* tree() { return tree_.get(); }
   wal::WalWriter* wal_writer() { return &wal_; }
@@ -168,6 +178,7 @@ class RwNode : public bwtree::TreeListener, private CheckpointTarget {
   /// WAL position an exported tree was materialized through: the cut
   /// cursor until this incarnation has committed a batch of its own.
   wal::WalCursor export_cursor_;
+  RoNode::ReplayStats recovery_;
   /// Leaf count when the open cut began (checkpointer calls only).
   size_t cut_leaves_ = 0;
 

@@ -180,11 +180,11 @@ TEST(BwTreeTest, ReadOptimizedKeepsAtMostOneDelta) {
   BwTreeOptions opts;
   opts.delta_mode = DeltaMode::kReadOptimized;
   opts.consolidate_threshold = 100;  // avoid consolidation in this test
-  opts.allow_split = false;
   TreeFixture f(opts);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(f.tree->Upsert(Key(i), "v").ok());
   }
+  ASSERT_EQ(f.tree->LeafCount(), 1u);  // every merge hits the same delta
   // Every write must remain visible despite repeated delta merging.
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(f.tree->Get(Key(i)).ok()) << i;
@@ -211,7 +211,6 @@ TEST(BwTreeTest, ZeroCacheReadAmplificationLowerForReadOptimized) {
     BwTreeOptions opts;
     opts.delta_mode = mode;
     opts.consolidate_threshold = 10;
-    opts.allow_split = false;
     opts.read_cache = ReadCacheMode::kNone;
     TreeFixture f(opts);
     // 12 updates across 4 keys on one page: the traditional tree
@@ -222,6 +221,7 @@ TEST(BwTreeTest, ZeroCacheReadAmplificationLowerForReadOptimized) {
         EXPECT_TRUE(f.tree->Upsert(Key(i), "v" + std::to_string(round)).ok());
       }
     }
+    EXPECT_EQ(f.tree->LeafCount(), 1u);
     const uint64_t reads_before = f.store->stats().read_ops.Get();
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(f.tree->Get(Key(i)).value(), "v2");
@@ -241,11 +241,11 @@ TEST(BwTreeTest, ReadOptimizedWritesMoreDeltaBytes) {
     BwTreeOptions opts;
     opts.delta_mode = mode;
     opts.consolidate_threshold = 10;
-    opts.allow_split = false;
     TreeFixture f(opts);
     for (int i = 0; i < 8; ++i) {
       EXPECT_TRUE(f.tree->Upsert(Key(i), std::string(50, 'v')).ok());
     }
+    EXPECT_EQ(f.tree->LeafCount(), 1u);
     return f.store->TotalBytes(1);  // delta stream id is 1 in the fixture
   };
   EXPECT_GT(run(DeltaMode::kReadOptimized), run(DeltaMode::kTraditional));
@@ -278,18 +278,6 @@ TEST(BwTreeTest, SplitWithReverseInsertionOrder) {
   for (int i = 0; i < 300; ++i) {
     EXPECT_EQ(f.tree->Get(Key(i)).value(), std::to_string(i));
   }
-}
-
-TEST(BwTreeTest, NoSplitWhenDisabled) {
-  BwTreeOptions opts;
-  opts.max_leaf_entries = 8;
-  opts.allow_split = false;
-  TreeFixture f(opts);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(f.tree->Upsert(Key(i), "v").ok());
-  }
-  EXPECT_EQ(f.tree->LeafCount(), 1u);
-  EXPECT_EQ(f.tree->stats().splits.Get(), 0u);
 }
 
 // --- scans ----------------------------------------------------------------------
@@ -555,7 +543,6 @@ TEST(BwTreeTest, ReadOptimizedConsolidatesByUpdateCount) {
   BwTreeOptions opts;
   opts.delta_mode = DeltaMode::kReadOptimized;
   opts.consolidate_threshold = 5;
-  opts.allow_split = false;
   TreeFixture f(opts);
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(f.tree->Upsert("hot", "v" + std::to_string(i)).ok());

@@ -1,7 +1,8 @@
-// Restart harness tests (DESIGN.md §5.7): two-phase bounded-time RW
-// restart (RwRestart), deterministic crash-point schedules at every
-// cloud-I/O class boundary (including mid-checkpoint), GraphDB db-scope
-// checkpoint/restore, and the cluster checkpointer wiring.
+// Restart harness tests (DESIGN.md §5.7): RwNode::Recover, the one restart
+// path (demand-paged install, suffix-only replay, warm sweep), deterministic
+// crash-point schedules at every cloud-I/O class boundary (including
+// mid-checkpoint), GraphDB db-scope checkpoint/restore, and the cluster
+// checkpointer wiring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +19,11 @@
 #include "cloud/fault_injector.h"
 #include "common/random.h"
 #include "core/graph_db.h"
+#include "gc/extent_usage.h"
+#include "gc/policy.h"
+#include "gc/space_reclaimer.h"
 #include "replication/checkpoint.h"
 #include "replication/cluster.h"
-#include "replication/restart.h"
 #include "replication/ro_node.h"
 #include "replication/rw_node.h"
 #include "test_seed.h"
@@ -43,15 +46,15 @@ struct RestartFixture {
     copts.extent_capacity = extent_capacity;
     copts.retry.max_attempts = max_attempts;
     store = std::make_unique<cloud::CloudStore>(copts);
-    opts.node.tree.tree_id = 1;
-    opts.node.tree.max_leaf_entries = 16;
-    opts.node.tree.base_stream = store->CreateStream("base");
-    opts.node.tree.delta_stream = store->CreateStream("delta");
-    opts.node.wal.stream = store->CreateStream("wal");
-    opts.node.flush_group_pages = 1'000'000;  // checkpointer flushes, not GC
-    opts.node.flush_group_mutations = 1'000'000'000;
-    opts.node.checkpoint.max_pages_per_round = max_pages_per_round;
-    rw = std::make_unique<RwNode>(store.get(), opts.node);
+    opts.tree.tree_id = 1;
+    opts.tree.max_leaf_entries = 16;
+    opts.tree.base_stream = store->CreateStream("base");
+    opts.tree.delta_stream = store->CreateStream("delta");
+    opts.wal.stream = store->CreateStream("wal");
+    opts.flush_group_pages = 1'000'000;  // checkpointer flushes, not GC
+    opts.flush_group_mutations = 1'000'000'000;
+    opts.checkpoint.max_pages_per_round = max_pages_per_round;
+    rw = std::make_unique<RwNode>(store.get(), opts);
   }
 
   void Checkpoint() {
@@ -61,14 +64,31 @@ struct RestartFixture {
 
   void Crash() { rw.reset(); }
 
+  /// RwNode::Recover on the crashed node's store; null (and a test
+  /// failure) if it fails.
+  std::unique_ptr<RwNode> Recover() {
+    auto recovered = RwNode::Recover(store.get(), opts);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    return recovered.ok() ? recovered.take() : nullptr;
+  }
+
   std::unique_ptr<cloud::CloudStore> store;
-  RestartOptions opts;
+  RwNodeOptions opts;
   std::unique_ptr<RwNode> rw;
 };
 
-// --- RwRestart: two-phase bounded-time restart -------------------------------
+/// Runs the tree's restore warm sweep to completion in bounded steps.
+void WarmToCompletion(bwtree::BwTree* tree) {
+  for (;;) {
+    auto remaining = tree->WarmRestoredPages(16);
+    ASSERT_TRUE(remaining.ok()) << remaining.status().ToString();
+    if (remaining.value() == 0) return;
+  }
+}
 
-TEST(RwRestartTest, ReadsGoLiveBeforeWarmCompletes) {
+// --- RwNode::Recover: the one restart path -----------------------------------
+
+TEST(RwNodeRecoverTest, ReadsServeBeforeWarmSweepCompletes) {
   RestartFixture f;
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
@@ -79,32 +99,31 @@ TEST(RwRestartTest, ReadsGoLiveBeforeWarmCompletes) {
   }
   f.Crash();
 
-  RwRestart restart(f.store.get(), f.opts);
-  ASSERT_TRUE(restart.Begin().ok());
-  EXPECT_TRUE(restart.progress().reads_live);
-  EXPECT_TRUE(restart.progress().resumed_from_checkpoint);
-  EXPECT_GT(restart.progress().pages_remaining, 0u)
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  EXPECT_TRUE(rw->recovery().resumed_from_checkpoint);
+  bwtree::BwTree* tree = rw->tree();
+  EXPECT_GT(tree->WarmRestoredPages(0).value(), 0u)
       << "restore must not be complete yet — that's the point";
-  EXPECT_FALSE(restart.progress().warm_complete);
+  EXPECT_LT(tree->ResidentPageCount(), tree->LeafCount());
 
-  // Demand-driven reads are correct *during* restore: checkpoint state and
+  // Demand-paged reads are correct *during* restore: checkpoint state and
   // the replayed suffix both serve before the warm sweep finishes.
-  EXPECT_EQ(restart.Get(Key(3)).value(), "v3");
-  EXPECT_EQ(restart.Get(Key(499)).value(), "v499");
-  EXPECT_EQ(restart.Get(Key(520)).value(), "suffix");
-  EXPECT_TRUE(restart.Get("absent").status().IsNotFound());
+  EXPECT_EQ(rw->Get(Key(3)).value(), "v3");
+  EXPECT_EQ(rw->Get(Key(499)).value(), "v499");
+  EXPECT_EQ(rw->Get(Key(520)).value(), "suffix");
+  EXPECT_TRUE(rw->Get("absent").status().IsNotFound());
 
   std::vector<bwtree::Entry> out;
-  ASSERT_TRUE(restart.Scan(Key(0), Key(10), 100, &out).ok());
+  bwtree::BwTree::ScanOptions scan;
+  scan.start_key = Key(0);
+  scan.end_key = Key(10);
+  ASSERT_TRUE(rw->Scan(scan, &out).ok());
   EXPECT_EQ(out.size(), 10u);
 
-  // Warm in bounded steps to completion, then reopen the write path.
-  ASSERT_TRUE(restart.RunToCompletion().ok());
-  EXPECT_EQ(restart.progress().pages_remaining, 0u);
-  auto node = restart.Take();
-  ASSERT_TRUE(node.ok());
-  EXPECT_TRUE(restart.progress().warm_complete);
-  auto rw = node.take();
+  // Warm in bounded steps to completion.
+  WarmToCompletion(tree);
+  EXPECT_EQ(tree->ResidentPageCount(), tree->LeafCount());
   for (int i = 0; i < 530; ++i) {
     ASSERT_TRUE(rw->Get(Key(i)).ok()) << i;
   }
@@ -115,7 +134,7 @@ TEST(RwRestartTest, ReadsGoLiveBeforeWarmCompletes) {
   EXPECT_EQ(rw->Get(Key(599)).value(), "post-restart");
 }
 
-TEST(RwRestartTest, ReplaysOnlySuffixWithCheckpoint) {
+TEST(RwNodeRecoverTest, ReplaysOnlySuffixWithCheckpoint) {
   RestartFixture f;
   for (int i = 0; i < 800; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "payload-payload-payload").ok());
@@ -126,27 +145,28 @@ TEST(RwRestartTest, ReplaysOnlySuffixWithCheckpoint) {
   }
   f.Crash();
 
-  RwRestart restart(f.store.get(), f.opts);
-  ASSERT_TRUE(restart.Begin().ok());
-  const RestartProgress& p = restart.progress();
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  const RoNode::ReplayStats& p = rw->recovery();
   EXPECT_TRUE(p.resumed_from_checkpoint);
-  EXPECT_GT(p.replayed_wal_bytes, 0u);
-  EXPECT_LT(p.replayed_wal_bytes, p.total_wal_bytes / 4)
+  EXPECT_GT(p.wal_bytes_replayed, 0u);
+  EXPECT_LT(p.wal_bytes_replayed, p.total_wal_bytes / 4)
       << "a 30-record suffix of an 830-record WAL must not replay it all";
 
   // The full-replay baseline (resume disabled) pays the whole stream.
-  RestartOptions full = f.opts;
+  RoNodeOptions full;
+  full.wal_stream = f.opts.wal.stream;
   full.resume_from_checkpoint = false;
-  RwRestart baseline(f.store.get(), full);
-  ASSERT_TRUE(baseline.Begin().ok());
-  EXPECT_FALSE(baseline.progress().resumed_from_checkpoint);
-  EXPECT_GT(baseline.progress().replayed_wal_bytes,
-            4 * p.replayed_wal_bytes);
-  // Both restore views agree.
-  EXPECT_EQ(restart.Get(Key(7)).value(), baseline.Get(Key(7)).value());
+  RoNode baseline(f.store.get(), full);
+  ASSERT_TRUE(baseline.PollWal().ok());
+  EXPECT_FALSE(baseline.ResumedFromCheckpoint());
+  EXPECT_GT(baseline.WalBytesReplayed(), 4 * p.wal_bytes_replayed);
+  // Both agree.
+  EXPECT_EQ(rw->Get(Key(7)).value(),
+            baseline.Get(f.opts.tree.tree_id, Key(7)).value());
 }
 
-TEST(RwRestartTest, TimeToFirstReadBoundedAcrossWalSweep) {
+TEST(RwNodeRecoverTest, TimeToFirstReadBoundedAcrossWalSweep) {
   // The acceptance sweep: 1x/4x/16x WAL volume, constant post-checkpoint
   // suffix. Replayed bytes (the deterministic proxy for time-to-first-read)
   // must stay bounded while the WAL grows ~16x.
@@ -163,11 +183,11 @@ TEST(RwRestartTest, TimeToFirstReadBoundedAcrossWalSweep) {
       ASSERT_TRUE(f.rw->Put(Key(1'000'000 + i), "suffix").ok());
     }
     f.Crash();
-    RwRestart restart(f.store.get(), f.opts);
-    ASSERT_TRUE(restart.Begin().ok());
-    EXPECT_EQ(restart.Get(Key(0)).value(), "wal-volume-padding-padding");
-    replayed[s] = restart.progress().replayed_wal_bytes;
-    total[s] = restart.progress().total_wal_bytes;
+    auto rw = f.Recover();
+    ASSERT_NE(rw, nullptr);
+    EXPECT_EQ(rw->Get(Key(0)).value(), "wal-volume-padding-padding");
+    replayed[s] = rw->recovery().wal_bytes_replayed;
+    total[s] = rw->recovery().total_wal_bytes;
   }
   EXPECT_GT(total[2], 8 * total[0]) << "sweep must actually grow the WAL";
   // Bounded: the 16x WAL replays about what the 1x WAL does (same suffix),
@@ -178,22 +198,108 @@ TEST(RwRestartTest, TimeToFirstReadBoundedAcrossWalSweep) {
   }
 }
 
-TEST(RwRestartTest, BeginWithoutCheckpointFallsBackToFullReplay) {
+TEST(RwNodeRecoverTest, RecoverReadsOnlySuffixTouchedPages) {
+  // bench_restart's store shape: the base volume grows 16x, the suffix of
+  // new keys past the checkpoint stays the same. Recovery reads the WAL
+  // suffix and the pages it touched; every other page installs
+  // demand-paged, so storage reads must not grow with the tree.
+  const int scales[3] = {1, 4, 16};
+  uint64_t reads[3] = {0, 0, 0};
+  size_t leaves[3] = {0, 0, 0};
+  for (int s = 0; s < 3; ++s) {
+    RestartFixture f;
+    for (int i = 0; i < 100 * scales[s]; ++i) {
+      ASSERT_TRUE(f.rw->Put(Key(i), "base-volume-payload").ok());
+    }
+    f.Checkpoint();
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(f.rw->Put(Key(10'000'000 + i), "suffix").ok());
+    }
+    f.Crash();
+    const uint64_t before = f.store->stats().read_ops.Get();
+    auto rw = f.Recover();
+    ASSERT_NE(rw, nullptr);
+    reads[s] = f.store->stats().read_ops.Get() - before;
+    leaves[s] = rw->tree()->LeafCount();
+    EXPECT_EQ(rw->Get(Key(10'000'049)).value(), "suffix");
+  }
+  EXPECT_GT(leaves[2], 8 * leaves[0]) << "sweep must actually grow the tree";
+  EXPECT_LE(static_cast<double>(reads[2]), 1.5 * static_cast<double>(reads[0]))
+      << "recover read_ops 1x/4x/16x: " << reads[0] << "/" << reads[1] << "/"
+      << reads[2] << " over " << leaves[0] << "/" << leaves[1] << "/"
+      << leaves[2] << " leaves";
+}
+
+TEST(RwNodeRecoverTest, DemandPagedPagesTakeWritesSplitsAndGcRelocation) {
+  // Small extents, so GC has sealed victims mixing live and dead images.
+  RestartFixture f(/*extent_capacity=*/1 << 12);
+  cloud::ManualTimeSource clock;
+  gc::ExtentUsageTracker tracker(&clock);
+  f.store->SetObserver(&tracker);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
+    model[Key(i)] = "v" + std::to_string(i);
+  }
+  f.Checkpoint();
+  // Rewrite the first quarter: its pages' first images become garbage.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(f.rw->Put(Key(i), "w" + std::to_string(i)).ok());
+    model[Key(i)] = "w" + std::to_string(i);
+  }
+  f.Checkpoint();
+  f.Crash();
+
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  bwtree::BwTree* tree = rw->tree();
+  EXPECT_EQ(tree->ResidentPageCount(), 0u)
+      << "with an empty suffix, recovery fetches no page";
+
+  // GC relocates the live images of pages that are still non-resident.
+  gc::SingleTreeResolver resolver(tree);
+  gc::FifoPolicy policy;
+  gc::SpaceReclaimer reclaimer(f.store.get(), &resolver, &policy, &tracker,
+                               gc::ReclaimOptions{});
+  auto cycle = reclaimer.RunCycle(f.opts.tree.base_stream, 100);
+  ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+  EXPECT_GT(cycle.value().bytes_moved, 0u);
+  EXPECT_GT(cycle.value().extents_reclaimed, 0u);
+  EXPECT_EQ(tree->ResidentPageCount(), 0u) << "relocation must not fetch";
+
+  // Writes land on a non-resident page until it splits.
+  const uint64_t splits = tree->stats().splits.Get();
+  const size_t leaf_count = tree->LeafCount();
+  for (int j = 0; j < 40; ++j) {
+    const std::string key = Key(300) + "/" + std::to_string(j);
+    ASSERT_TRUE(rw->Put(key, "split").ok());
+    model[key] = "split";
+  }
+  EXPECT_GT(tree->stats().splits.Get(), splits);
+  EXPECT_GT(tree->LeafCount(), leaf_count);
+  EXPECT_LT(tree->ResidentPageCount(), tree->LeafCount());
+
+  // Reads demand-load from the relocated images (the victim extents are
+  // freed).
+  for (const auto& [k, v] : model) ASSERT_EQ(rw->Get(k).value(), v) << k;
+
+  // The relocated images and the split publish; a second restart agrees.
+  ASSERT_TRUE(rw->checkpointer()->CheckpointNow().ok());
+  rw.reset();
+  f.store->SetObserver(nullptr);
+  auto again = f.Recover();
+  ASSERT_NE(again, nullptr);
+  for (const auto& [k, v] : model) ASSERT_EQ(again->Get(k).value(), v) << k;
+}
+
+TEST(RwNodeRecoverTest, RecoverWithoutCheckpointFallsBackToFullReplay) {
   RestartFixture f;
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "x").ok());
   f.Crash();
-  RwRestart restart(f.store.get(), f.opts);
-  ASSERT_TRUE(restart.Begin().ok());
-  EXPECT_FALSE(restart.progress().resumed_from_checkpoint);
-  EXPECT_EQ(restart.Get(Key(42)).value(), "x");
-}
-
-TEST(RwRestartTest, GetBeforeBeginIsAnError) {
-  RestartFixture f;
-  RwRestart restart(f.store.get(), f.opts);
-  EXPECT_TRUE(restart.Get(Key(0)).status().IsInvalidArgument());
-  std::vector<bwtree::Entry> out;
-  EXPECT_TRUE(restart.Scan(Key(0), Key(9), 10, &out).IsInvalidArgument());
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  EXPECT_FALSE(rw->recovery().resumed_from_checkpoint);
+  EXPECT_EQ(rw->Get(Key(42)).value(), "x");
 }
 
 // --- deterministic crash-point schedules -------------------------------------
@@ -237,18 +343,17 @@ TEST_P(CrashPointScheduleTest, RecoveryAbsorbsFaultAtEveryBoundary) {
     const uint64_t at = rng.Next() % 8;  // early boundaries of the class
     fi.Arm(op, cloud::FaultClass::kTransientError, fi.OpCount(op) + at);
 
-    RwRestart restart(f.store.get(), f.opts);
-    ASSERT_TRUE(restart.Begin().ok())
+    auto recovered = RwNode::Recover(f.store.get(), f.opts);
+    ASSERT_TRUE(recovered.ok())
         << FaultOpName(op) << " schedule=" << schedule << " " << fi.ToString();
+    auto rw = recovered.take();
+    // Demand-paged reads and the warm sweep run under the fault too.
     for (const auto& [k, v] : model) {
-      ASSERT_EQ(restart.Get(k).value(), v)
+      ASSERT_EQ(rw->Get(k).value(), v)
           << FaultOpName(op) << " schedule=" << schedule;
     }
-    ASSERT_TRUE(restart.RunToCompletion().ok()) << fi.ToString();
-    auto node = restart.Take();
-    ASSERT_TRUE(node.ok()) << fi.ToString();
+    WarmToCompletion(rw->tree());
     f.store->SetFaultInjector(nullptr);
-    auto rw = node.take();
     for (const auto& [k, v] : model) {
       ASSERT_EQ(rw->Get(k).value(), v) << FaultOpName(op);
     }
@@ -290,11 +395,11 @@ TEST(CrashPointScheduleTest, MidCheckpointFaultKeepsCutOpenThenPublishes) {
 
   // And the checkpoint it eventually published is a valid recovery source.
   f.Crash();
-  RwRestart restart(f.store.get(), f.opts);
-  ASSERT_TRUE(restart.Begin().ok());
-  EXPECT_TRUE(restart.progress().resumed_from_checkpoint);
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  EXPECT_TRUE(rw->recovery().resumed_from_checkpoint);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(restart.Get(Key(i)).value(), "v") << i;
+    ASSERT_EQ(rw->Get(Key(i)).value(), "v") << i;
   }
 }
 
@@ -350,7 +455,7 @@ TEST(GraphDbCheckpointTest, CheckpointThenRestoreServesGraph) {
 
 TEST(GraphDbCheckpointTest, WritesPastCheckpointAreNotDurableWithoutWal) {
   // Honest-semantics test: db-scope durability is checkpoint-granular
-  // (options.h documents it; the WAL-backed exact path is RwNode/RwRestart).
+  // (options.h documents it; the WAL-backed exact path is RwNode::Recover).
   auto store = std::make_unique<cloud::CloudStore>();
   {
     core::GraphDB db(store.get(), CheckpointedDbOptions());
