@@ -14,7 +14,8 @@
 //   (b) the shared fraction of leaf-latch acquisitions during the read
 //       phase — a latch-count ratio, identical from run to run (shared
 //       acquisitions run concurrently, exclusive ones serialize),
-//   (c) the measured rate at 1/2/4/8 reader threads.
+//   (c) the measured rate at 1/2/4/8 reader threads, and for misses the
+//       4-thread over 1-thread ratio (miss_scaling_4t_<mode>).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -181,6 +182,12 @@ int main() {
     }
     report.Scalar("single_qps_" + series, r.single_qps);
     report.Scalar("shared_latch_frac_" + series, r.shared_frac);
+    if (std::string(s.workload) == "miss") {
+      // Storage-miss scaling: 4-thread over 1-thread measured rate. Reported
+      // only — a wall-clock ratio on a shared host is too noisy to gate.
+      report.Scalar(std::string("miss_scaling_4t_") + s.mode,
+                    r.measured_qps[2] / r.measured_qps[0]);
+    }
   }
   return 0;
 }

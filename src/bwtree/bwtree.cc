@@ -577,17 +577,19 @@ Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree get"));
 
   if (opts_.read_cache == ReadCacheMode::kNone) {
-    // Zero-cache path: fetch the storage images — one read for the base
-    // page plus one per delta (the I/O cost Fig. 9 measures). Read-only on
-    // the leaf, so concurrent point reads share the latch.
+    // Zero-cache path: the storage images merged over the one key, i.e. a
+    // range scan of [key, key + '\0') — the key's immediate successor —
+    // capped at one entry. Read-only on the leaf, so concurrent point reads
+    // share the latch.
     std::shared_lock<SharedMutex> lock;
     LeafPage* leaf = FindAndLatchLeafShared(key, &lock);
     leaf->latch.AssertReaderHeld();
-    std::vector<Entry> merged;
-    BG3_RETURN_IF_ERROR(LoadMergedFromStorageLocked(leaf, &merged, ctx));
-    std::string value;
-    if (LookupInBase(merged, key, &value)) return value;
-    return Status::NotFound("no such key");
+    const std::string start = key.ToString();
+    const std::string end = start + '\0';
+    std::vector<Entry> found;
+    BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, start, end, 1, &found, ctx));
+    if (found.empty()) return Status::NotFound("no such key");
+    return std::move(found.front().value);
   }
 
   // Full-cache fast path: check the delta chain newest-first, then the
@@ -630,26 +632,20 @@ Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
   return Status::NotFound("no such key");
 }
 
-Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
-                                           std::vector<Entry>* out,
-                                           const OpContext* ctx) {
+Status BwTree::ReadImagesLocked(LeafPage* leaf, std::string* base,
+                                std::vector<std::string>* deltas,
+                                const OpContext* ctx) {
   obs::Scope layer(OpLayer::kBwtree);
-  out->clear();
-  std::vector<Entry> base;
   if (!leaf->base_ptr.IsNull()) {
     auto res = store_->Read(leaf->base_ptr, nullptr, ctx);
-    if (!res.ok()) {
-      if (!(opts_.tolerate_missing_extents && res.status().IsIOError())) {
-        return res.status();
-      }
-    } else {
-      Slice in(res.value());
-      RecordHeader header;
-      BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
-      BG3_RETURN_IF_ERROR(DecodeBasePagePayload(in, &base));
+    if (res.ok()) {
+      *base = std::move(res.value());
+    } else if (!(opts_.tolerate_missing_extents &&
+                 res.status().IsIOError())) {
+      return res.status();
     }
   }
-  std::vector<std::vector<DeltaEntry>> chains;  // oldest-first
+  deltas->reserve(leaf->chain.size());
   for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
     if (it->ptr.IsNull()) continue;
     auto res = store_->Read(it->ptr, nullptr, ctx);
@@ -657,85 +653,135 @@ Status BwTree::LoadMergedFromStorageLocked(LeafPage* leaf,
       if (opts_.tolerate_missing_extents && res.status().IsIOError()) continue;
       return res.status();
     }
-    Slice in(res.value());
-    RecordHeader header;
-    BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
-    std::vector<DeltaEntry> entries;
-    BG3_RETURN_IF_ERROR(DecodeDeltaPayload(in, &entries));
-    chains.push_back(std::move(entries));
+    deltas->push_back(std::move(res.value()));
   }
-  std::vector<const std::vector<DeltaEntry>*> chain_ptrs;
-  chain_ptrs.reserve(chains.size());
-  for (const auto& c : chains) chain_ptrs.push_back(&c);
-  *out = ApplyDeltaChain(std::move(base), chain_ptrs);
   return Status::OK();
 }
 
-Status BwTree::MergedViewLocked(LeafPage* leaf, std::vector<Entry>* out,
-                                const OpContext* ctx) {
-  if (opts_.read_cache == ReadCacheMode::kNone) {
-    return LoadMergedFromStorageLocked(leaf, out, ctx);
+namespace {
+
+/// Appends the entries of one delta whose keys lie in [start, end) (end
+/// unbounded when `bounded` is false) to `overlay`, as views. Works on
+/// owned entries and in-place views alike.
+template <typename DeltaT>
+void AddToOverlay(const std::vector<DeltaT>& delta, const Slice& start,
+                  const Slice& end, bool bounded,
+                  std::vector<DeltaEntryView>* overlay) {
+  for (const DeltaT& e : delta) {
+    const Slice key(e.key);
+    if (key.compare(start) < 0 || (bounded && key.compare(end) >= 0)) {
+      continue;
+    }
+    overlay->push_back(DeltaEntryView{e.op, key, Slice(e.value)});
   }
-  std::vector<const std::vector<DeltaEntry>*> oldest_first;
-  for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
-    oldest_first.push_back(&it->entries);
-  }
-  *out = ApplyDeltaChain(leaf->base_entries, oldest_first);
-  return Status::OK();
 }
+
+/// Turns an overlay collected oldest delta first into a key-sorted one that
+/// keeps only the newest entry per key.
+void KeepNewestPerKey(std::vector<DeltaEntryView>* overlay) {
+  auto by_key = [](const DeltaEntryView& a, const DeltaEntryView& b) {
+    return a.key.compare(b.key) < 0;
+  };
+  // A read-optimized page's single delta is already sorted.
+  if (!std::is_sorted(overlay->begin(), overlay->end(), by_key)) {
+    std::stable_sort(overlay->begin(), overlay->end(), by_key);
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < overlay->size(); ++i) {
+    const bool newer_follows = i + 1 < overlay->size() &&
+                               (*overlay)[i + 1].key == (*overlay)[i].key;
+    if (!newer_follows) (*overlay)[kept++] = (*overlay)[i];
+  }
+  overlay->resize(kept);
+}
+
+/// Appends a copy of one base entry, owned or in place, to `out`. Owned
+/// entries are copy-constructed in place, which keeps the full-cache scan
+/// path as fast as a loop written for owned entries alone.
+void Emit(const Entry& e, std::vector<Entry>* out) { out->push_back(e); }
+void Emit(const EntryView& e, std::vector<Entry>* out) {
+  out->push_back(Entry{e.key.ToString(), e.value.ToString()});
+}
+
+/// Merge-iterates sorted base entries from `start` against the overlay,
+/// appending live entries to `out` until it holds `limit`. The overlay
+/// already lies in [start, end); the base is cut at `end` here. Copies only
+/// the entries it emits.
+template <typename BaseT>
+void MergeRange(const std::vector<BaseT>& base,
+                const std::vector<DeltaEntryView>& overlay, const Slice& start,
+                const Slice& end, bool bounded, size_t limit,
+                std::vector<Entry>* out) {
+  auto bit = std::lower_bound(base.begin(), base.end(), start,
+                              [](const BaseT& e, const Slice& k) {
+                                return Slice(e.key).compare(k) < 0;
+                              });
+  auto oit = overlay.begin();
+  while (out->size() < limit) {
+    const bool base_ok = bit != base.end() &&
+                         !(bounded && Slice(bit->key).compare(end) >= 0);
+    const bool over_ok = oit != overlay.end();
+    if (!base_ok && !over_ok) break;
+    const int cmp =
+        !base_ok ? -1 : !over_ok ? 1 : oit->key.compare(Slice(bit->key));
+    if (cmp <= 0) {
+      if (oit->op == DeltaOp::kUpsert) {
+        out->push_back(Entry{oit->key.ToString(), oit->value.ToString()});
+      }
+      if (cmp == 0) ++bit;  // the delta shadows the base entry
+      ++oit;
+    } else {
+      Emit(*bit, out);
+      ++bit;
+    }
+  }
+}
+
+}  // namespace
 
 Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
                                   const std::string& end, size_t limit,
                                   std::vector<Entry>* out,
                                   const OpContext* ctx) {
+  // Both cache modes merge-iterate the sorted base against an overlay built
+  // from the delta chain over [start, end) only — O(limit + chain), not
+  // O(page).
   const bool bounded = !end.empty();
+  std::vector<DeltaEntryView> overlay;
   if (opts_.read_cache == ReadCacheMode::kNone) {
-    // Storage-backed read: the whole page must be fetched anyway.
-    std::vector<Entry> view;
-    BG3_RETURN_IF_ERROR(LoadMergedFromStorageLocked(leaf, &view, ctx));
-    auto it = std::lower_bound(
-        view.begin(), view.end(), start,
-        [](const Entry& e, const std::string& k) { return e.key < k; });
-    for (; it != view.end() && out->size() < limit; ++it) {
-      if (bounded && it->key >= end) break;
-      out->push_back(std::move(*it));
+    // Storage-backed read: fetch the images (base plus one per delta, the
+    // I/O Fig. 9 measures) into local buffers and parse them in place.
+    std::string base_image;
+    std::vector<std::string> delta_images;  // oldest first
+    BG3_RETURN_IF_ERROR(
+        ReadImagesLocked(leaf, &base_image, &delta_images, ctx));
+    std::vector<EntryView> base;
+    if (!base_image.empty()) {
+      Slice in(base_image);
+      RecordHeader header;
+      BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
+      BG3_RETURN_IF_ERROR(ParseBasePagePayload(in, &base));
     }
+    std::vector<DeltaEntryView> delta;
+    for (const std::string& image : delta_images) {
+      Slice in(image);
+      RecordHeader header;
+      BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
+      BG3_RETURN_IF_ERROR(ParseDeltaPayload(in, &delta));
+      AddToOverlay(delta, start, end, bounded, &overlay);
+    }
+    KeepNewestPerKey(&overlay);
+    MergeRange(base, overlay, start, end, bounded, limit, out);
     return Status::OK();
   }
-  // In-memory fast path: merge-iterate the sorted base with a small overlay
-  // built from the (short) delta chain — O(limit + chain), not O(page).
-  // Read-only: the caller made the leaf resident before collecting (Scan's
-  // exclusive-reload fallback handles evicted leaves).
+  // In-memory path. Read-only: the caller made the leaf resident before
+  // collecting (Scan's exclusive-reload fallback handles evicted leaves).
   BG3_DCHECK(leaf->resident);
-  std::map<std::string, const DeltaEntry*> overlay;  // newest wins
   for (auto cit = leaf->chain.rbegin(); cit != leaf->chain.rend(); ++cit) {
-    for (const DeltaEntry& e : cit->entries) {
-      if (e.key < start) continue;
-      if (bounded && e.key >= end) continue;
-      overlay[e.key] = &e;
-    }
+    AddToOverlay(cit->entries, start, end, bounded, &overlay);
   }
-  auto bit = std::lower_bound(
-      leaf->base_entries.begin(), leaf->base_entries.end(), start,
-      [](const Entry& e, const std::string& k) { return e.key < k; });
-  auto oit = overlay.begin();
-  while (out->size() < limit) {
-    const bool base_ok = bit != leaf->base_entries.end() &&
-                         !(bounded && bit->key >= end);
-    const bool over_ok = oit != overlay.end();
-    if (!base_ok && !over_ok) break;
-    if (over_ok && (!base_ok || oit->first <= bit->key)) {
-      const bool shadows_base = base_ok && oit->first == bit->key;
-      if (oit->second->op == DeltaOp::kUpsert) {
-        out->push_back(Entry{oit->first, oit->second->value});
-      }
-      if (shadows_base) ++bit;
-      ++oit;
-    } else {
-      out->push_back(*bit);
-      ++bit;
-    }
-  }
+  KeepNewestPerKey(&overlay);
+  MergeRange(leaf->base_entries, overlay, start, end, bounded, limit, out);
   return Status::OK();
 }
 

@@ -299,20 +299,20 @@ class BwTree {
       BG3_REQUIRES(leaf->latch);
   void NotifyFlushedLocked(LeafPage* leaf) BG3_REQUIRES(leaf->latch);
 
-  /// Storage-image view of a page for cache-miss reads (Fig. 9 path).
+  /// Reads a page's storage images for a cache-miss read (Fig. 9 path):
+  /// the base image into `base` (left empty if the page has none) and one
+  /// image per flushed delta into `deltas`, oldest first; both start empty.
   /// Read-only on the leaf — runs under a shared latch so zero-cache reads
   /// scale (an exclusive holder satisfies the shared requirement too).
-  Status LoadMergedFromStorageLocked(LeafPage* leaf, std::vector<Entry>* out,
-                                     const OpContext* ctx = nullptr)
-      BG3_REQUIRES_SHARED(leaf->latch);
-  /// Merged logical content per the read cache mode (read-only).
-  Status MergedViewLocked(LeafPage* leaf, std::vector<Entry>* out,
-                          const OpContext* ctx = nullptr)
+  Status ReadImagesLocked(LeafPage* leaf, std::string* base,
+                          std::vector<std::string>* deltas,
+                          const OpContext* ctx)
       BG3_REQUIRES_SHARED(leaf->latch);
   /// Appends merged entries of [start, end) up to `limit` total entries in
-  /// `out`; O(result + chain) on the in-memory path. Read-only: in full-
-  /// cache mode the caller must have made the leaf resident first (Scan's
-  /// exclusive-reload fallback does this on a cache miss).
+  /// `out`. Zero-cache mode parses the storage images in place; both modes
+  /// copy only the entries they emit. Read-only: in full-cache mode the
+  /// caller must have made the leaf resident first (Scan's exclusive-reload
+  /// fallback does this on a cache miss).
   Status CollectRangeLocked(LeafPage* leaf, const std::string& start,
                             const std::string& end, size_t limit,
                             std::vector<Entry>* out,

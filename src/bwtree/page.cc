@@ -59,27 +59,30 @@ Status DecodeRecordHeader(Slice* input, RecordHeader* out) {
   return Status::OK();
 }
 
-Status DecodeBasePagePayload(Slice input, std::vector<Entry>* out) {
+Status ParseBasePagePayload(Slice input, std::vector<EntryView>* out) {
   uint32_t count;
   if (!GetVarint32(&input, &count)) return Status::Corruption("base count");
   out->clear();
-  out->reserve(count);
+  // Each entry takes at least two length bytes, so an overstated count
+  // cannot make this reserve more than the payload could hold.
+  out->reserve(std::min<size_t>(count, input.size() / 2));
   for (uint32_t i = 0; i < count; ++i) {
     Slice k, v;
     if (!GetLengthPrefixedSlice(&input, &k) ||
         !GetLengthPrefixedSlice(&input, &v)) {
       return Status::Corruption("base entry");
     }
-    out->push_back(Entry{k.ToString(), v.ToString()});
+    out->push_back(EntryView{k, v});
   }
   return Status::OK();
 }
 
-Status DecodeDeltaPayload(Slice input, std::vector<DeltaEntry>* out) {
+Status ParseDeltaPayload(Slice input, std::vector<DeltaEntryView>* out) {
   uint32_t count;
   if (!GetVarint32(&input, &count)) return Status::Corruption("delta count");
   out->clear();
-  out->reserve(count);
+  // An op byte plus two length bytes per entry (see ParseBasePagePayload).
+  out->reserve(std::min<size_t>(count, input.size() / 3));
   for (uint32_t i = 0; i < count; ++i) {
     if (input.empty()) return Status::Corruption("delta op");
     const auto op = static_cast<DeltaOp>(input[0]);
@@ -92,7 +95,29 @@ Status DecodeDeltaPayload(Slice input, std::vector<DeltaEntry>* out) {
         !GetLengthPrefixedSlice(&input, &v)) {
       return Status::Corruption("delta entry");
     }
-    out->push_back(DeltaEntry{op, k.ToString(), v.ToString()});
+    out->push_back(DeltaEntryView{op, k, v});
+  }
+  return Status::OK();
+}
+
+Status DecodeBasePagePayload(Slice input, std::vector<Entry>* out) {
+  std::vector<EntryView> views;
+  BG3_RETURN_IF_ERROR(ParseBasePagePayload(input, &views));
+  out->clear();
+  out->reserve(views.size());
+  for (const EntryView& e : views) {
+    out->push_back(Entry{e.key.ToString(), e.value.ToString()});
+  }
+  return Status::OK();
+}
+
+Status DecodeDeltaPayload(Slice input, std::vector<DeltaEntry>* out) {
+  std::vector<DeltaEntryView> views;
+  BG3_RETURN_IF_ERROR(ParseDeltaPayload(input, &views));
+  out->clear();
+  out->reserve(views.size());
+  for (const DeltaEntryView& e : views) {
+    out->push_back(DeltaEntry{e.op, e.key.ToString(), e.value.ToString()});
   }
   return Status::OK();
 }

@@ -44,6 +44,20 @@ struct DeltaEntry {
   std::string value;
 };
 
+/// In-place views of the two entry kinds: slices into a record buffer that
+/// must outlive them. Zero-cache reads parse storage images into these and
+/// copy only the entries they return.
+struct EntryView {
+  Slice key;
+  Slice value;
+};
+
+struct DeltaEntryView {
+  DeltaOp op = DeltaOp::kUpsert;
+  Slice key;
+  Slice value;
+};
+
 struct RecordHeader {
   RecordKind kind = RecordKind::kBasePage;
   TreeId tree_id = 0;
@@ -63,6 +77,13 @@ std::string EncodeDelta(TreeId tree_id, PageId page_id, Lsn lsn,
 
 /// Consumes the header from `input`, leaving the payload.
 Status DecodeRecordHeader(Slice* input, RecordHeader* out);
+
+/// The one parser per payload format: validates the whole payload and
+/// fills `out` with views into `input`'s bytes. Corruption if malformed.
+Status ParseBasePagePayload(Slice input, std::vector<EntryView>* out);
+Status ParseDeltaPayload(Slice input, std::vector<DeltaEntryView>* out);
+
+/// Owned-entry decoders, built on the parsers above.
 Status DecodeBasePagePayload(Slice input, std::vector<Entry>* out);
 Status DecodeDeltaPayload(Slice input, std::vector<DeltaEntry>* out);
 

@@ -107,9 +107,10 @@ class StoreObserver {
 /// builds on: once the RW node appends, every RO node can read the bytes.
 ///
 /// Thread safety: stream topology is guarded by a shared_mutex (streams are
-/// only ever added); record appends/reads take a per-stream mutex, so
-/// traffic to different streams never contends — mirroring independent
-/// storage partitions of the real service.
+/// only ever added). Each stream has its own reader/writer lock: record
+/// reads take it shared, so readers of one stream run in parallel, and
+/// appends take it exclusively. Traffic to different streams never
+/// contends — mirroring independent storage partitions of the real service.
 class CloudStore {
  public:
   explicit CloudStore(const CloudStoreOptions& opts = {});

@@ -35,6 +35,8 @@ class Extent {
   /// record's offset within the extent.
   uint32_t Append(const Slice& record);
 
+  /// Touches no mutable state, so concurrent readers are safe as long as
+  /// no writer runs (the owning Stream's shared lock).
   Status Read(uint32_t offset, uint32_t length, std::string* out) const;
 
   void Seal() { sealed_ = true; }

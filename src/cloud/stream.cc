@@ -13,7 +13,7 @@ Stream::Stream(StreamId id, std::string name, size_t extent_capacity,
   mu_.SetRank(lock_rank::kStream_mu, "Stream::mu_");
   // Uncontended (the stream is not yet published), but the lock makes the
   // guarded-member writes visible to the thread-safety analysis.
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   OpenNewExtent(extent_capacity_);
 }
 
@@ -41,12 +41,12 @@ PagePointer Stream::AppendLocked(const Slice& record) {
 }
 
 PagePointer Stream::Append(const Slice& record) {
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   return AppendLocked(record);
 }
 
 Result<PagePointer> Stream::AppendFenced(const Slice& record, uint64_t term) {
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   if (term < fence_term_) {
     return Status::Fenced("stream " + name_ + " fenced at term " +
                           std::to_string(fence_term_) + ", append term " +
@@ -56,17 +56,17 @@ Result<PagePointer> Stream::AppendFenced(const Slice& record, uint64_t term) {
 }
 
 void Stream::Fence(uint64_t min_term) {
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   if (min_term > fence_term_) fence_term_ = min_term;
 }
 
 uint64_t Stream::fence_term() const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   return fence_term_;
 }
 
 Status Stream::Read(const PagePointer& ptr, std::string* out) const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   const Extent* e = FindExtentLocked(ptr.extent_id);
   if (e == nullptr) {
     return Status::NotFound("extent " + std::to_string(ptr.extent_id));
@@ -75,7 +75,7 @@ Status Stream::Read(const PagePointer& ptr, std::string* out) const {
 }
 
 uint32_t Stream::MarkInvalid(const PagePointer& ptr) {
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   Extent* e = FindExtentLocked(ptr.extent_id);
   if (e == nullptr) return 0;
   const uint32_t len = e->MarkInvalid(ptr.offset);
@@ -86,13 +86,13 @@ uint32_t Stream::MarkInvalid(const PagePointer& ptr) {
 
 bool Stream::CorruptRecordForTesting(const PagePointer& ptr,
                                      uint32_t byte_index) {
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   Extent* e = FindExtentLocked(ptr.extent_id);
   return e != nullptr && e->CorruptRecordForTesting(ptr.offset, byte_index);
 }
 
 Status Stream::FreeExtent(ExtentId id) {
-  MutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   auto it = extents_.find(id);
   if (it == extents_.end()) {
     return Status::NotFound("extent " + std::to_string(id));
@@ -112,7 +112,7 @@ Status Stream::FreeExtent(ExtentId id) {
 }
 
 std::vector<ExtentStats> Stream::SealedExtentStats() const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   std::vector<ExtentStats> out;
   out.reserve(extents_.size());
   for (const auto& [eid, e] : extents_) {
@@ -130,9 +130,9 @@ std::vector<ExtentStats> Stream::SealedExtentStats() const {
 }
 
 Result<std::vector<std::pair<PagePointer, std::string>>>
-Stream::ReadValidRecords(ExtentId extent) {
-  MutexLock lock(&mu_);
-  Extent* e = FindExtentLocked(extent);
+Stream::ReadValidRecords(ExtentId extent) const {
+  ReaderMutexLock lock(&mu_);
+  const Extent* e = FindExtentLocked(extent);
   if (e == nullptr) return Status::NotFound("extent");
   std::vector<std::pair<PagePointer, std::string>> out;
   for (const auto& [offset, length] : e->ValidRecords()) {
@@ -146,7 +146,7 @@ Stream::ReadValidRecords(ExtentId extent) {
 
 std::vector<std::pair<PagePointer, std::string>> Stream::TailRecords(
     const PagePointer& cursor, size_t max_records) const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   std::vector<std::pair<PagePointer, std::string>> out;
   const bool from_start = cursor.IsNull();
   auto it = extents_.begin();
@@ -175,22 +175,22 @@ std::vector<std::pair<PagePointer, std::string>> Stream::TailRecords(
 }
 
 uint64_t Stream::total_bytes() const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   return total_bytes_;
 }
 
 uint64_t Stream::dead_bytes() const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   return dead_bytes_;
 }
 
 uint64_t Stream::live_bytes() const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   return total_bytes_ - dead_bytes_;
 }
 
 size_t Stream::extent_count() const {
-  MutexLock lock(&mu_);
+  ReaderMutexLock lock(&mu_);
   return extents_.size();
 }
 

@@ -41,8 +41,12 @@ class Stream {
   Stream(StreamId id, std::string name, size_t extent_capacity,
          std::atomic<ExtentId>* extent_id_allocator);
 
-  /// All public methods are individually thread-safe (one mutex per stream,
-  /// so appends to different streams never contend).
+  /// All public methods are individually thread-safe. Each stream has one
+  /// reader/writer lock, so appends to different streams never contend.
+  /// Reads, log tailing and the getters take it shared and run in parallel
+  /// (Extent::Read mutates nothing, so the checksum check and the copy run
+  /// concurrently); appends, fencing, invalidation and frees take it
+  /// exclusively.
 
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
@@ -88,7 +92,7 @@ class Stream {
 
   /// Copies of all valid records in `extent` (GC relocation input).
   Result<std::vector<std::pair<PagePointer, std::string>>> ReadValidRecords(
-      ExtentId extent);
+      ExtentId extent) const;
 
   /// Log tailing: returns up to `max_records` records appended strictly
   /// after `cursor` (pass a null pointer value — default PagePointer — to
@@ -106,14 +110,14 @@ class Stream {
   void OpenNewExtent(size_t capacity) BG3_REQUIRES(mu_);
   PagePointer AppendLocked(const Slice& record) BG3_REQUIRES(mu_);
   Extent* FindExtentLocked(ExtentId id) BG3_REQUIRES(mu_);
-  const Extent* FindExtentLocked(ExtentId id) const BG3_REQUIRES(mu_);
+  const Extent* FindExtentLocked(ExtentId id) const BG3_REQUIRES_SHARED(mu_);
 
   const StreamId id_;
   const std::string name_;
   const size_t extent_capacity_;
   std::atomic<ExtentId>* extent_id_allocator_;
 
-  mutable Mutex mu_;
+  mutable SharedMutex mu_;
   // Oldest-first; the last element is the active (unsealed) extent.
   std::map<ExtentId, std::unique_ptr<Extent>> extents_ BG3_GUARDED_BY(mu_);
   Extent* active_ BG3_GUARDED_BY(mu_) = nullptr;

@@ -7,6 +7,8 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "bwtree/bwtree.h"
 #include "cloud/cloud_store.h"
@@ -173,6 +175,84 @@ TEST_P(ZeroCacheModelTest, StorageImagesMatchMemory) {
     } else {
       ASSERT_TRUE(got.ok()) << key;
       EXPECT_EQ(got.value(), it->second);
+    }
+  }
+}
+
+// Zero-cache scans and point reads parse the storage images in place and
+// merge only [start, end). Checked mid-workload, so pages are seen with
+// every chain length (multi-delta chains in traditional mode) and with
+// deletes shadowing consolidated base entries, against a std::map and a
+// full-cache tree fed the same writes.
+TEST_P(ZeroCacheModelTest, ScansAndGetsMatchModelAndFullCacheTree) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 14;
+  cloud::CloudStore store(copts);
+  BwTreeOptions opts;
+  opts.delta_mode = GetParam().mode;
+  opts.consolidate_threshold = GetParam().consolidate_threshold;
+  opts.max_leaf_entries = GetParam().max_leaf_entries;
+  opts.base_stream = store.CreateStream("base");
+  opts.delta_stream = store.CreateStream("delta");
+  BwTreeOptions cached_opts = opts;
+  opts.read_cache = ReadCacheMode::kNone;
+  BwTree tree(&store, opts);
+  cached_opts.tree_id = 1;
+  cached_opts.base_stream = store.CreateStream("cached-base");
+  cached_opts.delta_stream = store.CreateStream("cached-delta");
+  BwTree cached(&store, cached_opts);
+
+  std::map<std::string, std::string> model;
+  Random rng(GetParam().consolidate_threshold * 31 +
+             GetParam().max_leaf_entries);
+  auto random_key = [&rng] { return "key" + std::to_string(rng.Uniform(120)); };
+  for (int i = 0; i < 2000; ++i) {
+    const std::string key = random_key();
+    if (rng.Uniform(10) < 6) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(tree.Upsert(key, value).ok());
+      ASSERT_TRUE(cached.Upsert(key, value).ok());
+      model[key] = value;
+    } else {
+      ASSERT_TRUE(tree.Delete(key).ok());
+      ASSERT_TRUE(cached.Delete(key).ok());
+      model.erase(key);
+    }
+    if (i % 10 != 0) continue;
+
+    auto got = tree.Get(key);
+    auto it = model.find(key);
+    if (it == model.end()) {
+      EXPECT_TRUE(got.status().IsNotFound()) << key;
+    } else {
+      ASSERT_TRUE(got.ok()) << key;
+      EXPECT_EQ(got.value(), it->second);
+    }
+
+    BwTree::ScanOptions scan;  // empty bounds mean open-ended
+    if (rng.Uniform(4) != 0) scan.start_key = random_key();
+    if (rng.Uniform(4) != 0) scan.end_key = random_key();
+    if (!scan.end_key.empty() && scan.end_key < scan.start_key) {
+      std::swap(scan.start_key, scan.end_key);
+    }
+    if (rng.Uniform(2) == 0) scan.limit = rng.Uniform(40);
+    std::vector<Entry> out;
+    std::vector<Entry> cached_out;
+    ASSERT_TRUE(tree.Scan(scan, &out).ok());
+    ASSERT_TRUE(cached.Scan(scan, &cached_out).ok());
+    auto mit = model.lower_bound(scan.start_key);
+    size_t n = 0;
+    for (; mit != model.end() && n < scan.limit; ++mit, ++n) {
+      if (!scan.end_key.empty() && mit->first >= scan.end_key) break;
+      ASSERT_LT(n, out.size()) << "missing " << mit->first;
+      EXPECT_EQ(out[n].key, mit->first);
+      EXPECT_EQ(out[n].value, mit->second);
+    }
+    EXPECT_EQ(out.size(), n) << scan.start_key << ".." << scan.end_key;
+    ASSERT_EQ(cached_out.size(), out.size());
+    for (size_t k = 0; k < out.size(); ++k) {
+      EXPECT_EQ(cached_out[k].key, out[k].key);
+      EXPECT_EQ(cached_out[k].value, out[k].value);
     }
   }
 }

@@ -8,6 +8,7 @@
 #include "bwtree/bwtree.h"
 #include "bwtree/page.h"
 #include "cloud/cloud_store.h"
+#include "common/coding.h"
 
 namespace bg3::bwtree {
 namespace {
@@ -118,6 +119,124 @@ TEST(PageCodecTest, LookupHelpers) {
   bool deleted = false;
   EXPECT_TRUE(LookupInDelta(delta, "x", &value, &deleted));
   EXPECT_TRUE(deleted);  // newest entry (the delete) wins
+}
+
+// Malformed payloads are well-formed bytes as far as the store's checksum
+// goes: they round-trip through the store, and only the parsers catch them.
+// Both the in-place parser and the owned decoder built on it must reject
+// each one.
+std::string ThroughStore(const std::string& payload) {
+  cloud::CloudStore store;
+  const cloud::StreamId s = store.CreateStream("s");
+  auto ptr = store.Append(s, payload);
+  BG3_CHECK(ptr.ok());
+  auto read = store.Read(ptr.value());
+  BG3_CHECK(read.ok());
+  return read.value();
+}
+
+void ExpectCorruptBase(const std::string& payload) {
+  const std::string bytes = ThroughStore(payload);
+  std::vector<EntryView> views;
+  std::vector<Entry> owned;
+  EXPECT_TRUE(ParseBasePagePayload(bytes, &views).IsCorruption());
+  EXPECT_TRUE(DecodeBasePagePayload(bytes, &owned).IsCorruption());
+}
+
+void ExpectCorruptDelta(const std::string& payload) {
+  const std::string bytes = ThroughStore(payload);
+  std::vector<DeltaEntryView> views;
+  std::vector<DeltaEntry> owned;
+  EXPECT_TRUE(ParseDeltaPayload(bytes, &views).IsCorruption());
+  EXPECT_TRUE(DecodeDeltaPayload(bytes, &owned).IsCorruption());
+}
+
+TEST(PageCodecTest, ViewParsersMatchOwnedDecoders) {
+  const std::string base = EncodeBasePage(1, 2, 3, {{"a", "1"}, {"bb", ""}});
+  Slice in(base);
+  RecordHeader header;
+  ASSERT_TRUE(DecodeRecordHeader(&in, &header).ok());
+  std::vector<EntryView> views;
+  ASSERT_TRUE(ParseBasePagePayload(in, &views).ok());
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_EQ(views[1].key, Slice("bb"));
+  EXPECT_TRUE(views[1].value.empty());
+  // Views point into the record buffer itself.
+  EXPECT_GE(views[0].key.data(), base.data());
+  EXPECT_LT(views[0].key.data(), base.data() + base.size());
+
+  const std::string delta = EncodeDelta(
+      1, 2, 3, {{DeltaOp::kDelete, "x", ""}, {DeltaOp::kUpsert, "y", "9"}});
+  in = Slice(delta);
+  ASSERT_TRUE(DecodeRecordHeader(&in, &header).ok());
+  std::vector<DeltaEntryView> dviews;
+  ASSERT_TRUE(ParseDeltaPayload(in, &dviews).ok());
+  ASSERT_EQ(dviews.size(), 2u);
+  EXPECT_EQ(dviews[0].op, DeltaOp::kDelete);
+  EXPECT_EQ(dviews[1].value, Slice("9"));
+}
+
+TEST(PageCodecTest, MalformedBasePayloadsAreCorruption) {
+  std::string p;
+  ExpectCorruptBase(p);  // no count at all
+
+  p.clear();  // overstated count: claims 3 entries, holds 2
+  PutVarint32(&p, 3);
+  for (const char* k : {"a", "b"}) {
+    PutLengthPrefixedSlice(&p, k);
+    PutLengthPrefixedSlice(&p, "v");
+  }
+  ExpectCorruptBase(p);
+
+  p.clear();  // grossly overstated count must not over-allocate either
+  PutVarint32(&p, 0x0FFFFFFF);
+  PutLengthPrefixedSlice(&p, "a");
+  PutLengthPrefixedSlice(&p, "v");
+  ExpectCorruptBase(p);
+
+  p.clear();  // length prefix runs past the payload
+  PutVarint32(&p, 1);
+  PutVarint32(&p, 10);
+  p += "abc";
+  ExpectCorruptBase(p);
+
+  p.clear();  // value length prefix cut mid-varint
+  PutVarint32(&p, 1);
+  PutLengthPrefixedSlice(&p, "key");
+  p.push_back(static_cast<char>(0x80));
+  ExpectCorruptBase(p);
+}
+
+TEST(PageCodecTest, MalformedDeltaPayloadsAreCorruption) {
+  std::string p;
+  ExpectCorruptDelta(p);  // no count at all
+
+  p.clear();  // overstated count: claims 2 entries, holds 1
+  PutVarint32(&p, 2);
+  p.push_back(static_cast<char>(DeltaOp::kUpsert));
+  PutLengthPrefixedSlice(&p, "k");
+  PutLengthPrefixedSlice(&p, "v");
+  ExpectCorruptDelta(p);
+
+  p.clear();  // bad op byte
+  PutVarint32(&p, 1);
+  p.push_back(7);
+  PutLengthPrefixedSlice(&p, "k");
+  PutLengthPrefixedSlice(&p, "v");
+  ExpectCorruptDelta(p);
+
+  p.clear();  // key length prefix runs past the payload
+  PutVarint32(&p, 1);
+  p.push_back(static_cast<char>(DeltaOp::kDelete));
+  PutVarint32(&p, 50);
+  p += "short";
+  ExpectCorruptDelta(p);
+
+  p.clear();  // value length prefix missing entirely
+  PutVarint32(&p, 1);
+  p.push_back(static_cast<char>(DeltaOp::kUpsert));
+  PutLengthPrefixedSlice(&p, "k");
+  ExpectCorruptDelta(p);
 }
 
 // --- basic CRUD -----------------------------------------------------------------

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud_store.h"
 #include "cloud/latency_model.h"
+#include "common/random.h"
 
 namespace bg3::cloud {
 namespace {
@@ -337,6 +342,92 @@ TEST(CloudStoreTest, ConcurrentAppendsToDistinctStreams) {
   EXPECT_EQ(store.TotalBytes(b), 1000u);
 }
 
+// Readers share the stream lock; appends, invalidation and frees take it
+// exclusively. Readers racing all three on one stream must see either the
+// exact record bytes or a clean NotFound/IOError for a freed extent —
+// never torn data.
+TEST(CloudStoreTest, SharedReadsRaceAppendsInvalidationAndFrees) {
+  CloudStore store(SmallExtents(512));
+  const StreamId s = store.CreateStream("data");
+  // Self-describing records: the index determines every byte.
+  auto record = [](int i) {
+    std::string r = std::to_string(i) + ":";
+    r.append(40 + i % 50, static_cast<char>('a' + i % 26));
+    return r;
+  };
+
+  std::mutex published_mu;  // guards `published` (test bookkeeping only)
+  std::vector<std::pair<int, PagePointer>> published;
+  auto publish = [&](int i, const PagePointer& p) {
+    std::lock_guard<std::mutex> lock(published_mu);
+    published.emplace_back(i, p);
+  };
+  auto pick = [&](Random* rng) {
+    std::lock_guard<std::mutex> lock(published_mu);
+    return published[rng->Uniform(published.size())];
+  };
+  std::atomic<int> next_index{0};
+  for (; next_index < 200; ++next_index) {  // several sealed extents
+    auto p = store.Append(s, record(next_index));
+    ASSERT_TRUE(p.ok());
+    publish(next_index, p.value());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> good_reads{0};
+  std::atomic<uint64_t> frees{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {  // appenders: seal and open extents
+    threads.emplace_back([&] {
+      while (!stop.load() && next_index.load() < 20'000) {
+        const int i = next_index.fetch_add(1);
+        auto p = store.Append(s, record(i));
+        ASSERT_TRUE(p.ok());
+        publish(i, p.value());
+      }
+    });
+  }
+  threads.emplace_back([&] {  // invalidator
+    Random rng(11);
+    while (!stop.load()) store.MarkInvalid(pick(&rng).second);
+  });
+  threads.emplace_back([&] {  // freer: drops the oldest sealed extent
+    while (!stop.load()) {
+      const auto sealed = store.SealedExtentStats(s);
+      if (sealed.size() > 2) {
+        ASSERT_TRUE(store.FreeExtent(s, sealed.front().id).ok());
+        frees.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+  });
+  for (int t = 0; t < 3; ++t) {  // readers of sealed and active extents
+    threads.emplace_back([&, t] {
+      Random rng(100 + t);
+      for (int n = 0; n < 20'000; ++n) {
+        const auto [i, ptr] = pick(&rng);
+        auto data = store.Read(ptr);
+        if (data.ok()) {
+          ASSERT_EQ(data.value(), record(i));
+          good_reads.fetch_add(1);
+        } else {
+          ASSERT_TRUE(data.status().IsNotFound() ||
+                      data.status().IsIOError())
+              << data.status().ToString();
+        }
+      }
+    });
+  }
+  for (size_t t = 4; t < threads.size(); ++t) threads[t].join();
+  stop.store(true);
+  for (size_t t = 0; t < 4; ++t) threads[t].join();
+  EXPECT_GT(good_reads.load(), 0u);
+  // The first free took the oldest extent, which held record 0.
+  ASSERT_GT(frees.load(), 0u);
+  const Status gone = store.Read(published.front().second).status();
+  EXPECT_TRUE(gone.IsNotFound() || gone.IsIOError()) << gone.ToString();
+}
+
 }  // namespace
 }  // namespace bg3::cloud
 
@@ -351,6 +442,42 @@ TEST(Crc32cTest, KnownVectorsAndProperties) {
   EXPECT_EQ(Crc32c("", 0), 0u);
   EXPECT_NE(Crc32c("abc", 3), Crc32c("abd", 3));
   EXPECT_EQ(Crc32c("abc", 3), Crc32c("abc", 3));
+}
+
+// Crc32c runs the SSE4.2 instruction when cpuid reports it; it must agree
+// with the table loop on every length, misalignment and seed, and both
+// must chain (the CRC of a||b seeded with the CRC of a).
+TEST(Crc32cTest, HardwareLoopMatchesTableLoop) {
+  const bool hardware = Crc32cIsHardware();
+  if (!hardware) {
+    std::printf("CPU lacks SSE4.2: only the table loop is checked\n");
+  }
+  Random rng(0xC32C);
+  std::string buf(8192 + 64, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  // Every short length around the 8-byte word boundary, at every offset.
+  for (size_t align = 0; hardware && align < 64; ++align) {
+    for (size_t n = 0; n <= 80; ++n) {
+      const char* p = buf.data() + align;
+      ASSERT_EQ(Crc32c(p, n), Crc32cPortable(p, n)) << align << "+" << n;
+    }
+  }
+  // Random lengths up to 8 KiB, random offsets and seeds, split anywhere.
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t align = rng.Uniform(64);
+    const size_t n = rng.Uniform(8192 + 1);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const size_t cut = rng.Uniform(n + 1);
+    const char* p = buf.data() + align;
+    const uint32_t whole = Crc32cPortable(p, n, seed);
+    EXPECT_EQ(Crc32cPortable(p + cut, n - cut, Crc32cPortable(p, cut, seed)),
+              whole);
+    if (hardware) {
+      ASSERT_EQ(Crc32c(p, n, seed), whole)
+          << "align " << align << " n " << n << " seed " << seed;
+      EXPECT_EQ(Crc32c(p + cut, n - cut, Crc32c(p, cut, seed)), whole);
+    }
+  }
 }
 
 TEST(CloudStoreTest, CorruptionSurfacesAsChecksumError) {
