@@ -6,6 +6,7 @@
 
 #include "bwtree/page.h"
 #include "cloud/types.h"
+#include "common/status.h"
 
 namespace bg3::bwtree {
 
@@ -19,13 +20,21 @@ class TreeListener {
   /// A new tree came up with its initial (empty) leaf page.
   virtual void OnTreeInit(TreeId tree, PageId initial_page) {}
 
-  /// One logical upsert/delete applied to `page` at `lsn`.
-  virtual void OnMutation(TreeId tree, PageId page, Lsn lsn,
-                          const DeltaEntry& entry) {}
+  /// One logical upsert/delete applied to `page` at `lsn`. A non-OK
+  /// status means the record's fate is unknown (it may still land): the
+  /// tree keeps the entry in memory and fails the write, so the caller
+  /// never treats it as acknowledged.
+  virtual Status OnMutation(TreeId tree, PageId page, Lsn lsn,
+                            const DeltaEntry& entry) {
+    return Status::OK();
+  }
 
-  /// `old_page` split: keys >= `separator` moved to `new_page`.
-  virtual void OnSplit(TreeId tree, PageId old_page, PageId new_page, Lsn lsn,
-                       const std::string& separator) {}
+  /// `old_page` split: keys >= `separator` moved to `new_page`. A non-OK
+  /// status fails the write that caused the split, as with OnMutation.
+  virtual Status OnSplit(TreeId tree, PageId old_page, PageId new_page,
+                         Lsn lsn, const std::string& separator) {
+    return Status::OK();
+  }
 
   /// The storage image of `page` now reflects all mutations up to
   /// `flushed_lsn`: base at `base_ptr` plus deltas `delta_ptrs`

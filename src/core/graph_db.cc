@@ -29,20 +29,16 @@ AdmissionOptions AdmissionWithDbClock(AdmissionOptions a,
 /// stay off the per-op fast path.
 constexpr uint64_t kWritesPerOverloadRefresh = 256;
 
-/// Raises `lsn` to at least `floor`, so post-restore mutations keep
-/// flushed_lsn <= last_lsn on every restored page.
-void RaiseLsnFloor(std::atomic<bwtree::Lsn>* lsn, bwtree::Lsn floor) {
-  bwtree::Lsn cur = lsn->load(std::memory_order_relaxed);
-  while (cur < floor &&
-         !lsn->compare_exchange_weak(cur, floor, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 bwtree::BwTree* GraphDB::ResolverImpl::Resolve(bwtree::TreeId id) {
-  if (id == kVertexTreeId) return db_->vertex_tree_.get();
+  if (id == kVertexTreeId) return db_->vertex_tree_;
   return db_->forest_->ResolveTree(id);
+}
+
+void GraphDB::ResolverImpl::AppendTrees(std::vector<bwtree::BwTree*>* out) {
+  out->push_back(db_->vertex_tree_);
+  db_->forest_->AppendTrees(out);
 }
 
 GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
@@ -60,22 +56,6 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   tracker_ = std::make_unique<gc::ExtentUsageTracker>(time_source_);
   store_->SetObserver(tracker_.get());
 
-  // Checkpoint restore happens before the trees exist: the manifest decides
-  // which trees come up in bootstrap mode with their checkpointed layout.
-  replication::CheckpointManifest restore_manifest;
-  bool restoring = false;
-  if (opts_.checkpoint.enabled) {
-    auto loaded = replication::LoadCheckpoint(store_, kCheckpointScope);
-    if (loaded.ok()) {
-      restore_manifest = std::move(loaded.value().manifest);
-      checkpoint_fell_back_ = loaded.value().fell_back;
-      restoring = true;
-      RaiseLsnFloor(&lsn_, restore_manifest.checkpoint_lsn);
-    }
-  }
-  std::vector<bwtree::RecoveredPage> vertex_pages;
-  if (restoring) vertex_pages = LoadTreeImages(kVertexTreeId);
-
   bwtree::BwTreeOptions vertex_opts;
   vertex_opts.tree_id = kVertexTreeId;
   vertex_opts.base_stream = base_stream_;
@@ -87,47 +67,20 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
   vertex_opts.flush_mode = opts_.forest.tree_options.flush_mode;
   vertex_opts.tolerate_missing_extents = opts_.edge_ttl_us != 0;
   vertex_opts.tick_source = &access_tick_;
-  vertex_opts.lsn_source = &lsn_;
-  if (opts_.checkpoint.enabled) {
-    // Checkpointing owns durability: writes stay in memory and the
-    // checkpointer's bounded flush rounds persist them (the images publish
-    // through the stager at each commit).
-    vertex_opts.flush_mode = bwtree::FlushMode::kDeferred;
-    vertex_opts.listener = &stager_;
-  }
-  vertex_opts.bootstrap = !vertex_pages.empty();
-  vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
-  if (vertex_opts.bootstrap &&
-      !vertex_tree_->InstallRecoveredPages(std::move(vertex_pages)).ok()) {
-    // Unusable layout (e.g. a crash tore a split's image pair): fall back
-    // to a fresh tree — the vertex data beyond the last coherent images is
-    // past the restore horizon.
-    vertex_opts.bootstrap = false;
-    vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
-  }
 
   forest::ForestOptions forest_opts = opts_.forest;
   forest_opts.tree_options.base_stream = base_stream_;
   forest_opts.tree_options.delta_stream = delta_stream_;
   forest_opts.tree_options.tolerate_missing_extents = opts_.edge_ttl_us != 0;
   forest_opts.tree_options.tick_source = &access_tick_;
-  forest_opts.tree_options.lsn_source = &lsn_;
   if (opts_.checkpoint.enabled) {
-    forest_opts.tree_options.flush_mode = bwtree::FlushMode::kDeferred;
-    forest_opts.tree_options.listener = &stager_;
-  }
-  std::vector<bwtree::RecoveredPage> init_pages;
-  if (restoring) init_pages = LoadTreeImages(0);
-  forest_opts.bootstrap_init = !init_pages.empty();
-  forest_ = std::make_unique<forest::BwTreeForest>(store_, forest_opts);
-  if (forest_opts.bootstrap_init &&
-      !forest_->InstallInitPages(std::move(init_pages)).ok()) {
-    forest_opts.bootstrap_init = false;
+    OpenLogged(vertex_opts, forest_opts);
+  } else {
+    own_vertex_tree_ = std::make_unique<bwtree::BwTree>(store_, vertex_opts);
+    vertex_tree_ = own_vertex_tree_.get();
     forest_ = std::make_unique<forest::BwTreeForest>(store_, forest_opts);
   }
-  if (restoring) RestoreFromManifest(restore_manifest);
 
-  resolver_ = std::make_unique<ResolverImpl>(this);
   gc_policy_ = MakeGcPolicy(opts_.gc_policy, opts_.gc_min_fragmentation,
                             opts_.gc_ttl_bypass_window_us);
   if (gc_policy_ != nullptr) {
@@ -135,7 +88,7 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
     reclaim.ttl_us = opts_.edge_ttl_us;
     reclaim.target_dead_ratio = opts_.gc_target_dead_ratio;
     reclaimer_ = std::make_unique<gc::SpaceReclaimer>(
-        store_, resolver_.get(), gc_policy_.get(), tracker_.get(), reclaim);
+        store_, &resolver_, gc_policy_.get(), tracker_.get(), reclaim);
   }
 
   // Publish forest/GC internals in the process-wide registry, the one
@@ -216,16 +169,6 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                          [this] { return reclaimer_->totals().bytes_freed; });
   }
 
-  if (opts_.checkpoint.enabled) {
-    replication::CheckpointerOptions ckpt_opts;
-    ckpt_opts.interval_ms = opts_.checkpoint.interval_ms;
-    ckpt_opts.max_pages_per_round = opts_.checkpoint.max_pages_per_cycle;
-    // The cast happens here, where the private base is accessible.
-    replication::CheckpointTarget* target = this;
-    checkpointer_ =
-        std::make_unique<replication::Checkpointer>(store_, target, ckpt_opts);
-  }
-
   if (opts_.debug_server.enabled) {
     // Best effort: a debug endpoint that cannot bind (port in use) must
     // not fail database startup. debug_server_port() stays 0.
@@ -241,7 +184,8 @@ GraphDB::~GraphDB() {
   // Stop serving before engine teardown so no handler renders metrics while
   // callbacks registered against this instance are being torn down.
   debug_server_.Stop();
-  checkpointer_.reset();  // stops its thread before the trees go away
+  // Stops the checkpoint thread before the trees it flushes go away.
+  if (rw_ != nullptr) rw_->checkpointer()->Stop();
   StopMaintenance();
   MetricsRegistry::Default().DeregisterPrefix(metrics_prefix_);
   store_->SetObserver(nullptr);
@@ -280,123 +224,54 @@ void GraphDB::StopMaintenance() {
   joinee.join();
 }
 
-std::vector<bwtree::RecoveredPage> GraphDB::LoadTreeImages(
-    bwtree::TreeId tree) {
-  std::vector<bwtree::RecoveredPage> pages;
-  for (const auto& [key, value] :
-       store_->ManifestList(replication::PageImagePrefix(tree))) {
-    bwtree::TreeId parsed_tree;
-    bwtree::PageId page;
-    if (!replication::ParsePageImageKey(key, &parsed_tree, &page) ||
-        parsed_tree != tree) {
-      continue;
-    }
-    replication::PageImageMeta meta;
-    if (!replication::PageImageMeta::Decode(Slice(value), &meta).ok() ||
-        !meta.delta_ptrs.empty()) {
-      // A corrupt or delta-carrying image cannot be demand-paged; treat the
-      // whole tree as unrestorable (fresh-tree fallback) rather than
-      // resurrecting a partial layout.
-      return {};
-    }
-    pages.push_back(replication::RecoveredPageFromImage(page, meta));
+void GraphDB::OpenLogged(const bwtree::BwTreeOptions& vertex_opts,
+                         forest::ForestOptions forest_opts) {
+  replication::RwNodeOptions rw_opts;
+  rw_opts.tree = vertex_opts;
+  rw_opts.wal.stream = store_->CreateStream("bg3-wal");
+  rw_opts.checkpoint.interval_ms = opts_.checkpoint.interval_ms;
+  rw_opts.checkpoint.max_pages_per_round = opts_.checkpoint.max_pages_per_cycle;
+  // The node's own tree is the vertex tree; the forest's trees log through
+  // the node. `source` is null on a fresh start.
+  const auto open_forest =
+      [this, &forest_opts](replication::RwNode* node,
+                           const bwtree::RecoveredTreeSource* source) {
+        vertex_tree_ = node->tree();
+        forest_opts.tree_options =
+            node->LoggedTreeOptions(forest_opts.tree_options);
+        if (source == nullptr) {
+          forest_ = std::make_unique<forest::BwTreeForest>(store_, forest_opts);
+          return Status::OK();
+        }
+        BG3_ASSIGN_OR_RETURN(forest_, forest::BwTreeForest::Recover(
+                                          store_, forest_opts, *source));
+        return Status::OK();
+      };
+  if (store_->TotalBytes(rw_opts.wal.stream) == 0) {
+    rw_ = std::make_unique<replication::RwNode>(store_, rw_opts, &resolver_);
+    BG3_CHECK(open_forest(rw_.get(), nullptr).ok());
+    return;
   }
-  // Images of a cut that never reached its manifest may sit past the
-  // manifest's LSN; they are installed all the same.
-  for (const auto& rp : pages) RaiseLsnFloor(&lsn_, rp.last_lsn);
-  return pages;
+  auto recovered = replication::RwNode::Recover(
+      store_, rw_opts, &resolver_,
+      [&open_forest](replication::RwNode* node,
+                     const bwtree::RecoveredTreeSource& source) {
+        return open_forest(node, &source);
+      });
+  BG3_CHECK(recovered.ok()) << "GraphDB restart from the WAL failed: "
+                            << recovered.status().ToString();
+  rw_ = recovered.take();
 }
 
-void GraphDB::RestoreFromManifest(
-    const replication::CheckpointManifest& manifest) {
-  for (const auto& owner : manifest.owners) {
-    forest::OwnerRecord rec;
-    rec.owner = owner.owner;
-    rec.tree_id = owner.tree_id;
-    rec.entry_count = owner.entry_count;
-    std::vector<bwtree::RecoveredPage> pages;
-    if (rec.tree_id != 0) pages = LoadTreeImages(rec.tree_id);
-    if (!forest_->RestoreOwner(rec, std::move(pages)).ok()) {
-      // Dedicated layout unusable: restore the owner empty, INIT-resident.
-      BG3_IGNORE_STATUS(forest_->RestoreOwner(rec, {}));
-    }
-  }
-  restored_from_checkpoint_ = true;
-}
-
-replication::CheckpointTarget::Scope GraphDB::CheckpointScope() const {
-  return Scope{kCheckpointScope, std::nullopt};
-}
-
-Status GraphDB::BeginCut(CutStart* cut) {
-  cut->lsn = CurrentLsn();
-  // Trees a cut begins with: the vertex tree, INIT, and the dedicated trees
-  // of the owner registry (a tree still being populated by a split-out is
-  // not yet in it, and is treated as born during the cut).
-  std::vector<bwtree::BwTree*> trees = {vertex_tree_.get(),
-                                        forest_->ResolveTree(0)};
-  for (const forest::OwnerRecord& rec : forest_->ExportOwners()) {
-    if (rec.tree_id != 0) trees.push_back(forest_->ResolveTree(rec.tree_id));
-  }
-  cut_leaves_.clear();
-  for (bwtree::BwTree* t : trees) {
-    const bwtree::TreeId id = t->options().tree_id;
-    cut_leaves_[id] = t->LeafCount();
-    for (bwtree::PageId page : t->DirtyPageIds()) {
-      cut->dirty.emplace_back(id, page);
-    }
-  }
-  return Status::OK();
-}
-
-Status GraphDB::FlushPage(bwtree::TreeId tree, bwtree::PageId page) {
-  bwtree::BwTree* t = resolver_->Resolve(tree);
-  return t == nullptr ? Status::NotFound("tree") : t->FlushPage(page);
-}
-
-Status GraphDB::CommitCheckpoint(bwtree::Lsn cut_lsn,
-                                 replication::CheckpointManifest* manifest) {
-  // Without a WAL the images alone must rebuild each tree, so they must
-  // tile it. The cut's rounds flushed a snapshot page by page; a split
-  // during the cut can leave a narrowed page flushed without its new
-  // sibling. Re-flush every tree that split since the cut began.
-  for (const auto& [id, leaves] : cut_leaves_) {
-    bwtree::BwTree* tree = resolver_->Resolve(id);
-    if (tree != nullptr && tree->LeafCount() != leaves) {
-      BG3_RETURN_IF_ERROR(replication::FlushTreeUntilStable(tree));
-    }
-  }
-  // One owner snapshot, taken after INIT's last flush: an owner it places
-  // in INIT left INIT, if at all, after those images. A dedicated tree born
-  // during the cut (a split-out) had no page in the cut, so flush it now —
-  // otherwise the manifest would route its owner to a tree with no images
-  // while INIT's images already lack the owner's edges.
-  const std::vector<forest::OwnerRecord> owners = forest_->ExportOwners();
-  for (const forest::OwnerRecord& rec : owners) {
-    if (rec.tree_id == 0 || cut_leaves_.count(rec.tree_id) != 0) continue;
-    bwtree::BwTree* tree = forest_->ResolveTree(rec.tree_id);
-    if (tree != nullptr) BG3_RETURN_IF_ERROR(replication::FlushTreeUntilStable(tree));
-  }
-  // Images first, manifest last (the Checkpointer publishes it after this
-  // returns). Every image published so far carries an LSN at or below the
-  // cut's, or is in this batch, so the max is the highest LSN any image
-  // covers — restore raises the LSN floor to it.
-  manifest->checkpoint_lsn = cut_lsn;
-  for (const auto& [tree_id, lsn] : stager_.Publish(store_)) {
-    manifest->trees.push_back(replication::CheckpointTree{tree_id, lsn});
-    manifest->checkpoint_lsn = std::max(manifest->checkpoint_lsn, lsn);
-  }
-  for (const forest::OwnerRecord& rec : owners) {
-    manifest->owners.push_back(
-        replication::CheckpointOwner{rec.owner, rec.tree_id, rec.entry_count});
-  }
-  return Status::OK();
+Status GraphDB::FinishWrite(Status written) {
+  if (!written.ok() || rw_ == nullptr) return written;
+  return rw_->MaybeCheckpoint();
 }
 
 Result<size_t> GraphDB::WarmRestoredPages(size_t max) {
-  if (!restored_from_checkpoint_) return size_t{0};
-  std::vector<bwtree::BwTree*> trees = {vertex_tree_.get()};
-  forest_->AppendTrees(&trees);
+  if (rw_ == nullptr) return size_t{0};  // nothing is ever restored then
+  std::vector<bwtree::BwTree*> trees;
+  resolver_.AppendTrees(&trees);
   size_t remaining = 0;
   for (bwtree::BwTree* tree : trees) {
     uint64_t bytes = 0;
@@ -451,7 +326,8 @@ Status GraphDB::AddVertex(graph::VertexId id, const Slice& properties,
   BG3_TIMED_SCOPE("bg3.api.add_vertex", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
-  return vertex_tree_->Upsert(graph::EncodeDstKey(id), properties, ctx);
+  return FinishWrite(
+      vertex_tree_->Upsert(graph::EncodeDstKey(id), properties, ctx));
 }
 
 Result<std::string> GraphDB::GetVertex(graph::VertexId id,
@@ -480,7 +356,7 @@ Status GraphDB::DeleteVertex(graph::VertexId id, graph::EdgeType type,
   for (const bwtree::Entry& e : entries) {
     BG3_RETURN_IF_ERROR(forest_->Delete(owner, e.key, ctx));
   }
-  return Status::OK();
+  return FinishWrite(Status::OK());
 }
 
 Status GraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
@@ -490,9 +366,9 @@ Status GraphDB::AddEdge(graph::VertexId src, graph::EdgeType type,
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
   if (created_us == 0) created_us = time_source_->NowUs();
-  return forest_->Upsert(graph::MakeOwnerId(src, type),
-                         graph::EncodeDstKey(dst),
-                         graph::EncodeEdgeValue(created_us, properties), ctx);
+  return FinishWrite(forest_->Upsert(
+      graph::MakeOwnerId(src, type), graph::EncodeDstKey(dst),
+      graph::EncodeEdgeValue(created_us, properties), ctx));
 }
 
 Status GraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
@@ -500,8 +376,8 @@ Status GraphDB::DeleteEdge(graph::VertexId src, graph::EdgeType type,
   BG3_TIMED_SCOPE("bg3.api.delete_edge", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kWrite, ctx, &permit));
-  return forest_->Delete(graph::MakeOwnerId(src, type),
-                         graph::EncodeDstKey(dst), ctx);
+  return FinishWrite(forest_->Delete(graph::MakeOwnerId(src, type),
+                                     graph::EncodeDstKey(dst), ctx));
 }
 
 Result<std::string> GraphDB::GetEdge(graph::VertexId src, graph::EdgeType type,
@@ -564,8 +440,7 @@ Status GraphDB::RunGcCycle() {
       // old per-tree target made the footprint scale with the tree count
       // as the forest split owners out; a byte budget does not.
       std::vector<bwtree::BwTree*> trees;
-      forest_->AppendTrees(&trees);
-      trees.push_back(vertex_tree_.get());
+      resolver_.AppendTrees(&trees);
       const size_t resident = forest::TotalResidentBytesAcross(trees);
       const size_t overhead = memory > resident ? memory - resident : 0;
       const size_t payload_budget = opts_.memory_budget_bytes > overhead

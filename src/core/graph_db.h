@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,8 +18,7 @@
 #include "gc/extent_usage.h"
 #include "gc/space_reclaimer.h"
 #include "graph/engine.h"
-#include "replication/checkpoint.h"
-#include "replication/page_image.h"
+#include "replication/rw_node.h"
 
 namespace bg3::core {
 
@@ -32,11 +30,13 @@ namespace bg3::core {
 /// One GraphDB installs itself as the CloudStore's observer for extent
 /// usage tracking — create at most one GraphDB per CloudStore.
 ///
-/// With options.checkpoint.enabled, the DB is the target of a
-/// replication::Checkpointer (privately: only its checkpointer drives the
-/// CheckpointTarget calls).
-class GraphDB : public graph::GraphEngine,
-                private replication::CheckpointTarget {
+/// With options.checkpoint.enabled the DB is durable per write: it runs on
+/// a replication::RwNode whose own tree is the vertex tree and which logs
+/// every forest tree too, so each acknowledged write is in the WAL, group
+/// flushes are cuts of the node's checkpointer, and construction restarts
+/// through RwNode::Recover (DESIGN.md §5.7). Otherwise every tree flushes
+/// each write synchronously and nothing is recovered at construction.
+class GraphDB : public graph::GraphEngine {
  public:
   /// `store` must outlive the GraphDB. Aborts on invalid options (validate
   /// beforehand for graceful handling).
@@ -85,13 +85,15 @@ class GraphDB : public graph::GraphEngine,
   /// Stops the background maintenance thread (blocks until joined).
   void StopMaintenance();
 
-  // --- continuous fuzzy checkpointing (DESIGN.md §5.7) ----------------------
+  // --- WAL-backed durability (DESIGN.md §5.7) -------------------------------
 
-  /// The checkpoint state machine over every tree (forest + vertex):
-  /// Step/CheckpointNow drive it deterministically, Start/Stop run it on
-  /// its own thread at options.checkpoint.interval_ms. Null unless
-  /// options.checkpoint.enabled.
-  replication::Checkpointer* checkpointer() { return checkpointer_.get(); }
+  /// The RW node's checkpoint state machine over every tree (forest +
+  /// vertex): Step/CheckpointNow drive it deterministically, Start/Stop run
+  /// it on its own thread at options.checkpoint.interval_ms; writes run its
+  /// group flushes. Null unless options.checkpoint.enabled.
+  replication::Checkpointer* checkpointer() {
+    return rw_ == nullptr ? nullptr : rw_->checkpointer();
+  }
 
   /// Warms up to `max` restored pages of each tree (each tree's
   /// BwTree::WarmRestoredPages; demand reads warm their own pages
@@ -99,20 +101,21 @@ class GraphDB : public graph::GraphEngine,
   /// how many remain queued. 0 = restore fully materialized.
   Result<size_t> WarmRestoredPages(size_t max);
 
-  /// True when construction found a usable "db" checkpoint manifest and
-  /// restored the engine from it.
-  bool RestoredFromCheckpoint() const { return restored_from_checkpoint_; }
+  /// True when construction recovered from a usable checkpoint manifest
+  /// plus the WAL suffix past it.
+  bool RestoredFromCheckpoint() const {
+    return rw_ != nullptr && rw_->recovery().resumed_from_checkpoint;
+  }
   /// True when the head manifest slot was torn and the previous epoch's
-  /// slot was restored instead.
-  bool CheckpointFellBack() const { return checkpoint_fell_back_; }
+  /// manifest bounded the WAL replay instead.
+  bool CheckpointFellBack() const {
+    return rw_ != nullptr && rw_->recovery().checkpoint_fell_back;
+  }
   /// Storage bytes fetched rematerializing restored pages (warm sweep +
   /// nothing else; demand-read fills count through the store's read stats).
   uint64_t checkpoint_replay_bytes() const {
     return ckpt_replay_bytes_.Get();
   }
-
-  /// Checkpoint-manifest scope of GraphDB-level checkpoints.
-  static constexpr const char* kCheckpointScope = "db";
 
   /// Per-instance metric-name prefix this DB registered its forest and GC
   /// stats under (`bg3.db<N>.`) in MetricsRegistry::Default(), the one
@@ -136,17 +139,20 @@ class GraphDB : public graph::GraphEngine,
   DebugServer& debug_server() { return debug_server_; }
 
   forest::BwTreeForest* forest() { return forest_.get(); }
-  bwtree::BwTree* vertex_tree() { return vertex_tree_.get(); }
+  bwtree::BwTree* vertex_tree() { return vertex_tree_; }
   cloud::CloudStore* store() { return store_; }
   gc::SpaceReclaimer* reclaimer() { return reclaimer_.get(); }
   const GraphDBOptions& options() const { return opts_; }
   uint64_t NowUs() const { return time_source_->NowUs(); }
 
  private:
+  /// Every tree of the DB: GC relocation resolves through it, and it is
+  /// the RW node's tree set.
   class ResolverImpl : public gc::TreeResolver {
    public:
     explicit ResolverImpl(GraphDB* db) : db_(db) {}
     bwtree::BwTree* Resolve(bwtree::TreeId id) override;
+    void AppendTrees(std::vector<bwtree::BwTree*>* out) override;
 
    private:
     GraphDB* const db_;
@@ -154,28 +160,14 @@ class GraphDB : public graph::GraphEngine,
 
   static constexpr bwtree::TreeId kVertexTreeId = 1ull << 62;
 
-  // --- replication::CheckpointTarget -----------------------------------------
-  Scope CheckpointScope() const override;
-  bwtree::Lsn CurrentLsn() const override {
-    return lsn_.load(std::memory_order_acquire);
-  }
-  bool HasPendingImages() const override { return stager_.HasStaged(); }
-  /// No WAL: the cut is the DB LSN plus every tree's dirty snapshot.
-  Status BeginCut(CutStart* cut) override;
-  Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) override;
-  /// Makes the images tile every tree the manifest names (see the
-  /// definition), publishes them, and fills the manifest with one owner
-  /// snapshot. checkpoint_lsn is the highest LSN the images cover.
-  Status CommitCheckpoint(bwtree::Lsn cut_lsn,
-                          replication::CheckpointManifest* manifest) override;
-
-  /// Loads every published page image of `tree` as a demand-paged
-  /// (non-resident) recovered layout and raises the LSN floor past it;
-  /// empty if any image is unusable (the caller falls back to a fresh
-  /// tree).
-  std::vector<bwtree::RecoveredPage> LoadTreeImages(bwtree::TreeId tree);
-  /// Restores forest/vertex state from `manifest`; called from the ctor.
-  void RestoreFromManifest(const replication::CheckpointManifest& manifest);
+  /// options.checkpoint.enabled: brings up the RW node with the vertex tree
+  /// as its own tree and the forest logging through it — recovered from
+  /// the WAL when it holds anything, fresh otherwise.
+  void OpenLogged(const bwtree::BwTreeOptions& vertex_opts,
+                  forest::ForestOptions forest_opts);
+  /// Runs the RW node's group-flush triggers after a successful write (a
+  /// no-op without one).
+  Status FinishWrite(Status written);
 
   bool EdgeExpired(graph::TimestampUs created_us) const;
   /// Forest + vertex-tree memory footprint the budget and the memory
@@ -199,15 +191,16 @@ class GraphDB : public graph::GraphEngine,
   /// (via BwTreeOptions::tick_source), so the memory budget can rank leaf
   /// coldness across all of them with comparable ticks.
   mutable std::atomic<uint64_t> access_tick_{0};
-  /// The one LSN order of the DB: the vertex tree and every forest tree
-  /// draw from it, so "no LSN since the last manifest" means no write. Its
-  /// own cache line: every leaf access bumps access_tick_.
-  alignas(64) std::atomic<bwtree::Lsn> lsn_{0};
 
   std::unique_ptr<gc::ExtentUsageTracker> tracker_;
-  std::unique_ptr<bwtree::BwTree> vertex_tree_;
+  ResolverImpl resolver_{this};
+  /// The WAL-backed RW node (options.checkpoint.enabled); it owns the
+  /// vertex tree then, and holds the one LSN counter of every tree.
+  std::unique_ptr<replication::RwNode> rw_;
+  /// The vertex tree when there is no RW node.
+  std::unique_ptr<bwtree::BwTree> own_vertex_tree_;
+  bwtree::BwTree* vertex_tree_ = nullptr;
   std::unique_ptr<forest::BwTreeForest> forest_;
-  std::unique_ptr<ResolverImpl> resolver_;
   std::unique_ptr<gc::GcPolicy> gc_policy_;
   std::unique_ptr<gc::SpaceReclaimer> reclaimer_;
 
@@ -224,19 +217,7 @@ class GraphDB : public graph::GraphEngine,
   bool maint_stop_ = false;
   std::thread maint_thread_;
 
-  // --- checkpoint state (options.checkpoint.enabled) ------------------------
-
-  /// Every tree's listener: stages flushed images for CommitCheckpoint.
-  replication::ImageStager stager_;
-  /// Leaf count per tree at cut begin — trees absent here were born during
-  /// the cut. Touched only by the checkpointer's (serialized) calls.
-  std::unordered_map<bwtree::TreeId, size_t> cut_leaves_;
-
-  bool restored_from_checkpoint_ = false;
-  bool checkpoint_fell_back_ = false;
   LightCounter ckpt_replay_bytes_;
-
-  std::unique_ptr<replication::Checkpointer> checkpointer_;
 };
 
 }  // namespace bg3::core

@@ -64,23 +64,25 @@ struct GraphDBOptions {
   /// behaves as the cache it is in the paper's architecture (§2.1).
   size_t memory_budget_bytes = 0;
 
-  /// Continuous fuzzy checkpointing of the whole engine (DESIGN.md §5.7).
-  /// When enabled, every tree (forest + vertex) runs deferred flushing and
-  /// reports its flushed images to one replication::ImageStager, and the DB
-  /// builds a replication::Checkpointer (GraphDB::checkpointer()) that
-  /// incrementally flushes dirty pages, publishes their images in the
-  /// shared mapping table, and commits a checkpoint manifest (tree list +
-  /// forest owner registry) under the "db" scope. Construction restores
-  /// from that manifest when one exists, with demand-paged (non-resident)
-  /// pages: reads go live at checkpoint consistency after a bounded amount
-  /// of I/O, independent of database size. Durability is
-  /// checkpoint-granular — the WAL that narrows the loss window to the
-  /// replayed suffix lives in the replication layer (RwNode::Recover).
+  /// WAL-backed durability (DESIGN.md §5.7). When enabled, the DB runs on
+  /// a replication::RwNode: the vertex tree is the node's own tree, every
+  /// forest tree logs through it, and a write is acknowledged only once its
+  /// WAL record landed — an acknowledged write survives a crash. Pages
+  /// flush in group flushes (cuts of the node's checkpointer,
+  /// GraphDB::checkpointer()) that publish page images and a checkpoint
+  /// manifest under the WAL's scope. Construction restarts through
+  /// RwNode::Recover: the manifest bounds the WAL replay to its suffix and
+  /// untouched pages come up demand-paged, so reads go live after I/O
+  /// proportional to the suffix, not the database. Disabled, every write
+  /// flushes its page image synchronously and construction recovers
+  /// nothing.
   struct CheckpointPolicy {
     bool enabled = false;
-    /// Checkpointer thread cadence (checkpointer()->Start()).
+    /// Checkpointer thread cadence (checkpointer()->Start()); the RW node's
+    /// CheckpointerOptions::interval_ms.
     uint64_t interval_ms = 200;
-    /// Dirty pages flushed per checkpointer Step — the increment size.
+    /// Dirty pages flushed per checkpointer Step — the increment size; the
+    /// RW node's CheckpointerOptions::max_pages_per_round.
     size_t max_pages_per_cycle = 64;
   };
   CheckpointPolicy checkpoint;

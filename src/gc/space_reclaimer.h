@@ -13,12 +13,15 @@
 
 namespace bg3::gc {
 
-/// Maps a record's tree id to the tree that owns it (implemented by
-/// BwTreeForest or a single-tree adapter).
+/// A set of trees: maps a record's tree id to the tree that owns it (GC
+/// relocation) and lists the set (an RW node's checkpoints). Implemented
+/// by GraphDB over its vertex tree and forest, or a single-tree adapter.
 class TreeResolver {
  public:
   virtual ~TreeResolver() = default;
   virtual bwtree::BwTree* Resolve(bwtree::TreeId id) = 0;
+  /// Appends every tree of the set to `out`.
+  virtual void AppendTrees(std::vector<bwtree::BwTree*>* out) = 0;
 };
 
 /// Adapter exposing a single BwTree as a resolver.
@@ -27,6 +30,9 @@ class SingleTreeResolver : public TreeResolver {
   explicit SingleTreeResolver(bwtree::BwTree* tree) : tree_(tree) {}
   bwtree::BwTree* Resolve(bwtree::TreeId id) override {
     return id == tree_->options().tree_id ? tree_ : nullptr;
+  }
+  void AppendTrees(std::vector<bwtree::BwTree*>* out) override {
+    out->push_back(tree_);
   }
 
  private:

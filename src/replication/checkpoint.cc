@@ -6,6 +6,7 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "replication/rw_node.h"
 
 namespace bg3::replication {
 
@@ -19,12 +20,6 @@ std::string CheckpointManifest::Encode() const {
   for (const CheckpointTree& t : trees) {
     PutVarint64(&out, t.tree_id);
     PutFixed64(&out, t.flushed_lsn);
-  }
-  PutVarint32(&out, static_cast<uint32_t>(owners.size()));
-  for (const CheckpointOwner& o : owners) {
-    PutFixed64(&out, o.owner);
-    PutVarint64(&out, o.tree_id);
-    PutVarint64(&out, o.entry_count);
   }
   // Appended after the original layout so pre-pipeline manifests (which end
   // here) still decode, reading (0, 0) — the "no frame identity" sentinel.
@@ -57,20 +52,6 @@ Status CheckpointManifest::Decode(const Slice& input, CheckpointManifest* out) {
       return Status::Corruption("checkpoint manifest tree entry");
     }
     out->trees.push_back(t);
-  }
-  uint32_t owner_count = 0;
-  if (!GetVarint32(&in, &owner_count)) {
-    return Status::Corruption("checkpoint manifest owner count");
-  }
-  out->owners.clear();
-  out->owners.reserve(owner_count);
-  for (uint32_t i = 0; i < owner_count; ++i) {
-    CheckpointOwner o;
-    if (!GetFixed64(&in, &o.owner) || !GetVarint64(&in, &o.tree_id) ||
-        !GetVarint64(&in, &o.entry_count)) {
-      return Status::Corruption("checkpoint manifest owner entry");
-    }
-    out->owners.push_back(o);
   }
   out->wal_term = 0;
   out->wal_seq = 0;
@@ -315,18 +296,19 @@ Status FlushTreeUntilStable(bwtree::BwTree* tree) {
   return Status::OK();
 }
 
-Checkpointer::Checkpointer(cloud::CloudStore* store, CheckpointTarget* target,
+Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
                            const CheckpointerOptions& options)
     : store_(store),
-      target_(target),
+      node_(node),
       opts_(options),
-      scope_(target->CheckpointScope()),
+      wal_stream_(node->options().wal.stream),
+      scope_(WalCheckpointScope(wal_stream_)),
       metrics_prefix_("bg3.replication.ckpt" +
                       std::to_string(MetricsRegistry::NextInstanceId("ckpt")) +
                       ".") {
   // Continue the epoch sequence of any prior incarnation, so slot
   // alternation keeps protecting the previous manifest.
-  if (auto prior = LoadCheckpoint(store_, scope_.name); prior.ok()) {
+  if (auto prior = LoadCheckpoint(store_, scope_); prior.ok()) {
     epoch_ = prior.value().manifest.epoch;
     published_lsn_ = prior.value().manifest.checkpoint_lsn;
   }
@@ -389,10 +371,10 @@ Status Checkpointer::Step() {
 Status Checkpointer::CheckpointNow() {
   // Read before waiting for the mutex: a caller whose mutations a
   // concurrent call already made durable then returns at once.
-  const bwtree::Lsn entry_lsn = target_->CurrentLsn();
+  const bwtree::Lsn entry_lsn = node_->CurrentLsn();
   std::lock_guard<std::mutex> lock(mu_);
   if (!cut_.active && published_lsn_ >= entry_lsn &&
-      !target_->HasPendingImages()) {
+      !node_->HasPendingImages()) {
     return Status::OK();
   }
   // An open cut may have begun before some of the caller's mutations;
@@ -420,16 +402,16 @@ bwtree::Lsn Checkpointer::published_lsn() const {
 
 Status Checkpointer::StepLocked() {
   if (!cut_.active) {
-    if (target_->CurrentLsn() == published_lsn_ &&
-        !target_->HasPendingImages()) {
+    if (node_->CurrentLsn() == published_lsn_ &&
+        !node_->HasPendingImages()) {
       return Status::OK();  // nothing durable to add since the last manifest
     }
     // Fuzzy-cut capture (see the class comment for the soundness argument).
-    // The target's WAL flush barrier waits out every in-flight pipelined
+    // The node's WAL flush barrier waits out every in-flight pipelined
     // append, so the committed cursor it leaves behind is gap-free: nothing
     // with a higher seq can land physically before it.
-    CheckpointTarget::CutStart start;
-    BG3_RETURN_IF_ERROR(target_->BeginCut(&start));
+    CutStart start;
+    BG3_RETURN_IF_ERROR(node_->BeginCut(&start));
     cut_.start = std::move(start);
     cut_.next = 0;
     cut_.active = true;
@@ -446,7 +428,7 @@ Status Checkpointer::StepLocked() {
       // already clean — FlushPage is a latched no-op then; its staged image
       // publishes with our commit.
       const auto& [tree, page] = pending[cut_.next];
-      Status s = target_->FlushPage(tree, page);
+      Status s = node_->FlushPage(tree, page);
       if (!s.ok() && !s.IsNotFound()) {
         stats_.step_errors.Inc();
         return s;
@@ -466,24 +448,24 @@ Status Checkpointer::StepLocked() {
 
 Status Checkpointer::PublishCutLocked() {
   // Every page of the cut has an image staged (or already published).
-  // Publish order: mapping entries (+ the RW node's WAL checkpoint record)
+  // Publish order: mapping entries and the node's WAL checkpoint record
   // first, the checkpoint manifest last — the manifest's promise ("images
   // cover everything <= checkpoint_lsn") must never be readable before the
   // images themselves are.
   const bwtree::Lsn lsn = cut_.start.lsn;
   const wal::WalCursor& cursor = cut_.start.wal_cursor;
   CheckpointManifest m;
-  BG3_RETURN_IF_ERROR(target_->CommitCheckpoint(lsn, &m));
+  BG3_RETURN_IF_ERROR(node_->CommitCheckpoint(lsn, &m));
   m.epoch = epoch_ + 1;
-  m.wal_stream = scope_.wal_stream.value_or(0);
+  m.wal_stream = wal_stream_;
   m.wal_cursor = cursor.ptr;
   m.wal_term = cursor.term;
   m.wal_seq = cursor.seq;
-  BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_.name, m));
+  BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_, m));
   epoch_ = m.epoch;
   published_lsn_ = lsn;
   stats_.manifests_written.Inc();
-  if (opts_.truncate_wal && !cursor.ptr.IsNull()) {
+  if (opts_.truncate_wal) {
     stats_.wal_extents_truncated.Add(
         store_->TruncateStreamBefore(m.wal_stream, cursor.ptr.extent_id));
   }

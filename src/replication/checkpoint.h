@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,16 +23,6 @@ struct CheckpointTree {
   bwtree::Lsn flushed_lsn = 0;
 };
 
-/// Forest owner-registry entry persisted with a checkpoint: which tree an
-/// owner's adjacency list lives in (0 = the shared INIT tree) and how many
-/// entries it had, so a restored forest resumes split-out/merge-back
-/// decisions without rescanning (core layer; unused by WAL-stream scopes).
-struct CheckpointOwner {
-  uint64_t owner = 0;
-  bwtree::TreeId tree_id = 0;
-  uint64_t entry_count = 0;
-};
-
 /// The durable checkpoint manifest (DESIGN.md §5.7). Its contract: every
 /// mutation with LSN <= `checkpoint_lsn` is covered by page images published
 /// in the shared mapping table, so recovery may start its WAL scan strictly
@@ -42,8 +31,7 @@ struct CheckpointOwner {
 struct CheckpointManifest {
   uint64_t epoch = 0;  ///< monotonically increasing publish counter.
   cloud::StreamId wal_stream = 0;
-  /// Last WAL batch whose records are all covered; null when the scope has
-  /// no WAL (GraphDB-level checkpoints).
+  /// Last WAL batch whose records are all covered.
   cloud::PagePointer wal_cursor;
   /// (term, seq) identity of that batch under the pipelined writer's batch
   /// framing (0, 0 for pre-pipeline manifests): recovery seeds its reader
@@ -56,8 +44,7 @@ struct CheckpointManifest {
   wal::WalCursor WalResumeCursor() const {
     return wal::WalCursor{wal_cursor, wal_term, wal_seq};
   }
-  std::vector<CheckpointTree> trees;    ///< last-flushed LSN per tree.
-  std::vector<CheckpointOwner> owners;  ///< forest owner registry.
+  std::vector<CheckpointTree> trees;  ///< every tree the node logs.
 
   /// Encoding carries a trailing CRC-32C; Decode fails with Corruption on
   /// any mismatch, which is what makes torn-manifest fallback detectable.
@@ -163,50 +150,20 @@ struct CheckpointerStats {
 /// image without its new sibling's.
 Status FlushTreeUntilStable(bwtree::BwTree* tree);
 
-/// What a Checkpointer checkpoints (DESIGN.md §5.7): an RwNode's tree
-/// under its WAL, or a GraphDB's forest and vertex tree without one. Every
-/// call comes from the Checkpointer with its state-machine mutex held, so
-/// calls never overlap.
-class CheckpointTarget {
- public:
-  /// The starting point of a cut, captured in fuzzy-cut order.
-  struct CutStart {
-    bwtree::Lsn lsn = 0;
-    /// WAL batch covering every record <= lsn; null ptr without a WAL.
-    wal::WalCursor wal_cursor;
-    /// Dirty (tree, page) snapshot, drained in order.
-    std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> dirty;
-  };
+class RwNode;
 
-  /// Manifest scope of the cuts, and the WAL stream their cursors point
-  /// into (nullopt without a WAL).
-  struct Scope {
-    std::string name;
-    std::optional<cloud::StreamId> wal_stream;
-  };
-
-  virtual ~CheckpointTarget() = default;
-
-  virtual Scope CheckpointScope() const = 0;
-  /// Newest LSN handed out; with HasPendingImages, the "anything new since
-  /// the last manifest?" probe.
-  virtual bwtree::Lsn CurrentLsn() const = 0;
-  /// True while flushed-page images await publication.
-  virtual bool HasPendingImages() const = 0;
-  /// Begins a cut: LSN, then the WAL made durable through it and its
-  /// cursor, then the dirty snapshot.
-  virtual Status BeginCut(CutStart* cut) = 0;
-  /// Flushes one page of the cut; NotFound when it no longer exists.
-  virtual Status FlushPage(bwtree::TreeId tree, bwtree::PageId page) = 0;
-  /// The cut drained: publishes the staged images and fills `manifest`'s
-  /// trees, owners and checkpoint_lsn. Images first — the manifest that
-  /// promises them is published after this returns.
-  virtual Status CommitCheckpoint(bwtree::Lsn cut_lsn,
-                                  CheckpointManifest* manifest) = 0;
+/// The starting point of a cut, captured in fuzzy-cut order.
+struct CutStart {
+  bwtree::Lsn lsn = 0;
+  /// WAL batch covering every record <= lsn.
+  wal::WalCursor wal_cursor;
+  /// Dirty (tree, page) snapshot, drained in order.
+  std::vector<std::pair<bwtree::TreeId, bwtree::PageId>> dirty;
 };
 
-/// The decoupled checkpoint thread (DESIGN.md §5.7): incrementally flushes
-/// its target's dirty pages and publishes a checkpoint manifest, without
+/// The decoupled checkpoint thread (DESIGN.md §5.7) of one RW node:
+/// incrementally flushes the dirty pages of every tree the node logs and
+/// publishes a checkpoint manifest under the node's WAL scope, without
 /// ever blocking the write path for more than one bounded flush round.
 ///
 /// A cut is fuzzy in the ARIES sense — writers keep mutating while it
@@ -221,7 +178,7 @@ class CheckpointTarget {
 /// covers is harmless (RO replay is LSN-gated per page).
 class Checkpointer {
  public:
-  Checkpointer(cloud::CloudStore* store, CheckpointTarget* target,
+  Checkpointer(cloud::CloudStore* store, RwNode* node,
                const CheckpointerOptions& options = {});
   ~Checkpointer();
 
@@ -240,7 +197,7 @@ class Checkpointer {
   Status Step();
 
   /// Makes every LSN handed out before the call durable: drives an open
-  /// cut to its manifest, then cuts again when the target's LSN at entry
+  /// cut to its manifest, then cuts again when the node's LSN at entry
   /// lies past it.
   Status CheckpointNow();
 
@@ -248,13 +205,13 @@ class Checkpointer {
   uint64_t epoch() const;
   /// LSN of the newest durable (manifest-published) checkpoint.
   bwtree::Lsn published_lsn() const;
-  const std::string& scope() const { return scope_.name; }
+  const std::string& scope() const { return scope_; }
   CheckpointerStats& stats() { return stats_; }
 
  private:
   struct Cut {
     bool active = false;
-    CheckpointTarget::CutStart start;
+    CutStart start;
     size_t next = 0;  ///< next entry of start.dirty to flush.
   };
 
@@ -263,9 +220,10 @@ class Checkpointer {
   void ThreadMain();
 
   cloud::CloudStore* const store_;
-  CheckpointTarget* const target_;
+  RwNode* const node_;
   const CheckpointerOptions opts_;
-  const CheckpointTarget::Scope scope_;
+  const cloud::StreamId wal_stream_;
+  const std::string scope_;
 
   /// Serializes Step/CheckpointNow/Stop; plain std::mutex (like the GraphDB
   /// maintenance thread) — it never nests inside ranked locks.

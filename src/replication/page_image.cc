@@ -35,8 +35,7 @@ void ImageStager::Discard() {
   staged_.clear();
 }
 
-std::map<bwtree::TreeId, bwtree::Lsn> ImageStager::Publish(
-    cloud::CloudStore* store) {
+void ImageStager::Publish(cloud::CloudStore* store) {
   std::vector<StagedImage> staged;
   {
     MutexLock lock(&mu_);
@@ -57,13 +56,9 @@ std::map<bwtree::TreeId, bwtree::Lsn> ImageStager::Publish(
                              return a.page == b.page && a.tree == b.tree;
                            }),
                staged.end());
-  std::map<bwtree::TreeId, bwtree::Lsn> tree_lsn;
   for (const StagedImage& s : staged) {
     store->ManifestPut(PageImageKey(s.tree, s.page), s.meta.Encode());
-    bwtree::Lsn& lsn = tree_lsn[s.tree];
-    lsn = std::max(lsn, s.meta.flushed_lsn);
   }
-  return tree_lsn;
 }
 
 }  // namespace bg3::replication

@@ -3,9 +3,8 @@
 // and crash/recover must always recover to the in-memory model, and once a
 // checkpoint manifest is durable, recovery replays strictly less WAL than
 // the stream holds (the bounded-restart property). The GraphDB schedules
-// check the WAL-less "db" scope: a reopened graph holds every edge and
-// vertex acknowledged before the last published cut began, and nothing
-// that was never written.
+// run the graph on the WAL-backed RW node: a reopened graph holds every
+// edge and vertex ever acknowledged, and nothing that was never written.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -156,7 +155,7 @@ TEST(CheckpointPropertyTest, StepIsAlwaysSafeToInterleaveWithWrites) {
   VerifyModel(h, model, seed, 600);
 }
 
-// --- GraphDB "db" scope ------------------------------------------------------
+// --- GraphDB on the WAL-backed RW node ---------------------------------------
 
 constexpr int kOwners = 4;
 constexpr graph::EdgeType kEdgeType = 1;
@@ -208,10 +207,9 @@ std::set<Item> ReadAll(core::GraphDB& db, uint64_t next_dst, uint64_t next_vid,
   return seen;
 }
 
-TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryWriteAckedBeforeTheCut) {
+TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryAckedWrite) {
   const uint64_t seed = test::AnnouncedSeed(
-      "GraphDbCheckpointPropertyTest.ReopenKeepsEveryWriteAckedBeforeTheCut",
-      0xDB5C0);
+      "GraphDbCheckpointPropertyTest.ReopenKeepsEveryAckedWrite", 0xDB5C0);
   for (int round = 0; round < 4; ++round) {
     Random rng(seed + round * 0x9E3779B97F4A7C15ull);
     auto store = std::make_unique<cloud::CloudStore>();
@@ -219,11 +217,9 @@ TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryWriteAckedBeforeTheCut) {
     uint64_t next_dst = 0;
     uint64_t next_vid = 0;
     // Guaranteed after a reopen: what the previous reopen restored, plus
-    // the writes since then up to the start of the last published cut.
+    // every write acknowledged since then.
     std::set<Item> restored;
     std::vector<Item> log;  // writes since the last reopen, in ack order.
-    size_t durable = 0;     // prefix of `log` the last manifest covers.
-    size_t cut_start = 0;   // prefix of `log` the open cut covers.
     const int kSteps = 300;
     for (int step = 0; step <= kSteps; ++step) {
       const std::string where = "seed=" + std::to_string(seed) +
@@ -243,22 +239,14 @@ TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryWriteAckedBeforeTheCut) {
         ASSERT_TRUE(db->AddVertex(item.second, ItemValue(item)).ok()) << where;
         log.push_back(item);
       } else if (dice < 90) {
-        const bool was_open = ckpt->CutInProgress();
-        const uint64_t epoch = ckpt->epoch();
-        const bool now = dice >= 85;
-        ASSERT_TRUE((now ? ckpt->CheckpointNow() : ckpt->Step()).ok())
+        ASSERT_TRUE((dice >= 85 ? ckpt->CheckpointNow() : ckpt->Step()).ok())
             << where;
-        // A cut opened by this call covers every write acked so far, and
-        // CheckpointNow returns with every one of them durable.
-        if (!was_open) cut_start = log.size();
-        if (ckpt->epoch() > epoch) durable = cut_start;
-        if (now) durable = log.size();
       } else {  // destroy and reopen, possibly mid-cut
         db.reset();
         db = std::make_unique<core::GraphDB>(store.get(), PropertyDbOptions());
         const std::set<Item> seen = ReadAll(*db, next_dst, next_vid, where);
         std::set<Item> expected = restored;
-        expected.insert(log.begin(), log.begin() + durable);
+        expected.insert(log.begin(), log.end());
         for (const Item& item : expected) {
           ASSERT_TRUE(seen.count(item) != 0)
               << where << " lost " << ItemValue(item) << " of owner "
@@ -266,8 +254,6 @@ TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryWriteAckedBeforeTheCut) {
         }
         restored = seen;
         log.clear();
-        durable = 0;
-        cut_start = 0;
       }
     }
   }

@@ -327,12 +327,9 @@ TEST(ClusterFailoverTest, ZombieWritesAreFencedAndNeverVisible) {
 
   // The deposed leader resumes and tries to write: the WAL rejects its
   // batches, so no follower (and no future node) ever sees them.
-  const uint64_t errors_before = zombie->wal_append_errors();
-  BG3_IGNORE_STATUS(zombie->Put(Key(0), "poison"));
+  EXPECT_FALSE(zombie->Put(Key(0), "poison").ok());
   BG3_IGNORE_STATUS(zombie->wal_writer()->Flush());
   EXPECT_TRUE(zombie->wal_writer()->fenced());
-  EXPECT_GT(zombie->wal_append_errors() + zombie->writes_shed(),
-            errors_before);
   EXPECT_GE(f.cluster->fenced_appends(), 1u);
   EXPECT_GE(f.cluster->zombie_drained(), 1u);
   EXPECT_EQ(f.cluster->Get(Key(0)).value(), "good");

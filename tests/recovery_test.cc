@@ -221,11 +221,11 @@ INSTANTIATE_TEST_SUITE_P(
       return cloud::FaultClassName(info.param);
     });
 
-// The acceptance counter-example: with WAL retries disabled, a torn append
-// silently turns an *acknowledged* write into a buffered-only write — a
-// crash in that window loses it. The identical schedule with default
-// retries loses nothing.
-TEST(RecoveryFaultTest, TornWalAppendPlusCrashLosesAckedWriteWithoutRetries) {
+// An acknowledgment means the WAL record landed. With WAL retries disabled
+// a torn append fails the write (its record may still land, so after a
+// crash the key may be present or absent); with default retries the write
+// is acknowledged and survives the crash.
+TEST(RecoveryFaultTest, TornWalAppendPlusCrashNeverLosesAnAckedWrite) {
   for (const bool retries_enabled : {false, true}) {
     cloud::FaultInjector fi;
     cloud::CloudStoreOptions sopts;
@@ -246,9 +246,8 @@ TEST(RecoveryFaultTest, TornWalAppendPlusCrashLosesAckedWriteWithoutRetries) {
       ASSERT_TRUE(rw->Put(Key(i), "durable").ok());
     }
     fi.ArmNext(cloud::FaultOp::kAppend, cloud::FaultClass::kTornAppend);
-    // The node acknowledges the write either way: the WAL listener keeps a
-    // failed batch buffered for the next flush rather than failing the Put.
-    ASSERT_TRUE(rw->Put(Key(10), "acked").ok());
+    const Status put = rw->Put(Key(10), "acked");
+    EXPECT_EQ(put.ok(), retries_enabled) << put.ToString();
 
     rw.reset();  // crash: the buffered (torn, un-retried) batch is gone.
     auto recovered = RwNode::Recover(store.get(), opts);
@@ -258,12 +257,15 @@ TEST(RecoveryFaultTest, TornWalAppendPlusCrashLosesAckedWriteWithoutRetries) {
     for (int i = 0; i < 10; ++i) {
       EXPECT_EQ(rw->Get(Key(i)).value(), "durable") << i;
     }
+    auto got = rw->Get(Key(10));
     if (retries_enabled) {
-      EXPECT_EQ(rw->Get(Key(10)).value(), "acked")
+      EXPECT_EQ(got.value(), "acked")
           << "the retried append must make the acked write durable";
     } else {
-      EXPECT_TRUE(rw->Get(Key(10)).status().IsNotFound())
-          << "without retries the acked write must be demonstrably lost";
+      // Outcome unknown, never acknowledged: either state is admissible.
+      EXPECT_TRUE(got.ok() ? got.value() == "acked"
+                           : got.status().IsNotFound())
+          << got.status().ToString();
     }
   }
 }
