@@ -11,17 +11,13 @@
 // owning class's constructor.
 //
 // Acquisition edges (holder -> acquired  [witness]):
-//   BwTreeForest::evict_mu_ -> BwTreeForest::registry_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::MaybeEvictFromInit -> SplitOutLocked()]
-//   BwTreeForest::evict_mu_ -> CloudStore::topology_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::MaybeEvictFromInit -> SplitOutLocked()]
-//   BwTreeForest::evict_mu_ -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::MaybeEvictFromInit -> SplitOutLocked()]
-//   BwTreeForest::evict_mu_ -> OwnerState::mu  [src/forest/forest.cc:bg3::forest::BwTreeForest::MaybeEvictFromInit]
-//   BwTreeForest::evict_mu_ -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::MaybeEvictFromInit -> SplitOutLocked()]
-//   BwTreeForest::evict_mu_ -> Stream::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::MaybeEvictFromInit -> SplitOutLocked()]
+//   BwTreeForest::evict_mu_ -> BwTreeForest::registry_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::EvictToBudget -> AppendTrees()]
+//   BwTreeForest::evict_mu_ -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::EvictToBudget -> EvictTreesToBudget()]
+//   BwTreeForest::evict_mu_ -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::EvictToBudget -> EvictTreesToBudget()]
 //   CloudStore::topology_mu_ -> Stream::mu_  [src/cloud/cloud_store.cc:bg3::cloud::CloudStore::TotalBytes -> total_bytes()]
 //   LeafPage::latch -> CloudStore::topology_mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
 //   LeafPage::latch -> PageIndex::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::MaybeSplitLocked -> InsertPage()]
 //   LeafPage::latch -> Stream::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
-//   OwnerState::mu -> BwTreeForest::registry_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> SplitOutLocked()]
 //   OwnerState::mu -> CloudStore::topology_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   OwnerState::mu -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   OwnerState::mu -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
@@ -36,8 +32,8 @@
 namespace bg3::lock_rank {
 
 inline constexpr int kBwTreeForest_evict_mu = 1;  // BwTreeForest::evict_mu_
-inline constexpr int kOwnerState_mu = 2;  // OwnerState::mu
-inline constexpr int kBwTreeForest_registry_mu = 3;  // BwTreeForest::registry_mu_
+inline constexpr int kBwTreeForest_registry_mu = 2;  // BwTreeForest::registry_mu_
+inline constexpr int kOwnerState_mu = 3;  // OwnerState::mu
 inline constexpr int kPageIndex_mu = 4;  // PageIndex::mu_
 inline constexpr int kRoNode_mu = 5;  // RoNode::mu_
 inline constexpr int kCloudStore_manifest_mu = 6;  // CloudStore::manifest_mu_
