@@ -2,8 +2,9 @@
 // cache layer. §2.4 notes ByteGraph's remedy for slow reads was "more
 // memory resource to improve cache hit rates"; BG3's memory layer is the
 // same kind of cache over cloud storage. This bench sweeps the resident
-// page budget of one Bw-tree and reports the storage reads per query a
-// Zipf read workload pays at each budget.
+// byte budget of one Bw-tree, as a fraction of its loaded resident bytes,
+// and reports the storage reads per query a Zipf read workload pays at
+// each budget.
 #include <cstdio>
 #include <memory>
 
@@ -11,6 +12,7 @@
 #include "bwtree/bwtree.h"
 #include "cloud/cloud_store.h"
 #include "common/random.h"
+#include "forest/buffer_pool.h"
 
 using namespace bg3;
 using namespace bg3::bwtree;
@@ -46,18 +48,19 @@ Point Run(double resident_fraction) {
   for (uint64_t i = 0; i < kKeys; ++i) {
     BG3_IGNORE_STATUS(tree.Upsert(KeyOf(i), "profile-payload-32-bytes-long!!!"));
   }
-  const size_t pages = tree.LeafCount();
-  const size_t budget =
-      static_cast<size_t>(static_cast<double>(pages) * resident_fraction);
+  const size_t budget = static_cast<size_t>(
+      static_cast<double>(tree.ResidentBytes()) * resident_fraction);
 
   // Steady-state loop: reads under a Zipf distribution with periodic
   // eviction back to the budget (a background memory regulator).
   ZipfGenerator keys(kKeys, 0.9, 7);
-  (void)tree.EvictColdPages(budget);
+  BG3_IGNORE_STATUS(forest::EvictTreesToBudget({&tree}, budget));
   const uint64_t reads_before = store.stats().read_ops.Get();
   for (int i = 0; i < kReads; ++i) {
     BG3_IGNORE_STATUS(tree.Get(KeyOf(keys.Next())));
-    if (i % 1024 == 0) (void)tree.EvictColdPages(budget);
+    if (i % 1024 == 0) {
+      BG3_IGNORE_STATUS(forest::EvictTreesToBudget({&tree}, budget));
+    }
   }
   Point p;
   p.reads_per_query =

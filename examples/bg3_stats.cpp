@@ -19,6 +19,7 @@
 #include "common/op_context.h"
 #include "common/trace.h"
 #include "core/graph_db.h"
+#include "forest/buffer_pool.h"
 #include "query/query.h"
 #include "replication/cluster.h"
 #include "workload/driver.h"
@@ -85,7 +86,7 @@ int main() {
     // request's account carries real I/O for /costz.
     std::vector<bwtree::BwTree*> trees;
     db.forest()->AppendTrees(&trees);
-    for (bwtree::BwTree* t : trees) t->EvictColdPages(0);
+    BG3_IGNORE_STATUS(forest::EvictTreesToBudget(trees, /*budget_bytes=*/0));
 
     OpStats op_stats;
     OpContext ctx = OpContext::Traced("bg3_stats_demo", &op_stats);

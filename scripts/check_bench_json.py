@@ -97,6 +97,17 @@ BENCH_EXPECTATIONS = {
         # machine speed.
         "scalars": [("p99_speedup_default_group", 5.0)],
     },
+    "table2_gc": {
+        "series": ["wl1_follow", "wl2_risk_ttl", "long_ttl"],
+        # Table 2 runs on a manual clock with seeded RNGs, so both floors
+        # are deterministic. WL2's 0.5 s TTL falls inside the 1 s bypass
+        # window: every TTL'd extent expires in place and nothing moves.
+        # On the one-hour TTL the windowed policy keeps reclaiming, so it
+        # ends with no more resident bytes than the unbounded bypass.
+        "scalar_max": [("wl2_ttl_bypass_moved_mb_per_s", 0.0)],
+        "scalar_order": [("long_ttl_resident_mb_1s_window",
+                          "long_ttl_resident_mb_unbounded_window")],
+    },
     "storage_cost": {
         "series": ["bytes", "gc_cost"],
         # TTL workload under per-GB-written pricing: FIFO relocates

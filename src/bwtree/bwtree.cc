@@ -328,46 +328,6 @@ Result<size_t> BwTree::WarmRestoredPages(size_t max, uint64_t* bytes_read) {
   return q.ids.size() - q.next;
 }
 
-size_t BwTree::EvictColdPages(size_t target_resident) {
-  // Collect eviction candidates: resident, clean, with a flushed base image
-  // (or nothing to lose), coldest first. Shared latches — the scan races
-  // benignly with readers and the winners are re-validated exclusively.
-  struct Candidate {
-    PageId id;
-    uint64_t tick;
-  };
-  std::vector<Candidate> candidates;
-  size_t resident = 0;
-  index_.ForEachPage([&](LeafPage* p) {
-    ReaderMutexLock lock(&p->latch);
-    if (!p->resident) return;
-    ++resident;
-    if (p->dirty) return;
-    if (p->base_ptr.IsNull() && !p->base_entries.empty()) return;
-    candidates.push_back(Candidate{
-        p->id, p->last_access_tick.load(std::memory_order_relaxed)});
-  });
-  if (resident <= target_resident) return 0;
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.tick < b.tick;
-            });
-  size_t evicted = 0;
-  for (const Candidate& c : candidates) {
-    if (resident - evicted <= target_resident) break;
-    LeafPage* p = index_.FindPage(c.id);
-    if (p == nullptr) continue;
-    WriterMutexLock lock(&p->latch);
-    if (!p->resident || p->dirty) continue;
-    p->base_entries.clear();
-    p->base_entries.shrink_to_fit();
-    p->resident = false;
-    ++evicted;
-    stats_.page_evictions.Inc();
-  }
-  return evicted;
-}
-
 size_t BwTree::ResidentPageCount() const {
   size_t resident = 0;
   index_.ForEachPage([&](LeafPage* p) {

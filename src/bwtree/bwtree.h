@@ -189,12 +189,6 @@ class BwTree {
 
   // --- memory-bounded caching -----------------------------------------------
 
-  /// Evicts least-recently-accessed clean leaf pages (drops their in-memory
-  /// base entries; the flushed base image stays authoritative) until at
-  /// most `target_resident` pages remain resident. Dirty pages and pages
-  /// without a flushed image are never evicted. Returns pages evicted.
-  size_t EvictColdPages(size_t target_resident);
-
   size_t ResidentPageCount() const;
 
   /// One leaf's residency record for the forest-wide byte budget (see

@@ -40,10 +40,8 @@ std::unique_ptr<gc::GcPolicy> MakeGcPolicy(GcPolicyKind kind,
     case GcPolicyKind::kDirtyRatio:
       return std::make_unique<gc::DirtyRatioPolicy>(min_fragmentation);
     case GcPolicyKind::kWorkloadAware:
-      return std::make_unique<gc::WorkloadAwarePolicy>(min_fragmentation);
-    case GcPolicyKind::kHybridTtlGradient:
-      return std::make_unique<gc::HybridTtlGradientPolicy>(
-          ttl_bypass_window_us, min_fragmentation);
+      return std::make_unique<gc::WorkloadAwarePolicy>(ttl_bypass_window_us,
+                                                       min_fragmentation);
   }
   return nullptr;
 }

@@ -17,10 +17,10 @@ enum class GcPolicyKind {
   kNone,           ///< never reclaim (pure append).
   kFifo,           ///< traditional Bw-tree FIFO queue.
   kDirtyRatio,     ///< ArkDB-style fragmentation-rate baseline.
-  kWorkloadAware,  ///< BG3's Algorithm 2 (gradient + TTL bypass).
-  /// The paper's §4.4 future work: bypass only extents close to their TTL
-  /// deadline; distant-deadline extents compete under gradient+frag.
-  kHybridTtlGradient,
+  /// BG3's Algorithm 2: coldest, most fragmented extents first; TTL'd
+  /// extents within gc_ttl_bypass_window_us of their deadline expire in
+  /// place instead (§3.3, narrowed as §4.4 proposes).
+  kWorkloadAware,
 };
 
 /// Top-level configuration of a BG3 GraphDB instance.
@@ -32,15 +32,18 @@ struct GraphDBOptions {
   GcPolicyKind gc_policy = GcPolicyKind::kWorkloadAware;
   size_t gc_extents_per_cycle = 4;
   double gc_min_fragmentation = 0.05;
-  /// kHybridTtlGradient: extents expiring within this window are left to
-  /// die in place; others remain reclamation candidates.
+  /// kWorkloadAware: TTL'd extents whose deadline is within this window are
+  /// left to expire in place; the rest stay reclamation candidates, so a
+  /// TTL longer than the window does not strand dead space for the whole
+  /// TTL. gc::WorkloadAwarePolicy::kUnboundedWindow never relocates a TTL'd
+  /// extent (§3.3's pure bypass).
   uint64_t gc_ttl_bypass_window_us = 60ull * 1'000'000;
   /// Reclamation runs only above this dead-space ratio.
   double gc_target_dead_ratio = 0.10;
 
   /// Edge TTL (0 = edges never expire). With a TTL, reads filter expired
-  /// edges and the workload-aware reclaimer lets whole extents expire in
-  /// place (§3.3 Observation 2).
+  /// edges and the reclaimer frees whole extents whose deadline passed,
+  /// without moving them (§3.3 Observation 2).
   uint64_t edge_ttl_us = 0;
 
   /// Time source for TTL/gradient bookkeeping; nullptr = wall clock.
@@ -100,7 +103,7 @@ struct GraphDBOptions {
 /// Builds the policy object matching `kind` (nullptr for kNone).
 std::unique_ptr<gc::GcPolicy> MakeGcPolicy(GcPolicyKind kind,
                                            double min_fragmentation,
-                                           uint64_t ttl_bypass_window_us = 0);
+                                           uint64_t ttl_bypass_window_us);
 
 }  // namespace bg3::core
 

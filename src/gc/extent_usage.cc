@@ -21,7 +21,19 @@ double ExtentUsage::UpdateGradient(uint64_t now_us) const {
 
 ExtentUsageTracker::ExtentUsageTracker(const cloud::TimeSource* time_source,
                                        uint64_t gradient_window_us)
-    : time_source_(time_source), gradient_window_us_(gradient_window_us) {}
+    : time_source_(time_source),
+      gradient_window_us_(gradient_window_us),
+      start_us_(time_source->NowUs()) {}
+
+ExtentUsage ExtentUsageTracker::Unseen(cloud::StreamId stream,
+                                       cloud::ExtentId extent) const {
+  ExtentUsage u;
+  u.stream = stream;
+  u.extent = extent;
+  u.created_us = start_us_;
+  u.last_append_us = start_us_;
+  return u;
+}
 
 void ExtentUsageTracker::OnAppend(const cloud::PagePointer& ptr) {
   const uint64_t now = time_source_->NowUs();
@@ -38,12 +50,10 @@ void ExtentUsageTracker::OnAppend(const cloud::PagePointer& ptr) {
 void ExtentUsageTracker::OnInvalidate(const cloud::PagePointer& ptr) {
   const uint64_t now = time_source_->NowUs();
   MutexLock lock(&mu_);
-  ExtentUsage& u = usage_[ptr.extent_id];
-  if (u.extent == cloud::kInvalidExtent) {
-    u.stream = ptr.stream_id;
-    u.extent = ptr.extent_id;
-    u.created_us = now;
-  }
+  // First seen through an invalidation: its records predate this tracker.
+  ExtentUsage& u =
+      usage_.try_emplace(ptr.extent_id, Unseen(ptr.stream_id, ptr.extent_id))
+          .first->second;
   u.last_invalidate_us = now;
   ++u.invalid_count;
   if (u.window_start_us == 0) {
@@ -75,13 +85,7 @@ ExtentUsage ExtentUsageTracker::GetUsage(cloud::StreamId stream,
                                          cloud::ExtentId extent) const {
   MutexLock lock(&mu_);
   auto it = usage_.find(extent);
-  if (it == usage_.end()) {
-    ExtentUsage u;
-    u.stream = stream;
-    u.extent = extent;
-    return u;
-  }
-  return it->second;
+  return it == usage_.end() ? Unseen(stream, extent) : it->second;
 }
 
 }  // namespace bg3::gc

@@ -59,14 +59,21 @@ class ExtentUsageTracker : public cloud::StoreObserver {
   void OnInvalidate(const cloud::PagePointer& ptr) override;
   void OnExtentFreed(cloud::StreamId stream, cloud::ExtentId extent) override;
 
-  /// Snapshot of one extent's usage (zero-initialized default if unseen).
+  /// Snapshot of one extent's usage. An extent this tracker never saw
+  /// appended to (written before a restart) is stamped with the tracker's
+  /// construction time: its TTL deadline is then late by at most the
+  /// downtime, never early, so a restart cannot expire unexpired data.
   ExtentUsage GetUsage(cloud::StreamId stream, cloud::ExtentId extent) const;
 
   uint64_t NowUs() const { return time_source_->NowUs(); }
 
  private:
+  /// Usage of an extent first seen after its records were written.
+  ExtentUsage Unseen(cloud::StreamId stream, cloud::ExtentId extent) const;
+
   const cloud::TimeSource* const time_source_;
   const uint64_t gradient_window_us_;
+  const uint64_t start_us_;
 
   mutable Mutex mu_;
   // Extent ids are allocated globally within a CloudStore, so the extent id

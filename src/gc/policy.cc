@@ -36,10 +36,15 @@ std::vector<cloud::ExtentId> WorkloadAwarePolicy::SelectVictims(
     std::vector<GcCandidate> c, size_t n, const SelectContext& ctx) {
   // Algorithm 2, with the TTL bypass of §3.3: "In situations where data
   // expiration is involved, we bypass those extents and allow them to
-  // expire naturally."
+  // expire naturally" — narrowed to deadlines within the window. The add
+  // saturates so an unbounded window bypasses every TTL'd extent.
   if (ctx.ttl_us != 0) {
+    const uint64_t horizon =
+        bypass_window_us_ > kUnboundedWindow - ctx.now_us
+            ? kUnboundedWindow
+            : ctx.now_us + bypass_window_us_;
     std::erase_if(c, [&](const GcCandidate& cand) {
-      return cand.usage.TtlDeadlineUs(ctx.ttl_us) != 0;
+      return cand.usage.TtlDeadlineUs(ctx.ttl_us) <= horizon;
     });
   }
   std::erase_if(c, [&](const GcCandidate& cand) {
@@ -82,21 +87,6 @@ std::vector<cloud::ExtentId> WorkloadAwarePolicy::SelectVictims(
     out.push_back(cand.stats.id);
   }
   return out;
-}
-
-std::vector<cloud::ExtentId> HybridTtlGradientPolicy::SelectVictims(
-    std::vector<GcCandidate> c, size_t n, const SelectContext& ctx) {
-  if (ctx.ttl_us != 0) {
-    // Bypass only extents about to expire on their own; distant-deadline
-    // extents stay eligible (the whole point of the hybrid).
-    std::erase_if(c, [&](const GcCandidate& cand) {
-      const uint64_t deadline = cand.usage.TtlDeadlineUs(ctx.ttl_us);
-      return deadline != 0 && deadline <= ctx.now_us + bypass_window_us_;
-    });
-  }
-  SelectContext inner_ctx = ctx;
-  inner_ctx.ttl_us = 0;  // TTL handling already applied above
-  return inner_.SelectVictims(std::move(c), n, inner_ctx);
 }
 
 }  // namespace bg3::gc

@@ -2,6 +2,7 @@
 #define BG3_GC_POLICY_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,8 @@ struct GcCandidate {
 /// Inputs common to a selection round.
 struct SelectContext {
   uint64_t now_us = 0;
-  /// TTL configured for this stream's data (0 = none). Workload-aware
-  /// policies bypass extents that will expire on their own (§3.3 Obs. 2).
+  /// TTL configured for this stream's data (0 = none). The workload-aware
+  /// policy bypasses extents about to expire on their own (§3.3 Obs. 2).
   uint64_t ttl_us = 0;
 };
 
@@ -64,16 +65,28 @@ class DirtyRatioPolicy : public GcPolicy {
 };
 
 /// BG3's workload-aware policy (Algorithm 2): prefer cold extents (smallest
-/// update gradient) and, among those, the highest fragmentation rate;
-/// bypass extents covered by a TTL so they expire in place.
+/// update gradient) and, among those, the highest fragmentation rate.
+/// TTL'd extents whose deadline falls within `bypass_window_us` of now are
+/// bypassed and left to expire in place (§3.3 Observation 2); the rest
+/// compete like any other extent, which is the paper's §4.4 proposal to
+/// bypass only extents "close to their expiration time". Two values of the
+/// window span both behaviours: kUnboundedWindow is §3.3's pure bypass
+/// (never relocate a TTL'd extent), and any TTL no longer than the window
+/// bypasses every TTL'd extent.
 class WorkloadAwarePolicy : public GcPolicy {
  public:
+  /// Bypass every TTL'd extent, however distant its deadline.
+  static constexpr uint64_t kUnboundedWindow =
+      std::numeric_limits<uint64_t>::max();
+
   /// `cold_pool_factor`: the lowest-gradient pool examined per round is
   /// max_victims * this factor, mirroring Algorithm 2's
   /// getExtentsWithSmallestUpdateGradient / sortByFragmentationRate split.
-  explicit WorkloadAwarePolicy(double min_fragmentation = 0.05,
+  explicit WorkloadAwarePolicy(uint64_t bypass_window_us,
+                               double min_fragmentation = 0.05,
                                size_t cold_pool_factor = 4)
-      : min_fragmentation_(min_fragmentation),
+      : bypass_window_us_(bypass_window_us),
+        min_fragmentation_(min_fragmentation),
         cold_pool_factor_(cold_pool_factor) {}
 
   std::string name() const override { return "workload-aware"; }
@@ -82,33 +95,9 @@ class WorkloadAwarePolicy : public GcPolicy {
                                              const SelectContext& ctx) override;
 
  private:
+  const uint64_t bypass_window_us_;
   const double min_fragmentation_;
   const size_t cold_pool_factor_;
-};
-
-/// The paper's stated future work (§4.4): "merging the gradient strategy
-/// with the TTL approach, which only bypasses extents that have a set TTL
-/// and are close to their expiration time". Extents whose TTL deadline is
-/// within `bypass_window_us` of now are left to expire in place; everything
-/// else — including TTL'd data that still has a long life ahead — competes
-/// under the gradient+fragmentation rule, so long-TTL workloads (30-day
-/// retention) no longer strand dead space for the whole retention period.
-class HybridTtlGradientPolicy : public GcPolicy {
- public:
-  explicit HybridTtlGradientPolicy(uint64_t bypass_window_us,
-                                   double min_fragmentation = 0.05,
-                                   size_t cold_pool_factor = 4)
-      : bypass_window_us_(bypass_window_us),
-        inner_(min_fragmentation, cold_pool_factor) {}
-
-  std::string name() const override { return "hybrid-ttl-gradient"; }
-  std::vector<cloud::ExtentId> SelectVictims(std::vector<GcCandidate> c,
-                                             size_t n,
-                                             const SelectContext& ctx) override;
-
- private:
-  const uint64_t bypass_window_us_;
-  WorkloadAwarePolicy inner_;
 };
 
 }  // namespace bg3::gc

@@ -13,6 +13,7 @@
 #include "bwtree/bwtree.h"
 #include "cloud/cloud_store.h"
 #include "common/random.h"
+#include "forest/buffer_pool.h"
 
 namespace bg3::bwtree {
 namespace {
@@ -80,8 +81,9 @@ TEST_P(BwTreeModelTest, RandomOpsMatchReferenceModel) {
         ASSERT_TRUE(got.ok()) << key;
         EXPECT_EQ(got.value(), it->second);
       }
-    } else {  // memory pressure: evict cold pages
-      (void)tree_->EvictColdPages(rng.Uniform(4));
+    } else {  // memory pressure: evict cold pages to 0-75% of resident
+      const size_t budget = tree_->ResidentBytes() * rng.Uniform(4) / 4;
+      BG3_IGNORE_STATUS(forest::EvictTreesToBudget({tree_.get()}, budget));
     }
   }
   // Full-content comparison via scan.

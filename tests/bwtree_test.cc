@@ -9,6 +9,7 @@
 #include "bwtree/page.h"
 #include "cloud/cloud_store.h"
 #include "common/coding.h"
+#include "forest/buffer_pool.h"
 
 namespace bg3::bwtree {
 namespace {
@@ -732,6 +733,11 @@ namespace {
 
 // --- memory-bounded caching (BGS-as-cache semantics) -------------------------
 
+// The byte-budget eviction pass over one tree; returns pages evicted.
+size_t EvictToBudget(BwTree* tree, size_t budget_bytes) {
+  return forest::EvictTreesToBudget({tree}, budget_bytes).pages_evicted;
+}
+
 TEST(BwTreeEvictionTest, EvictedPagesReloadTransparently) {
   BwTreeOptions opts;
   opts.max_leaf_entries = 16;
@@ -742,7 +748,8 @@ TEST(BwTreeEvictionTest, EvictedPagesReloadTransparently) {
   }
   const size_t pages = f.tree->LeafCount();
   ASSERT_GT(pages, 4u);
-  const size_t evicted = f.tree->EvictColdPages(/*target_resident=*/2);
+  const size_t evicted =
+      EvictToBudget(f.tree.get(), f.tree->ResidentBytes() / 4);
   EXPECT_GT(evicted, 0u);
   EXPECT_LE(f.tree->ResidentPageCount(), pages);
   const uint64_t reloads_before = f.tree->stats().page_reloads.Get();
@@ -759,7 +766,7 @@ TEST(BwTreeEvictionTest, WritesToEvictedPagesWork) {
   opts.consolidate_threshold = 4;
   TreeFixture f(opts);
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.tree->Upsert(Key(i), "v1").ok());
-  (void)f.tree->EvictColdPages(0);
+  (void)EvictToBudget(f.tree.get(), 0);
   // Updates (including ones that trigger consolidation and splits) must
   // transparently reload the base image.
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.tree->Upsert(Key(i), "v2").ok());
@@ -776,7 +783,7 @@ TEST(BwTreeEvictionTest, ScansReloadEvictedPages) {
   opts.max_leaf_entries = 8;
   TreeFixture f(opts);
   for (int i = 0; i < 80; ++i) ASSERT_TRUE(f.tree->Upsert(Key(i), "v").ok());
-  (void)f.tree->EvictColdPages(0);
+  (void)EvictToBudget(f.tree.get(), 0);
   std::vector<Entry> out;
   ASSERT_TRUE(f.tree->Scan({}, &out).ok());
   EXPECT_EQ(out.size(), 80u);
@@ -790,7 +797,7 @@ TEST(BwTreeEvictionTest, LruPrefersColdPages) {
   // Touch the page holding Key(0) so it is the hottest.
   ASSERT_TRUE(f.tree->Get(Key(0)).ok());
   const size_t resident_before = f.tree->ResidentPageCount();
-  (void)f.tree->EvictColdPages(1);
+  (void)EvictToBudget(f.tree.get(), f.tree->ResidentBytes() / 2);
   ASSERT_LT(f.tree->ResidentPageCount(), resident_before);
   // The hot page survived: reading Key(0) causes no reload.
   const uint64_t reloads = f.tree->stats().page_reloads.Get();
@@ -805,10 +812,10 @@ TEST(BwTreeEvictionTest, DirtyPagesAreNotEvicted) {
   TreeFixture f(opts);
   for (int i = 0; i < 40; ++i) ASSERT_TRUE(f.tree->Upsert(Key(i), "v").ok());
   // Everything dirty: nothing evictable.
-  EXPECT_EQ(f.tree->EvictColdPages(0), 0u);
+  EXPECT_EQ(EvictToBudget(f.tree.get(), 0), 0u);
   // After flushing, clean pages become evictable.
   (void)f.tree->FlushDirtyPages(1000);
-  EXPECT_GT(f.tree->EvictColdPages(0), 0u);
+  EXPECT_GT(EvictToBudget(f.tree.get(), 0), 0u);
   for (int i = 0; i < 40; ++i) EXPECT_TRUE(f.tree->Get(Key(i)).ok());
 }
 
@@ -820,7 +827,7 @@ TEST(BwTreeEvictionTest, MemoryDropsAfterEviction) {
     ASSERT_TRUE(f.tree->Upsert(Key(i), std::string(100, 'x')).ok());
   }
   const size_t before = f.tree->ApproxMemoryBytes();
-  (void)f.tree->EvictColdPages(2);
+  (void)EvictToBudget(f.tree.get(), f.tree->ResidentBytes() / 8);
   EXPECT_LT(f.tree->ApproxMemoryBytes(), before / 2);
 }
 

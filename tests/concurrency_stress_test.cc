@@ -22,6 +22,7 @@
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/random.h"
+#include "forest/buffer_pool.h"
 #include "forest/forest.h"
 #include "test_seed.h"
 #include "gc/extent_usage.h"
@@ -238,7 +239,8 @@ TEST(BwTreeStressTest, ConcurrentWritersScansAndEviction) {
   });
 
   for (int i = 0; i < 20; ++i) {
-    tree.EvictColdPages(/*target_resident=*/4);
+    BG3_IGNORE_STATUS(
+        forest::EvictTreesToBudget({&tree}, tree.ResidentBytes() / 4));
     std::this_thread::yield();
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();
@@ -309,7 +311,7 @@ TEST(BwTreeStressTest, SharedReadersVsWriterAndEvictionOnHotLeaf) {
   // Evictor: repeatedly drop the hot leaf (flushing it first via the
   // eviction path's own clean-page rule) so readers also race reloads.
   for (int i = 0; i < 50; ++i) {
-    (void)tree.EvictColdPages(/*target_resident=*/0);
+    BG3_IGNORE_STATUS(forest::EvictTreesToBudget({&tree}, /*budget_bytes=*/0));
     std::this_thread::yield();
   }
   for (int r = 0; r < kReaders; ++r) threads[r].join();

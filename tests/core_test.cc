@@ -47,11 +47,12 @@ TEST(OptionsTest, ValidateCatchesBadRanges) {
 }
 
 TEST(OptionsTest, PolicyFactoryCoversAllKinds) {
-  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kNone, 0.1), nullptr);
-  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kFifo, 0.1)->name(), "fifo");
-  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kDirtyRatio, 0.1)->name(),
+  const uint64_t window = GraphDBOptions{}.gc_ttl_bypass_window_us;
+  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kNone, 0.1, window), nullptr);
+  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kFifo, 0.1, window)->name(), "fifo");
+  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kDirtyRatio, 0.1, window)->name(),
             "dirty-ratio");
-  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kWorkloadAware, 0.1)->name(),
+  EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kWorkloadAware, 0.1, window)->name(),
             "workload-aware");
 }
 
@@ -168,6 +169,35 @@ TEST(GraphDBTest, TtlWorkloadExpiresWholeExtentsWithoutMovement) {
   EXPECT_GT(f.DbMetric("gc.extents_expired"), 0u);
   // Table 2: TTL -> zero movement
   EXPECT_EQ(f.StoreMetric("gc_moved_bytes"), 0u);
+}
+
+TEST(GraphDBTest, DefaultPolicyRelocatesLongTtlExtents) {
+  // A TTL far longer than the default bypass window: fragmented extents
+  // whose deadline lies beyond the window are relocated, not left holding
+  // their dead space for the whole hour.
+  GraphDBOptions opts;
+  opts.edge_ttl_us = 3'600ull * 1'000'000;
+  ASSERT_LT(opts.gc_ttl_bypass_window_us, opts.edge_ttl_us);
+  DbFixture f(opts, /*extent_capacity=*/16 << 10);
+  // Stable edges over many owners, interleaved with churn on one owner, so
+  // sealed extents mix the final images of filled leaves with dead ones.
+  for (int i = 0; i < 4000; ++i) {
+    f.clock.AdvanceUs(100);
+    ASSERT_TRUE(f.db->AddEdge(1000 + i, 1, i, "cold", 0).ok());
+    ASSERT_TRUE(f.db->AddEdge(1, 1, i % 20, "r" + std::to_string(i), 0).ok());
+  }
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.db->RunGcCycle().ok());
+  EXPECT_EQ(f.DbMetric("gc.extents_expired"), 0u);
+  EXPECT_GT(f.StoreMetric("gc_moved_bytes"), 0u);
+  std::vector<graph::Neighbor> out;
+  ASSERT_TRUE(f.db->GetNeighbors(1, 1, 100, &out).ok());
+  EXPECT_EQ(out.size(), 20u);
+  for (const auto& n : out) {
+    EXPECT_EQ(n.properties, "r" + std::to_string(3980 + n.dst)) << n.dst;
+  }
+  for (int i = 0; i < 4000; i += 7) {
+    EXPECT_EQ(f.db->GetEdge(1000 + i, 1, i).value(), "cold") << i;
+  }
 }
 
 TEST(GraphDBTest, StatsSnapshotIsCoherent) {

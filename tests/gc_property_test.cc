@@ -16,7 +16,9 @@
 namespace bg3::gc {
 namespace {
 
-enum class PolicyKind { kFifo, kDirtyRatio, kWorkloadAware, kHybrid };
+// The workload-aware policy runs at two bypass windows: unbounded (§3.3's
+// pure TTL bypass) and 1 s (only near-expiry extents bypassed).
+enum class PolicyKind { kFifo, kDirtyRatio, kWorkloadAware, kWorkloadAware1s };
 
 struct GcFuzzParam {
   PolicyKind policy;
@@ -26,7 +28,7 @@ struct GcFuzzParam {
 };
 
 std::string ParamName(const testing::TestParamInfo<GcFuzzParam>& info) {
-  const char* names[] = {"fifo", "dirty", "aware", "hybrid"};
+  const char* names[] = {"fifo", "dirty", "aware", "aware_window1s"};
   return std::string(names[static_cast<int>(info.param.policy)]) + "_seed" +
          std::to_string(info.param.seed) + "_ext" +
          std::to_string(info.param.extent_capacity) + "_cons" +
@@ -40,9 +42,10 @@ std::unique_ptr<GcPolicy> MakePolicy(PolicyKind kind) {
     case PolicyKind::kDirtyRatio:
       return std::make_unique<DirtyRatioPolicy>(0.01);
     case PolicyKind::kWorkloadAware:
-      return std::make_unique<WorkloadAwarePolicy>(0.01);
-    case PolicyKind::kHybrid:
-      return std::make_unique<HybridTtlGradientPolicy>(1'000'000, 0.01);
+      return std::make_unique<WorkloadAwarePolicy>(
+          WorkloadAwarePolicy::kUnboundedWindow, 0.01);
+    case PolicyKind::kWorkloadAware1s:
+      return std::make_unique<WorkloadAwarePolicy>(1'000'000, 0.01);
   }
   return nullptr;
 }
@@ -119,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(GcFuzzParam{PolicyKind::kFifo, 1, 1024, 4},
                     GcFuzzParam{PolicyKind::kDirtyRatio, 2, 1024, 4},
                     GcFuzzParam{PolicyKind::kWorkloadAware, 3, 1024, 4},
-                    GcFuzzParam{PolicyKind::kHybrid, 4, 1024, 4},
+                    GcFuzzParam{PolicyKind::kWorkloadAware1s, 4, 1024, 4},
                     GcFuzzParam{PolicyKind::kDirtyRatio, 5, 4096, 10},
                     GcFuzzParam{PolicyKind::kWorkloadAware, 6, 256, 2}),
     ParamName);

@@ -121,7 +121,8 @@ TEST(DirtyRatioPolicyTest, SkipsCleanExtents) {
 TEST(WorkloadAwarePolicyTest, PrefersColdExtents) {
   // Algorithm 2 / Fig. 5: at the same fragmentation, pick the extent whose
   // invalid count grows slowest (its remaining valid data will stay valid).
-  WorkloadAwarePolicy policy(0.05, /*cold_pool_factor=*/1);
+  WorkloadAwarePolicy policy(WorkloadAwarePolicy::kUnboundedWindow, 0.05,
+                             /*cold_pool_factor=*/1);
   SelectContext ctx;
   ctx.now_us = 2'000'000;
   auto hot = MakeCandidate(1, 10, 6, /*gradient=*/50.0);
@@ -132,7 +133,8 @@ TEST(WorkloadAwarePolicyTest, PrefersColdExtents) {
 }
 
 TEST(WorkloadAwarePolicyTest, WithinColdPoolPrefersFragmentation) {
-  WorkloadAwarePolicy policy(0.05, /*cold_pool_factor=*/4);
+  WorkloadAwarePolicy policy(WorkloadAwarePolicy::kUnboundedWindow, 0.05,
+                             /*cold_pool_factor=*/4);
   SelectContext ctx;
   ctx.now_us = 2'000'000;
   auto a = MakeCandidate(1, 10, 3);
@@ -143,8 +145,9 @@ TEST(WorkloadAwarePolicyTest, WithinColdPoolPrefersFragmentation) {
 }
 
 TEST(WorkloadAwarePolicyTest, BypassesTtlExtents) {
-  // "We bypass those extents and allow them to expire naturally."
-  WorkloadAwarePolicy policy(0.05);
+  // "We bypass those extents and allow them to expire naturally." An
+  // unbounded window is §3.3's pure bypass.
+  WorkloadAwarePolicy policy(WorkloadAwarePolicy::kUnboundedWindow, 0.05);
   SelectContext ctx;
   ctx.now_us = 2'000'000;
   ctx.ttl_us = 60'000'000;
@@ -234,7 +237,7 @@ TEST(SpaceReclaimerTest, NoReclaimBelowDeadRatioTarget) {
 }
 
 TEST(SpaceReclaimerTest, TtlExpiryFreesWithoutMoving) {
-  WorkloadAwarePolicy policy(0.01);
+  WorkloadAwarePolicy policy(WorkloadAwarePolicy::kUnboundedWindow, 0.01);
   ReclaimOptions ropts;
   ropts.ttl_us = 1'000'000;  // 1s TTL
   ropts.target_dead_ratio = 0.0;
@@ -281,7 +284,7 @@ TEST(SpaceReclaimerTest, WorkloadAwareMovesLessThanDirtyRatioUnderSkew) {
     return moved;
   };
   DirtyRatioPolicy dirty(0.01);
-  WorkloadAwarePolicy aware(0.01);
+  WorkloadAwarePolicy aware(WorkloadAwarePolicy::kUnboundedWindow, 0.01);
   const uint64_t moved_dirty = run(&dirty);
   const uint64_t moved_aware = run(&aware);
   EXPECT_LE(moved_aware, moved_dirty);
@@ -308,10 +311,10 @@ TEST(SpaceReclaimerTest, TotalsAccumulateAcrossCycles) {
 namespace bg3::gc {
 namespace {
 
-TEST(HybridTtlGradientPolicyTest, BypassesOnlyNearExpiryExtents) {
-  // §4.4 future work: a 30-day-TTL workload must not strand dead space for
-  // the whole retention period — only extents about to expire are skipped.
-  HybridTtlGradientPolicy policy(/*bypass_window_us=*/10'000'000, 0.05, 1);
+TEST(WorkloadAwarePolicyTest, BypassesOnlyNearExpiryExtents) {
+  // §4.4: a 30-day-TTL workload must not strand dead space for the whole
+  // retention period — only extents about to expire are skipped.
+  WorkloadAwarePolicy policy(/*bypass_window_us=*/10'000'000, 0.05, 1);
   SelectContext ctx;
   ctx.now_us = 100'000'000;
   ctx.ttl_us = 50'000'000;
@@ -324,20 +327,21 @@ TEST(HybridTtlGradientPolicyTest, BypassesOnlyNearExpiryExtents) {
   EXPECT_EQ(victims[0], 2u);
 }
 
-TEST(HybridTtlGradientPolicyTest, NoTtlBehavesLikeWorkloadAware) {
-  HybridTtlGradientPolicy hybrid(10'000'000, 0.05, 1);
-  WorkloadAwarePolicy aware(0.05, 1);
+TEST(WorkloadAwarePolicyTest, UnboundedWindowDoesNotWrap) {
+  // now + window saturates: a wrapped horizon would fall before every
+  // deadline and bypass nothing.
+  WorkloadAwarePolicy policy(WorkloadAwarePolicy::kUnboundedWindow, 0.05, 1);
   SelectContext ctx;
-  ctx.now_us = 2'000'000;
-  std::vector<GcCandidate> c = {MakeCandidate(1, 10, 6, 50.0),
-                                MakeCandidate(2, 10, 6, 1.0)};
-  EXPECT_EQ(hybrid.SelectVictims(c, 1, ctx), aware.SelectVictims(c, 1, ctx));
+  ctx.now_us = 100'000'000;
+  ctx.ttl_us = 3'600'000'000;
+  auto far_expiry = MakeCandidate(1, 10, 8, 0.0, /*last_append=*/99'000'000);
+  EXPECT_TRUE(policy.SelectVictims({far_expiry}, 4, ctx).empty());
 }
 
 TEST(WorkloadAwarePolicyTest, FullyDeadExtentsAreFreeWins) {
   // Regression: a just-finished-dying extent has a high gradient but zero
   // valid data; it must be selected first, not deferred as "hot".
-  WorkloadAwarePolicy policy(0.05, 1);
+  WorkloadAwarePolicy policy(WorkloadAwarePolicy::kUnboundedWindow, 0.05, 1);
   SelectContext ctx;
   ctx.now_us = 2'000'000;
   auto dead_hot = MakeCandidate(1, 10, 10, /*gradient=*/100.0);

@@ -9,6 +9,7 @@
 
 #include "cloud/cloud_store.h"
 #include "common/random.h"
+#include "forest/buffer_pool.h"
 #include "replication/ro_node.h"
 #include "replication/rw_node.h"
 #include "test_seed.h"
@@ -102,8 +103,10 @@ TEST_P(ReplicationFuzzTest, RoAlwaysMatchesModel) {
     } else if (action < 95) {
       ro.CompactPendingLogs();
     } else if (action < 96) {
-      // Memory pressure on the leader: drop clean base pages.
-      (void)rw->tree()->EvictColdPages(rng.Uniform(8));
+      // Memory pressure on the leader: drop clean base pages down to
+      // 0-87.5% of its resident bytes.
+      const size_t budget = rw->tree()->ResidentBytes() * rng.Uniform(8) / 8;
+      BG3_IGNORE_STATUS(forest::EvictTreesToBudget({rw->tree()}, budget));
     } else if (action < 98 && p.with_crashes) {
       rw.reset();  // crash
       auto recovered = RwNode::Recover(&store, rw_opts);

@@ -21,6 +21,7 @@
 #include "common/op_context.h"
 #include "common/trace.h"
 #include "core/graph_db.h"
+#include "forest/buffer_pool.h"
 #include "query/query.h"
 #include "wal/writer.h"
 
@@ -88,7 +89,7 @@ TEST_F(RequestStatsTest, TracedKHopQueryEndToEnd) {
   std::vector<bwtree::BwTree*> trees;
   db.forest()->AppendTrees(&trees);
   trees.push_back(db.vertex_tree());
-  for (bwtree::BwTree* t : trees) t->EvictColdPages(0);
+  BG3_IGNORE_STATUS(forest::EvictTreesToBudget(trees, /*budget_bytes=*/0));
 
   // Nonzero per-GB read pricing so the (read-only) request costs dollars.
   CostModelOptions pricing;

@@ -796,6 +796,41 @@ TEST(GraphDbCheckpointTest, ReadsOfUnknownOwnersAfterReopenAllocateNothing) {
   EXPECT_EQ(db.forest()->ApproxMemoryBytes(), before);
 }
 
+TEST(GraphDbCheckpointTest, FirstGcAfterRestartKeepsUnexpiredTtlData) {
+  // The reopened DB's usage tracker never saw the extents written before
+  // the restart. Their TTL deadlines must not count from time zero, or the
+  // first GC cycle frees every extent and loses acknowledged edges.
+  constexpr uint64_t kHourUs = 3'600ull * 1'000'000;
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 4 << 10;
+  auto store = std::make_unique<cloud::CloudStore>(copts);
+  cloud::ManualTimeSource clock;
+  clock.SetUs(10 * kHourUs);
+  core::GraphDBOptions opts = CheckpointedDbOptions();
+  opts.edge_ttl_us = kHourUs;
+  opts.time_source = &clock;
+  {
+    core::GraphDB db(store.get(), opts);
+    for (int e = 0; e < 400; ++e) {
+      ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "edge", 0).ok());
+    }
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+  }
+  clock.AdvanceUs(1'000'000);
+  core::GraphDB db(store.get(), opts);
+  ASSERT_TRUE(db.RunGcCycle().ok());
+  EXPECT_EQ(db.reclaimer()->totals().extents_expired, 0u);
+  for (int src = 0; src < 10; ++src) {
+    std::vector<graph::Neighbor> nbrs;
+    ASSERT_TRUE(db.GetNeighbors(src, 1, 1000, &nbrs).ok()) << src;
+    EXPECT_EQ(nbrs.size(), 40u) << src;
+  }
+  // Late by at most the downtime: once the hour has passed, they expire.
+  clock.AdvanceUs(kHourUs);
+  ASSERT_TRUE(db.RunGcCycle().ok());
+  EXPECT_GT(db.reclaimer()->totals().extents_expired, 0u);
+}
+
 // --- cluster wiring ----------------------------------------------------------
 
 TEST(ClusterCheckpointTest, LeaderRecoveryResumesFromCheckpoint) {
