@@ -1,12 +1,15 @@
 // Read-path scaling with shared leaf latches: N threads issuing point
 // reads against one Bw-tree, for the two delta modes of §3.2.2 and the
-// two cache regimes of Fig. 9.
+// two cache regimes of Fig. 9, plus cache-hit range scans.
 //
-//   hit  — ReadCacheMode::kFull with a warmed cache: every Get is served
-//          from the resident page under a *shared* leaf latch.
-//   miss — ReadCacheMode::kNone: every Get fetches the base/delta images
-//          from storage (the Fig. 9 regime); with shared latching those
-//          fetches overlap instead of convoying on the leaf.
+//   hit      — ReadCacheMode::kFull with a warmed cache: every Get is served
+//              from the resident page under a *shared* leaf latch.
+//   miss     — ReadCacheMode::kNone: every Get fetches the base/delta images
+//              from storage (the Fig. 9 regime); with shared latching those
+//              fetches overlap instead of convoying on the leaf.
+//   scan_hit — kFull again, but every read is a limit-32 Visit from a Zipf
+//              start key (the adjacency-scan shape of a one-hop query); its
+//              leaf hops must take shared latches too.
 //
 // Hit reads that latch exclusively would be flat in the thread count no
 // matter how hot the cache. The bench reports, per configuration,
@@ -37,6 +40,8 @@ constexpr int kKeys = 20'000;
 constexpr double kTheta = 0.8;  // Zipf head keeps leaf hints hot
 constexpr int kHitReads = 120'000;
 constexpr int kMissReads = 12'000;
+constexpr int kScanReads = 40'000;
+constexpr size_t kScanLimit = 32;
 
 std::string Key(int i) {
   char buf[16];
@@ -46,7 +51,7 @@ std::string Key(int i) {
 
 struct Setup {
   const char* mode;      // read_optimized | traditional
-  const char* workload;  // hit | miss
+  const char* workload;  // hit | miss | scan_hit
 };
 
 struct RunResult {
@@ -88,8 +93,23 @@ RunResult RunConfig(const Setup& setup) {
     BG3_IGNORE_STATUS(tree.Upsert(Key(k), "update"));
   }
 
-  const int reads = std::string(setup.workload) == "miss" ? kMissReads
-                                                          : kHitReads;
+  const std::string workload = setup.workload;
+  const bool scan_reads = workload == "scan_hit";
+  const int reads = workload == "miss" ? kMissReads
+                    : scan_reads       ? kScanReads
+                                       : kHitReads;
+  // One read of key `k`: a point Get, or a limit-32 scan starting there.
+  const auto read_one = [&tree, scan_reads](int k) {
+    if (!scan_reads) {
+      BG3_IGNORE_STATUS(tree.Get(Key(k)));
+      return;
+    }
+    bwtree::BwTree::ScanOptions scan;
+    scan.start_key = Key(k);
+    scan.limit = kScanLimit;
+    BG3_IGNORE_STATUS(tree.Visit(
+        scan, [](const Slice&, const Slice&) { return true; }));
+  };
   // Warm pass (also populates the per-thread route hints).
   ZipfGenerator warm(kKeys, kTheta, 23);
   for (int i = 0; i < 2'000; ++i) {
@@ -103,9 +123,7 @@ RunResult RunConfig(const Setup& setup) {
   {  // single-thread measured rate
     ZipfGenerator zipf(kKeys, kTheta, 29);
     const uint64_t start = NowMicros();
-    for (int i = 0; i < reads; ++i) {
-      BG3_IGNORE_STATUS(tree.Get(Key(static_cast<int>(zipf.Next()))));
-    }
+    for (int i = 0; i < reads; ++i) read_one(static_cast<int>(zipf.Next()));
     r.single_qps = reads / ((NowMicros() - start) / 1e6);
   }
 
@@ -122,12 +140,12 @@ RunResult RunConfig(const Setup& setup) {
     const int per_thread = reads / threads;
     const uint64_t t_start = NowMicros();
     for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&tree, &go, per_thread, t] {
+      pool.emplace_back([&read_one, &go, per_thread, t] {
         while (!go.load(std::memory_order_acquire)) {
         }
         ZipfGenerator zipf(kKeys, kTheta, 101 + t);
         for (int i = 0; i < per_thread; ++i) {
-          (void)tree.Get(Key(static_cast<int>(zipf.Next())));
+          read_one(static_cast<int>(zipf.Next()));
         }
       });
     }
@@ -153,6 +171,8 @@ int main() {
   report.Config("zipf_theta", kTheta);
   report.Config("hit_reads", kHitReads);
   report.Config("miss_reads", kMissReads);
+  report.Config("scan_reads", kScanReads);
+  report.Config("scan_limit", static_cast<uint64_t>(kScanLimit));
   report.Config("hardware_concurrency",
                 static_cast<uint64_t>(std::thread::hardware_concurrency()));
 
@@ -161,6 +181,7 @@ int main() {
       {"read_optimized", "miss"},
       {"traditional", "hit"},
       {"traditional", "miss"},
+      {"read_optimized", "scan_hit"},
   };
 
   for (const Setup& s : setups) {

@@ -48,11 +48,14 @@ BENCH_EXPECTATIONS = {
         "series": [
             "read_optimized_hit", "read_optimized_miss",
             "traditional_hit", "traditional_miss",
+            "read_optimized_scan_hit",
         ],
-        # Cache-hit reads must take shared leaf latches: a latch-count
-        # ratio, so it does not vary between runs. It is 1.0 today and
-        # drops to 0 if hit reads go back to exclusive latches.
-        "scalars": [("shared_latch_frac_read_optimized_hit", 0.99)],
+        # Cache-hit point reads and limit-32 scans must take shared leaf
+        # latches: a latch-count ratio, so it does not vary between runs.
+        # It is 1.0 today and drops to 0 if hit reads go back to exclusive
+        # latches.
+        "scalars": [("shared_latch_frac_read_optimized_hit", 0.99),
+                    ("shared_latch_frac_read_optimized_scan_hit", 0.99)],
     },
     "overload": {
         "series": ["protected", "unprotected"],

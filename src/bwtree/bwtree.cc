@@ -567,10 +567,17 @@ Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
     leaf->latch.AssertReaderHeld();
     const std::string start = key.ToString();
     const std::string end = start + '\0';
-    std::vector<Entry> found;
-    BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, start, end, 1, &found, ctx));
-    if (found.empty()) return Status::NotFound("no such key");
-    return std::move(found.front().value);
+    size_t remaining = 1;
+    std::string value;
+    BG3_RETURN_IF_ERROR(CollectRangeLocked(
+        leaf, start, end, &remaining,
+        [&value](const Slice&, const Slice& v) {
+          value = v.ToString();
+          return true;
+        },
+        ctx));
+    if (remaining != 0) return Status::NotFound("no such key");
+    return value;
   }
 
   // Full-cache fast path: check the delta chain newest-first, then the
@@ -676,53 +683,51 @@ void KeepNewestPerKey(std::vector<DeltaEntryView>* overlay) {
   overlay->resize(kept);
 }
 
-/// Appends a copy of one base entry, owned or in place, to `out`. Owned
-/// entries are copy-constructed in place, which keeps the full-cache scan
-/// path as fast as a loop written for owned entries alone.
-void Emit(const Entry& e, std::vector<Entry>* out) { out->push_back(e); }
-void Emit(const EntryView& e, std::vector<Entry>* out) {
-  out->push_back(Entry{e.key.ToString(), e.value.ToString()});
-}
-
 /// Merge-iterates sorted base entries from `start` against the overlay,
-/// appending live entries to `out` until it holds `limit`. The overlay
-/// already lies in [start, end); the base is cut at `end` here. Copies only
-/// the entries it emits.
+/// handing live entries to `visit` until `*remaining` reaches zero. The
+/// overlay already lies in [start, end); the base is cut at `end` here.
+/// Works on owned entries and in-place views alike, and copies nothing.
 template <typename BaseT>
 void MergeRange(const std::vector<BaseT>& base,
                 const std::vector<DeltaEntryView>& overlay, const Slice& start,
-                const Slice& end, bool bounded, size_t limit,
-                std::vector<Entry>* out) {
+                const Slice& end, bool bounded, size_t* remaining,
+                const EntryVisitor& visit) {
   auto bit = std::lower_bound(base.begin(), base.end(), start,
                               [](const BaseT& e, const Slice& k) {
                                 return Slice(e.key).compare(k) < 0;
                               });
   auto oit = overlay.begin();
-  while (out->size() < limit) {
+  while (*remaining > 0) {
     const bool base_ok = bit != base.end() &&
                          !(bounded && Slice(bit->key).compare(end) >= 0);
     const bool over_ok = oit != overlay.end();
     if (!base_ok && !over_ok) break;
     const int cmp =
         !base_ok ? -1 : !over_ok ? 1 : oit->key.compare(Slice(bit->key));
+    Slice key;
+    Slice value;
     if (cmp <= 0) {
-      if (oit->op == DeltaOp::kUpsert) {
-        out->push_back(Entry{oit->key.ToString(), oit->value.ToString()});
-      }
+      const bool live = oit->op == DeltaOp::kUpsert;
+      key = oit->key;
+      value = oit->value;
       if (cmp == 0) ++bit;  // the delta shadows the base entry
       ++oit;
+      if (!live) continue;
     } else {
-      Emit(*bit, out);
+      key = Slice(bit->key);
+      value = Slice(bit->value);
       ++bit;
     }
+    --*remaining;
+    if (!visit(key, value)) *remaining = 0;
   }
 }
 
 }  // namespace
 
 Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
-                                  const std::string& end, size_t limit,
-                                  std::vector<Entry>* out,
+                                  const std::string& end, size_t* remaining,
+                                  const EntryVisitor& visit,
                                   const OpContext* ctx) {
   // Both cache modes merge-iterate the sorted base against an overlay built
   // from the delta chain over [start, end) only — O(limit + chain), not
@@ -752,7 +757,7 @@ Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
       AddToOverlay(delta, start, end, bounded, &overlay);
     }
     KeepNewestPerKey(&overlay);
-    MergeRange(base, overlay, start, end, bounded, limit, out);
+    MergeRange(base, overlay, start, end, bounded, remaining, visit);
     return Status::OK();
   }
   // In-memory path. Read-only: the caller made the leaf resident before
@@ -762,34 +767,33 @@ Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
     AddToOverlay(cit->entries, start, end, bounded, &overlay);
   }
   KeepNewestPerKey(&overlay);
-  MergeRange(leaf->base_entries, overlay, start, end, bounded, limit, out);
+  MergeRange(leaf->base_entries, overlay, start, end, bounded, remaining,
+             visit);
   return Status::OK();
 }
 
-Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,
-                    const OpContext* ctx) {
+Status BwTree::Visit(const ScanOptions& options, const EntryVisitor& visit,
+                     const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.scan");
   stats_.scans.Inc();
   std::string cursor = options.start_key;
-  const size_t target = options.limit == std::numeric_limits<size_t>::max()
-                            ? options.limit
-                            : out->size() + options.limit;
+  size_t remaining = options.limit;
   const bool bounded_end = !options.end_key.empty();
   for (;;) {
-    if (out->size() >= target) return Status::OK();
+    if (remaining == 0) return Status::OK();
     // Per-hop deadline check: a long scan over many leaves stops at the
     // first hop past the deadline instead of finishing the range.
     BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree scan"));
     {
-      // Shared-latch fast path: collect from a resident leaf (or via the
-      // storage images in zero-cache mode) without blocking other readers.
+      // Shared-latch fast path: visit a resident leaf (or the storage
+      // images in zero-cache mode) without blocking other readers.
       std::shared_lock<SharedMutex> lock;
       LeafPage* leaf = FindAndLatchLeafShared(cursor, &lock);
       leaf->latch.AssertReaderHeld();
       if (opts_.read_cache == ReadCacheMode::kNone || leaf->resident) {
         BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, cursor, options.end_key,
-                                               target, out, ctx));
-        if (out->size() >= target) return Status::OK();
+                                               &remaining, visit, ctx));
+        if (remaining == 0) return Status::OK();
         if (!leaf->has_high_key) return Status::OK();
         if (bounded_end && leaf->high_key >= options.end_key) {
           return Status::OK();
@@ -799,18 +803,29 @@ Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,
       }
     }
     // Evicted leaf: the reload mutates the page — retake exclusively,
-    // reload, then collect this hop under the exclusive latch.
+    // reload, then visit this hop under the exclusive latch.
     std::unique_lock<SharedMutex> lock;
     LeafPage* leaf = FindAndLatchLeafExclusive(cursor, &lock);
     leaf->latch.AssertHeld();
     BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
     BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, cursor, options.end_key,
-                                           target, out, ctx));
-    if (out->size() >= target) return Status::OK();
+                                           &remaining, visit, ctx));
+    if (remaining == 0) return Status::OK();
     if (!leaf->has_high_key) return Status::OK();
     if (bounded_end && leaf->high_key >= options.end_key) return Status::OK();
     cursor = leaf->high_key;
   }
+}
+
+Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,
+                    const OpContext* ctx) {
+  return Visit(
+      options,
+      [out](const Slice& key, const Slice& value) {
+        out->push_back(Entry{key.ToString(), value.ToString()});
+        return true;
+      },
+      ctx);
 }
 
 std::vector<PageId> BwTree::DirtyPageIds() const {

@@ -123,6 +123,10 @@ struct RecoveredPage {
 using RecoveredTreeSource =
     std::function<Result<std::vector<RecoveredPage>>(TreeId)>;
 
+/// Receives one entry of a BwTree::Visit scan; returns false to stop it.
+using EntryVisitor =
+    std::function<bool(const Slice& key, const Slice& value)>;
+
 /// Write/read activity counters of one tree.
 struct BwTreeStats {
   LightCounter upserts;
@@ -174,7 +178,16 @@ class BwTree {
     std::string end_key;            ///< exclusive; empty = to the end.
     size_t limit = std::numeric_limits<size_t>::max();
   };
-  /// Ordered range scan into `out` (appends).
+  /// Ordered range scan: hands each merged live entry of the range to
+  /// `visit`, in key order, and stops after `limit` entries or when `visit`
+  /// returns false. The key and value views point into the leaf (or into
+  /// the storage images a zero-cache read parses) and die when `visit`
+  /// returns: copy what must outlive the call. `visit` runs under the
+  /// leaf's latch (shared, or exclusive on the reload path), so it must not
+  /// call back into this or any other tree.
+  Status Visit(const ScanOptions& options, const EntryVisitor& visit,
+               const OpContext* ctx = nullptr);
+  /// Visit that appends a copy of every entry to `out`.
   Status Scan(const ScanOptions& options, std::vector<Entry>* out,
               const OpContext* ctx = nullptr);
 
@@ -317,14 +330,16 @@ class BwTree {
                           std::vector<std::string>* deltas,
                           const OpContext* ctx)
       BG3_REQUIRES_SHARED(leaf->latch);
-  /// Appends merged entries of [start, end) up to `limit` total entries in
-  /// `out`. Zero-cache mode parses the storage images in place; both modes
-  /// copy only the entries they emit. Read-only: in full-cache mode the
-  /// caller must have made the leaf resident first (Scan's exclusive-reload
-  /// fallback does this on a cache miss).
+  /// Hands the merged live entries of [start, end) in this leaf to `visit`
+  /// as views, at most `*remaining` of them; counts each delivery down from
+  /// `*remaining` and zeroes it when `visit` returns false. Zero-cache mode
+  /// parses the storage images in place; neither mode copies an entry.
+  /// Read-only: in full-cache mode the caller must have made the leaf
+  /// resident first (Visit's exclusive-reload fallback does this on a cache
+  /// miss).
   Status CollectRangeLocked(LeafPage* leaf, const std::string& start,
-                            const std::string& end, size_t limit,
-                            std::vector<Entry>* out,
+                            const std::string& end, size_t* remaining,
+                            const EntryVisitor& visit,
                             const OpContext* ctx = nullptr)
       BG3_REQUIRES_SHARED(leaf->latch);
 

@@ -390,13 +390,13 @@ Result<std::string> GraphDB::GetEdge(graph::VertexId src, graph::EdgeType type,
                             graph::EncodeDstKey(dst), ctx);
   BG3_RETURN_IF_ERROR(value.status());
   graph::TimestampUs created_us;
-  std::string properties;
+  Slice properties;
   if (!graph::DecodeEdgeValue(Slice(value.value()), &created_us,
                               &properties)) {
     return Status::Corruption("edge value");
   }
   if (EdgeExpired(created_us)) return Status::NotFound("edge expired");
-  return properties;
+  return properties.ToString();
 }
 
 Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
@@ -406,22 +406,36 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
   BG3_TIMED_SCOPE("bg3.api.get_neighbors", OpLayer::kApi, ctx);
   AdmissionController::Permit permit;
   BG3_RETURN_IF_ERROR(AdmitOp(OpClass::kRead, ctx, &permit));
-  std::vector<bwtree::Entry> entries;
-  BG3_RETURN_IF_ERROR(forest_->ScanOwner(graph::MakeOwnerId(src, type),
-                                         Slice(), limit, &entries, ctx));
-  out->reserve(out->size() + entries.size());
-  for (const bwtree::Entry& e : entries) {
-    graph::VertexId dst;
-    graph::TimestampUs created_us;
-    std::string properties;
-    if (!graph::DecodeDstKey(Slice(e.key), &dst) ||
-        !graph::DecodeEdgeValue(Slice(e.value), &created_us, &properties)) {
-      return Status::Corruption("adjacency entry");
-    }
-    if (EdgeExpired(created_us)) continue;
-    out->push_back(graph::Neighbor{dst, created_us, std::move(properties)});
-  }
-  return Status::OK();
+  // Each stored entry is decoded in place, under the leaf latch: only the
+  // properties are copied. `limit` counts stored entries, expired ones
+  // included. On failure `out` is left as it was.
+  const size_t size_at_entry = out->size();
+  bool corrupt = false;
+  Status s = forest_->ScanOwner(
+      graph::MakeOwnerId(src, type), Slice(), limit,
+      [this, out, &corrupt](const Slice& key, const Slice& value) {
+        graph::VertexId dst;
+        graph::TimestampUs created_us;
+        Slice properties;
+        if (!graph::DecodeDstKey(key, &dst) ||
+            !graph::DecodeEdgeValue(value, &created_us, &properties)) {
+          corrupt = true;
+          return false;
+        }
+        if (!EdgeExpired(created_us)) {
+          out->push_back(
+              graph::Neighbor{dst, created_us, properties.ToString()});
+        }
+        return true;
+      },
+      [out, size_at_entry, &corrupt] {
+        out->resize(size_at_entry);
+        corrupt = false;
+      },
+      ctx);
+  if (s.ok() && corrupt) s = Status::Corruption("adjacency entry");
+  if (!s.ok()) out->resize(size_at_entry);
+  return s;
 }
 
 Status GraphDB::RunGcCycle() {

@@ -157,13 +157,12 @@ bwtree::BwTreeOptions BwTreeForest::MakeTreeOptions(bwtree::TreeId id,
   return o;
 }
 
-std::shared_ptr<BwTreeForest::OwnerState> BwTreeForest::GetOrCreateState(
-    OwnerId owner) {
+BwTreeForest::OwnerState* BwTreeForest::GetOrCreateState(OwnerId owner) {
   Shard& shard = *shards_[Mix64(owner) % shards_.size()];
   MutexLock lock(&shard.mu);
   auto& slot = shard.owners[owner];
-  if (!slot) slot = std::make_shared<OwnerState>();
-  return slot;
+  if (!slot) slot = std::make_unique<OwnerState>();
+  return slot.get();
 }
 
 bwtree::BwTree* BwTreeForest::PublishedTree(const OwnerState* state) {
@@ -171,19 +170,17 @@ bwtree::BwTree* BwTreeForest::PublishedTree(const OwnerState* state) {
                           : state->published.load(std::memory_order_acquire);
 }
 
-std::shared_ptr<BwTreeForest::OwnerState> BwTreeForest::FindState(
-    OwnerId owner) const {
+BwTreeForest::OwnerState* BwTreeForest::FindState(OwnerId owner) const {
   const Shard& shard = *shards_[Mix64(owner) % shards_.size()];
   MutexLock lock(&shard.mu);
   auto it = shard.owners.find(owner);
-  return it == shard.owners.end() ? nullptr : it->second;
+  return it == shard.owners.end() ? nullptr : it->second.get();
 }
 
 Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
                             const Slice& value, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.upsert", OpLayer::kForest);
-  auto owned = GetOrCreateState(owner);
-  OwnerState* state = owned.get();
+  OwnerState* state = GetOrCreateState(owner);
   bool split_out = false;
   // A split-out in flight is waited for outside the mutex: `continue`
   // releases it, then the loop's increment waits.
@@ -216,8 +213,7 @@ Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
 
 Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
                             const OpContext* ctx) {
-  auto owned = GetOrCreateState(owner);
-  OwnerState* state = owned.get();
+  OwnerState* state = GetOrCreateState(owner);
   for (;; state->splitting.wait(true)) {
     MutexLock lock(&state->mu);
     if (state->splitting.load()) continue;  // wait as Upsert does
@@ -242,7 +238,7 @@ Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
 Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
                                       const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.lookup", OpLayer::kForest);
-  std::shared_ptr<OwnerState> state = FindState(owner);
+  OwnerState* state = FindState(owner);
   if (state == nullptr && !init_has_stateless_owners_) {
     return Status::NotFound("unknown owner");
   }
@@ -250,22 +246,24 @@ Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
   // after the owner's tree is published, so an INIT read is sound unless a
   // tree was published meanwhile; then it is retried there.
   for (;;) {
-    if (bwtree::BwTree* tree = PublishedTree(state.get())) {
+    if (bwtree::BwTree* tree = PublishedTree(state)) {
       return tree->Get(sort_key, ctx);
     }
     auto value = init_tree_->Get(MakeInitKey(owner, sort_key), ctx);
     // A recovered owner untouched since has no state; one made during the
     // read may belong to a split-out.
     if (state == nullptr) state = FindState(owner);
-    if (PublishedTree(state.get()) == nullptr) return value;
+    if (PublishedTree(state) == nullptr) return value;
   }
 }
 
 Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
-                               size_t limit, std::vector<bwtree::Entry>* out,
+                               size_t limit,
+                               const bwtree::EntryVisitor& visit,
+                               const std::function<void()>& reset,
                                const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.scan", OpLayer::kForest);
-  std::shared_ptr<OwnerState> state = FindState(owner);
+  OwnerState* state = FindState(owner);
   if (state == nullptr && !init_has_stateless_owners_) {
     return Status::OK();  // no entries yet
   }
@@ -273,35 +271,46 @@ Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
   for (;;) {
     bwtree::BwTree::ScanOptions scan;
     scan.limit = limit;
-    if (bwtree::BwTree* tree = PublishedTree(state.get())) {
+    if (bwtree::BwTree* tree = PublishedTree(state)) {
       scan.start_key = start_sort_key.ToString();
-      return tree->Scan(scan, out, ctx);
+      return tree->Visit(scan, visit, ctx);
     }
     // INIT prefix scan [owner|start, owner+1); the prefix is stripped.
     scan.start_key = MakeInitKey(owner, start_sort_key);
     scan.end_key = owner == ~0ull ? std::string() : OwnerPrefix(owner + 1);
-    std::vector<bwtree::Entry> raw;
-    BG3_RETURN_IF_ERROR(init_tree_->Scan(scan, &raw, ctx));
+    BG3_RETURN_IF_ERROR(init_tree_->Visit(
+        scan,
+        [&visit](const Slice& key, const Slice& value) {
+          return visit(Slice(key.data() + 8, key.size() - 8), value);
+        },
+        ctx));
     if (state == nullptr) state = FindState(owner);
-    if (PublishedTree(state.get()) == nullptr) {
-      out->reserve(out->size() + raw.size());
-      for (auto& e : raw) {
-        out->push_back(bwtree::Entry{e.key.substr(8), std::move(e.value)});
-      }
-      return Status::OK();
-    }
+    if (PublishedTree(state) == nullptr) return Status::OK();
+    reset();  // the pass raced a split-out: redo it on the tree
   }
 }
 
+Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
+                               size_t limit, std::vector<bwtree::Entry>* out,
+                               const OpContext* ctx) {
+  const size_t size_at_entry = out->size();
+  return ScanOwner(
+      owner, start_sort_key, limit,
+      [out](const Slice& key, const Slice& value) {
+        out->push_back(bwtree::Entry{key.ToString(), value.ToString()});
+        return true;
+      },
+      [out, size_at_entry] { out->resize(size_at_entry); }, ctx);
+}
+
 size_t BwTreeForest::OwnerEntryCount(OwnerId owner) const {
-  auto state = FindState(owner);
+  const OwnerState* state = FindState(owner);
   if (state == nullptr) return 0;
   return state->count.load(std::memory_order_relaxed);
 }
 
 Status BwTreeForest::DedicateOwner(OwnerId owner) {
-  auto owned = GetOrCreateState(owner);
-  return SplitOut(owner, owned.get(), &stats_.split_outs);
+  return SplitOut(owner, GetOrCreateState(owner), &stats_.split_outs);
 }
 
 std::unique_ptr<bwtree::BwTree> BwTreeForest::NewDedicatedTree() {
@@ -423,7 +432,7 @@ void BwTreeForest::MaybeEvictFromInit() {
   // read without the per-owner lock).
   OwnerId victim = 0;
   size_t victim_count = 0;
-  std::shared_ptr<OwnerState> victim_state;
+  OwnerState* victim_state = nullptr;
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     for (const auto& [owner, state] : shard->owners) {
@@ -434,14 +443,14 @@ void BwTreeForest::MaybeEvictFromInit() {
           state->count.load(std::memory_order_relaxed) > victim_count) {
         victim = owner;
         victim_count = state->count.load(std::memory_order_relaxed);
-        victim_state = state;
+        victim_state = state.get();
       }
     }
   }
   // Opportunistic eviction: on failure the owner simply stays in the init
   // tree and a later write over capacity retries.
   if (victim_state != nullptr) {
-    BG3_IGNORE_STATUS(SplitOut(victim, victim_state.get(), &stats_.evictions));
+    BG3_IGNORE_STATUS(SplitOut(victim, victim_state, &stats_.evictions));
   }
   init_evicting_.store(false, std::memory_order_release);
 }
@@ -526,13 +535,15 @@ void BwTreeForest::CheckInvariants() const {
   // mutexes are only try-locked: the walker runs from split-out boundaries
   // where a caller may hold another owner's mutex, and it must never wait.
   for (const auto& shard : shards_) {
-    std::vector<std::shared_ptr<OwnerState>> states;
+    std::vector<OwnerState*> states;
     {
       MutexLock lock(&shard->mu);
       states.reserve(shard->owners.size());
-      for (const auto& [owner, state] : shard->owners) states.push_back(state);
+      for (const auto& [owner, state] : shard->owners) {
+        states.push_back(state.get());
+      }
     }
-    for (const auto& state : states) {
+    for (OwnerState* state : states) {
       if (!state->mu.TryLock()) continue;
       state->mu.AssertHeld();
       bwtree::BwTree* const tree = state->tree.get();

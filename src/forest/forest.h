@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -93,9 +94,18 @@ class BwTreeForest {
   Result<std::string> Get(OwnerId owner, const Slice& sort_key,
                           const OpContext* ctx = nullptr);
 
-  /// Ordered scan of one owner's entries from `start_sort_key`; returned
-  /// entry keys are sort keys (the owner prefix is stripped for INIT-tree
-  /// residents).
+  /// Ordered scan of one owner's entries from `start_sort_key`, handed to
+  /// `visit` as views under a leaf latch (the bwtree::BwTree::Visit
+  /// contract); keys are sort keys (the owner prefix is stripped on the view
+  /// for INIT-tree residents). A split-out that publishes the owner's tree
+  /// while the INIT pass runs makes that pass stale: `reset` is called, and
+  /// the scan is redone on the tree, so the caller must drop everything the
+  /// visits so far delivered.
+  Status ScanOwner(OwnerId owner, const Slice& start_sort_key, size_t limit,
+                   const bwtree::EntryVisitor& visit,
+                   const std::function<void()>& reset,
+                   const OpContext* ctx = nullptr);
+  /// ScanOwner that appends a copy of every entry to `out`.
   Status ScanOwner(OwnerId owner, const Slice& start_sort_key, size_t limit,
                    std::vector<bwtree::Entry>* out,
                    const OpContext* ctx = nullptr);
@@ -188,7 +198,9 @@ class BwTreeForest {
 
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<OwnerId, std::shared_ptr<OwnerState>> owners
+    /// States are never erased, so a pointer to one stays valid for the
+    /// forest's lifetime and lookups hand out raw pointers.
+    std::unordered_map<OwnerId, std::unique_ptr<OwnerState>> owners
         BG3_GUARDED_BY(mu);
   };
 
@@ -197,8 +209,9 @@ class BwTreeForest {
   BwTreeForest(cloud::CloudStore* store, const ForestOptions& options,
                bool fresh);
 
-  std::shared_ptr<OwnerState> GetOrCreateState(OwnerId owner);
-  std::shared_ptr<OwnerState> FindState(OwnerId owner) const;
+  OwnerState* GetOrCreateState(OwnerId owner);
+  /// Null if the owner has no state.
+  OwnerState* FindState(OwnerId owner) const;
   /// The owner's dedicated tree once published; null for INIT residents
   /// and for a null state.
   static bwtree::BwTree* PublishedTree(const OwnerState* state);

@@ -58,11 +58,9 @@ std::string EncodeEdgeValue(TimestampUs created_us, const Slice& properties) {
 }
 
 bool DecodeEdgeValue(const Slice& value, TimestampUs* created_us,
-                     std::string* properties) {
-  Slice in = value;
-  if (!GetFixed64(&in, created_us)) return false;
-  properties->assign(in.data(), in.size());
-  return true;
+                     Slice* properties) {
+  *properties = value;
+  return GetFixed64(properties, created_us);
 }
 
 uint64_t MakeOwnerId(VertexId src, EdgeType type) {

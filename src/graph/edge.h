@@ -36,8 +36,9 @@ std::string EncodeDstKey(VertexId dst);
 bool DecodeDstKey(const Slice& key, VertexId* dst);
 
 std::string EncodeEdgeValue(TimestampUs created_us, const Slice& properties);
+/// Inverse of EncodeEdgeValue; `properties` views the bytes of `value`.
 bool DecodeEdgeValue(const Slice& value, TimestampUs* created_us,
-                     std::string* properties);
+                     Slice* properties);
 
 /// Adjacency-list owner handle: packs (src, type) into the forest's 64-bit
 /// OwnerId. Edge types must fit in 8 bits (ByteDance-style workloads use a

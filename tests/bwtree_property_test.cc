@@ -3,6 +3,7 @@
 // delta mode, consolidation threshold and leaf size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +33,55 @@ std::string ParamName(const testing::TestParamInfo<PropertyParam>& info) {
   name += "_l" + std::to_string(p.max_leaf_entries);
   name += p.flush_mode == FlushMode::kSync ? "_sync" : "_deferred";
   return name;
+}
+
+/// One random check of BwTree::Visit against the model: over a random
+/// range (either bound may be open) with a random limit, a visitor that
+/// stops after a random k saw exactly the model's first k entries and was
+/// never called again, and a visitor that never stops saw exactly the
+/// model's entries.
+void CheckVisitAgainstModel(BwTree* tree,
+                            const std::map<std::string, std::string>& model,
+                            Random* rng, int key_space) {
+  auto random_key = [rng, key_space] {
+    return "key" + std::to_string(rng->Uniform(key_space));
+  };
+  BwTree::ScanOptions scan;
+  if (rng->Uniform(4) != 0) scan.start_key = random_key();
+  if (rng->Uniform(4) != 0) scan.end_key = random_key();
+  if (!scan.end_key.empty() && scan.end_key < scan.start_key) {
+    std::swap(scan.start_key, scan.end_key);
+  }
+  if (rng->Uniform(2) == 0) scan.limit = rng->Uniform(40);
+  std::vector<std::pair<std::string, std::string>> want;
+  for (auto it = model.lower_bound(scan.start_key);
+       it != model.end() && want.size() < scan.limit; ++it) {
+    if (!scan.end_key.empty() && it->first >= scan.end_key) break;
+    want.emplace_back(it->first, it->second);
+  }
+
+  std::vector<std::pair<std::string, std::string>> all;
+  ASSERT_TRUE(tree->Visit(scan, [&all](const Slice& key, const Slice& value) {
+                    all.emplace_back(key.ToString(), value.ToString());
+                    return true;
+                  }).ok());
+  EXPECT_EQ(all, want) << scan.start_key << ".." << scan.end_key << " limit "
+                       << scan.limit;
+
+  const size_t k = 1 + rng->Uniform(want.size() + 2);
+  std::vector<std::pair<std::string, std::string>> seen;
+  size_t calls_after_stop = 0;
+  ASSERT_TRUE(tree->Visit(scan, [&](const Slice& key, const Slice& value) {
+                    if (seen.size() == k) {
+                      ++calls_after_stop;
+                      return false;
+                    }
+                    seen.emplace_back(key.ToString(), value.ToString());
+                    return seen.size() < k;
+                  }).ok());
+  EXPECT_EQ(calls_after_stop, 0u);
+  want.resize(std::min(k, want.size()));
+  EXPECT_EQ(seen, want) << "stopped after " << k;
 }
 
 class BwTreeModelTest : public testing::TestWithParam<PropertyParam> {
@@ -122,6 +172,24 @@ TEST_P(BwTreeModelTest, RangeScansMatchReferenceModel) {
     for (size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out[i].key, expected[i].first);
     }
+  }
+}
+
+TEST_P(BwTreeModelTest, VisitStopsAndLimitsMatchModel) {
+  std::map<std::string, std::string> model;
+  Random rng(GetParam().consolidate_threshold * 7 +
+             GetParam().max_leaf_entries);
+  for (int i = 0; i < 1500; ++i) {
+    const std::string key = RandomKey(&rng, 200);
+    if (rng.Uniform(10) < 7) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(tree_->Upsert(key, value).ok());
+      model[key] = value;
+    } else {
+      ASSERT_TRUE(tree_->Delete(key).ok());
+      model.erase(key);
+    }
+    if (i % 25 == 0) CheckVisitAgainstModel(tree_.get(), model, &rng, 200);
   }
 }
 
@@ -256,6 +324,36 @@ TEST_P(ZeroCacheModelTest, ScansAndGetsMatchModelAndFullCacheTree) {
       EXPECT_EQ(cached_out[k].key, out[k].key);
       EXPECT_EQ(cached_out[k].value, out[k].value);
     }
+  }
+}
+
+TEST_P(ZeroCacheModelTest, VisitStopsAndLimitsMatchModel) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 14;
+  cloud::CloudStore store(copts);
+  BwTreeOptions opts;
+  opts.delta_mode = GetParam().mode;
+  opts.consolidate_threshold = GetParam().consolidate_threshold;
+  opts.max_leaf_entries = GetParam().max_leaf_entries;
+  opts.read_cache = ReadCacheMode::kNone;
+  opts.base_stream = store.CreateStream("base");
+  opts.delta_stream = store.CreateStream("delta");
+  BwTree tree(&store, opts);
+
+  std::map<std::string, std::string> model;
+  Random rng(GetParam().consolidate_threshold * 13 +
+             GetParam().max_leaf_entries);
+  for (int i = 0; i < 1500; ++i) {
+    const std::string key = "key" + std::to_string(rng.Uniform(120));
+    if (rng.Uniform(10) < 6) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(tree.Upsert(key, value).ok());
+      model[key] = value;
+    } else {
+      ASSERT_TRUE(tree.Delete(key).ok());
+      model.erase(key);
+    }
+    if (i % 10 == 0) CheckVisitAgainstModel(&tree, model, &rng, 120);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bwtree/bwtree.h"
@@ -830,6 +831,146 @@ TEST(BwTreeEvictionTest, MemoryDropsAfterEviction) {
   (void)EvictToBudget(f.tree.get(), f.tree->ResidentBytes() / 8);
   EXPECT_LT(f.tree->ApproxMemoryBytes(), before / 2);
 }
+
+// --- Visit: the one scan loop, in both cache and both delta modes ---------
+
+class BwTreeVisitTest
+    : public testing::TestWithParam<std::tuple<DeltaMode, ReadCacheMode>> {
+ protected:
+  // ~100 live keys over many 8-entry leaves, with a live delta, a delete
+  // shadowing a base entry and an insert between base keys, so the merge
+  // path runs at leaf boundaries.
+  void SetUp() override {
+    BwTreeOptions opts;
+    opts.delta_mode = std::get<0>(GetParam());
+    opts.read_cache = std::get<1>(GetParam());
+    opts.max_leaf_entries = 8;
+    opts.consolidate_threshold = 4;
+    f_ = std::make_unique<TreeFixture>(opts);
+    for (int i = 0; i < 100; ++i) Put(Key(2 * i), "v" + std::to_string(i));
+    ASSERT_TRUE(f_->tree->Delete(Key(10)).ok());
+    model_.erase(Key(10));
+    Put(Key(11), "odd");
+    Put(Key(40), "updated");
+    ASSERT_GT(f_->tree->LeafCount(), 8u);
+  }
+
+  void Put(const std::string& key, const std::string& value) {
+    ASSERT_TRUE(f_->tree->Upsert(key, value).ok());
+    model_[key] = value;
+  }
+
+  /// Model entries of [start, end) (end empty = unbounded), at most `limit`.
+  std::vector<Entry> Expected(const std::string& start, const std::string& end,
+                              size_t limit) const {
+    std::vector<Entry> out;
+    for (auto it = model_.lower_bound(start);
+         it != model_.end() && out.size() < limit; ++it) {
+      if (!end.empty() && it->first >= end) break;
+      out.push_back(Entry{it->first, it->second});
+    }
+    return out;
+  }
+
+  /// Visits with a visitor that returns false on its k-th entry; fails the
+  /// test if it is called again after that.
+  std::vector<Entry> VisitStoppingAfter(const BwTree::ScanOptions& scan,
+                                        size_t k) {
+    std::vector<Entry> seen;
+    size_t calls_after_stop = 0;
+    EXPECT_TRUE(f_->tree
+                    ->Visit(scan,
+                            [&](const Slice& key, const Slice& value) {
+                              if (seen.size() == k) {
+                                ++calls_after_stop;
+                                return false;
+                              }
+                              seen.push_back(
+                                  Entry{key.ToString(), value.ToString()});
+                              return seen.size() < k;
+                            })
+                    .ok());
+    EXPECT_EQ(calls_after_stop, 0u) << "visitor called after it stopped";
+    return seen;
+  }
+
+  static void ExpectSameEntries(const std::vector<Entry>& got,
+                                const std::vector<Entry>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key) << i;
+      EXPECT_EQ(got[i].value, want[i].value) << i;
+    }
+  }
+
+  std::unique_ptr<TreeFixture> f_;
+  std::map<std::string, std::string> model_;
+};
+
+TEST_P(BwTreeVisitTest, StoppingVisitorSeesExactlyTheFirstKEntries) {
+  BwTree::ScanOptions scan;
+  scan.start_key = Key(3);
+  std::vector<Entry> all;
+  ASSERT_TRUE(f_->tree->Scan(scan, &all).ok());
+  ExpectSameEntries(all, Expected(scan.start_key, "", SIZE_MAX));
+  // Twice: from resident leaves, then (full cache) from evicted ones, which
+  // Visit reloads under the exclusive latch.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t k : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{33},
+                     all.size()}) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " k " + std::to_string(k));
+      const std::vector<Entry> seen = VisitStoppingAfter(scan, k);
+      ExpectSameEntries(seen, std::vector<Entry>(all.begin(), all.begin() + k));
+    }
+    (void)EvictToBudget(f_->tree.get(), 0);
+  }
+}
+
+TEST_P(BwTreeVisitTest, LimitAndBoundedEndMatchScanAndModel) {
+  const std::pair<std::string, std::string> ranges[] = {
+      {"", ""}, {Key(3), Key(41)}, {Key(10), Key(11)}, {Key(11), Key(12)},
+      {Key(150), ""}, {Key(199), Key(300)}, {"", Key(0)}};
+  for (const auto& [start, end] : ranges) {
+    for (size_t limit : {size_t{0}, size_t{1}, size_t{8}, size_t{17},
+                         SIZE_MAX}) {
+      SCOPED_TRACE(start + ".." + end + " limit " + std::to_string(limit));
+      BwTree::ScanOptions scan;
+      scan.start_key = start;
+      scan.end_key = end;
+      scan.limit = limit;
+      std::vector<Entry> visited;
+      ASSERT_TRUE(f_->tree
+                      ->Visit(scan,
+                              [&visited](const Slice& key, const Slice& value) {
+                                visited.push_back(
+                                    Entry{key.ToString(), value.ToString()});
+                                return true;
+                              })
+                      .ok());
+      std::vector<Entry> scanned = {Entry{"mine", "kept"}};
+      ASSERT_TRUE(f_->tree->Scan(scan, &scanned).ok());
+      EXPECT_EQ(scanned.front().key, "mine");
+      scanned.erase(scanned.begin());
+      const std::vector<Entry> want = Expected(start, end, limit);
+      ExpectSameEntries(visited, want);
+      ExpectSameEntries(scanned, want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, BwTreeVisitTest,
+    testing::Combine(testing::Values(DeltaMode::kTraditional,
+                                     DeltaMode::kReadOptimized),
+                     testing::Values(ReadCacheMode::kFull,
+                                     ReadCacheMode::kNone)),
+    [](const testing::TestParamInfo<BwTreeVisitTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == DeltaMode::kTraditional
+                             ? "trad"
+                             : "readopt") +
+             (std::get<1>(info.param) == ReadCacheMode::kFull ? "_cached"
+                                                              : "_zerocache");
+    });
 
 }  // namespace
 }  // namespace bg3::bwtree

@@ -395,7 +395,7 @@ TEST(ForestStressTest, ReadsRacingSplitOutsSeeEveryAckedEntry) {
   // Reads take no owner mutex: they rely on a split-out deleting an
   // owner's INIT entries only after publishing its tree. Readers racing the
   // split-outs (and the writes a split-out makes wait) must still see every
-  // entry acknowledged before the read began.
+  // entry acknowledged before the read began, and each only once.
   forest::ForestOptions fopts;
   fopts.split_out_threshold = 40;
   fopts.owner_shards = 4;
@@ -418,6 +418,14 @@ TEST(ForestStressTest, ReadsRacingSplitOutsSeeEveryAckedEntry) {
         if (!f.forest->ScanOwner(owner, "", kEntries, &out).ok() ||
             out.size() < static_cast<size_t>(n)) {
           failures.fetch_add(1);
+        }
+        // Each entry exactly once, in key order: an INIT pass that a
+        // split-out made stale must be discarded before the rescan.
+        for (size_t k = 0; k < out.size(); ++k) {
+          if (out[k].key != SortKey(static_cast<int>(k))) {
+            failures.fetch_add(1);
+            break;
+          }
         }
         if (!f.forest->Get(owner, SortKey(n - 1)).ok()) failures.fetch_add(1);
       }

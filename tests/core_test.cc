@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,6 +101,42 @@ TEST(GraphDBTest, NeighborsLimitApplies) {
   std::vector<graph::Neighbor> out;
   ASSERT_TRUE(f.db->GetNeighbors(5, 1, 10, &out).ok());
   EXPECT_EQ(out.size(), 10u);
+}
+
+// `limit` counts stored entries, so expired edges use up the limit before
+// the TTL filter drops them.
+TEST(GraphDBTest, NeighborsLimitCountsExpiredEdges) {
+  GraphDBOptions opts;
+  opts.edge_ttl_us = 1000;
+  DbFixture f(opts);
+  for (graph::VertexId d = 1; d <= 10; ++d) {
+    // dst 1..5 expire at 1100; dst 6..10 live until 2500.
+    ASSERT_TRUE(f.db->AddEdge(5, 1, d, "p", d <= 5 ? 100 : 1500).ok());
+  }
+  f.clock.SetUs(2000);
+  std::vector<graph::Neighbor> out;
+  ASSERT_TRUE(f.db->GetNeighbors(5, 1, 5, &out).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(f.db->GetNeighbors(5, 1, 7, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].dst, 6u);
+  EXPECT_EQ(out[1].dst, 7u);
+  EXPECT_EQ(out[1].created_us, 1500u);
+}
+
+TEST(GraphDBTest, NeighborsAppendToCallersVector) {
+  DbFixture f;
+  for (graph::VertexId d : {3, 4}) {
+    ASSERT_TRUE(f.db->AddEdge(5, 1, d, "p" + std::to_string(d), 1).ok());
+  }
+  std::vector<graph::Neighbor> out = {graph::Neighbor{99, 7, "mine"}};
+  ASSERT_TRUE(f.db->GetNeighbors(5, 1, 100, &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].dst, 99u);
+  EXPECT_EQ(out[0].properties, "mine");
+  EXPECT_EQ(out[1].dst, 3u);
+  EXPECT_EQ(out[2].dst, 4u);
+  EXPECT_EQ(out[2].properties, "p4");
 }
 
 TEST(GraphDBTest, SuperVertexSplitsOutIntoDedicatedTree) {
@@ -241,6 +278,55 @@ TEST(GraphDBTest, ConcurrentMixedWorkload) {
     ASSERT_TRUE(f.db->GetNeighbors(t, 1, 1000, &out).ok());
     EXPECT_EQ(out.size(), 300u);
   }
+}
+
+// GetNeighbors races split-outs (the GraphDB side of ForestStressTest's
+// ReadsRacingSplitOutsSeeEveryAckedEntry): each acknowledged destination
+// comes back exactly once, in ascending order, even when a split-out makes
+// a read's INIT pass stale mid-scan.
+TEST(GraphDBTest, NeighborsRacingSplitOutsSeeEachAckedEdgeOnce) {
+  GraphDBOptions opts;
+  opts.forest.split_out_threshold = 40;
+  DbFixture f(opts);
+  constexpr int kSources = 32;
+  constexpr int kEdges = 120;
+  std::atomic<int> acked{0};  // edges acknowledged, source by source
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&f, &acked, &stop, &failures] {
+      std::vector<graph::Neighbor> out;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int a = acked.load(std::memory_order_acquire);
+        if (a == 0) continue;
+        const graph::VertexId src = 1 + (a - 1) / kEdges;
+        const size_t n = (a - 1) % kEdges + 1;  // of this source's edges
+        out.clear();
+        if (!f.db->GetNeighbors(src, 1, kEdges, &out).ok() || out.size() < n) {
+          failures.fetch_add(1);
+        }
+        for (size_t k = 0; k < out.size(); ++k) {
+          if (out[k].dst != k) {
+            failures.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (int s = 0; s < kSources; ++s) {
+    for (int d = 0; d < kEdges; ++d) {
+      ASSERT_TRUE(f.db->AddEdge(1 + s, 1, d, "v", 1).ok());
+      acked.store(s * kEdges + d + 1, std::memory_order_release);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(f.db->forest()->DedicatedTreeCount(),
+            static_cast<size_t>(kSources));
 }
 
 }  // namespace

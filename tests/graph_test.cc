@@ -26,10 +26,10 @@ TEST(EdgeCodecTest, DstKeyOrdersNumerically) {
 TEST(EdgeCodecTest, EdgeValueRoundTrip) {
   const std::string v = EncodeEdgeValue(123456, "props");
   TimestampUs ts;
-  std::string props;
+  Slice props;
   ASSERT_TRUE(DecodeEdgeValue(v, &ts, &props));
   EXPECT_EQ(ts, 123456u);
-  EXPECT_EQ(props, "props");
+  EXPECT_EQ(props.ToString(), "props");
 }
 
 TEST(EdgeCodecTest, OwnerIdPacksSrcAndType) {
