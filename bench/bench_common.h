@@ -16,7 +16,6 @@
 
 #include "common/json_writer.h"
 #include "common/metrics_registry.h"
-#include "common/trace.h"
 
 namespace bg3::bench {
 
@@ -245,10 +244,6 @@ class BenchReport {
     fputc('\n', f);
     fclose(f);
     Note("wrote %s", path.c_str());
-
-    // BG3_TRACE=1 runs additionally dump the chrome-tracing timeline.
-    const std::string trace_path = trace::Trace::ExportToEnvFile();
-    if (!trace_path.empty()) Note("wrote %s", trace_path.c_str());
   }
 
  private:

@@ -3,7 +3,6 @@
 // text), which carries the per-layer latency breakdown.
 //
 //   $ ./bg3_stats                  # metrics dump on stdout
-//   $ BG3_TRACE=1 ./bg3_stats      # additionally writes bg3_trace.json
 //   $ BG3_SLOW_OP_US=50 ./bg3_stats  # span trees of slow ops on stderr
 //   $ BG3_DEBUG_SERVER=1 BG3_SERVE_MS=5000 ./bg3_stats
 //                                  # serve /metrics /tracez /costz /healthz
@@ -17,7 +16,6 @@
 #include "cloud/cloud_store.h"
 #include "common/metrics_registry.h"
 #include "common/op_context.h"
-#include "common/trace.h"
 #include "core/graph_db.h"
 #include "forest/buffer_pool.h"
 #include "query/query.h"
@@ -97,7 +95,7 @@ int main() {
   }
 
   // Full registry dump — every BG3_TIMED_SCOPE's `<name>_ns` histogram (its
-  // spans, named `<name>`, go to the trace planes instead), the CloudStore's
+  // spans, named `<name>`, go to /tracez instead), the CloudStore's
   // I/O counters (bg3.cloud.store0.*), and this DB's forest/GC callbacks
   // (bg3.db0.*) appear here.
   printf("\n--- metrics registry (JSON) ---\n%s\n",
@@ -105,13 +103,6 @@ int main() {
 
   printf("--- metrics registry (Prometheus text) ---\n%s",
          MetricsRegistry::Default().RenderPrometheus().c_str());
-
-  // With BG3_TRACE=1 this writes the chrome://tracing timeline of the run.
-  const std::string trace_path = trace::Trace::ExportToEnvFile();
-  if (!trace_path.empty()) {
-    printf("\ntrace written to %s (load in chrome://tracing)\n",
-           trace_path.c_str());
-  }
 
   // A small replicated cluster so /healthz carries per-partition roles,
   // terms and WAL cursors (DESIGN.md §5.10). One leader failover leaves a

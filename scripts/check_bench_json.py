@@ -3,9 +3,8 @@
 
 Usage:
   check_bench_json.py BENCH_a.json [BENCH_b.json ...]
-  check_bench_json.py --trace bg3_trace.json --min-layers 4
 
-Checks (bench mode):
+Checks:
   - all schema keys present: schema_version, bench, config, series,
     scalars, latency_ns, counters, gauges, io
   - every latency histogram has monotone percentiles
@@ -13,10 +12,6 @@ Checks (bench mode):
   - counters are non-negative integers
   - no metric was registered twice (bg3.registry.collisions == 0)
   - the io breakdown carries all expected fields
-
-Checks (--trace mode): the chrome-tracing file parses, has events, spans
-cover at least --min-layers distinct layers (trace categories), and no span
-name ends in `_ns` (spans are named by operation, histograms by unit).
 """
 import argparse
 import json
@@ -31,10 +26,6 @@ IO_FIELDS = [
     "gc_moved_bytes", "extents_freed", "manifest_updates",
     "injected_faults", "retries", "retry_exhausted",
 ]
-KNOWN_LAYERS = {
-    "api", "bytegraph", "query", "forest", "bwtree", "wal",
-    "cloud", "gc", "replication", "trace",
-}
 
 # Per-bench structural expectations, keyed by the JSON's "bench" name.
 # `series`: names that must each appear in at least one row;
@@ -224,41 +215,11 @@ def check_bench(path):
           f"io.append_ops={doc['io']['append_ops']})")
 
 
-def check_trace(path, min_layers):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(path, f"cannot parse: {e}")
-        return
-    events = doc.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        fail(path, "no traceEvents")
-        return
-    unit_named = sorted({e.get("name") for e in events
-                         if str(e.get("name", "")).endswith("_ns")})
-    if unit_named:
-        fail(path, f"spans named like histograms: {unit_named}")
-        return
-    layers = {e.get("cat") for e in events} & KNOWN_LAYERS
-    if len(layers) < min_layers:
-        fail(path, f"only {sorted(layers)} layers traced, "
-                   f"need >= {min_layers}")
-        return
-    print(f"{path}: OK ({len(events)} events, layers: {sorted(layers)})")
-
-
 def main():
     p = argparse.ArgumentParser()
-    p.add_argument("files", nargs="*")
-    p.add_argument("--trace", help="validate a chrome-tracing JSON instead")
-    p.add_argument("--min-layers", type=int, default=4)
+    p.add_argument("files", nargs="+")
     args = p.parse_args()
 
-    if args.trace:
-        check_trace(args.trace, args.min_layers)
-    if not args.files and not args.trace:
-        p.error("no input files")
     for path in args.files:
         check_bench(path)
 

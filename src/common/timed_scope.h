@@ -17,23 +17,26 @@ namespace obs {
 /// begin/end pair it
 ///  - records the elapsed wall time into the `<name>_ns` histogram (timing
 ///    on, the default);
-///  - emits one span named `<name>` to the firehose ring (BG3_TRACE), the
-///    bound request's capture, and the slow-op log (BG3_SLOW_OP_US);
+///  - writes one span named `<name>` into its thread's span buffer, when a
+///    trace is running on the thread or the slow-op log (BG3_SLOW_OP_US) is
+///    on; the thread's outermost span logs the op if slow and drains it;
 ///  - sets the calling thread's I/O billing layer, when given one;
 ///  - when given a traced OpContext and it is the outermost scope of that
-///    trace on its thread, becomes the trace root: binds the trace to the
-///    thread, and on exit makes the tail-retention decision and folds the
-///    request's OpStats into CostAccounting::Default().
+///    trace on its thread, becomes the trace root: on exit it makes the
+///    tail-retention decision for its subtree and folds the request's
+///    OpStats into CostAccounting::Default().
 /// A layer-only scope (`obs::Scope s(OpLayer::kWal);`) just sets the layer.
 ///
 /// Cost model (measured in observability_test, documented in DESIGN.md
 /// §5.3):
-///  - everything off (SetTimingEnabled(false), no trace, untraced or null
-///    context): one relaxed atomic load + branch and the layer save/restore,
-///    a few ns — safe to leave in the hottest paths.
+///  - everything off (SetTimingEnabled(false), no slow-op log, untraced or
+///    null context, no trace on the thread): one relaxed atomic load +
+///    branch and the thread record's layer save/restore, a few ns — safe to
+///    leave in the hottest paths.
 ///  - timing on (default): two clock reads + one sharded histogram record,
 ///    ~50 ns.
-///  - spans on: + the span bookkeeping, sharing the same two clock reads.
+///  - spans on: + one record in the thread's buffer, sharing the same two
+///    clock reads.
 class Scope {
  public:
   explicit Scope(OpLayer layer) : prev_layer_(internal::ThisThread().layer) {
@@ -66,28 +69,33 @@ class Scope {
   void Begin(const char* name, Histogram* hist, const OpContext* ctx) {
     const uint32_t flags = Flags();
     const bool traced = ctx != nullptr && ctx->trace_id != 0;
-    if (flags == 0 && !traced) return;
+    // A span opens for a traced root, under the slow-op log, and inside a
+    // trace already running on this thread.
+    const bool span = traced || (flags & kSlowOpBit) ||
+                      internal::ThisThread().trace_id != 0;
+    if (!span && !(flags & kTimingBit)) return;
     name_ = name;
     start_ns_ = NowNanos();
     if (flags & kTimingBit) hist_ = hist;
-    if (traced || (flags & kSpanBits)) BeginSpan(traced ? ctx : nullptr);
+    if (span) BeginSpan(traced ? ctx : nullptr);
   }
-  // Out of line in trace.cc, next to the rings and captures they feed.
+  // Out of line in trace.cc, next to the retained set they feed.
   void BeginSpan(const OpContext* traced_ctx);
   void EndSpan(uint64_t end_ns);
 
+  static constexpr uint32_t kNoSlot = ~0u;
+
   const OpLayer prev_layer_;
+  bool span_ = false;
+  uint32_t slot_ = kNoSlot;  ///< this span's index in the thread's buffer.
   const char* name_ = nullptr;  ///< nonnull while timing or a span is open.
   Histogram* hist_ = nullptr;
   uint64_t start_ns_ = 0;
-  bool span_ = false;
   const OpContext* root_ctx_ = nullptr;  ///< nonnull only on a trace root.
-  uint64_t span_id_ = 0;  ///< nonzero only when bound to a traced request.
-  uint64_t parent_id_ = 0;
-  // Thread binding saved by a root, restored when it ends.
+  // Saved by a root: the thread's trace to restore when it ends, and the
+  // drop count its own subtree starts from.
   uint64_t prev_trace_id_ = 0;
-  uint64_t prev_span_id_ = 0;
-  const char* prev_class_ = nullptr;
+  uint64_t dropped_before_ = 0;
 };
 
 }  // namespace obs
@@ -99,7 +107,7 @@ class Scope {
 /// BG3_TIMED_SCOPE(name [, layer [, ctx]]) instruments the enclosing scope
 /// as operation `name_literal`, conventionally `bg3.<layer>.<op>`: it times
 /// into the default-registry histogram `name_literal "_ns"` (resolved once
-/// per call site), emits a span named `name_literal`, optionally sets the
+/// per call site), records a span named `name_literal`, optionally sets the
 /// OpLayer, and roots the request's trace when `ctx` is traced. Spans are
 /// named by operation, histograms by unit.
 #define BG3_TIMED_SCOPE(name_literal, ...)                                   \

@@ -295,7 +295,8 @@ void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
     } else {
       if (PhysicallyAfter(done.ptr, max_physical_ptr_)) {
         max_physical_ptr_ = done.ptr;
-        physical_ptr_.Write(max_physical_ptr_);
+        std::lock_guard<std::mutex> lock(cursor_mu_);
+        physical_ptr_ = max_physical_ptr_;
       }
       pending_.emplace(done.seq, std::make_pair(done.ptr, done.record_count));
       while (!pending_.empty() &&
@@ -315,8 +316,9 @@ void WalWriter::OnAppendComplete(cloud::AppendPipeline::Completion done) {
       // seq past the cursor sits physically past cursor.ptr" guaranteed
       // (future appends, including parked resubmissions, land at the tail).
       if (pending_.empty() && outstanding_ == 0 && next_commit_seq_ > 1) {
-        committed_cursor_.Write(
-            WalCursor{max_physical_ptr_, term_, next_commit_seq_ - 1});
+        std::lock_guard<std::mutex> lock(cursor_mu_);
+        committed_cursor_ =
+            WalCursor{max_physical_ptr_, term_, next_commit_seq_ - 1};
       }
     }
     // Batches waiting on a probe go again once one settles (any other
@@ -492,9 +494,11 @@ Status WalWriter::FlushLocked(const OpContext* ctx) {
   }
   ++sync_seq_;
   last_append_ptr_sync_ = res.value();
-  physical_ptr_.Write(last_append_ptr_sync_);
-  committed_cursor_.Write(
-      WalCursor{last_append_ptr_sync_, term_, sync_seq_});
+  {
+    std::lock_guard<std::mutex> lock(cursor_mu_);
+    physical_ptr_ = last_append_ptr_sync_;
+    committed_cursor_ = WalCursor{last_append_ptr_sync_, term_, sync_seq_};
+  }
   batches_.Inc();
   records_.Add(buffer_.size());
   buffer_.clear();

@@ -18,7 +18,6 @@
 #include "common/commit_sequencer.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/seqlock.h"
 #include "wal/record.h"
 
 namespace bg3::wal {
@@ -155,17 +154,23 @@ class WalWriter {
   uint64_t committed_records() const { return sequencer_.current(); }
 
   /// Physical location of the furthest successful append (null before the
-  /// first). Lock-free (seqlock); in pipelined mode this can run ahead of
-  /// the committed prefix — use committed_cursor() for anything that must
-  /// name a durable, gap-free log position.
-  cloud::PagePointer last_append_ptr() const { return physical_ptr_.Read(); }
+  /// first). In pipelined mode this can run ahead of the committed prefix —
+  /// use committed_cursor() for anything that must name a durable, gap-free
+  /// log position.
+  cloud::PagePointer last_append_ptr() const {
+    std::lock_guard<std::mutex> lock(cursor_mu_);
+    return physical_ptr_;
+  }
 
   /// The safe resume point: every batch with seq > cursor.seq is physically
   /// at or after cursor.ptr, and everything at or below cursor.seq is
   /// acknowledged. Only advances when no completion is outstanding out of
-  /// order (a Flush barrier always leaves it fresh). Lock-free (seqlock) —
-  /// read on the checkpoint cut's hot path under the PR 7 latch order.
-  WalCursor committed_cursor() const { return committed_cursor_.Read(); }
+  /// order (a Flush barrier always leaves it fresh). Read by the checkpoint
+  /// cut, the RW commit and `/healthz` — never per write.
+  WalCursor committed_cursor() const {
+    std::lock_guard<std::mutex> lock(cursor_mu_);
+    return committed_cursor_;
+  }
 
   /// This writer's incarnation id (stamped into every batch frame).
   uint64_t term() const { return term_; }
@@ -257,8 +262,12 @@ class WalWriter {
   uint64_t zombie_drained_ = 0;    ///< records dropped post-fence; led_mu_.
 
   CommitSequencer sequencer_;
-  SeqLock<cloud::PagePointer> physical_ptr_;
-  SeqLock<WalCursor> committed_cursor_;
+  // Published snapshot of the two positions above. A leaf lock: taken
+  // inside led_mu_ (pipelined) or mu_ (sync) by the writer, alone by
+  // readers, and nothing is acquired under it.
+  mutable std::mutex cursor_mu_;
+  cloud::PagePointer physical_ptr_;
+  WalCursor committed_cursor_;
 
   Random rng_;  ///< serializer-owned in pipelined mode; under mu_ in sync.
   Counter batches_;

@@ -1,8 +1,7 @@
 // Tests for the observability stack: sharded Histogram percentiles and
 // merge, the process-wide MetricsRegistry (ownership, collisions, snapshot
-// determinism), the per-thread trace ring (wraparound, cross-thread export,
-// slow-op log), the per-request plane (trace roots, cross-thread binding,
-// tail retention), JsonWriter, and BG3_TIMED_SCOPE — its
+// determinism), the one span path (the slow-op log, trace roots, tail
+// retention, the per-thread span cap), JsonWriter, and BG3_TIMED_SCOPE — its
 // histogram, its layer, and its disabled-path cost (see DESIGN.md §5.3 for
 // the budget).
 #include <algorithm>
@@ -243,58 +242,12 @@ TEST(JsonWriterTest, IndentedNesting) {
 
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    trace::Trace::SetEnabled(true);
-    trace::Trace::Reset();
-  }
+  void SetUp() override { trace::Trace::Reset(); }
   void TearDown() override {
     trace::Trace::SetSlowOpThresholdNs(0);
-    trace::Trace::SetEnabled(false);
     trace::Trace::Reset();
-    trace::Trace::SetRingCapacityForTesting(16'384);
   }
 };
-
-TEST_F(TraceTest, SpansAppearInChromeExport) {
-  {
-    BG3_TIMED_SCOPE("bg3.test.outer");
-    BG3_TIMED_SCOPE("bg3.test.inner");
-    trace::Trace::Instant("bg3.test.mark");
-  }
-  const std::string json = trace::Trace::ExportChromeJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.outer"), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.inner"), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.mark"), std::string::npos);
-  // cat is the second dot-component of the name.
-  EXPECT_NE(json.find("\"cat\":\"test\""), std::string::npos) << json;
-}
-
-TEST_F(TraceTest, RingWrapKeepsNewestEvents) {
-  trace::Trace::SetRingCapacityForTesting(16);  // 16 is the enforced minimum
-  // Fresh thread => fresh (tiny) ring; record far more events than fit.
-  std::thread t([] {
-    for (int i = 0; i < 100; ++i) {
-      obs::Scope span(i < 50 ? "bg3.test.old" : "bg3.test.recent", nullptr);
-    }
-  });
-  t.join();
-  const std::string json = trace::Trace::ExportChromeJson();
-  EXPECT_EQ(json.find("bg3.test.old"), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.recent"), std::string::npos);
-  // The worker's wrapped ring holds exactly its capacity; the (quiet) main
-  // thread ring may hold a stray event or two from the harness.
-  EXPECT_LE(trace::Trace::EventCountForTesting(), 16u + 2u);
-}
-
-TEST_F(TraceTest, ExportMergesAllThreads) {
-  trace::Trace::Instant("bg3.test.main_thread");
-  std::thread t([] { trace::Trace::Instant("bg3.test.worker_thread"); });
-  t.join();
-  const std::string json = trace::Trace::ExportChromeJson();
-  EXPECT_NE(json.find("bg3.test.main_thread"), std::string::npos);
-  EXPECT_NE(json.find("bg3.test.worker_thread"), std::string::npos);
-}
 
 TEST_F(TraceTest, SlowOpThresholdCountsOnlySlowRoots) {
   trace::Trace::SetSlowOpThresholdNs(1);  // everything is slow
@@ -312,27 +265,51 @@ TEST_F(TraceTest, SlowOpThresholdCountsOnlySlowRoots) {
   EXPECT_EQ(trace::Trace::SlowOpCount(), before + 1);
 }
 
-TEST_F(TraceTest, ResetDropsEvents) {
-  trace::Trace::Instant("bg3.test.pre_reset");
-  trace::Trace::Reset();
-  const std::string json = trace::Trace::ExportChromeJson();
-  EXPECT_EQ(json.find("bg3.test.pre_reset"), std::string::npos);
-}
-
-TEST_F(TraceTest, DisabledRecordsNothing) {
-  trace::Trace::SetEnabled(false);
-  trace::Trace::Instant("bg3.test.while_disabled");
+// A traced request nested in an untraced op is part of that one op: only the
+// thread's outermost scope counts it and dumps it, and the dump holds every
+// span, the traced subtree included, in start order.
+TEST_F(TraceTest, NestedTracedRootCountsOnceAndDumpsInStartOrder) {
+  trace::Trace::SetSlowOpThresholdNs(1);  // everything is slow
+  const uint64_t before = trace::Trace::SlowOpCount();
+  OpContext ctx = OpContext::Traced("nested_root", nullptr);
+  ::testing::internal::CaptureStderr();
   {
-    BG3_TIMED_SCOPE("bg3.test.span_disabled");
+    BG3_TIMED_SCOPE("bg3.test.untraced_outer");
+    {
+      BG3_TIMED_SCOPE("bg3.test.child_a");
+    }
+    {
+      BG3_TIMED_SCOPE("bg3.test.child_b");
+    }
+    {
+      BG3_TIMED_SCOPE("bg3.test.traced_inner", OpLayer::kOther, &ctx);
+      BG3_TIMED_SCOPE("bg3.test.traced_leaf");
+    }
   }
-  trace::Trace::SetEnabled(true);
-  const std::string json = trace::Trace::ExportChromeJson();
-  EXPECT_EQ(json.find("bg3.test.while_disabled"), std::string::npos);
-  EXPECT_EQ(json.find("bg3.test.span_disabled"), std::string::npos);
+  const std::string dump = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(trace::Trace::SlowOpCount(), before + 1) << dump;
+
+  const size_t outer = dump.find("bg3.test.untraced_outer took");
+  const size_t a = dump.find("bg3.test.child_a");
+  const size_t b = dump.find("bg3.test.child_b");
+  const size_t inner = dump.find("bg3.test.traced_inner");
+  const size_t leaf = dump.find("bg3.test.traced_leaf");
+  ASSERT_NE(outer, std::string::npos) << dump;
+  ASSERT_NE(a, std::string::npos) << dump;
+  ASSERT_NE(b, std::string::npos) << dump;
+  ASSERT_NE(inner, std::string::npos) << dump;
+  ASSERT_NE(leaf, std::string::npos) << dump;
+  EXPECT_LT(outer, a) << dump;
+  EXPECT_LT(a, b) << dump;
+  EXPECT_LT(b, inner) << dump;
+  EXPECT_LT(inner, leaf) << dump;
+  EXPECT_EQ(dump.find("[bg3 slow-op] bg3.test.traced_inner took"),
+            std::string::npos)
+      << "a nested root is not an op of its own: " << dump;
 }
 
 // ---------------------------------------------------------------------------
-// Per-request plane: trace roots / TraceBinding / tail-based retention
+// Per-request tracing: trace roots and tail-based retention
 // ---------------------------------------------------------------------------
 
 class RequestTraceTest : public ::testing::Test {
@@ -347,44 +324,100 @@ class RequestTraceTest : public ::testing::Test {
   }
 };
 
-TEST_F(RequestTraceTest, SpanCausalityAcrossThreads) {
-  OpContext ctx = OpContext::Traced("xthread", nullptr);
-  uint64_t root_span = 0;
+const trace::SlowTrace* FindTrace(const std::vector<trace::SlowTrace>& all,
+                                  uint64_t trace_id) {
+  for (const auto& t : all) {
+    if (t.trace_id == trace_id) return &t;
+  }
+  return nullptr;
+}
+
+TEST_F(RequestTraceTest, NestedTracedRootRetainsOnlyItsSubtree) {
+  trace::Trace::SetSlowOpThresholdNs(1);  // every op and root is slow
+  OpContext ctx = OpContext::Traced("subtree", nullptr);
+  ::testing::internal::CaptureStderr();
   {
-    BG3_TIMED_SCOPE("bg3.test.xthread_root", OpLayer::kOther, &ctx);
-    // What a thread-pool handoff captures...
-    const uint64_t trace_id = trace::CurrentTraceId();
-    const uint64_t parent_span = trace::CurrentSpanId();
-    ASSERT_EQ(trace_id, ctx.trace_id);
-    ASSERT_NE(parent_span, 0u);
-    root_span = parent_span;
-    // ...and installs on the worker; the worker's spans join the trace as
-    // children of the handoff point.
-    std::thread worker([trace_id, parent_span] {
-      trace::TraceBinding binding(trace_id, parent_span, "xthread");
-      BG3_TIMED_SCOPE("bg3.test.xthread_worker");
-    });
+    BG3_TIMED_SCOPE("bg3.test.plain_outer");
+    {
+      BG3_TIMED_SCOPE("bg3.test.plain_child");
+    }
+    BG3_TIMED_SCOPE("bg3.test.subtree_root", OpLayer::kOther, &ctx);
+    BG3_TIMED_SCOPE("bg3.test.subtree_leaf");
+  }
+  (void)::testing::internal::GetCapturedStderr();
+  const auto retained = trace::Trace::RetainedTraces();
+  const trace::SlowTrace* mine = FindTrace(retained, ctx.trace_id);
+  ASSERT_NE(mine, nullptr);
+  EXPECT_EQ(mine->root_name, "bg3.test.subtree_root");
+  EXPECT_EQ(mine->workload_class, "subtree");
+  ASSERT_EQ(mine->spans.size(), 2u);
+  EXPECT_STREQ(mine->spans[0].name, "bg3.test.subtree_root");
+  EXPECT_EQ(mine->spans[0].parent_id, 0u);
+  EXPECT_STREQ(mine->spans[1].name, "bg3.test.subtree_leaf");
+  EXPECT_EQ(mine->spans[1].parent_id, mine->spans[0].span_id);
+}
+
+// A trace records only on its root's thread: a scope on another thread
+// while the root is open writes nothing into it.
+TEST_F(RequestTraceTest, OtherThreadsDoNotJoinTheTrace) {
+  OpContext ctx = OpContext::Traced("one_thread", nullptr);
+  {
+    BG3_TIMED_SCOPE("bg3.test.thread_root", OpLayer::kOther, &ctx);
+    std::thread worker([] { BG3_TIMED_SCOPE("bg3.test.other_thread"); });
     worker.join();
   }
   const auto retained = trace::Trace::RetainedTraces();
-  const trace::SlowTrace* mine = nullptr;
-  for (const auto& t : retained) {
-    if (t.trace_id == ctx.trace_id) mine = &t;
-  }
+  const trace::SlowTrace* mine = FindTrace(retained, ctx.trace_id);
   ASSERT_NE(mine, nullptr);
-  bool worker_seen = false;
-  uint32_t root_tid = 0, worker_tid = 0;
-  for (const auto& s : mine->spans) {
-    if (std::string(s.name) == "bg3.test.xthread_worker") {
-      worker_seen = true;
-      worker_tid = s.tid;
-      EXPECT_EQ(s.parent_id, root_span)
-          << "worker span must attach under the handoff span";
+  ASSERT_EQ(mine->spans.size(), 1u);
+  EXPECT_STREQ(mine->spans[0].name, "bg3.test.thread_root");
+}
+
+// One cap per thread: spans past it are dropped and counted, and the next
+// op starts with an empty buffer.
+TEST_F(RequestTraceTest, SpanCapDropsAndCountsPerOp) {
+  constexpr size_t kCap = obs::internal::ThreadState::kMaxSpans;
+  constexpr size_t kChildren = kCap + 88;
+  OpContext big = OpContext::Traced("big", nullptr);
+  {
+    BG3_TIMED_SCOPE("bg3.test.big_root", OpLayer::kOther, &big);
+    for (size_t i = 0; i < kChildren; ++i) {
+      BG3_TIMED_SCOPE("bg3.test.many");
     }
-    if (std::string(s.name) == "bg3.test.xthread_root") root_tid = s.tid;
   }
-  EXPECT_TRUE(worker_seen);
-  EXPECT_NE(root_tid, worker_tid) << "spans recorded on distinct threads";
+  OpContext small = OpContext::Traced("small", nullptr);
+  {
+    BG3_TIMED_SCOPE("bg3.test.small_root", OpLayer::kOther, &small);
+    BG3_TIMED_SCOPE("bg3.test.one");
+  }
+  const auto retained = trace::Trace::RetainedTraces();
+  const trace::SlowTrace* b = FindTrace(retained, big.trace_id);
+  const trace::SlowTrace* s = FindTrace(retained, small.trace_id);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(b->spans.size(), kCap);
+  EXPECT_EQ(b->dropped_spans, kChildren + 1 - kCap);
+  EXPECT_EQ(s->spans.size(), 2u);
+  EXPECT_EQ(s->dropped_spans, 0u);
+}
+
+TEST_F(RequestTraceTest, TracezRendersRetainedSpanTree) {
+  OpContext ctx = OpContext::Traced("tracez_class", nullptr);
+  {
+    BG3_TIMED_SCOPE("bg3.test.tracez_root", OpLayer::kOther, &ctx);
+    BG3_TIMED_SCOPE("bg3.test.tracez_child");
+  }
+  const std::string json = trace::Trace::RenderTracez();
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("bg3.test.tracez_root"), std::string::npos);
+  EXPECT_NE(json.find("bg3.test.tracez_child"), std::string::npos);
+  EXPECT_NE(json.find("tracez_class"), std::string::npos);
+  // cat is the second dot-component of the name.
+  EXPECT_NE(json.find("\"cat\":\"test\""), std::string::npos) << json;
+
+  trace::Trace::Reset();
+  EXPECT_EQ(trace::Trace::RenderTracez().find("bg3.test.tracez_root"),
+            std::string::npos);
 }
 
 TEST_F(RequestTraceTest, TailSamplingKeepsSlowDropsFast) {
@@ -429,10 +462,7 @@ TEST_F(RequestTraceTest, NestedScopesShareOneRoot) {
     BG3_TIMED_SCOPE("bg3.test.inner_op", OpLayer::kOther, &ctx);  // child
   }
   const auto retained = trace::Trace::RetainedTraces();
-  const trace::SlowTrace* mine = nullptr;
-  for (const auto& t : retained) {
-    if (t.trace_id == ctx.trace_id) mine = &t;
-  }
+  const trace::SlowTrace* mine = FindTrace(retained, ctx.trace_id);
   ASSERT_NE(mine, nullptr);
   EXPECT_EQ(mine->root_name, "bg3.test.outer_op");
   size_t roots = 0;
@@ -491,7 +521,7 @@ TEST(ObsScopeTest, LayerIsScopedAndInnermostWins) {
   EXPECT_EQ(CurrentOpLayer(), OpLayer::kOther);
 }
 
-// Acceptance bar: with timing off, tracing off and an untraced context —
+// Acceptance bar: with timing off, no slow-op log and an untraced context —
 // the state of an API entry in a process with timing disabled — a scope
 // that names a layer and a context must stay in single-digit nanoseconds:
 // one relaxed atomic load and a branch, a context check, and the layer
@@ -501,7 +531,6 @@ TEST(ObsScopeTest, LayerIsScopedAndInnermostWins) {
 // sanity-checks an upper bound.
 TEST(ObsScopeTest, DisabledUntracedOverheadUnderBudget) {
   obs::SetTimingEnabled(false);
-  trace::Trace::SetEnabled(false);
   trace::Trace::SetSlowOpThresholdNs(0);
   OpContext plain;  // trace_id 0
 

@@ -3,7 +3,7 @@
 // forest -> bwtree -> cloud, its OpStats cloud counters reconcile exactly
 // with the store's IoStats delta, the finished request folds nonzero
 // bg3.cost.* attribution by layer and class, each traced boundary yields
-// one span, one slow-op count and one firehose event, and the satellite
+// one span and a slow traced op one slow-op count, and the satellite
 // OpContext fixes (WithTimeout saturation, trace-tagged deadline errors)
 // hold.
 #include <gtest/gtest.h>
@@ -326,31 +326,6 @@ TEST_F(RequestStatsTest, TracedSlowOpCountedOnce) {
                           "bg3.trace.slow_ops") -
                 counter_before,
             1u);
-}
-
-// With the firehose on (BG3_TRACE=1), one traced GetNeighbors writes one
-// event for the API boundary, not one per stacked instrument.
-TEST_F(RequestStatsTest, FirehoseWritesOneEventPerBoundary) {
-  cloud::CloudStore store;
-  core::GraphDB db(&store, core::GraphDBOptions{});
-  ASSERT_TRUE(db.AddEdge(1, kFollows, 2, "p", 1).ok());
-  OpContext ctx = OpContext::Traced("firehose_test", nullptr);
-
-  trace::Trace::SetEnabled(true);
-  trace::Trace::Reset();
-  std::vector<graph::Neighbor> out;
-  ASSERT_TRUE(db.GetNeighbors(1, kFollows, 10, &out, &ctx).ok());
-  trace::Trace::SetEnabled(false);
-  ASSERT_EQ(out.size(), 1u);
-
-  const std::string json = trace::Trace::ExportChromeJson();
-  const std::string needle = "\"name\":\"bg3.api.get_neighbors";
-  size_t events = 0;
-  for (size_t pos = json.find(needle); pos != std::string::npos;
-       pos = json.find(needle, pos + 1)) {
-    ++events;
-  }
-  EXPECT_EQ(events, 1u) << json;
 }
 
 }  // namespace
