@@ -59,6 +59,8 @@ struct RunResult {
   double shared_frac = 0.0;
   uint64_t shared_acquires = 0;
   uint64_t exclusive_acquires = 0;
+  /// The loaded tree's ApproxMemoryBytes per key.
+  double leaf_bytes_per_entry = 0;
   // measured_qps[i] for threads {1, 2, 4, 8}
   std::vector<double> measured_qps;
 };
@@ -92,6 +94,9 @@ RunResult RunConfig(const Setup& setup) {
     const int k = static_cast<int>(hot.Next());
     BG3_IGNORE_STATUS(tree.Upsert(Key(k), "update"));
   }
+  RunResult r;
+  r.leaf_bytes_per_entry =
+      static_cast<double>(tree.ApproxMemoryBytes()) / kKeys;
 
   const std::string workload = setup.workload;
   const bool scan_reads = workload == "scan_hit";
@@ -116,7 +121,6 @@ RunResult RunConfig(const Setup& setup) {
     BG3_IGNORE_STATUS(tree.Get(Key(static_cast<int>(warm.Next()))));
   }
 
-  RunResult r;
   const uint64_t sh0 = tree.stats().latch_shared_acquires.Get();
   const uint64_t ex0 = tree.stats().latch_exclusive_acquires.Get();
 
@@ -203,6 +207,12 @@ int main() {
     }
     report.Scalar("single_qps_" + series, r.single_qps);
     report.Scalar("shared_latch_frac_" + series, r.shared_frac);
+    if (series == "read_optimized_hit") {
+      // Memory per key of the loaded tree: seeded keys and updates, so it
+      // does not vary between runs.
+      printf("leaf bytes per entry %.2f\n", r.leaf_bytes_per_entry);
+      report.Scalar("leaf_bytes_per_entry", r.leaf_bytes_per_entry);
+    }
     if (std::string(s.workload) == "miss") {
       // Storage-miss scaling: 4-thread over 1-thread measured rate. Reported
       // only — a wall-clock ratio on a shared host is too noisy to gate.

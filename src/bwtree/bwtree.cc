@@ -1,12 +1,60 @@
 #include "bwtree/bwtree.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
+#include "common/coding.h"
 #include "common/logging.h"
 #include "common/thread_annotations.h"
 #include "common/timed_scope.h"
 
 namespace bg3::bwtree {
+
+namespace {
+
+/// A base run holding `entries`, which are key-sorted.
+EntryRun BaseRunOf(const std::vector<Entry>& entries) {
+  size_t bytes = 0;
+  for (const Entry& e : entries) {
+    bytes += VarintLength(e.key.size()) + e.key.size() +
+             VarintLength(e.value.size()) + e.value.size();
+  }
+  EntryRun run(RecordKind::kBasePage);
+  run.Reserve(bytes, entries.size());
+  for (const Entry& e : entries) {
+    run.Append(EntryView{DeltaOp::kUpsert, e.key, e.value});
+  }
+  return run;
+}
+
+/// Starts a single-entry delta at the newest end of the leaf's chain.
+void PushDelta(LeafPage* leaf, const EntryView& entry)
+    BG3_REQUIRES(leaf->latch) {
+  leaf->deltas.emplace_back(RecordKind::kDelta);
+  leaf->deltas.back().Append(entry);
+  leaf->delta_ptrs.emplace_back();
+  ++leaf->delta_updates;
+}
+
+/// A point lookup in a page's runs: the newest delta holding `key`
+/// decides, else the base does.
+Result<std::string> LookupInRuns(const EntryRun& base,
+                                 const std::vector<EntryRun>& deltas,
+                                 const Slice& key) {
+  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
+    const size_t i = it->Find(key);
+    if (i == it->size()) continue;
+    const EntryView e = it->At(i);
+    if (e.op == DeltaOp::kDelete) return Status::NotFound("deleted");
+    return e.value.ToString();
+  }
+  const size_t i = base.Find(key);
+  if (i == base.size()) return Status::NotFound("no such key");
+  return base.At(i).value.ToString();
+}
+
+}  // namespace
 
 BwTree::BwTree(cloud::CloudStore* store, const BwTreeOptions& options)
     : store_(store),
@@ -89,7 +137,7 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
         SetDirtyLocked(page.get(), true);
       }
       if (rp.resident) {
-        page->base_entries = std::move(rp.entries);
+        page->base = BaseRunOf(rp.entries);
       } else {
         // Metadata-only install: the first read (or the warm sweep)
         // demand-loads the base image via EnsureResidentLocked.
@@ -178,16 +226,15 @@ LeafPage* BwTree::FindAndLatchLeafShared(const Slice& key,
 Status BwTree::Upsert(const Slice& key, const Slice& value,
                       const OpContext* ctx) {
   stats_.upserts.Inc();
-  return Write(DeltaEntry{DeltaOp::kUpsert, key.ToString(), value.ToString()},
-               ctx);
+  return Write(EntryView{DeltaOp::kUpsert, key, value}, ctx);
 }
 
 Status BwTree::Delete(const Slice& key, const OpContext* ctx) {
   stats_.deletes.Inc();
-  return Write(DeltaEntry{DeltaOp::kDelete, key.ToString(), {}}, ctx);
+  return Write(EntryView{DeltaOp::kDelete, key, Slice()}, ctx);
 }
 
-Status BwTree::Write(DeltaEntry entry, const OpContext* ctx) {
+Status BwTree::Write(const EntryView& entry, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.write");
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree write"));
   std::unique_lock<SharedMutex> lock;
@@ -200,64 +247,61 @@ Status BwTree::Write(DeltaEntry entry, const OpContext* ctx) {
   // acknowledged.
   const Status logged =
       opts_.listener != nullptr
-          ? opts_.listener->OnMutation(opts_.tree_id, leaf->id, lsn, entry)
+          ? opts_.listener->OnMutation(
+                opts_.tree_id, leaf->id, lsn,
+                DeltaEntry{entry.op, entry.key.ToString(),
+                           entry.value.ToString()})
           : Status::OK();
   Status s = opts_.delta_mode == DeltaMode::kTraditional
-                 ? ApplyTraditionalLocked(leaf, std::move(entry), lsn, ctx)
-                 : ApplyReadOptimizedLocked(leaf, std::move(entry), lsn, ctx);
+                 ? ApplyTraditionalLocked(leaf, entry, lsn, ctx)
+                 : ApplyReadOptimizedLocked(leaf, entry, lsn, ctx);
   if (!s.ok()) return s;
   if (opts_.flush_mode == FlushMode::kDeferred) SetDirtyLocked(leaf, true);
   BG3_RETURN_IF_ERROR(MaybeSplitLocked(leaf, ctx));
   return logged;
 }
 
-Status BwTree::ApplyTraditionalLocked(LeafPage* leaf, DeltaEntry entry,
+Status BwTree::ApplyTraditionalLocked(LeafPage* leaf, const EntryView& entry,
                                       Lsn lsn, const OpContext* ctx) {
-  // Classic Bw-tree: prepend a single-entry delta to the chain.
-  leaf->chain.insert(leaf->chain.begin(),
-                     LeafPage::Delta{{std::move(entry)}, {}});
+  // Classic Bw-tree: add a single-entry delta to the chain.
+  PushDelta(leaf, entry);
   if (opts_.flush_mode == FlushMode::kSync) {
     BG3_RETURN_IF_ERROR(
-        AppendDeltaLocked(leaf, &leaf->chain.front(), lsn, ctx));
+        AppendDeltaLocked(leaf, leaf->deltas.size() - 1, lsn, ctx));
   }
-  if (leaf->chain.size() >= opts_.consolidate_threshold) {
+  if (leaf->deltas.size() >= opts_.consolidate_threshold) {
     return ConsolidateLocked(leaf, ctx);
   }
   if (opts_.flush_mode == FlushMode::kSync) NotifyFlushedLocked(leaf);
   return Status::OK();
 }
 
-Status BwTree::ApplyReadOptimizedLocked(LeafPage* leaf, DeltaEntry entry,
+Status BwTree::ApplyReadOptimizedLocked(LeafPage* leaf, const EntryView& entry,
                                         Lsn lsn, const OpContext* ctx) {
   // Algorithm 1 of the paper.
-  if (leaf->chain.empty()) {
+  if (leaf->deltas.empty()) {
     // Lines 9-17: first modification since the last consolidation — behave
     // like a traditional Bw-tree.
-    leaf->chain.push_back(LeafPage::Delta{{std::move(entry)}, {}});
+    PushDelta(leaf, entry);
     if (opts_.flush_mode == FlushMode::kSync) {
-      BG3_RETURN_IF_ERROR(
-          AppendDeltaLocked(leaf, &leaf->chain.front(), lsn, ctx));
+      BG3_RETURN_IF_ERROR(AppendDeltaLocked(leaf, 0, lsn, ctx));
       NotifyFlushedLocked(leaf);
     }
     return Status::OK();
   }
-  // Lines 18-31: merge the existing delta with the new update so the page
+  // Lines 18-31: merge the update into the existing delta so the page
   // keeps at most one delta.
-  LeafPage::Delta& cur = leaf->chain.front();
-  if (cur.update_count + 1 > opts_.consolidate_threshold) {
+  leaf->deltas.front().Upsert(entry);
+  if (leaf->delta_updates + 1 > opts_.consolidate_threshold) {
     // Lines 21-27: the merged delta has absorbed ConsolidateNum updates —
     // consolidate the base page with everything instead.
-    leaf->chain.front().entries.push_back(std::move(entry));
     return ConsolidateLocked(leaf, ctx);
   }
-  std::vector<DeltaEntry> merged = MergeDeltas(cur.entries, {entry});
-  const cloud::PagePointer old_ptr = cur.ptr;
-  const uint32_t updates = cur.update_count + 1;  // line 29: count = old + 1
-  cur.entries = std::move(merged);
-  cur.update_count = updates;
-  cur.ptr = {};
+  const cloud::PagePointer old_ptr = leaf->delta_ptrs.front();
+  leaf->delta_ptrs.front() = {};
+  ++leaf->delta_updates;  // line 29: count = old + 1
   if (opts_.flush_mode == FlushMode::kSync) {
-    BG3_RETURN_IF_ERROR(AppendDeltaLocked(leaf, &cur, lsn, ctx));
+    BG3_RETURN_IF_ERROR(AppendDeltaLocked(leaf, 0, lsn, ctx));
     if (!old_ptr.IsNull()) store_->MarkInvalid(old_ptr);
     NotifyFlushedLocked(leaf);
   }
@@ -265,15 +309,17 @@ Status BwTree::ApplyReadOptimizedLocked(LeafPage* leaf, DeltaEntry entry,
   return Status::OK();
 }
 
-void BwTree::FoldChainLocked(LeafPage* leaf) {
-  if (leaf->chain.empty()) return;
-  std::vector<const std::vector<DeltaEntry>*> oldest_first;
-  oldest_first.reserve(leaf->chain.size());
-  for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
-    oldest_first.push_back(&it->entries);
+std::vector<cloud::PagePointer> BwTree::FoldChainLocked(LeafPage* leaf) {
+  std::vector<cloud::PagePointer> folded;
+  if (leaf->deltas.empty()) return folded;
+  leaf->base = MergeToBase(leaf->base, leaf->deltas);
+  for (const cloud::PagePointer& p : leaf->delta_ptrs) {
+    if (!p.IsNull()) folded.push_back(p);
   }
-  leaf->base_entries =
-      ApplyDeltaChain(std::move(leaf->base_entries), oldest_first);
+  leaf->deltas.clear();
+  leaf->delta_ptrs.clear();
+  leaf->delta_updates = 0;
+  return folded;
 }
 
 Status BwTree::EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx) {
@@ -289,16 +335,14 @@ Status BwTree::EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx) {
     auto base = store_->Read(leaf->base_ptr, nullptr, ctx);
     if (!base.ok()) {
       if (opts_.tolerate_missing_extents && base.status().IsIOError()) {
-        leaf->base_entries.clear();
+        leaf->base.Clear();
         leaf->resident = true;
         return Status::OK();
       }
       return base.status();
     }
-    Slice in(base.value());
-    RecordHeader header;
-    BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
-    BG3_RETURN_IF_ERROR(DecodeBasePagePayload(in, &leaf->base_entries));
+    BG3_RETURN_IF_ERROR(EntryRun::Parse(RecordKind::kBasePage,
+                                        std::move(base.value()), &leaf->base));
   }
   leaf->resident = true;
   stats_.page_reloads.Inc();
@@ -345,9 +389,8 @@ size_t BwTree::CollectResidency(std::vector<PageResidency>* out) const {
     PageResidency r;
     r.id = p->id;
     r.tick = p->last_access_tick.load(std::memory_order_relaxed);
-    r.bytes = EntryBytes(p->base_entries);
-    r.evictable =
-        !p->dirty && (!p->base_ptr.IsNull() || p->base_entries.empty());
+    r.bytes = p->base.MemoryBytes();
+    r.evictable = !p->dirty && (!p->base_ptr.IsNull() || p->base.empty());
     total += r.bytes;
     out->push_back(r);
   });
@@ -358,7 +401,7 @@ size_t BwTree::ResidentBytes() const {
   size_t total = 0;
   index_.ForEachPage([&](LeafPage* p) {
     ReaderMutexLock lock(&p->latch);
-    if (p->resident) total += EntryBytes(p->base_entries);
+    if (p->resident) total += p->base.MemoryBytes();
   });
   return total;
 }
@@ -370,10 +413,9 @@ size_t BwTree::EvictPage(PageId id) {
   // Re-validate: the page may have been dirtied, evicted, or reloaded
   // since the budget scan sampled it.
   if (!p->resident || p->dirty) return 0;
-  if (p->base_ptr.IsNull() && !p->base_entries.empty()) return 0;
-  const size_t bytes = EntryBytes(p->base_entries);
-  p->base_entries.clear();
-  p->base_entries.shrink_to_fit();
+  if (p->base_ptr.IsNull() && !p->base.empty()) return 0;
+  const size_t bytes = p->base.MemoryBytes();
+  p->base.Clear();
   p->resident = false;
   stats_.page_evictions.Inc();
   return bytes;
@@ -385,12 +427,7 @@ Status BwTree::ConsolidateLocked(LeafPage* leaf, const OpContext* ctx) {
   stats_.consolidations.Inc();
   // Invalidate the storage images being superseded.
   const cloud::PagePointer old_base = leaf->base_ptr;
-  std::vector<cloud::PagePointer> old_deltas;
-  for (const auto& d : leaf->chain) {
-    if (!d.ptr.IsNull()) old_deltas.push_back(d.ptr);
-  }
-  FoldChainLocked(leaf);
-  leaf->chain.clear();
+  const std::vector<cloud::PagePointer> old_deltas = FoldChainLocked(leaf);
   if (opts_.flush_mode == FlushMode::kSync) {
     BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf, ctx));
     if (!old_base.IsNull()) store_->MarkInvalid(old_base);
@@ -405,27 +442,21 @@ Status BwTree::ConsolidateLocked(LeafPage* leaf, const OpContext* ctx) {
 
 Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
   size_t chain_entries = 0;
-  for (const auto& d : leaf->chain) chain_entries += d.entries.size();
-  if ((leaf->resident ? leaf->base_entries.size() : 0) + chain_entries <=
+  for (const EntryRun& d : leaf->deltas) chain_entries += d.size();
+  // A non-resident page's base size is bounded by max_leaf_entries by
+  // construction, so deferring its split check until it next becomes
+  // resident (on consolidation) cannot overflow it unboundedly.
+  if ((leaf->resident ? leaf->base.size() : 0) + chain_entries <=
       opts_.max_leaf_entries) {
-    // Note: a non-resident page's base size is bounded by max_leaf_entries
-    // by construction, so deferring its split check until it next becomes
-    // resident (on consolidation) cannot overflow it unboundedly.
-    if (leaf->resident) return Status::OK();
-    if (chain_entries <= opts_.max_leaf_entries) return Status::OK();
+    return Status::OK();
   }
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
   BG3_TIMED_SCOPE("bg3.bwtree.smo_split");
   stats_.splits.Inc();
   // Fold everything so we can cut the full ordered content in half.
   const cloud::PagePointer old_base = leaf->base_ptr;
-  std::vector<cloud::PagePointer> old_deltas;
-  for (const auto& d : leaf->chain) {
-    if (!d.ptr.IsNull()) old_deltas.push_back(d.ptr);
-  }
-  FoldChainLocked(leaf);
-  leaf->chain.clear();
-  if (leaf->base_entries.size() <= opts_.max_leaf_entries) {
+  const std::vector<cloud::PagePointer> old_deltas = FoldChainLocked(leaf);
+  if (leaf->base.size() <= opts_.max_leaf_entries) {
     // Deletes can shrink the folded content below the threshold.
     if (opts_.flush_mode == FlushMode::kSync) {
       BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf, ctx));
@@ -436,8 +467,8 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
     return Status::OK();
   }
 
-  const size_t mid = leaf->base_entries.size() / 2;
-  const std::string separator = leaf->base_entries[mid].key;
+  const size_t mid = leaf->base.size() / 2;
+  const std::string separator = leaf->base.At(mid).key.ToString();
 
   // Latch the sibling before initializing and publishing it (uncontended by
   // construction) so we can finish its flush without racing new writers —
@@ -449,10 +480,7 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
   sib->latch.AssertHeld();
   sib->high_key = leaf->high_key;
   sib->has_high_key = leaf->has_high_key;
-  sib->base_entries.assign(
-      std::make_move_iterator(leaf->base_entries.begin() + mid),
-      std::make_move_iterator(leaf->base_entries.end()));
-  leaf->base_entries.resize(mid);
+  leaf->base.SplitAt(mid, &sib->base);
   leaf->high_key = separator;
   leaf->has_high_key = true;
 
@@ -488,8 +516,8 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
 }
 
 Status BwTree::AppendBaseLocked(LeafPage* leaf, const OpContext* ctx) {
-  const std::string record = EncodeBasePage(opts_.tree_id, leaf->id,
-                                            leaf->last_lsn, leaf->base_entries);
+  const std::string record =
+      leaf->base.Image(opts_.tree_id, leaf->id, leaf->last_lsn);
   obs::Scope layer(OpLayer::kBwtree);
   auto res = store_->Append(opts_.base_stream, record, nullptr, ctx);
   BG3_RETURN_IF_ERROR(res.status());
@@ -506,14 +534,14 @@ void BwTree::SetDirtyLocked(LeafPage* leaf, bool dirty) {
   leaf->dirty = dirty;
 }
 
-Status BwTree::AppendDeltaLocked(LeafPage* leaf, LeafPage::Delta* delta,
-                                 Lsn lsn, const OpContext* ctx) {
+Status BwTree::AppendDeltaLocked(LeafPage* leaf, size_t i, Lsn lsn,
+                                 const OpContext* ctx) {
   const std::string record =
-      EncodeDelta(opts_.tree_id, leaf->id, lsn, delta->entries);
+      leaf->deltas[i].Image(opts_.tree_id, leaf->id, lsn);
   obs::Scope layer(OpLayer::kBwtree);
   auto res = store_->Append(opts_.delta_stream, record, nullptr, ctx);
   BG3_RETURN_IF_ERROR(res.status());
-  delta->ptr = res.value();
+  leaf->delta_ptrs[i] = res.value();
   leaf->flushed_lsn = lsn;
   return Status::OK();
 }
@@ -521,8 +549,8 @@ Status BwTree::AppendDeltaLocked(LeafPage* leaf, LeafPage::Delta* delta,
 void BwTree::NotifyFlushedLocked(LeafPage* leaf) {
   if (opts_.listener == nullptr) return;
   std::vector<cloud::PagePointer> delta_ptrs;
-  for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
-    if (!it->ptr.IsNull()) delta_ptrs.push_back(it->ptr);
+  for (const cloud::PagePointer& p : leaf->delta_ptrs) {
+    if (!p.IsNull()) delta_ptrs.push_back(p);
   }
   opts_.listener->OnPageFlushed(opts_.tree_id, leaf->id, leaf->flushed_lsn,
                                 leaf->base_ptr, delta_ptrs, leaf->low_key,
@@ -534,7 +562,7 @@ void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
   if (opts_.delta_mode == DeltaMode::kReadOptimized) {
     // Algorithm 1: a read-optimized page carries at most one delta, so a
     // cache-miss read costs at most two storage reads.
-    BG3_DCHECK_LE(leaf->chain.size(), 1u)
+    BG3_DCHECK_LE(leaf->deltas.size(), 1u)
         << "read-optimized page " << leaf->id << " grew a delta chain";
   }
   BG3_DCHECK_LE(leaf->flushed_lsn, leaf->last_lsn)
@@ -543,12 +571,12 @@ void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
       << "page " << leaf->id << " dirty outside deferred-flush mode";
   BG3_DCHECK(!leaf->has_high_key || leaf->low_key < leaf->high_key)
       << "page " << leaf->id << " has an inverted key range";
-  if (leaf->resident) {
-    const auto dup = std::adjacent_find(
-        leaf->base_entries.begin(), leaf->base_entries.end(),
-        [](const Entry& a, const Entry& b) { return a.key >= b.key; });
-    BG3_DCHECK(dup == leaf->base_entries.end())
-        << "page " << leaf->id << " base entries not strictly sorted";
+  BG3_DCHECK_EQ(leaf->delta_ptrs.size(), leaf->deltas.size());
+  BG3_DCHECK(leaf->base.KeysStrictlyIncreasing())
+      << "page " << leaf->id << " base entries not strictly sorted";
+  for (const EntryRun& d : leaf->deltas) {
+    BG3_DCHECK(d.KeysStrictlyIncreasing())
+        << "page " << leaf->id << " delta entries not strictly sorted";
   }
 }
 
@@ -556,219 +584,80 @@ Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.get");
   stats_.gets.Inc();
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree get"));
-
-  if (opts_.read_cache == ReadCacheMode::kNone) {
-    // Zero-cache path: the storage images merged over the one key, i.e. a
-    // range scan of [key, key + '\0') — the key's immediate successor —
-    // capped at one entry. Read-only on the leaf, so concurrent point reads
-    // share the latch.
-    std::shared_lock<SharedMutex> lock;
-    LeafPage* leaf = FindAndLatchLeafShared(key, &lock);
-    leaf->latch.AssertReaderHeld();
-    const std::string start = key.ToString();
-    const std::string end = start + '\0';
-    size_t remaining = 1;
-    std::string value;
-    BG3_RETURN_IF_ERROR(CollectRangeLocked(
-        leaf, start, end, &remaining,
-        [&value](const Slice&, const Slice& v) {
-          value = v.ToString();
-          return true;
-        },
-        ctx));
-    if (remaining != 0) return Status::NotFound("no such key");
-    return value;
-  }
-
-  // Full-cache fast path: check the delta chain newest-first, then the
-  // resident base — all under a shared latch, so readers of one hot leaf
-  // never serialize behind each other.
   {
+    // Shared latch, so readers of one hot leaf never serialize behind each
+    // other: the leaf's own runs, or at zero cache the storage images
+    // standing in for them (read-only on the leaf).
     std::shared_lock<SharedMutex> lock;
     LeafPage* leaf = FindAndLatchLeafShared(key, &lock);
     leaf->latch.AssertReaderHeld();
-    std::string value;
-    bool deleted = false;
-    for (const auto& d : leaf->chain) {
-      if (LookupInDelta(d.entries, key, &value, &deleted)) {
-        if (deleted) return Status::NotFound("deleted");
-        return value;
-      }
+    if (opts_.read_cache == ReadCacheMode::kNone) {
+      EntryRun base;
+      std::vector<EntryRun> deltas;
+      BG3_RETURN_IF_ERROR(ReadImagesLocked(leaf, &base, &deltas, ctx));
+      return LookupInRuns(base, deltas, key);
     }
-    if (leaf->resident) {
-      if (LookupInBase(leaf->base_entries, key, &value)) return value;
-      return Status::NotFound("no such key");
-    }
+    if (leaf->resident) return LookupInRuns(leaf->base, leaf->deltas, key);
   }
-
   // Cache miss on an evicted leaf: the reload mutates the page, so retake
-  // the latch exclusively and redo the lookup from scratch (the page may
-  // have changed while unlatched).
+  // the latch exclusively (the page may have changed while unlatched).
   std::unique_lock<SharedMutex> lock;
   LeafPage* leaf = FindAndLatchLeafExclusive(key, &lock);
   leaf->latch.AssertHeld();
-  std::string value;
-  bool deleted = false;
-  for (const auto& d : leaf->chain) {
-    if (LookupInDelta(d.entries, key, &value, &deleted)) {
-      if (deleted) return Status::NotFound("deleted");
-      return value;
-    }
-  }
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
-  if (LookupInBase(leaf->base_entries, key, &value)) return value;
-  return Status::NotFound("no such key");
+  return LookupInRuns(leaf->base, leaf->deltas, key);
 }
 
-Status BwTree::ReadImagesLocked(LeafPage* leaf, std::string* base,
-                                std::vector<std::string>* deltas,
+Status BwTree::ReadImagesLocked(LeafPage* leaf, EntryRun* base,
+                                std::vector<EntryRun>* deltas,
                                 const OpContext* ctx) {
   obs::Scope layer(OpLayer::kBwtree);
   if (!leaf->base_ptr.IsNull()) {
     auto res = store_->Read(leaf->base_ptr, nullptr, ctx);
     if (res.ok()) {
-      *base = std::move(res.value());
+      BG3_RETURN_IF_ERROR(EntryRun::Parse(RecordKind::kBasePage,
+                                          std::move(res.value()), base));
     } else if (!(opts_.tolerate_missing_extents &&
                  res.status().IsIOError())) {
       return res.status();
     }
   }
-  deltas->reserve(leaf->chain.size());
-  for (auto it = leaf->chain.rbegin(); it != leaf->chain.rend(); ++it) {
-    if (it->ptr.IsNull()) continue;
-    auto res = store_->Read(it->ptr, nullptr, ctx);
+  deltas->reserve(leaf->delta_ptrs.size());
+  for (const cloud::PagePointer& ptr : leaf->delta_ptrs) {
+    if (ptr.IsNull()) continue;
+    auto res = store_->Read(ptr, nullptr, ctx);
     if (!res.ok()) {
       if (opts_.tolerate_missing_extents && res.status().IsIOError()) continue;
       return res.status();
     }
-    deltas->push_back(std::move(res.value()));
+    BG3_RETURN_IF_ERROR(EntryRun::Parse(RecordKind::kDelta,
+                                        std::move(res.value()),
+                                        &deltas->emplace_back()));
   }
   return Status::OK();
 }
-
-namespace {
-
-/// Appends the entries of one delta whose keys lie in [start, end) (end
-/// unbounded when `bounded` is false) to `overlay`, as views. Works on
-/// owned entries and in-place views alike.
-template <typename DeltaT>
-void AddToOverlay(const std::vector<DeltaT>& delta, const Slice& start,
-                  const Slice& end, bool bounded,
-                  std::vector<DeltaEntryView>* overlay) {
-  for (const DeltaT& e : delta) {
-    const Slice key(e.key);
-    if (key.compare(start) < 0 || (bounded && key.compare(end) >= 0)) {
-      continue;
-    }
-    overlay->push_back(DeltaEntryView{e.op, key, Slice(e.value)});
-  }
-}
-
-/// Turns an overlay collected oldest delta first into a key-sorted one that
-/// keeps only the newest entry per key.
-void KeepNewestPerKey(std::vector<DeltaEntryView>* overlay) {
-  auto by_key = [](const DeltaEntryView& a, const DeltaEntryView& b) {
-    return a.key.compare(b.key) < 0;
-  };
-  // A read-optimized page's single delta is already sorted.
-  if (!std::is_sorted(overlay->begin(), overlay->end(), by_key)) {
-    std::stable_sort(overlay->begin(), overlay->end(), by_key);
-  }
-  size_t kept = 0;
-  for (size_t i = 0; i < overlay->size(); ++i) {
-    const bool newer_follows = i + 1 < overlay->size() &&
-                               (*overlay)[i + 1].key == (*overlay)[i].key;
-    if (!newer_follows) (*overlay)[kept++] = (*overlay)[i];
-  }
-  overlay->resize(kept);
-}
-
-/// Merge-iterates sorted base entries from `start` against the overlay,
-/// handing live entries to `visit` until `*remaining` reaches zero. The
-/// overlay already lies in [start, end); the base is cut at `end` here.
-/// Works on owned entries and in-place views alike, and copies nothing.
-template <typename BaseT>
-void MergeRange(const std::vector<BaseT>& base,
-                const std::vector<DeltaEntryView>& overlay, const Slice& start,
-                const Slice& end, bool bounded, size_t* remaining,
-                const EntryVisitor& visit) {
-  auto bit = std::lower_bound(base.begin(), base.end(), start,
-                              [](const BaseT& e, const Slice& k) {
-                                return Slice(e.key).compare(k) < 0;
-                              });
-  auto oit = overlay.begin();
-  while (*remaining > 0) {
-    const bool base_ok = bit != base.end() &&
-                         !(bounded && Slice(bit->key).compare(end) >= 0);
-    const bool over_ok = oit != overlay.end();
-    if (!base_ok && !over_ok) break;
-    const int cmp =
-        !base_ok ? -1 : !over_ok ? 1 : oit->key.compare(Slice(bit->key));
-    Slice key;
-    Slice value;
-    if (cmp <= 0) {
-      const bool live = oit->op == DeltaOp::kUpsert;
-      key = oit->key;
-      value = oit->value;
-      if (cmp == 0) ++bit;  // the delta shadows the base entry
-      ++oit;
-      if (!live) continue;
-    } else {
-      key = Slice(bit->key);
-      value = Slice(bit->value);
-      ++bit;
-    }
-    --*remaining;
-    if (!visit(key, value)) *remaining = 0;
-  }
-}
-
-}  // namespace
 
 Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
                                   const std::string& end, size_t* remaining,
                                   const EntryVisitor& visit,
                                   const OpContext* ctx) {
-  // Both cache modes merge-iterate the sorted base against an overlay built
-  // from the delta chain over [start, end) only — O(limit + chain), not
-  // O(page).
-  const bool bounded = !end.empty();
-  std::vector<DeltaEntryView> overlay;
+  const EntryRun* base = &leaf->base;
+  std::span<const EntryRun> deltas = leaf->deltas;
+  EntryRun fetched_base;
+  std::vector<EntryRun> fetched_deltas;  // oldest first
   if (opts_.read_cache == ReadCacheMode::kNone) {
-    // Storage-backed read: fetch the images (base plus one per delta, the
-    // I/O Fig. 9 measures) into local buffers and parse them in place.
-    std::string base_image;
-    std::vector<std::string> delta_images;  // oldest first
+    // Storage-backed read: the images (base plus one per delta, the I/O
+    // Fig. 9 measures) stand in for the leaf's own runs.
     BG3_RETURN_IF_ERROR(
-        ReadImagesLocked(leaf, &base_image, &delta_images, ctx));
-    std::vector<EntryView> base;
-    if (!base_image.empty()) {
-      Slice in(base_image);
-      RecordHeader header;
-      BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
-      BG3_RETURN_IF_ERROR(ParseBasePagePayload(in, &base));
-    }
-    std::vector<DeltaEntryView> delta;
-    for (const std::string& image : delta_images) {
-      Slice in(image);
-      RecordHeader header;
-      BG3_RETURN_IF_ERROR(DecodeRecordHeader(&in, &header));
-      BG3_RETURN_IF_ERROR(ParseDeltaPayload(in, &delta));
-      AddToOverlay(delta, start, end, bounded, &overlay);
-    }
-    KeepNewestPerKey(&overlay);
-    MergeRange(base, overlay, start, end, bounded, remaining, visit);
-    return Status::OK();
+        ReadImagesLocked(leaf, &fetched_base, &fetched_deltas, ctx));
+    base = &fetched_base;
+    deltas = fetched_deltas;
+  } else {
+    // Read-only: the caller made the leaf resident before collecting
+    // (Visit's exclusive-reload fallback handles evicted leaves).
+    BG3_DCHECK(leaf->resident);
   }
-  // In-memory path. Read-only: the caller made the leaf resident before
-  // collecting (Scan's exclusive-reload fallback handles evicted leaves).
-  BG3_DCHECK(leaf->resident);
-  for (auto cit = leaf->chain.rbegin(); cit != leaf->chain.rend(); ++cit) {
-    AddToOverlay(cit->entries, start, end, bounded, &overlay);
-  }
-  KeepNewestPerKey(&overlay);
-  MergeRange(leaf->base_entries, overlay, start, end, bounded, remaining,
-             visit);
+  MergeRuns(*base, deltas, start, end, remaining, visit);
   return Status::OK();
 }
 
@@ -846,10 +735,10 @@ Status BwTree::FlushPage(PageId id) {
   // Deferred flushing always writes a consolidated image (group commit of
   // §3.4 flushes whole dirty pages).
   const cloud::PagePointer old_base = leaf->base_ptr;
-  FoldChainLocked(leaf);
-  leaf->chain.clear();
+  const std::vector<cloud::PagePointer> old_deltas = FoldChainLocked(leaf);
   BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf));
   if (!old_base.IsNull()) store_->MarkInvalid(old_base);
+  for (const auto& p : old_deltas) store_->MarkInvalid(p);
   NotifyFlushedLocked(leaf);
   CheckLeafInvariantsLocked(leaf);
   return Status::OK();
@@ -889,11 +778,11 @@ Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
     return static_cast<uint64_t>(record_bytes.size());
   }
   if (header.kind == RecordKind::kDelta) {
-    for (auto& d : leaf->chain) {
-      if (d.ptr == old_ptr) {
+    for (cloud::PagePointer& ptr : leaf->delta_ptrs) {
+      if (ptr == old_ptr) {
         auto res = store_->Append(opts_.delta_stream, record_bytes);
         BG3_RETURN_IF_ERROR(res.status());
-        d.ptr = res.value();
+        ptr = res.value();
         store_->MarkInvalid(old_ptr);
         NotifyFlushedLocked(leaf);
         return static_cast<uint64_t>(record_bytes.size());
@@ -909,13 +798,12 @@ size_t BwTree::CountEntries() const {
   size_t count = 0;
   index_.ForEachPage([&count](LeafPage* p) {
     ReaderMutexLock lock(&p->latch);
-    std::vector<Entry> view;
-    std::vector<const std::vector<DeltaEntry>*> oldest_first;
-    for (auto it = p->chain.rbegin(); it != p->chain.rend(); ++it) {
-      oldest_first.push_back(&it->entries);
-    }
-    view = ApplyDeltaChain(p->base_entries, oldest_first);
-    count += view.size();
+    size_t unlimited = std::numeric_limits<size_t>::max();
+    MergeRuns(p->base, p->deltas, Slice(), Slice(), &unlimited,
+              [&count](const Slice&, const Slice&) {
+                ++count;
+                return true;
+              });
   });
   return count;
 }
@@ -924,11 +812,11 @@ size_t BwTree::ApproxMemoryBytes() const {
   size_t bytes = sizeof(*this) + index_.ApproxIndexBytes();
   index_.ForEachPage([&bytes](LeafPage* p) {
     ReaderMutexLock lock(&p->latch);
-    bytes += EntryBytes(p->base_entries);
+    bytes += p->base.MemoryBytes();
     bytes += p->low_key.capacity() + p->high_key.capacity();
-    for (const auto& d : p->chain) {
-      bytes += sizeof(d) + DeltaBytes(d.entries);
-    }
+    bytes += p->deltas.capacity() * sizeof(EntryRun) +
+             p->delta_ptrs.capacity() * sizeof(cloud::PagePointer);
+    for (const EntryRun& d : p->deltas) bytes += d.MemoryBytes();
   });
   return bytes;
 }

@@ -123,10 +123,6 @@ struct RecoveredPage {
 using RecoveredTreeSource =
     std::function<Result<std::vector<RecoveredPage>>(TreeId)>;
 
-/// Receives one entry of a BwTree::Visit scan; returns false to stop it.
-using EntryVisitor =
-    std::function<bool(const Slice& key, const Slice& value)>;
-
 /// Write/read activity counters of one tree.
 struct BwTreeStats {
   LightCounter upserts;
@@ -205,8 +201,8 @@ class BwTree {
   size_t ResidentPageCount() const;
 
   /// One leaf's residency record for the forest-wide byte budget (see
-  /// forest::EvictToBudget). `bytes` is the in-memory payload of the
-  /// resident base entries; `evictable` marks clean pages whose flushed
+  /// forest::EvictToBudget). `bytes` is the heap the resident base holds
+  /// (EntryRun::MemoryBytes); `evictable` marks clean pages whose flushed
   /// image (or empty content) makes dropping them safe.
   struct PageResidency {
     PageId id = kInvalidPage;
@@ -218,10 +214,11 @@ class BwTree {
   /// call concurrently with reads and writes) and returns this tree's
   /// total resident payload bytes.
   size_t CollectResidency(std::vector<PageResidency>* out) const;
-  /// Total resident payload bytes (base entries of resident leaves).
+  /// Total resident payload bytes: the sum of CollectResidency's `bytes`,
+  /// which is what evicting every such page frees.
   size_t ResidentBytes() const;
   /// Forest-budget eviction of a single page: drops the page's base
-  /// entries after re-validating (clean, resident, has a flushed image or
+  /// after re-validating (clean, resident, has a flushed image or
   /// nothing to lose) under the exclusive latch. Returns bytes freed —
   /// 0 if the page vanished, was dirtied, or was reloaded/evicted
   /// concurrently.
@@ -262,8 +259,8 @@ class BwTree {
   size_t LeafCount() const { return index_.PageCount(); }
   /// Total entries across all leaves (walks the tree; O(pages)).
   size_t CountEntries() const;
-  /// Approximate heap footprint: index structures + page payloads. The
-  /// Fig. 11 space-cost axis sums this across the forest.
+  /// Heap footprint: index structures + the capacity of every leaf's
+  /// buffers. The Fig. 11 space-cost axis sums this across the forest.
   size_t ApproxMemoryBytes() const;
 
   BwTreeStats& stats() { return stats_; }
@@ -291,52 +288,55 @@ class BwTree {
   LeafPage* FindAndLatchLeafShared(const Slice& key,
                                    std::shared_lock<SharedMutex>* lock);
 
-  Status Write(DeltaEntry entry, const OpContext* ctx);
-  Status ApplyTraditionalLocked(LeafPage* leaf, DeltaEntry entry, Lsn lsn,
-                                const OpContext* ctx)
+  Status Write(const EntryView& entry, const OpContext* ctx);
+  Status ApplyTraditionalLocked(LeafPage* leaf, const EntryView& entry,
+                                Lsn lsn, const OpContext* ctx)
       BG3_REQUIRES(leaf->latch);
-  Status ApplyReadOptimizedLocked(LeafPage* leaf, DeltaEntry entry, Lsn lsn,
-                                  const OpContext* ctx)
+  Status ApplyReadOptimizedLocked(LeafPage* leaf, const EntryView& entry,
+                                  Lsn lsn, const OpContext* ctx)
       BG3_REQUIRES(leaf->latch);
 
   /// Sets the page's dirty bit; counts a clean -> dirty transition in
   /// options().dirtied_pages.
   void SetDirtyLocked(LeafPage* leaf, bool dirty) BG3_REQUIRES(leaf->latch);
-  /// Folds the delta chain into base_entries (memory only).
-  void FoldChainLocked(LeafPage* leaf) BG3_REQUIRES(leaf->latch);
+  /// Folds the delta chain into the base (memory only) and returns the
+  /// storage images of the folded deltas, which the next base image
+  /// supersedes.
+  std::vector<cloud::PagePointer> FoldChainLocked(LeafPage* leaf)
+      BG3_REQUIRES(leaf->latch);
   /// FoldChainLocked + flush of the new base image (sync mode).
   Status ConsolidateLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
   Status MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
 
-  /// Reloads an evicted page's base entries from its storage image.
+  /// Reloads an evicted page's base from its storage image.
   Status EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
 
   Status AppendBaseLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
-  Status AppendDeltaLocked(LeafPage* leaf, LeafPage::Delta* delta, Lsn lsn,
+  /// Appends the image of the leaf's delta `i` and records where it went.
+  Status AppendDeltaLocked(LeafPage* leaf, size_t i, Lsn lsn,
                            const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
   void NotifyFlushedLocked(LeafPage* leaf) BG3_REQUIRES(leaf->latch);
 
   /// Reads a page's storage images for a cache-miss read (Fig. 9 path):
   /// the base image into `base` (left empty if the page has none) and one
-  /// image per flushed delta into `deltas`, oldest first; both start empty.
-  /// Read-only on the leaf — runs under a shared latch so zero-cache reads
-  /// scale (an exclusive holder satisfies the shared requirement too).
-  Status ReadImagesLocked(LeafPage* leaf, std::string* base,
-                          std::vector<std::string>* deltas,
-                          const OpContext* ctx)
+  /// image per flushed delta into `deltas`, oldest first, each parsed in
+  /// place; `deltas` starts empty. Read-only on the leaf — runs under a
+  /// shared latch so zero-cache reads scale (an exclusive holder satisfies
+  /// the shared requirement too).
+  Status ReadImagesLocked(LeafPage* leaf, EntryRun* base,
+                          std::vector<EntryRun>* deltas, const OpContext* ctx)
       BG3_REQUIRES_SHARED(leaf->latch);
   /// Hands the merged live entries of [start, end) in this leaf to `visit`
-  /// as views, at most `*remaining` of them; counts each delivery down from
-  /// `*remaining` and zeroes it when `visit` returns false. Zero-cache mode
-  /// parses the storage images in place; neither mode copies an entry.
-  /// Read-only: in full-cache mode the caller must have made the leaf
-  /// resident first (Visit's exclusive-reload fallback does this on a cache
-  /// miss).
+  /// as views, at most `*remaining` of them (see MergeRuns). A cached leaf
+  /// supplies its own runs; zero-cache mode supplies the storage images it
+  /// fetches. Read-only: in full-cache mode the caller must have made the
+  /// leaf resident first (Visit's exclusive-reload fallback does this on a
+  /// cache miss).
   Status CollectRangeLocked(LeafPage* leaf, const std::string& start,
                             const std::string& end, size_t* remaining,
                             const EntryVisitor& visit,
@@ -347,7 +347,7 @@ class BwTree {
   /// split and flush boundaries (BG3_DCHECK — compiled out when
   /// BG3_ENABLE_DCHECKS is off). Read-only, so a shared latch suffices:
   ///  - read-optimized mode carries at most one delta (Alg. 1);
-  ///  - base entries are strictly sorted;
+  ///  - every run's keys are strictly sorted;
   ///  - flushed_lsn never exceeds last_lsn;
   ///  - a dirty page implies deferred flushing;
   ///  - the key range is not inverted.

@@ -15,9 +15,10 @@
 
 namespace bg3::bwtree {
 
-/// In-memory state of one Bw-tree leaf ("Edge Node"). The base entries plus
-/// the delta chain are the authoritative content on the writer node; the
-/// PagePointers record where the current storage images live.
+/// In-memory state of one Bw-tree leaf ("Edge Node"). The base plus the
+/// delta chain are the authoritative content on the writer node, each held
+/// as the payload of its storage image (EntryRun); the PagePointers record
+/// where the current storage images live.
 ///
 /// Guarded by `latch` — a reader-writer latch standing in for the "classic
 /// lightweight locking mechanism [20]" the paper uses to serialize
@@ -40,23 +41,22 @@ struct LeafPage {
   std::string high_key BG3_GUARDED_BY(latch);
   bool has_high_key BG3_GUARDED_BY(latch) = false;
 
-  /// Sorted base entries as of the last consolidation.
-  std::vector<Entry> base_entries BG3_GUARDED_BY(latch);
+  /// The base page as of the last consolidation, held as its storage
+  /// payload (empty while the page is not resident).
+  EntryRun base BG3_GUARDED_BY(latch);
   /// Storage location of the base image (null before first flush).
   cloud::PagePointer base_ptr BG3_GUARDED_BY(latch);
 
-  /// One element of the delta chain; `ptr` is its storage image location
-  /// (null in deferred-flush mode where durability comes from the WAL).
-  /// `update_count` is Algorithm 1's delta.count: the number of updates
-  /// folded into this delta (not its unique-key cardinality) — the
+  /// The delta chain, oldest first, each delta as its storage payload.
+  /// Read-optimized mode keeps at most one (§3.2.2).
+  std::vector<EntryRun> deltas BG3_GUARDED_BY(latch);
+  /// Storage image of each delta, parallel to `deltas` (null in
+  /// deferred-flush mode, where durability comes from the WAL).
+  std::vector<cloud::PagePointer> delta_ptrs BG3_GUARDED_BY(latch);
+  /// Algorithm 1's delta.count: updates folded into the chain since the
+  /// last consolidation (not its unique-key cardinality) — the
   /// consolidation trigger compares against it.
-  struct Delta {
-    std::vector<DeltaEntry> entries;
-    cloud::PagePointer ptr;
-    uint32_t update_count = 1;
-  };
-  /// Newest first. Read-optimized mode maintains size() <= 1 (§3.2.2).
-  std::vector<Delta> chain BG3_GUARDED_BY(latch);
+  uint32_t delta_updates BG3_GUARDED_BY(latch) = 0;
 
   /// LSN of the newest mutation applied in memory.
   Lsn last_lsn BG3_GUARDED_BY(latch) = 0;
@@ -65,7 +65,7 @@ struct LeafPage {
   /// Deferred mode: memory ahead of storage images.
   bool dirty BG3_GUARDED_BY(latch) = false;
 
-  /// False when base_entries were dropped under memory pressure; the base
+  /// False when the base was dropped under memory pressure; the base
   /// image at base_ptr is then the authoritative copy and gets reloaded on
   /// the next access (the BGS layer is a cache, not the store, §2.1).
   bool resident BG3_GUARDED_BY(latch) = true;

@@ -2,7 +2,10 @@
 #define BG3_BWTREE_PAGE_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/types.h"
@@ -26,7 +29,8 @@ enum class RecordKind : uint8_t {
   kDelta = 'D',
 };
 
-/// A key/value entry of a base page. Keys order by memcmp.
+/// A key/value entry, owned: what BwTree::Scan returns. Keys order by
+/// memcmp.
 struct Entry {
   std::string key;
   std::string value;
@@ -37,22 +41,17 @@ enum class DeltaOp : uint8_t {
   kDelete = 1,
 };
 
-/// One logical modification carried by a delta record.
+/// One logical modification: the payload of a WAL mutation record and of
+/// TreeListener::OnMutation.
 struct DeltaEntry {
   DeltaOp op = DeltaOp::kUpsert;
   std::string key;
   std::string value;
 };
 
-/// In-place views of the two entry kinds: slices into a record buffer that
-/// must outlive them. Zero-cache reads parse storage images into these and
-/// copy only the entries they return.
+/// One entry of an EntryRun, as views into the run's bytes. Base-page
+/// entries read as upserts.
 struct EntryView {
-  Slice key;
-  Slice value;
-};
-
-struct DeltaEntryView {
   DeltaOp op = DeltaOp::kUpsert;
   Slice key;
   Slice value;
@@ -69,52 +68,120 @@ struct RecordHeader {
 // Layout: [kind u8][tree_id f64][page_id f64][lsn f64][payload]
 // Base payload:  [count v32] ([klen-prefixed key][vlen-prefixed value])*
 // Delta payload: [count v32] ([op u8][key][value])*
+// EntryRun::Image is the one encoder.
 
-std::string EncodeBasePage(TreeId tree_id, PageId page_id, Lsn lsn,
-                           const std::vector<Entry>& entries);
-std::string EncodeDelta(TreeId tree_id, PageId page_id, Lsn lsn,
-                        const std::vector<DeltaEntry>& entries);
+inline constexpr size_t kRecordHeaderBytes = 1 + 3 * 8;
 
 /// Consumes the header from `input`, leaving the payload.
 Status DecodeRecordHeader(Slice* input, RecordHeader* out);
 
-/// The one parser per payload format: validates the whole payload and
-/// fills `out` with views into `input`'s bytes. Corruption if malformed.
-Status ParseBasePagePayload(Slice input, std::vector<EntryView>* out);
-Status ParseDeltaPayload(Slice input, std::vector<DeltaEntryView>* out);
+namespace internal {
+/// Varint32 decode without bounds checks, for bytes a run already
+/// validated.
+inline const char* DecodeLength(const char* p, uint32_t* out) {
+  uint32_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const uint32_t b = static_cast<unsigned char>(*p++);
+    v |= (b & 0x7f) << shift;
+    if (b < 0x80) break;
+  }
+  *out = v;
+  return p;
+}
+}  // namespace internal
 
-/// Owned-entry decoders, built on the parsers above.
-Status DecodeBasePagePayload(Slice input, std::vector<Entry>* out);
-Status DecodeDeltaPayload(Slice input, std::vector<DeltaEntry>* out);
+/// A key-sorted run of page entries held in its storage format: the
+/// entries exactly as a base (kind kBasePage) or delta (kind kDelta)
+/// payload lays them out after its count, plus one offset per entry into
+/// them, built whenever the bytes are. A cached
+/// leaf's base and deltas are runs, and so are the images a zero-cache
+/// read or an RO replay fetches, so one merge (MergeRuns) serves all of
+/// them. Keys are strictly increasing. Views from At() die at the run's
+/// next mutation.
+class EntryRun {
+ public:
+  explicit EntryRun(RecordKind kind = RecordKind::kBasePage) : kind_(kind) {}
 
-// --- merge helpers ---------------------------------------------------------
+  /// Takes a whole record image of `kind` and parses its entries in place.
+  /// Corruption if the image is malformed or of another kind.
+  static Status Parse(RecordKind kind, std::string image, EntryRun* out);
 
-/// Applies delta chains (oldest chain first within the span, each chain's
-/// entries key-sorted or not) onto sorted base entries and returns the new
-/// sorted entry set. Deletes remove entries.
-std::vector<Entry> ApplyDeltaChain(
-    std::vector<Entry> base,
-    const std::vector<const std::vector<DeltaEntry>*>& chains_oldest_first);
+  size_t size() const { return offsets_.size(); }
+  bool empty() const { return offsets_.empty(); }
+  /// Bytes of the encoded entries.
+  size_t EncodedBytes() const { return bytes_.size() - body_; }
 
-/// Looks `key` up in a delta entry list (newest entry wins if duplicated).
-/// Returns true if the delta decides the outcome: `*deleted` set for
-/// tombstones, else `*value` filled.
-bool LookupInDelta(const std::vector<DeltaEntry>& delta, const Slice& key,
-                   std::string* value, bool* deleted);
+  EntryView At(size_t i) const {
+    const char* p = bytes_.data() + offsets_[i];
+    EntryView e;
+    if (kind_ == RecordKind::kDelta) e.op = static_cast<DeltaOp>(*p++);
+    uint32_t n;
+    p = internal::DecodeLength(p, &n);
+    e.key = Slice(p, n);
+    p = internal::DecodeLength(p + n, &n);
+    e.value = Slice(p, n);
+    return e;
+  }
+  /// Index of the first entry whose key is >= `key`.
+  size_t LowerBound(const Slice& key) const;
+  /// Index of the entry with `key`, or size() if there is none.
+  size_t Find(const Slice& key) const;
+  /// The run's invariant, for debug checks.
+  bool KeysStrictlyIncreasing() const;
 
-/// Binary search in sorted base entries; returns true and fills `*value`.
-bool LookupInBase(const std::vector<Entry>& base, const Slice& key,
-                  std::string* value);
+  /// The record image of this run: header, entry count, entries.
+  std::string Image(TreeId tree_id, PageId page_id, Lsn lsn) const;
+  /// Heap bytes held: the buffer's and the offset array's capacity.
+  size_t MemoryBytes() const;
 
-/// Merges `older` and `newer` delta lists into one key-sorted list where
-/// the newest write per key wins (the §3.2.2 delta merge: the merged delta
-/// "directly points to the base page", keeping at most one delta per page).
-std::vector<DeltaEntry> MergeDeltas(const std::vector<DeltaEntry>& older,
-                                    const std::vector<DeltaEntry>& newer);
+  /// Appends an entry whose key sorts after every key in the run. A base
+  /// run takes upserts only.
+  void Append(const EntryView& e);
+  /// Inserts `e`, or replaces the entry with its key.
+  void Upsert(const EntryView& e);
+  /// Moves entries [i, size()) into `*upper`, a fresh run of this kind, and
+  /// releases this run's spare capacity.
+  void SplitAt(size_t i, EntryRun* upper);
+  /// Reserves room for `entries` more entries of `bytes` bytes in all.
+  void Reserve(size_t bytes, size_t entries);
+  /// Drops every entry and frees the buffers.
+  void Clear() {
+    EntryRun empty(kind_);
+    std::swap(*this, empty);  // a move assignment would keep the capacity
+  }
 
-/// Approximate heap bytes of entry vectors (memory accounting for Fig. 11).
-size_t EntryBytes(const std::vector<Entry>& entries);
-size_t DeltaBytes(const std::vector<DeltaEntry>& entries);
+ private:
+  /// Bytes `e` takes in this run's format.
+  size_t EncodedSize(const EntryView& e) const;
+  /// Writes `e` at `dst`, which has EncodedSize(e) bytes.
+  void EncodeAt(const EntryView& e, char* dst) const;
+
+  RecordKind kind_;
+  /// The entries from `body_` on; a parsed image keeps its header and
+  /// count in front of them.
+  std::string bytes_;
+  uint32_t body_ = 0;
+  std::vector<uint32_t> offsets_;  ///< entry starts in `bytes_`.
+};
+
+/// Receives one entry of a merge or scan; returns false to stop it.
+using EntryVisitor =
+    std::function<bool(const Slice& key, const Slice& value)>;
+
+/// The one merge of a page's content. Hands each live entry of `base`
+/// overlaid by `deltas` (oldest first: a newer delta's entry shadows older
+/// ones and the base's, and a delete hides its key) whose key lies in
+/// [start, end) to `visit`, in key order, as views into the runs; an empty
+/// `end` is unbounded. Delivers at most `*remaining` entries, counts each
+/// delivery down from it, and zeroes it when `visit` returns false. Costs
+/// O(log page + delivered) and copies nothing when there is at most one
+/// delta; a longer chain is first folded over [start, end).
+void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
+               const Slice& start, const Slice& end, size_t* remaining,
+               const EntryVisitor& visit);
+
+/// MergeRuns over the whole key space into a fresh base run.
+EntryRun MergeToBase(const EntryRun& base, std::span<const EntryRun> deltas);
 
 }  // namespace bg3::bwtree
 

@@ -409,32 +409,38 @@ Status GraphDB::GetNeighbors(graph::VertexId src, graph::EdgeType type,
   // Each stored entry is decoded in place, under the leaf latch: only the
   // properties are copied. `limit` counts stored entries, expired ones
   // included. On failure `out` is left as it was.
-  const size_t size_at_entry = out->size();
-  bool corrupt = false;
+  // Both callbacks capture one pointer to this frame's state, so each fits
+  // std::function's inline buffer and the call allocates no closure.
+  struct ScanState {
+    const GraphDB* db;
+    std::vector<graph::Neighbor>* out;
+    size_t size_at_entry;
+    bool corrupt;
+  } st{this, out, out->size(), false};
   Status s = forest_->ScanOwner(
       graph::MakeOwnerId(src, type), Slice(), limit,
-      [this, out, &corrupt](const Slice& key, const Slice& value) {
+      [&st](const Slice& key, const Slice& value) {
         graph::VertexId dst;
         graph::TimestampUs created_us;
         Slice properties;
         if (!graph::DecodeDstKey(key, &dst) ||
             !graph::DecodeEdgeValue(value, &created_us, &properties)) {
-          corrupt = true;
+          st.corrupt = true;
           return false;
         }
-        if (!EdgeExpired(created_us)) {
-          out->push_back(
+        if (!st.db->EdgeExpired(created_us)) {
+          st.out->push_back(
               graph::Neighbor{dst, created_us, properties.ToString()});
         }
         return true;
       },
-      [out, size_at_entry, &corrupt] {
-        out->resize(size_at_entry);
-        corrupt = false;
+      [&st] {
+        st.out->resize(st.size_at_entry);
+        st.corrupt = false;
       },
       ctx);
-  if (s.ok() && corrupt) s = Status::Corruption("adjacency entry");
-  if (!s.ok()) out->resize(size_at_entry);
+  if (s.ok() && st.corrupt) s = Status::Corruption("adjacency entry");
+  if (!s.ok()) out->resize(st.size_at_entry);
   return s;
 }
 

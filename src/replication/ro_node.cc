@@ -1,6 +1,7 @@
 #include "replication/ro_node.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -29,6 +30,25 @@ Result<bool> LoadImage(cloud::CloudStore* store, bwtree::TreeId tree,
   if (manifest.status().IsNotFound()) return false;
   BG3_RETURN_IF_ERROR(manifest.status());
   BG3_RETURN_IF_ERROR(PageImageMeta::Decode(Slice(manifest.value()), image));
+  return true;
+}
+
+/// First entry of a page's sorted view whose key is >= `key`.
+template <typename Entries>
+auto LowerBoundInView(Entries& entries, const Slice& key) {
+  return std::lower_bound(entries.begin(), entries.end(), key,
+                          [](const bwtree::Entry& e, const Slice& k) {
+                            return Slice(e.key).compare(k) < 0;
+                          });
+}
+
+/// Point lookup in a page's sorted view: true, with `*value` filled, when
+/// the view holds `key`.
+bool FindInView(const std::vector<bwtree::Entry>& entries, const Slice& key,
+                std::string* value) {
+  auto it = LowerBoundInView(entries, key);
+  if (it == entries.end() || Slice(it->key) != key) return false;
+  *value = it->value;
   return true;
 }
 
@@ -217,11 +237,7 @@ Status RoNode::ApplyWalRecordLocked(const wal::WalRecord& rec) {
         upper.last_use.store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                              std::memory_order_relaxed);
         auto& entries = cit->second.entries;
-        auto split_at = std::lower_bound(
-            entries.begin(), entries.end(), rec.separator,
-            [](const bwtree::Entry& e, const std::string& k) {
-              return e.key < k;
-            });
+        auto split_at = LowerBoundInView(entries, rec.separator);
         upper.entries.assign(std::make_move_iterator(split_at),
                              std::make_move_iterator(entries.end()));
         entries.erase(split_at, entries.end());
@@ -262,10 +278,7 @@ Status RoNode::ApplyWalRecordLocked(const wal::WalRecord& rec) {
 
 void RoNode::ApplyEntry(std::vector<bwtree::Entry>* entries,
                         const bwtree::DeltaEntry& e) {
-  auto it = std::lower_bound(entries->begin(), entries->end(), e.key,
-                             [](const bwtree::Entry& a, const std::string& k) {
-                               return a.key < k;
-                             });
+  auto it = LowerBoundInView(*entries, e.key);
   const bool found = it != entries->end() && it->key == e.key;
   if (e.op == bwtree::DeltaOp::kDelete) {
     if (found) entries->erase(it);
@@ -385,26 +398,29 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
       auto base = store_->Read(image.base_ptr, nullptr, ctx);
       BG3_RETURN_IF_ERROR(base.status());
       stats_.storage_reads.Inc();
-      Slice in(base.value());
-      bwtree::RecordHeader header;
-      BG3_RETURN_IF_ERROR(bwtree::DecodeRecordHeader(&in, &header));
-      BG3_RETURN_IF_ERROR(bwtree::DecodeBasePagePayload(in, &entries));
-      std::vector<std::vector<bwtree::DeltaEntry>> chains;
+      bwtree::EntryRun base_run;
+      BG3_RETURN_IF_ERROR(bwtree::EntryRun::Parse(
+          bwtree::RecordKind::kBasePage, std::move(base.value()), &base_run));
+      std::vector<bwtree::EntryRun> deltas;  // oldest first
       for (const auto& ptr : image.delta_ptrs) {
         auto delta = store_->Read(ptr, nullptr, ctx);
         BG3_RETURN_IF_ERROR(delta.status());
         stats_.storage_reads.Inc();
-        Slice din(delta.value());
-        BG3_RETURN_IF_ERROR(bwtree::DecodeRecordHeader(&din, &header));
-        std::vector<bwtree::DeltaEntry> des;
-        BG3_RETURN_IF_ERROR(bwtree::DecodeDeltaPayload(din, &des));
-        chains.push_back(std::move(des));
+        BG3_RETURN_IF_ERROR(bwtree::EntryRun::Parse(
+            bwtree::RecordKind::kDelta, std::move(delta.value()),
+            &deltas.emplace_back()));
       }
-      if (!chains.empty()) {
-        std::vector<const std::vector<bwtree::DeltaEntry>*> ptrs;
-        for (const auto& c : chains) ptrs.push_back(&c);
-        entries = bwtree::ApplyDeltaChain(std::move(entries), ptrs);
-      }
+      // The writer's merge over the images as stored, cut to this page's
+      // key range (an ancestor's image covers more).
+      size_t unlimited = std::numeric_limits<size_t>::max();
+      bwtree::MergeRuns(base_run, deltas, target_meta.low_key,
+                        target_meta.has_high_key ? target_meta.high_key : "",
+                        &unlimited,
+                        [&entries](const Slice& key, const Slice& value) {
+                          entries.push_back(
+                              bwtree::Entry{key.ToString(), value.ToString()});
+                          return true;
+                        });
     }
 
     // Replay pending records of every page on the origin chain, LSN order.
@@ -422,16 +438,14 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
               });
     bwtree::Lsn applied = base_lsn;
     for (const wal::WalRecord* r : recs) {
-      ApplyEntry(&entries, r->entry);
+      // Ancestors' logs cover more than this page's key range too.
+      if (KeyInRange(Slice(r->entry.key), target_meta.low_key,
+                     target_meta.high_key, target_meta.has_high_key)) {
+        ApplyEntry(&entries, r->entry);
+      }
       applied = std::max(applied, r->lsn);
       stats_.replayed.Inc();
     }
-
-    // Keep only this page's key range (ancestor images/logs cover more).
-    std::erase_if(entries, [&](const bwtree::Entry& e) {
-      return !KeyInRange(Slice(e.key), target_meta.low_key,
-                         target_meta.high_key, target_meta.has_high_key);
-    });
     out->entries = std::move(entries);
     out->applied_lsn = applied;
     return Status::OK();
@@ -486,8 +500,8 @@ RoNode::FastRead RoNode::TryGetFastLocked(bwtree::TreeId tree, const Slice& key,
                     std::memory_order_relaxed);
   stats_.cache_hits.Inc();
   stats_.fast_reads.Inc();
-  return bwtree::LookupInBase(cp.entries, key, value) ? FastRead::kHit
-                                                      : FastRead::kMiss;
+  return FindInView(cp.entries, key, value) ? FastRead::kHit
+                                            : FastRead::kMiss;
 }
 
 Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
@@ -521,7 +535,7 @@ Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
   auto page = GetPageLocked(tree, rit->second, ctx);
   BG3_RETURN_IF_ERROR(page.status());
   std::string value;
-  if (bwtree::LookupInBase(page.value()->entries, key, &value)) return value;
+  if (FindInView(page.value()->entries, key, &value)) return value;
   return Status::NotFound("no such key");
 }
 

@@ -1,9 +1,11 @@
 // Property-based tests: a BwTree under randomized workloads must behave
 // exactly like a std::map reference model, across every combination of
-// delta mode, consolidation threshold and leaf size.
+// delta mode, consolidation threshold and leaf size — down to the bytes of
+// every page image it appends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +17,9 @@
 #include "cloud/cloud_store.h"
 #include "common/random.h"
 #include "forest/buffer_pool.h"
+#include "page_reference.h"
+#include "replication/page_image.h"
+#include "replication/ro_node.h"
 
 namespace bg3::bwtree {
 namespace {
@@ -364,6 +369,155 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{DeltaMode::kReadOptimized, 6, 32, FlushMode::kSync},
         PropertyParam{DeltaMode::kTraditional, 12, 16, FlushMode::kSync},
         PropertyParam{DeltaMode::kReadOptimized, 12, 16, FlushMode::kSync}),
+    ParamName);
+
+// --- image identity ---------------------------------------------------------
+
+/// A tree listener that keeps the reference model and checks every image
+/// a sync-flushing tree reports against it, byte for byte: a base image is
+/// EncodeBasePage of the model's entries in the page's range, and the
+/// delta images are EncodeDelta of the updates since that base (one image
+/// per update in traditional mode; the newest update per key, key-sorted,
+/// in read-optimized mode). It also stages every image for an RO node.
+class ImageCheckingListener : public TreeListener {
+ public:
+  ImageCheckingListener(cloud::CloudStore* store, DeltaMode mode)
+      : store_(store), mode_(mode) {}
+
+  Status OnMutation(TreeId, PageId page, Lsn lsn,
+                    const DeltaEntry& entry) override {
+    if (entry.op == DeltaOp::kUpsert) {
+      model_[entry.key] = entry.value;
+    } else {
+      model_.erase(entry.key);
+    }
+    since_base_[page].push_back({lsn, entry});
+    return Status::OK();
+  }
+
+  void OnPageFlushed(TreeId tree, PageId page, Lsn flushed_lsn,
+                     const cloud::PagePointer& base_ptr,
+                     const std::vector<cloud::PagePointer>& delta_ptrs,
+                     const std::string& low_key, const std::string& high_key,
+                     bool has_high_key) override {
+    stager_.OnPageFlushed(tree, page, flushed_lsn, base_ptr, delta_ptrs,
+                          low_key, high_key, has_high_key);
+    std::vector<Update>& updates = since_base_[page];
+    if (delta_ptrs.empty()) {
+      // A base image was just appended: consolidation or split.
+      updates.clear();
+      std::vector<Entry> want;
+      for (auto it = model_.lower_bound(low_key);
+           it != model_.end() && (!has_high_key || it->first < high_key);
+           ++it) {
+        want.push_back(Entry{it->first, it->second});
+      }
+      ExpectImage(base_ptr, EncodeBasePage(tree, page, flushed_lsn, want));
+      return;
+    }
+    if (mode_ == DeltaMode::kTraditional) {
+      ASSERT_EQ(delta_ptrs.size(), updates.size()) << "page " << page;
+      for (size_t i = 0; i < updates.size(); ++i) {
+        ExpectImage(delta_ptrs[i], EncodeDelta(tree, page, updates[i].lsn,
+                                               {updates[i].entry}));
+      }
+      return;
+    }
+    ASSERT_EQ(delta_ptrs.size(), 1u) << "page " << page;
+    std::map<std::string, DeltaEntry> newest;
+    for (const Update& u : updates) newest[u.entry.key] = u.entry;
+    std::vector<DeltaEntry> want;
+    for (auto& [key, e] : newest) want.push_back(e);
+    ExpectImage(delta_ptrs[0], EncodeDelta(tree, page, flushed_lsn, want));
+  }
+
+  const std::map<std::string, std::string>& model() const { return model_; }
+  replication::ImageStager* stager() { return &stager_; }
+  size_t images_checked() const { return images_checked_; }
+
+ private:
+  struct Update {
+    Lsn lsn;
+    DeltaEntry entry;
+  };
+
+  void ExpectImage(const cloud::PagePointer& ptr, const std::string& want) {
+    auto got = store_->Read(ptr);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), want);
+    ++images_checked_;
+  }
+
+  cloud::CloudStore* const store_;
+  const DeltaMode mode_;
+  std::map<std::string, std::string> model_;
+  std::map<PageId, std::vector<Update>> since_base_;
+  replication::ImageStager stager_;
+  size_t images_checked_ = 0;
+};
+
+class ImageIdentityTest : public testing::TestWithParam<PropertyParam> {};
+
+TEST_P(ImageIdentityTest, AppendedImagesAreTheEncodersImagesOfTheModel) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 14;
+  cloud::CloudStore store(copts);
+  ImageCheckingListener listener(&store, GetParam().mode);
+  BwTreeOptions opts;
+  opts.tree_id = 3;
+  opts.delta_mode = GetParam().mode;
+  opts.consolidate_threshold = GetParam().consolidate_threshold;
+  opts.max_leaf_entries = GetParam().max_leaf_entries;
+  opts.flush_mode = FlushMode::kSync;
+  opts.base_stream = store.CreateStream("base");
+  opts.delta_stream = store.CreateStream("delta");
+  opts.listener = &listener;
+  BwTree tree(&store, opts);
+  const cloud::StreamId empty_wal = store.CreateStream("wal");
+
+  Random rng(GetParam().consolidate_threshold * 7 +
+             GetParam().max_leaf_entries);
+  for (int i = 1; i <= 2000; ++i) {
+    // Value lengths straddle the one-byte varint boundary.
+    const std::string key = "key" + std::to_string(rng.Uniform(300));
+    if (rng.Uniform(10) < 7) {
+      ASSERT_TRUE(
+          tree.Upsert(key, std::string(rng.Uniform(200), 'a' + i % 26)).ok());
+    } else {
+      ASSERT_TRUE(tree.Delete(key).ok());
+    }
+    if (HasFatalFailure()) return;
+    if (i % 500 != 0) continue;
+    // Replaying the published images through an RO node gives back the
+    // model.
+    listener.stager()->Publish(&store);
+    replication::RoNodeOptions ro_opts;
+    ro_opts.wal_stream = empty_wal;
+    replication::RoNode ro(&store, ro_opts);
+    std::vector<Entry> replayed;
+    ASSERT_TRUE(ro.Scan(opts.tree_id, Slice(), Slice(),
+                        std::numeric_limits<size_t>::max(), &replayed)
+                    .ok());
+    ASSERT_EQ(replayed.size(), listener.model().size()) << "after " << i;
+    auto it = listener.model().begin();
+    for (const Entry& e : replayed) {
+      EXPECT_EQ(e.key, it->first);
+      EXPECT_EQ(e.value, it->second);
+      ++it;
+    }
+  }
+  EXPECT_GT(tree.stats().splits.Get(), 0u);
+  EXPECT_GT(tree.stats().consolidations.Get(), 0u);
+  EXPECT_GT(listener.images_checked(), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ImageIdentityTest,
+    testing::Values(
+        PropertyParam{DeltaMode::kTraditional, 5, 32, FlushMode::kSync},
+        PropertyParam{DeltaMode::kReadOptimized, 5, 32, FlushMode::kSync},
+        PropertyParam{DeltaMode::kTraditional, 10, 200, FlushMode::kSync},
+        PropertyParam{DeltaMode::kReadOptimized, 10, 200, FlushMode::kSync}),
     ParamName);
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "cloud/cloud_store.h"
 #include "common/coding.h"
 #include "forest/buffer_pool.h"
+#include "page_reference.h"
 
 namespace bg3::bwtree {
 namespace {
@@ -34,7 +35,7 @@ std::string Key(int i) {
   return buf;
 }
 
-// --- page codecs ---------------------------------------------------------------
+// --- page codecs and entry runs ---------------------------------------------
 
 TEST(PageCodecTest, BasePageRoundTrip) {
   std::vector<Entry> entries = {{"a", "1"}, {"b", ""}, {"c", "333"}};
@@ -46,11 +47,14 @@ TEST(PageCodecTest, BasePageRoundTrip) {
   EXPECT_EQ(header.tree_id, 7u);
   EXPECT_EQ(header.page_id, 42u);
   EXPECT_EQ(header.lsn, 99u);
-  std::vector<Entry> decoded;
-  ASSERT_TRUE(DecodeBasePagePayload(in, &decoded).ok());
-  ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_EQ(decoded[1].key, "b");
-  EXPECT_EQ(decoded[2].value, "333");
+  EntryRun run;
+  ASSERT_TRUE(EntryRun::Parse(RecordKind::kBasePage, rec, &run).ok());
+  ASSERT_EQ(run.size(), 3u);
+  EXPECT_EQ(run.At(1).key, Slice("b"));
+  EXPECT_EQ(run.At(2).value, Slice("333"));
+  EXPECT_EQ(run.At(2).op, DeltaOp::kUpsert);
+  // A parsed run re-images to the bytes it came from.
+  EXPECT_EQ(run.Image(7, 42, 99), rec);
 }
 
 TEST(PageCodecTest, DeltaRoundTrip) {
@@ -61,11 +65,12 @@ TEST(PageCodecTest, DeltaRoundTrip) {
   RecordHeader header;
   ASSERT_TRUE(DecodeRecordHeader(&in, &header).ok());
   EXPECT_EQ(header.kind, RecordKind::kDelta);
-  std::vector<DeltaEntry> decoded;
-  ASSERT_TRUE(DecodeDeltaPayload(in, &decoded).ok());
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0].op, DeltaOp::kUpsert);
-  EXPECT_EQ(decoded[1].op, DeltaOp::kDelete);
+  EntryRun run;
+  ASSERT_TRUE(EntryRun::Parse(RecordKind::kDelta, rec, &run).ok());
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run.At(0).op, DeltaOp::kUpsert);
+  EXPECT_EQ(run.At(1).op, DeltaOp::kDelete);
+  EXPECT_EQ(run.Image(1, 2, 3), rec);
 }
 
 TEST(PageCodecTest, CorruptHeaderRejected) {
@@ -76,61 +81,173 @@ TEST(PageCodecTest, CorruptHeaderRejected) {
   bad[0] = 'Z';
   Slice in(bad);
   EXPECT_TRUE(DecodeRecordHeader(&in, &header).IsCorruption());
+  EntryRun run;
+  EXPECT_TRUE(EntryRun::Parse(RecordKind::kDelta, bad, &run).IsCorruption());
+  // A base image is not a delta, nor the other way round.
+  EXPECT_TRUE(EntryRun::Parse(RecordKind::kDelta, EncodeBasePage(1, 2, 3, {}),
+                              &run)
+                  .IsCorruption());
+  EXPECT_TRUE(EntryRun::Parse(RecordKind::kBasePage, EncodeDelta(1, 2, 3, {}),
+                              &run)
+                  .IsCorruption());
 }
 
-TEST(PageCodecTest, ApplyDeltaChainMergesInOrder) {
-  std::vector<Entry> base = {{"a", "1"}, {"c", "3"}};
-  std::vector<DeltaEntry> older = {{DeltaOp::kUpsert, "b", "2"},
-                                   {DeltaOp::kUpsert, "a", "old"}};
-  std::vector<DeltaEntry> newer = {{DeltaOp::kUpsert, "a", "new"},
-                                   {DeltaOp::kDelete, "c", ""}};
-  auto merged = ApplyDeltaChain(base, {&older, &newer});
+EntryRun DeltaRun(const std::vector<DeltaEntry>& entries) {
+  EntryRun run(RecordKind::kDelta);
+  for (const DeltaEntry& e : entries) {
+    run.Upsert(EntryView{e.op, e.key, e.value});
+  }
+  return run;
+}
+
+std::vector<Entry> Entries(const EntryRun& run) {
+  std::vector<Entry> out;
+  for (size_t i = 0; i < run.size(); ++i) {
+    out.push_back(Entry{run.At(i).key.ToString(), run.At(i).value.ToString()});
+  }
+  return out;
+}
+
+TEST(PageCodecTest, MergeToBaseAppliesChainInOrder) {
+  EntryRun base;
+  base.Append(EntryView{DeltaOp::kUpsert, "a", "1"});
+  base.Append(EntryView{DeltaOp::kUpsert, "c", "3"});
+  std::vector<EntryRun> chain;  // oldest first
+  chain.push_back(DeltaRun({{DeltaOp::kUpsert, "b", "2"},
+                            {DeltaOp::kUpsert, "a", "old"}}));
+  chain.push_back(DeltaRun({{DeltaOp::kUpsert, "a", "new"},
+                            {DeltaOp::kDelete, "c", ""}}));
+  const std::vector<Entry> merged = Entries(MergeToBase(base, chain));
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].key, "a");
   EXPECT_EQ(merged[0].value, "new");
   EXPECT_EQ(merged[1].key, "b");
+  // The one-delta path agrees with the chain path.
+  EXPECT_EQ(Entries(MergeToBase(MergeToBase(base, {&chain[0], 1}),
+                                {&chain[1], 1})).size(),
+            2u);
 }
 
-TEST(PageCodecTest, ApplyDeltaChainDeleteOfMissingKeyIsNoop) {
-  std::vector<Entry> base = {{"a", "1"}};
-  std::vector<DeltaEntry> d = {{DeltaOp::kDelete, "zz", ""}};
-  auto merged = ApplyDeltaChain(base, {&d});
-  ASSERT_EQ(merged.size(), 1u);
+TEST(PageCodecTest, MergeToBaseDeleteOfMissingKeyIsNoop) {
+  EntryRun base;
+  base.Append(EntryView{DeltaOp::kUpsert, "a", "1"});
+  const std::vector<EntryRun> d = {DeltaRun({{DeltaOp::kDelete, "zz", ""}})};
+  EXPECT_EQ(MergeToBase(base, d).size(), 1u);
 }
 
-TEST(PageCodecTest, MergeDeltasNewerWins) {
-  std::vector<DeltaEntry> older = {{DeltaOp::kUpsert, "k", "v1"},
-                                   {DeltaOp::kUpsert, "m", "x"}};
-  std::vector<DeltaEntry> newer = {{DeltaOp::kDelete, "k", ""}};
-  auto merged = MergeDeltas(older, newer);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].key, "k");
-  EXPECT_EQ(merged[0].op, DeltaOp::kDelete);
-  EXPECT_EQ(merged[1].key, "m");
+TEST(PageCodecTest, MergeRunsHonorsRangeAndLimit) {
+  EntryRun base;
+  for (const char* k : {"a", "c", "e", "g"}) {
+    base.Append(EntryView{DeltaOp::kUpsert, k, "b"});
+  }
+  const std::vector<EntryRun> d = {DeltaRun(
+      {{DeltaOp::kUpsert, "d", "d"}, {DeltaOp::kDelete, "e", ""}})};
+  std::string seen;
+  size_t remaining = 10;
+  MergeRuns(base, d, "b", "g", &remaining,
+            [&seen](const Slice& key, const Slice& value) {
+              seen += key.ToString() + value.ToString();
+              return true;
+            });
+  EXPECT_EQ(seen, "cbdd");  // "e" is deleted, "g" is past the end
+  EXPECT_EQ(remaining, 8u);
+  seen.clear();
+  remaining = 1;
+  MergeRuns(base, d, "", "", &remaining,
+            [&seen](const Slice& key, const Slice&) {
+              seen += key.ToString();
+              return true;
+            });
+  EXPECT_EQ(seen, "a");
+  EXPECT_EQ(remaining, 0u);
 }
 
-TEST(PageCodecTest, LookupHelpers) {
-  std::vector<Entry> base = {{"a", "1"}, {"c", "3"}};
-  std::string value;
-  EXPECT_TRUE(LookupInBase(base, "c", &value));
-  EXPECT_EQ(value, "3");
-  EXPECT_FALSE(LookupInBase(base, "b", &value));
+TEST(PageCodecTest, UpsertKeepsOneSortedEntryPerKeyNewestWins) {
+  EntryRun delta = DeltaRun({{DeltaOp::kUpsert, "m", "x"},
+                             {DeltaOp::kUpsert, "k", "v1"},
+                             {DeltaOp::kDelete, "k", ""}});
+  ASSERT_EQ(delta.size(), 2u);
+  EXPECT_EQ(delta.At(0).key, Slice("k"));
+  EXPECT_EQ(delta.At(0).op, DeltaOp::kDelete);
+  EXPECT_EQ(delta.At(1).key, Slice("m"));
+  EXPECT_EQ(delta.Find("k"), 0u);
+  EXPECT_EQ(delta.Find("l"), delta.size());
+  EXPECT_EQ(delta.LowerBound("l"), 1u);
+  EXPECT_EQ(delta.LowerBound(""), 0u);
+}
 
-  std::vector<DeltaEntry> delta = {{DeltaOp::kUpsert, "x", "1"},
-                                   {DeltaOp::kDelete, "x", ""}};
-  bool deleted = false;
-  EXPECT_TRUE(LookupInDelta(delta, "x", &value, &deleted));
-  EXPECT_TRUE(deleted);  // newest entry (the delete) wins
+// Whatever sequence of appends, upserts and splits built a run, its image is
+// the encoder's image of the same entries, byte for byte — also once the
+// count's varint grows past one byte.
+TEST(PageCodecTest, BuiltRunsImageLikeTheEncoders) {
+  std::vector<DeltaEntry> model;  // key-sorted, one entry per key
+  EntryRun delta(RecordKind::kDelta);
+  for (int i = 0; i < 300; ++i) {
+    // Keys land out of order, some twice, with varying value lengths.
+    const std::string key = Key((i * 37) % 200);
+    const DeltaEntry e{i % 5 == 0 ? DeltaOp::kDelete : DeltaOp::kUpsert, key,
+                       std::string(i % 3 == 0 ? 0 : 1 + i % 150, 'v')};
+    delta.Upsert(EntryView{e.op, e.key, e.value});
+    auto it = std::lower_bound(
+        model.begin(), model.end(), key,
+        [](const DeltaEntry& a, const std::string& k) { return a.key < k; });
+    if (it != model.end() && it->key == key) {
+      *it = e;
+    } else {
+      model.insert(it, e);
+    }
+    ASSERT_EQ(delta.Image(1, 2, 3), EncodeDelta(1, 2, 3, model)) << i;
+  }
+  ASSERT_GT(model.size(), 128u);
+
+  std::vector<Entry> live;
+  for (const DeltaEntry& e : model) {
+    if (e.op == DeltaOp::kUpsert) live.push_back(Entry{e.key, e.value});
+  }
+  const EntryRun base = MergeToBase(EntryRun(), {&delta, 1});
+  EXPECT_EQ(base.Image(4, 5, 6), EncodeBasePage(4, 5, 6, live));
+
+  EntryRun lower = base;
+  EntryRun upper;
+  const size_t mid = lower.size() / 2;
+  lower.SplitAt(mid, &upper);
+  EXPECT_EQ(lower.Image(4, 5, 6),
+            EncodeBasePage(4, 5, 6,
+                           std::vector<Entry>(live.begin(), live.begin() + mid)));
+  EXPECT_EQ(upper.Image(4, 7, 6),
+            EncodeBasePage(4, 7, 6,
+                           std::vector<Entry>(live.begin() + mid, live.end())));
+  EXPECT_LT(lower.MemoryBytes(), base.MemoryBytes());
+  lower.Clear();
+  EXPECT_EQ(lower.MemoryBytes(), 0u);
+  EXPECT_EQ(lower.Image(4, 5, 6), EncodeBasePage(4, 5, 6, {}));
+}
+
+TEST(PageCodecTest, ViewsPointIntoTheParsedImage) {
+  const std::string image = EncodeBasePage(1, 2, 3, {{"a", "1"}, {"bb", ""}});
+  std::string moved = image;
+  const char* bytes = moved.data();  // heap storage the run takes over
+  EntryRun run;
+  ASSERT_TRUE(EntryRun::Parse(RecordKind::kBasePage, std::move(moved), &run)
+                  .ok());
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run.At(1).key, Slice("bb"));
+  EXPECT_TRUE(run.At(1).value.empty());
+  EXPECT_GE(run.At(0).key.data(), bytes);
+  EXPECT_LT(run.At(0).key.data(), bytes + image.size());
 }
 
 // Malformed payloads are well-formed bytes as far as the store's checksum
-// goes: they round-trip through the store, and only the parsers catch them.
-// Both the in-place parser and the owned decoder built on it must reject
-// each one.
-std::string ThroughStore(const std::string& payload) {
+// goes: they round-trip through the store, and only the parser catches
+// them.
+std::string ThroughStore(RecordKind kind, const std::string& payload) {
   cloud::CloudStore store;
   const cloud::StreamId s = store.CreateStream("s");
-  auto ptr = store.Append(s, payload);
+  const std::string header =
+      (kind == RecordKind::kBasePage ? EncodeBasePage(1, 2, 3, {})
+                                     : EncodeDelta(1, 2, 3, {}))
+          .substr(0, kRecordHeaderBytes);
+  auto ptr = store.Append(s, header + payload);
   BG3_CHECK(ptr.ok());
   auto read = store.Read(ptr.value());
   BG3_CHECK(read.ok());
@@ -138,44 +255,18 @@ std::string ThroughStore(const std::string& payload) {
 }
 
 void ExpectCorruptBase(const std::string& payload) {
-  const std::string bytes = ThroughStore(payload);
-  std::vector<EntryView> views;
-  std::vector<Entry> owned;
-  EXPECT_TRUE(ParseBasePagePayload(bytes, &views).IsCorruption());
-  EXPECT_TRUE(DecodeBasePagePayload(bytes, &owned).IsCorruption());
+  EntryRun run;
+  EXPECT_TRUE(EntryRun::Parse(RecordKind::kBasePage,
+                              ThroughStore(RecordKind::kBasePage, payload),
+                              &run)
+                  .IsCorruption());
 }
 
 void ExpectCorruptDelta(const std::string& payload) {
-  const std::string bytes = ThroughStore(payload);
-  std::vector<DeltaEntryView> views;
-  std::vector<DeltaEntry> owned;
-  EXPECT_TRUE(ParseDeltaPayload(bytes, &views).IsCorruption());
-  EXPECT_TRUE(DecodeDeltaPayload(bytes, &owned).IsCorruption());
-}
-
-TEST(PageCodecTest, ViewParsersMatchOwnedDecoders) {
-  const std::string base = EncodeBasePage(1, 2, 3, {{"a", "1"}, {"bb", ""}});
-  Slice in(base);
-  RecordHeader header;
-  ASSERT_TRUE(DecodeRecordHeader(&in, &header).ok());
-  std::vector<EntryView> views;
-  ASSERT_TRUE(ParseBasePagePayload(in, &views).ok());
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_EQ(views[1].key, Slice("bb"));
-  EXPECT_TRUE(views[1].value.empty());
-  // Views point into the record buffer itself.
-  EXPECT_GE(views[0].key.data(), base.data());
-  EXPECT_LT(views[0].key.data(), base.data() + base.size());
-
-  const std::string delta = EncodeDelta(
-      1, 2, 3, {{DeltaOp::kDelete, "x", ""}, {DeltaOp::kUpsert, "y", "9"}});
-  in = Slice(delta);
-  ASSERT_TRUE(DecodeRecordHeader(&in, &header).ok());
-  std::vector<DeltaEntryView> dviews;
-  ASSERT_TRUE(ParseDeltaPayload(in, &dviews).ok());
-  ASSERT_EQ(dviews.size(), 2u);
-  EXPECT_EQ(dviews[0].op, DeltaOp::kDelete);
-  EXPECT_EQ(dviews[1].value, Slice("9"));
+  EntryRun run;
+  EXPECT_TRUE(EntryRun::Parse(RecordKind::kDelta,
+                              ThroughStore(RecordKind::kDelta, payload), &run)
+                  .IsCorruption());
 }
 
 TEST(PageCodecTest, MalformedBasePayloadsAreCorruption) {
@@ -184,6 +275,14 @@ TEST(PageCodecTest, MalformedBasePayloadsAreCorruption) {
 
   p.clear();  // overstated count: claims 3 entries, holds 2
   PutVarint32(&p, 3);
+  for (const char* k : {"a", "b"}) {
+    PutLengthPrefixedSlice(&p, k);
+    PutLengthPrefixedSlice(&p, "v");
+  }
+  ExpectCorruptBase(p);
+
+  p.clear();  // understated count: bytes trail the last entry
+  PutVarint32(&p, 1);
   for (const char* k : {"a", "b"}) {
     PutLengthPrefixedSlice(&p, k);
     PutLengthPrefixedSlice(&p, "v");
@@ -818,6 +917,42 @@ TEST(BwTreeEvictionTest, DirtyPagesAreNotEvicted) {
   (void)f.tree->FlushDirtyPages(1000);
   EXPECT_GT(EvictToBudget(f.tree.get(), 0), 0u);
   for (int i = 0; i < 40; ++i) EXPECT_TRUE(f.tree->Get(Key(i)).ok());
+}
+
+// Memory accounting is exact: a resident leaf's bytes are its buffers'
+// capacity, ResidentBytes is what evicting every clean leaf frees, and the
+// tree's footprint falls by exactly that.
+TEST(BwTreeEvictionTest, ResidentBytesAreExactlyWhatEvictionFrees) {
+  BwTreeOptions opts;
+  opts.max_leaf_entries = 32;
+  TreeFixture f(opts);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(f.tree->Upsert(Key(i), std::string(5 + i % 150, 'x')).ok());
+  }
+  (void)EvictToBudget(f.tree.get(), f.tree->ResidentBytes() / 2);
+  // Evicted leaves with live deltas, and resident ones with and without.
+  for (int i = 0; i < 1000; i += 97) {
+    ASSERT_TRUE(f.tree->Upsert(Key(i), "fresh").ok());
+  }
+  const size_t resident_pages = f.tree->ResidentPageCount();
+  ASSERT_GT(resident_pages, 0u);
+  ASSERT_LT(resident_pages, f.tree->LeafCount());
+
+  const size_t resident = f.tree->ResidentBytes();
+  const size_t memory = f.tree->ApproxMemoryBytes();
+  std::vector<BwTree::PageResidency> pages;
+  ASSERT_EQ(f.tree->CollectResidency(&pages), resident);
+  ASSERT_EQ(pages.size(), resident_pages);
+  size_t freed = 0;
+  for (const BwTree::PageResidency& p : pages) {
+    ASSERT_TRUE(p.evictable);  // sync flushing leaves every page clean
+    freed += f.tree->EvictPage(p.id);
+  }
+  EXPECT_EQ(freed, resident);
+  EXPECT_EQ(f.tree->ApproxMemoryBytes(), memory - freed);
+  EXPECT_EQ(f.tree->ResidentBytes(), 0u);
+  EXPECT_EQ(f.tree->ResidentPageCount(), 0u);
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(f.tree->Get(Key(i)).ok()) << i;
 }
 
 TEST(BwTreeEvictionTest, MemoryDropsAfterEviction) {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bwtree/bwtree.h"
@@ -138,7 +139,10 @@ TEST(ForestStressTest, ConcurrentUpsertScanDeleteWithGcAndEviction) {
     f.clock.AdvanceUs(1000);
     auto r = f.reclaimer->RunCycle(/*stream=*/0, /*max_extents=*/2);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    BG3_IGNORE_STATUS(f.forest->EvictToBudget(/*budget_bytes=*/16 << 10));
+    // A quarter of what is resident: leaves hold their exact payload now,
+    // so a fixed byte budget could sit above this small working set.
+    BG3_IGNORE_STATUS(
+        f.forest->EvictToBudget(f.forest->TotalResidentBytes() / 4));
     std::this_thread::yield();
   }
 
@@ -327,6 +331,87 @@ TEST(BwTreeStressTest, SharedReadersVsWriterAndEvictionOnHotLeaf) {
   }
 }
 
+// Visit hands out views into the leaf's buffers. Shared-latch readers copy
+// every view they receive while a writer drives the same leaves through
+// delta merges, consolidations and splits, and evicts them so readers race
+// reloads too. A view that outlived the buffer it points into
+// is a use-after-free the asan preset reports, and an unlatched swap is a
+// race the tsan preset reports; the checks below catch torn copies.
+TEST(BwTreeStressTest, VisitViewsSurviveBufferSwapsOnHotLeaf) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 12;
+  cloud::CloudStore store(copts);
+  bwtree::BwTreeOptions topts;
+  topts.base_stream = store.CreateStream("base");
+  topts.delta_stream = store.CreateStream("delta");
+  topts.consolidate_threshold = 3;  // merges and consolidations alternate
+  topts.max_leaf_entries = 24;      // and the growing key set keeps splitting
+  bwtree::BwTree tree(&store, topts);
+
+  constexpr int kKeys = 160;
+  constexpr int kRounds = 6;
+  constexpr int kReaders = 3;
+  auto value_of = [](const std::string& key, int round) {
+    return "val:" + key + ":" + std::to_string(round);
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<size_t> views_copied{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      while (!stop.load(std::memory_order_acquire)) {
+        bwtree::BwTree::ScanOptions scan;
+        scan.start_key = SortKey(r * 7);
+        scan.limit = 40 + r * 20;
+        std::vector<std::pair<std::string, std::string>> copies;
+        const Status s = tree.Visit(scan, [&copies](const Slice& key,
+                                                    const Slice& value) {
+          copies.emplace_back(key.ToString(), value.ToString());
+          return true;
+        });
+        if (!s.ok()) failures.fetch_add(1);
+        for (size_t i = 0; i < copies.size(); ++i) {
+          const auto& [key, value] = copies[i];
+          const std::string prefix = "val:" + key + ":";
+          if (value.compare(0, prefix.size(), prefix) != 0 ||
+              (i > 0 && !(copies[i - 1].first < key))) {
+            failures.fetch_add(1);
+          }
+        }
+        views_copied.fetch_add(copies.size(), std::memory_order_relaxed);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int k = 0; k < kKeys; ++k) {
+        // Strided keys land all over the live leaves, so each write merges
+        // into a delta somewhere and every few consolidate or split.
+        const std::string key = SortKey((k * 37) % kKeys);
+        if (!tree.Upsert(key, value_of(key, round)).ok()) failures.fetch_add(1);
+        if (k % 11 == round && !tree.Delete(key).ok()) failures.fetch_add(1);
+        // Drop every clean leaf now and then, so readers race reloads and
+        // later writes fold deltas into reloaded bases.
+        if (k % 40 == 0) {
+          BG3_IGNORE_STATUS(
+              forest::EvictTreesToBudget({&tree}, /*budget_bytes=*/0));
+        }
+      }
+    }
+  });
+  threads.back().join();
+  stop.store(true, std::memory_order_release);
+  for (int r = 0; r < kReaders; ++r) threads[r].join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(views_copied.load(), 0u);
+  EXPECT_GT(tree.stats().splits.Get(), 0u);
+  EXPECT_GT(tree.stats().consolidations.Get(), 0u);
+  EXPECT_GT(tree.stats().page_evictions.Get(), 0u);
+  EXPECT_GT(tree.stats().page_reloads.Get(), 0u);
+}
+
 // Readers race the forest's structural transitions: owners being split out
 // of INIT into dedicated trees (publishing the lock-free read pointer) and
 // the forest-wide budget eviction dropping INIT/dedicated leaves mid-read.
@@ -375,7 +460,8 @@ TEST(ForestStressTest, ReadersRaceSplitOutAndBudgetEviction) {
 
   // Driver: forest-wide budget eviction racing the reads and split-outs.
   for (int cycle = 0; cycle < 30; ++cycle) {
-    BG3_IGNORE_STATUS(f.forest->EvictToBudget(/*budget_bytes=*/8 << 10));
+    BG3_IGNORE_STATUS(
+        f.forest->EvictToBudget(f.forest->TotalResidentBytes() / 4));
     std::this_thread::yield();
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();
