@@ -17,7 +17,9 @@
 // latency in real wall time — the queueing the percentiles measure is
 // real, not modeled. The CI floor (scripts/check_bench_json.py) is
 // p99_speedup_default_group >= 5: the deepest pipeline's p99 must beat the
-// sync baseline's by at least 5x.
+// sync baseline's by at least 5x. Each reported percentile is the median
+// over kTrials runs of 320 samples (1,600 samples per mode), so one
+// scheduling stall of the writers in one run cannot set the verdict.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -37,6 +39,7 @@ namespace {
 constexpr int kWriters = 16;
 constexpr int kRecordsPerWriter = 20;
 constexpr int kDepths[] = {1, 2, 4, 8};
+constexpr int kTrials = 5;
 
 wal::WalRecord Mutation(int writer, int i) {
   wal::WalRecord r;
@@ -89,6 +92,25 @@ uint64_t Pct(const std::vector<uint64_t>& sorted, double q) {
   return sorted[idx];
 }
 
+struct Tail {
+  uint64_t p50 = 0;
+  uint64_t p99 = 0;
+};
+
+/// p50 and p99 of one configuration, each the median over kTrials runs.
+Tail MedianTail(const wal::WalWriterOptions& opts) {
+  std::vector<uint64_t> p50s;
+  std::vector<uint64_t> p99s;
+  for (int t = 0; t < kTrials; ++t) {
+    const auto lat = RunWriters(opts);
+    p50s.push_back(Pct(lat, 0.50));
+    p99s.push_back(Pct(lat, 0.99));
+  }
+  std::sort(p50s.begin(), p50s.end());
+  std::sort(p99s.begin(), p99s.end());
+  return {p50s[kTrials / 2], p99s[kTrials / 2]};
+}
+
 }  // namespace
 
 int main() {
@@ -101,6 +123,7 @@ int main() {
   bench::BenchReport report("write_latency");
   report.Config("writers", static_cast<uint64_t>(kWriters));
   report.Config("records_per_writer", static_cast<uint64_t>(kRecordsPerWriter));
+  report.Config("trials", static_cast<uint64_t>(kTrials));
   report.Config("group_size", static_cast<uint64_t>(1));
   report.Config("wall_latency_scale", 1.0);
 
@@ -110,14 +133,12 @@ int main() {
   sync_opts.mode = wal::WalWriterMode::kSync;
   sync_opts.group_size = 1;
   sync_opts.wall_latency_scale = 1.0;
-  const auto sync_lat = RunWriters(sync_opts);
-  const uint64_t sync_p50 = Pct(sync_lat, 0.50);
-  const uint64_t sync_p99 = Pct(sync_lat, 0.99);
+  const Tail sync = MedianTail(sync_opts);
   printf("%12s %10s %12llu %12llu\n", "sync", "-",
-         (unsigned long long)sync_p50, (unsigned long long)sync_p99);
+         (unsigned long long)sync.p50, (unsigned long long)sync.p99);
   report.AddRow("sync", "inline")
-      .Num("p50_us", static_cast<double>(sync_p50))
-      .Num("p99_us", static_cast<double>(sync_p99));
+      .Num("p50_us", static_cast<double>(sync.p50))
+      .Num("p99_us", static_cast<double>(sync.p99));
 
   uint64_t deepest_p99 = 0;
   for (const int depth : kDepths) {
@@ -126,15 +147,13 @@ int main() {
     p.group_size = 1;
     p.inflight_appends = static_cast<size_t>(depth);
     p.wall_latency_scale = 1.0;
-    const auto lat = RunWriters(p);
-    const uint64_t p50 = Pct(lat, 0.50);
-    const uint64_t p99 = Pct(lat, 0.99);
+    const Tail tail = MedianTail(p);
     printf("%12s %10d %12llu %12llu\n", "pipelined", depth,
-           (unsigned long long)p50, (unsigned long long)p99);
+           (unsigned long long)tail.p50, (unsigned long long)tail.p99);
     report.AddRow("pipelined", "inflight" + std::to_string(depth))
-        .Num("p50_us", static_cast<double>(p50))
-        .Num("p99_us", static_cast<double>(p99));
-    deepest_p99 = p99;
+        .Num("p50_us", static_cast<double>(tail.p50))
+        .Num("p99_us", static_cast<double>(tail.p99));
+    deepest_p99 = tail.p99;
   }
 
   // CI floor: the deepest pipeline must cut the sync baseline's tail by at
@@ -142,12 +161,12 @@ int main() {
   // the ratio measures exactly what the pipeline removes — head-of-line
   // blocking — and is robust to machine speed.
   const double speedup =
-      deepest_p99 > 0 ? static_cast<double>(sync_p99) / deepest_p99 : 0.0;
+      deepest_p99 > 0 ? static_cast<double>(sync.p99) / deepest_p99 : 0.0;
   report.Scalar("p99_speedup_default_group", speedup);
 
   bench::Note("sync p99 %.2fms vs pipelined(inflight=8) p99 %.2fms: "
               "%.1fx tail reduction (floor 5x)",
-              sync_p99 / 1e3, deepest_p99 / 1e3, speedup);
+              sync.p99 / 1e3, deepest_p99 / 1e3, speedup);
   report.Write();
   return 0;
 }

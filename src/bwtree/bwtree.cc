@@ -1,10 +1,8 @@
 #include "bwtree/bwtree.h"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 
-#include "common/coding.h"
 #include "common/logging.h"
 #include "common/thread_annotations.h"
 #include "common/timed_scope.h"
@@ -12,21 +10,6 @@
 namespace bg3::bwtree {
 
 namespace {
-
-/// A base run holding `entries`, which are key-sorted.
-EntryRun BaseRunOf(const std::vector<Entry>& entries) {
-  size_t bytes = 0;
-  for (const Entry& e : entries) {
-    bytes += VarintLength(e.key.size()) + e.key.size() +
-             VarintLength(e.value.size()) + e.value.size();
-  }
-  EntryRun run(RecordKind::kBasePage);
-  run.Reserve(bytes, entries.size());
-  for (const Entry& e : entries) {
-    run.Append(EntryView{DeltaOp::kUpsert, e.key, e.value});
-  }
-  return run;
-}
 
 /// Starts a single-entry delta at the newest end of the leaf's chain.
 void PushDelta(LeafPage* leaf, const EntryView& entry)
@@ -137,7 +120,7 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
         SetDirtyLocked(page.get(), true);
       }
       if (rp.resident) {
-        page->base = BaseRunOf(rp.entries);
+        page->base = std::move(rp.base);
       } else {
         // Metadata-only install: the first read (or the warm sweep)
         // demand-loads the base image via EnsureResidentLocked.
@@ -792,20 +775,6 @@ Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
   // Stale record (superseded concurrently): nothing to move.
   store_->MarkInvalid(old_ptr);
   return uint64_t{0};
-}
-
-size_t BwTree::CountEntries() const {
-  size_t count = 0;
-  index_.ForEachPage([&count](LeafPage* p) {
-    ReaderMutexLock lock(&p->latch);
-    size_t unlimited = std::numeric_limits<size_t>::max();
-    MergeRuns(p->base, p->deltas, Slice(), Slice(), &unlimited,
-              [&count](const Slice&, const Slice&) {
-                ++count;
-                return true;
-              });
-  });
-  return count;
 }
 
 size_t BwTree::ApproxMemoryBytes() const {

@@ -97,9 +97,10 @@ struct RecoveredPage {
   std::string low_key;
   std::string high_key;
   bool has_high_key = false;
-  /// Full logical content (storage image + replayed WAL).
-  std::vector<Entry> entries;
-  /// Newest mutation LSN reflected in `entries`.
+  /// Full logical content (storage image + replayed WAL) as a base run,
+  /// which the install moves into the leaf as is.
+  EntryRun base;
+  /// Newest mutation LSN reflected in `base`.
   Lsn last_lsn = 0;
   /// Current storage image, if any (so the first post-recovery flush can
   /// invalidate it); null when the page was never flushed pre-crash.
@@ -257,8 +258,6 @@ class BwTree {
 
   // --- introspection --------------------------------------------------------
   size_t LeafCount() const { return index_.PageCount(); }
-  /// Total entries across all leaves (walks the tree; O(pages)).
-  size_t CountEntries() const;
   /// Heap footprint: index structures + the capacity of every leaf's
   /// buffers. The Fig. 11 space-cost axis sums this across the forest.
   size_t ApproxMemoryBytes() const;

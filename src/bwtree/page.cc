@@ -175,6 +175,16 @@ void EntryRun::Upsert(const EntryView& e) {
   for (size_t j = i + 1; j < offsets_.size(); ++j) offsets_[j] += shift;
 }
 
+void EntryRun::Erase(size_t i) {
+  const size_t pos = offsets_[i];
+  const size_t len = (i + 1 < size() ? offsets_[i + 1] : bytes_.size()) - pos;
+  bytes_.erase(pos, len);
+  offsets_.erase(offsets_.begin() + i);
+  for (size_t j = i; j < offsets_.size(); ++j) {
+    offsets_[j] -= static_cast<uint32_t>(len);
+  }
+}
+
 void EntryRun::SplitAt(size_t i, EntryRun* upper) {
   const size_t cut = i < size() ? offsets_[i] : bytes_.size();
   EntryRun hi(kind_);
@@ -246,7 +256,8 @@ void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
   }
 }
 
-EntryRun MergeToBase(const EntryRun& base, std::span<const EntryRun> deltas) {
+EntryRun MergeToBase(const EntryRun& base, std::span<const EntryRun> deltas,
+                     const Slice& start, const Slice& end) {
   EntryRun out(RecordKind::kBasePage);
   size_t bytes = base.EncodedBytes();
   size_t entries = base.size();
@@ -256,7 +267,7 @@ EntryRun MergeToBase(const EntryRun& base, std::span<const EntryRun> deltas) {
   }
   out.Reserve(bytes, entries);
   size_t remaining = std::numeric_limits<size_t>::max();
-  MergeRuns(base, deltas, Slice(), Slice(), &remaining,
+  MergeRuns(base, deltas, start, end, &remaining,
             [&out](const Slice& key, const Slice& value) {
               out.Append(EntryView{DeltaOp::kUpsert, key, value});
               return true;

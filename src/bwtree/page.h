@@ -139,6 +139,8 @@ class EntryRun {
   void Append(const EntryView& e);
   /// Inserts `e`, or replaces the entry with its key.
   void Upsert(const EntryView& e);
+  /// Removes entry `i`.
+  void Erase(size_t i);
   /// Moves entries [i, size()) into `*upper`, a fresh run of this kind, and
   /// releases this run's spare capacity.
   void SplitAt(size_t i, EntryRun* upper);
@@ -180,8 +182,10 @@ void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
                const Slice& start, const Slice& end, size_t* remaining,
                const EntryVisitor& visit);
 
-/// MergeRuns over the whole key space into a fresh base run.
-EntryRun MergeToBase(const EntryRun& base, std::span<const EntryRun> deltas);
+/// MergeRuns over [start, end), by default the whole key space, into a
+/// fresh base run.
+EntryRun MergeToBase(const EntryRun& base, std::span<const EntryRun> deltas,
+                     const Slice& start = Slice(), const Slice& end = Slice());
 
 }  // namespace bg3::bwtree
 

@@ -1,7 +1,6 @@
 #include "replication/ro_node.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -33,25 +32,6 @@ Result<bool> LoadImage(cloud::CloudStore* store, bwtree::TreeId tree,
   return true;
 }
 
-/// First entry of a page's sorted view whose key is >= `key`.
-template <typename Entries>
-auto LowerBoundInView(Entries& entries, const Slice& key) {
-  return std::lower_bound(entries.begin(), entries.end(), key,
-                          [](const bwtree::Entry& e, const Slice& k) {
-                            return Slice(e.key).compare(k) < 0;
-                          });
-}
-
-/// Point lookup in a page's sorted view: true, with `*value` filled, when
-/// the view holds `key`.
-bool FindInView(const std::vector<bwtree::Entry>& entries, const Slice& key,
-                std::string* value) {
-  auto it = LowerBoundInView(entries, key);
-  if (it == entries.end() || Slice(it->key) != key) return false;
-  *value = it->value;
-  return true;
-}
-
 }  // namespace
 
 RoNode::RoNode(cloud::CloudStore* store, const RoNodeOptions& options)
@@ -73,6 +53,8 @@ RoNode::RoNode(cloud::CloudStore* store, const RoNodeOptions& options)
   reg.RegisterCounter(metrics_prefix_ + "poll_degraded", &stats_.poll_degraded);
   reg.RegisterGauge(metrics_prefix_ + "overload.degraded", &stats_.degraded);
   reg.RegisterCounter(metrics_prefix_ + "fast_reads", &stats_.fast_reads);
+  reg.RegisterCallback(metrics_prefix_ + "cache_bytes",
+                       [this] { return CacheBytes(); });
 }
 
 RoNode::~RoNode() {
@@ -236,11 +218,8 @@ Status RoNode::ApplyWalRecordLocked(const wal::WalRecord& rec) {
         upper.applied_lsn = cit->second.applied_lsn;
         upper.last_use.store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                              std::memory_order_relaxed);
-        auto& entries = cit->second.entries;
-        auto split_at = LowerBoundInView(entries, rec.separator);
-        upper.entries.assign(std::make_move_iterator(split_at),
-                             std::make_move_iterator(entries.end()));
-        entries.erase(split_at, entries.end());
+        bwtree::EntryRun& lower = cit->second.base;
+        lower.SplitAt(lower.LowerBound(rec.separator), &upper.base);
         cache_[{rec.tree_id, rec.aux_page_id}] = std::move(upper);
         EvictIfNeededLocked();
       }
@@ -276,21 +255,6 @@ Status RoNode::ApplyWalRecordLocked(const wal::WalRecord& rec) {
   return Status::Corruption("unknown wal record type");
 }
 
-void RoNode::ApplyEntry(std::vector<bwtree::Entry>* entries,
-                        const bwtree::DeltaEntry& e) {
-  auto it = LowerBoundInView(*entries, e.key);
-  const bool found = it != entries->end() && it->key == e.key;
-  if (e.op == bwtree::DeltaOp::kDelete) {
-    if (found) entries->erase(it);
-    return;
-  }
-  if (found) {
-    it->value = e.value;
-  } else {
-    entries->insert(it, bwtree::Entry{e.key, e.value});
-  }
-}
-
 void RoNode::CompactPendingVector(std::vector<wal::WalRecord>* recs) {
   // Keep only the last operation per key, preserving LSN order.
   std::map<std::string, size_t> last_index;
@@ -317,7 +281,12 @@ void RoNode::ApplyPendingLocked(TreeState& ts, bwtree::TreeId tree,
   if (pit == ts.pending.end()) return;
   for (const wal::WalRecord& rec : pit->second.records) {
     if (rec.lsn <= cp->applied_lsn) continue;
-    ApplyEntry(&cp->entries, rec.entry);
+    const bwtree::DeltaEntry& e = rec.entry;
+    if (e.op == bwtree::DeltaOp::kUpsert) {
+      cp->base.Upsert(bwtree::EntryView{e.op, e.key, e.value});
+    } else if (const size_t i = cp->base.Find(e.key); i < cp->base.size()) {
+      cp->base.Erase(i);
+    }
     cp->applied_lsn = rec.lsn;
     stats_.replayed.Inc();
   }
@@ -390,18 +359,17 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
     }
     if (restart) continue;
 
-    // Load the base image + its deltas.
-    std::vector<bwtree::Entry> entries;
+    // Load the base image + its deltas, oldest first.
+    bwtree::EntryRun base_run;
+    std::vector<bwtree::EntryRun> deltas;
     bwtree::Lsn base_lsn = 0;
     if (have_image) {
       base_lsn = image.flushed_lsn;
       auto base = store_->Read(image.base_ptr, nullptr, ctx);
       BG3_RETURN_IF_ERROR(base.status());
       stats_.storage_reads.Inc();
-      bwtree::EntryRun base_run;
       BG3_RETURN_IF_ERROR(bwtree::EntryRun::Parse(
           bwtree::RecordKind::kBasePage, std::move(base.value()), &base_run));
-      std::vector<bwtree::EntryRun> deltas;  // oldest first
       for (const auto& ptr : image.delta_ptrs) {
         auto delta = store_->Read(ptr, nullptr, ctx);
         BG3_RETURN_IF_ERROR(delta.status());
@@ -410,20 +378,10 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
             bwtree::RecordKind::kDelta, std::move(delta.value()),
             &deltas.emplace_back()));
       }
-      // The writer's merge over the images as stored, cut to this page's
-      // key range (an ancestor's image covers more).
-      size_t unlimited = std::numeric_limits<size_t>::max();
-      bwtree::MergeRuns(base_run, deltas, target_meta.low_key,
-                        target_meta.has_high_key ? target_meta.high_key : "",
-                        &unlimited,
-                        [&entries](const Slice& key, const Slice& value) {
-                          entries.push_back(
-                              bwtree::Entry{key.ToString(), value.ToString()});
-                          return true;
-                        });
     }
 
-    // Replay pending records of every page on the origin chain, LSN order.
+    // The pending records of every page on the origin chain, in LSN order,
+    // form the newest delta (its Upsert keeps the newest record per key).
     std::vector<const wal::WalRecord*> recs;
     for (bwtree::PageId p : chain) {
       auto pit = ts.pending.find(p);
@@ -436,17 +394,24 @@ Status RoNode::BuildViewLocked(bwtree::TreeId tree, bwtree::PageId page,
               [](const wal::WalRecord* a, const wal::WalRecord* b) {
                 return a->lsn < b->lsn;
               });
+    bwtree::EntryRun& replay = deltas.emplace_back(bwtree::RecordKind::kDelta);
     bwtree::Lsn applied = base_lsn;
     for (const wal::WalRecord* r : recs) {
-      // Ancestors' logs cover more than this page's key range too.
+      // Ancestors' logs cover more than this page's key range. Upserting
+      // only this page's records keeps the delta as small as the page.
       if (KeyInRange(Slice(r->entry.key), target_meta.low_key,
                      target_meta.high_key, target_meta.has_high_key)) {
-        ApplyEntry(&entries, r->entry);
+        replay.Upsert(bwtree::EntryView{r->entry.op, r->entry.key,
+                                        r->entry.value});
       }
       applied = std::max(applied, r->lsn);
       stats_.replayed.Inc();
     }
-    out->entries = std::move(entries);
+    // The writer's merge, cut to this page's key range (an ancestor's image
+    // covers more), into a fresh run.
+    out->base = bwtree::MergeToBase(
+        base_run, deltas, target_meta.low_key,
+        target_meta.has_high_key ? target_meta.high_key : "");
     out->applied_lsn = applied;
     return Status::OK();
   }
@@ -500,8 +465,10 @@ RoNode::FastRead RoNode::TryGetFastLocked(bwtree::TreeId tree, const Slice& key,
                     std::memory_order_relaxed);
   stats_.cache_hits.Inc();
   stats_.fast_reads.Inc();
-  return FindInView(cp.entries, key, value) ? FastRead::kHit
-                                            : FastRead::kMiss;
+  const size_t i = cp.base.Find(key);
+  if (i == cp.base.size()) return FastRead::kMiss;
+  *value = cp.base.At(i).value.ToString();
+  return FastRead::kHit;
 }
 
 Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
@@ -534,9 +501,10 @@ Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
   --rit;
   auto page = GetPageLocked(tree, rit->second, ctx);
   BG3_RETURN_IF_ERROR(page.status());
-  std::string value;
-  if (FindInView(page.value()->entries, key, &value)) return value;
-  return Status::NotFound("no such key");
+  const bwtree::EntryRun& run = page.value()->base;
+  const size_t i = run.Find(key);
+  if (i == run.size()) return Status::NotFound("no such key");
+  return run.At(i).value.ToString();
 }
 
 Status RoNode::Scan(bwtree::TreeId tree, const Slice& start_key,
@@ -552,7 +520,6 @@ Status RoNode::Scan(bwtree::TreeId tree, const Slice& start_key,
   }
   TreeState& ts = tit->second;
   std::string cursor = start_key.ToString();
-  const bool bounded = !end_key.empty();
   size_t remaining = limit;
   for (;;) {
     if (remaining == 0) return Status::OK();
@@ -563,19 +530,15 @@ Status RoNode::Scan(bwtree::TreeId tree, const Slice& start_key,
     const bwtree::PageId page_id = rit->second;
     auto page = GetPageLocked(tree, page_id, ctx);
     BG3_RETURN_IF_ERROR(page.status());
-    const auto& entries = page.value()->entries;
-    auto it = std::lower_bound(entries.begin(), entries.end(), cursor,
-                               [](const bwtree::Entry& e, const std::string& k) {
-                                 return e.key < k;
-                               });
-    for (; it != entries.end() && remaining > 0; ++it) {
-      if (bounded && Slice(it->key).compare(end_key) >= 0) return Status::OK();
-      out->push_back(*it);
-      --remaining;
-    }
+    bwtree::MergeRuns(page.value()->base, {}, cursor, end_key, &remaining,
+                      [out](const Slice& key, const Slice& value) {
+                        out->push_back(
+                            bwtree::Entry{key.ToString(), value.ToString()});
+                        return true;
+                      });
     const PageMeta& meta = ts.meta[page_id];
     if (!meta.has_high_key) return Status::OK();
-    if (bounded && Slice(meta.high_key).compare(end_key) >= 0) {
+    if (!end_key.empty() && Slice(meta.high_key).compare(end_key) >= 0) {
       return Status::OK();
     }
     cursor = meta.high_key;
@@ -634,7 +597,7 @@ Result<RoNode::ExportedTree> RoNode::ExportTree(bwtree::TreeId tree) {
     rp.low_key = meta.low_key;
     rp.high_key = meta.high_key;
     rp.has_high_key = meta.has_high_key;
-    rp.entries = cp.value()->entries;
+    rp.base = cp.value()->base;
     rp.last_lsn = cp.value()->applied_lsn;
     // Attach the image current after the build, so the recovered node's
     // first flush invalidates it (keeps GC accounting exact). Clean pages
@@ -729,6 +692,13 @@ size_t RoNode::PendingRecordCount() const {
 size_t RoNode::CachedPageCount() const {
   ReaderMutexLock lock(&mu_);
   return cache_.size();
+}
+
+size_t RoNode::CacheBytes() const {
+  ReaderMutexLock lock(&mu_);
+  size_t bytes = 0;
+  for (const auto& [key, page] : cache_) bytes += page.base.MemoryBytes();
+  return bytes;
 }
 
 }  // namespace bg3::replication

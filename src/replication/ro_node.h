@@ -136,6 +136,8 @@ class RoNode {
 
   size_t PendingRecordCount() const;
   size_t CachedPageCount() const;
+  /// Heap bytes the cached pages hold (EntryRun::MemoryBytes summed).
+  size_t CacheBytes() const;
 
   /// WAL position this node has consumed through; the minimum across all
   /// readers bounds safe WAL truncation.
@@ -199,18 +201,19 @@ class RoNode {
   };
 
   struct CachedPage {
-    std::vector<bwtree::Entry> entries;  ///< sorted merged view.
+    /// The page's merged content, which replay edits in place.
+    bwtree::EntryRun base;
     bwtree::Lsn applied_lsn = 0;
     /// LRU tick; atomic so shared-latch readers may refresh it.
     std::atomic<uint64_t> last_use{0};
 
     CachedPage() = default;
     CachedPage(CachedPage&& o) noexcept
-        : entries(std::move(o.entries)),
+        : base(std::move(o.base)),
           applied_lsn(o.applied_lsn),
           last_use(o.last_use.load(std::memory_order_relaxed)) {}
     CachedPage& operator=(CachedPage&& o) noexcept {
-      entries = std::move(o.entries);
+      base = std::move(o.base);
       applied_lsn = o.applied_lsn;
       last_use.store(o.last_use.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
@@ -249,8 +252,6 @@ class RoNode {
       BG3_REQUIRES(mu_);
   void EvictIfNeededLocked() BG3_REQUIRES(mu_);
 
-  static void ApplyEntry(std::vector<bwtree::Entry>* entries,
-                         const bwtree::DeltaEntry& e);
   static void CompactPendingVector(std::vector<wal::WalRecord>* recs);
 
   cloud::CloudStore* const store_;

@@ -35,6 +35,17 @@ std::string Key(int i) {
   return buf;
 }
 
+/// Live entries in the tree, counted through Visit (which reloads evicted
+/// leaves).
+size_t CountEntries(BwTree* tree) {
+  size_t count = 0;
+  EXPECT_TRUE(tree->Visit({}, [&count](const Slice&, const Slice&) {
+                    ++count;
+                    return true;
+                  }).ok());
+  return count;
+}
+
 // --- page codecs and entry runs ---------------------------------------------
 
 TEST(PageCodecTest, BasePageRoundTrip) {
@@ -221,6 +232,51 @@ TEST(PageCodecTest, BuiltRunsImageLikeTheEncoders) {
   lower.Clear();
   EXPECT_EQ(lower.MemoryBytes(), 0u);
   EXPECT_EQ(lower.Image(4, 5, 6), EncodeBasePage(4, 5, 6, {}));
+
+  // Erasing the first, a middle and the last entry in turn, down to empty,
+  // from the built delta, the built base and a parsed base (whose entries
+  // sit behind the image's header).
+  EntryRun parsed;
+  ASSERT_TRUE(
+      EntryRun::Parse(RecordKind::kBasePage, base.Image(4, 5, 6), &parsed)
+          .ok());
+  EntryRun built = base;
+  for (EntryRun* run : {&delta, &built, &parsed}) {
+    const bool is_delta = run == &delta;
+    std::vector<DeltaEntry> left = model;
+    if (!is_delta) {
+      std::erase_if(left,
+                    [](const DeltaEntry& e) { return e.op == DeltaOp::kDelete; });
+    }
+    for (size_t step = 0; !left.empty(); ++step) {
+      const size_t i = step % 3 == 0   ? 0
+                       : step % 3 == 1 ? left.size() / 2
+                                       : left.size() - 1;
+      run->Erase(i);
+      left.erase(left.begin() + static_cast<std::ptrdiff_t>(i));
+      std::vector<Entry> left_live;
+      for (const DeltaEntry& e : left) {
+        left_live.push_back(Entry{e.key, e.value});
+      }
+      const std::string image = run->Image(4, 5, 6);
+      ASSERT_EQ(image, is_delta ? EncodeDelta(4, 5, 6, left)
+                                : EncodeBasePage(4, 5, 6, left_live))
+          << step;
+      ASSERT_TRUE(run->KeysStrictlyIncreasing()) << step;
+      EntryRun reparsed;
+      ASSERT_TRUE(EntryRun::Parse(is_delta ? RecordKind::kDelta
+                                           : RecordKind::kBasePage,
+                                  image, &reparsed)
+                      .ok());
+      ASSERT_EQ(reparsed.size(), run->size());
+      for (size_t j = 0; j < run->size(); ++j) {
+        ASSERT_EQ(reparsed.At(j).op, run->At(j).op);
+        ASSERT_EQ(reparsed.At(j).key, run->At(j).key);
+        ASSERT_EQ(reparsed.At(j).value, run->At(j).value);
+      }
+    }
+    EXPECT_TRUE(run->empty());
+  }
 }
 
 TEST(PageCodecTest, ViewsPointIntoTheParsedImage) {
@@ -485,7 +541,10 @@ TEST(BwTreeTest, SplitsKeepAllKeys) {
   for (int i = 0; i < 300; ++i) {
     EXPECT_EQ(f.tree->Get(Key(i)).value(), std::to_string(i)) << i;
   }
-  EXPECT_EQ(f.tree->CountEntries(), 300u);
+  EXPECT_EQ(CountEntries(f.tree.get()), 300u);
+  // Evicting every leaf loses no entry from the count.
+  EXPECT_GT(forest::EvictTreesToBudget({f.tree.get()}, 0).pages_evicted, 0u);
+  EXPECT_EQ(CountEntries(f.tree.get()), 300u);
 }
 
 TEST(BwTreeTest, SplitWithReverseInsertionOrder) {
@@ -662,7 +721,7 @@ TEST(BwTreeTest, ConcurrentDisjointWriters) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(f.tree->CountEntries(), 2000u);
+  EXPECT_EQ(CountEntries(f.tree.get()), 2000u);
   for (int t = 0; t < 4; ++t) {
     for (int i = 0; i < 500; ++i) {
       EXPECT_EQ(f.tree->Get(Key(t * 1000 + i)).value(), std::to_string(t));

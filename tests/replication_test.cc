@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cloud/cloud_store.h"
+#include "common/metrics_registry.h"
 #include "replication/channel.h"
 #include "replication/forwarding.h"
 #include "replication/page_image.h"
@@ -425,6 +426,34 @@ TEST(RwRoSyncTest, ConcurrentGroupFlushesPublishRebuildableImages) {
     EXPECT_EQ(fresh.Get(1, Key(i)).value(), "v") << i;
   }
   EXPECT_TRUE(fresh.ResumedFromCheckpoint());
+}
+
+// A cached RO page is one base run, as a writer's leaf is: its heap bytes
+// per cached entry stay within the writer's leaf_bytes_per_entry bound
+// (bench_read_scaling), and the node exports them as `cache_bytes`.
+TEST(RwRoSyncTest, CachedPagesCostWhatTheWritersLeavesCost) {
+  ReplFixture f;
+  constexpr int kKeys = 4000;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(f.rw->Put(Key(i), "value-" + std::to_string(i)).ok());
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(f.ro->Get(1, Key(i)).value(), "value-" + std::to_string(i));
+  }
+  ASSERT_EQ(f.ro->CachedPageCount(), f.rw->tree()->LeafCount());
+  const size_t bytes = f.ro->CacheBytes();
+  EXPECT_LE(static_cast<double>(bytes) / kKeys, 45.0);
+
+  const auto counters = MetricsRegistry::Default().TakeSnapshot().counters;
+  int exported = 0;
+  for (const auto& [name, value] : counters) {
+    if (name.starts_with("bg3.replication.ro") &&
+        name.ends_with(".cache_bytes")) {
+      EXPECT_EQ(value, bytes);
+      ++exported;
+    }
+  }
+  EXPECT_EQ(exported, 1);
 }
 
 // --- shared-latch fast reads (min_poll_gap_us > 0) ---------------------------
