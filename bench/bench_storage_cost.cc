@@ -163,6 +163,15 @@ int main() {
   report.Scalar("live_saving_pct",
                 100.0 * (1.0 - static_cast<double>(bg3_live) / bg_live));
 
+  // Owner bookkeeping of the default engine: the forest's owner table per
+  // owner (a 24-byte record, its index share and fixed costs).
+  const double owner_table_bytes_per_owner =
+      static_cast<double>(bg3.forest()->OwnerTableBytes()) /
+      static_cast<double>(bg3.forest()->OwnerCount());
+  printf("owner table : %.2f B per owner over %zu owners\n",
+         owner_table_bytes_per_owner, bg3.forest()->OwnerCount());
+  report.Scalar("owner_table_bytes_per_owner", owner_table_bytes_per_owner);
+
   // Durability modes of BG3 itself. A user byte is one edge's logical
   // payload: source, destination, creation time and properties.
   const double user_bytes =

@@ -113,6 +113,11 @@ BENCH_EXPECTATIONS = {
         # the workload-aware bill must come out <= the FIFO bill.
         "scalar_order": [("estimated_monthly_cost_usd_workload_aware",
                           "estimated_monthly_cost_usd_fifo")],
+        # Owner-table bytes per owner of the default GraphDB (seeded
+        # workload, so deterministic): a 24-byte record plus its index
+        # share and the shards' and owner locks' fixed costs. A heap node
+        # and mutex per owner took about 120.
+        "scalar_max": [("owner_table_bytes_per_owner", 48.0)],
     },
 }
 

@@ -18,10 +18,10 @@
 //   LeafPage::latch -> CloudStore::topology_mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
 //   LeafPage::latch -> PageIndex::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::MaybeSplitLocked -> InsertPage()]
 //   LeafPage::latch -> Stream::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
-//   OwnerState::mu -> CloudStore::topology_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
-//   OwnerState::mu -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
-//   OwnerState::mu -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
-//   OwnerState::mu -> Stream::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
+//   OwnerLock::mu -> CloudStore::topology_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
+//   OwnerLock::mu -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
+//   OwnerLock::mu -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
+//   OwnerLock::mu -> Stream::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   RoNode::mu_ -> CloudStore::manifest_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
 //   RoNode::mu_ -> CloudStore::topology_mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::PollWal -> PollWalLocked()]
 //   RoNode::mu_ -> Stream::mu_  [src/replication/ro_node.cc:bg3::replication::RoNode::ExportTree -> TotalBytes()]
@@ -33,7 +33,7 @@ namespace bg3::lock_rank {
 
 inline constexpr int kBwTreeForest_evict_mu = 1;  // BwTreeForest::evict_mu_
 inline constexpr int kBwTreeForest_registry_mu = 2;  // BwTreeForest::registry_mu_
-inline constexpr int kOwnerState_mu = 3;  // OwnerState::mu
+inline constexpr int kOwnerLock_mu = 3;  // OwnerLock::mu
 inline constexpr int kPageIndex_mu = 4;  // PageIndex::mu_
 inline constexpr int kRoNode_mu = 5;  // RoNode::mu_
 inline constexpr int kCloudStore_manifest_mu = 6;  // CloudStore::manifest_mu_

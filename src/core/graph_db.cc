@@ -108,6 +108,10 @@ GraphDB::GraphDB(cloud::CloudStore* store, const GraphDBOptions& options)
                        [this] { return uint64_t{forest_->TreeCount()}; });
   reg.RegisterCallback(metrics_prefix_ + "forest.init_entries",
                        [this] { return uint64_t{forest_->InitEntryCount()}; });
+  reg.RegisterCallback(metrics_prefix_ + "forest.owner_count",
+                       [this] { return uint64_t{forest_->OwnerCount()}; });
+  reg.RegisterCallback(metrics_prefix_ + "forest.owner_table_bytes",
+                       [this] { return uint64_t{forest_->OwnerTableBytes()}; });
   // Leaf-latch traffic across the whole DB (forest trees + vertex tree),
   // split by mode: the shared/exclusive ratio is the read-path scalability
   // signal, conflicts are the contention signal.

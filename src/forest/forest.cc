@@ -1,9 +1,6 @@
 #include "forest/forest.h"
 
-#include <algorithm>
-
 #include "common/coding.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/timed_scope.h"
 
@@ -32,6 +29,14 @@ std::string EncodeTreeId(uint64_t id) {
   return value;
 }
 
+/// Counts one upsert (+1) or delete (-1) against an owner; the caller holds
+/// the owner lock. Saturates at both ends.
+void AddToCount(OwnerState* state, int delta) {
+  const uint32_t n = state->count.load(std::memory_order_relaxed);
+  if (delta > 0 ? n == UINT32_MAX : n == 0) return;
+  state->count.store(n + delta, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::string BwTreeForest::MakeInitKey(OwnerId owner, const Slice& sort_key) {
@@ -54,16 +59,14 @@ BwTreeForest::BwTreeForest(cloud::CloudStore* store,
 
 BwTreeForest::BwTreeForest(cloud::CloudStore* store,
                            const ForestOptions& options, bool fresh)
-    : store_(store), opts_(options), init_has_stateless_owners_(!fresh) {
+    : store_(store),
+      opts_(options),
+      init_has_stateless_owners_(!fresh),
+      owners_(options.owner_shards) {
   registry_mu_.SetRank(lock_rank::kBwTreeForest_registry_mu,
                        "BwTreeForest::registry_mu_");
   evict_mu_.SetRank(lock_rank::kBwTreeForest_evict_mu,
                     "BwTreeForest::evict_mu_");
-  BG3_CHECK_GT(opts_.owner_shards, 0u);
-  shards_.reserve(opts_.owner_shards);
-  for (size_t i = 0; i < opts_.owner_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (!fresh) return;
   init_tree_ = std::make_unique<bwtree::BwTree>(store_, MakeTreeOptions(0));
   directory_ = std::make_unique<bwtree::BwTree>(
@@ -118,14 +121,11 @@ Result<std::unique_ptr<BwTreeForest>> BwTreeForest::Recover(
     const bwtree::TreeId id = value;
     BG3_ASSIGN_OR_RETURN(std::unique_ptr<bwtree::BwTree> tree,
                          open(id, /*routed=*/true));
-    {
-      MutexLock lock(&forest->registry_mu_);
-      forest->registry_[id] = tree.get();
-    }
-    auto state = forest->GetOrCreateState(ReadBigEndian64(row.key));
-    MutexLock lock(&state->mu);
-    state->tree = std::move(tree);
-    state->published.store(state->tree.get(), std::memory_order_release);
+    forest->owners_.FindOrCreate(ReadBigEndian64(row.key))
+        ->published.store(tree.get(), std::memory_order_release);
+    MutexLock lock(&forest->registry_mu_);
+    forest->registry_[id] = tree.get();
+    forest->dedicated_.push_back(std::move(tree));
   }
   // Trees of this incarnation take ids above every earlier incarnation's,
   // so no id is handed out twice — not even that of an aborted split-out
@@ -157,44 +157,32 @@ bwtree::BwTreeOptions BwTreeForest::MakeTreeOptions(bwtree::TreeId id,
   return o;
 }
 
-BwTreeForest::OwnerState* BwTreeForest::GetOrCreateState(OwnerId owner) {
-  Shard& shard = *shards_[Mix64(owner) % shards_.size()];
-  MutexLock lock(&shard.mu);
-  auto& slot = shard.owners[owner];
-  if (!slot) slot = std::make_unique<OwnerState>();
-  return slot.get();
-}
-
 bwtree::BwTree* BwTreeForest::PublishedTree(const OwnerState* state) {
   return state == nullptr ? nullptr
                           : state->published.load(std::memory_order_acquire);
 }
 
-BwTreeForest::OwnerState* BwTreeForest::FindState(OwnerId owner) const {
-  const Shard& shard = *shards_[Mix64(owner) % shards_.size()];
-  MutexLock lock(&shard.mu);
-  auto it = shard.owners.find(owner);
-  return it == shard.owners.end() ? nullptr : it->second.get();
-}
-
 Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
                             const Slice& value, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.upsert", OpLayer::kForest);
-  OwnerState* state = GetOrCreateState(owner);
+  OwnerState* state = owners_.FindOrCreate(owner);
+  OwnerLock& owner_lock = OwnerTable::LockOf(owner);
   bool split_out = false;
-  // A split-out in flight is waited for outside the mutex: `continue`
-  // releases it, then the loop's increment waits.
+  // A split-out in flight is waited for outside the lock: `continue`
+  // releases it, then the loop's increment waits. `published` only changes
+  // under the lock, so a relaxed load suffices here.
   for (;; state->splitting.wait(true)) {
-    MutexLock lock(&state->mu);
-    if (state->tree != nullptr) {
-      BG3_RETURN_IF_ERROR(state->tree->Upsert(sort_key, value, ctx));
-      state->count.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(&owner_lock.mu);
+    if (bwtree::BwTree* tree =
+            state->published.load(std::memory_order_relaxed)) {
+      BG3_RETURN_IF_ERROR(tree->Upsert(sort_key, value, ctx));
+      AddToCount(state, 1);
       return Status::OK();
     }
     if (state->splitting.load()) continue;
     BG3_RETURN_IF_ERROR(
         init_tree_->Upsert(MakeInitKey(owner, sort_key), value, ctx));
-    state->count.fetch_add(1, std::memory_order_relaxed);
+    AddToCount(state, 1);
     init_entries_.fetch_add(1, std::memory_order_relaxed);
     split_out = opts_.split_out_threshold == 0 ||
                 state->count.load(std::memory_order_relaxed) >
@@ -202,7 +190,7 @@ Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
     break;
   }
   if (split_out) {
-    BG3_RETURN_IF_ERROR(SplitOut(owner, state, &stats_.split_outs));
+    BG3_RETURN_IF_ERROR(SplitOut(state, &stats_.split_outs));
   }
   if (init_entries_.load(std::memory_order_relaxed) >
       opts_.init_tree_capacity) {
@@ -213,12 +201,14 @@ Status BwTreeForest::Upsert(OwnerId owner, const Slice& sort_key,
 
 Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
                             const OpContext* ctx) {
-  OwnerState* state = GetOrCreateState(owner);
+  OwnerState* state = owners_.FindOrCreate(owner);
+  OwnerLock& owner_lock = OwnerTable::LockOf(owner);
   for (;; state->splitting.wait(true)) {
-    MutexLock lock(&state->mu);
+    MutexLock lock(&owner_lock.mu);
     if (state->splitting.load()) continue;  // wait as Upsert does
-    if (state->tree != nullptr) {
-      BG3_RETURN_IF_ERROR(state->tree->Delete(sort_key, ctx));
+    if (bwtree::BwTree* tree =
+            state->published.load(std::memory_order_relaxed)) {
+      BG3_RETURN_IF_ERROR(tree->Delete(sort_key, ctx));
     } else {
       BG3_RETURN_IF_ERROR(
           init_tree_->Delete(MakeInitKey(owner, sort_key), ctx));
@@ -226,11 +216,7 @@ Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
         init_entries_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    // count is only mutated under state->mu, so load/store here cannot race
-    // with another writer of the same owner.
-    if (state->count.load(std::memory_order_relaxed) > 0) {
-      state->count.fetch_sub(1, std::memory_order_relaxed);
-    }
+    AddToCount(state, -1);
     return Status::OK();
   }
 }
@@ -238,11 +224,11 @@ Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
 Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
                                       const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.lookup", OpLayer::kForest);
-  OwnerState* state = FindState(owner);
+  OwnerState* state = owners_.Find(owner);
   if (state == nullptr && !init_has_stateless_owners_) {
     return Status::NotFound("unknown owner");
   }
-  // No owner mutex (see the class comment): INIT entries are deleted only
+  // No owner lock (see the class comment): INIT entries are deleted only
   // after the owner's tree is published, so an INIT read is sound unless a
   // tree was published meanwhile; then it is retried there.
   for (;;) {
@@ -252,7 +238,7 @@ Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
     auto value = init_tree_->Get(MakeInitKey(owner, sort_key), ctx);
     // A recovered owner untouched since has no state; one made during the
     // read may belong to a split-out.
-    if (state == nullptr) state = FindState(owner);
+    if (state == nullptr) state = owners_.Find(owner);
     if (PublishedTree(state) == nullptr) return value;
   }
 }
@@ -263,11 +249,11 @@ Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
                                const std::function<void()>& reset,
                                const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.scan", OpLayer::kForest);
-  OwnerState* state = FindState(owner);
+  OwnerState* state = owners_.Find(owner);
   if (state == nullptr && !init_has_stateless_owners_) {
     return Status::OK();  // no entries yet
   }
-  // The same mutex-free reads as Get.
+  // The same lock-free reads as Get.
   for (;;) {
     bwtree::BwTree::ScanOptions scan;
     scan.limit = limit;
@@ -284,7 +270,7 @@ Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
           return visit(Slice(key.data() + 8, key.size() - 8), value);
         },
         ctx));
-    if (state == nullptr) state = FindState(owner);
+    if (state == nullptr) state = owners_.Find(owner);
     if (PublishedTree(state) == nullptr) return Status::OK();
     reset();  // the pass raced a split-out: redo it on the tree
   }
@@ -304,57 +290,59 @@ Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
 }
 
 size_t BwTreeForest::OwnerEntryCount(OwnerId owner) const {
-  const OwnerState* state = FindState(owner);
+  const OwnerState* state = owners_.Find(owner);
   if (state == nullptr) return 0;
   return state->count.load(std::memory_order_relaxed);
 }
 
 Status BwTreeForest::DedicateOwner(OwnerId owner) {
-  return SplitOut(owner, GetOrCreateState(owner), &stats_.split_outs);
+  return SplitOut(owners_.FindOrCreate(owner), &stats_.split_outs);
 }
 
-std::unique_ptr<bwtree::BwTree> BwTreeForest::NewDedicatedTree() {
+bwtree::BwTree* BwTreeForest::NewDedicatedTree() {
   // Created (its TreeInit logged) and registered under one hold: a
   // checkpoint cut lists the trees after its WAL flush, so it either sees
   // the tree or precedes the tree's first log record.
   MutexLock lock(&registry_mu_);
   const bwtree::TreeId id =
       next_tree_id_.fetch_add(1, std::memory_order_relaxed);
-  auto tree = std::make_unique<bwtree::BwTree>(store_, MakeTreeOptions(id));
-  registry_[id] = tree.get();
-  return tree;
+  dedicated_.push_back(
+      std::make_unique<bwtree::BwTree>(store_, MakeTreeOptions(id)));
+  registry_[id] = dedicated_.back().get();
+  return dedicated_.back().get();
 }
 
-void BwTreeForest::AbandonTree(std::unique_ptr<bwtree::BwTree> tree) {
+void BwTreeForest::AbandonTree(bwtree::BwTree* tree) {
   MutexLock lock(&registry_mu_);
   registry_.erase(tree->options().tree_id);
-  abandoned_.push_back(std::move(tree));
 }
 
-Status BwTreeForest::SplitOut(OwnerId owner, OwnerState* state,
-                              LightCounter* reason) {
+Status BwTreeForest::SplitOut(OwnerState* state, LightCounter* reason) {
   BG3_TIMED_SCOPE("bg3.forest.split_out", OpLayer::kForest);
+  const OwnerId owner = state->owner;
+  OwnerLock& owner_lock = OwnerTable::LockOf(owner);
   // Claim the owner: from here its writers wait instead of touching INIT,
   // so the copy below sees the owner's final INIT entries.
   for (;; state->splitting.wait(true)) {
-    MutexLock lock(&state->mu);
-    if (state->tree != nullptr) return Status::OK();
+    MutexLock lock(&owner_lock.mu);
+    if (state->published.load(std::memory_order_relaxed) != nullptr) {
+      return Status::OK();
+    }
     if (state->splitting.load()) continue;  // wait as Upsert does
     state->splitting.store(true);
     break;
   }
-  // Settles the claim: installs `tree` (null = give up) and wakes writers.
-  const auto finish = [state](std::unique_ptr<bwtree::BwTree> tree) {
-    MutexLock lock(&state->mu);
-    state->tree = std::move(tree);
+  // Settles the claim: publishes `tree` (null = give up) and wakes writers.
+  const auto finish = [state, &owner_lock](bwtree::BwTree* tree) {
+    MutexLock lock(&owner_lock.mu);
     // Readers route to the dedicated tree from this release store on
     // (their acquire loads pair with it); the eviction scan keys off it.
-    state->published.store(state->tree.get(), std::memory_order_release);
+    state->published.store(tree, std::memory_order_release);
     state->splitting.store(false);
     state->splitting.notify_all();
   };
 
-  std::unique_ptr<bwtree::BwTree> tree = NewDedicatedTree();
+  bwtree::BwTree* const tree = NewDedicatedTree();
   const bwtree::TreeId id = tree->options().tree_id;
 
   // Move the owner's INIT entries into the dedicated tree with shortened
@@ -371,7 +359,7 @@ Status BwTreeForest::SplitOut(OwnerId owner, OwnerState* state,
     copied = tree->Upsert(entries[i].key.substr(8), entries[i].value);
   }
   if (!copied.ok()) {
-    AbandonTree(std::move(tree));
+    AbandonTree(tree);
     finish(nullptr);
     return copied;
   }
@@ -387,8 +375,7 @@ Status BwTreeForest::SplitOut(OwnerId owner, OwnerState* state,
   // a delete failure below cannot lose data: reads already route to the
   // dedicated tree, and any INIT leftovers are shadowed dead weight. No
   // writer touches the owner's INIT prefix again.
-  bwtree::BwTree* const published = tree.get();
-  finish(std::move(tree));
+  finish(tree);
   reason->Inc();
 
   Status delete_status;
@@ -414,7 +401,7 @@ Status BwTreeForest::SplitOut(OwnerId owner, OwnerState* state,
     verify.limit = 1;
     BG3_CHECK(init_tree_->Scan(verify, &leftover).ok());
     BG3_DCHECK_EQ(leftover.size(), 0u);
-    BG3_DCHECK(ResolveTree(id) == published);
+    BG3_DCHECK(ResolveTree(id) == tree);
   }
   return Status::OK();
 }
@@ -428,29 +415,24 @@ void BwTreeForest::MaybeEvictFromInit() {
     init_evicting_.store(false, std::memory_order_release);
     return;  // an eviction that just finished relieved it
   }
-  // Find the INIT-resident owner with the most entries (approximate: counts
-  // read without the per-owner lock).
-  OwnerId victim = 0;
-  size_t victim_count = 0;
-  OwnerState* victim_state = nullptr;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (const auto& [owner, state] : shard->owners) {
-      // `published` and `count` are atomics precisely so this scan does not
-      // have to take every owner's mutex. The reads are approximate; a
-      // winner dedicated meanwhile makes SplitOut a no-op.
-      if (state->published.load(std::memory_order_acquire) == nullptr &&
-          state->count.load(std::memory_order_relaxed) > victim_count) {
-        victim = owner;
-        victim_count = state->count.load(std::memory_order_relaxed);
-        victim_state = state.get();
-      }
+  // Find the INIT-resident owner with the most entries. `published` and
+  // `count` are atomics precisely so this scan takes no owner lock; the
+  // reads are approximate, and a winner dedicated meanwhile makes SplitOut
+  // a no-op.
+  uint32_t victim_count = 0;
+  OwnerState* victim = nullptr;
+  owners_.ForEach([&victim, &victim_count](OwnerState* state) {
+    const uint32_t count = state->count.load(std::memory_order_relaxed);
+    if (count > victim_count &&
+        state->published.load(std::memory_order_acquire) == nullptr) {
+      victim_count = count;
+      victim = state;
     }
-  }
+  });
   // Opportunistic eviction: on failure the owner simply stays in the init
   // tree and a later write over capacity retries.
-  if (victim_state != nullptr) {
-    BG3_IGNORE_STATUS(SplitOut(victim, victim_state, &stats_.evictions));
+  if (victim != nullptr) {
+    BG3_IGNORE_STATUS(SplitOut(victim, &stats_.evictions));
   }
   init_evicting_.store(false, std::memory_order_release);
 }
@@ -465,12 +447,11 @@ size_t BwTreeForest::ApproxMemoryBytes() const {
   std::vector<bwtree::BwTree*> trees;
   AppendTrees(&trees);
   for (bwtree::BwTree* t : trees) bytes += t->ApproxMemoryBytes();
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    bytes += shard->owners.bucket_count() * sizeof(void*);
-    bytes += shard->owners.size() * (32 + sizeof(OwnerState));
+  {
+    MutexLock lock(&registry_mu_);
+    bytes += dedicated_.capacity() * sizeof(dedicated_[0]);
   }
-  return bytes;
+  return bytes + owners_.MemoryBytes();
 }
 
 void BwTreeForest::AppendTrees(std::vector<bwtree::BwTree*>* out) const {
@@ -530,31 +511,20 @@ void BwTreeForest::CheckInvariants() const {
       BG3_CHECK_EQ(tree->options().tree_id, id)
           << "registry id does not match the tree's own id";
     }
+    BG3_CHECK_LE(registry_.size(), dedicated_.size() + 1)
+        << "registry lists a tree the forest does not own";
   }
-  // Every dedicated owner's tree must be registered under its id. Owner
-  // mutexes are only try-locked: the walker runs from split-out boundaries
-  // where a caller may hold another owner's mutex, and it must never wait.
-  for (const auto& shard : shards_) {
-    std::vector<OwnerState*> states;
-    {
-      MutexLock lock(&shard->mu);
-      states.reserve(shard->owners.size());
-      for (const auto& [owner, state] : shard->owners) {
-        states.push_back(state.get());
-      }
-    }
-    for (OwnerState* state : states) {
-      if (!state->mu.TryLock()) continue;
-      state->mu.AssertHeld();
-      bwtree::BwTree* const tree = state->tree.get();
-      BG3_CHECK(state->published.load(std::memory_order_relaxed) == tree)
-          << "published tree pointer differs from the owner's tree";
-      state->mu.Unlock();
-      // Resolved after the unlock: the registry ranks below owner mutexes.
-      if (tree != nullptr) {
-        BG3_CHECK(ResolveTree(tree->options().tree_id) == tree)
-            << "dedicated tree not resolvable through the registry";
-      }
+  // Every record is indexed under its owner, and every dedicated owner's
+  // tree is registered under its id. Checked after the walk: the registry
+  // lock must not nest inside a shard lock.
+  std::vector<OwnerState*> states;
+  owners_.ForEach([&states](OwnerState* state) { states.push_back(state); });
+  for (OwnerState* state : states) {
+    BG3_CHECK(owners_.Find(state->owner) == state)
+        << "owner " << state->owner << " not indexed to its record";
+    if (bwtree::BwTree* tree = PublishedTree(state)) {
+      BG3_CHECK(ResolveTree(tree->options().tree_id) == tree)
+          << "dedicated tree not resolvable through the registry";
     }
   }
 }

@@ -14,12 +14,9 @@
 #include "common/metrics.h"
 #include "common/thread_annotations.h"
 #include "forest/buffer_pool.h"
+#include "forest/owner_table.h"
 
 namespace bg3::forest {
-
-/// Owner of an adjacency list: in the Douyin-likes example of §3.2.1, the
-/// user id (the graph layer folds vertex id + edge type into this handle).
-using OwnerId = uint64_t;
 
 struct ForestOptions {
   /// Once an owner accumulates more than this many entries in the INIT
@@ -38,7 +35,7 @@ struct ForestOptions {
   /// forest itself, and so are lsn_source / page_id_source unless set.
   bwtree::BwTreeOptions tree_options;
 
-  /// Shard count of the owner hash table.
+  /// Shard count of the owner table (each shard has its own lock and index).
   size_t owner_shards = 64;
 };
 
@@ -58,16 +55,24 @@ struct ForestStats {
 /// point. Being a tree, it is logged, checkpointed, GC-relocated and
 /// recovered like every other tree (Recover rebuilds the routing from it).
 ///
-/// Thread safety: a per-owner mutex serializes *mutations* of one owner
-/// (consistent with §3.2.1 Observation 2: one user never likes two videos
-/// at the same moment); cross-owner writes only contend on the INIT tree's
-/// internal page latches — the contention the forest exists to reduce.
-/// Reads never take the owner mutex: a dedicated tree pointer is published
-/// once (atomically, never cleared) at split-out, and the Bw-tree itself is
-/// reader-concurrent via shared leaf latches — so fan-out reads of one hot
-/// owner scale across cores. A split-out holds no owner mutex across its
-/// copy: writers of the owner wait for it outside the mutex, and INIT keeps
-/// the owner's entries until the dedicated tree is published.
+/// The owner table (owner_table.h) keeps each owner in one 24-byte record
+/// (tree pointer, entry count, split-out flag) in an append-only per-shard
+/// arena behind a flat index; records never move, so lookups hand out raw
+/// pointers that stay valid for the forest's lifetime. The forest owns
+/// every dedicated tree.
+///
+/// Thread safety: an owner lock, one of a fixed process-wide array indexed
+/// by the owner hash, serializes *mutations* of an owner (consistent with
+/// §3.2.1 Observation 2: one user never likes two videos at the same
+/// moment); owners sharing a lock serialize their writes, and cross-owner
+/// writes otherwise only contend on the INIT tree's internal page latches
+/// — the contention the forest exists to reduce. Reads never take an owner lock:
+/// a dedicated tree pointer is published once (atomically, never cleared)
+/// at split-out, and the Bw-tree itself is reader-concurrent via shared
+/// leaf latches — so fan-out reads of one hot owner scale across cores. A
+/// split-out holds no owner lock across its copy: writers of the owner
+/// wait for it outside the lock, and INIT keeps the owner's entries until
+/// the dedicated tree is published.
 class BwTreeForest {
  public:
   BwTreeForest(cloud::CloudStore* store, const ForestOptions& options);
@@ -112,6 +117,10 @@ class BwTreeForest {
 
   /// Entries currently attributed to `owner` (tracked count).
   size_t OwnerEntryCount(OwnerId owner) const;
+  /// Owners with a record in the owner table.
+  size_t OwnerCount() const { return owners_.size(); }
+  /// Heap bytes of the owner table (part of ApproxMemoryBytes).
+  size_t OwnerTableBytes() const { return owners_.MemoryBytes(); }
 
   /// Forces `owner` into a dedicated tree immediately (workloads that know
   /// their hot set up front; also how Fig. 11 controls the tree count).
@@ -174,57 +183,25 @@ class BwTreeForest {
   /// Tree id of the owner directory, outside the dedicated trees' ids.
   static constexpr bwtree::TreeId kDirectoryTreeId = ~bwtree::TreeId{0} >> 2;
 
-  struct OwnerState {
-    OwnerState() { mu.SetRank(lock_rank::kOwnerState_mu, "OwnerState::mu"); }
-
-    Mutex mu;
-    /// Entries attributed to the owner. Mutated only under `mu`; atomic so
-    /// the INIT-capacity eviction scan may read it without taking every
-    /// owner's mutex (the winner is re-validated under `mu`).
-    std::atomic<size_t> count{0};
-    /// Published (with release order) once `tree` is installed and never
-    /// cleared afterwards: readers load it with acquire order and, when
-    /// non-null, go straight to the tree without touching `mu` — the
-    /// Bw-tree's shared leaf latches make that safe. The eviction scan and
-    /// invariant checks also key off this instead of reading `tree`
-    /// unlatched.
-    std::atomic<bwtree::BwTree*> published{nullptr};
-    /// Null while resident in INIT. Owns the tree `published` points at.
-    std::unique_ptr<bwtree::BwTree> tree BG3_GUARDED_BY(mu);
-    /// Set (under `mu`) while a split-out moves the owner out of INIT;
-    /// writers wait for it to clear without `mu` (std::atomic::wait).
-    std::atomic<bool> splitting{false};
-  };
-
-  struct Shard {
-    mutable Mutex mu;
-    /// States are never erased, so a pointer to one stays valid for the
-    /// forest's lifetime and lookups hand out raw pointers.
-    std::unordered_map<OwnerId, std::unique_ptr<OwnerState>> owners
-        BG3_GUARDED_BY(mu);
-  };
-
   /// `fresh`: create an empty INIT tree and directory (Recover opens them
   /// instead).
   BwTreeForest(cloud::CloudStore* store, const ForestOptions& options,
                bool fresh);
 
-  OwnerState* GetOrCreateState(OwnerId owner);
-  /// Null if the owner has no state.
-  OwnerState* FindState(OwnerId owner) const;
   /// The owner's dedicated tree once published; null for INIT residents
   /// and for a null state.
   static bwtree::BwTree* PublishedTree(const OwnerState* state);
 
-  /// Moves `owner`'s INIT entries into a fresh dedicated tree unless it is
-  /// dedicated already (waiting out a split-out in flight). Holds no latch.
-  Status SplitOut(OwnerId owner, OwnerState* state, LightCounter* reason);
+  /// Moves the owner's INIT entries into a fresh dedicated tree unless it
+  /// is dedicated already (waiting out a split-out in flight). Holds no
+  /// latch across the copy.
+  Status SplitOut(OwnerState* state, LightCounter* reason);
 
-  /// Creates and registers a tree under a fresh id.
-  std::unique_ptr<bwtree::BwTree> NewDedicatedTree();
+  /// Creates and registers a tree under a fresh id; the forest owns it.
+  bwtree::BwTree* NewDedicatedTree();
   /// Unregisters a tree whose split-out failed; it stays allocated (GC or a
   /// checkpoint may still hold it) but is never routed or listed again.
-  void AbandonTree(std::unique_ptr<bwtree::BwTree> tree);
+  void AbandonTree(bwtree::BwTree* tree);
 
   /// INIT-capacity eviction: splits out the INIT-resident owner with the
   /// most entries. One runs at a time; later callers leave it the pressure.
@@ -254,12 +231,14 @@ class BwTreeForest {
   /// restarts (the high half of the tree ids minted since).
   std::unique_ptr<bwtree::BwTree> directory_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  OwnerTable owners_;
 
   mutable Mutex registry_mu_;
   std::unordered_map<bwtree::TreeId, bwtree::BwTree*> registry_
       BG3_GUARDED_BY(registry_mu_);
-  std::vector<std::unique_ptr<bwtree::BwTree>> abandoned_
+  /// Every dedicated tree minted, routed or abandoned; freed only with the
+  /// forest.
+  std::vector<std::unique_ptr<bwtree::BwTree>> dedicated_
       BG3_GUARDED_BY(registry_mu_);
 
   Mutex evict_mu_;  // serializes budget passes.

@@ -531,6 +531,91 @@ TEST(ForestStressTest, ReadsRacingSplitOutsSeeEveryAckedEntry) {
   f.forest->CheckInvariants();
 }
 
+TEST(ForestStressTest, OwnersSharingOneShardAndLockRaceSplitOuts) {
+  // Eight writers on eight owners that share the one shard (its lock and
+  // index) and one owner lock: every writer writes its own keys to every
+  // owner, so writers of one owner race its split-out (by threshold, and
+  // by a thread dedicating the same owners). Each writer also makes a
+  // fresh owner per round, so the shard's index keeps growing under the
+  // lookups. Readers scanning any owner must see every entry acknowledged
+  // before the scan began, each once and in key order.
+  forest::ForestOptions fopts;
+  fopts.split_out_threshold = 96;
+  fopts.owner_shards = 1;
+  StressFixture f(fopts);
+
+  constexpr int kWriters = 8;
+  constexpr int kRounds = 40;  // keys per writer per owner
+  std::vector<forest::OwnerId> owners;
+  const size_t lock = forest::OwnerTable::LockIndex(1);
+  for (forest::OwnerId o = 1; owners.size() < kWriters; ++o) {
+    if (forest::OwnerTable::LockIndex(o) == lock) owners.push_back(o);
+  }
+  std::atomic<int> acked[kWriters] = {};  // rounds acknowledged per writer
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&f, &owners, &acked, &failures, w] {
+      for (int i = 0; i < kRounds; ++i) {
+        for (forest::OwnerId owner : owners) {
+          if (!f.forest->Upsert(owner, SortKey(w * kRounds + i), "v").ok()) {
+            failures.fetch_add(1);
+          }
+        }
+        if (!f.forest->Upsert(1'000'000 + w * kRounds + i, "k", "v").ok()) {
+          failures.fetch_add(1);
+        }
+        acked[w].store(i + 1, std::memory_order_release);
+      }
+    });
+  }
+  threads.emplace_back([&f, &owners, &failures] {
+    for (int o = kWriters - 1; o >= 0; --o) {
+      if (!f.forest->DedicateOwner(owners[o]).ok()) failures.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&f, &owners, &acked, &stop, &failures, r] {
+      for (uint64_t reads = r; !stop.load(std::memory_order_acquire);
+           ++reads) {
+        size_t n = 0;
+        for (const auto& a : acked) n += a.load(std::memory_order_acquire);
+        std::vector<bwtree::Entry> out;
+        if (!f.forest->ScanOwner(owners[reads % kWriters], "",
+                                 kWriters * kRounds, &out)
+                 .ok() ||
+            out.size() < n) {
+          failures.fetch_add(1);
+        }
+        for (size_t k = 1; k < out.size(); ++k) {
+          if (!(out[k - 1].key < out[k].key)) {
+            failures.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t <= kWriters; ++t) threads[t].join();
+  stop.store(true, std::memory_order_release);
+  for (size_t t = kWriters + 1; t < threads.size(); ++t) threads[t].join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(f.forest->OwnerCount(),
+            static_cast<size_t>(kWriters) * (1 + kRounds));
+  constexpr size_t kPerOwner = kWriters * kRounds;
+  for (forest::OwnerId owner : owners) {
+    EXPECT_EQ(f.forest->OwnerEntryCount(owner), kPerOwner);
+    std::vector<bwtree::Entry> out;
+    ASSERT_TRUE(f.forest->ScanOwner(owner, "", 2 * kPerOwner, &out).ok());
+    EXPECT_EQ(out.size(), kPerOwner) << owner;
+  }
+  EXPECT_EQ(f.forest->TreeCount(), 1u + kWriters);
+  f.forest->CheckInvariants();
+}
+
 TEST(ForestStressTest, WritesRacingSplitOutsAreNeverLost) {
   // Writers of an owner being split out wait for the split-out: an entry
   // written beside the copy must still land in the dedicated tree.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <memory>
 #include <set>
 #include <thread>
@@ -7,6 +11,7 @@
 
 #include "cloud/cloud_store.h"
 #include "forest/forest.h"
+#include "forest/owner_table.h"
 
 namespace bg3::forest {
 namespace {
@@ -215,6 +220,91 @@ TEST(ForestTest, MemoryGrowsWithTreeCount) {
   // One tree per owner costs strictly more memory than one shared INIT
   // tree (§3.2.1 Observation 3).
   EXPECT_GT(many.forest->ApproxMemoryBytes(), few.forest->ApproxMemoryBytes());
+}
+
+TEST(ForestTest, ReadsOfUnknownOwnersMakeNoRecord) {
+  ForestFixture f;
+  ASSERT_TRUE(f.forest->Upsert(1, "k", "v").ok());
+  const size_t bytes = f.forest->OwnerTableBytes();
+  EXPECT_TRUE(f.forest->Get(2, "k").status().IsNotFound());
+  std::vector<bwtree::Entry> out;
+  ASSERT_TRUE(f.forest->ScanOwner(3, "", 10, &out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(f.forest->OwnerEntryCount(4), 0u);
+  EXPECT_EQ(f.forest->OwnerCount(), 1u);
+  EXPECT_EQ(f.forest->OwnerTableBytes(), bytes);
+}
+
+// --- owner table ----------------------------------------------------------------
+
+TEST(OwnerTableTest, GrowthKeepsRecordAddresses) {
+  OwnerTable table(4);
+  constexpr OwnerId kFirst = 100;
+  constexpr OwnerId kMore = 100'000;
+  // Distinct tree addresses, never dereferenced.
+  static char trees[kFirst];
+  const auto tree_of = [](OwnerId o) {
+    return reinterpret_cast<bwtree::BwTree*>(&trees[o]);
+  };
+  std::vector<OwnerState*> first;
+  for (OwnerId o = 0; o < kFirst; ++o) {
+    OwnerState* state = table.FindOrCreate(o);
+    state->count.store(static_cast<uint32_t>(o + 1));
+    state->published.store(tree_of(o));
+    first.push_back(state);
+  }
+  for (OwnerId o = kFirst; o < kFirst + kMore; ++o) table.FindOrCreate(o);
+  ASSERT_EQ(table.size(), kFirst + kMore);
+  for (OwnerId o = 0; o < kFirst; ++o) {
+    EXPECT_EQ(first[o]->owner, o);
+    EXPECT_EQ(first[o]->count.load(), o + 1);
+    EXPECT_EQ(first[o]->published.load(), tree_of(o));
+    EXPECT_EQ(table.Find(o), first[o]);
+    EXPECT_EQ(table.FindOrCreate(o), first[o]);
+  }
+  for (OwnerId o = kFirst; o < kFirst + kMore; ++o) {
+    const OwnerState* state = table.Find(o);
+    ASSERT_NE(state, nullptr) << o;
+    EXPECT_EQ(state->owner, o);
+    EXPECT_EQ(state->count.load(), 0u);
+    EXPECT_EQ(state->published.load(), nullptr);
+  }
+  EXPECT_EQ(table.size(), kFirst + kMore);
+}
+
+TEST(OwnerTableTest, FindOfAbsentOwnerInsertsNothing) {
+  OwnerTable table(4);
+  const size_t empty_bytes = table.MemoryBytes();
+  EXPECT_EQ(table.Find(7), nullptr);  // no shard has an index yet
+  EXPECT_EQ(table.MemoryBytes(), empty_bytes);
+  for (OwnerId o = 0; o < 1000; ++o) table.FindOrCreate(o);
+  const size_t bytes = table.MemoryBytes();
+  for (OwnerId o = 1000; o < 3000; ++o) EXPECT_EQ(table.Find(o), nullptr);
+  EXPECT_EQ(table.Find(~OwnerId{0}), nullptr);
+  EXPECT_EQ(table.size(), 1000u);
+  EXPECT_EQ(table.MemoryBytes(), bytes);
+}
+
+TEST(OwnerTableTest, AccountingMatchesTheHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's allocator statistics (mallinfo2)";
+#else
+  // MemoryBytes, the owner-table term of ApproxMemoryBytes, against what
+  // the allocator handed out: within 20%, and at most 48 bytes an owner.
+  constexpr size_t kOwners = 100'000;
+  const size_t before = mallinfo2().uordblks;
+  auto table = std::make_unique<OwnerTable>(ForestOptions{}.owner_shards);
+  for (OwnerId o = 0; o < kOwners; ++o) table->FindOrCreate(o * 7919 + 3);
+  const double heap = static_cast<double>(mallinfo2().uordblks - before -
+                                          sizeof(OwnerTable));
+  const double accounted = static_cast<double>(table->MemoryBytes());
+  EXPECT_NEAR(accounted, heap, 0.2 * heap);
+  EXPECT_LE(accounted / kOwners, 48.0);
+  RecordProperty("accounted_bytes_per_owner",
+                 std::to_string(accounted / kOwners));
+  RecordProperty("heap_bytes_per_owner", std::to_string(heap / kOwners));
+#endif
 }
 
 // --- concurrency ----------------------------------------------------------------
