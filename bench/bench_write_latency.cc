@@ -1,27 +1,32 @@
-// Write-path commit latency (ISSUE 9 / DESIGN.md §5.9): enqueue-to-ack
-// latency of WalWriter::Append under concurrent writers, legacy sync mode
-// vs the BtrLog-style pipeline, swept across in-flight append depth.
+// Write-path commit latency (DESIGN.md §5.9): enqueue-to-ack latency of a
+// WAL append under concurrent writers, an inline serial appender vs the
+// BtrLog-style WalWriter pipeline, swept across in-flight append depth.
 //
-//   sync      — the baseline inline path: every sealing Append encodes and
-//       appends under the writer mutex, so W concurrent writers serialize
-//       and the tail latency is ~W append round trips (head-of-line
-//       blocking behind every other writer's I/O).
-//   pipelined — Append seals into the serializer queue and waits only for
-//       its own batch's in-order acknowledgment; up to `inflight` cloud
-//       appends overlap, so the queue drains `inflight` batches per round
-//       trip and the tail collapses toward a single round trip.
+//   sync      — the inline baseline (SerialAppender, below): every Append
+//       stamps, encodes and appends its batch under one mutex, so W
+//       concurrent writers serialize and the tail latency is ~W append
+//       round trips (head-of-line blocking behind every other writer's
+//       I/O).
+//   pipelined — WalWriter::Append seals into the serializer queue and
+//       waits only for its own batch's in-order acknowledgment; up to
+//       `inflight` cloud appends overlap, so the queue drains `inflight`
+//       batches per round trip and the tail collapses toward a single
+//       round trip.
 //
-// Both modes run group_size=1 (the default write-through configuration:
-// the paper appends the WAL "immediately after the RW update") and
-// wall_latency_scale=1.0, so each simulated append costs its modeled
-// latency in real wall time — the queueing the percentiles measure is
+// Both run one record per batch (group_size=1, the default write-through
+// configuration: the paper appends the WAL "immediately after the RW
+// update") and sleep each append's modeled latency in real wall time
+// (wall_latency_scale=1.0) — the queueing the percentiles measure is
 // real, not modeled. The CI floor (scripts/check_bench_json.py) is
 // p99_speedup_default_group >= 5: the deepest pipeline's p99 must beat the
 // sync baseline's by at least 5x. Each reported percentile is the median
 // over kTrials runs of 320 samples (1,600 samples per mode), so one
 // scheduling stall of the writers in one run cannot set the verdict.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +34,8 @@
 #include "bench_common.h"
 #include "cloud/cloud_store.h"
 #include "common/clock.h"
+#include "common/coding.h"
+#include "common/timed_scope.h"
 #include "wal/record.h"
 #include "wal/writer.h"
 
@@ -53,14 +60,59 @@ wal::WalRecord Mutation(int writer, int i) {
   return r;
 }
 
-/// Runs kWriters threads, each appending kRecordsPerWriter records with
-/// commit-wait semantics (Append returns when the record is acknowledged),
-/// and returns every enqueue-to-ack latency in microseconds.
-std::vector<uint64_t> RunWriters(const wal::WalWriterOptions& opts) {
+/// The sync baseline: a write-through WAL appender with no pipeline. Each
+/// Append, under one mutex, stamps the record's simulated publish latency,
+/// encodes it as a one-record framed batch, appends that batch fenced by
+/// its own term, and sleeps the append's modeled latency — the whole round
+/// trip inside the critical section.
+class SerialAppender {
+ public:
+  SerialAppender(cloud::CloudStore* store, cloud::StreamId stream)
+      : store_(store), stream_(stream), term_(wal::AllocateWalTerm()) {}
+
+  Status Append(wal::WalRecord record) {
+    // The writer's own spans, so the baseline pays the same bookkeeping.
+    BG3_TIMED_SCOPE("bg3.wal.append", OpLayer::kWal);
+    std::lock_guard<std::mutex> lock(mu_);
+    BG3_TIMED_SCOPE("bg3.wal.sync", OpLayer::kWal);
+    const size_t size = record.EncodedSize();
+    record.sim_publish_latency_us = store_->latency_model().AppendLatencyUs(
+        VarintLength(1) + VarintLength(size) + size);
+    std::vector<wal::WalRecord> batch;
+    batch.push_back(std::move(record));
+    const std::string payload =
+        wal::EncodeFramedBatch(term_, committed_ + 1, batch);
+    uint64_t latency_us = 0;
+    auto res = store_->AppendFenced(stream_, term_, payload, &latency_us);
+    if (!res.ok()) return res.status();
+    std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
+    ++committed_;
+    return Status::OK();
+  }
+
+  uint64_t committed_records() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return committed_;
+  }
+
+ private:
+  cloud::CloudStore* const store_;
+  const cloud::StreamId stream_;
+  const uint64_t term_;
+  mutable std::mutex mu_;
+  uint64_t committed_ = 0;  ///< also the last batch's seq.
+};
+
+/// Runs kWriters threads against a fresh store, each appending
+/// kRecordsPerWriter records with commit-wait semantics (Append returns
+/// when the record is acknowledged) through the appender `make` builds on
+/// the store's WAL stream, and returns every enqueue-to-ack latency in
+/// microseconds.
+template <typename MakeAppender>
+std::vector<uint64_t> RunWriters(const MakeAppender& make) {
   cloud::CloudStore store;
-  wal::WalWriterOptions w = opts;
-  w.stream = store.CreateStream("wal");
-  wal::WalWriter writer(&store, w);
+  auto appender = make(&store, store.CreateStream("wal"));
+  auto& writer = *appender;
 
   std::vector<std::vector<uint64_t>> per_thread(kWriters);
   std::vector<std::thread> threads;
@@ -76,7 +128,6 @@ std::vector<uint64_t> RunWriters(const wal::WalWriterOptions& opts) {
     });
   }
   for (auto& th : threads) th.join();
-  BG3_CHECK(writer.Flush().ok());
   BG3_CHECK(writer.committed_records() ==
             static_cast<uint64_t>(kWriters) * kRecordsPerWriter);
 
@@ -98,11 +149,12 @@ struct Tail {
 };
 
 /// p50 and p99 of one configuration, each the median over kTrials runs.
-Tail MedianTail(const wal::WalWriterOptions& opts) {
+template <typename MakeAppender>
+Tail MedianTail(const MakeAppender& make) {
   std::vector<uint64_t> p50s;
   std::vector<uint64_t> p99s;
   for (int t = 0; t < kTrials; ++t) {
-    const auto lat = RunWriters(opts);
+    const auto lat = RunWriters(make);
     p50s.push_back(Pct(lat, 0.50));
     p99s.push_back(Pct(lat, 0.99));
   }
@@ -129,11 +181,10 @@ int main() {
 
   printf("%12s %10s %12s %12s\n", "series", "inflight", "p50-us", "p99-us");
 
-  wal::WalWriterOptions sync_opts;
-  sync_opts.mode = wal::WalWriterMode::kSync;
-  sync_opts.group_size = 1;
-  sync_opts.wall_latency_scale = 1.0;
-  const Tail sync = MedianTail(sync_opts);
+  const Tail sync =
+      MedianTail([](cloud::CloudStore* store, cloud::StreamId stream) {
+        return std::make_unique<SerialAppender>(store, stream);
+      });
   printf("%12s %10s %12llu %12llu\n", "sync", "-",
          (unsigned long long)sync.p50, (unsigned long long)sync.p99);
   report.AddRow("sync", "inline")
@@ -142,12 +193,15 @@ int main() {
 
   uint64_t deepest_p99 = 0;
   for (const int depth : kDepths) {
-    wal::WalWriterOptions p;
-    p.mode = wal::WalWriterMode::kPipelined;
-    p.group_size = 1;
-    p.inflight_appends = static_cast<size_t>(depth);
-    p.wall_latency_scale = 1.0;
-    const Tail tail = MedianTail(p);
+    const Tail tail =
+        MedianTail([depth](cloud::CloudStore* store, cloud::StreamId stream) {
+          wal::WalWriterOptions p;
+          p.stream = stream;
+          p.group_size = 1;
+          p.inflight_appends = static_cast<size_t>(depth);
+          p.wall_latency_scale = 1.0;
+          return std::make_unique<wal::WalWriter>(store, p);
+        });
     printf("%12s %10d %12llu %12llu\n", "pipelined", depth,
            (unsigned long long)tail.p50, (unsigned long long)tail.p99);
     report.AddRow("pipelined", "inflight" + std::to_string(depth))

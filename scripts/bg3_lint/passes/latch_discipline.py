@@ -33,10 +33,9 @@ BUILTIN_BLOCKING = {"sleep_for", "sleep_until", "wait", "wait_for",
                     "wait_until", "join"}
 
 # Classes whose plain-std::mutex guard regions are checked (DESIGN.md §5.9):
-# the pipelined WAL's enqueue mutex, commit ledger, append workers, and the
-# commit-waiter primitive. Everything else keeps the bg3-capabilities-only
-# scope.
-WAL_PIPELINE_CLASSES = {"WalWriter", "AppendPipeline", "CommitSequencer"}
+# the pipelined WAL's enqueue mutex and commit ledger, and the append
+# workers. Everything else keeps the bg3-capabilities-only scope.
+WAL_PIPELINE_CLASSES = {"WalWriter", "AppendPipeline"}
 
 # Condition-variable waits: blocking, but they *release* the lock they are
 # given, so a wait naming the region's guard variable is not "blocking

@@ -230,10 +230,7 @@ Status BwTree::Write(const EntryView& entry, const OpContext* ctx) {
   // acknowledged.
   const Status logged =
       opts_.listener != nullptr
-          ? opts_.listener->OnMutation(
-                opts_.tree_id, leaf->id, lsn,
-                DeltaEntry{entry.op, entry.key.ToString(),
-                           entry.value.ToString()})
+          ? opts_.listener->OnMutation(opts_.tree_id, leaf->id, lsn, entry)
           : Status::OK();
   Status s = opts_.delta_mode == DeltaMode::kTraditional
                  ? ApplyTraditionalLocked(leaf, entry, lsn, ctx)

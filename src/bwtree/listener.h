@@ -20,12 +20,13 @@ class TreeListener {
   /// A new tree came up with its initial (empty) leaf page.
   virtual void OnTreeInit(TreeId tree, PageId initial_page) {}
 
-  /// One logical upsert/delete applied to `page` at `lsn`. A non-OK
+  /// One logical upsert/delete applied to `page` at `lsn`. `entry` views
+  /// the caller's key and value, valid only for the call. A non-OK
   /// status means the record's fate is unknown (it may still land): the
   /// tree keeps the entry in memory and fails the write, so the caller
   /// never treats it as acknowledged.
   virtual Status OnMutation(TreeId tree, PageId page, Lsn lsn,
-                            const DeltaEntry& entry) {
+                            const EntryView& entry) {
     return Status::OK();
   }
 

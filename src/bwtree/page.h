@@ -41,16 +41,16 @@ enum class DeltaOp : uint8_t {
   kDelete = 1,
 };
 
-/// One logical modification: the payload of a WAL mutation record and of
-/// TreeListener::OnMutation.
+/// One logical modification, owning its bytes: the payload of a WAL
+/// mutation record.
 struct DeltaEntry {
   DeltaOp op = DeltaOp::kUpsert;
   std::string key;
   std::string value;
 };
 
-/// One entry of an EntryRun, as views into the run's bytes. Base-page
-/// entries read as upserts.
+/// One entry of an EntryRun, as views into the run's bytes, or a write
+/// handed to TreeListener::OnMutation. Base-page entries read as upserts.
 struct EntryView {
   DeltaOp op = DeltaOp::kUpsert;
   Slice key;

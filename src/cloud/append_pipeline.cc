@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/logging.h"
 #include "common/op_stats.h"
 #include "common/timed_scope.h"
 
@@ -11,6 +12,7 @@ AppendPipeline::AppendPipeline(CloudStore* store,
                                const AppendPipelineOptions& options,
                                CompletionFn on_complete)
     : store_(store), opts_(options), on_complete_(std::move(on_complete)) {
+  BG3_CHECK_GE(opts_.term, 1u);
   const size_t n = opts_.inflight == 0 ? 1 : opts_.inflight;
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -42,11 +44,6 @@ void AppendPipeline::Shutdown() {
   }
 }
 
-size_t AppendPipeline::Outstanding() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + active_;
-}
-
 void AppendPipeline::WorkerMain() {
   // Background appends are WAL work for I/O attribution no matter which
   // layer's request sealed the batch.
@@ -63,16 +60,12 @@ void AppendPipeline::WorkerMain() {
       payload = std::move(it->second.first);
       done.record_count = it->second.second;
       queue_.erase(it);
-      ++active_;
     }
     {
       BG3_TIMED_SCOPE("bg3.wal.sync");
       uint64_t latency_us = 0;
-      auto res = opts_.term != 0
-                     ? store_->AppendFenced(opts_.stream, opts_.term, payload,
-                                            &latency_us, nullptr)
-                     : store_->Append(opts_.stream, payload, &latency_us,
-                                      nullptr);
+      auto res = store_->AppendFenced(opts_.stream, opts_.term, payload,
+                                      &latency_us, nullptr);
       if (opts_.wall_latency_scale > 0 && latency_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(
             static_cast<uint64_t>(latency_us * opts_.wall_latency_scale)));
@@ -85,10 +78,6 @@ void AppendPipeline::WorkerMain() {
       }
     }
     on_complete_(std::move(done));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-    }
   }
 }
 

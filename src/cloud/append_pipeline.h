@@ -27,24 +27,24 @@ struct AppendPipelineOptions {
   /// (the store itself completes in memory speed). 0 — the default — keeps
   /// tests and simulated-time benches instantaneous.
   double wall_latency_scale = 0.0;
-  /// Fencing term every append carries (DESIGN.md §5.10). 0 = unfenced
-  /// plain appends (legacy). Non-zero routes through AppendFenced: once the
-  /// stream's fence passes this term, in-flight batches complete with
-  /// Status::Fenced — which is not retryable, so workers surface it to the
-  /// completion callback immediately instead of burning the retry budget.
+  /// Fencing term every append carries (DESIGN.md §5.10); must be >= 1.
+  /// Every append goes through AppendFenced: once the stream's fence passes
+  /// this term, in-flight batches complete with Status::Fenced — which is
+  /// not retryable, so workers surface it to the completion callback
+  /// immediately instead of burning the retry budget.
   uint64_t term = 0;
 };
 
-/// Completion-queue shim over the synchronous CloudStore::Append. Submit()
-/// hands over an encoded payload keyed by a monotone sequence number and
-/// returns without touching the store; `inflight` workers drain the queue
-/// lowest-seq-first (so retries and fresh batches start in log order) and
-/// run the append through the store's retry loop with a null context (the
-/// pipeline has no single caller — deadlines bound the *wait* for
-/// acknowledgment, not the background I/O). The
-/// completion callback fires from worker threads, potentially out of
-/// submission order — putting completions back *in* order is the commit
-/// ledger's job, one layer up.
+/// Completion-queue shim over the synchronous CloudStore::AppendFenced.
+/// Submit() hands over an encoded payload keyed by a monotone sequence
+/// number and returns without touching the store; `inflight` workers drain
+/// the queue lowest-seq-first (so retries and fresh batches start in log
+/// order) and run the append through the store's retry loop with a null
+/// context (the pipeline has no single caller — deadlines bound the *wait*
+/// for acknowledgment, not the background I/O). The completion callback
+/// fires from worker threads, potentially out of submission order —
+/// putting completions back *in* order is the commit ledger's job, one
+/// layer up.
 class AppendPipeline {
  public:
   struct Completion {
@@ -74,9 +74,6 @@ class AppendPipeline {
   /// callback. Idempotent; the destructor calls it.
   BG3_BLOCKING void Shutdown();
 
-  /// Submissions queued or in flight (not yet completed).
-  size_t Outstanding() const;
-
  private:
   void WorkerMain();
 
@@ -84,11 +81,10 @@ class AppendPipeline {
   const AppendPipelineOptions opts_;
   const CompletionFn on_complete_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::map<uint64_t, std::pair<std::string, uint64_t>> queue_
       BG3_GUARDED_BY(mu_);  ///< seq -> (payload, record_count)
-  size_t active_ BG3_GUARDED_BY(mu_) = 0;  ///< appends mid-attempt.
   bool stopping_ BG3_GUARDED_BY(mu_) = false;
 
   std::vector<std::thread> workers_;

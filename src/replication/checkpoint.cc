@@ -21,8 +21,6 @@ std::string CheckpointManifest::Encode() const {
     PutVarint64(&out, t.tree_id);
     PutFixed64(&out, t.flushed_lsn);
   }
-  // Appended after the original layout so pre-pipeline manifests (which end
-  // here) still decode, reading (0, 0) — the "no frame identity" sentinel.
   PutVarint64(&out, wal_term);
   PutVarint64(&out, wal_seq);
   PutFixed32(&out, Crc32c(out.data(), out.size()));
@@ -53,10 +51,7 @@ Status CheckpointManifest::Decode(const Slice& input, CheckpointManifest* out) {
     }
     out->trees.push_back(t);
   }
-  out->wal_term = 0;
-  out->wal_seq = 0;
-  if (!in.empty() &&
-      (!GetVarint64(&in, &out->wal_term) || !GetVarint64(&in, &out->wal_seq))) {
+  if (!GetVarint64(&in, &out->wal_term) || !GetVarint64(&in, &out->wal_seq)) {
     return Status::Corruption("checkpoint manifest wal frame identity");
   }
   if (!in.empty()) return Status::Corruption("checkpoint manifest trailing");

@@ -33,8 +33,8 @@ struct CheckpointManifest {
   cloud::StreamId wal_stream = 0;
   /// Last WAL batch whose records are all covered.
   cloud::PagePointer wal_cursor;
-  /// (term, seq) identity of that batch under the pipelined writer's batch
-  /// framing (0, 0 for pre-pipeline manifests): recovery seeds its reader
+  /// (term, seq) identity of that batch under the writer's batch framing
+  /// ((0, 0) before the first batch commits): recovery seeds its reader
   /// with them so late-landing duplicates of batches at or below the cursor
   /// are deduplicated rather than replayed out of order.
   uint64_t wal_term = 0;

@@ -232,13 +232,13 @@ void RwNode::OnTreeInit(bwtree::TreeId tree, bwtree::PageId initial_page) {
 }
 
 Status RwNode::OnMutation(bwtree::TreeId tree, bwtree::PageId page,
-                          bwtree::Lsn lsn, const bwtree::DeltaEntry& entry) {
+                          bwtree::Lsn lsn, const bwtree::EntryView& entry) {
   wal::WalRecord rec;
   rec.type = wal::WalRecord::Type::kMutation;
   rec.tree_id = tree;
   rec.page_id = page;
   rec.lsn = lsn;
-  rec.entry = entry;
+  rec.entry = {entry.op, entry.key.ToString(), entry.value.ToString()};
   return wal_.Append(std::move(rec));
 }
 

@@ -150,7 +150,7 @@ class RwNode : public bwtree::TreeListener {
   /// mutation record, whose append then reports it.
   void OnTreeInit(bwtree::TreeId tree, bwtree::PageId initial_page) override;
   Status OnMutation(bwtree::TreeId tree, bwtree::PageId page, bwtree::Lsn lsn,
-                    const bwtree::DeltaEntry& entry) override;
+                    const bwtree::EntryView& entry) override;
   Status OnSplit(bwtree::TreeId tree, bwtree::PageId old_page,
                  bwtree::PageId new_page, bwtree::Lsn lsn,
                  const std::string& separator) override;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -15,27 +14,14 @@
 
 #include "cloud/append_pipeline.h"
 #include "cloud/cloud_store.h"
-#include "common/commit_sequencer.h"
 #include "common/metrics.h"
+#include "common/op_context.h"
 #include "common/random.h"
+#include "common/status.h"
+#include "common/thread_annotations.h"
 #include "wal/record.h"
 
 namespace bg3::wal {
-
-/// How Append/Flush reach the cloud store.
-enum class WalWriterMode : uint8_t {
-  /// Legacy inline path: the sealing thread encodes and appends the batch
-  /// synchronously under the writer mutex. Kept as the measured baseline
-  /// for bench_write_latency and for tests that pin the historical
-  /// behavior.
-  kSync,
-  /// BtrLog-style pipeline (DESIGN.md §5.9): Append is a memory-only
-  /// enqueue; a serializer thread stamps+encodes sealed batches off the
-  /// caller thread; up to `inflight_appends` cloud appends run concurrently
-  /// and complete out of order into a commit ledger that acknowledges
-  /// strictly in log order.
-  kPipelined,
-};
 
 struct WalWriterOptions {
   cloud::StreamId stream = 0;
@@ -48,16 +34,8 @@ struct WalWriterOptions {
   uint64_t group_window_us = 10'000;
   uint64_t seed = 0x57a1;
 
-  WalWriterMode mode = WalWriterMode::kPipelined;
-  /// Cloud appends allowed in flight at once (pipelined mode).
+  /// Cloud appends allowed in flight at once.
   size_t inflight_appends = 4;
-  /// When true (the default), an Append that seals a batch blocks until
-  /// that batch acknowledges — group-commit semantics identical to kSync:
-  /// returning OK means the record (and everything before it) is durable,
-  /// and a failed append surfaces on the sealing call with the records
-  /// still buffered. Set false for fully asynchronous enqueue; callers
-  /// then order durability themselves via WaitCommitted/Flush.
-  bool commit_wait_on_seal = true;
   /// Forwarded to the append pipeline: sleep `simulated latency * scale`
   /// wall time per append so latency benches see real queueing. 0 = off.
   double wall_latency_scale = 0.0;
@@ -84,7 +62,8 @@ struct WalTicket {
 };
 
 /// Appends WAL batches to the shared cloud store, totally ordered by
-/// enqueue. Thread safe. In pipelined mode the physical stream may carry
+/// enqueue. Thread safe. Every record goes serializer -> AppendPipeline ->
+/// commit ledger (DESIGN.md §5.9), so the physical stream may carry
 /// batches out of log order (parallel in-flight appends, late retries);
 /// every batch is framed with this writer's term and a seal-order seq so
 /// readers restore log order, and all externally visible state —
@@ -103,26 +82,24 @@ class WalWriter {
   WalWriter(cloud::CloudStore* store, const WalWriterOptions& options);
   /// Joins the pipeline: sealed and queued batches get one final shot
   /// (their normal retry loop), parked (already failed) batches are not
-  /// retried again, and records still in the open buffer are dropped —
-  /// exactly the loss surface of the legacy writer, where an unflushed
-  /// buffer died with the process.
+  /// retried again, and records still in the open buffer are dropped: none
+  /// of them was acknowledged, so a crash loses no acked write.
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Buffers one record; seals a batch once group_size is reached. Records
-  /// become visible to readers only after their batch is appended. With
-  /// commit_wait_on_seal (default) the sealing call blocks for its batch's
-  /// in-order acknowledgment — so this returns exactly what the legacy
-  /// inline flush returned; otherwise it is a memory-only enqueue. The
-  /// optional OpContext deadline bounds the acknowledgment wait (sync mode:
-  /// rides the batch append's retry loop).
+  /// become visible to readers only after their batch is appended. The
+  /// sealing call blocks for its batch's in-order acknowledgment: OK means
+  /// the record and everything before it is durable, and a failed append
+  /// surfaces here with the records still buffered. A call that does not
+  /// seal returns after the enqueue. The optional OpContext deadline
+  /// bounds the acknowledgment wait.
   BG3_BLOCKING Status Append(WalRecord record, const OpContext* ctx = nullptr);
 
-  /// Memory-only enqueue, never blocks on I/O or acknowledgment (pipelined
-  /// mode; in sync mode this is Append minus nothing — it may still flush
-  /// inline). Hands back the record's durability ticket.
+  /// Memory-only enqueue, never blocks on I/O or acknowledgment. Hands
+  /// back the record's durability ticket.
   Status AppendAsync(WalRecord record, const OpContext* ctx, WalTicket* ticket);
 
   /// Blocks until every record up to `ticket` is durably acknowledged, the
@@ -135,7 +112,7 @@ class WalWriter {
 
   /// Full durability barrier: seals any open records, re-kicks parked
   /// batches, and waits until everything enqueued before the call is
-  /// acknowledged (no I/O on the calling thread in pipelined mode).
+  /// acknowledged (no I/O on the calling thread).
   BG3_BLOCKING Status Flush(const OpContext* ctx = nullptr);
 
   uint64_t batches_appended() const { return batches_.Get(); }
@@ -151,10 +128,12 @@ class WalWriter {
   }
 
   /// Records durably acknowledged (in enqueue order). Lock-free.
-  uint64_t committed_records() const { return sequencer_.current(); }
+  uint64_t committed_records() const {
+    return committed_records_.load(std::memory_order_acquire);
+  }
 
   /// Physical location of the furthest successful append (null before the
-  /// first). In pipelined mode this can run ahead of the committed prefix —
+  /// first). It can run ahead of the committed prefix —
   /// use committed_cursor() for anything that must name a durable, gap-free
   /// log position.
   cloud::PagePointer last_append_ptr() const {
@@ -192,15 +171,18 @@ class WalWriter {
  private:
   struct SealedBatch {
     uint64_t seq = 0;
-    uint64_t last_ticket = 0;
     std::vector<WalRecord> records;
   };
 
-  BG3_BLOCKING Status FlushLocked(const OpContext* ctx);
+  /// Append and AppendAsync's shared front half: bills the record to
+  /// `ctx`, buffers it, stores its ticket in `*ticket`, and seals the
+  /// buffer once it reaches group_size. Returns the sealed seq, or 0 when
+  /// the record stays in the open buffer.
+  uint64_t Enqueue(WalRecord record, const OpContext* ctx, uint64_t* ticket);
   /// Seals the open buffer into the serializer queue, billing the batch's
-  /// eventual cloud append to `ctx` (the sealer pays for the group, as with
-  /// the legacy inline flush). Returns the sealed seq, or 0 when the buffer
-  /// was empty.
+  /// eventual cloud append to `ctx`: the pipeline worker that runs it has
+  /// no request, so the sealer pays for the group. Returns the sealed seq,
+  /// or 0 when the buffer was empty.
   uint64_t SealLocked(const OpContext* ctx);
   void SerializerMain();
   /// Parks failed batches and commits landed ones in seq order. A batch
@@ -222,8 +204,8 @@ class WalWriter {
   void TakeParkedLocked(uint64_t below_seq, std::set<uint64_t>* kicked,
                         std::vector<Resubmission>* again);
   void Resubmit(std::vector<Resubmission>* again);
-  /// Waits for `target` tickets to commit, mapping pipeline failures to the
-  /// append error exactly like the legacy inline flush surfaced it. A
+  /// Waits for `target` tickets to commit. A parked batch fails the wait
+  /// with its append error, and a fenced writer fails it with the fence. A
   /// nonzero `rekick_below` makes the wait a barrier (Flush): each batch
   /// below it that is parked, or parks while the barrier waits, is re-kicked
   /// once before its failure surfaces.
@@ -243,7 +225,8 @@ class WalWriter {
 
   // -- serializer + ledger --------------------------------------------------
   mutable std::mutex led_mu_;
-  std::condition_variable led_cv_;
+  std::condition_variable seal_cv_;    ///< serializer: seal_queue_ or stop.
+  std::condition_variable commit_cv_;  ///< waiters: a commit, park or fence.
   std::deque<SealedBatch> seal_queue_;          ///< awaiting serialization.
   std::map<uint64_t, std::pair<cloud::PagePointer, uint64_t>>
       pending_;                                 ///< landed out of order.
@@ -252,7 +235,8 @@ class WalWriter {
   std::map<uint64_t, std::pair<std::string, uint64_t>>
       probe_wait_;  ///< rejected by a half-open breaker; await a probe.
   uint64_t next_commit_seq_ = 1;
-  uint64_t committed_record_count_ = 0;
+  /// Written only under led_mu_; read lock-free by committed_records().
+  std::atomic<uint64_t> committed_records_{0};
   uint64_t outstanding_ = 0;  ///< serializing / queued / mid-append batches.
   cloud::PagePointer max_physical_ptr_;
   Status last_error_;
@@ -261,24 +245,19 @@ class WalWriter {
   uint64_t fenced_appends_ = 0;    ///< under led_mu_.
   uint64_t zombie_drained_ = 0;    ///< records dropped post-fence; led_mu_.
 
-  CommitSequencer sequencer_;
   // Published snapshot of the two positions above. A leaf lock: taken
-  // inside led_mu_ (pipelined) or mu_ (sync) by the writer, alone by
-  // readers, and nothing is acquired under it.
+  // inside led_mu_ by the writer, alone by readers, and nothing is
+  // acquired under it.
   mutable std::mutex cursor_mu_;
   cloud::PagePointer physical_ptr_;
   WalCursor committed_cursor_;
 
-  Random rng_;  ///< serializer-owned in pipelined mode; under mu_ in sync.
+  Random rng_;  ///< serializer-owned.
   Counter batches_;
   Counter records_;
 
-  std::unique_ptr<cloud::AppendPipeline> pipeline_;
+  cloud::AppendPipeline pipeline_;
   std::thread serializer_;
-
-  // Sync mode keeps everything under mu_.
-  cloud::PagePointer last_append_ptr_sync_;
-  uint64_t sync_seq_ = 0;
 };
 
 }  // namespace bg3::wal

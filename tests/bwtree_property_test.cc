@@ -390,13 +390,14 @@ class ImageCheckingListener : public TreeListener {
       : store_(store), mode_(mode) {}
 
   Status OnMutation(TreeId, PageId page, Lsn lsn,
-                    const DeltaEntry& entry) override {
+                    const EntryView& entry) override {
     if (entry.op == DeltaOp::kUpsert) {
-      model_[entry.key] = entry.value;
+      model_[entry.key.ToString()] = entry.value.ToString();
     } else {
-      model_.erase(entry.key);
+      model_.erase(entry.key.ToString());
     }
-    since_base_[page].push_back({lsn, entry});
+    since_base_[page].push_back(
+        {lsn, {entry.op, entry.key.ToString(), entry.value.ToString()}});
     return Status::OK();
   }
 

@@ -8,6 +8,8 @@
 
 #include "cloud/cloud_store.h"
 #include "cloud/fault_injector.h"
+#include "common/coding.h"
+#include "common/crc32.h"
 #include "replication/checkpoint.h"
 #include "replication/ro_node.h"
 #include "replication/rw_node.h"
@@ -363,13 +365,29 @@ TEST(RecoveryCheckpointTest, TornManifestHeadFallsBackToPreviousCheckpoint) {
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   ASSERT_GT(ckpt.epoch(), epoch1);
 
-  // Tear the newest slot (a torn manifest write crashed mid-publish).
-  f.store->ManifestPut(CheckpointSlotKey(scope, ckpt.epoch()),
-                       "torn-garbage-not-a-manifest");
-  auto loaded = LoadCheckpoint(f.store.get(), scope);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded.value().fell_back);
-  EXPECT_EQ(loaded.value().manifest.epoch, epoch1);
+  // The newest manifest cut off before its WAL frame identity (term, seq),
+  // under a valid CRC: every manifest carries the pair, so this is as
+  // corrupt as any other truncation.
+  auto newest = LoadCheckpoint(f.store.get(), scope);
+  ASSERT_TRUE(newest.ok());
+  const CheckpointManifest& m = newest.value().manifest;
+  const std::string full = m.Encode();
+  std::string truncated = full.substr(
+      0, full.size() - 4 - VarintLength(m.wal_term) - VarintLength(m.wal_seq));
+  PutFixed32(&truncated, Crc32c(truncated.data(), truncated.size()));
+  CheckpointManifest decoded;
+  EXPECT_TRUE(CheckpointManifest::Decode(truncated, &decoded).IsCorruption());
+
+  // Tear the newest slot (a torn manifest write crashed mid-publish), with
+  // garbage and with the truncated manifest.
+  for (const std::string& torn :
+       {std::string("torn-garbage-not-a-manifest"), truncated}) {
+    f.store->ManifestPut(CheckpointSlotKey(scope, ckpt.epoch()), torn);
+    auto loaded = LoadCheckpoint(f.store.get(), scope);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_TRUE(loaded.value().fell_back);
+    EXPECT_EQ(loaded.value().manifest.epoch, epoch1);
+  }
 
   // A follower bootstrapping now falls back the same way. (It bootstraps
   // before the crash: the recovered node's own cut republishes the slot.)

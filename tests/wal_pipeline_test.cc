@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cloud/cloud_store.h"
@@ -73,8 +74,6 @@ cloud::CloudStoreOptions DeepRetry() {
 WalWriterOptions PipelinedOptions(cloud::StreamId stream, Random& rng) {
   WalWriterOptions w;
   w.stream = stream;
-  w.mode = WalWriterMode::kPipelined;
-  w.commit_wait_on_seal = false;  // fully async enqueue.
   w.group_size = 1 + rng.Uniform(3);
   w.group_window_us = 0;
   w.inflight_appends = 2 + rng.Uniform(3);  // 2..4 parallel appends.
@@ -224,6 +223,59 @@ TEST(WalPipelineTest, SeekToCursorReplaysExactSuffix) {
           << "seed=" << seed << " trial=" << trial;
     }
   }
+}
+
+// An append failure reaches a commit waiter that is already asleep: writer
+// B waits in Append for its own batch when an earlier batch spends its one
+// attempt and parks. B fails with that append error while later batches
+// are still in flight, not OK and not a hang; the next Flush re-kicks the
+// parked batch and the stream replays contiguously.
+TEST(WalPipelineTest, EarlierBatchParkingFailsAWaitingAppend) {
+  cloud::CloudStoreOptions sopts;
+  sopts.retry.max_attempts = 1;  // retries off: one failure parks a batch.
+  // One simulated microsecond per byte, slept in wall time below: a
+  // record's value size sets how long its append holds a worker.
+  sopts.latency.bandwidth_mb_per_s = 1;
+  cloud::CloudStore store(sopts);
+  cloud::FaultInjector fi;
+  store.SetFaultInjector(&fi);
+  WalWriterOptions w;
+  w.stream = store.CreateStream("wal");
+  w.inflight_appends = 2;
+  w.wall_latency_scale = 1.0;
+  WalWriter writer(&store, w);
+
+  auto sized = [](bwtree::Lsn lsn, size_t value_bytes) {
+    WalRecord r = Mutation(lsn);
+    r.entry.value.assign(value_bytes, 'v');
+    return r;
+  };
+  // Batches 1 and 2 hold both workers, for ~0.75 s and ~0.25 s. Batch 3
+  // queues behind them and fails its attempt (the third append) once
+  // batch 2's worker frees up. Batch 2 landing commits nothing, so only
+  // the park itself can wake B.
+  fi.Arm(cloud::FaultOp::kAppend, cloud::FaultClass::kTransientError, 2);
+  ASSERT_TRUE(writer.AppendAsync(sized(1, 750'000), nullptr, nullptr).ok());
+  ASSERT_TRUE(writer.AppendAsync(sized(2, 250'000), nullptr, nullptr).ok());
+  ASSERT_TRUE(writer.AppendAsync(Mutation(3), nullptr, nullptr).ok());
+  // B starts once both workers are mid-append, before batch 3 can fail.
+  while (fi.OpCount(cloud::FaultOp::kAppend) < 2) std::this_thread::yield();
+  Status b;
+  std::thread writer_b([&] { b = writer.Append(Mutation(4)); });
+  writer_b.join();
+  EXPECT_TRUE(b.IsIOError()) << b.ToString();
+  EXPECT_NE(b.ToString().find("injected transient append failure"),
+            std::string::npos)
+      << b.ToString();
+  // Batch 1 is still on the wire: B did not wait past the failure.
+  EXPECT_EQ(writer.committed_records(), 0u);
+
+  ASSERT_TRUE(writer.Flush().ok());
+  EXPECT_EQ(writer.committed_records(), 4u);
+  EXPECT_EQ(fi.OpCount(cloud::FaultOp::kAppend), 5u);  // one re-kick.
+  const auto replay = StrictReplay(&store, w.stream);
+  ASSERT_EQ(replay.size(), 4u);
+  ExpectContiguousPrefix(replay, /*seed=*/0, /*trial=*/0);
 }
 
 }  // namespace
