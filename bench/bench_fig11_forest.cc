@@ -49,8 +49,9 @@ RunResult RunForest(size_t num_trees) {
   fopts.init_tree_capacity = ~0ull;
   fopts.tree_options.base_stream = store.CreateStream("base");
   fopts.tree_options.delta_stream = store.CreateStream("delta");
-  // "Full-cache stress testing": pure in-memory write path.
-  fopts.tree_options.flush_mode = bwtree::FlushMode::kNone;
+  // "Full-cache stress testing": pure in-memory write path. Deferred
+  // pages only turn dirty; nothing here ever flushes them.
+  fopts.tree_options.flush_mode = bwtree::FlushMode::kDeferred;
   forest::BwTreeForest forest(&store, fopts);
 
   // Dedicate the num_trees-1 hottest users (Zipf item k is the k-th

@@ -49,8 +49,7 @@ BwTree::BwTree(cloud::CloudStore* store, const BwTreeOptions& options)
                           : &local_page_id_),
       tick_source_(options.tick_source != nullptr ? options.tick_source
                                                   : &local_tick_) {
-  BG3_CHECK(store_ != nullptr || opts_.flush_mode == FlushMode::kNone)
-      << "a cloud store is required unless flushing is disabled";
+  BG3_CHECK(store_ != nullptr) << "a Bw-tree needs a cloud store";
   BG3_CHECK(!(opts_.read_cache == ReadCacheMode::kNone &&
               opts_.flush_mode != FlushMode::kSync))
       << "zero-cache reads require sync flushing (storage must be current)";

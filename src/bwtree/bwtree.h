@@ -40,8 +40,6 @@ enum class FlushMode {
   /// (the RW node of §3.4) persists dirty pages in groups, with the WAL
   /// carrying durability in between.
   kDeferred,
-  /// No persistence at all (pure in-memory stress tests).
-  kNone,
 };
 
 /// Read path cache policy.

@@ -1,7 +1,6 @@
 #ifndef BG3_COMMON_CLOCK_H_
 #define BG3_COMMON_CLOCK_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace bg3 {
@@ -9,47 +8,6 @@ namespace bg3 {
 /// Wall-clock helpers (monotonic).
 uint64_t NowMicros();
 uint64_t NowNanos();
-
-/// A monotonically advancing logical clock in microseconds shared by the
-/// simulated cloud storage and the replication layer.
-///
-/// The paper's shared storage has millisecond-level latency; sleeping for
-/// real milliseconds would make the latency experiments (Figs. 13/14) take
-/// hours. Instead each simulated I/O *advances* this clock by its modelled
-/// cost, and latency measurements are taken against the virtual time line.
-/// Throughput experiments ignore the virtual clock and measure wall time of
-/// the in-memory code paths.
-class VirtualClock {
- public:
-  VirtualClock() : now_us_(0) {}
-
-  VirtualClock(const VirtualClock&) = delete;
-  VirtualClock& operator=(const VirtualClock&) = delete;
-
-  uint64_t NowUs() const { return now_us_.load(std::memory_order_acquire); }
-
-  /// Advances the clock by `delta_us` and returns the new time. Models an
-  /// operation that occupies the shared resource for `delta_us`.
-  uint64_t Advance(uint64_t delta_us) {
-    return now_us_.fetch_add(delta_us, std::memory_order_acq_rel) + delta_us;
-  }
-
-  /// Moves the clock forward to at least `target_us` (models waiting until
-  /// an event completes). Returns the resulting time.
-  uint64_t AdvanceTo(uint64_t target_us) {
-    uint64_t cur = now_us_.load(std::memory_order_acquire);
-    while (cur < target_us &&
-           !now_us_.compare_exchange_weak(cur, target_us,
-                                          std::memory_order_acq_rel)) {
-    }
-    return cur < target_us ? target_us : cur;
-  }
-
-  void Reset() { now_us_.store(0, std::memory_order_release); }
-
- private:
-  std::atomic<uint64_t> now_us_;
-};
 
 }  // namespace bg3
 

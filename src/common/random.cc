@@ -75,27 +75,4 @@ uint64_t ZipfGenerator::Next() {
   return v >= n_ ? n_ - 1 : v;
 }
 
-PowerLawDegree::PowerLawDegree(double alpha, uint32_t min_degree,
-                               uint32_t max_degree, uint64_t seed)
-    : alpha_(alpha),
-      min_degree_(min_degree),
-      max_degree_(max_degree),
-      rng_(seed) {
-  BG3_CHECK_GT(alpha, 1.0);
-  BG3_CHECK_GE(max_degree, min_degree);
-  BG3_CHECK_GT(min_degree, 0u);
-}
-
-uint32_t PowerLawDegree::Next() {
-  // Inverse-CDF sampling of a bounded Pareto distribution.
-  const double u = rng_.NextDouble();
-  const double lo = std::pow(static_cast<double>(min_degree_), 1 - alpha_);
-  const double hi = std::pow(static_cast<double>(max_degree_), 1 - alpha_);
-  const double x = std::pow(lo + u * (hi - lo), 1.0 / (1 - alpha_));
-  const uint32_t d = static_cast<uint32_t>(x);
-  if (d < min_degree_) return min_degree_;
-  if (d > max_degree_) return max_degree_;
-  return d;
-}
-
 }  // namespace bg3

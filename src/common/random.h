@@ -52,22 +52,6 @@ class ZipfGenerator {
   Random rng_;
 };
 
-/// Samples a power-law out-degree (heavy-tailed vertex degrees as in §3.2.1
-/// Observation 3) with Pareto tail index `alpha` and a minimum degree.
-class PowerLawDegree {
- public:
-  PowerLawDegree(double alpha, uint32_t min_degree, uint32_t max_degree,
-                 uint64_t seed);
-
-  uint32_t Next();
-
- private:
-  double alpha_;
-  uint32_t min_degree_;
-  uint32_t max_degree_;
-  Random rng_;
-};
-
 }  // namespace bg3
 
 #endif  // BG3_COMMON_RANDOM_H_

@@ -106,8 +106,8 @@ class GraphDB : public graph::GraphEngine {
   bool RestoredFromCheckpoint() const {
     return rw_ != nullptr && rw_->recovery().resumed_from_checkpoint;
   }
-  /// True when the head manifest slot was torn and the previous epoch's
-  /// manifest bounded the WAL replay instead.
+  /// True when a manifest slot was torn and the other slot's manifest
+  /// bounded the WAL replay instead.
   bool CheckpointFellBack() const {
     return rw_ != nullptr && rw_->recovery().checkpoint_fell_back;
   }

@@ -1,6 +1,8 @@
 #include "replication/checkpoint.h"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -9,6 +11,73 @@
 #include "replication/rw_node.h"
 
 namespace bg3::replication {
+
+namespace {
+
+/// Appends the CRC-32C of everything before it: the frame of every record
+/// in the manifest area.
+void SealFrame(std::string* out) {
+  PutFixed32(out, Crc32c(out->data(), out->size()));
+}
+
+/// The body of a sealed record; Corruption when it is short or its CRC does
+/// not match.
+Status OpenFrame(const Slice& input, std::string_view what, Slice* body) {
+  if (input.size() < 4) {
+    return Status::Corruption(std::string(what) + " short");
+  }
+  const size_t body_len = input.size() - 4;
+  if (Crc32c(input.data(), body_len) !=
+      DecodeFixed32(input.data() + body_len)) {
+    return Status::Corruption(std::string(what) + " crc mismatch");
+  }
+  *body = Slice(input.data(), body_len);
+  return Status::OK();
+}
+
+/// The one loader of the manifest area. A slot is valid when its CRC holds,
+/// it decodes, and its epoch's parity matches the slot's; the valid record
+/// with the higher epoch wins. `*fell_back` reports a slot that held bytes
+/// failing those checks. A substrate error on either read is returned as
+/// is: the slot it could not read may hold the newer record.
+template <typename Record>
+Result<Record> LoadNewestSlot(cloud::CloudStore* store,
+                              const std::string& scope, const OpContext* ctx,
+                              bool* fell_back) {
+  std::optional<Record> newest;
+  *fell_back = false;
+  for (uint64_t parity = 0; parity < 2; ++parity) {
+    auto raw =
+        store->ManifestGet(SlotKey(Record::kKind, scope, parity), nullptr, ctx);
+    if (raw.status().IsNotFound()) continue;
+    BG3_RETURN_IF_ERROR(raw.status());
+    Record rec;
+    if (!Record::Decode(Slice(raw.value()), &rec).ok() ||
+        (rec.epoch & 1) != parity) {
+      *fell_back = true;
+      continue;
+    }
+    if (!newest.has_value() || rec.epoch > newest->epoch) {
+      newest = std::move(rec);
+    }
+  }
+  if (!newest.has_value()) {
+    return Status::NotFound("no " + std::string(Record::kKind) +
+                            " record for scope " + scope);
+  }
+  return std::move(*newest);
+}
+
+}  // namespace
+
+std::string SlotKey(std::string_view kind, const std::string& scope,
+                    uint64_t epoch) {
+  return std::string(kind) + "/" + scope + "/slot" + std::to_string(epoch & 1);
+}
+
+std::string WalScope(cloud::StreamId stream) {
+  return "wal" + std::to_string(stream);
+}
 
 std::string CheckpointManifest::Encode() const {
   std::string out;
@@ -23,18 +92,13 @@ std::string CheckpointManifest::Encode() const {
   }
   PutVarint64(&out, wal_term);
   PutVarint64(&out, wal_seq);
-  PutFixed32(&out, Crc32c(out.data(), out.size()));
+  SealFrame(&out);
   return out;
 }
 
 Status CheckpointManifest::Decode(const Slice& input, CheckpointManifest* out) {
-  if (input.size() < 4) return Status::Corruption("checkpoint manifest short");
-  const size_t body_len = input.size() - 4;
-  const uint32_t stored_crc = DecodeFixed32(input.data() + body_len);
-  if (Crc32c(input.data(), body_len) != stored_crc) {
-    return Status::Corruption("checkpoint manifest crc mismatch");
-  }
-  Slice in(input.data(), body_len);
+  Slice in;
+  BG3_RETURN_IF_ERROR(OpenFrame(input, "checkpoint manifest", &in));
   uint32_t tree_count = 0;
   if (!GetFixed64(&in, &out->epoch) || !GetFixed32(&in, &out->wal_stream) ||
       !cloud::PagePointer::DecodeFrom(&in, &out->wal_cursor) ||
@@ -58,98 +122,21 @@ Status CheckpointManifest::Decode(const Slice& input, CheckpointManifest* out) {
   return Status::OK();
 }
 
-std::string CheckpointHeadKey(const std::string& scope) {
-  return "ckpt/" + scope + "/head";
-}
-
-std::string CheckpointSlotKey(const std::string& scope, uint64_t epoch) {
-  return "ckpt/" + scope + "/slot" + std::to_string(epoch & 1);
-}
-
-std::string WalCheckpointScope(cloud::StreamId stream) {
-  return "wal" + std::to_string(stream);
-}
-
 Status PublishCheckpoint(cloud::CloudStore* store, const std::string& scope,
                          const CheckpointManifest& manifest) {
-  // Slot first, head second. The head value is CRC-framed like the slots so
-  // a torn head read is detectable rather than silently misdirecting.
-  store->ManifestPut(CheckpointSlotKey(scope, manifest.epoch),
+  store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, manifest.epoch),
                      manifest.Encode());
-  std::string head;
-  PutFixed64(&head, manifest.epoch);
-  PutFixed32(&head, Crc32c(head.data(), head.size()));
-  store->ManifestPut(CheckpointHeadKey(scope), head);
   return Status::OK();
 }
-
-namespace {
-
-/// Decodes one slot; any failure (missing, torn, epoch echo mismatch) is
-/// reported as a non-OK status so the caller can fall back.
-Status TryLoadSlot(cloud::CloudStore* store, const std::string& scope,
-                   uint64_t epoch, const OpContext* ctx,
-                   CheckpointManifest* out) {
-  auto raw = store->ManifestGet(CheckpointSlotKey(scope, epoch), nullptr, ctx);
-  BG3_RETURN_IF_ERROR(raw.status());
-  BG3_RETURN_IF_ERROR(CheckpointManifest::Decode(Slice(raw.value()), out));
-  if (out->epoch != epoch) {
-    return Status::Corruption("checkpoint slot epoch mismatch");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
                                         const std::string& scope,
                                         const OpContext* ctx) {
-  auto head_raw = store->ManifestGet(CheckpointHeadKey(scope), nullptr, ctx);
-  if (head_raw.status().IsNotFound()) {
-    return Status::NotFound("no checkpoint published for scope " + scope);
-  }
-  BG3_RETURN_IF_ERROR(head_raw.status());
-
-  uint64_t head_epoch = 0;
-  bool head_ok = false;
-  {
-    Slice in(head_raw.value());
-    uint32_t crc = 0;
-    if (in.size() == 12 && GetFixed64(&in, &head_epoch) &&
-        GetFixed32(&in, &crc) &&
-        crc == Crc32c(head_raw.value().data(), 8)) {
-      head_ok = true;
-    }
-  }
-
   LoadedCheckpoint loaded;
-  if (head_ok) {
-    Status s = TryLoadSlot(store, scope, head_epoch, ctx, &loaded.manifest);
-    if (s.ok()) return loaded;
-    if (!s.IsNotFound() && !s.IsCorruption()) return s;  // substrate failure
-    // Torn or missing head slot: fall back to the previous epoch's slot —
-    // the publish order (slot, then head) guarantees it was complete before
-    // the head ever pointed past it.
-    loaded.fell_back = true;
-    s = TryLoadSlot(store, scope, head_epoch - 1, ctx, &loaded.manifest);
-    if (s.ok()) return loaded;
-    if (!s.IsNotFound() && !s.IsCorruption()) return s;
-    return Status::NotFound("no usable checkpoint for scope " + scope);
-  }
-
-  // Torn head: probe both slots and take the newest decodable manifest.
-  loaded.fell_back = true;
-  CheckpointManifest a, b;
-  const bool have_a = TryLoadSlot(store, scope, 0, ctx, &a).ok();
-  const bool have_b = TryLoadSlot(store, scope, 1, ctx, &b).ok();
-  if (!have_a && !have_b) {
-    return Status::NotFound("no usable checkpoint for scope " + scope);
-  }
-  if (have_a && (!have_b || a.epoch > b.epoch)) {
-    loaded.manifest = std::move(a);
-  } else {
-    loaded.manifest = std::move(b);
-  }
+  auto newest = LoadNewestSlot<CheckpointManifest>(store, scope, ctx,
+                                                   &loaded.fell_back);
+  BG3_RETURN_IF_ERROR(newest.status());
+  loaded.manifest = newest.take();
   return loaded;
 }
 
@@ -158,18 +145,13 @@ std::string EpochRecord::Encode() const {
   PutFixed64(&out, epoch);
   PutFixed64(&out, term);
   PutFixed32(&out, wal_stream);
-  PutFixed32(&out, Crc32c(out.data(), out.size()));
+  SealFrame(&out);
   return out;
 }
 
 Status EpochRecord::Decode(const Slice& input, EpochRecord* out) {
-  if (input.size() < 4) return Status::Corruption("epoch record short");
-  const size_t body_len = input.size() - 4;
-  const uint32_t stored_crc = DecodeFixed32(input.data() + body_len);
-  if (Crc32c(input.data(), body_len) != stored_crc) {
-    return Status::Corruption("epoch record crc mismatch");
-  }
-  Slice in(input.data(), body_len);
+  Slice in;
+  BG3_RETURN_IF_ERROR(OpenFrame(input, "epoch record", &in));
   if (!GetFixed64(&in, &out->epoch) || !GetFixed64(&in, &out->term) ||
       !GetFixed32(&in, &out->wal_stream) || !in.empty()) {
     return Status::Corruption("epoch record layout");
@@ -177,48 +159,10 @@ Status EpochRecord::Decode(const Slice& input, EpochRecord* out) {
   return Status::OK();
 }
 
-std::string EpochHeadKey(const std::string& scope) {
-  return "epoch/" + scope + "/head";
-}
-
-std::string EpochSlotKey(const std::string& scope, uint64_t epoch) {
-  return "epoch/" + scope + "/slot" + std::to_string(epoch & 1);
-}
-
-std::string WalEpochScope(cloud::StreamId stream) {
-  return "wal" + std::to_string(stream);
-}
-
-namespace {
-
-/// Decodes one epoch slot, echo-checking the epoch like checkpoint slots.
-Status TryLoadEpochSlot(cloud::CloudStore* store, const std::string& scope,
-                        uint64_t epoch, EpochRecord* out) {
-  auto raw = store->ManifestGet(EpochSlotKey(scope, epoch));
-  BG3_RETURN_IF_ERROR(raw.status());
-  BG3_RETURN_IF_ERROR(EpochRecord::Decode(Slice(raw.value()), out));
-  if ((out->epoch & 1) != (epoch & 1)) {
-    return Status::Corruption("epoch slot echo mismatch");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<EpochRecord> LoadEpochRecord(cloud::CloudStore* store,
                                     const std::string& scope) {
-  // Slots are self-validating (CRC plus parity echo), so recovery probes
-  // both and takes the newest epoch. The head is only a hint: a promoter
-  // can crash between the slot CAS and the head flip, leaving the head
-  // torn or one epoch stale, and a head-directed read would then resurrect
-  // a record from two epochs back.
-  EpochRecord a, b;
-  const bool have_a = TryLoadEpochSlot(store, scope, 0, &a).ok();
-  const bool have_b = TryLoadEpochSlot(store, scope, 1, &b).ok();
-  if (!have_a && !have_b) {
-    return Status::NotFound("no epoch record for scope " + scope);
-  }
-  return (have_a && (!have_b || a.epoch > b.epoch)) ? a : b;
+  bool fell_back = false;
+  return LoadNewestSlot<EpochRecord>(store, scope, nullptr, &fell_back);
 }
 
 Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
@@ -243,12 +187,11 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
   rec.term = term;
   rec.wal_stream = wal_stream;
 
-  // The CAS rides on the target *slot*: two racing promoters computed the
+  // The CAS rides on the target slot: two racing promoters computed the
   // same next epoch, hence the same slot key and the same expected version —
-  // exactly one Cas succeeds; the loser never reaches the head flip. (A
-  // plain slot put with a head CAS would let the loser overwrite the
-  // winner's slot bytes after the winner's head flip.)
-  const std::string slot_key = EpochSlotKey(scope, rec.epoch);
+  // exactly one Cas succeeds. (A plain put would let the loser overwrite
+  // the winner's record.)
+  const std::string slot_key = SlotKey(EpochRecord::kKind, scope, rec.epoch);
   uint64_t slot_version = 0;
   {
     auto existing = store->ManifestGet(slot_key, &slot_version);
@@ -272,10 +215,6 @@ Result<EpochRecord> PublishEpochRecord(cloud::CloudStore* store,
                ? Status::Aborted("lost promotion race for scope " + scope)
                : cas.status();
   }
-  std::string head;
-  PutFixed64(&head, rec.epoch);
-  PutFixed32(&head, Crc32c(head.data(), head.size()));
-  store->ManifestPut(EpochHeadKey(scope), head);
   return rec;
 }
 
@@ -297,16 +236,14 @@ Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
       node_(node),
       opts_(options),
       wal_stream_(node->options().wal.stream),
-      scope_(WalCheckpointScope(wal_stream_)),
+      scope_(WalScope(wal_stream_)),
       metrics_prefix_("bg3.replication.ckpt" +
                       std::to_string(MetricsRegistry::NextInstanceId("ckpt")) +
                       ".") {
   // Continue the epoch sequence of any prior incarnation, so slot
-  // alternation keeps protecting the previous manifest.
-  if (auto prior = LoadCheckpoint(store_, scope_); prior.ok()) {
-    epoch_ = prior.value().manifest.epoch;
-    published_lsn_ = prior.value().manifest.checkpoint_lsn;
-  }
+  // alternation keeps protecting the previous manifest. A read the
+  // substrate fails is retried before the first publish.
+  BG3_IGNORE_STATUS(LoadPublishedLocked());
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.RegisterCounter(metrics_prefix_ + "cuts_started", &stats_.cuts_started);
   reg.RegisterCounter(metrics_prefix_ + "pages_flushed", &stats_.pages_flushed);
@@ -395,6 +332,25 @@ bwtree::Lsn Checkpointer::published_lsn() const {
   return published_lsn_;
 }
 
+wal::WalCursor Checkpointer::published_wal_cursor() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return published_cursor_;
+}
+
+Status Checkpointer::LoadPublishedLocked() {
+  auto prior = LoadCheckpoint(store_, scope_);
+  if (prior.ok()) {
+    const CheckpointManifest& m = prior.value().manifest;
+    epoch_ = m.epoch;
+    published_lsn_ = m.checkpoint_lsn;
+    published_cursor_ = m.WalResumeCursor();
+  } else if (!prior.status().IsNotFound()) {
+    return prior.status();
+  }
+  published_loaded_ = true;
+  return Status::OK();
+}
+
 Status Checkpointer::StepLocked() {
   if (!cut_.active) {
     if (node_->CurrentLsn() == published_lsn_ &&
@@ -442,6 +398,7 @@ Status Checkpointer::StepLocked() {
 }
 
 Status Checkpointer::PublishCutLocked() {
+  if (!published_loaded_) BG3_RETURN_IF_ERROR(LoadPublishedLocked());
   // Every page of the cut has an image staged (or already published).
   // Publish order: mapping entries and the node's WAL checkpoint record
   // first, the checkpoint manifest last — the manifest's promise ("images
@@ -459,10 +416,11 @@ Status Checkpointer::PublishCutLocked() {
   BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_, m));
   epoch_ = m.epoch;
   published_lsn_ = lsn;
+  published_cursor_ = cursor;
   stats_.manifests_written.Inc();
   if (opts_.truncate_wal) {
-    stats_.wal_extents_truncated.Add(
-        store_->TruncateStreamBefore(m.wal_stream, cursor.ptr.extent_id));
+    stats_.wal_extents_truncated.Add(store_->TruncateStreamBefore(
+        wal_stream_, published_cursor_.ptr.extent_id));
   }
   cut_ = Cut{};
   return Status::OK();

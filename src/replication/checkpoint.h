@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,12 +24,29 @@ struct CheckpointTree {
   bwtree::Lsn flushed_lsn = 0;
 };
 
+// --- the manifest area's record protocol (DESIGN.md §5.7) -----------------
+//
+// Checkpoint manifests and epoch records are both CRC-32C-framed records
+// kept in two alternating slots, `<kind>/<scope>/slot<epoch & 1>`. A
+// publish writes only the slot of its own epoch, so the other slot still
+// holds the previous complete record; a load reads both slots and takes the
+// valid record with the higher epoch. No head key points at either slot.
+
+/// Key of the slot holding the `kind` record of `epoch` for `scope`.
+std::string SlotKey(std::string_view kind, const std::string& scope,
+                    uint64_t epoch);
+/// Scope of the records that belong to one WAL stream: the checkpoint
+/// manifests of its writer and its leadership epoch records.
+std::string WalScope(cloud::StreamId stream);
+
 /// The durable checkpoint manifest (DESIGN.md §5.7). Its contract: every
 /// mutation with LSN <= `checkpoint_lsn` is covered by page images published
 /// in the shared mapping table, so recovery may start its WAL scan strictly
 /// after `wal_cursor` and drop replayed mutations at or below the LSN —
 /// replay cost is the WAL *suffix*, independent of total WAL length.
 struct CheckpointManifest {
+  static constexpr std::string_view kKind = "ckpt";
+
   uint64_t epoch = 0;  ///< monotonically increasing publish counter.
   cloud::StreamId wal_stream = 0;
   /// Last WAL batch whose records are all covered.
@@ -47,35 +65,27 @@ struct CheckpointManifest {
   std::vector<CheckpointTree> trees;  ///< every tree the node logs.
 
   /// Encoding carries a trailing CRC-32C; Decode fails with Corruption on
-  /// any mismatch, which is what makes torn-manifest fallback detectable.
+  /// any mismatch, which is what makes a torn slot detectable.
   std::string Encode() const;
   static Status Decode(const Slice& input, CheckpointManifest* out);
 };
 
-/// Manifest keys. Two alternating slots plus a head pointer give atomic
-/// checkpoint publication on a plain KV manifest: the new manifest is
-/// written to slot (epoch % 2) first, then the head is flipped to the new
-/// epoch. A crash (or torn write) between the two steps leaves the head on
-/// the previous epoch, whose slot is untouched — recovery falls back to it.
-std::string CheckpointHeadKey(const std::string& scope);
-std::string CheckpointSlotKey(const std::string& scope, uint64_t epoch);
-/// Scope naming for per-WAL-stream checkpoints (RW-node Checkpointer).
-std::string WalCheckpointScope(cloud::StreamId stream);
-
-/// Slot write then head flip, in that order.
+/// One plain put of the manifest's slot. The caller publishes the page
+/// images and the WAL checkpoint record first, so a slot that decodes is a
+/// complete checkpoint.
 Status PublishCheckpoint(cloud::CloudStore* store, const std::string& scope,
                          const CheckpointManifest& manifest);
 
 struct LoadedCheckpoint {
   CheckpointManifest manifest;
-  /// True when the head-designated slot was unusable (torn/corrupt/missing)
-  /// and the previous epoch's slot was used instead.
+  /// True when a slot held bytes that failed the CRC, decode or epoch
+  /// parity check, so the other slot was used.
   bool fell_back = false;
 };
 
-/// Loads the newest durable checkpoint of `scope`. Falls back to the other
-/// slot when the head slot is torn; NotFound when no usable checkpoint
-/// exists (never checkpointed, or both slots torn — full-WAL replay).
+/// Loads the newest durable checkpoint of `scope`; NotFound when neither
+/// slot holds a valid manifest (never checkpointed, or both slots torn —
+/// full-WAL replay).
 Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
                                         const std::string& scope,
                                         const OpContext* ctx = nullptr);
@@ -83,11 +93,13 @@ Result<LoadedCheckpoint> LoadCheckpoint(cloud::CloudStore* store,
 // --- failover epoch records (DESIGN.md §5.10) ------------------------------
 
 /// The durable leadership record of one WAL stream: who currently holds the
-/// pen, at which term, since which promotion. Published with the same
-/// two-slot + CRC-framed-head discipline as checkpoint manifests, but CAS'd
-/// instead of blindly put — a double promotion must have exactly one winner,
-/// decided by the manifest's version counter, not by timing.
+/// pen, at which term, since which promotion. Kept in the same two slots as
+/// checkpoint manifests, but CAS'd instead of blindly put — a double
+/// promotion must have exactly one winner, decided by the manifest's version
+/// counter, not by timing.
 struct EpochRecord {
+  static constexpr std::string_view kKind = "epoch";
+
   uint64_t epoch = 0;            ///< promotion counter (1 = first leader).
   uint64_t term = 0;             ///< fencing term of the leader it crowns.
   cloud::StreamId wal_stream = 0;
@@ -98,15 +110,8 @@ struct EpochRecord {
   static Status Decode(const Slice& input, EpochRecord* out);
 };
 
-std::string EpochHeadKey(const std::string& scope);
-std::string EpochSlotKey(const std::string& scope, uint64_t epoch);
-/// Scope naming for per-WAL-stream epoch records (mirrors
-/// WalCheckpointScope).
-std::string WalEpochScope(cloud::StreamId stream);
-
-/// Loads the newest durable epoch record of `scope`: head slot first,
-/// previous-epoch (or both-slot probe) fallback when the head or its slot is
-/// torn. NotFound when no promotion was ever published.
+/// Loads the newest durable epoch record of `scope`. NotFound when no
+/// promotion was ever published.
 Result<EpochRecord> LoadEpochRecord(cloud::CloudStore* store,
                                     const std::string& scope);
 
@@ -129,7 +134,7 @@ struct CheckpointerOptions {
   /// the checkpoint thread from monopolizing the store; the cut just takes
   /// more steps to drain.
   size_t max_pages_per_round = 32;
-  /// Advance the WAL truncation point to the checkpoint cursor after each
+  /// Advance the WAL truncation point to the published cursor after each
   /// durable publish. Only safe when no reader's cursor can be behind the
   /// checkpoint (single-node deployments, or truncation coordinated by
   /// Cluster::TruncateWal); hence off by default.
@@ -205,6 +210,10 @@ class Checkpointer {
   uint64_t epoch() const;
   /// LSN of the newest durable (manifest-published) checkpoint.
   bwtree::Lsn published_lsn() const;
+  /// WAL cursor of the newest published manifest (null before the first).
+  /// Extents before its extent hold only records the published images
+  /// cover: the one bound for WAL truncation.
+  wal::WalCursor published_wal_cursor() const;
   const std::string& scope() const { return scope_; }
   CheckpointerStats& stats() { return stats_; }
 
@@ -217,6 +226,8 @@ class Checkpointer {
 
   Status StepLocked();
   Status PublishCutLocked();
+  /// Continues from the newest published manifest of the scope, if any.
+  Status LoadPublishedLocked();
   void ThreadMain();
 
   cloud::CloudStore* const store_;
@@ -231,6 +242,11 @@ class Checkpointer {
   Cut cut_;
   uint64_t epoch_ = 0;
   bwtree::Lsn published_lsn_ = 0;
+  wal::WalCursor published_cursor_;
+  /// False while the substrate has kept LoadPublishedLocked from reading
+  /// the slots: a manifest numbered below a surviving one would never be
+  /// loaded, so no manifest publishes until the read succeeds.
+  bool published_loaded_ = false;
 
   std::thread thread_;
   std::mutex thread_mu_;

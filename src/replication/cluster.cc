@@ -177,7 +177,7 @@ Status Bg3Cluster::PromoteFollower(int partition, int follower_index) {
   // Pick a term strictly newer than anything durable or local: adopt the
   // persisted epoch record's term into the process allocator first, so the
   // allocation exceeds both it and every writer this process ever made.
-  const std::string scope = WalEpochScope(part.wal_stream);
+  const std::string scope = WalScope(part.wal_stream);
   auto current = LoadEpochRecord(store_, scope);
   if (current.ok()) wal::ObserveWalTerm(current.value().term);
   const uint64_t term = wal::AllocateWalTerm();
@@ -404,7 +404,7 @@ size_t Bg3Cluster::TruncateWal(int partition) {
   if (partition < 0 || partition >= partitions()) return 0;
   Partition& part = *parts_[partition];
   const cloud::PagePointer checkpoint =
-      part.leader->last_checkpoint_wal_ptr();
+      part.leader->checkpointer()->published_wal_cursor().ptr;
   if (checkpoint.IsNull()) return 0;  // nothing checkpointed yet
   cloud::ExtentId before = checkpoint.extent_id;
   for (auto& follower : part.followers) {

@@ -110,8 +110,7 @@ void RoNode::BootstrapFromManifestLocked() {
   // Any load failure (never checkpointed, torn slots, substrate down) falls
   // back to the historical full-WAL replay — strictly slower, never wrong.
   if (opts_.resume_from_checkpoint) {
-    auto loaded =
-        LoadCheckpoint(store_, WalCheckpointScope(opts_.wal_stream));
+    auto loaded = LoadCheckpoint(store_, WalScope(opts_.wal_stream));
     if (loaded.ok()) {
       const CheckpointManifest& m = loaded.value().manifest;
       // Cursor-exact seek: the manifest's (term, seq) lets the reader drop

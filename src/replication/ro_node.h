@@ -114,7 +114,7 @@ class RoNode {
     uint64_t wal_bytes_replayed = 0;
     uint64_t total_wal_bytes = 0;
     bool resumed_from_checkpoint = false;
-    bool checkpoint_fell_back = false;  ///< head slot torn; previous used.
+    bool checkpoint_fell_back = false;  ///< newest slot torn; other used.
   };
 
   /// Layout of one tree as of the latest WAL state, for building an RW
@@ -151,8 +151,8 @@ class RoNode {
   /// True once bootstrap found a usable checkpoint manifest and seeked the
   /// WAL reader past its cursor.
   bool ResumedFromCheckpoint() const;
-  /// True when the head checkpoint slot was torn and the previous epoch's
-  /// manifest was used instead.
+  /// True when a checkpoint slot held a torn or invalid manifest and the
+  /// other slot's was used instead.
   bool CheckpointFellBack() const;
 
   /// Snapshot of the cache's resident (tree, page) set — what a rolling

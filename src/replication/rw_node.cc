@@ -208,13 +208,6 @@ Status RwNode::CommitCheckpoint(bwtree::Lsn cut_lsn,
   BG3_RETURN_IF_ERROR(wal_.Append(std::move(rec)));
   BG3_RETURN_IF_ERROR(wal_.Flush());
   last_checkpoint_.store(cut_lsn, std::memory_order_release);
-  {
-    // Committed cursor, not the raw physical tail: with pipelined appends
-    // the tail may belong to an out-of-order batch whose predecessors are
-    // still in flight — truncating up to it could drop unacked records.
-    MutexLock lock(&ckpt_ptr_mu_);
-    last_checkpoint_wal_ptr_ = wal_.committed_cursor().ptr;
-  }
   manifest->checkpoint_lsn = cut_lsn;
   for (bwtree::BwTree* tree : trees) {
     manifest->trees.push_back({tree->options().tree_id, cut_lsn});

@@ -9,7 +9,6 @@
 #include "bwtree/bwtree.h"
 #include "bwtree/listener.h"
 #include "common/metrics.h"
-#include "common/thread_annotations.h"
 #include "gc/space_reclaimer.h"
 #include "replication/checkpoint.h"
 #include "replication/page_image.h"
@@ -137,14 +136,6 @@ class RwNode : public bwtree::TreeListener {
   wal::WalWriter* wal_writer() { return &wal_; }
   const RwNodeOptions& options() const { return opts_; }
 
-  /// WAL location of the newest checkpoint record. Extents strictly before
-  /// it hold only data covered by published images — the upper bound for
-  /// safe WAL truncation (fresh readers bootstrap from the manifest).
-  cloud::PagePointer last_checkpoint_wal_ptr() const {
-    MutexLock lock(&ckpt_ptr_mu_);
-    return last_checkpoint_wal_ptr_;
-  }
-
   // --- bwtree::TreeListener ------------------------------------------------
   /// A failed TreeInit append stays buffered ahead of the tree's first
   /// mutation record, whose append then reports it.
@@ -213,9 +204,6 @@ class RwNode : public bwtree::TreeListener {
 
   /// Images of flushed pages awaiting publication by CommitCheckpoint.
   ImageStager stager_;
-
-  mutable Mutex ckpt_ptr_mu_;
-  cloud::PagePointer last_checkpoint_wal_ptr_ BG3_GUARDED_BY(ckpt_ptr_mu_);
 
   /// LSN of the newest committed cut; the mutation trigger reads it without
   /// taking the checkpointer's mutex.

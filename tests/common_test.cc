@@ -283,22 +283,6 @@ TEST(ZipfTest, LargeDomainConstructionIsFast) {
   for (int i = 0; i < 1000; ++i) EXPECT_LT(z.Next(), 50'000'000u);
 }
 
-TEST(PowerLawDegreeTest, RespectsBounds) {
-  PowerLawDegree d(2.0, 2, 500, 9);
-  for (int i = 0; i < 10000; ++i) {
-    const uint32_t deg = d.Next();
-    EXPECT_GE(deg, 2u);
-    EXPECT_LE(deg, 500u);
-  }
-}
-
-TEST(PowerLawDegreeTest, HeavyTailExists) {
-  PowerLawDegree d(1.5, 1, 100000, 13);
-  uint32_t max_deg = 0;
-  for (int i = 0; i < 50000; ++i) max_deg = std::max(max_deg, d.Next());
-  EXPECT_GT(max_deg, 1000u);  // tail reaches far beyond the minimum
-}
-
 // --- hash --------------------------------------------------------------------
 
 TEST(HashTest, Fnv1aStableAndSeeded) {
@@ -320,22 +304,6 @@ TEST(ClockTest, WallClockMonotonic) {
   const uint64_t a = NowMicros();
   const uint64_t b = NowMicros();
   EXPECT_LE(a, b);
-}
-
-TEST(VirtualClockTest, AdvanceAccumulates) {
-  VirtualClock c;
-  EXPECT_EQ(c.NowUs(), 0u);
-  EXPECT_EQ(c.Advance(100), 100u);
-  EXPECT_EQ(c.Advance(50), 150u);
-  EXPECT_EQ(c.NowUs(), 150u);
-}
-
-TEST(VirtualClockTest, AdvanceToNeverMovesBackward) {
-  VirtualClock c;
-  c.Advance(500);
-  EXPECT_EQ(c.AdvanceTo(200), 500u);
-  EXPECT_EQ(c.AdvanceTo(900), 900u);
-  EXPECT_EQ(c.NowUs(), 900u);
 }
 
 // --- metrics -----------------------------------------------------------------

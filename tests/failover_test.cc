@@ -114,19 +114,6 @@ TEST(EpochRecordTest, PublishAndLoadRoundTrip) {
   EXPECT_EQ(LoadEpochRecord(&store, scope).value().term, 9u);
 }
 
-TEST(EpochRecordTest, TornHeadFallsBackToSlot) {
-  cloud::CloudStore store;
-  const std::string scope = "wal3";
-  ASSERT_TRUE(PublishEpochRecord(&store, scope, 4, 3).ok());
-  ASSERT_TRUE(PublishEpochRecord(&store, scope, 6, 3).ok());
-  // Garble the head: CRC framing catches it and the loader probes slots.
-  store.ManifestPut(EpochHeadKey(scope), "torn garbage");
-  auto loaded = LoadEpochRecord(&store, scope);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().term, 6u);
-  EXPECT_EQ(loaded.value().epoch, 2u);
-}
-
 TEST(EpochRecordTest, ConcurrentPromotersHaveExactlyOneWinnerPerRound) {
   // N racing promoters, each with a distinct term, all starting from the
   // same loaded epoch: the slot CAS picks winners; losers get Aborted and
@@ -352,8 +339,7 @@ TEST(ClusterFailoverTest, ZombieCheckpointPublishesNoImages) {
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(f.cluster->Put(Key(i), "v2").ok());
   ASSERT_TRUE(f.cluster->checkpointer(0)->CheckpointNow().ok());
 
-  const std::string scope =
-      WalCheckpointScope(f.store->CreateStream("cluster-p0-wal"));
+  const std::string scope = WalScope(f.store->CreateStream("cluster-p0-wal"));
   const uint64_t epoch =
       LoadCheckpoint(f.store.get(), scope).value().manifest.epoch;
   Checkpointer* zombie = f.cluster->zombie(0)->checkpointer();
@@ -447,7 +433,7 @@ TEST(ClusterFailoverTest, SequentialPromotionsStrictlyRaiseTheTerm) {
   EXPECT_EQ(f.cluster->promotions(), 3u);
   // The durable epoch record tracked every round.
   auto rec = LoadEpochRecord(
-      f.store.get(), WalEpochScope(f.store->CreateStream("cluster-p0-wal")));
+      f.store.get(), WalScope(f.store->CreateStream("cluster-p0-wal")));
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec.value().epoch, 3u);
   EXPECT_EQ(rec.value().term, f.cluster->term(0));

@@ -3,8 +3,10 @@
 // the WAL so existing RO nodes keep tailing seamlessly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "cloud/cloud_store.h"
 #include "cloud/fault_injector.h"
@@ -274,10 +276,11 @@ TEST(RecoveryFaultTest, TornWalAppendPlusCrashNeverLosesAnAckedWrite) {
 
 // --- mid-checkpoint crashes (DESIGN.md §5.7) ---------------------------------
 //
-// The fuzzy checkpoint publishes in a fixed order: page images, manifest
-// slot, head flip, (optionally) WAL truncation. A crash between any two of
-// those steps must recover to the exact acknowledged state — either from
-// the new checkpoint or by falling back to the previous one.
+// The fuzzy checkpoint publishes in a fixed order: page images, the WAL
+// checkpoint record, the manifest slot, (optionally) WAL truncation. A
+// crash between any two of those steps must recover to the exact
+// acknowledged state — either from the new checkpoint or from the previous
+// one, which the other slot still holds.
 
 TEST(RecoveryCheckpointTest, CrashBetweenManifestPutAndTruncationAdvance) {
   CrashFixture f;
@@ -352,10 +355,10 @@ TEST(RecoveryCheckpointTest, CrashAfterTruncationAdvanceStillRecovers) {
   }
 }
 
-TEST(RecoveryCheckpointTest, TornManifestHeadFallsBackToPreviousCheckpoint) {
+TEST(RecoveryCheckpointTest, TornNewestSlotFallsBackToPreviousCheckpoint) {
   // No group flush: the two explicit cuts are the only manifests.
   CrashFixture f(/*flush_group_pages=*/1'000'000);
-  const std::string scope = WalCheckpointScope(f.rw_opts.wal.stream);
+  const std::string scope = WalScope(f.rw_opts.wal.stream);
   Checkpointer& ckpt = *f.rw->checkpointer();
 
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "epoch1").ok());
@@ -382,7 +385,7 @@ TEST(RecoveryCheckpointTest, TornManifestHeadFallsBackToPreviousCheckpoint) {
   // garbage and with the truncated manifest.
   for (const std::string& torn :
        {std::string("torn-garbage-not-a-manifest"), truncated}) {
-    f.store->ManifestPut(CheckpointSlotKey(scope, ckpt.epoch()), torn);
+    f.store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, ckpt.epoch()), torn);
     auto loaded = LoadCheckpoint(f.store.get(), scope);
     ASSERT_TRUE(loaded.ok());
     EXPECT_TRUE(loaded.value().fell_back);
@@ -409,15 +412,15 @@ TEST(RecoveryCheckpointTest, TornManifestHeadFallsBackToPreviousCheckpoint) {
 
 TEST(RecoveryCheckpointTest, BothSlotsTornFallsBackToFullReplay) {
   CrashFixture f;
-  const std::string scope = WalCheckpointScope(f.rw_opts.wal.stream);
+  const std::string scope = WalScope(f.rw_opts.wal.stream);
   Checkpointer& ckpt = *f.rw->checkpointer();
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "a").ok());
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   for (int i = 100; i < 200; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "b").ok());
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
 
-  f.store->ManifestPut(CheckpointSlotKey(scope, 0), "torn");
-  f.store->ManifestPut(CheckpointSlotKey(scope, 1), "torn");
+  f.store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, 0), "torn");
+  f.store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, 1), "torn");
   EXPECT_TRUE(LoadCheckpoint(f.store.get(), scope).status().IsNotFound());
 
   // A follower bootstrapping now replays the full WAL. (It bootstraps
@@ -432,6 +435,211 @@ TEST(RecoveryCheckpointTest, BothSlotsTornFallsBackToFullReplay) {
   ASSERT_TRUE(f.Recover().ok());  // full-WAL replay path
   for (int i = 0; i < 100; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "a");
   for (int i = 100; i < 200; ++i) EXPECT_EQ(f.rw->Get(Key(i)).value(), "b");
+}
+
+TEST(RecoveryCheckpointTest, NewestCompleteSlotIsUsedWithoutFallBack) {
+  // No group flush: the explicit cut is the only manifest this node writes.
+  CrashFixture f(/*flush_group_pages=*/1'000'000);
+  const std::string scope = WalScope(f.rw_opts.wal.stream);
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(f.rw->Put(Key(i), "v").ok());
+  ASSERT_TRUE(f.rw->checkpointer()->CheckpointNow().ok());
+  const CheckpointManifest prev =
+      LoadCheckpoint(f.store.get(), scope).value().manifest;
+
+  // Epoch N+1, put into its slot on its own: the same coverage, with the
+  // cursor moved past the batch of N's checkpoint record (no mutation
+  // follows the cut), so it is complete and names a shorter suffix.
+  CheckpointManifest next = prev;
+  next.epoch = prev.epoch + 1;
+  const wal::WalCursor tail = f.rw->wal_writer()->committed_cursor();
+  ASSERT_NE(tail.seq, prev.wal_seq) << "the checkpoint record follows the cut";
+  next.wal_cursor = tail.ptr;
+  next.wal_term = tail.term;
+  next.wal_seq = tail.seq;
+  f.store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, next.epoch),
+                       next.Encode());
+
+  auto loaded = LoadCheckpoint(f.store.get(), scope);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().manifest.epoch, next.epoch);
+  EXPECT_FALSE(loaded.value().fell_back);
+
+  // A follower bootstraps from N+1: nothing lies past its cursor.
+  RoNodeOptions ro_opts;
+  ro_opts.wal_stream = f.rw_opts.wal.stream;
+  RoNode follower(f.store.get(), ro_opts);
+  ASSERT_TRUE(follower.PollWal().ok());
+  EXPECT_TRUE(follower.ResumedFromCheckpoint());
+  EXPECT_FALSE(follower.CheckpointFellBack());
+  EXPECT_EQ(follower.WalBytesReplayed(), 0u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(follower.Get(1, Key(i)).value(), "v") << i;
+  }
+}
+
+TEST(RecoveryCheckpointTest, UnreadSlotsHoldBackTheNextManifest) {
+  // A checkpointer whose start-up read of the slots failed does not know
+  // which epoch to continue, and a manifest numbered below a surviving one
+  // would never be loaded: it reads the slots again before it publishes.
+  cloud::CloudStoreOptions copts;
+  copts.retry.max_attempts = 1;  // one injected fault fails the read
+  cloud::CloudStore store(copts);
+  RwNodeOptions opts;
+  opts.tree.tree_id = 1;
+  opts.tree.max_leaf_entries = 32;
+  opts.tree.base_stream = store.CreateStream("base");
+  opts.tree.delta_stream = store.CreateStream("delta");
+  opts.wal.stream = store.CreateStream("wal");
+  opts.flush_group_pages = 1'000'000;
+  RwNode rw(&store, opts);
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(rw.Put(Key(i), "a").ok());
+  ASSERT_TRUE(rw.checkpointer()->CheckpointNow().ok());
+  for (int i = 50; i < 100; ++i) ASSERT_TRUE(rw.Put(Key(i), "b").ok());
+  ASSERT_TRUE(rw.checkpointer()->CheckpointNow().ok());
+  const uint64_t prior_epoch = rw.checkpointer()->epoch();
+  ASSERT_GE(prior_epoch, 2u);
+
+  // A second checkpointer of the node stands in for a restarted one.
+  cloud::FaultInjector faults;
+  store.SetFaultInjector(&faults);
+  faults.ArmNext(cloud::FaultOp::kManifestGet,
+                 cloud::FaultClass::kTransientError);
+  Checkpointer restarted(&store, &rw);
+  ASSERT_EQ(faults.stats().Total(), 1u);
+  store.SetFaultInjector(nullptr);
+  EXPECT_EQ(restarted.epoch(), 0u) << "the start-up read failed";
+
+  for (int i = 100; i < 150; ++i) ASSERT_TRUE(rw.Put(Key(i), "c").ok());
+  ASSERT_TRUE(restarted.CheckpointNow().ok());
+  EXPECT_EQ(restarted.epoch(), prior_epoch + 1);
+  auto loaded = LoadCheckpoint(&store, WalScope(opts.wal.stream));
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().manifest.epoch, restarted.epoch());
+  EXPECT_EQ(loaded.value().manifest.checkpoint_lsn, restarted.published_lsn());
+}
+
+// --- the manifest area's slot protocol ---------------------------------------
+
+/// One record kind of the manifest area, driven through its public encode
+/// and load functions.
+struct SlotKind {
+  std::string_view kind;
+  std::string (*encode)(uint64_t epoch);
+  /// The newest record's epoch; `*fell_back` as the load reports it.
+  Result<uint64_t> (*load)(cloud::CloudStore* store, const std::string& scope,
+                           bool* fell_back);
+  bool reports_fell_back;
+};
+
+const SlotKind kCheckpointKind{
+    CheckpointManifest::kKind,
+    [](uint64_t epoch) {
+      CheckpointManifest m;
+      m.epoch = epoch;
+      m.checkpoint_lsn = epoch * 10;
+      m.trees.push_back({1, epoch * 10});
+      return m.Encode();
+    },
+    [](cloud::CloudStore* store, const std::string& scope,
+       bool* fell_back) -> Result<uint64_t> {
+      auto loaded = LoadCheckpoint(store, scope);
+      BG3_RETURN_IF_ERROR(loaded.status());
+      *fell_back = loaded.value().fell_back;
+      return loaded.value().manifest.epoch;
+    },
+    true};
+
+const SlotKind kEpochKind{
+    EpochRecord::kKind,
+    [](uint64_t epoch) {
+      EpochRecord r;
+      r.epoch = epoch;
+      r.term = epoch * 10;
+      return r.Encode();
+    },
+    [](cloud::CloudStore* store, const std::string& scope,
+       bool*) -> Result<uint64_t> {
+      auto loaded = LoadEpochRecord(store, scope);
+      BG3_RETURN_IF_ERROR(loaded.status());
+      return loaded.value().epoch;
+    },
+    false};
+
+TEST(ManifestSlotTest, EveryKindLoadsTheNewestValidSlot) {
+  enum class State { kMissing, kValid, kTorn, kWrongParity };
+  const State kStates[] = {State::kMissing, State::kValid, State::kTorn,
+                           State::kWrongParity};
+  for (const SlotKind* kind : {&kCheckpointKind, &kEpochKind}) {
+    // Valid records are epochs {2, 3} (slot 1 newer) or {4, 3} (slot 0).
+    for (const uint64_t slot0_epoch : {2u, 4u}) {
+      const uint64_t epochs[2] = {slot0_epoch, 3};
+      for (const State s0 : kStates) {
+        for (const State s1 : kStates) {
+          const State states[2] = {s0, s1};
+          cloud::CloudStore store;
+          const std::string scope = "wal9";
+          uint64_t want = 0;
+          bool bad = false;
+          for (uint64_t parity = 0; parity < 2; ++parity) {
+            const std::string key = SlotKey(kind->kind, scope, parity);
+            switch (states[parity]) {
+              case State::kMissing:
+                break;
+              case State::kValid:
+                store.ManifestPut(key, kind->encode(epochs[parity]));
+                want = std::max(want, epochs[parity]);
+                break;
+              case State::kTorn:
+                store.ManifestPut(key, "torn-mid-write");
+                bad = true;
+                break;
+              case State::kWrongParity:
+                // A sound record of the newest epoch, in the wrong slot.
+                store.ManifestPut(key, kind->encode(epochs[parity] + 1));
+                bad = true;
+                break;
+            }
+          }
+          SCOPED_TRACE(std::string(kind->kind) + " slot0=" +
+                       std::to_string(static_cast<int>(s0)) + " slot1=" +
+                       std::to_string(static_cast<int>(s1)) +
+                       " slot0_epoch=" + std::to_string(slot0_epoch));
+          bool fell_back = false;
+          auto got = kind->load(&store, scope, &fell_back);
+          if (want == 0) {
+            EXPECT_TRUE(got.status().IsNotFound()) << got.status().ToString();
+            continue;
+          }
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got.value(), want);
+          if (kind->reports_fell_back) {
+            EXPECT_EQ(fell_back, bad);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ManifestSlotTest, EachPublishWritesExactlyOneManifestKey) {
+  cloud::CloudStore store;
+  const std::string scope = "wal4";
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    CheckpointManifest m;
+    m.epoch = epoch;
+    uint64_t before = store.stats().manifest_updates.Get();
+    ASSERT_TRUE(PublishCheckpoint(&store, scope, m).ok());
+    EXPECT_EQ(store.stats().manifest_updates.Get() - before, 1u) << epoch;
+
+    before = store.stats().manifest_updates.Get();
+    ASSERT_TRUE(PublishEpochRecord(&store, scope, epoch * 10, 4).ok());
+    EXPECT_EQ(store.stats().manifest_updates.Get() - before, 1u) << epoch;
+  }
+  // Each kind's records live in its two slots and nowhere else.
+  EXPECT_EQ(store.ManifestList("ckpt/").size(), 2u);
+  EXPECT_EQ(store.ManifestList("epoch/").size(), 2u);
+  EXPECT_EQ(LoadCheckpoint(&store, scope).value().manifest.epoch, 3u);
+  EXPECT_EQ(LoadEpochRecord(&store, scope).value().term, 30u);
 }
 
 TEST(RecoveryCheckpointTest, CrashAfterEveryCheckpointStep) {

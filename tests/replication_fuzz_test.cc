@@ -114,7 +114,8 @@ TEST_P(ReplicationFuzzTest, RoAlwaysMatchesModel) {
       rw = recovered.take();
     } else {
       // WAL truncation bounded by this RO's cursor and the checkpoint.
-      const cloud::PagePointer ckpt = rw->last_checkpoint_wal_ptr();
+      const cloud::PagePointer ckpt =
+          rw->checkpointer()->published_wal_cursor().ptr;
       const cloud::PagePointer cursor = ro.WalCursor();
       if (!ckpt.IsNull() && !cursor.IsNull()) {
         (void)store.TruncateStreamBefore(

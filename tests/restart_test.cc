@@ -504,7 +504,7 @@ TEST(GraphDbCheckpointTest, WritesPastCheckpointSurviveThroughTheWal) {
   EXPECT_EQ(db.GetEdge(6, 1, 8).value(), "kept");
 }
 
-TEST(GraphDbCheckpointTest, TornHeadSlotFallsBackToPreviousEpoch) {
+TEST(GraphDbCheckpointTest, TornNewestSlotFallsBackToPreviousEpoch) {
   auto store = std::make_unique<cloud::CloudStore>();
   uint64_t epoch2 = 0;
   std::string scope;
@@ -519,7 +519,7 @@ TEST(GraphDbCheckpointTest, TornHeadSlotFallsBackToPreviousEpoch) {
   }
   // Tear the newest manifest slot: restore must fall back one epoch, and
   // the longer WAL suffix past it still holds the newer write.
-  store->ManifestPut(CheckpointSlotKey(scope, epoch2), "torn-mid-write");
+  store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, epoch2), "torn-mid-write");
   core::GraphDB db(store.get(), CheckpointedDbOptions());
   EXPECT_TRUE(db.RestoredFromCheckpoint());
   EXPECT_TRUE(db.CheckpointFellBack());
@@ -536,8 +536,8 @@ TEST(GraphDbCheckpointTest, BothSlotsTornReplaysTheWholeWal) {
     ASSERT_TRUE(db.AddVertex(1, "x").ok());
     ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
   }
-  store->ManifestPut(CheckpointSlotKey(scope, 0), "torn");
-  store->ManifestPut(CheckpointSlotKey(scope, 1), "torn");
+  store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, 0), "torn");
+  store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, 1), "torn");
   core::GraphDB db(store.get(), CheckpointedDbOptions());
   EXPECT_FALSE(db.RestoredFromCheckpoint());
   EXPECT_EQ(db.GetVertex(1).value(), "x") << "full replay keeps every write";
