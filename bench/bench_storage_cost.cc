@@ -197,6 +197,13 @@ int main() {
         .Num("stored_bytes", static_cast<double>(store->TotalBytes()))
         .Num("live_bytes", static_cast<double>(store->LiveBytes()));
   }
+  // GC victims the durable engine's reclaim horizon still holds: relocated,
+  // but named by a manifest slot a restart could start from.
+  const int64_t retired_bytes =
+      durable.checkpointer()->horizon()->retired_bytes().Get();
+  printf("wal_group_flush retired by the reclaim horizon: %s\n",
+         bench::Mb(static_cast<double>(retired_bytes)).c_str());
+  report.Scalar("durable_retired_bytes", static_cast<double>(retired_bytes));
 
   // --- Part 2: dollar-denominated GC policy comparison ----------------------
   // Provisioned-throughput pricing (per-GB transfer is NOT free) so GC byte

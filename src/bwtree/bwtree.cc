@@ -752,7 +752,6 @@ Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
     auto res = store_->Append(opts_.base_stream, record_bytes);
     BG3_RETURN_IF_ERROR(res.status());
     leaf->base_ptr = res.value();
-    store_->MarkInvalid(old_ptr);
     NotifyFlushedLocked(leaf);
     return static_cast<uint64_t>(record_bytes.size());
   }
@@ -762,7 +761,6 @@ Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
         auto res = store_->Append(opts_.delta_stream, record_bytes);
         BG3_RETURN_IF_ERROR(res.status());
         ptr = res.value();
-        store_->MarkInvalid(old_ptr);
         NotifyFlushedLocked(leaf);
         return static_cast<uint64_t>(record_bytes.size());
       }

@@ -249,8 +249,10 @@ class BwTree {
   // --- space-reclamation support (GC, §3.3) --------------------------------
 
   /// Re-installs a still-valid record (self-describing bytes read from a
-  /// victim extent) at a fresh location and invalidates `old_ptr`.
-  /// Returns the number of bytes rewritten (0 if the record was stale).
+  /// victim extent) at a fresh location; a stale `old_ptr` is invalidated
+  /// instead. A moved `old_ptr` stays valid: until its extent is freed, a
+  /// restart may start from a manifest naming it, and that incarnation's
+  /// GC must move it again. Returns the bytes rewritten (0 if stale).
   Result<uint64_t> Relocate(const cloud::PagePointer& old_ptr,
                             const Slice& record_bytes);
 

@@ -147,15 +147,22 @@ class GraphDB : public graph::GraphEngine {
 
  private:
   /// Every tree of the DB: GC relocation resolves through it, and it is
-  /// the RW node's tree set.
+  /// the RW node's tree set. GC's victims go to the RW node's reclaim
+  /// horizon; without one the DB has no restart path and frees them at once.
   class ResolverImpl : public gc::TreeResolver {
    public:
-    explicit ResolverImpl(GraphDB* db) : db_(db) {}
+    explicit ResolverImpl(GraphDB* db)
+        : db_(db), unpinned_(db->store_, /*pinned=*/false) {}
     bwtree::BwTree* Resolve(bwtree::TreeId id) override;
     void AppendTrees(std::vector<bwtree::BwTree*>* out) override;
+    gc::ReclaimHorizon* horizon() override {
+      return db_->rw_ != nullptr ? db_->rw_->checkpointer()->horizon()
+                                 : &unpinned_;
+    }
 
    private:
     GraphDB* const db_;
+    gc::ReclaimHorizon unpinned_;
   };
 
   static constexpr bwtree::TreeId kVertexTreeId = 1ull << 62;

@@ -237,6 +237,7 @@ Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
       opts_(options),
       wal_stream_(node->options().wal.stream),
       scope_(WalScope(wal_stream_)),
+      horizon_(store, /*pinned=*/true),
       metrics_prefix_("bg3.replication.ckpt" +
                       std::to_string(MetricsRegistry::NextInstanceId("ckpt")) +
                       ".") {
@@ -251,6 +252,10 @@ Checkpointer::Checkpointer(cloud::CloudStore* store, RwNode* node,
                       &stats_.manifests_written);
   reg.RegisterCounter(metrics_prefix_ + "wal_extents_truncated",
                       &stats_.wal_extents_truncated);
+  reg.RegisterGauge(metrics_prefix_ + "retired_extents",
+                    &horizon_.retired_extents());
+  reg.RegisterGauge(metrics_prefix_ + "retired_bytes",
+                    &horizon_.retired_bytes());
   reg.RegisterCounter(metrics_prefix_ + "step_errors", &stats_.step_errors);
 }
 
@@ -332,9 +337,10 @@ bwtree::Lsn Checkpointer::published_lsn() const {
   return published_lsn_;
 }
 
-wal::WalCursor Checkpointer::published_wal_cursor() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_cursor_;
+size_t Checkpointer::TruncateWal(cloud::ExtentId reader_floor) {
+  const size_t freed = horizon_.TruncateWal(wal_stream_, reader_floor);
+  stats_.wal_extents_truncated.Add(freed);
+  return freed;
 }
 
 Status Checkpointer::LoadPublishedLocked() {
@@ -343,7 +349,7 @@ Status Checkpointer::LoadPublishedLocked() {
     const CheckpointManifest& m = prior.value().manifest;
     epoch_ = m.epoch;
     published_lsn_ = m.checkpoint_lsn;
-    published_cursor_ = m.WalResumeCursor();
+    horizon_.Publish(m.epoch, /*cut=*/0, m.wal_cursor);
   } else if (!prior.status().IsNotFound()) {
     return prior.status();
   }
@@ -364,6 +370,7 @@ Status Checkpointer::StepLocked() {
     CutStart start;
     BG3_RETURN_IF_ERROR(node_->BeginCut(&start));
     cut_.start = std::move(start);
+    cut_.number = horizon_.BeginCut();
     cut_.next = 0;
     cut_.active = true;
     stats_.cuts_started.Inc();
@@ -416,12 +423,8 @@ Status Checkpointer::PublishCutLocked() {
   BG3_RETURN_IF_ERROR(PublishCheckpoint(store_, scope_, m));
   epoch_ = m.epoch;
   published_lsn_ = lsn;
-  published_cursor_ = cursor;
   stats_.manifests_written.Inc();
-  if (opts_.truncate_wal) {
-    stats_.wal_extents_truncated.Add(store_->TruncateStreamBefore(
-        wal_stream_, published_cursor_.ptr.extent_id));
-  }
+  horizon_.Publish(m.epoch, cut_.number, cursor.ptr);
   cut_ = Cut{};
   return Status::OK();
 }

@@ -13,6 +13,7 @@
 #include "cloud/cloud_store.h"
 #include "common/metrics.h"
 #include "common/result.h"
+#include "gc/space_reclaimer.h"
 #include "wal/record.h"
 
 namespace bg3::replication {
@@ -134,11 +135,6 @@ struct CheckpointerOptions {
   /// the checkpoint thread from monopolizing the store; the cut just takes
   /// more steps to drain.
   size_t max_pages_per_round = 32;
-  /// Advance the WAL truncation point to the published cursor after each
-  /// durable publish. Only safe when no reader's cursor can be behind the
-  /// checkpoint (single-node deployments, or truncation coordinated by
-  /// Cluster::TruncateWal); hence off by default.
-  bool truncate_wal = false;
 };
 
 struct CheckpointerStats {
@@ -210,10 +206,13 @@ class Checkpointer {
   uint64_t epoch() const;
   /// LSN of the newest durable (manifest-published) checkpoint.
   bwtree::Lsn published_lsn() const;
-  /// WAL cursor of the newest published manifest (null before the first).
-  /// Extents before its extent hold only records the published images
-  /// cover: the one bound for WAL truncation.
-  wal::WalCursor published_wal_cursor() const;
+  /// Frees the WAL extents before min(the older manifest slot's cursor,
+  /// `reader_floor`), the first extent some reader still needs
+  /// (kInvalidExtent: none); returns how many.
+  size_t TruncateWal(cloud::ExtentId reader_floor);
+  /// The node's reclaim horizon: the two published slots pin what GC
+  /// hands it and the WAL behind the older slot.
+  gc::ReclaimHorizon* horizon() { return &horizon_; }
   const std::string& scope() const { return scope_; }
   CheckpointerStats& stats() { return stats_; }
 
@@ -221,6 +220,7 @@ class Checkpointer {
   struct Cut {
     bool active = false;
     CutStart start;
+    uint64_t number = 0;  ///< the horizon's number of this cut.
     size_t next = 0;  ///< next entry of start.dirty to flush.
   };
 
@@ -235,6 +235,7 @@ class Checkpointer {
   const CheckpointerOptions opts_;
   const cloud::StreamId wal_stream_;
   const std::string scope_;
+  gc::ReclaimHorizon horizon_;
 
   /// Serializes Step/CheckpointNow/Stop; plain std::mutex (like the GraphDB
   /// maintenance thread) — it never nests inside ranked locks.
@@ -242,7 +243,6 @@ class Checkpointer {
   Cut cut_;
   uint64_t epoch_ = 0;
   bwtree::Lsn published_lsn_ = 0;
-  wal::WalCursor published_cursor_;
   /// False while the substrate has kept LoadPublishedLocked from reading
   /// the slots: a manifest numbered below a surviving one would never be
   /// loaded, so no manifest publishes until the read succeeds.

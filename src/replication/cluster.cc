@@ -403,17 +403,13 @@ void Bg3Cluster::StopCheckpointers() {
 size_t Bg3Cluster::TruncateWal(int partition) {
   if (partition < 0 || partition >= partitions()) return 0;
   Partition& part = *parts_[partition];
-  const cloud::PagePointer checkpoint =
-      part.leader->checkpointer()->published_wal_cursor().ptr;
-  if (checkpoint.IsNull()) return 0;  // nothing checkpointed yet
-  cloud::ExtentId before = checkpoint.extent_id;
+  // The slowest follower's cursor; one that never polled pins the whole log.
+  cloud::ExtentId floor = cloud::kInvalidExtent;
   for (auto& follower : part.followers) {
     const cloud::PagePointer cursor = follower->WalCursor();
-    // A follower that never polled pins the whole log.
-    if (cursor.IsNull()) return 0;
-    before = std::min(before, cursor.extent_id);
+    floor = std::min(floor, cursor.IsNull() ? 0 : cursor.extent_id);
   }
-  return store_->TruncateStreamBefore(part.wal_stream, before);
+  return part.leader->checkpointer()->TruncateWal(floor);
 }
 
 }  // namespace bg3::replication

@@ -135,10 +135,9 @@ class Bg3Cluster {
   /// embeds: `"partitions": [...]`.
   std::string HealthJson() const;
 
-  /// Frees WAL extents every reader is guaranteed done with: strictly
-  /// before min(slowest follower cursor, newest checkpoint record) — fresh
-  /// followers bootstrap from the manifest, so nothing before the
-  /// checkpoint is ever needed again. Returns extents freed.
+  /// Frees the WAL extents the leader's reclaim horizon no longer pins,
+  /// with the slowest follower's cursor as the reader floor (fresh
+  /// followers bootstrap from a manifest). Returns extents freed.
   size_t TruncateWal(int partition);
 
   // --- introspection -------------------------------------------------------------

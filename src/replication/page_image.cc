@@ -43,14 +43,15 @@ void ImageStager::Publish(cloud::CloudStore* store) {
   }
   // Children before parents: descending page id (ids are allocated
   // monotonically, so a split child always outranks its parent). Within a
-  // page, newest first, so the dedupe below keeps the newest image (a page
-  // may flush several times between publishes, e.g. via GC relocation).
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedImage& a, const StagedImage& b) {
-              if (a.page != b.page) return a.page > b.page;
-              if (a.tree != b.tree) return a.tree < b.tree;
-              return a.meta.flushed_lsn > b.meta.flushed_lsn;
-            });
+  // page, newest staged first, so the dedupe below keeps the newest image:
+  // a page stages its flushes in latch order, and a GC relocation restages
+  // an image under the same flushed LSN.
+  std::reverse(staged.begin(), staged.end());
+  std::stable_sort(staged.begin(), staged.end(),
+                   [](const StagedImage& a, const StagedImage& b) {
+                     if (a.page != b.page) return a.page > b.page;
+                     return a.tree < b.tree;
+                   });
   staged.erase(std::unique(staged.begin(), staged.end(),
                            [](const StagedImage& a, const StagedImage& b) {
                              return a.page == b.page && a.tree == b.tree;

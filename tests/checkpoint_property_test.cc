@@ -3,8 +3,9 @@
 // and crash/recover must always recover to the in-memory model, and once a
 // checkpoint manifest is durable, recovery replays strictly less WAL than
 // the stream holds (the bounded-restart property). The GraphDB schedules
-// run the graph on the WAL-backed RW node: a reopened graph holds every
-// edge and vertex ever acknowledged, and nothing that was never written.
+// run the graph on the WAL-backed RW node, with GC cycles, WAL truncation
+// and torn newest manifest slots among the steps: a reopened graph holds
+// every edge and vertex ever acknowledged, and nothing never written.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -176,6 +177,7 @@ core::GraphDBOptions PropertyDbOptions() {
   opts.forest.split_out_threshold = 12;     // owners split out mid-cut
   opts.forest.tree_options.max_leaf_entries = 8;  // and leaves split
   opts.vertex_tree_max_leaf_entries = 8;
+  opts.gc_policy = core::GcPolicyKind::kFifo;     // victims in write order
   return opts;
 }
 
@@ -212,8 +214,13 @@ TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryAckedWrite) {
       "GraphDbCheckpointPropertyTest.ReopenKeepsEveryAckedWrite", 0xDB5C0);
   for (int round = 0; round < 4; ++round) {
     Random rng(seed + round * 0x9E3779B97F4A7C15ull);
-    auto store = std::make_unique<cloud::CloudStore>();
+    cloud::CloudStoreOptions copts;
+    copts.extent_capacity = 1 << 10;  // GC and WAL truncation find victims
+    auto store = std::make_unique<cloud::CloudStore>(copts);
     auto db = std::make_unique<core::GraphDB>(store.get(), PropertyDbOptions());
+    // Epoch of the slot last torn: a second tear before a newer manifest
+    // replaces it would tear the fallback too (a double fault).
+    uint64_t torn_epoch = 0;
     uint64_t next_dst = 0;
     uint64_t next_vid = 0;
     // Guaranteed after a reopen: what the previous reopen restored, plus
@@ -234,15 +241,28 @@ TEST(GraphDbCheckpointPropertyTest, ReopenKeepsEveryAckedWrite) {
                         .ok())
             << where;
         log.push_back(item);
-      } else if (dice < 60) {
+      } else if (dice < 58) {
         const Item item{-1, next_vid++};
         ASSERT_TRUE(db->AddVertex(item.second, ItemValue(item)).ok()) << where;
         log.push_back(item);
-      } else if (dice < 90) {
-        ASSERT_TRUE((dice >= 85 ? ckpt->CheckpointNow() : ckpt->Step()).ok())
+      } else if (dice < 80) {
+        ASSERT_TRUE((dice >= 76 ? ckpt->CheckpointNow() : ckpt->Step()).ok())
             << where;
+      } else if (dice < 86) {
+        ASSERT_TRUE(db->RunGcCycle().ok()) << where;
+      } else if (dice < 90) {
+        ckpt->TruncateWal(cloud::kInvalidExtent);
       } else {  // destroy and reopen, possibly mid-cut
+        // Half the reopens find the newest manifest slot torn.
+        const uint64_t newest = ckpt->epoch();
+        const std::string scope = ckpt->scope();
+        const bool tear = newest > 0 && newest >= torn_epoch && dice % 2 == 0;
         db.reset();
+        if (tear) {
+          store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, newest),
+                             "torn-mid-write");
+          torn_epoch = newest;
+        }
         db = std::make_unique<core::GraphDB>(store.get(), PropertyDbOptions());
         const std::set<Item> seen = ReadAll(*db, next_dst, next_vid, where);
         std::set<Item> expected = restored;

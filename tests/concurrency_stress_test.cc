@@ -42,16 +42,19 @@ std::string SortKey(int i) {
 /// Routes GC relocations to whichever tree of the forest owns the record.
 class ForestResolver : public gc::TreeResolver {
  public:
-  explicit ForestResolver(forest::BwTreeForest* f) : forest_(f) {}
+  ForestResolver(forest::BwTreeForest* f, cloud::CloudStore* store)
+      : forest_(f), horizon_(store, /*pinned=*/false) {}
   bwtree::BwTree* Resolve(bwtree::TreeId id) override {
     return forest_->ResolveTree(id);
   }
   void AppendTrees(std::vector<bwtree::BwTree*>* out) override {
     forest_->AppendTrees(out);
   }
+  gc::ReclaimHorizon* horizon() override { return &horizon_; }
 
  private:
   forest::BwTreeForest* const forest_;
+  gc::ReclaimHorizon horizon_;
 };
 
 struct StressFixture {
@@ -65,7 +68,7 @@ struct StressFixture {
     fopts.tree_options.delta_stream = store->CreateStream("delta");
     fopts.tree_options.consolidate_threshold = 4;
     forest = std::make_unique<forest::BwTreeForest>(store.get(), fopts);
-    resolver = std::make_unique<ForestResolver>(forest.get());
+    resolver = std::make_unique<ForestResolver>(forest.get(), store.get());
     policy = std::make_unique<gc::DirtyRatioPolicy>(0.01);
     gc::ReclaimOptions ropts;
     ropts.target_dead_ratio = 0.01;

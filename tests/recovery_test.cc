@@ -287,9 +287,8 @@ TEST(RecoveryCheckpointTest, CrashBetweenManifestPutAndTruncationAdvance) {
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
   }
-  // Publish a durable checkpoint but crash before the truncation advance
-  // (truncate_wal off models exactly that window: manifest durable, WAL
-  // prefix still present).
+  // Publish a durable checkpoint but crash before any WAL truncation (the
+  // window where the manifest is durable and the WAL prefix still present).
   Checkpointer& ckpt = *f.rw->checkpointer();
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
   ASSERT_GT(ckpt.epoch(), 0u);
@@ -331,14 +330,13 @@ TEST(RecoveryCheckpointTest, CrashAfterTruncationAdvanceStillRecovers) {
   opts.tree.delta_stream = store->CreateStream("delta");
   opts.wal.stream = store->CreateStream("wal");
   opts.flush_group_pages = 8;
-  opts.checkpoint.truncate_wal = true;
   auto rw = std::make_unique<RwNode>(store.get(), opts);
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(rw->Put(Key(i), "pre-truncate").ok());
   }
   Checkpointer& ckpt = *rw->checkpointer();
   ASSERT_TRUE(ckpt.CheckpointNow().ok());
-  EXPECT_GT(ckpt.stats().wal_extents_truncated.Get(), 0u)
+  EXPECT_GT(ckpt.TruncateWal(cloud::kInvalidExtent), 0u)
       << "test must actually exercise a truncated prefix";
   for (int i = 400; i < 450; ++i) {
     ASSERT_TRUE(rw->Put(Key(i), "suffix").ok());
@@ -352,6 +350,56 @@ TEST(RecoveryCheckpointTest, CrashAfterTruncationAdvanceStillRecovers) {
   }
   for (int i = 400; i < 450; ++i) {
     EXPECT_EQ(rw->Get(Key(i)).value(), "suffix") << i;
+  }
+}
+
+TEST(RecoveryCheckpointTest, TruncationKeepsTheTornSlotFallbacksWal) {
+  // WAL truncation frees only behind the older slot's cursor: with the
+  // newest slot torn, recovery falls back to the older manifest and needs
+  // the WAL from its cursor on.
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 256;  // many small extents so truncation bites
+  auto store = std::make_unique<cloud::CloudStore>(copts);
+  RwNodeOptions opts;
+  opts.tree.tree_id = 1;
+  opts.tree.max_leaf_entries = 32;
+  opts.tree.base_stream = store->CreateStream("base");
+  opts.tree.delta_stream = store->CreateStream("delta");
+  opts.wal.stream = store->CreateStream("wal");
+  opts.flush_group_pages = 1'000'000;  // the explicit cuts are the manifests
+  auto rw = std::make_unique<RwNode>(store.get(), opts);
+  Checkpointer& ckpt = *rw->checkpointer();
+  const std::string scope = ckpt.scope();
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(rw->Put(Key(i), "epoch1").ok());
+  ASSERT_TRUE(ckpt.CheckpointNow().ok());
+  EXPECT_EQ(ckpt.TruncateWal(cloud::kInvalidExtent), 0u)
+      << "one manifest: a torn slot means a full replay";
+  for (int i = 300; i < 600; ++i) ASSERT_TRUE(rw->Put(Key(i), "epoch2").ok());
+  ASSERT_TRUE(ckpt.CheckpointNow().ok());
+  ASSERT_EQ(ckpt.epoch(), 2u);
+  EXPECT_GT(ckpt.TruncateWal(cloud::kInvalidExtent), 0u)
+      << "test must actually exercise a truncated prefix";
+  for (int i = 600; i < 650; ++i) ASSERT_TRUE(rw->Put(Key(i), "acked").ok());
+  store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, 2), "torn");
+
+  RoNodeOptions ro_opts;
+  ro_opts.wal_stream = opts.wal.stream;
+  RoNode follower(store.get(), ro_opts);
+  ASSERT_TRUE(follower.PollWal().ok());
+  EXPECT_TRUE(follower.CheckpointFellBack());
+  rw.reset();  // crash
+  auto recovered = RwNode::Recover(store.get(), opts);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  rw = recovered.take();
+  EXPECT_TRUE(rw->recovery().checkpoint_fell_back);
+  for (int i = 0; i < 650; ++i) {
+    const char* want = i < 300 ? "epoch1" : i < 600 ? "epoch2" : "acked";
+    auto got = rw->Get(Key(i));
+    ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), want) << i;
+    auto seen = follower.Get(1, Key(i));
+    ASSERT_TRUE(seen.ok()) << i << ": " << seen.status().ToString();
+    EXPECT_EQ(seen.value(), want) << i;
   }
 }
 

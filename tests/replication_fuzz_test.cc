@@ -113,13 +113,10 @@ TEST_P(ReplicationFuzzTest, RoAlwaysMatchesModel) {
       ASSERT_TRUE(recovered.ok()) << "@" << i;
       rw = recovered.take();
     } else {
-      // WAL truncation bounded by this RO's cursor and the checkpoint.
-      const cloud::PagePointer ckpt =
-          rw->checkpointer()->published_wal_cursor().ptr;
+      // WAL truncation with this RO's cursor as the reader floor.
       const cloud::PagePointer cursor = ro.WalCursor();
-      if (!ckpt.IsNull() && !cursor.IsNull()) {
-        (void)store.TruncateStreamBefore(
-            rw_opts.wal.stream, std::min(ckpt.extent_id, cursor.extent_id));
+      if (!cursor.IsNull()) {
+        (void)rw->checkpointer()->TruncateWal(cursor.extent_id);
       }
     }
   }

@@ -18,6 +18,7 @@
 
 #include "cloud/cloud_store.h"
 #include "cloud/fault_injector.h"
+#include "common/metrics_registry.h"
 #include "common/random.h"
 #include "core/graph_db.h"
 #include "gc/extent_usage.h"
@@ -291,6 +292,155 @@ TEST(RwNodeRecoverTest, DemandPagedPagesTakeWritesSplitsAndGcRelocation) {
   auto again = f.Recover();
   ASSERT_NE(again, nullptr);
   for (const auto& [k, v] : model) ASSERT_EQ(again->Get(k).value(), v) << k;
+}
+
+/// 400 puts, a checkpoint, 100 rewrites, a checkpoint, then one FIFO GC
+/// cycle on the base stream of `f`'s node, its victims handed to the node's
+/// reclaim horizon. Returns the extents the cycle reclaimed.
+size_t CheckpointRewriteAndCollect(RestartFixture& f,
+                                   gc::ExtentUsageTracker* tracker,
+                                   std::map<std::string, std::string>* model) {
+  for (int i = 0; i < 400; ++i) {
+    EXPECT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
+    (*model)[Key(i)] = "v" + std::to_string(i);
+  }
+  f.Checkpoint();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(f.rw->Put(Key(i), "w" + std::to_string(i)).ok());
+    (*model)[Key(i)] = "w" + std::to_string(i);
+  }
+  f.Checkpoint();
+  gc::SingleTreeResolver resolver(f.rw->tree(),
+                                  f.rw->checkpointer()->horizon());
+  gc::FifoPolicy policy;
+  gc::SpaceReclaimer reclaimer(f.store.get(), &resolver, &policy, tracker,
+                               gc::ReclaimOptions{});
+  auto cycle = reclaimer.RunCycle(f.opts.tree.base_stream, 100);
+  EXPECT_TRUE(cycle.ok()) << cycle.status().ToString();
+  return cycle.ok() ? cycle.value().extents_reclaimed : 0;
+}
+
+TEST(RwNodeRecoverTest, GcVictimsOutliveACrashBeforeTheNextCheckpoint) {
+  // The relocated images reach a manifest only with a later cut; until then
+  // the published manifests name the victims, so they must not be freed.
+  RestartFixture f(/*extent_capacity=*/1 << 12);
+  cloud::ManualTimeSource clock;
+  gc::ExtentUsageTracker tracker(&clock);
+  f.store->SetObserver(&tracker);
+  std::map<std::string, std::string> model;
+  const size_t reclaimed = CheckpointRewriteAndCollect(f, &tracker, &model);
+  ASSERT_GT(reclaimed, 0u);
+  EXPECT_EQ(f.rw->checkpointer()->horizon()->retired_extents().Get(),
+            static_cast<int64_t>(reclaimed));
+  f.Crash();  // no checkpoint after the cycle
+
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  for (const auto& [k, v] : model) {
+    auto got = rw->Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), v) << k;
+  }
+  f.store->SetObserver(nullptr);
+}
+
+TEST(RwNodeRecoverTest, GcVictimsAreFreedOnceBothSlotsCoverTheRelocation) {
+  RestartFixture f(/*extent_capacity=*/1 << 12);
+  cloud::ManualTimeSource clock;
+  gc::ExtentUsageTracker tracker(&clock);
+  f.store->SetObserver(&tracker);
+  std::map<std::string, std::string> model;
+  const size_t reclaimed = CheckpointRewriteAndCollect(f, &tracker, &model);
+  ASSERT_GT(reclaimed, 0u);
+  const gc::ReclaimHorizon& horizon = *f.rw->checkpointer()->horizon();
+  const uint64_t freed = f.store->stats().extents_freed.Get();
+
+  // One covering manifest: the other slot still names the victims.
+  ASSERT_TRUE(f.rw->Put(Key(1000), "a").ok());
+  f.Checkpoint();
+  EXPECT_EQ(horizon.retired_extents().Get(), static_cast<int64_t>(reclaimed));
+  EXPECT_GT(horizon.retired_bytes().Get(), 0);
+  EXPECT_EQ(f.store->stats().extents_freed.Get(), freed);
+  // /metrics shows what the horizon holds back (this node's checkpointer
+  // is the only live one).
+  int64_t exported = -1;
+  for (const auto& [name, value] :
+       MetricsRegistry::Default().TakeSnapshot().gauges) {
+    if (name.starts_with("bg3.replication.ckpt") &&
+        name.ends_with(".retired_extents")) {
+      exported = value;
+    }
+  }
+  EXPECT_EQ(exported, static_cast<int64_t>(reclaimed));
+  // The second covering manifest frees them, with no cut of its own.
+  const uint64_t cuts = f.rw->checkpointer()->stats().cuts_started.Get();
+  ASSERT_TRUE(f.rw->Put(Key(1001), "b").ok());
+  f.Checkpoint();
+  EXPECT_EQ(f.rw->checkpointer()->stats().cuts_started.Get(), cuts + 1);
+  EXPECT_EQ(horizon.retired_extents().Get(), 0);
+  EXPECT_EQ(horizon.retired_bytes().Get(), 0);
+  EXPECT_EQ(f.store->stats().extents_freed.Get(), freed + reclaimed);
+  model[Key(1000)] = "a";
+  model[Key(1001)] = "b";
+
+  // Either slot now restarts without the victims: tear the newest.
+  const std::string scope = f.rw->checkpointer()->scope();
+  const uint64_t newest = f.rw->checkpointer()->epoch();
+  f.Crash();
+  f.store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, newest),
+                       "torn-mid-write");
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  EXPECT_TRUE(rw->recovery().checkpoint_fell_back);
+  for (const auto& [k, v] : model) {
+    auto got = rw->Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), v) << k;
+  }
+  f.store->SetObserver(nullptr);
+}
+
+TEST(RwNodeRecoverTest, RecoveredNodeMovesImagesAVictimStillHolds) {
+  // A crash between the relocation and its covering manifests leaves the
+  // restarted node reading images in the victim. That node's own GC must
+  // move them again before its horizon frees the victim.
+  RestartFixture f(/*extent_capacity=*/1 << 12);
+  cloud::ManualTimeSource clock;
+  gc::ExtentUsageTracker tracker(&clock);
+  f.store->SetObserver(&tracker);
+  std::map<std::string, std::string> model;
+  ASSERT_GT(CheckpointRewriteAndCollect(f, &tracker, &model), 0u);
+  f.Crash();
+
+  f.rw = f.Recover();
+  ASSERT_NE(f.rw, nullptr);
+  gc::SingleTreeResolver resolver(f.rw->tree(),
+                                  f.rw->checkpointer()->horizon());
+  gc::FifoPolicy policy;
+  gc::ReclaimOptions always;
+  always.target_dead_ratio = 0;
+  gc::SpaceReclaimer reclaimer(f.store.get(), &resolver, &policy, &tracker,
+                               always);
+  auto cycle = reclaimer.RunCycle(f.opts.tree.base_stream, 100);
+  ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+  EXPECT_GT(cycle.value().extents_reclaimed, 0u);
+  // Two covering manifests free every victim of the restarted node.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(f.rw->Put(Key(2000 + round), "c").ok());
+    model[Key(2000 + round)] = "c";
+    f.Checkpoint();
+  }
+  EXPECT_EQ(f.rw->checkpointer()->horizon()->retired_extents().Get(), 0);
+  f.Crash();
+
+  auto rw = f.Recover();
+  ASSERT_NE(rw, nullptr);
+  for (const auto& [k, v] : model) {
+    auto got = rw->Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), v) << k;
+  }
+  f.store->SetObserver(nullptr);
 }
 
 TEST(RwNodeRecoverTest, RecoverWithoutCheckpointFallsBackToFullReplay) {
@@ -681,6 +831,97 @@ TEST(GraphDbCheckpointTest, ConcurrentWritersKeepEveryAckedEdge) {
   }
 }
 
+/// A durable DB with FIFO GC over 4-KiB extents.
+core::GraphDBOptions CollectedDbOptions() {
+  core::GraphDBOptions opts = CheckpointedDbOptions();
+  opts.gc_policy = core::GcPolicyKind::kFifo;
+  return opts;
+}
+
+std::unique_ptr<cloud::CloudStore> SmallExtentStore() {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 12;
+  return std::make_unique<cloud::CloudStore>(copts);
+}
+
+TEST(GraphDbCheckpointTest, GcBeforeADestroyKeepsEveryEdge) {
+  auto store = SmallExtentStore();
+  {
+    core::GraphDB db(store.get(), CollectedDbOptions());
+    for (int e = 0; e < 400; ++e) {
+      ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "v", e + 1).ok());
+    }
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    for (int e = 0; e < 100; ++e) {
+      ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "w", e + 1).ok());
+    }
+    ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+    ASSERT_TRUE(db.RunGcCycle().ok());
+    ASSERT_GT(db.reclaimer()->totals().extents_reclaimed, 0u);
+  }  // destroyed with no checkpoint after the cycle
+
+  core::GraphDB db(store.get(), CollectedDbOptions());
+  for (int e = 0; e < 400; ++e) {
+    auto got = db.GetEdge(e % 10, 1, 100 + e);
+    ASSERT_TRUE(got.ok()) << e << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), e < 100 ? "w" : "v") << e;
+  }
+}
+
+TEST(GraphDbCheckpointTest, BackgroundGcUnderWritersKeepsEveryAckedEdge) {
+  // The maintenance thread collects while writers' group flushes cut; the
+  // DB is then destroyed with no final checkpoint.
+  constexpr int kWriters = 3;
+  constexpr int kEdgesPerWriter = 1500;
+  auto store = SmallExtentStore();
+  core::GraphDBOptions opts = CollectedDbOptions();
+  opts.forest.tree_options.max_leaf_entries = 8;
+  opts.gc_target_dead_ratio = 0;  // every cycle moves victims, to the end
+  std::array<std::atomic<int>, kWriters> acked{};
+  uint64_t reclaimed = 0;
+  {
+    core::GraphDB db(store.get(), opts);
+    db.StartMaintenance(1);
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kEdgesPerWriter; ++i) {
+          // Rewrites of earlier edges leave garbage for GC to collect.
+          const int e = i % 3 == 2 ? i / 2 : i;
+          if (!db.AddEdge(w * 8 + e % 8, 1, 1000 + e, std::to_string(i),
+                          i + 1)
+                   .ok()) {
+            return;
+          }
+          acked[w].store(i + 1);
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    // Let the maintenance thread run cycles past the last cut.
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    db.StopMaintenance();
+    reclaimed = db.reclaimer()->totals().extents_reclaimed;
+  }
+  EXPECT_GT(reclaimed, 0u) << "GC must relocate under the writers";
+
+  core::GraphDB db(store.get(), opts);
+  for (int w = 0; w < kWriters; ++w) {
+    ASSERT_EQ(acked[w].load(), kEdgesPerWriter) << "writer " << w;
+    // The newest write of each edge wins.
+    std::map<int, int> newest;
+    for (int i = 0; i < kEdgesPerWriter; ++i) {
+      newest[i % 3 == 2 ? i / 2 : i] = i;
+    }
+    for (const auto& [e, i] : newest) {
+      auto got = db.GetEdge(w * 8 + e % 8, 1, 1000 + e);
+      ASSERT_TRUE(got.ok()) << "writer " << w << " edge " << e << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got.value(), std::to_string(i)) << "writer " << w;
+    }
+  }
+}
+
 TEST(GraphDbCheckpointTest, MaintenanceDrainsRestoreQueue) {
   auto store = std::make_unique<cloud::CloudStore>();
   {
@@ -844,11 +1085,14 @@ TEST(ClusterCheckpointTest, LeaderRecoveryResumesFromCheckpoint) {
   ASSERT_NE(cluster.checkpointer(0), nullptr);
   ASSERT_NE(cluster.checkpointer(1), nullptr);
 
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(cluster.Put(Key(i), "v" + std::to_string(i)).ok());
-  }
-  for (int p = 0; p < cluster.partitions(); ++p) {
-    ASSERT_TRUE(cluster.checkpointer(p)->CheckpointNow().ok());
+  // Two checkpoints: the WAL before the older slot's cursor is reclaimable.
+  for (int half = 0; half < 2; ++half) {
+    for (int i = half * 200; i < (half + 1) * 200; ++i) {
+      ASSERT_TRUE(cluster.Put(Key(i), "v" + std::to_string(i)).ok());
+    }
+    for (int p = 0; p < cluster.partitions(); ++p) {
+      ASSERT_TRUE(cluster.checkpointer(p)->CheckpointNow().ok());
+    }
   }
   for (int i = 400; i < 450; ++i) {
     ASSERT_TRUE(cluster.Put(Key(i), "suffix").ok());
