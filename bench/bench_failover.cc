@@ -56,10 +56,10 @@ Measured RunFailover(int scale, bool checkpointing) {
   replication::ClusterOptions copts;
   copts.partitions = 1;
   copts.followers_per_partition = 2;
-  copts.max_leaf_entries = 64;
-  copts.flush_group_pages = 1'000'000;  // the checkpointer flushes
-  copts.flush_group_mutations = 1'000'000'000;
-  copts.wal.group_window_us = 0;
+  copts.leader.tree.max_leaf_entries = 64;
+  copts.leader.flush_group_pages = 1'000'000;  // the checkpointer flushes
+  copts.leader.flush_group_mutations = 1'000'000'000;
+  copts.leader.wal.group_window_us = 0;
   replication::Bg3Cluster cluster(store.get(), copts);
   // CreateStream is name-idempotent: this resolves the id of the WAL
   // stream the cluster created for partition 0.

@@ -113,7 +113,7 @@ int main() {
   replication::ClusterOptions cluster_opts;
   cluster_opts.partitions = 2;
   cluster_opts.followers_per_partition = 2;
-  cluster_opts.wal.group_window_us = 0;
+  cluster_opts.leader.wal.group_window_us = 0;
   replication::Bg3Cluster cluster(&cluster_store, cluster_opts);
   for (int i = 0; i < 200; ++i) {
     BG3_IGNORE_STATUS(

@@ -19,7 +19,7 @@ int main() {
   replication::ClusterOptions opts;
   opts.partitions = 3;               // 3 RW nodes, writes hash-distributed
   opts.followers_per_partition = 2;  // 2 RO nodes each
-  opts.flush_group_pages = 16;
+  opts.leader.flush_group_pages = 16;
   replication::Bg3Cluster cluster(&store, opts);
 
   printf("cluster: %d RW partitions x %d followers over one shared store\n",

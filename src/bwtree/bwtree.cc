@@ -723,15 +723,6 @@ Status BwTree::FlushPage(PageId id) {
   return Status::OK();
 }
 
-size_t BwTree::FlushDirtyPages(size_t max_pages) {
-  size_t flushed = 0;
-  for (PageId id : DirtyPageIds()) {
-    if (flushed >= max_pages) break;
-    if (FlushPage(id).ok()) ++flushed;
-  }
-  return flushed;
-}
-
 Result<uint64_t> BwTree::Relocate(const cloud::PagePointer& old_ptr,
                                   const Slice& record_bytes) {
   Slice in = record_bytes;

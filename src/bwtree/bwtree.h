@@ -74,7 +74,7 @@ struct BwTreeOptions {
   std::atomic<PageId>* page_id_source = nullptr;
   /// Shared access-tick allocator for LRU eviction. A forest passes one
   /// counter for all its trees so last-access ages are comparable
-  /// forest-wide (the forest::EvictToBudget ordering); nullptr uses a
+  /// forest-wide (the forest::EvictTreesToBudget ordering); nullptr uses a
   /// tree-local counter.
   std::atomic<uint64_t>* tick_source = nullptr;
   /// Counts clean -> dirty page transitions (an RW node's group-flush
@@ -192,15 +192,13 @@ class BwTree {
   std::vector<PageId> DirtyPageIds() const;
   /// Consolidates and flushes one page's image; no-op if not dirty.
   Status FlushPage(PageId id);
-  /// Flushes up to `max_pages` dirty pages (group commit); returns flushed.
-  size_t FlushDirtyPages(size_t max_pages);
 
   // --- memory-bounded caching -----------------------------------------------
 
   size_t ResidentPageCount() const;
 
   /// One leaf's residency record for the forest-wide byte budget (see
-  /// forest::EvictToBudget). `bytes` is the heap the resident base holds
+  /// forest::EvictTreesToBudget). `bytes` is the heap the resident base holds
   /// (EntryRun::MemoryBytes); `evictable` marks clean pages whose flushed
   /// image (or empty content) makes dropping them safe.
   struct PageResidency {

@@ -11,9 +11,6 @@
 // owning class's constructor.
 //
 // Acquisition edges (holder -> acquired  [witness]):
-//   BwTreeForest::evict_mu_ -> BwTreeForest::registry_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::EvictToBudget -> AppendTrees()]
-//   BwTreeForest::evict_mu_ -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::EvictToBudget -> EvictTreesToBudget()]
-//   BwTreeForest::evict_mu_ -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::EvictToBudget -> EvictTreesToBudget()]
 //   CloudStore::topology_mu_ -> Stream::mu_  [src/cloud/cloud_store.cc:bg3::cloud::CloudStore::TotalBytes -> total_bytes()]
 //   LeafPage::latch -> CloudStore::topology_mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
 //   LeafPage::latch -> PageIndex::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::MaybeSplitLocked -> InsertPage()]
@@ -31,14 +28,12 @@
 
 namespace bg3::lock_rank {
 
-inline constexpr int kBwTreeForest_evict_mu = 1;  // BwTreeForest::evict_mu_
-inline constexpr int kBwTreeForest_registry_mu = 2;  // BwTreeForest::registry_mu_
-inline constexpr int kOwnerLock_mu = 3;  // OwnerLock::mu
-inline constexpr int kPageIndex_mu = 4;  // PageIndex::mu_
-inline constexpr int kRoNode_mu = 5;  // RoNode::mu_
-inline constexpr int kCloudStore_manifest_mu = 6;  // CloudStore::manifest_mu_
-inline constexpr int kCloudStore_topology_mu = 7;  // CloudStore::topology_mu_
-inline constexpr int kStream_mu = 8;  // Stream::mu_
+inline constexpr int kOwnerLock_mu = 1;  // OwnerLock::mu
+inline constexpr int kPageIndex_mu = 2;  // PageIndex::mu_
+inline constexpr int kRoNode_mu = 3;  // RoNode::mu_
+inline constexpr int kCloudStore_manifest_mu = 4;  // CloudStore::manifest_mu_
+inline constexpr int kCloudStore_topology_mu = 5;  // CloudStore::topology_mu_
+inline constexpr int kStream_mu = 6;  // Stream::mu_
 
 // Unranked (dynamic order; stay kUnranked):
 //   LeafPage::latch: per-leaf latch; ordered dynamically by latch coupling

@@ -233,8 +233,7 @@ void GraphDB::OpenLogged(const bwtree::BwTreeOptions& vertex_opts,
   replication::RwNodeOptions rw_opts;
   rw_opts.tree = vertex_opts;
   rw_opts.wal.stream = store_->CreateStream("bg3-wal");
-  rw_opts.checkpoint.interval_ms = opts_.checkpoint.interval_ms;
-  rw_opts.checkpoint.max_pages_per_round = opts_.checkpoint.max_pages_per_cycle;
+  rw_opts.checkpoint = opts_.checkpoint;
   // The node's own tree is the vertex tree; the forest's trees log through
   // the node. `source` is null on a fresh start.
   const auto open_forest =
@@ -478,6 +477,11 @@ Status GraphDB::RunGcCycle() {
   // Eviction just ran, so the memory watermark is freshest here — the GC
   // cycle is what clears a memory-pressure write throttle.
   RefreshOverloadState();
+  if (rw_ != nullptr) {
+    // One node has no follower floor: the WAL goes up to the reclaim
+    // horizon, the older manifest slot's cursor.
+    rw_->checkpointer()->TruncateWal(cloud::kInvalidExtent);
+  }
   if (reclaimer_ == nullptr) return Status::OK();
   BG3_RETURN_IF_ERROR(
       reclaimer_->RunCycle(base_stream_, opts_.gc_extents_per_cycle).status());

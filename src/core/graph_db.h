@@ -73,9 +73,10 @@ class GraphDB : public graph::GraphEngine {
                       const OpContext* ctx = nullptr) override;
 
   // --- maintenance -----------------------------------------------------------
-  /// One space-reclamation cycle over the base and delta streams. Call
-  /// periodically (or use StartMaintenance; the benches call it explicitly
-  /// for determinism).
+  /// One space-reclamation cycle over the base and delta streams; a durable
+  /// DB also truncates its WAL before the older manifest slot's cursor.
+  /// Call periodically (or use StartMaintenance; the benches call it
+  /// explicitly for determinism).
   Status RunGcCycle();
 
   /// Starts a background thread running, every `interval_ms`, RunGcCycle

@@ -15,8 +15,8 @@ Status GraphDBOptions::Validate() const {
   if (vertex_tree_max_leaf_entries == 0) {
     return Status::InvalidArgument("vertex_tree_max_leaf_entries must be > 0");
   }
-  if (checkpoint.enabled && checkpoint.max_pages_per_cycle == 0) {
-    return Status::InvalidArgument("max_pages_per_cycle must be > 0");
+  if (checkpoint.enabled && checkpoint.max_pages_per_round == 0) {
+    return Status::InvalidArgument("max_pages_per_round must be > 0");
   }
   if (admission.enabled) {
     if (admission.memory_throttle_ratio > 1.0) {

@@ -9,6 +9,7 @@
 #include "core/admission.h"
 #include "forest/forest.h"
 #include "gc/policy.h"
+#include "replication/checkpoint.h"
 
 namespace bg3::core {
 
@@ -79,14 +80,13 @@ struct GraphDBOptions {
   /// proportional to the suffix, not the database. Disabled, every write
   /// flushes its page image synchronously and construction recovers
   /// nothing.
-  struct CheckpointPolicy {
+  ///
+  /// The RW node's CheckpointerOptions: checkpointer()->Start()'s cadence
+  /// and the dirty pages each Step flushes, by default 200 ms and 64.
+  struct CheckpointPolicy : replication::CheckpointerOptions {
+    CheckpointPolicy()
+        : CheckpointerOptions{.interval_ms = 200, .max_pages_per_round = 64} {}
     bool enabled = false;
-    /// Checkpointer thread cadence (checkpointer()->Start()); the RW node's
-    /// CheckpointerOptions::interval_ms.
-    uint64_t interval_ms = 200;
-    /// Dirty pages flushed per checkpointer Step — the increment size; the
-    /// RW node's CheckpointerOptions::max_pages_per_round.
-    size_t max_pages_per_cycle = 64;
   };
   CheckpointPolicy checkpoint;
 

@@ -63,10 +63,6 @@ BwTreeForest::BwTreeForest(cloud::CloudStore* store,
       opts_(options),
       init_has_stateless_owners_(!fresh),
       owners_(options.owner_shards) {
-  registry_mu_.SetRank(lock_rank::kBwTreeForest_registry_mu,
-                       "BwTreeForest::registry_mu_");
-  evict_mu_.SetRank(lock_rank::kBwTreeForest_evict_mu,
-                    "BwTreeForest::evict_mu_");
   if (!fresh) return;
   init_tree_ = std::make_unique<bwtree::BwTree>(store_, MakeTreeOptions(0));
   directory_ = std::make_unique<bwtree::BwTree>(
@@ -465,15 +461,6 @@ size_t BwTreeForest::TotalResidentBytes() const {
   std::vector<bwtree::BwTree*> trees;
   AppendTrees(&trees);
   return TotalResidentBytesAcross(trees);
-}
-
-EvictToBudgetResult BwTreeForest::EvictToBudget(size_t budget_bytes) {
-  // Serialized so concurrent budget passes do not double-evict each other's
-  // candidates.
-  MutexLock evict_lock(&evict_mu_);
-  std::vector<bwtree::BwTree*> trees;
-  AppendTrees(&trees);
-  return EvictTreesToBudget(trees, budget_bytes);
 }
 
 bwtree::BwTree* BwTreeForest::ResolveTree(bwtree::TreeId id) const {

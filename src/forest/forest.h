@@ -137,13 +137,6 @@ class BwTreeForest {
   /// INIT + dedicated trees + owner-table overhead (Fig. 11 space axis).
   size_t ApproxMemoryBytes() const;
 
-  /// Memory pressure: evicts the globally coldest clean leaves across every
-  /// tree (INIT + dedicated) until total resident payload bytes fit in
-  /// `budget_bytes` — a forest-wide buffer-pool budget, so the footprint no
-  /// longer scales with the tree count as owners split out. Serialized on
-  /// evict_mu_; see forest::EvictTreesToBudget.
-  EvictToBudgetResult EvictToBudget(size_t budget_bytes);
-
   /// Total resident payload bytes across every tree in the forest.
   size_t TotalResidentBytes() const;
 
@@ -241,7 +234,6 @@ class BwTreeForest {
   std::vector<std::unique_ptr<bwtree::BwTree>> dedicated_
       BG3_GUARDED_BY(registry_mu_);
 
-  Mutex evict_mu_;  // serializes budget passes.
   std::atomic<bool> init_evicting_{false};  // an INIT-capacity eviction runs.
 };
 

@@ -180,13 +180,24 @@ Result<CycleResult> SpaceReclaimer::RunCycle(cloud::StreamId stream,
     }
   }
 
-  totals_.extents_examined += result.extents_examined;
-  totals_.extents_reclaimed += result.extents_reclaimed;
-  totals_.extents_expired += result.extents_expired;
-  totals_.extents_deferred += result.extents_deferred;
-  totals_.bytes_moved += result.bytes_moved;
-  totals_.bytes_freed += result.bytes_freed;
+  totals_.extents_examined.Add(result.extents_examined);
+  totals_.extents_reclaimed.Add(result.extents_reclaimed);
+  totals_.extents_expired.Add(result.extents_expired);
+  totals_.extents_deferred.Add(result.extents_deferred);
+  totals_.bytes_moved.Add(result.bytes_moved);
+  totals_.bytes_freed.Add(result.bytes_freed);
   return result;
+}
+
+CycleResult SpaceReclaimer::totals() const {
+  CycleResult t;
+  t.extents_examined = totals_.extents_examined.Get();
+  t.extents_reclaimed = totals_.extents_reclaimed.Get();
+  t.extents_expired = totals_.extents_expired.Get();
+  t.extents_deferred = totals_.extents_deferred.Get();
+  t.bytes_moved = totals_.bytes_moved.Get();
+  t.bytes_freed = totals_.bytes_freed.Get();
+  return t;
 }
 
 Result<uint64_t> SpaceReclaimer::RelocateExtent(cloud::StreamId stream,

@@ -151,8 +151,8 @@ class SpaceReclaimer {
   /// `max_extents` victims chosen by the policy.
   Result<CycleResult> RunCycle(cloud::StreamId stream, size_t max_extents);
 
-  /// Cumulative counters across cycles.
-  const CycleResult& totals() const { return totals_; }
+  /// Cumulative counters across cycles, read safely beside a running cycle.
+  CycleResult totals() const;
   const ReclaimOptions& options() const { return opts_; }
 
  private:
@@ -164,7 +164,16 @@ class SpaceReclaimer {
   GcPolicy* const policy_;
   ExtentUsageTracker* const tracker_;
   const ReclaimOptions opts_;
-  CycleResult totals_;
+  /// CycleResult's fields summed over cycles; atomic, since metrics renders
+  /// read them while a cycle adds to them.
+  struct Totals {
+    LightCounter extents_examined;
+    LightCounter extents_reclaimed;
+    LightCounter extents_expired;
+    LightCounter extents_deferred;
+    LightCounter bytes_moved;
+    LightCounter bytes_freed;
+  } totals_;
 };
 
 }  // namespace bg3::gc

@@ -200,16 +200,16 @@ Result<ChaosReport> RunChaos(const ChaosOptions& opts) {
   ClusterOptions copts;
   copts.partitions = opts.partitions;
   copts.followers_per_partition = opts.followers_per_partition;
-  copts.max_leaf_entries = 32;
+  copts.leader.tree.max_leaf_entries = 32;
   // Group flushes stay manual: a zombie's Put then never starts a cut, whose
   // fence check could race a promotion's fence (see DESIGN.md §5.10).
-  copts.flush_group_pages = 1u << 30;
-  copts.flush_group_mutations = 1ull << 40;
+  copts.leader.flush_group_pages = 1u << 30;
+  copts.leader.flush_group_mutations = 1ull << 40;
   copts.ro.seed = opts.seed + 7;
   // Followers tail eagerly — chaos probes consistency, not poll latency.
   copts.ro.poll_interval_us = 0;
-  copts.wal.group_window_us = 0;
-  copts.checkpointer.interval_ms = 1;
+  copts.leader.wal.group_window_us = 0;
+  copts.leader.checkpoint.interval_ms = 1;
   Bg3Cluster cluster(store.get(), copts);
   store->SetFaultInjector(&injector);
   cluster.StartCheckpointers();

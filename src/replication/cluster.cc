@@ -73,18 +73,13 @@ void Bg3Cluster::RegisterMetrics() {
 }
 
 RwNodeOptions Bg3Cluster::LeaderOptions(const Partition& part) const {
-  RwNodeOptions rw;
+  RwNodeOptions rw = opts_.leader;
   rw.tree.tree_id = part.tree_id;
-  rw.tree.max_leaf_entries = opts_.max_leaf_entries;
   rw.tree.base_stream = store_->CreateStream(
       "cluster-p" + std::to_string(part.tree_id - 1) + "-base");
   rw.tree.delta_stream = store_->CreateStream(
       "cluster-p" + std::to_string(part.tree_id - 1) + "-delta");
-  rw.wal = opts_.wal;
   rw.wal.stream = part.wal_stream;
-  rw.flush_group_pages = opts_.flush_group_pages;
-  rw.flush_group_mutations = opts_.flush_group_mutations;
-  rw.checkpoint = opts_.checkpointer;
   return rw;
 }
 

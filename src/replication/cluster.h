@@ -21,18 +21,14 @@ struct ClusterOptions {
   /// RO nodes per partition (the 1M1F / 1M2F / ... setups of Fig. 14).
   int followers_per_partition = 1;
 
-  size_t max_leaf_entries = 256;
-  size_t flush_group_pages = 64;
-  uint64_t flush_group_mutations = 8192;
-  wal::WalWriterOptions wal;  ///< template; stream assigned per partition.
-  RoNodeOptions ro;           ///< template; wal_stream assigned per partition.
-
-  /// Every leader's own Checkpointer (RwNodeOptions::checkpoint): its cuts
-  /// publish the wal<stream>-scope manifests leader recovery and fresh
+  /// Template of every partition leader; its tree id and streams are
+  /// assigned per partition. The leader's Checkpointer (`checkpoint`)
+  /// publishes the wal<stream>-scope manifests leader recovery and fresh
   /// followers resume from, so they replay only the WAL suffix and
   /// TruncateWal can reclaim the covered prefix. Group flushes run it
   /// synchronously; background threads run only after StartCheckpointers().
-  CheckpointerOptions checkpointer;
+  RwNodeOptions leader;
+  RoNodeOptions ro;  ///< template; wal_stream assigned per partition.
 };
 
 /// A full BG3 deployment over one shared cloud store (Fig. 2): hashed write

@@ -1,8 +1,9 @@
 #include "replication/ro_node.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 
-#include "common/clock.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/timed_scope.h"
@@ -52,7 +53,6 @@ RoNode::RoNode(cloud::CloudStore* store, const RoNodeOptions& options)
   reg.RegisterCounter(metrics_prefix_ + "storage_reads", &stats_.storage_reads);
   reg.RegisterCounter(metrics_prefix_ + "poll_degraded", &stats_.poll_degraded);
   reg.RegisterGauge(metrics_prefix_ + "overload.degraded", &stats_.degraded);
-  reg.RegisterCounter(metrics_prefix_ + "fast_reads", &stats_.fast_reads);
   reg.RegisterCallback(metrics_prefix_ + "cache_bytes",
                        [this] { return CacheBytes(); });
 }
@@ -64,20 +64,13 @@ RoNode::~RoNode() {
 Status RoNode::PollWal() {
   BG3_TIMED_SCOPE("bg3.replication.poll", OpLayer::kReplication);
   WriterMutexLock lock(&mu_);
-  return PollWalLocked(/*force=*/true);
+  return PollWalLocked();
 }
 
-Status RoNode::PollWalLocked(bool force) {
+Status RoNode::PollWalLocked() {
   if (!bootstrapped_) {
     BootstrapFromManifestLocked();
     bootstrapped_ = true;
-  }
-  if (opts_.min_poll_gap_us > 0) {
-    const uint64_t now = NowMicros();
-    if (!force && now - last_poll_us_ < opts_.min_poll_gap_us) {
-      return Status::OK();
-    }
-    last_poll_us_ = now;
   }
   // Drain everything appended since the last poll (the reader returns at
   // most a bounded batch count per call).
@@ -215,8 +208,7 @@ Status RoNode::ApplyWalRecordLocked(const wal::WalRecord& rec) {
       if (cit != cache_.end()) {
         CachedPage upper;
         upper.applied_lsn = cit->second.applied_lsn;
-        upper.last_use.store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                             std::memory_order_relaxed);
+        upper.last_use = ++use_tick_;
         bwtree::EntryRun& lower = cit->second.base;
         lower.SplitAt(lower.LowerBound(rec.separator), &upper.base);
         cache_[{rec.tree_id, rec.aux_page_id}] = std::move(upper);
@@ -298,17 +290,14 @@ Result<RoNode::CachedPage*> RoNode::GetPageLocked(bwtree::TreeId tree,
   auto it = cache_.find({tree, page});
   if (it != cache_.end()) {
     stats_.cache_hits.Inc();
-    it->second.last_use.store(
-        use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    it->second.last_use = ++use_tick_;
     ApplyPendingLocked(ts, tree, page, &it->second);
     return &it->second;
   }
   stats_.cache_misses.Inc();
   CachedPage cp;
   BG3_RETURN_IF_ERROR(BuildViewLocked(tree, page, &cp, ctx));
-  cp.last_use.store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
+  cp.last_use = ++use_tick_;
   auto [cit, inserted] = cache_.emplace(CacheKey{tree, page}, std::move(cp));
   EvictIfNeededLocked();
   ApplyPendingLocked(ts, tree, page, &cit->second);
@@ -424,124 +413,73 @@ void RoNode::EvictIfNeededLocked() {
   while (cache_.size() > opts_.cache_capacity_pages && cache_.size() > 1) {
     auto victim = cache_.begin();
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->second.last_use.load(std::memory_order_relaxed) <
-          victim->second.last_use.load(std::memory_order_relaxed)) {
-        victim = it;
-      }
+      if (it->second.last_use < victim->second.last_use) victim = it;
     }
     cache_.erase(victim);
   }
 }
 
-RoNode::FastRead RoNode::TryGetFastLocked(bwtree::TreeId tree, const Slice& key,
-                                          std::string* value) {
-  if (!bootstrapped_) return FastRead::kIneligible;
-  // A poll is due (or strict freshness is configured): the tail scan
-  // mutates node state, so it needs the exclusive latch.
-  if (NowMicros() - last_poll_us_ >= opts_.min_poll_gap_us) {
-    return FastRead::kIneligible;
-  }
+Result<bool> RoNode::Walk(bwtree::TreeId tree, const Slice& start_key,
+                          const Slice& end_key, size_t limit,
+                          const bwtree::EntryVisitor& visit,
+                          const OpContext* ctx) {
+  BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro read"));
+  WriterMutexLock lock(&mu_);
+  BG3_RETURN_IF_ERROR(PollWalLocked());
   auto tit = trees_.find(tree);
-  if (tit == trees_.end() || tit->second.route.empty()) {
-    return FastRead::kIneligible;
+  if (tit == trees_.end() || tit->second.route.empty()) return false;
+  TreeState& ts = tit->second;
+  std::string cursor = start_key.ToString();
+  for (size_t remaining = limit; remaining > 0;) {
+    BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro read"));
+    auto rit = ts.route.upper_bound(cursor);
+    BG3_CHECK(rit != ts.route.begin());
+    const bwtree::PageId page_id = std::prev(rit)->second;
+    BG3_ASSIGN_OR_RETURN(const CachedPage* page,
+                         GetPageLocked(tree, page_id, ctx));
+    bwtree::MergeRuns(page->base, {}, cursor, end_key, &remaining, visit);
+    const PageMeta& meta = ts.meta[page_id];
+    if (!meta.has_high_key ||
+        (!end_key.empty() && Slice(meta.high_key).compare(end_key) >= 0)) {
+      break;
+    }
+    cursor = meta.high_key;
   }
-  const TreeState& ts = tit->second;
-  auto rit = ts.route.upper_bound(key.ToString());
-  BG3_CHECK(rit != ts.route.begin());
-  --rit;
-  const bwtree::PageId page_id = rit->second;
-  auto cit = cache_.find({tree, page_id});
-  if (cit == cache_.end()) return FastRead::kIneligible;  // fill needs excl.
-  CachedPage& cp = cit->second;
-  // Pending records newer than the cached view require replay (a mutation).
-  // Records are LSN-ascending, so the tail carries the max.
-  auto pit = ts.pending.find(page_id);
-  if (pit != ts.pending.end() && !pit->second.records.empty() &&
-      pit->second.records.back().lsn > cp.applied_lsn) {
-    return FastRead::kIneligible;
-  }
-  cp.last_use.store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  stats_.cache_hits.Inc();
-  stats_.fast_reads.Inc();
-  const size_t i = cp.base.Find(key);
-  if (i == cp.base.size()) return FastRead::kMiss;
-  *value = cp.base.At(i).value.ToString();
-  return FastRead::kHit;
+  return true;
 }
 
 Result<std::string> RoNode::Get(bwtree::TreeId tree, const Slice& key,
                                 const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.replication.ro_get", OpLayer::kReplication);
-  BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro get"));
-  if (opts_.min_poll_gap_us > 0) {
-    // Warm-path attempt under the shared latch: a cached, fully replayed
-    // page with no poll due is served without excluding other readers.
-    ReaderMutexLock shared(&mu_);
-    std::string value;
-    switch (TryGetFastLocked(tree, key, &value)) {
-      case FastRead::kHit:
-        return value;
-      case FastRead::kMiss:
-        return Status::NotFound("no such key");
-      case FastRead::kIneligible:
-        break;
-    }
-  }
-  WriterMutexLock lock(&mu_);
-  BG3_RETURN_IF_ERROR(PollWalLocked());
-  auto tit = trees_.find(tree);
-  if (tit == trees_.end() || tit->second.route.empty()) {
-    return Status::NotFound("tree not replicated yet");
-  }
-  TreeState& ts = tit->second;
-  auto rit = ts.route.upper_bound(key.ToString());
-  BG3_CHECK(rit != ts.route.begin());
-  --rit;
-  auto page = GetPageLocked(tree, rit->second, ctx);
-  BG3_RETURN_IF_ERROR(page.status());
-  const bwtree::EntryRun& run = page.value()->base;
-  const size_t i = run.Find(key);
-  if (i == run.size()) return Status::NotFound("no such key");
-  return run.At(i).value.ToString();
+  // The walk's one-key case: [key, key + '\0') holds `key` alone and ends
+  // inside the page that owns it.
+  std::string next = key.ToString();
+  next.push_back('\0');
+  std::optional<std::string> value;
+  BG3_ASSIGN_OR_RETURN(const bool replicated,
+                       Walk(tree, key, next, 1,
+                            [&value](const Slice&, const Slice& v) {
+                              value = v.ToString();
+                              return true;
+                            },
+                            ctx));
+  if (!replicated) return Status::NotFound("tree not replicated yet");
+  if (!value.has_value()) return Status::NotFound("no such key");
+  return std::move(*value);
 }
 
 Status RoNode::Scan(bwtree::TreeId tree, const Slice& start_key,
                     const Slice& end_key, size_t limit,
                     std::vector<bwtree::Entry>* out, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.replication.ro_scan", OpLayer::kReplication);
-  BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro scan"));
-  WriterMutexLock lock(&mu_);
-  BG3_RETURN_IF_ERROR(PollWalLocked());
-  auto tit = trees_.find(tree);
-  if (tit == trees_.end() || tit->second.route.empty()) {
-    return Status::OK();  // nothing replicated yet
-  }
-  TreeState& ts = tit->second;
-  std::string cursor = start_key.ToString();
-  size_t remaining = limit;
-  for (;;) {
-    if (remaining == 0) return Status::OK();
-    BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "ro scan"));
-    auto rit = ts.route.upper_bound(cursor);
-    BG3_CHECK(rit != ts.route.begin());
-    --rit;
-    const bwtree::PageId page_id = rit->second;
-    auto page = GetPageLocked(tree, page_id, ctx);
-    BG3_RETURN_IF_ERROR(page.status());
-    bwtree::MergeRuns(page.value()->base, {}, cursor, end_key, &remaining,
-                      [out](const Slice& key, const Slice& value) {
-                        out->push_back(
-                            bwtree::Entry{key.ToString(), value.ToString()});
-                        return true;
-                      });
-    const PageMeta& meta = ts.meta[page_id];
-    if (!meta.has_high_key) return Status::OK();
-    if (!end_key.empty() && Slice(meta.high_key).compare(end_key) >= 0) {
-      return Status::OK();
-    }
-    cursor = meta.high_key;
-  }
+  // A tree not replicated yet scans empty.
+  return Walk(tree, start_key, end_key, limit,
+              [out](const Slice& key, const Slice& value) {
+                out->push_back(bwtree::Entry{key.ToString(), value.ToString()});
+                return true;
+              },
+              ctx)
+      .status();
 }
 
 Result<RoNode::ExportedTree> RoNode::ExportTree(bwtree::TreeId tree) {

@@ -31,10 +31,6 @@ struct RoNodeOptions {
   /// regularly merge multiple modifications of the same page in the log
   /// area in the background").
   size_t pending_compact_threshold = 128;
-  /// Minimum wall-clock gap between actual WAL tail scans. 0 = tail on
-  /// every read (strict freshness, used by tests); production-style nodes
-  /// tail on a cadence so reads are not serialized on the WAL stream.
-  uint64_t min_poll_gap_us = 0;
   uint64_t seed = 0x20;
   /// Bootstrap from the durable checkpoint manifest when one exists: seek
   /// the WAL reader past the checkpoint cursor so only the suffix is read
@@ -61,9 +57,6 @@ struct RoNodeStats {
   /// as `overload.degraded` so operators see degradation as a level, not
   /// just an episode count (DESIGN.md §5.5).
   Gauge degraded;
-  /// Reads served entirely under the shared node latch (cache hit, no
-  /// pending replay, no poll due). Only possible with min_poll_gap_us > 0.
-  Counter fast_reads;
 };
 
 /// A Read-Only node of §3.4 / Fig. 7: tails the WAL into an in-memory
@@ -72,12 +65,10 @@ struct RoNodeStats {
 /// the mechanism that gives BG3 strong leader-follower consistency without
 /// blocking the RW node.
 ///
-/// Thread safe via a single node latch. Mutating paths (WAL polls, cache
-/// fills, pending replay) hold it exclusively; with min_poll_gap_us > 0 a
-/// point read whose page is cached and fully replayed is served under a
-/// *shared* hold, so concurrent readers of a warm node no longer serialize.
-/// Cross-node read scaling in Fig. 14 still comes from adding RO nodes, as
-/// in the paper; the shared path scales readers within one node.
+/// Thread safe via a single node latch. Every read tails the WAL and then
+/// walks its pages under the exclusive hold (Walk), so each read sees every
+/// write published before it. Read scaling in Fig. 14 comes from adding RO
+/// nodes, as in the paper.
 class RoNode {
  public:
   RoNode(cloud::CloudStore* store, const RoNodeOptions& options);
@@ -87,9 +78,7 @@ class RoNode {
   RoNode& operator=(const RoNode&) = delete;
 
   /// Consumes newly appended WAL records (route/meta updates, pending-log
-  /// growth, checkpoint-based discard). Explicit calls always tail the WAL
-  /// (this is the background poller's entry point); the implicit polls
-  /// reads issue are additionally throttled by min_poll_gap_us.
+  /// growth, checkpoint-based discard); every read does this first.
   Status PollWal();
 
   /// Strongly consistent point read: reflects every write the RW node
@@ -204,34 +193,22 @@ class RoNode {
     /// The page's merged content, which replay edits in place.
     bwtree::EntryRun base;
     bwtree::Lsn applied_lsn = 0;
-    /// LRU tick; atomic so shared-latch readers may refresh it.
-    std::atomic<uint64_t> last_use{0};
-
-    CachedPage() = default;
-    CachedPage(CachedPage&& o) noexcept
-        : base(std::move(o.base)),
-          applied_lsn(o.applied_lsn),
-          last_use(o.last_use.load(std::memory_order_relaxed)) {}
-    CachedPage& operator=(CachedPage&& o) noexcept {
-      base = std::move(o.base);
-      applied_lsn = o.applied_lsn;
-      last_use.store(o.last_use.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      return *this;
-    }
+    uint64_t last_use = 0;  ///< LRU tick.
   };
 
   using CacheKey = std::pair<bwtree::TreeId, bwtree::PageId>;
 
-  /// Shared-latch point-read attempt. kHit/kMiss are authoritative (page
-  /// cached, fully replayed, no poll due); kIneligible means the caller
-  /// must retry under the exclusive latch.
-  enum class FastRead { kHit, kMiss, kIneligible };
-  FastRead TryGetFastLocked(bwtree::TreeId tree, const Slice& key,
-                            std::string* value) BG3_REQUIRES_SHARED(mu_);
+  /// The one read path (Fig. 7): under the exclusive latch, tails the WAL,
+  /// then walks `tree`'s pages in key order from the one owning
+  /// `start_key`, materializing each through the cache, and hands `visit`
+  /// at most `limit` entries of [start_key, end_key) (an empty end_key is
+  /// unbounded) as views into the cached pages. False when the tree has not
+  /// been replicated yet.
+  Result<bool> Walk(bwtree::TreeId tree, const Slice& start_key,
+                    const Slice& end_key, size_t limit,
+                    const bwtree::EntryVisitor& visit, const OpContext* ctx);
 
-  /// `force` skips the min_poll_gap_us throttle (explicit PollWal calls).
-  Status PollWalLocked(bool force = false) BG3_REQUIRES(mu_);
+  Status PollWalLocked() BG3_REQUIRES(mu_);
   Status ApplyWalRecordLocked(const wal::WalRecord& record) BG3_REQUIRES(mu_);
 
   /// Seeds route/meta from the shared mapping table, so a node can come up
@@ -262,12 +239,10 @@ class RoNode {
   bool bootstrapped_ BG3_GUARDED_BY(mu_) = false;
   bool resumed_from_checkpoint_ BG3_GUARDED_BY(mu_) = false;
   bool checkpoint_fell_back_ BG3_GUARDED_BY(mu_) = false;
-  uint64_t last_poll_us_ BG3_GUARDED_BY(mu_) = 0;
   bwtree::Lsn max_lsn_seen_ BG3_GUARDED_BY(mu_) = 0;
   std::map<bwtree::TreeId, TreeState> trees_ BG3_GUARDED_BY(mu_);
   std::map<CacheKey, CachedPage> cache_ BG3_GUARDED_BY(mu_);
-  /// LRU clock; atomic (not latch-guarded) so shared-latch reads can tick.
-  std::atomic<uint64_t> use_tick_{0};
+  uint64_t use_tick_ BG3_GUARDED_BY(mu_) = 0;  ///< LRU clock.
   Random rng_ BG3_GUARDED_BY(mu_);
 
   Histogram sync_latency_;

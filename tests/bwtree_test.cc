@@ -35,6 +35,14 @@ std::string Key(int i) {
   return buf;
 }
 
+/// Flushes every dirty page through FlushPage, as a checkpointer cut does;
+/// returns how many flushed.
+size_t FlushDirty(BwTree* tree) {
+  size_t flushed = 0;
+  for (PageId id : tree->DirtyPageIds()) flushed += tree->FlushPage(id).ok();
+  return flushed;
+}
+
 /// Live entries in the tree, counted through Visit (which reloads evicted
 /// leaves).
 size_t CountEntries(BwTree* tree) {
@@ -619,7 +627,7 @@ TEST(BwTreeTest, DeferredModeTracksDirtyPages) {
   ASSERT_TRUE(f.tree->Upsert("k", "v").ok());
   EXPECT_EQ(f.tree->DirtyPageIds().size(), 1u);
   EXPECT_EQ(f.store->stats().append_ops.Get(), 0u);  // nothing flushed yet
-  EXPECT_EQ(f.tree->FlushDirtyPages(100), 1u);
+  EXPECT_EQ(FlushDirty(f.tree.get()), 1u);
   EXPECT_TRUE(f.tree->DirtyPageIds().empty());
   EXPECT_GT(f.store->stats().append_ops.Get(), 0u);
 }
@@ -629,9 +637,9 @@ TEST(BwTreeTest, FlushPageIsNoopWhenClean) {
   opts.flush_mode = FlushMode::kDeferred;
   TreeFixture f(opts);
   ASSERT_TRUE(f.tree->Upsert("k", "v").ok());
-  ASSERT_EQ(f.tree->FlushDirtyPages(100), 1u);
+  ASSERT_EQ(FlushDirty(f.tree.get()), 1u);
   const uint64_t appends = f.store->stats().append_ops.Get();
-  EXPECT_EQ(f.tree->FlushDirtyPages(100), 0u);
+  EXPECT_EQ(FlushDirty(f.tree.get()), 0u);
   EXPECT_EQ(f.store->stats().append_ops.Get(), appends);
 }
 
@@ -973,7 +981,7 @@ TEST(BwTreeEvictionTest, DirtyPagesAreNotEvicted) {
   // Everything dirty: nothing evictable.
   EXPECT_EQ(EvictToBudget(f.tree.get(), 0), 0u);
   // After flushing, clean pages become evictable.
-  (void)f.tree->FlushDirtyPages(1000);
+  (void)FlushDirty(f.tree.get());
   EXPECT_GT(EvictToBudget(f.tree.get(), 0), 0u);
   for (int i = 0; i < 40; ++i) EXPECT_TRUE(f.tree->Get(Key(i)).ok());
 }

@@ -173,7 +173,7 @@ std::string ItemValue(const Item& item) {
 core::GraphDBOptions PropertyDbOptions() {
   core::GraphDBOptions opts;
   opts.checkpoint.enabled = true;
-  opts.checkpoint.max_pages_per_cycle = 2;  // cuts straddle many writes
+  opts.checkpoint.max_pages_per_round = 2;  // cuts straddle many writes
   opts.forest.split_out_threshold = 12;     // owners split out mid-cut
   opts.forest.tree_options.max_leaf_entries = 8;  // and leaves split
   opts.vertex_tree_max_leaf_entries = 8;

@@ -27,8 +27,8 @@ struct ClusterFixture {
     ClusterOptions opts;
     opts.partitions = partitions;
     opts.followers_per_partition = followers;
-    opts.max_leaf_entries = max_leaf_entries;
-    opts.flush_group_pages = 8;
+    opts.leader.tree.max_leaf_entries = max_leaf_entries;
+    opts.leader.flush_group_pages = 8;
     cluster = std::make_unique<Bg3Cluster>(store.get(), opts);
   }
   std::unique_ptr<cloud::CloudStore> store;
@@ -124,7 +124,7 @@ TEST(ClusterTest, WalTruncationFreesSpaceWithoutBreakingReaders) {
   ClusterOptions opts;
   opts.partitions = 1;
   opts.followers_per_partition = 2;
-  opts.flush_group_pages = 8;
+  opts.leader.flush_group_pages = 8;
   Bg3Cluster cluster(store.get(), opts);
 
   for (int i = 0; i < 2000; ++i) {
@@ -192,8 +192,8 @@ TEST_P(ClusterFaultMatrixTest, EveryLeaderRecoversAndFollowersConverge) {
   ClusterOptions copts;
   copts.partitions = 2;
   copts.followers_per_partition = 2;
-  copts.max_leaf_entries = 32;
-  copts.flush_group_pages = 8;
+  copts.leader.tree.max_leaf_entries = 32;
+  copts.leader.flush_group_pages = 8;
   cloud::CloudStoreOptions sopts;
   switch (cls) {
     case cloud::FaultClass::kTransientError:

@@ -677,10 +677,10 @@ TEST(LockRankTest, SharedAcquisitionsAreRankedToo) {
 TEST(LockRankTest, GeneratedRankingRespectsWitnessedEdges) {
   // Acquisition orders witnessed by the static pass; regeneration may
   // renumber the constants but must keep these edges strict.
-  EXPECT_LT(lock_rank::kBwTreeForest_evict_mu, lock_rank::kOwnerLock_mu);
+  EXPECT_LT(lock_rank::kOwnerLock_mu, lock_rank::kPageIndex_mu);
   EXPECT_LT(lock_rank::kRoNode_mu, lock_rank::kCloudStore_manifest_mu);
   EXPECT_LT(lock_rank::kRoNode_mu, lock_rank::kCloudStore_topology_mu);
-  EXPECT_GT(lock_rank::kBwTreeForest_evict_mu, lock_rank::kUnranked);
+  EXPECT_GT(lock_rank::kOwnerLock_mu, lock_rank::kUnranked);
 }
 
 TEST(LockRankDeathTest, DescendingAcquisitionAborts) {

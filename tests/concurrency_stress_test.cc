@@ -39,6 +39,14 @@ std::string SortKey(int i) {
   return buf;
 }
 
+/// One budget pass over every tree of `f`, as GraphDB::RunGcCycle
+/// runs it.
+void EvictForestToBudget(forest::BwTreeForest* f, size_t budget_bytes) {
+  std::vector<bwtree::BwTree*> trees;
+  f->AppendTrees(&trees);
+  BG3_IGNORE_STATUS(forest::EvictTreesToBudget(trees, budget_bytes));
+}
+
 /// Routes GC relocations to whichever tree of the forest owns the record.
 class ForestResolver : public gc::TreeResolver {
  public:
@@ -144,8 +152,7 @@ TEST(ForestStressTest, ConcurrentUpsertScanDeleteWithGcAndEviction) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     // A quarter of what is resident: leaves hold their exact payload now,
     // so a fixed byte budget could sit above this small working set.
-    BG3_IGNORE_STATUS(
-        f.forest->EvictToBudget(f.forest->TotalResidentBytes() / 4));
+    EvictForestToBudget(f.forest.get(), f.forest->TotalResidentBytes() / 4);
     std::this_thread::yield();
   }
 
@@ -463,8 +470,7 @@ TEST(ForestStressTest, ReadersRaceSplitOutAndBudgetEviction) {
 
   // Driver: forest-wide budget eviction racing the reads and split-outs.
   for (int cycle = 0; cycle < 30; ++cycle) {
-    BG3_IGNORE_STATUS(
-        f.forest->EvictToBudget(f.forest->TotalResidentBytes() / 4));
+    EvictForestToBudget(f.forest.get(), f.forest->TotalResidentBytes() / 4);
     std::this_thread::yield();
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();

@@ -359,6 +359,35 @@ TEST(GraphDBTest, BackgroundMaintenanceRunsAndStops) {
   EXPECT_GT(f.StoreMetric("extents_freed"), 0u);
 }
 
+// The gc.* metrics read the reclaimer's totals, which the maintenance
+// thread's cycles add to while a /metrics render or snapshot reads them.
+TEST(GraphDBTest, MetricsSnapshotsReadGcTotalsWhileMaintenanceRelocates) {
+  GraphDBOptions opts;
+  opts.gc_policy = GcPolicyKind::kDirtyRatio;
+  opts.gc_target_dead_ratio = 0.01;
+  opts.gc_min_fragmentation = 0.01;
+  opts.forest.tree_options.consolidate_threshold = 4;
+  DbFixture f(opts, /*extent_capacity=*/2048);
+  std::atomic<bool> stop{false};
+  std::thread scraper([&stop] {
+    while (!stop.load()) (void)MetricsRegistry::Default().TakeSnapshot();
+  });
+  f.db->StartMaintenance(/*interval_ms=*/1);
+  for (int round = 0; round < 30; ++round) {
+    for (graph::VertexId d = 0; d < 20; ++d) {
+      ASSERT_TRUE(f.db->AddEdge(1, 1, d, "r" + std::to_string(round), 0).ok());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (int i = 0; i < 1000 && f.DbMetric("gc.extents_reclaimed") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  f.db->StopMaintenance();
+  stop.store(true);
+  scraper.join();
+  EXPECT_GT(f.DbMetric("gc.extents_reclaimed"), 0u);
+}
+
 }  // namespace
 }  // namespace bg3::core
 

@@ -266,8 +266,8 @@ struct FailoverFixture {
     ClusterOptions opts;
     opts.partitions = partitions;
     opts.followers_per_partition = followers;
-    opts.max_leaf_entries = 32;
-    opts.flush_group_pages = 8;
+    opts.leader.tree.max_leaf_entries = 32;
+    opts.leader.flush_group_pages = 8;
     cluster = std::make_unique<Bg3Cluster>(store.get(), opts);
   }
   std::unique_ptr<cloud::CloudStore> store;
@@ -505,9 +505,9 @@ TEST(ClusterFailoverTest, MutationTriggerBoundsColdPromotionReplay) {
     ClusterOptions opts;
     opts.partitions = 1;
     opts.followers_per_partition = 2;
-    opts.max_leaf_entries = 64;
-    opts.flush_group_pages = 1'000'000;
-    opts.flush_group_mutations = 64;
+    opts.leader.tree.max_leaf_entries = 64;
+    opts.leader.flush_group_pages = 1'000'000;
+    opts.leader.flush_group_mutations = 64;
     Bg3Cluster cluster(&store, opts);
     for (int i = 0; i < 400 * scales[s]; ++i) {
       ASSERT_TRUE(cluster.Put(Key(i), "backlog-payload-backlog").ok());

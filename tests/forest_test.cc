@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cloud/cloud_store.h"
+#include "forest/buffer_pool.h"
 #include "forest/forest.h"
 #include "forest/owner_table.h"
 
@@ -406,12 +407,16 @@ TEST(ForestTest, ResidentBytesPinnedAcrossSplitOuts) {
   // Quiesce: flush every tree so all leaves are clean and thus evictable.
   std::vector<bwtree::BwTree*> trees;
   f.forest->AppendTrees(&trees);
-  for (bwtree::BwTree* t : trees) (void)t->FlushDirtyPages(~size_t{0});
+  for (bwtree::BwTree* t : trees) {
+    for (bwtree::PageId id : t->DirtyPageIds()) {
+      ASSERT_TRUE(t->FlushPage(id).ok());
+    }
+  }
 
   const size_t before = f.forest->TotalResidentBytes();
   ASSERT_GT(before, 0u);
   const size_t budget = before / 4;
-  const EvictToBudgetResult r = f.forest->EvictToBudget(budget);
+  const EvictToBudgetResult r = EvictTreesToBudget(trees, budget);
   EXPECT_GT(r.pages_evicted, 0u);
   // The byte budget holds no matter how many trees exist — the property
   // the per-tree page target violated.
@@ -443,7 +448,11 @@ TEST(ForestTest, BudgetEvictionKeepsHottestPages) {
   }
   std::vector<bwtree::BwTree*> trees;
   f.forest->AppendTrees(&trees);
-  for (bwtree::BwTree* t : trees) (void)t->FlushDirtyPages(~size_t{0});
+  for (bwtree::BwTree* t : trees) {
+    for (bwtree::PageId id : t->DirtyPageIds()) {
+      ASSERT_TRUE(t->FlushPage(id).ok());
+    }
+  }
 
   // Heat exactly one owner; its tree's leaves now carry the newest ticks.
   for (int round = 0; round < 3; ++round) {
@@ -457,7 +466,7 @@ TEST(ForestTest, BudgetEvictionKeepsHottestPages) {
     return sum;
   }();
 
-  BG3_IGNORE_STATUS(f.forest->EvictToBudget(f.forest->TotalResidentBytes() / 2));
+  BG3_IGNORE_STATUS(EvictTreesToBudget(trees, f.forest->TotalResidentBytes() / 2));
 
   // Re-reading the hot owner must not need reloads: its pages survived.
   for (int i = 0; i < 40; ++i) {

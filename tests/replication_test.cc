@@ -148,9 +148,14 @@ TEST(RwRoSyncTest, RoSeesEveryWriteBeforeAnyFlush) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
   }
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(f.ro->Get(1, Key(i)).value(), "v" + std::to_string(i)) << i;
+  // The first pass fills the cache; the second reads warm pages.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_EQ(f.ro->Get(1, Key(i)).value(), "v" + std::to_string(i)) << i;
+    }
   }
+  // A miss on an absent key of a cached page is authoritative too.
+  EXPECT_TRUE(f.ro->Get(1, "nope").status().IsNotFound());
 }
 
 TEST(RwRoSyncTest, RoSeesWritesAfterGroupFlushAndCheckpoint) {
@@ -456,69 +461,75 @@ TEST(RwRoSyncTest, CachedPagesCostWhatTheWritersLeavesCost) {
   EXPECT_EQ(exported, 1);
 }
 
-// --- shared-latch fast reads (min_poll_gap_us > 0) ---------------------------
+// --- warm reads --------------------------------------------------------------
 
-struct CadenceFixture : ReplFixture {
-  CadenceFixture() : ReplFixture() {
-    RoNodeOptions opts;
-    opts.wal_stream = wal_stream;
-    // Far longer than any test run but well below wall-clock-since-epoch,
-    // so the very first read still polls (0 -> now exceeds the gap) and
-    // every later warm read is eligible for the shared-latch path.
-    opts.min_poll_gap_us = 1'000'000'000;  // ~16 minutes
-    cadence_ro = std::make_unique<RoNode>(store.get(), opts);
-  }
-  std::unique_ptr<RoNode> cadence_ro;
-};
-
-TEST(RoFastReadTest, WarmReadsTakeSharedPathAndStayCorrect) {
-  CadenceFixture f;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(f.rw->Put(Key(i), "v" + std::to_string(i)).ok());
-  }
-  // First read polls + fills the cache under the exclusive latch.
-  ASSERT_EQ(f.cadence_ro->Get(1, Key(0)).value(), "v0");
-  const uint64_t fast_before = f.cadence_ro->stats().fast_reads.Get();
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(f.cadence_ro->Get(1, Key(i)).value(), "v" + std::to_string(i));
-  }
-  // Misses on uncached keys of a cached page are authoritative too.
-  EXPECT_TRUE(f.cadence_ro->Get(1, "nope").status().IsNotFound());
-  EXPECT_GT(f.cadence_ro->stats().fast_reads.Get(), fast_before);
-}
-
-TEST(RoFastReadTest, PendingReplayDisqualifiesFastPath) {
-  CadenceFixture f;
+TEST(RwRoSyncTest, ReadReplaysPendingRecordsOntoWarmPage) {
+  ReplFixture f;
   ASSERT_TRUE(f.rw->Put(Key(0), "old").ok());
-  ASSERT_EQ(f.cadence_ro->Get(1, Key(0)).value(), "old");  // warm the cache
+  ASSERT_EQ(f.ro->Get(1, Key(0)).value(), "old");  // warm the cache
   ASSERT_TRUE(f.rw->Put(Key(0), "new").ok());
   // An explicit poll pulls the record into the pending log; the next read
-  // must notice the unreplayed tail and take the exclusive path.
-  ASSERT_TRUE(f.cadence_ro->PollWal().ok());
-  EXPECT_EQ(f.cadence_ro->Get(1, Key(0)).value(), "new");
+  // must replay it onto the cached page.
+  ASSERT_TRUE(f.ro->PollWal().ok());
+  EXPECT_EQ(f.ro->Get(1, Key(0)).value(), "new");
 }
 
-TEST(RoFastReadTest, ConcurrentWarmReadersAgree) {
-  CadenceFixture f;
+TEST(RwRoSyncTest, ConcurrentWarmReadersAgree) {
+  ReplFixture f;
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(f.rw->Put(Key(i), "v").ok());
   }
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(f.cadence_ro->Get(1, Key(i)).ok());  // warm every page
+    ASSERT_TRUE(f.ro->Get(1, Key(i)).ok());  // warm every page
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&f, &failures, t] {
       for (int i = 0; i < 500; ++i) {
-        auto v = f.cadence_ro->Get(1, Key((i + t) % 30));
+        auto v = f.ro->Get(1, Key((i + t) % 30));
         if (!v.ok() || v.value() != "v") failures.fetch_add(1);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(f.cadence_ro->stats().fast_reads.Get(), 0u);
+}
+
+// Get is the page walk's one-key case and Scan its copying case: over pages
+// that split after their images were published and still hold pending
+// records, a cold Get and a warm one answer what Scan lists.
+TEST(RwRoSyncTest, GetAgreesWithScanOverSplitPagesWithPendingRecords) {
+  ReplFixture f(/*flush_group_pages=*/1'000'000, /*max_leaf_entries=*/4);
+  for (int i = 0; i < 120; i += 2) {
+    ASSERT_TRUE(f.rw->Put(Key(i), "even" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(f.rw->checkpointer()->CheckpointNow().ok());
+  const uint64_t splits_at_checkpoint = f.rw->tree()->stats().splits.Get();
+  for (int i = 1; i < 120; i += 2) {
+    ASSERT_TRUE(f.rw->Put(Key(i), "odd" + std::to_string(i)).ok());
+  }
+  for (int i = 0; i < 120; i += 3) ASSERT_TRUE(f.rw->Delete(Key(i)).ok());
+  ASSERT_GT(f.rw->tree()->stats().splits.Get(), splits_at_checkpoint);
+
+  std::vector<bwtree::Entry> all;
+  ASSERT_TRUE(f.ro->Scan(1, "", "", 1000, &all).ok());
+  ASSERT_GT(f.ro->PendingRecordCount(), 0u);
+  ASSERT_EQ(all.size(), 80u);
+  RoNodeOptions cold_opts;
+  cold_opts.wal_stream = f.wal_stream;
+  RoNode cold(f.store.get(), cold_opts);
+  for (const bwtree::Entry& e : all) {
+    EXPECT_EQ(cold.Get(1, e.key).value(), e.value) << e.key;
+    EXPECT_EQ(f.ro->Get(1, e.key).value(), e.value) << e.key;
+  }
+  for (int i = 0; i < 120; i += 3) {
+    EXPECT_TRUE(cold.Get(1, Key(i)).status().IsNotFound()) << i;
+    EXPECT_TRUE(f.ro->Get(1, Key(i)).status().IsNotFound()) << i;
+    // An absent key just past a live one ends the one-key walk in the page
+    // that owns it.
+    EXPECT_TRUE(f.ro->Get(1, Key(i + 1) + '\0').status().IsNotFound()) << i;
+  }
 }
 
 }  // namespace

@@ -559,7 +559,7 @@ TEST(CrashPointScheduleTest, MidCheckpointFaultKeepsCutOpenThenPublishes) {
 core::GraphDBOptions CheckpointedDbOptions() {
   core::GraphDBOptions opts;
   opts.checkpoint.enabled = true;
-  opts.checkpoint.max_pages_per_cycle = 8;
+  opts.checkpoint.max_pages_per_round = 8;
   return opts;
 }
 
@@ -842,6 +842,36 @@ std::unique_ptr<cloud::CloudStore> SmallExtentStore() {
   cloud::CloudStoreOptions copts;
   copts.extent_capacity = 1 << 12;
   return std::make_unique<cloud::CloudStore>(copts);
+}
+
+// A durable DB's GC cycle truncates the WAL before the older manifest
+// slot's cursor, so a restart from that slot still finds its suffix.
+TEST(GraphDbCheckpointTest, GcCycleTruncatesTheWalBehindTheOlderSlot) {
+  auto store = SmallExtentStore();
+  std::string scope;
+  uint64_t newest = 0;
+  {
+    core::GraphDB db(store.get(), CheckpointedDbOptions());
+    scope = db.checkpointer()->scope();
+    for (int e = 0; e < 600; ++e) {
+      ASSERT_TRUE(db.AddEdge(e % 10, 1, 100 + e, "v", e + 1).ok());
+      if (e == 199 || e == 399) {
+        ASSERT_TRUE(db.checkpointer()->CheckpointNow().ok());
+      }
+    }
+    ASSERT_TRUE(db.RunGcCycle().ok());
+    EXPECT_GT(db.checkpointer()->stats().wal_extents_truncated.Get(), 0u);
+    newest = db.checkpointer()->epoch();
+  }
+  store->ManifestPut(SlotKey(CheckpointManifest::kKind, scope, newest),
+                     "torn-mid-write");
+  core::GraphDB db(store.get(), CheckpointedDbOptions());
+  EXPECT_TRUE(db.CheckpointFellBack());
+  for (int e = 0; e < 600; ++e) {
+    auto got = db.GetEdge(e % 10, 1, 100 + e);
+    ASSERT_TRUE(got.ok()) << e << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), "v") << e;
+  }
 }
 
 TEST(GraphDbCheckpointTest, GcBeforeADestroyKeepsEveryEdge) {
@@ -1166,7 +1196,7 @@ TEST(ClusterCheckpointTest, BackgroundCheckpointersRunUnderLoad) {
   cloud::CloudStore store;
   ClusterOptions opts;
   opts.partitions = 2;
-  opts.checkpointer.interval_ms = 1;
+  opts.leader.checkpoint.interval_ms = 1;
   Bg3Cluster cluster(&store, opts);
   cluster.StartCheckpointers();
   for (int i = 0; i < 500; ++i) {
@@ -1197,7 +1227,7 @@ TEST(ClusterCheckpointTest, CheckpointerFollowsTheLeader) {
   ClusterOptions opts;
   opts.partitions = 1;
   opts.followers_per_partition = 2;
-  opts.checkpointer.interval_ms = 1;
+  opts.leader.checkpoint.interval_ms = 1;
   Bg3Cluster cluster(&store, opts);
   Checkpointer* first = cluster.checkpointer(0);
   ASSERT_NE(first, nullptr);
