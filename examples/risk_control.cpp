@@ -9,7 +9,7 @@
 
 #include "cloud/cloud_store.h"
 #include "core/graph_db.h"
-#include "graph/pattern.h"
+#include "graph/subgraph.h"
 #include "graph/traversal.h"
 
 int main() {
@@ -42,16 +42,19 @@ int main() {
   BG3_CHECK(db.AddEdge(101, kTransfer, 102, "amt=9999", 0).ok());
   BG3_CHECK(db.AddEdge(102, kTransfer, 100, "amt=9999", 0).ok());
 
-  // Loop detection — the MPP-style risk query of §2.6.
-  graph::CycleOptions cycle;
-  cycle.type = kTransfer;
-  cycle.max_length = 5;
-  cycle.fanout = 64;
+  // Loop detection — the MPP-style risk query of §2.6: is the account on
+  // a transfer cycle of 2 to 5 hops? One cycle pattern per length, and the
+  // first match settles it.
   for (graph::VertexId account : {100ull, 0ull, 101ull}) {
-    auto found = graph::DetectCycle(&db, account, cycle);
+    bool found = false;
+    for (uint32_t k = 2; k <= 5 && !found; ++k) {
+      graph::SubgraphPattern cycle = graph::CyclePattern(k, kTransfer);
+      cycle.max_matches = 1;
+      auto matches = graph::MatchSubgraph(&db, account, cycle);
+      found = matches.ok() && !matches.value().empty();
+    }
     printf("account %llu: %s\n", (unsigned long long)account,
-           found.ok() && found.value() ? "CYCLE DETECTED (flag for review)"
-                                       : "clean");
+           found ? "CYCLE DETECTED (flag for review)" : "clean");
   }
 
   // Multi-hop reachability: can funds flow from 100 to 102 within 10 hops?

@@ -12,6 +12,8 @@ Checks:
   - counters are non-negative integers
   - no metric was registered twice (bg3.registry.collisions == 0)
   - the io breakdown carries all expected fields
+  - per-bench series, scalar floors, ceilings, orderings and ratios
+    (BENCH_EXPECTATIONS)
 """
 import argparse
 import json
@@ -33,8 +35,19 @@ IO_FIELDS = [
 # `scalar_max`: (name, max_value) pairs that must be present and <= max;
 # `scalar_order`: (smaller, larger) pairs — both must be present and
 # smaller <= larger (pins orderings like "workload-aware GC costs no more
-# than FIFO" without hard-coding machine-dependent absolute dollars).
+# than FIFO" without hard-coding machine-dependent absolute dollars);
+# `scalar_ratio`: (numerator, denominator, min_ratio) triples — both must
+# be present and numerator / denominator >= min_ratio.
 BENCH_EXPECTATIONS = {
+    "fig9_read_amp": {
+        # Zero-cache point reads over a seeded Zipf workload, so both counts
+        # are deterministic. Algorithm 1 keeps one delta per page: a read
+        # costs at most the base plus that delta (1.93 measured). The
+        # traditional chain reads up to 10 images (4.41 measured).
+        "scalar_max": [("storage_reads_per_query_read_optimized", 2.0)],
+        "scalar_ratio": [("storage_reads_per_query_traditional",
+                          "storage_reads_per_query_read_optimized", 1.5)],
+    },
     "read_scaling": {
         "series": [
             "read_optimized_hit", "read_optimized_miss",
@@ -214,6 +227,15 @@ def check_bench(path):
                 fail(path, f"scalar order violated: {smaller}="
                            f"{scalars[smaller]!r} > {larger}="
                            f"{scalars[larger]!r}")
+
+        for num, den, minimum in expect.get("scalar_ratio", []):
+            missing = [n for n in (num, den) if n not in scalars]
+            if missing:
+                fail(path, f"expected scalar(s) {missing} missing")
+            elif not scalars[den] or scalars[num] / scalars[den] < minimum:
+                fail(path, f"scalar ratio {num}/{den}={scalars[num]!r}/"
+                           f"{scalars[den]!r} below required minimum "
+                           f"{minimum}")
 
     if not doc["latency_ns"]:
         # Per-layer latency is the point of the schema; an empty map means

@@ -1,7 +1,7 @@
 #include "bwtree/bwtree.h"
 
 #include <algorithm>
-#include <span>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_annotations.h"
@@ -18,23 +18,6 @@ void PushDelta(LeafPage* leaf, const EntryView& entry)
   leaf->deltas.back().Append(entry);
   leaf->delta_ptrs.emplace_back();
   ++leaf->delta_updates;
-}
-
-/// A point lookup in a page's runs: the newest delta holding `key`
-/// decides, else the base does.
-Result<std::string> LookupInRuns(const EntryRun& base,
-                                 const std::vector<EntryRun>& deltas,
-                                 const Slice& key) {
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    const size_t i = it->Find(key);
-    if (i == it->size()) continue;
-    const EntryView e = it->At(i);
-    if (e.op == DeltaOp::kDelete) return Status::NotFound("deleted");
-    return e.value.ToString();
-  }
-  const size_t i = base.Find(key);
-  if (i == base.size()) return Status::NotFound("no such key");
-  return base.At(i).value.ToString();
 }
 
 }  // namespace
@@ -143,20 +126,30 @@ Status BwTree::InstallRecoveredPages(std::vector<RecoveredPage> pages) {
   return Status::OK();
 }
 
-LeafPage* BwTree::FindAndLatchLeafExclusive(
-    const Slice& key, std::unique_lock<SharedMutex>* lock) {
+template <typename Lock>
+LeafPage* BwTree::FindAndLatchLeaf(const Slice& key, Lock* lock) {
+  constexpr bool kShared =
+      std::is_same_v<Lock, std::shared_lock<SharedMutex>>;
+  LightCounter& acquires = kShared ? stats_.latch_shared_acquires
+                                   : stats_.latch_exclusive_acquires;
+  LightCounter& conflicts = kShared ? stats_.latch_shared_conflicts
+                                    : stats_.latch_exclusive_conflicts;
   bool refresh = false;
   for (;;) {
     LeafPage* leaf =
         refresh ? index_.FindLeafFresh(key) : index_.FindLeaf(key);
     BG3_CHECK(leaf != nullptr);
-    std::unique_lock<SharedMutex> latch(leaf->latch, std::try_to_lock);
+    Lock latch(leaf->latch, std::try_to_lock);
     if (!latch.owns_lock()) {
-      stats_.latch_exclusive_conflicts.Inc();
+      conflicts.Inc();
       latch.lock();
     }
-    leaf->latch.AssertHeld();
-    stats_.latch_exclusive_acquires.Inc();
+    if constexpr (kShared) {
+      leaf->latch.AssertReaderHeld();
+    } else {
+      leaf->latch.AssertHeld();
+    }
+    acquires.Inc();
     // Re-validate: the leaf may have split between routing and latching,
     // or the routing snapshot/hint may have been stale.
     const bool in_range =
@@ -176,43 +169,12 @@ LeafPage* BwTree::FindAndLatchLeafExclusive(
   }
 }
 
-LeafPage* BwTree::FindAndLatchLeafShared(const Slice& key,
-                                         std::shared_lock<SharedMutex>* lock) {
-  bool refresh = false;
-  for (;;) {
-    LeafPage* leaf =
-        refresh ? index_.FindLeafFresh(key) : index_.FindLeaf(key);
-    BG3_CHECK(leaf != nullptr);
-    std::shared_lock<SharedMutex> latch(leaf->latch, std::try_to_lock);
-    if (!latch.owns_lock()) {
-      stats_.latch_shared_conflicts.Inc();
-      latch.lock();
-    }
-    leaf->latch.AssertReaderHeld();
-    stats_.latch_shared_acquires.Inc();
-    const bool in_range =
-        key.compare(Slice(leaf->low_key)) >= 0 &&
-        (!leaf->has_high_key || key.compare(Slice(leaf->high_key)) < 0);
-    if (in_range) {
-      leaf->last_access_tick.store(
-          tick_source_->fetch_add(1, std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      index_.NoteLeafHint(leaf, leaf->high_key, leaf->has_high_key);
-      *lock = std::move(latch);
-      return leaf;
-    }
-    refresh = true;
-  }
-}
-
 Status BwTree::Upsert(const Slice& key, const Slice& value,
                       const OpContext* ctx) {
-  stats_.upserts.Inc();
   return Write(EntryView{DeltaOp::kUpsert, key, value}, ctx);
 }
 
 Status BwTree::Delete(const Slice& key, const OpContext* ctx) {
-  stats_.deletes.Inc();
   return Write(EntryView{DeltaOp::kDelete, key, Slice()}, ctx);
 }
 
@@ -220,7 +182,7 @@ Status BwTree::Write(const EntryView& entry, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.write");
   BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree write"));
   std::unique_lock<SharedMutex> lock;
-  LeafPage* leaf = FindAndLatchLeafExclusive(entry.key, &lock);
+  LeafPage* leaf = FindAndLatchLeaf(entry.key, &lock);
   leaf->latch.AssertHeld();
   const Lsn lsn = NextLsn();
   leaf->last_lsn = lsn;
@@ -559,34 +521,6 @@ void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
   }
 }
 
-Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
-  BG3_TIMED_SCOPE("bg3.bwtree.get");
-  stats_.gets.Inc();
-  BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree get"));
-  {
-    // Shared latch, so readers of one hot leaf never serialize behind each
-    // other: the leaf's own runs, or at zero cache the storage images
-    // standing in for them (read-only on the leaf).
-    std::shared_lock<SharedMutex> lock;
-    LeafPage* leaf = FindAndLatchLeafShared(key, &lock);
-    leaf->latch.AssertReaderHeld();
-    if (opts_.read_cache == ReadCacheMode::kNone) {
-      EntryRun base;
-      std::vector<EntryRun> deltas;
-      BG3_RETURN_IF_ERROR(ReadImagesLocked(leaf, &base, &deltas, ctx));
-      return LookupInRuns(base, deltas, key);
-    }
-    if (leaf->resident) return LookupInRuns(leaf->base, leaf->deltas, key);
-  }
-  // Cache miss on an evicted leaf: the reload mutates the page, so retake
-  // the latch exclusively (the page may have changed while unlatched).
-  std::unique_lock<SharedMutex> lock;
-  LeafPage* leaf = FindAndLatchLeafExclusive(key, &lock);
-  leaf->latch.AssertHeld();
-  BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
-  return LookupInRuns(leaf->base, leaf->deltas, key);
-}
-
 Status BwTree::ReadImagesLocked(LeafPage* leaf, EntryRun* base,
                                 std::vector<EntryRun>* deltas,
                                 const OpContext* ctx) {
@@ -616,73 +550,83 @@ Status BwTree::ReadImagesLocked(LeafPage* leaf, EntryRun* base,
   return Status::OK();
 }
 
-Status BwTree::CollectRangeLocked(LeafPage* leaf, const std::string& start,
-                                  const std::string& end, size_t* remaining,
+Status BwTree::CollectRangeLocked(LeafPage* leaf, const Slice& start,
+                                  const Slice& end, size_t* remaining,
                                   const EntryVisitor& visit,
                                   const OpContext* ctx) {
-  const EntryRun* base = &leaf->base;
-  std::span<const EntryRun> deltas = leaf->deltas;
-  EntryRun fetched_base;
-  std::vector<EntryRun> fetched_deltas;  // oldest first
-  if (opts_.read_cache == ReadCacheMode::kNone) {
-    // Storage-backed read: the images (base plus one per delta, the I/O
-    // Fig. 9 measures) stand in for the leaf's own runs.
-    BG3_RETURN_IF_ERROR(
-        ReadImagesLocked(leaf, &fetched_base, &fetched_deltas, ctx));
-    base = &fetched_base;
-    deltas = fetched_deltas;
-  } else {
-    // Read-only: the caller made the leaf resident before collecting
-    // (Visit's exclusive-reload fallback handles evicted leaves).
+  if (opts_.read_cache == ReadCacheMode::kFull) {
+    // Read-only: the walk made the leaf resident before collecting.
     BG3_DCHECK(leaf->resident);
+    MergeRuns(leaf->base, leaf->deltas, start, end, remaining, visit);
+    return Status::OK();
   }
-  MergeRuns(*base, deltas, start, end, remaining, visit);
+  // Storage-backed read: the images (base plus one per delta, the I/O
+  // Fig. 9 measures) stand in for the leaf's own runs.
+  EntryRun base;
+  std::vector<EntryRun> deltas;  // oldest first
+  BG3_RETURN_IF_ERROR(ReadImagesLocked(leaf, &base, &deltas, ctx));
+  MergeRuns(base, deltas, start, end, remaining, visit);
   return Status::OK();
+}
+
+Status BwTree::Walk(const Slice& start, const Slice& end, size_t limit,
+                    const EntryVisitor& visit, const OpContext* ctx) {
+  Slice cursor = start;
+  std::string next;  // the high key of the leaf just visited
+  for (size_t remaining = limit; remaining > 0;) {
+    // Per-hop deadline check: a long scan over many leaves stops at the
+    // first hop past the deadline instead of finishing the range.
+    BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree read"));
+    // Shared latch, so readers of one hot leaf never serialize behind each
+    // other: the leaf's own runs, or at zero cache the storage images
+    // standing in for them (read-only on the leaf). Reloading an evicted
+    // leaf mutates it, so that hop retakes the latch exclusively (the leaf
+    // may change while unlatched) and reloads first.
+    std::shared_lock<SharedMutex> shared;
+    std::unique_lock<SharedMutex> exclusive;
+    LeafPage* leaf = FindAndLatchLeaf(cursor, &shared);
+    leaf->latch.AssertReaderHeld();
+    if (opts_.read_cache == ReadCacheMode::kFull && !leaf->resident) {
+      shared.unlock();
+      leaf = FindAndLatchLeaf(cursor, &exclusive);
+      leaf->latch.AssertHeld();
+      BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
+    }
+    BG3_RETURN_IF_ERROR(
+        CollectRangeLocked(leaf, cursor, end, &remaining, visit, ctx));
+    if (!leaf->has_high_key ||
+        (!end.empty() && Slice(leaf->high_key).compare(end) >= 0)) {
+      break;
+    }
+    next = leaf->high_key;
+    cursor = next;
+  }
+  return Status::OK();
+}
+
+Result<std::string> BwTree::Get(const Slice& key, const OpContext* ctx) {
+  BG3_TIMED_SCOPE("bg3.bwtree.get");
+  // The walk's one-key case: [key, key + '\0') holds `key` alone and ends
+  // inside the leaf that owns it.
+  std::string end = key.ToString();
+  end.push_back('\0');
+  std::string value;
+  bool found = false;
+  BG3_RETURN_IF_ERROR(Walk(key, end, 1,
+                           [&](const Slice&, const Slice& v) {
+                             value.assign(v.data(), v.size());
+                             found = true;
+                             return true;
+                           },
+                           ctx));
+  if (!found) return Status::NotFound("no such key");
+  return value;
 }
 
 Status BwTree::Visit(const ScanOptions& options, const EntryVisitor& visit,
                      const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.scan");
-  stats_.scans.Inc();
-  std::string cursor = options.start_key;
-  size_t remaining = options.limit;
-  const bool bounded_end = !options.end_key.empty();
-  for (;;) {
-    if (remaining == 0) return Status::OK();
-    // Per-hop deadline check: a long scan over many leaves stops at the
-    // first hop past the deadline instead of finishing the range.
-    BG3_RETURN_IF_ERROR(CheckDeadline(ctx, "bwtree scan"));
-    {
-      // Shared-latch fast path: visit a resident leaf (or the storage
-      // images in zero-cache mode) without blocking other readers.
-      std::shared_lock<SharedMutex> lock;
-      LeafPage* leaf = FindAndLatchLeafShared(cursor, &lock);
-      leaf->latch.AssertReaderHeld();
-      if (opts_.read_cache == ReadCacheMode::kNone || leaf->resident) {
-        BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, cursor, options.end_key,
-                                               &remaining, visit, ctx));
-        if (remaining == 0) return Status::OK();
-        if (!leaf->has_high_key) return Status::OK();
-        if (bounded_end && leaf->high_key >= options.end_key) {
-          return Status::OK();
-        }
-        cursor = leaf->high_key;
-        continue;
-      }
-    }
-    // Evicted leaf: the reload mutates the page — retake exclusively,
-    // reload, then visit this hop under the exclusive latch.
-    std::unique_lock<SharedMutex> lock;
-    LeafPage* leaf = FindAndLatchLeafExclusive(cursor, &lock);
-    leaf->latch.AssertHeld();
-    BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
-    BG3_RETURN_IF_ERROR(CollectRangeLocked(leaf, cursor, options.end_key,
-                                           &remaining, visit, ctx));
-    if (remaining == 0) return Status::OK();
-    if (!leaf->has_high_key) return Status::OK();
-    if (bounded_end && leaf->high_key >= options.end_key) return Status::OK();
-    cursor = leaf->high_key;
-  }
+  return Walk(options.start_key, options.end_key, options.limit, visit, ctx);
 }
 
 Status BwTree::Scan(const ScanOptions& options, std::vector<Entry>* out,

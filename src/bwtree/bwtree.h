@@ -122,12 +122,9 @@ struct RecoveredPage {
 using RecoveredTreeSource =
     std::function<Result<std::vector<RecoveredPage>>(TreeId)>;
 
-/// Write/read activity counters of one tree.
+/// Latch, structure and residency counters of one tree. Operation counts
+/// are the bg3.bwtree.{write,get,scan} timed scopes' histogram counts.
 struct BwTreeStats {
-  LightCounter upserts;
-  LightCounter deletes;
-  LightCounter gets;
-  LightCounter scans;
   /// Leaf-latch acquisition counters, split by mode (exported through the
   /// registry as bg3.db<N>.bwtree.latch.*). The conflict counters count
   /// acquisitions whose try-lock failed because an incompatible holder was
@@ -165,7 +162,9 @@ class BwTree {
                 const OpContext* ctx = nullptr);
   Status Delete(const Slice& key, const OpContext* ctx = nullptr);
 
-  /// Point lookup; NotFound if absent or deleted.
+  /// Point lookup: the read walk over [key, key + '\0') with limit 1, so
+  /// it takes the latches and issues the storage reads of a one-key Visit.
+  /// NotFound if absent or deleted.
   Result<std::string> Get(const Slice& key, const OpContext* ctx = nullptr);
 
   struct ScanOptions {
@@ -272,18 +271,25 @@ class BwTree {
     return page_id_source_->fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Routes to the leaf owning `key`, latches it exclusively, and
+  /// Routes to the leaf owning `key`, latches it in `Lock`'s mode
+  /// (std::unique_lock: exclusive, std::shared_lock: shared), and
   /// re-validates the key range (retrying — with a forced route-snapshot
   /// refresh — if the leaf split concurrently). Returns the latched leaf;
   /// `lock` holds the latch. Callers must follow up with
-  /// `leaf->latch.AssertHeld()` so the thread-safety analysis learns about
-  /// the acquisition it cannot see through std::unique_lock.
-  LeafPage* FindAndLatchLeafExclusive(const Slice& key,
-                                      std::unique_lock<SharedMutex>* lock);
-  /// Shared-mode twin for the read path; callers follow up with
-  /// `leaf->latch.AssertReaderHeld()`.
-  LeafPage* FindAndLatchLeafShared(const Slice& key,
-                                   std::shared_lock<SharedMutex>* lock);
+  /// `leaf->latch.AssertHeld()` (or `AssertReaderHeld()`) so the
+  /// thread-safety analysis learns about the acquisition it cannot see
+  /// through the std lock holder.
+  template <typename Lock>
+  LeafPage* FindAndLatchLeaf(const Slice& key, Lock* lock);
+
+  /// The tree's one read loop, behind Get and Visit: per leaf hop, route
+  /// to the leaf owning the cursor, latch it shared (exclusive, to reload
+  /// an evicted leaf first), hand its entries of [cursor, end) to `visit`
+  /// (CollectRangeLocked), then advance to the leaf's high key. Stops
+  /// after `limit` entries, when `visit` returns false, or at `end`
+  /// (empty = the key space's end).
+  Status Walk(const Slice& start, const Slice& end, size_t limit,
+              const EntryVisitor& visit, const OpContext* ctx);
 
   Status Write(const EntryView& entry, const OpContext* ctx);
   Status ApplyTraditionalLocked(LeafPage* leaf, const EntryView& entry,
@@ -332,10 +338,10 @@ class BwTree {
   /// as views, at most `*remaining` of them (see MergeRuns). A cached leaf
   /// supplies its own runs; zero-cache mode supplies the storage images it
   /// fetches. Read-only: in full-cache mode the caller must have made the
-  /// leaf resident first (Visit's exclusive-reload fallback does this on a
+  /// leaf resident first (Walk's exclusive-reload fallback does this on a
   /// cache miss).
-  Status CollectRangeLocked(LeafPage* leaf, const std::string& start,
-                            const std::string& end, size_t* remaining,
+  Status CollectRangeLocked(LeafPage* leaf, const Slice& start,
+                            const Slice& end, size_t* remaining,
                             const EntryVisitor& visit,
                             const OpContext* ctx = nullptr)
       BG3_REQUIRES_SHARED(leaf->latch);

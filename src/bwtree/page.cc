@@ -211,22 +211,54 @@ void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
                const Slice& start, const Slice& end, size_t* remaining,
                const EntryVisitor& visit) {
   const bool bounded = !end.empty();
-  // Read-optimized pages carry at most one delta, and it is the overlay. A
-  // traditional chain is folded first, oldest delta first, so the newest
-  // entry per key wins.
-  EntryRun folded(RecordKind::kDelta);
-  const EntryRun& overlay = deltas.size() == 1 ? deltas.front() : folded;
-  for (size_t d = 0; deltas.size() > 1 && d < deltas.size(); ++d) {
-    for (size_t i = deltas[d].LowerBound(start); i < deltas[d].size(); ++i) {
+  auto deliver = [&](const EntryView& e) {
+    if (e.op != DeltaOp::kUpsert) return;
+    --*remaining;
+    if (!visit(e.key, e.value)) *remaining = 0;
+  };
+  if (*remaining == 0 || (bounded && start.compare(end) >= 0)) return;
+  if (deltas.size() > 1) {
+    // A traditional chain. The newest delta holding `start` decides that
+    // key, which comes first (as the overlay's entry at `start` does
+    // below); a chain with no entry in the range leaves the base alone.
+    // So a point read folds nothing.
+    bool chain_in_range = false;
+    for (size_t d = deltas.size(); d-- > 0;) {
+      const size_t i = deltas[d].LowerBound(start);
+      if (i == deltas[d].size()) continue;
       const EntryView e = deltas[d].At(i);
-      if (bounded && e.key.compare(end) >= 0) break;
-      folded.Upsert(e);
+      if (e.key == start) {
+        deliver(e);
+        if (*remaining == 0) return;
+        std::string after = start.ToString();
+        after.push_back('\0');  // the smallest key past `start`
+        MergeRuns(base, deltas, after, end, remaining, visit);
+        return;
+      }
+      chain_in_range |= !bounded || e.key.compare(end) < 0;
     }
+    if (!chain_in_range) {
+      MergeRuns(base, {}, start, end, remaining, visit);
+      return;
+    }
+    // Otherwise the chain is folded, oldest delta first so the newest
+    // entry per key wins, and the fold is the one overlay.
+    EntryRun folded(RecordKind::kDelta);
+    for (const EntryRun& delta : deltas) {
+      for (size_t i = delta.LowerBound(start); i < delta.size(); ++i) {
+        const EntryView e = delta.At(i);
+        if (bounded && e.key.compare(end) >= 0) break;
+        folded.Upsert(e);
+      }
+    }
+    MergeRuns(base, std::span(&folded, 1), start, end, remaining, visit);
+    return;
   }
+  // Read-optimized pages carry at most one delta, and it is the overlay.
+  static const EntryRun kNoDelta(RecordKind::kDelta);
+  const EntryRun& overlay = deltas.empty() ? kNoDelta : deltas.front();
   // Merge-iterate both sorted runs from `start`; an overlay entry shadows
   // the base entry with its key, and a delete hides it.
-  size_t bi = base.LowerBound(start);
-  size_t oi = overlay.LowerBound(start);
   EntryView b;
   EntryView o;
   auto load = [&](const EntryRun& run, size_t* i, EntryView* e) {
@@ -237,11 +269,31 @@ void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
     }
     return false;
   };
-  bool b_ok = load(base, &bi, &b);
+  size_t oi = overlay.LowerBound(start);
   bool o_ok = load(overlay, &oi, &o);
+  // An overlay entry at `start` itself precedes every other entry and
+  // shadows the base's, so it goes first and the base is searched only if
+  // the merge continues: a point read of a key the delta holds never
+  // searches the base.
+  const bool overlay_at_start = o_ok && o.key == start;
+  if (overlay_at_start) {
+    deliver(o);
+    ++oi;
+    o_ok = load(overlay, &oi, &o);
+  }
+  if (*remaining == 0) return;
+  size_t bi = base.LowerBound(start);
+  bool b_ok = load(base, &bi, &b);
+  if (overlay_at_start && b_ok && b.key == start) {
+    ++bi;
+    b_ok = load(base, &bi, &b);
+  }
   while (*remaining > 0 && (b_ok || o_ok)) {
     const int cmp = !b_ok ? -1 : !o_ok ? 1 : o.key.compare(b.key);
-    const EntryView e = cmp <= 0 ? o : b;
+    // Delivered before the cursors move, so the merge stops without
+    // loading entries past the last one it hands out.
+    deliver(cmp <= 0 ? o : b);
+    if (*remaining == 0) return;
     if (cmp >= 0) {
       ++bi;
       b_ok = load(base, &bi, &b);
@@ -249,10 +301,7 @@ void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
     if (cmp <= 0) {
       ++oi;
       o_ok = load(overlay, &oi, &o);
-      if (e.op != DeltaOp::kUpsert) continue;
     }
-    --*remaining;
-    if (!visit(e.key, e.value)) *remaining = 0;
   }
 }
 

@@ -177,7 +177,9 @@ using EntryVisitor =
 /// `end` is unbounded. Delivers at most `*remaining` entries, counts each
 /// delivery down from it, and zeroes it when `visit` returns false. Costs
 /// O(log page + delivered) and copies nothing when there is at most one
-/// delta; a longer chain is first folded over [start, end).
+/// delta; a longer chain is first folded over [start, end) unless it
+/// holds `start` itself or nothing in the range, so a point read
+/// ([key, key + '\0')) never folds.
 void MergeRuns(const EntryRun& base, std::span<const EntryRun> deltas,
                const Slice& start, const Slice& end, size_t* remaining,
                const EntryVisitor& visit);

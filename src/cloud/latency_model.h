@@ -38,9 +38,6 @@ class LatencyModel {
 
   /// rho in [0, 0.99]; set by benchmark drivers that know their offered load.
   void SetOfferedUtilization(double rho);
-  double offered_utilization() const {
-    return rho_.load(std::memory_order_relaxed);
-  }
 
   const LatencyModelOptions& options() const { return opts_; }
 

@@ -189,11 +189,6 @@ uint64_t Stream::live_bytes() const {
   return total_bytes_ - dead_bytes_;
 }
 
-size_t Stream::extent_count() const {
-  ReaderMutexLock lock(&mu_);
-  return extents_.size();
-}
-
 Extent* Stream::FindExtentLocked(ExtentId id) {
   auto it = extents_.find(id);
   return it == extents_.end() ? nullptr : it->second.get();

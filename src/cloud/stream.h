@@ -103,7 +103,6 @@ class Stream {
   uint64_t total_bytes() const;
   uint64_t dead_bytes() const;
   uint64_t live_bytes() const;
-  size_t extent_count() const;
   size_t extent_capacity() const { return extent_capacity_; }
 
  private:

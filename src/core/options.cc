@@ -18,6 +18,22 @@ Status GraphDBOptions::Validate() const {
   if (checkpoint.enabled && checkpoint.max_pages_per_round == 0) {
     return Status::InvalidArgument("max_pages_per_round must be > 0");
   }
+  // Tree settings the engine could not honor: a durable DB's trees log
+  // through its RW node, which serves every read from memory; without the
+  // node nothing flushes deferred pages, so they never reach storage and
+  // eviction can never drop them.
+  if (checkpoint.enabled &&
+      forest.tree_options.read_cache == bwtree::ReadCacheMode::kNone) {
+    return Status::InvalidArgument(
+        "a durable GraphDB serves reads from memory: read_cache kNone "
+        "needs checkpoint.enabled = false");
+  }
+  if (!checkpoint.enabled &&
+      forest.tree_options.flush_mode == bwtree::FlushMode::kDeferred) {
+    return Status::InvalidArgument(
+        "deferred flushing needs checkpoint.enabled: nothing else flushes "
+        "the pages");
+  }
   if (admission.enabled) {
     if (admission.memory_throttle_ratio > 1.0) {
       return Status::InvalidArgument("memory_throttle_ratio out of (0,1]");

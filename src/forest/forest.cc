@@ -217,26 +217,42 @@ Status BwTreeForest::Delete(OwnerId owner, const Slice& sort_key,
   }
 }
 
+template <typename Read, typename Reset>
+Status BwTreeForest::ReadOwner(OwnerId owner, const Read& read,
+                               const Reset& reset) {
+  OwnerState* state = owners_.Find(owner);
+  if (state == nullptr && !init_has_stateless_owners_) {
+    return Status::OK();  // an owner never written has no entries
+  }
+  // No owner lock (see the class comment): INIT entries are deleted only
+  // after the owner's tree is published, so an INIT pass is sound unless a
+  // tree was published meanwhile; then it is redone there.
+  for (;;) {
+    if (bwtree::BwTree* tree = PublishedTree(state)) {
+      return read(tree, /*in_init=*/false);
+    }
+    BG3_RETURN_IF_ERROR(read(init_tree_.get(), /*in_init=*/true));
+    // A recovered owner untouched since has no state; one made during the
+    // pass may belong to a split-out.
+    if (state == nullptr) state = owners_.Find(owner);
+    if (PublishedTree(state) == nullptr) return Status::OK();
+    reset();  // the pass raced a split-out
+  }
+}
+
 Result<std::string> BwTreeForest::Get(OwnerId owner, const Slice& sort_key,
                                       const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.lookup", OpLayer::kForest);
-  OwnerState* state = owners_.Find(owner);
-  if (state == nullptr && !init_has_stateless_owners_) {
-    return Status::NotFound("unknown owner");
-  }
-  // No owner lock (see the class comment): INIT entries are deleted only
-  // after the owner's tree is published, so an INIT read is sound unless a
-  // tree was published meanwhile; then it is retried there.
-  for (;;) {
-    if (bwtree::BwTree* tree = PublishedTree(state)) {
-      return tree->Get(sort_key, ctx);
-    }
-    auto value = init_tree_->Get(MakeInitKey(owner, sort_key), ctx);
-    // A recovered owner untouched since has no state; one made during the
-    // read may belong to a split-out.
-    if (state == nullptr) state = owners_.Find(owner);
-    if (PublishedTree(state) == nullptr) return value;
-  }
+  Result<std::string> value = Status::NotFound("unknown owner");
+  BG3_RETURN_IF_ERROR(ReadOwner(
+      owner,
+      [&](bwtree::BwTree* tree, bool in_init) {
+        value = in_init ? tree->Get(MakeInitKey(owner, sort_key), ctx)
+                        : tree->Get(sort_key, ctx);
+        return Status::OK();
+      },
+      [] {}));
+  return value;
 }
 
 Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
@@ -245,31 +261,26 @@ Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,
                                const std::function<void()>& reset,
                                const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.forest.scan", OpLayer::kForest);
-  OwnerState* state = owners_.Find(owner);
-  if (state == nullptr && !init_has_stateless_owners_) {
-    return Status::OK();  // no entries yet
-  }
-  // The same lock-free reads as Get.
-  for (;;) {
-    bwtree::BwTree::ScanOptions scan;
-    scan.limit = limit;
-    if (bwtree::BwTree* tree = PublishedTree(state)) {
-      scan.start_key = start_sort_key.ToString();
-      return tree->Visit(scan, visit, ctx);
-    }
-    // INIT prefix scan [owner|start, owner+1); the prefix is stripped.
-    scan.start_key = MakeInitKey(owner, start_sort_key);
-    scan.end_key = owner == ~0ull ? std::string() : OwnerPrefix(owner + 1);
-    BG3_RETURN_IF_ERROR(init_tree_->Visit(
-        scan,
-        [&visit](const Slice& key, const Slice& value) {
-          return visit(Slice(key.data() + 8, key.size() - 8), value);
-        },
-        ctx));
-    if (state == nullptr) state = owners_.Find(owner);
-    if (PublishedTree(state) == nullptr) return Status::OK();
-    reset();  // the pass raced a split-out: redo it on the tree
-  }
+  return ReadOwner(
+      owner,
+      [&](bwtree::BwTree* tree, bool in_init) {
+        bwtree::BwTree::ScanOptions scan;
+        scan.limit = limit;
+        if (!in_init) {
+          scan.start_key = start_sort_key.ToString();
+          return tree->Visit(scan, visit, ctx);
+        }
+        // INIT prefix scan [owner|start, owner+1); the prefix is stripped.
+        scan.start_key = MakeInitKey(owner, start_sort_key);
+        scan.end_key = owner == ~0ull ? std::string() : OwnerPrefix(owner + 1);
+        return tree->Visit(
+            scan,
+            [&visit](const Slice& key, const Slice& value) {
+              return visit(Slice(key.data() + 8, key.size() - 8), value);
+            },
+            ctx);
+      },
+      reset);
 }
 
 Status BwTreeForest::ScanOwner(OwnerId owner, const Slice& start_sort_key,

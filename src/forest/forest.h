@@ -185,6 +185,16 @@ class BwTreeForest {
   /// and for a null state.
   static bwtree::BwTree* PublishedTree(const OwnerState* state);
 
+  /// The one owner read, behind Get and ScanOwner (DESIGN.md §5.4): runs
+  /// `read(tree, in_init)` — Status(bwtree::BwTree*, bool) — on the owner's
+  /// published tree, or on INIT (`in_init`: keys carry the owner prefix),
+  /// where a pass that raced a split-out publishing the owner's tree is
+  /// followed by `reset()` and redone on that tree. An owner this forest
+  /// has no record of, and no recovered INIT entries could belong to, is
+  /// not read at all.
+  template <typename Read, typename Reset>
+  Status ReadOwner(OwnerId owner, const Read& read, const Reset& reset);
+
   /// Moves the owner's INIT entries into a fresh dedicated tree unless it
   /// is dedicated already (waiting out a split-out in flight). Holds no
   /// latch across the copy.

@@ -83,7 +83,6 @@ class ShardedLsm {
 
   uint64_t TotalDataBytes() const;
   uint64_t TotalCompactionBytesWritten() const;
-  size_t shard_count() const { return shards_.size(); }
   LsmDb* shard(size_t i) { return shards_[i].get(); }
 
  private:

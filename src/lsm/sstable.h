@@ -19,7 +19,6 @@ class BloomFilter {
   BloomFilter(const std::vector<std::string>& keys, size_t bits_per_key);
 
   bool MayContain(const Slice& key) const;
-  size_t SizeBytes() const { return bits_.size(); }
 
  private:
   std::vector<uint8_t> bits_;
@@ -58,7 +57,6 @@ class SsTable {
   const std::string& smallest() const { return smallest_; }
   const std::string& largest() const { return largest_; }
   uint64_t data_bytes() const { return data_bytes_; }
-  size_t entry_count() const { return entry_count_; }
   bool Overlaps(const Slice& start, const Slice& end) const;
 
   /// Invalidates all block records (table superseded by compaction).

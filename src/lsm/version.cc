@@ -20,12 +20,6 @@ uint64_t VersionSet::TotalBytes() const {
   return sum;
 }
 
-size_t VersionSet::TableCount() const {
-  size_t n = 0;
-  for (const auto& level : levels_) n += level.size();
-  return n;
-}
-
 void VersionSet::ReplaceLevel(int level,
                               std::vector<std::shared_ptr<SsTable>> tables) {
   for (const auto& t : levels_[level]) t->MarkObsolete();

@@ -22,14 +22,10 @@ class VersionSet {
   const std::vector<std::shared_ptr<SsTable>>& level(int n) const {
     return levels_[n];
   }
-  std::vector<std::shared_ptr<SsTable>>* mutable_level(int n) {
-    return &levels_[n];
-  }
 
   size_t L0Count() const { return levels_[0].size(); }
   uint64_t LevelBytes(int n) const;
   uint64_t TotalBytes() const;
-  size_t TableCount() const;
 
   /// Replaces the contents of `level` with `tables` (post-compaction),
   /// marking the replaced tables' blocks obsolete.

@@ -72,9 +72,6 @@ class Query {
   /// Runs the pipeline; true if any vertex survives.
   Result<bool> Any();
 
-  /// Number of recorded steps (introspection/tests).
-  size_t StepCount() const { return steps_.size(); }
-
  private:
   struct Frontier {
     std::vector<graph::VertexId> vertices;

@@ -179,6 +179,50 @@ TEST(PageCodecTest, MergeRunsHonorsRangeAndLimit) {
             });
   EXPECT_EQ(seen, "a");
   EXPECT_EQ(remaining, 0u);
+  // Ranges starting at an overlay key: the overlay's entry (or its
+  // delete) stands in for the base's once, and the merge goes on past it.
+  const std::vector<EntryRun> at_start = {DeltaRun(
+      {{DeltaOp::kUpsert, "c", "o"}, {DeltaOp::kDelete, "e", ""}})};
+  const std::tuple<const char*, size_t, const char*> cases[] = {
+      {"c", 10, "cogb"}, {"c", 1, "co"}, {"e", 10, "gb"}};
+  for (const auto& [start, limit, want] : cases) {
+    seen.clear();
+    remaining = limit;
+    MergeRuns(base, at_start, start, "", &remaining,
+              [&seen](const Slice& key, const Slice& value) {
+                seen += key.ToString() + value.ToString();
+                return true;
+              });
+    EXPECT_EQ(seen, want) << start << " limit " << limit;
+  }
+  // A traditional chain (oldest first): the newest delta holding a key
+  // decides it, whether or not newer deltas hold other keys of the range.
+  // Merged view: a=b, c deleted, d=3, e=2, f=1, g=b.
+  const std::vector<EntryRun> chain = {
+      DeltaRun({{DeltaOp::kUpsert, "c", "1"}, {DeltaOp::kUpsert, "f", "1"}}),
+      DeltaRun({{DeltaOp::kDelete, "c", ""}, {DeltaOp::kUpsert, "e", "2"}}),
+      DeltaRun({{DeltaOp::kUpsert, "d", "3"}})};
+  const std::tuple<std::string, std::string, size_t, const char*>
+      chain_cases[] = {{"", "", 10, "abd3e2f1gb"},
+                       {"a", std::string("a\0", 2), 1, "ab"},
+                       {"c", std::string("c\0", 2), 1, ""},
+                       {"e", std::string("e\0", 2), 1, "e2"},
+                       {"g", std::string("g\0", 2), 1, "gb"},
+                       {"c", "", 10, "d3e2f1gb"},
+                       {"b", "e", 10, "d3"},
+                       {"f", "", 2, "f1gb"},
+                       {"d", "d", 10, ""}};
+  for (const auto& [start, end, limit, want] : chain_cases) {
+    seen.clear();
+    remaining = limit;
+    MergeRuns(base, chain, start, end, &remaining,
+              [&seen](const Slice& key, const Slice& value) {
+                seen += key.ToString() + value.ToString();
+                return true;
+              });
+    EXPECT_EQ(seen, want) << "[" << start << ", " << end << ") limit "
+                          << limit;
+  }
 }
 
 TEST(PageCodecTest, UpsertKeepsOneSortedEntryPerKeyNewestWins) {
@@ -694,16 +738,6 @@ TEST(BwTreeTest, RelocateRejectsForeignTree) {
 
 // --- stats / memory ------------------------------------------------------------------
 
-TEST(BwTreeTest, CountersTrackOps) {
-  TreeFixture f;
-  ASSERT_TRUE(f.tree->Upsert("a", "1").ok());
-  ASSERT_TRUE(f.tree->Delete("a").ok());
-  (void)f.tree->Get("a");
-  EXPECT_EQ(f.tree->stats().upserts.Get(), 1u);
-  EXPECT_EQ(f.tree->stats().deletes.Get(), 1u);
-  EXPECT_EQ(f.tree->stats().gets.Get(), 1u);
-}
-
 TEST(BwTreeTest, MemoryGrowsWithData) {
   TreeFixture f;
   const size_t empty = f.tree->ApproxMemoryBytes();
@@ -1173,6 +1207,86 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == ReadCacheMode::kFull ? "_cached"
                                                               : "_zerocache");
     });
+
+// Get is the read walk's one-key case: on every chain shape and cache
+// regime, for resident and evicted leaves, it returns exactly the entry a
+// Visit over [k, k + '\0') delivers, and at zero cache (or on an evicted
+// leaf) it issues the same storage reads.
+TEST(BwTreeTest, GetMatchesOneKeyVisit) {
+  for (const DeltaMode mode :
+       {DeltaMode::kTraditional, DeltaMode::kReadOptimized}) {
+    for (const ReadCacheMode cache :
+         {ReadCacheMode::kFull, ReadCacheMode::kNone}) {
+      SCOPED_TRACE(std::string(mode == DeltaMode::kTraditional ? "trad"
+                                                               : "readopt") +
+                   (cache == ReadCacheMode::kFull ? "_cached" : "_zerocache"));
+      BwTreeOptions opts;
+      opts.delta_mode = mode;
+      opts.read_cache = cache;
+      opts.max_leaf_entries = 8;
+      opts.consolidate_threshold = 4;
+      TreeFixture f(opts);
+      std::map<std::string, std::string> model;
+      for (int i = 0; i < 100; ++i) {
+        ASSERT_TRUE(f.tree->Upsert(Key(2 * i), "v" + std::to_string(i)).ok());
+        model[Key(2 * i)] = "v" + std::to_string(i);
+      }
+      // Deletes and updates after the splits leave live deltas, some
+      // holding delete entries that shadow base entries.
+      for (int i : {10, 50, 51, 120, 198}) {
+        ASSERT_TRUE(f.tree->Delete(Key(i)).ok());
+        model.erase(Key(i));
+      }
+      for (int i : {11, 40, 121}) {
+        ASSERT_TRUE(f.tree->Upsert(Key(i), "u" + std::to_string(i)).ok());
+        model[Key(i)] = "u" + std::to_string(i);
+      }
+      ASSERT_GT(f.tree->LeafCount(), 8u);
+
+      const auto reads = [&f] { return f.store->stats().read_ops.Get(); };
+      std::vector<std::string> probes = {"", Key(0) + '\0', "zzz"};
+      for (int i = 0; i < 202; ++i) probes.push_back(Key(i));
+      for (const bool evicted : {false, true}) {
+        for (const std::string& k : probes) {
+          SCOPED_TRACE((evicted ? "evicted " : "resident ") + k);
+          if (evicted) (void)EvictToBudget(f.tree.get(), 0);
+          uint64_t before = reads();
+          const Result<std::string> got = f.tree->Get(k);
+          const uint64_t get_reads = reads() - before;
+
+          if (evicted) (void)EvictToBudget(f.tree.get(), 0);
+          BwTree::ScanOptions one;
+          one.start_key = k;
+          one.end_key = k + '\0';
+          one.limit = 1;
+          std::vector<Entry> visited;
+          before = reads();
+          ASSERT_TRUE(f.tree->Scan(one, &visited).ok());
+          const uint64_t visit_reads = reads() - before;
+
+          const auto it = model.find(k);
+          if (it == model.end()) {
+            EXPECT_TRUE(got.status().IsNotFound());
+            EXPECT_TRUE(visited.empty());
+          } else {
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_EQ(visited.size(), 1u);
+            EXPECT_EQ(visited[0].key, k);
+            EXPECT_EQ(visited[0].value, got.value());
+            EXPECT_EQ(got.value(), it->second);
+          }
+          if (cache == ReadCacheMode::kNone || evicted) {
+            EXPECT_EQ(get_reads, visit_reads);
+            EXPECT_GT(get_reads, 0u);
+          } else {
+            EXPECT_EQ(get_reads, 0u);
+            EXPECT_EQ(visit_reads, 0u);
+          }
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bg3::bwtree

@@ -47,6 +47,22 @@ TEST(OptionsTest, ValidateCatchesBadRanges) {
   EXPECT_TRUE(opts.Validate().IsInvalidArgument());
 }
 
+TEST(OptionsTest, ValidateRejectsZeroCacheOnADurableDb) {
+  GraphDBOptions opts;
+  opts.forest.tree_options.read_cache = bwtree::ReadCacheMode::kNone;
+  EXPECT_TRUE(opts.Validate().ok());  // sync flushing keeps storage current
+  opts.checkpoint.enabled = true;
+  EXPECT_TRUE(opts.Validate().IsInvalidArgument());
+}
+
+TEST(OptionsTest, ValidateRejectsDeferredFlushingWithoutAFlusher) {
+  GraphDBOptions opts;
+  opts.forest.tree_options.flush_mode = bwtree::FlushMode::kDeferred;
+  EXPECT_TRUE(opts.Validate().IsInvalidArgument());
+  opts.checkpoint.enabled = true;
+  EXPECT_TRUE(opts.Validate().ok());
+}
+
 TEST(OptionsTest, PolicyFactoryCoversAllKinds) {
   const uint64_t window = GraphDBOptions{}.gc_ttl_bypass_window_us;
   EXPECT_EQ(MakeGcPolicy(GcPolicyKind::kNone, 0.1, window), nullptr);

@@ -5,7 +5,6 @@
 #include "cloud/cloud_store.h"
 #include "core/graph_db.h"
 #include "graph/edge.h"
-#include "graph/pattern.h"
 #include "graph/traversal.h"
 
 namespace bg3::graph {
@@ -123,65 +122,6 @@ TEST(TraversalTest, IsReachableWithinHops) {
   opts.hops = 2;
   EXPECT_FALSE(IsReachable(f.db.get(), 1, 4, 1, opts).value());
   EXPECT_TRUE(IsReachable(f.db.get(), 1, 1, 1, opts).value());  // trivially
-}
-
-// --- pattern matching -----------------------------------------------------------
-
-TEST(PatternTest, MatchPathFollowsEdgeTypes) {
-  EngineFixture f;
-  // user -(1)-> video -(2)-> author
-  ASSERT_TRUE(f.db->AddEdge(100, 1, 200, "", 1).ok());
-  ASSERT_TRUE(f.db->AddEdge(200, 2, 300, "", 1).ok());
-  ASSERT_TRUE(f.db->AddEdge(200, 2, 301, "", 1).ok());
-  PathPattern pattern;
-  pattern.edge_types = {1, 2};
-  auto matches = MatchPath(f.db.get(), 100, pattern);
-  ASSERT_TRUE(matches.ok());
-  ASSERT_EQ(matches.value().size(), 2u);
-  EXPECT_EQ(matches.value()[0][0], 200u);
-  EXPECT_EQ(matches.value()[0][1], 300u);
-}
-
-TEST(PatternTest, MatchPathHonorsMaxMatches) {
-  EngineFixture f;
-  for (VertexId d = 0; d < 50; ++d) {
-    ASSERT_TRUE(f.db->AddEdge(1, 1, 100 + d, "", 1).ok());
-  }
-  PathPattern pattern;
-  pattern.edge_types = {1};
-  pattern.fanout_per_step = 64;
-  pattern.max_matches = 10;
-  auto matches = MatchPath(f.db.get(), 1, pattern);
-  ASSERT_TRUE(matches.ok());
-  EXPECT_EQ(matches.value().size(), 10u);
-}
-
-TEST(PatternTest, DetectCycleFindsLoop) {
-  EngineFixture f;
-  // Money loop: 1 -> 2 -> 3 -> 1, plus a distractor branch.
-  ASSERT_TRUE(f.db->AddEdge(1, 1, 2, "", 1).ok());
-  ASSERT_TRUE(f.db->AddEdge(2, 1, 3, "", 1).ok());
-  ASSERT_TRUE(f.db->AddEdge(3, 1, 1, "", 1).ok());
-  ASSERT_TRUE(f.db->AddEdge(2, 1, 9, "", 1).ok());
-  CycleOptions opts;
-  opts.type = 1;
-  opts.max_length = 4;
-  EXPECT_TRUE(DetectCycle(f.db.get(), 1, opts).value());
-  EXPECT_FALSE(DetectCycle(f.db.get(), 9, opts).value());
-}
-
-TEST(PatternTest, CycleLengthBoundRespected) {
-  EngineFixture f;
-  // 5-cycle.
-  for (VertexId v = 0; v < 5; ++v) {
-    ASSERT_TRUE(f.db->AddEdge(v, 1, (v + 1) % 5, "", 1).ok());
-  }
-  CycleOptions opts;
-  opts.type = 1;
-  opts.max_length = 4;
-  EXPECT_FALSE(DetectCycle(f.db.get(), 0, opts).value());
-  opts.max_length = 5;
-  EXPECT_TRUE(DetectCycle(f.db.get(), 0, opts).value());
 }
 
 }  // namespace
@@ -325,6 +265,19 @@ struct SubgraphFixture {
   std::unique_ptr<core::GraphDB> db;
 };
 
+/// Loop detection as the risk-control example runs it: is `start` on a
+/// cycle of 2..`max_length` hops?
+bool OnCycleWithin(GraphEngine* engine, VertexId start, uint32_t max_length) {
+  for (uint32_t k = 2; k <= max_length; ++k) {
+    SubgraphPattern cycle = CyclePattern(k, 1);
+    cycle.max_matches = 1;
+    auto matches = MatchSubgraph(engine, start, cycle);
+    EXPECT_TRUE(matches.ok());
+    if (matches.ok() && !matches.value().empty()) return true;
+  }
+  return false;
+}
+
 TEST(SubgraphTest, ValidateRejectsBadPatterns) {
   SubgraphPattern empty;
   EXPECT_TRUE(ValidatePattern(empty).IsInvalidArgument());
@@ -353,8 +306,17 @@ TEST(SubgraphTest, TrianglePatternMatchesCycle) {
   ASSERT_TRUE(matches.ok());
   ASSERT_EQ(matches.value().size(), 1u);
   EXPECT_EQ(matches.value()[0], (SubgraphMatch{1, 2, 3}));
-  // No triangle through 9.
+  // No triangle through 9, nor any other cycle of up to 4 hops.
   EXPECT_TRUE(MatchSubgraph(f.db.get(), 9, CyclePattern(3, 1)).value().empty());
+  EXPECT_TRUE(OnCycleWithin(f.db.get(), 1, 4));
+  EXPECT_FALSE(OnCycleWithin(f.db.get(), 9, 4));
+}
+
+TEST(SubgraphTest, CycleLengthBoundRespected) {
+  SubgraphFixture f;
+  for (VertexId v = 0; v < 5; ++v) f.Edge(v, (v + 1) % 5);  // one 5-cycle
+  EXPECT_FALSE(OnCycleWithin(f.db.get(), 0, 4));
+  EXPECT_TRUE(OnCycleWithin(f.db.get(), 0, 5));
 }
 
 TEST(SubgraphTest, DiamondPatternMatchesSplitRejoin) {
@@ -399,6 +361,31 @@ TEST(SubgraphTest, MaxMatchesBoundsWork) {
   auto matches = MatchSubgraph(f.db.get(), 1, p);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches.value().size(), 4u);
+  // The bound also cuts an expansion short: 10 one-hop paths, 4 returned.
+  SubgraphPattern hop;
+  hop.vertex_count = 2;
+  hop.edges = {PatternEdge{0, 1, 1}};
+  hop.max_matches = 4;
+  auto paths = MatchSubgraph(f.db.get(), 1, hop);
+  ASSERT_TRUE(paths.ok());
+  EXPECT_EQ(paths.value().size(), 4u);
+}
+
+TEST(SubgraphTest, PathPatternFollowsPerStepEdgeTypes) {
+  SubgraphFixture f;
+  // user -(1)-> video -(2)-> author, with two authors and a type-1 decoy.
+  ASSERT_TRUE(f.db->AddEdge(100, 1, 200, "", 1).ok());
+  ASSERT_TRUE(f.db->AddEdge(200, 2, 300, "", 1).ok());
+  ASSERT_TRUE(f.db->AddEdge(200, 2, 301, "", 1).ok());
+  ASSERT_TRUE(f.db->AddEdge(200, 1, 302, "", 1).ok());
+  SubgraphPattern path;
+  path.vertex_count = 3;
+  path.edges = {PatternEdge{0, 1, 1}, PatternEdge{1, 2, 2}};
+  auto matches = MatchSubgraph(f.db.get(), 100, path);
+  ASSERT_TRUE(matches.ok());
+  ASSERT_EQ(matches.value().size(), 2u);
+  EXPECT_EQ(matches.value()[0], (SubgraphMatch{100, 200, 300}));
+  EXPECT_EQ(matches.value()[1], (SubgraphMatch{100, 200, 301}));
 }
 
 TEST(SubgraphTest, PathPatternViaGenericMatcher) {
