@@ -16,7 +16,6 @@ void PushDelta(LeafPage* leaf, const EntryView& entry)
     BG3_REQUIRES(leaf->latch) {
   leaf->deltas.emplace_back(RecordKind::kDelta);
   leaf->deltas.back().Append(entry);
-  leaf->delta_ptrs.emplace_back();
   ++leaf->delta_updates;
 }
 
@@ -193,74 +192,50 @@ Status BwTree::Write(const EntryView& entry, const OpContext* ctx) {
       opts_.listener != nullptr
           ? opts_.listener->OnMutation(opts_.tree_id, leaf->id, lsn, entry)
           : Status::OK();
-  Status s = opts_.delta_mode == DeltaMode::kTraditional
-                 ? ApplyTraditionalLocked(leaf, entry, lsn, ctx)
-                 : ApplyReadOptimizedLocked(leaf, entry, lsn, ctx);
-  if (!s.ok()) return s;
-  if (opts_.flush_mode == FlushMode::kDeferred) SetDirtyLocked(leaf, true);
-  BG3_RETURN_IF_ERROR(MaybeSplitLocked(leaf, ctx));
+  SetDirtyLocked(leaf, true);
+  Status s = ApplyLocked(leaf, entry, ctx);
+  if (s.ok()) s = MaybeSplitLocked(leaf, ctx);
+  // Clean after a sync write's publications: tell the listener once.
+  if (!leaf->dirty) NotifyFlushedLocked(leaf);
+  CheckLeafInvariantsLocked(leaf);
+  BG3_RETURN_IF_ERROR(s);
   return logged;
 }
 
-Status BwTree::ApplyTraditionalLocked(LeafPage* leaf, const EntryView& entry,
-                                      Lsn lsn, const OpContext* ctx) {
-  // Classic Bw-tree: add a single-entry delta to the chain.
-  PushDelta(leaf, entry);
-  if (opts_.flush_mode == FlushMode::kSync) {
-    BG3_RETURN_IF_ERROR(
-        AppendDeltaLocked(leaf, leaf->deltas.size() - 1, lsn, ctx));
-  }
-  if (leaf->deltas.size() >= opts_.consolidate_threshold) {
-    return ConsolidateLocked(leaf, ctx);
-  }
-  if (opts_.flush_mode == FlushMode::kSync) NotifyFlushedLocked(leaf);
-  return Status::OK();
-}
-
-Status BwTree::ApplyReadOptimizedLocked(LeafPage* leaf, const EntryView& entry,
-                                        Lsn lsn, const OpContext* ctx) {
-  // Algorithm 1 of the paper.
-  if (leaf->deltas.empty()) {
-    // Lines 9-17: first modification since the last consolidation — behave
-    // like a traditional Bw-tree.
+Status BwTree::ApplyLocked(LeafPage* leaf, const EntryView& entry,
+                           const OpContext* ctx) {
+  const bool traditional = opts_.delta_mode == DeltaMode::kTraditional;
+  if (traditional || leaf->deltas.empty()) {
+    // Classic Bw-tree: add a single-entry delta to the chain. Algorithm 1
+    // does the same (lines 9-17) for the first modification since the
+    // last consolidation.
     PushDelta(leaf, entry);
-    if (opts_.flush_mode == FlushMode::kSync) {
-      BG3_RETURN_IF_ERROR(AppendDeltaLocked(leaf, 0, lsn, ctx));
-      NotifyFlushedLocked(leaf);
+  } else {
+    // Algorithm 1, lines 18-31: merge the update into the existing delta
+    // so the page keeps at most one delta.
+    leaf->deltas.front().Upsert(entry);
+    if (leaf->delta_updates + 1 > opts_.consolidate_threshold) {
+      // Lines 21-27: the merged delta has absorbed ConsolidateNum updates —
+      // consolidate the base page with everything instead.
+      return ConsolidateLocked(leaf, ctx);
     }
-    return Status::OK();
+    ++leaf->delta_updates;  // line 29: count = old + 1
   }
-  // Lines 18-31: merge the update into the existing delta so the page
-  // keeps at most one delta.
-  leaf->deltas.front().Upsert(entry);
-  if (leaf->delta_updates + 1 > opts_.consolidate_threshold) {
-    // Lines 21-27: the merged delta has absorbed ConsolidateNum updates —
-    // consolidate the base page with everything instead.
+  BG3_RETURN_IF_ERROR(PublishIfSyncLocked(leaf, ctx));
+  if (traditional && leaf->deltas.size() >= opts_.consolidate_threshold) {
     return ConsolidateLocked(leaf, ctx);
   }
-  const cloud::PagePointer old_ptr = leaf->delta_ptrs.front();
-  leaf->delta_ptrs.front() = {};
-  ++leaf->delta_updates;  // line 29: count = old + 1
-  if (opts_.flush_mode == FlushMode::kSync) {
-    BG3_RETURN_IF_ERROR(AppendDeltaLocked(leaf, 0, lsn, ctx));
-    if (!old_ptr.IsNull()) store_->MarkInvalid(old_ptr);
-    NotifyFlushedLocked(leaf);
-  }
-  CheckLeafInvariantsLocked(leaf);
   return Status::OK();
 }
 
-std::vector<cloud::PagePointer> BwTree::FoldChainLocked(LeafPage* leaf) {
-  std::vector<cloud::PagePointer> folded;
-  if (leaf->deltas.empty()) return folded;
-  leaf->base = MergeToBase(leaf->base, leaf->deltas);
-  for (const cloud::PagePointer& p : leaf->delta_ptrs) {
-    if (!p.IsNull()) folded.push_back(p);
+void BwTree::FoldChainLocked(LeafPage* leaf) {
+  if (!leaf->deltas.empty()) {
+    leaf->base = MergeToBase(leaf->base, leaf->deltas);
+    leaf->deltas.clear();
+    leaf->delta_updates = 0;
   }
-  leaf->deltas.clear();
-  leaf->delta_ptrs.clear();
-  leaf->delta_updates = 0;
-  return folded;
+  leaf->base_changed = true;
+  SetDirtyLocked(leaf, true);
 }
 
 Status BwTree::EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx) {
@@ -331,7 +306,7 @@ size_t BwTree::CollectResidency(std::vector<PageResidency>* out) const {
     r.id = p->id;
     r.tick = p->last_access_tick.load(std::memory_order_relaxed);
     r.bytes = p->base.MemoryBytes();
-    r.evictable = !p->dirty && (!p->base_ptr.IsNull() || p->base.empty());
+    r.evictable = !p->dirty;
     total += r.bytes;
     out->push_back(r);
   });
@@ -354,7 +329,6 @@ size_t BwTree::EvictPage(PageId id) {
   // Re-validate: the page may have been dirtied, evicted, or reloaded
   // since the budget scan sampled it.
   if (!p->resident || p->dirty) return 0;
-  if (p->base_ptr.IsNull() && !p->base.empty()) return 0;
   const size_t bytes = p->base.MemoryBytes();
   p->base.Clear();
   p->resident = false;
@@ -366,19 +340,8 @@ Status BwTree::ConsolidateLocked(LeafPage* leaf, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.consolidate");
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf, ctx));
   stats_.consolidations.Inc();
-  // Invalidate the storage images being superseded.
-  const cloud::PagePointer old_base = leaf->base_ptr;
-  const std::vector<cloud::PagePointer> old_deltas = FoldChainLocked(leaf);
-  if (opts_.flush_mode == FlushMode::kSync) {
-    BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf, ctx));
-    if (!old_base.IsNull()) store_->MarkInvalid(old_base);
-    for (const auto& p : old_deltas) store_->MarkInvalid(p);
-    NotifyFlushedLocked(leaf);
-  } else if (opts_.flush_mode == FlushMode::kDeferred) {
-    SetDirtyLocked(leaf, true);
-  }
-  CheckLeafInvariantsLocked(leaf);
-  return Status::OK();
+  FoldChainLocked(leaf);
+  return PublishIfSyncLocked(leaf, ctx);
 }
 
 Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
@@ -395,17 +358,10 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
   BG3_TIMED_SCOPE("bg3.bwtree.smo_split");
   stats_.splits.Inc();
   // Fold everything so we can cut the full ordered content in half.
-  const cloud::PagePointer old_base = leaf->base_ptr;
-  const std::vector<cloud::PagePointer> old_deltas = FoldChainLocked(leaf);
+  FoldChainLocked(leaf);
   if (leaf->base.size() <= opts_.max_leaf_entries) {
     // Deletes can shrink the folded content below the threshold.
-    if (opts_.flush_mode == FlushMode::kSync) {
-      BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf, ctx));
-      if (!old_base.IsNull()) store_->MarkInvalid(old_base);
-      for (const auto& p : old_deltas) store_->MarkInvalid(p);
-      NotifyFlushedLocked(leaf);
-    }
-    return Status::OK();
+    return PublishIfSyncLocked(leaf, ctx);
   }
 
   const size_t mid = leaf->base.size() / 2;
@@ -428,8 +384,28 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
   const Lsn lsn = NextLsn();
   leaf->last_lsn = lsn;
   sib->last_lsn = lsn;
+  sib->base_changed = true;
+  SetDirtyLocked(sib, true);
 
+  // The sibling is registered before its image lands (a GC relocation of
+  // the image then waits on its latch) and routed only once both halves'
+  // images have landed. A failed append undoes the cut: the leaf keeps its
+  // range and its pre-split images; the sibling stays unrouted and empty,
+  // with no live image.
   index_.InsertPage(std::move(sibling));
+  Status published = PublishIfSyncLocked(sib, ctx);
+  if (published.ok()) published = PublishIfSyncLocked(leaf, ctx);
+  if (!published.ok()) {
+    for (size_t i = 0; i < sib->base.size(); ++i) {
+      leaf->base.Append(sib->base.At(i));
+    }
+    sib->base.Clear();
+    leaf->high_key = std::move(sib->high_key);
+    leaf->has_high_key = sib->has_high_key;
+    if (!sib->base_ptr.IsNull()) store_->MarkInvalid(sib->base_ptr);
+    sib->base_ptr = {};
+    return published;
+  }
   index_.InsertRoute(separator, sib->id);
 
   // Like a mutation, the split stays applied when its log append fails.
@@ -438,34 +414,56 @@ Status BwTree::MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx) {
           ? opts_.listener->OnSplit(opts_.tree_id, leaf->id, sib->id, lsn,
                                     separator)
           : Status::OK();
-
-  if (opts_.flush_mode == FlushMode::kSync) {
-    BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf, ctx));
-    BG3_RETURN_IF_ERROR(AppendBaseLocked(sib, ctx));
-    if (!old_base.IsNull()) store_->MarkInvalid(old_base);
-    for (const auto& p : old_deltas) store_->MarkInvalid(p);
-    NotifyFlushedLocked(leaf);
-    NotifyFlushedLocked(sib);
-  } else if (opts_.flush_mode == FlushMode::kDeferred) {
-    SetDirtyLocked(leaf, true);
-    SetDirtyLocked(sib, true);
-  }
-  CheckLeafInvariantsLocked(leaf);
+  if (!sib->dirty) NotifyFlushedLocked(sib);
   CheckLeafInvariantsLocked(sib);
   if (BG3_DCHECK_IS_ON()) index_.CheckInvariants();
   return logged;
 }
 
-Status BwTree::AppendBaseLocked(LeafPage* leaf, const OpContext* ctx) {
-  const std::string record =
-      leaf->base.Image(opts_.tree_id, leaf->id, leaf->last_lsn);
-  obs::Scope layer(OpLayer::kBwtree);
-  auto res = store_->Append(opts_.base_stream, record, nullptr, ctx);
-  BG3_RETURN_IF_ERROR(res.status());
-  leaf->base_ptr = res.value();
+Status BwTree::PublishIfSyncLocked(LeafPage* leaf, const OpContext* ctx) {
+  return opts_.flush_mode == FlushMode::kSync ? PublishLocked(leaf, ctx)
+                                              : Status::OK();
+}
+
+Status BwTree::PublishLocked(LeafPage* leaf, const OpContext* ctx) {
+  if (leaf->base_changed) {
+    auto ptr = AppendImageLocked(leaf, leaf->base, opts_.base_stream, ctx);
+    BG3_RETURN_IF_ERROR(ptr.status());
+    if (!leaf->base_ptr.IsNull()) store_->MarkInvalid(leaf->base_ptr);
+    for (const cloud::PagePointer& p : leaf->delta_ptrs) store_->MarkInvalid(p);
+    leaf->base_ptr = ptr.value();
+    leaf->delta_ptrs.clear();
+    leaf->base_changed = false;
+  }
+  if (opts_.delta_mode == DeltaMode::kReadOptimized && !leaf->deltas.empty()) {
+    // The merged delta's image replaces its previous one.
+    auto ptr =
+        AppendImageLocked(leaf, leaf->deltas.front(), opts_.delta_stream, ctx);
+    BG3_RETURN_IF_ERROR(ptr.status());
+    for (const cloud::PagePointer& p : leaf->delta_ptrs) store_->MarkInvalid(p);
+    leaf->delta_ptrs.assign(1, ptr.value());
+  }
+  // A traditional chain's unpublished tail, oldest first.
+  while (leaf->delta_ptrs.size() < leaf->deltas.size()) {
+    auto ptr = AppendImageLocked(leaf, leaf->deltas[leaf->delta_ptrs.size()],
+                                 opts_.delta_stream, ctx);
+    BG3_RETURN_IF_ERROR(ptr.status());
+    leaf->delta_ptrs.push_back(ptr.value());
+  }
   leaf->flushed_lsn = leaf->last_lsn;
   SetDirtyLocked(leaf, false);
   return Status::OK();
+}
+
+Result<cloud::PagePointer> BwTree::AppendImageLocked(LeafPage* leaf,
+                                                     const EntryRun& run,
+                                                     cloud::StreamId stream,
+                                                     const OpContext* ctx) {
+  // Every image carries the page's newest LSN: the one write a sync
+  // publication follows, or all of them for a flush that catches up.
+  const std::string record = run.Image(opts_.tree_id, leaf->id, leaf->last_lsn);
+  obs::Scope layer(OpLayer::kBwtree);
+  return store_->Append(stream, record, nullptr, ctx);
 }
 
 void BwTree::SetDirtyLocked(LeafPage* leaf, bool dirty) {
@@ -475,27 +473,12 @@ void BwTree::SetDirtyLocked(LeafPage* leaf, bool dirty) {
   leaf->dirty = dirty;
 }
 
-Status BwTree::AppendDeltaLocked(LeafPage* leaf, size_t i, Lsn lsn,
-                                 const OpContext* ctx) {
-  const std::string record =
-      leaf->deltas[i].Image(opts_.tree_id, leaf->id, lsn);
-  obs::Scope layer(OpLayer::kBwtree);
-  auto res = store_->Append(opts_.delta_stream, record, nullptr, ctx);
-  BG3_RETURN_IF_ERROR(res.status());
-  leaf->delta_ptrs[i] = res.value();
-  leaf->flushed_lsn = lsn;
-  return Status::OK();
-}
-
 void BwTree::NotifyFlushedLocked(LeafPage* leaf) {
   if (opts_.listener == nullptr) return;
-  std::vector<cloud::PagePointer> delta_ptrs;
-  for (const cloud::PagePointer& p : leaf->delta_ptrs) {
-    if (!p.IsNull()) delta_ptrs.push_back(p);
-  }
   opts_.listener->OnPageFlushed(opts_.tree_id, leaf->id, leaf->flushed_lsn,
-                                leaf->base_ptr, delta_ptrs, leaf->low_key,
-                                leaf->high_key, leaf->has_high_key);
+                                leaf->base_ptr, leaf->delta_ptrs,
+                                leaf->low_key, leaf->high_key,
+                                leaf->has_high_key);
 }
 
 void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
@@ -508,11 +491,15 @@ void BwTree::CheckLeafInvariantsLocked(LeafPage* leaf) {
   }
   BG3_DCHECK_LE(leaf->flushed_lsn, leaf->last_lsn)
       << "page " << leaf->id << " storage images ahead of memory state";
-  BG3_DCHECK(!leaf->dirty || opts_.flush_mode == FlushMode::kDeferred)
-      << "page " << leaf->id << " dirty outside deferred-flush mode";
+  BG3_DCHECK(leaf->dirty ||
+             (!leaf->base_changed && leaf->flushed_lsn == leaf->last_lsn &&
+              leaf->delta_ptrs.size() == leaf->deltas.size()))
+      << "clean page " << leaf->id << " has images behind its memory state";
+  BG3_DCHECK(leaf->base_changed ||
+             leaf->delta_ptrs.size() <= leaf->deltas.size())
+      << "page " << leaf->id << " has more delta images than deltas";
   BG3_DCHECK(!leaf->has_high_key || leaf->low_key < leaf->high_key)
       << "page " << leaf->id << " has an inverted key range";
-  BG3_DCHECK_EQ(leaf->delta_ptrs.size(), leaf->deltas.size());
   BG3_DCHECK(leaf->base.KeysStrictlyIncreasing())
       << "page " << leaf->id << " base entries not strictly sorted";
   for (const EntryRun& d : leaf->deltas) {
@@ -537,7 +524,6 @@ Status BwTree::ReadImagesLocked(LeafPage* leaf, EntryRun* base,
   }
   deltas->reserve(leaf->delta_ptrs.size());
   for (const cloud::PagePointer& ptr : leaf->delta_ptrs) {
-    if (ptr.IsNull()) continue;
     auto res = store_->Read(ptr, nullptr, ctx);
     if (!res.ok()) {
       if (opts_.tolerate_missing_extents && res.status().IsIOError()) continue;
@@ -657,11 +643,8 @@ Status BwTree::FlushPage(PageId id) {
   BG3_RETURN_IF_ERROR(EnsureResidentLocked(leaf));
   // Deferred flushing always writes a consolidated image (group commit of
   // §3.4 flushes whole dirty pages).
-  const cloud::PagePointer old_base = leaf->base_ptr;
-  const std::vector<cloud::PagePointer> old_deltas = FoldChainLocked(leaf);
-  BG3_RETURN_IF_ERROR(AppendBaseLocked(leaf));
-  if (!old_base.IsNull()) store_->MarkInvalid(old_base);
-  for (const auto& p : old_deltas) store_->MarkInvalid(p);
+  FoldChainLocked(leaf);
+  BG3_RETURN_IF_ERROR(PublishLocked(leaf));
   NotifyFlushedLocked(leaf);
   CheckLeafInvariantsLocked(leaf);
   return Status::OK();

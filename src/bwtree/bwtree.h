@@ -185,11 +185,12 @@ class BwTree {
   Status Scan(const ScanOptions& options, std::vector<Entry>* out,
               const OpContext* ctx = nullptr);
 
-  // --- deferred-flush support (replication, §3.4) --------------------------
+  // --- dirty pages: the group flush of §3.4, retries after a failed append
 
   /// Ids of pages whose memory state is ahead of their storage images.
   std::vector<PageId> DirtyPageIds() const;
-  /// Consolidates and flushes one page's image; no-op if not dirty.
+  /// Folds one page's chain and publishes its base image; no-op if not
+  /// dirty.
   Status FlushPage(PageId id);
 
   // --- memory-bounded caching -----------------------------------------------
@@ -198,8 +199,8 @@ class BwTree {
 
   /// One leaf's residency record for the forest-wide byte budget (see
   /// forest::EvictTreesToBudget). `bytes` is the heap the resident base holds
-  /// (EntryRun::MemoryBytes); `evictable` marks clean pages whose flushed
-  /// image (or empty content) makes dropping them safe.
+  /// (EntryRun::MemoryBytes); `evictable` marks clean pages, whose images
+  /// hold their whole content.
   struct PageResidency {
     PageId id = kInvalidPage;
     uint64_t tick = 0;
@@ -214,10 +215,9 @@ class BwTree {
   /// which is what evicting every such page frees.
   size_t ResidentBytes() const;
   /// Forest-budget eviction of a single page: drops the page's base
-  /// after re-validating (clean, resident, has a flushed image or
-  /// nothing to lose) under the exclusive latch. Returns bytes freed —
-  /// 0 if the page vanished, was dirtied, or was reloaded/evicted
-  /// concurrently.
+  /// after re-validating (clean, resident) under the exclusive latch.
+  /// Returns bytes freed — 0 if the page vanished, was dirtied, or was
+  /// reloaded/evicted concurrently.
   size_t EvictPage(PageId id);
 
   // --- crash recovery (bootstrap mode) --------------------------------------
@@ -292,22 +292,18 @@ class BwTree {
               const EntryVisitor& visit, const OpContext* ctx);
 
   Status Write(const EntryView& entry, const OpContext* ctx);
-  Status ApplyTraditionalLocked(LeafPage* leaf, const EntryView& entry,
-                                Lsn lsn, const OpContext* ctx)
-      BG3_REQUIRES(leaf->latch);
-  Status ApplyReadOptimizedLocked(LeafPage* leaf, const EntryView& entry,
-                                  Lsn lsn, const OpContext* ctx)
-      BG3_REQUIRES(leaf->latch);
+  /// A write's memory step in the tree's delta mode (§3.2.2), then its
+  /// publication in sync mode.
+  Status ApplyLocked(LeafPage* leaf, const EntryView& entry,
+                     const OpContext* ctx) BG3_REQUIRES(leaf->latch);
 
   /// Sets the page's dirty bit; counts a clean -> dirty transition in
   /// options().dirtied_pages.
   void SetDirtyLocked(LeafPage* leaf, bool dirty) BG3_REQUIRES(leaf->latch);
-  /// Folds the delta chain into the base (memory only) and returns the
-  /// storage images of the folded deltas, which the next base image
-  /// supersedes.
-  std::vector<cloud::PagePointer> FoldChainLocked(LeafPage* leaf)
-      BG3_REQUIRES(leaf->latch);
-  /// FoldChainLocked + flush of the new base image (sync mode).
+  /// Folds the delta chain into the base (memory only); marks the base
+  /// changed and the page dirty.
+  void FoldChainLocked(LeafPage* leaf) BG3_REQUIRES(leaf->latch);
+  /// FoldChainLocked, then the publication step in sync mode.
   Status ConsolidateLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
   Status MaybeSplitLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
@@ -317,11 +313,24 @@ class BwTree {
   Status EnsureResidentLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
 
-  Status AppendBaseLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
+  /// The one publication step: appends a changed base (superseding every
+  /// old image), then the delta images memory has and storage lacks
+  /// (read-optimized: its delta; traditional: the unpublished tail). Each
+  /// append moves base_ptr/delta_ptrs and invalidates what it replaces
+  /// only once it lands, so a failed append leaves the page dirty and its
+  /// old images authoritative. On success the page is clean; the caller
+  /// tells the listener once the operation is done (a split's sibling only
+  /// after it is routed).
+  Status PublishLocked(LeafPage* leaf, const OpContext* ctx = nullptr)
       BG3_REQUIRES(leaf->latch);
-  /// Appends the image of the leaf's delta `i` and records where it went.
-  Status AppendDeltaLocked(LeafPage* leaf, size_t i, Lsn lsn,
-                           const OpContext* ctx = nullptr)
+  /// PublishLocked in sync mode; deferred pages wait for FlushPage.
+  Status PublishIfSyncLocked(LeafPage* leaf, const OpContext* ctx)
+      BG3_REQUIRES(leaf->latch);
+  /// Appends the image of `run` (one of the leaf's runs) to `stream`.
+  Result<cloud::PagePointer> AppendImageLocked(LeafPage* leaf,
+                                               const EntryRun& run,
+                                               cloud::StreamId stream,
+                                               const OpContext* ctx)
       BG3_REQUIRES(leaf->latch);
   void NotifyFlushedLocked(LeafPage* leaf) BG3_REQUIRES(leaf->latch);
 
@@ -346,13 +355,14 @@ class BwTree {
                             const OpContext* ctx = nullptr)
       BG3_REQUIRES_SHARED(leaf->latch);
 
-  /// Debug invariant check for one latched leaf, called at consolidation,
-  /// split and flush boundaries (BG3_DCHECK — compiled out when
-  /// BG3_ENABLE_DCHECKS is off). Read-only, so a shared latch suffices:
+  /// Debug invariant check for one latched leaf, called after every write
+  /// (on the leaf and a split's sibling) and every flush (BG3_DCHECK —
+  /// compiled out when BG3_ENABLE_DCHECKS is off). Read-only, so a shared
+  /// latch suffices:
   ///  - read-optimized mode carries at most one delta (Alg. 1);
   ///  - every run's keys are strictly sorted;
   ///  - flushed_lsn never exceeds last_lsn;
-  ///  - a dirty page implies deferred flushing;
+  ///  - clean implies the images cover memory;
   ///  - the key range is not inverted.
   void CheckLeafInvariantsLocked(LeafPage* leaf)
       BG3_REQUIRES_SHARED(leaf->latch);

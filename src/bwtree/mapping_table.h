@@ -50,8 +50,9 @@ struct LeafPage {
   /// The delta chain, oldest first, each delta as its storage payload.
   /// Read-optimized mode keeps at most one (§3.2.2).
   std::vector<EntryRun> deltas BG3_GUARDED_BY(latch);
-  /// Storage image of each delta, parallel to `deltas` (null in
-  /// deferred-flush mode, where durability comes from the WAL).
+  /// Delta images on storage, oldest first: of a prefix of `deltas`
+  /// (read-optimized: of its delta, perhaps an earlier version), or, while
+  /// base_changed, of the folded deltas the next base image supersedes.
   std::vector<cloud::PagePointer> delta_ptrs BG3_GUARDED_BY(latch);
   /// Algorithm 1's delta.count: updates folded into the chain since the
   /// last consolidation (not its unique-key cardinality) — the
@@ -62,8 +63,11 @@ struct LeafPage {
   Lsn last_lsn BG3_GUARDED_BY(latch) = 0;
   /// LSN covered by the storage images.
   Lsn flushed_lsn BG3_GUARDED_BY(latch) = 0;
-  /// Deferred mode: memory ahead of storage images.
+  /// Memory is ahead of the storage images, in either flush mode; the
+  /// images stay authoritative until a publication clears it.
   bool dirty BG3_GUARDED_BY(latch) = false;
+  /// The base changed since its image (a fold or a split's cut).
+  bool base_changed BG3_GUARDED_BY(latch) = false;
 
   /// False when the base was dropped under memory pressure; the base
   /// image at base_ptr is then the authoritative copy and gets reloaded on

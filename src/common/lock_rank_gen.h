@@ -12,9 +12,9 @@
 //
 // Acquisition edges (holder -> acquired  [witness]):
 //   CloudStore::topology_mu_ -> Stream::mu_  [src/cloud/cloud_store.cc:bg3::cloud::CloudStore::TotalBytes -> total_bytes()]
-//   LeafPage::latch -> CloudStore::topology_mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
+//   LeafPage::latch -> CloudStore::topology_mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyLocked -> ConsolidateLocked()]
 //   LeafPage::latch -> PageIndex::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::MaybeSplitLocked -> InsertPage()]
-//   LeafPage::latch -> Stream::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyTraditionalLocked -> ConsolidateLocked()]
+//   LeafPage::latch -> Stream::mu_  [src/bwtree/bwtree.cc:bg3::bwtree::BwTree::ApplyLocked -> ConsolidateLocked()]
 //   OwnerLock::mu -> CloudStore::topology_mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   OwnerLock::mu -> LeafPage::latch  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]
 //   OwnerLock::mu -> PageIndex::mu_  [src/forest/forest.cc:bg3::forest::BwTreeForest::Upsert -> Upsert()]

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -379,7 +380,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- image identity ---------------------------------------------------------
 
 /// A tree listener that keeps the reference model and checks every image
-/// a sync-flushing tree reports against it, byte for byte: a base image is
+/// a tree reports against it, byte for byte: a base image is
 /// EncodeBasePage of the model's entries in the page's range, and the
 /// delta images are EncodeDelta of the updates since that base (one image
 /// per update in traditional mode; the newest update per key, key-sorted,
@@ -474,11 +475,22 @@ TEST_P(ImageIdentityTest, AppendedImagesAreTheEncodersImagesOfTheModel) {
   opts.delta_mode = GetParam().mode;
   opts.consolidate_threshold = GetParam().consolidate_threshold;
   opts.max_leaf_entries = GetParam().max_leaf_entries;
-  opts.flush_mode = FlushMode::kSync;
+  opts.flush_mode = GetParam().flush_mode;
   opts.base_stream = store.CreateStream("base");
   opts.delta_stream = store.CreateStream("delta");
   opts.listener = &listener;
   BwTree tree(&store, opts);
+  // A deferred tree publishes at its flushes only. The first threshold + 1
+  // writes go unflushed, so the first leaf consolidates in either delta
+  // mode; after them every write is flushed, which checks each write's
+  // image and flushes every page before each Publish below.
+  const auto flush_dirty = [&tree, &opts](int writes) {
+    if (opts.flush_mode != FlushMode::kDeferred ||
+        writes <= static_cast<int>(opts.consolidate_threshold) + 1) {
+      return;
+    }
+    for (PageId id : tree.DirtyPageIds()) ASSERT_TRUE(tree.FlushPage(id).ok());
+  };
   const cloud::StreamId empty_wal = store.CreateStream("wal");
 
   Random rng(GetParam().consolidate_threshold * 7 +
@@ -492,6 +504,7 @@ TEST_P(ImageIdentityTest, AppendedImagesAreTheEncodersImagesOfTheModel) {
     } else {
       ASSERT_TRUE(tree.Delete(key).ok());
     }
+    flush_dirty(i);
     if (HasFatalFailure()) return;
     if (i % 500 != 0) continue;
     // Replaying the published images through an RO node gives back the
@@ -523,8 +536,108 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{DeltaMode::kTraditional, 5, 32, FlushMode::kSync},
         PropertyParam{DeltaMode::kReadOptimized, 5, 32, FlushMode::kSync},
         PropertyParam{DeltaMode::kTraditional, 10, 200, FlushMode::kSync},
-        PropertyParam{DeltaMode::kReadOptimized, 10, 200, FlushMode::kSync}),
+        PropertyParam{DeltaMode::kReadOptimized, 10, 200, FlushMode::kSync},
+        PropertyParam{DeltaMode::kTraditional, 5, 32, FlushMode::kDeferred},
+        PropertyParam{DeltaMode::kReadOptimized, 5, 32,
+                      FlushMode::kDeferred}),
     ParamName);
+
+/// Per-stream appends, from the store's append events.
+class AppendCounter : public cloud::StoreObserver {
+ public:
+  void OnAppend(const cloud::PagePointer& ptr) override {
+    ++ops[ptr.stream_id];
+    bytes[ptr.stream_id] += ptr.length;
+  }
+  std::map<cloud::StreamId, uint64_t> ops;
+  std::map<cloud::StreamId, uint64_t> bytes;
+};
+
+/// One stream's storage traffic at the end of a run.
+struct StreamTraffic {
+  uint64_t append_ops;
+  uint64_t append_bytes;
+  uint64_t live_bytes;
+  bool operator==(const StreamTraffic&) const = default;
+};
+
+void PrintTo(const StreamTraffic& t, std::ostream* os) {
+  *os << "{" << t.append_ops << ", " << t.append_bytes << ", " << t.live_bytes
+      << "}";
+}
+
+struct TrafficParam {
+  DeltaMode mode;
+  FlushMode flush_mode;
+  StreamTraffic base;
+  StreamTraffic delta;
+};
+
+class PinnedTrafficTest : public testing::TestWithParam<TrafficParam> {};
+
+// The success path's storage traffic, pinned: every append, its bytes and
+// every invalidation of a seeded upsert/delete mix with splits and
+// consolidations, per stream. The expected values were recorded before the
+// write path's images went through one publication step.
+TEST_P(PinnedTrafficTest, AppendsAndLiveBytesMatchTheRecordedRun) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 1 << 14;
+  cloud::CloudStore store(copts);
+  AppendCounter appends;
+  store.SetObserver(&appends);
+  BwTreeOptions opts;
+  opts.delta_mode = GetParam().mode;
+  opts.flush_mode = GetParam().flush_mode;
+  opts.consolidate_threshold = 5;
+  opts.max_leaf_entries = 32;
+  opts.base_stream = store.CreateStream("base");
+  opts.delta_stream = store.CreateStream("delta");
+  BwTree tree(&store, opts);
+
+  Random rng(2024);
+  for (int i = 1; i <= 2000; ++i) {
+    const std::string key = "key" + std::to_string(rng.Uniform(300));
+    if (rng.Uniform(10) < 7) {
+      ASSERT_TRUE(
+          tree.Upsert(key, std::string(rng.Uniform(200), 'a' + i % 26)).ok());
+    } else {
+      ASSERT_TRUE(tree.Delete(key).ok());
+    }
+    if (opts.flush_mode == FlushMode::kDeferred && i % 100 == 0) {
+      for (PageId id : tree.DirtyPageIds()) {
+        ASSERT_TRUE(tree.FlushPage(id).ok());
+      }
+    }
+  }
+  EXPECT_GT(tree.stats().splits.Get(), 0u);
+  EXPECT_GT(tree.stats().consolidations.Get(), 0u);
+  const auto traffic = [&](cloud::StreamId stream) {
+    return StreamTraffic{appends.ops[stream], appends.bytes[stream],
+                         store.LiveBytes(stream)};
+  };
+  EXPECT_EQ(traffic(opts.base_stream), GetParam().base);
+  EXPECT_EQ(traffic(opts.delta_stream), GetParam().delta);
+}
+
+std::string TrafficName(const testing::TestParamInfo<TrafficParam>& info) {
+  std::string name =
+      info.param.mode == DeltaMode::kTraditional ? "trad" : "readopt";
+  return name + (info.param.flush_mode == FlushMode::kSync ? "_sync"
+                                                           : "_deferred");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, PinnedTrafficTest,
+    testing::Values(
+        TrafficParam{DeltaMode::kTraditional, FlushMode::kSync,
+                     {427, 1051155, 21740}, {2000, 210987, 2977}},
+        TrafficParam{DeltaMode::kReadOptimized, FlushMode::kSync,
+                     {365, 902283, 22122}, {1694, 426204, 2182}},
+        TrafficParam{DeltaMode::kTraditional, FlushMode::kDeferred,
+                     {178, 419938, 22635}, {0, 0, 0}},
+        TrafficParam{DeltaMode::kReadOptimized, FlushMode::kDeferred,
+                     {178, 419938, 22635}, {0, 0, 0}}),
+    TrafficName);
 
 }  // namespace
 }  // namespace bg3::bwtree

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -269,6 +271,113 @@ TEST(BwTreeStressTest, ConcurrentWritersScansAndEviction) {
   ASSERT_TRUE(tree.Scan(scan, &all).ok());
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1].key, all[i].key);
+  }
+}
+
+// Forwards the store's events to GC's usage tracker and, for each base
+// image the attached writer thread appends, starts the relocation GC would
+// run if it picked that image's extent right then, and gives it a moment
+// to finish while the writer still holds the page latches.
+class RelocateWriterBaseImages : public cloud::StoreObserver {
+ public:
+  RelocateWriterBaseImages(cloud::CloudStore* store,
+                           gc::ExtentUsageTracker* tracker,
+                           cloud::StreamId base_stream)
+      : store_(store), tracker_(tracker), base_stream_(base_stream) {}
+
+  /// Relocates the base images `tree` appends from the calling thread.
+  void Attach(bwtree::BwTree* tree) {
+    tree_ = tree;
+    writer_ = std::this_thread::get_id();
+  }
+  /// Waits for every relocation, then stops starting them.
+  void Detach() {
+    for (std::thread& t : relocators_) t.join();
+    relocators_.clear();
+    tree_ = nullptr;
+  }
+  int failures() const { return failures_.load(); }
+
+  void OnAppend(const cloud::PagePointer& ptr) override {
+    tracker_->OnAppend(ptr);
+    if (ptr.stream_id != base_stream_ ||
+        std::this_thread::get_id() != writer_ || tree_ == nullptr) {
+      return;
+    }
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> finished = done->get_future();
+    relocators_.emplace_back([this, tree = tree_, ptr, done] {
+      auto record = store_->Read(ptr);
+      if (!record.ok() || !tree->Relocate(ptr, record.value()).ok()) {
+        failures_.fetch_add(1);
+      }
+      done->set_value();
+    });
+    finished.wait_for(std::chrono::milliseconds(50));
+  }
+  void OnInvalidate(const cloud::PagePointer& ptr) override {
+    tracker_->OnInvalidate(ptr);
+  }
+  void OnExtentFreed(cloud::StreamId stream, cloud::ExtentId extent) override {
+    tracker_->OnExtentFreed(stream, extent);
+  }
+
+ private:
+  cloud::CloudStore* const store_;
+  gc::ExtentUsageTracker* const tracker_;
+  const cloud::StreamId base_stream_;
+  bwtree::BwTree* tree_ = nullptr;
+  std::thread::id writer_;
+  std::vector<std::thread> relocators_;  // the writer thread's
+  std::atomic<int> failures_{0};
+};
+
+// GC relocating the images of sync-mode splits while they run: a split's
+// sibling image lands before the split finishes, and a relocation that
+// reads it then must find the page and wait on its latch, not discard the
+// image as garbage. Afterwards GC frees every extent holding a dead
+// record, and the images alone (zero cache) must still serve every key.
+TEST(BwTreeStressTest, GcRelocationRacingSyncSplits) {
+  cloud::CloudStoreOptions copts;
+  copts.extent_capacity = 512;  // a few images per extent
+  cloud::CloudStore store(copts);
+  cloud::ManualTimeSource clock;
+  gc::ExtentUsageTracker tracker(&clock);
+  bwtree::BwTreeOptions topts;
+  topts.read_cache = bwtree::ReadCacheMode::kNone;
+  topts.max_leaf_entries = 8;
+  topts.base_stream = store.CreateStream("base");
+  topts.delta_stream = store.CreateStream("delta");
+  RelocateWriterBaseImages relocate(&store, &tracker, topts.base_stream);
+  store.SetObserver(&relocate);
+  bwtree::BwTree tree(&store, topts);
+
+  // A scrambled key order, so most siblings keep the image their split
+  // appended until the end.
+  constexpr int kKeys = 48;
+  relocate.Attach(&tree);
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(tree.Upsert(SortKey(i * 29 % kKeys), "v").ok()) << i;
+  }
+  relocate.Detach();
+  EXPECT_EQ(relocate.failures(), 0);
+  EXPECT_GE(tree.stats().splits.Get(), 5u);
+
+  gc::SingleTreeResolver resolver(&tree);
+  gc::DirtyRatioPolicy policy(0.0);
+  gc::ReclaimOptions ropts;
+  ropts.target_dead_ratio = 0.0;
+  gc::SpaceReclaimer reclaimer(&store, &resolver, &policy, &tracker, ropts);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    clock.AdvanceUs(1000);
+    auto r = reclaimer.RunCycle(topts.base_stream, 1000);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_GT(store.stats().extents_freed.Get(), 0u);
+  for (int k = 0; k < kKeys; ++k) {
+    auto got = tree.Get(SortKey(k));
+    ASSERT_TRUE(got.ok()) << SortKey(k) << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), "v");
   }
 }
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "cloud/cloud_store.h"
+#include "cloud/fault_injector.h"
 #include "common/metrics_registry.h"
 #include "core/graph_db.h"
 
@@ -425,6 +427,50 @@ TEST(GraphDBTest, MemoryBudgetEvictsDuringMaintenance) {
   std::vector<graph::Neighbor> out;
   ASSERT_TRUE(f.db->GetNeighbors(1, 1, 5000, &out).ok());
   EXPECT_EQ(out.size(), 2000u);
+}
+
+TEST(GraphDBTest, FailedPageAppendKeepsAckedEdgesThroughEviction) {
+  // A bare store (no retries), so one injected append failure fails the
+  // write whose consolidation issued it.
+  cloud::FaultInjector fi;
+  cloud::CloudStoreOptions copts;
+  copts.retry.max_attempts = 1;
+  cloud::CloudStore store(copts);
+  store.SetFaultInjector(&fi);
+  cloud::ManualTimeSource clock;
+  GraphDBOptions opts;
+  opts.memory_budget_bytes = 1;  // every maintenance cycle evicts clean pages
+  opts.time_source = &clock;
+  GraphDB db(&store, opts);
+  const auto props = [](graph::VertexId d) {
+    return "props-" + std::to_string(d);
+  };
+  const auto expect_edges = [&](const std::vector<graph::VertexId>& acked) {
+    std::vector<graph::Neighbor> out;
+    ASSERT_TRUE(db.GetNeighbors(1, 1, 100, &out).ok());
+    std::map<graph::VertexId, std::string> got;
+    for (const graph::Neighbor& n : out) got[n.dst] = n.properties;
+    for (graph::VertexId d : acked) {
+      auto it = got.find(d);
+      ASSERT_NE(it, got.end()) << "acknowledged edge to " << d << " lost";
+      EXPECT_EQ(it->second, props(d));
+    }
+  };
+  std::vector<graph::VertexId> acked;
+  for (graph::VertexId d = 0; d < 21; ++d) {
+    ASSERT_TRUE(db.AddEdge(1, 1, d, props(d), 0).ok());
+    acked.push_back(d);
+  }
+  // The 22nd edge to the owner consolidates its page (threshold 10); that
+  // append fails.
+  fi.ArmNext(cloud::FaultOp::kAppend, cloud::FaultClass::kTransientError);
+  EXPECT_FALSE(db.AddEdge(1, 1, 21, props(21), 0).ok());
+  ASSERT_TRUE(db.RunGcCycle().ok());
+  expect_edges(acked);
+  ASSERT_TRUE(db.AddEdge(1, 1, 22, props(22), 0).ok());
+  acked.push_back(22);
+  ASSERT_TRUE(db.RunGcCycle().ok());  // the page is clean again: evicted.
+  expect_edges(acked);
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -471,6 +474,249 @@ TEST(BwTreeFaultTest, TransientReadFaultHealedByRetry) {
   auto got = f.tree->Get("k");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), "v");
+}
+
+// --- Bw-tree publication under a failed image append -------------------------
+//
+// A write appends page images after its memory step; with retries disabled
+// one injected append failure fails the write. Every write acknowledged
+// before it must still read back, and the next write must bring storage
+// level with memory again: each replaced image invalidated exactly once.
+
+// The images each page's latest flush notification names: what a reader
+// that knows only storage (an RO node, a restart) finds.
+class ImageTracker : public bwtree::TreeListener {
+ public:
+  struct Images {
+    cloud::PagePointer base;
+    std::vector<cloud::PagePointer> deltas;
+    std::string low_key;
+    std::string high_key;
+    bool has_high_key = false;
+  };
+
+  void OnPageFlushed(bwtree::TreeId, bwtree::PageId page, bwtree::Lsn,
+                     const cloud::PagePointer& base_ptr,
+                     const std::vector<cloud::PagePointer>& delta_ptrs,
+                     const std::string& low_key, const std::string& high_key,
+                     bool has_high_key) override {
+    pages_[page] = {base_ptr, delta_ptrs, low_key, high_key, has_high_key};
+  }
+
+  /// Bytes of every image some page names.
+  uint64_t NamedBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& [id, p] : pages_) {
+      bytes += p.base.length;
+      for (const cloud::PagePointer& d : p.deltas) bytes += d.length;
+    }
+    return bytes;
+  }
+
+  /// The entries the named images hold, each page's clipped to its range.
+  std::map<std::string, std::string> Contents(CloudStore* store) const {
+    std::map<std::string, std::string> out;
+    for (const auto& [id, p] : pages_) {
+      bwtree::EntryRun base;
+      if (!p.base.IsNull()) {
+        auto image = store->Read(p.base);
+        EXPECT_TRUE(image.ok()) << image.status().ToString();
+        if (!image.ok()) continue;
+        EXPECT_TRUE(bwtree::EntryRun::Parse(bwtree::RecordKind::kBasePage,
+                                            std::move(image.value()), &base)
+                        .ok());
+      }
+      std::vector<bwtree::EntryRun> deltas;
+      for (const cloud::PagePointer& d : p.deltas) {
+        auto image = store->Read(d);
+        EXPECT_TRUE(image.ok()) << image.status().ToString();
+        if (!image.ok()) continue;
+        EXPECT_TRUE(bwtree::EntryRun::Parse(bwtree::RecordKind::kDelta,
+                                            std::move(image.value()),
+                                            &deltas.emplace_back())
+                        .ok());
+      }
+      const bwtree::EntryRun merged = bwtree::MergeToBase(
+          base, deltas, p.low_key,
+          p.has_high_key ? Slice(p.high_key) : Slice());
+      for (size_t i = 0; i < merged.size(); ++i) {
+        const bwtree::EntryView e = merged.At(i);
+        EXPECT_TRUE(out.emplace(e.key.ToString(), e.value.ToString()).second)
+            << "two pages' images hold " << e.key.ToString();
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::map<bwtree::PageId, Images> pages_;
+};
+
+// Counts MarkInvalid calls per record.
+class InvalidationCounter : public cloud::StoreObserver {
+ public:
+  void OnInvalidate(const cloud::PagePointer& ptr) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++counts_[{ptr.stream_id, ptr.extent_id, ptr.offset}];
+  }
+  /// Records invalidated more than once.
+  size_t Repeats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t repeats = 0;
+    for (const auto& [record, n] : counts_) repeats += n > 1 ? 1 : 0;
+    return repeats;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::tuple<cloud::StreamId, cloud::ExtentId, uint32_t>, int>
+      counts_;
+};
+
+struct PublishFixture {
+  explicit PublishFixture(bwtree::BwTreeOptions opts) {
+    cloud::CloudStoreOptions store_opts;
+    store_opts.retry.max_attempts = 1;  // one injected fault fails the write.
+    store = std::make_unique<CloudStore>(store_opts);
+    store->SetFaultInjector(&fi);
+    store->SetObserver(&invalidations);
+    opts.tree_id = 1;
+    opts.base_stream = store->CreateStream("base");
+    opts.delta_stream = store->CreateStream("delta");
+    opts.listener = &images;
+    tree_opts = opts;
+    tree = std::make_unique<bwtree::BwTree>(store.get(), opts);
+  }
+
+  static std::string Value(int i) { return "value-" + std::to_string(i); }
+
+  /// Writes Key(i) for each i, each of which must be acknowledged.
+  void WriteAcked(const std::vector<int>& keys) {
+    for (int i : keys) {
+      ASSERT_TRUE(tree->Upsert(Key(i), Value(i)).ok()) << Key(i);
+      acked.push_back(i);
+    }
+  }
+
+  /// Fails the `nth` (0-based) append the next write issues, and checks
+  /// that the write reports it.
+  void WriteWithFailedAppend(int key, uint64_t nth = 0) {
+    fi.Arm(FaultOp::kAppend, FaultClass::kTransientError,
+           fi.OpCount(FaultOp::kAppend) + nth);
+    EXPECT_FALSE(tree->Upsert(Key(key), Value(key)).ok());
+  }
+
+  void ExpectAckedReadBack() {
+    for (int i : acked) {
+      auto got = tree->Get(Key(i));
+      ASSERT_TRUE(got.ok()) << Key(i) << ": " << got.status().ToString();
+      EXPECT_EQ(got.value(), Value(i));
+    }
+  }
+
+  /// Storage alone holds every acknowledged key, and holds nothing but
+  /// the images the pages name: each replaced image was invalidated, and
+  /// none twice.
+  void ExpectStorageLevel() {
+    const std::map<std::string, std::string> stored =
+        images.Contents(store.get());
+    for (int i : acked) {
+      auto it = stored.find(Key(i));
+      ASSERT_NE(it, stored.end()) << Key(i) << " missing from storage";
+      EXPECT_EQ(it->second, Value(i));
+    }
+    EXPECT_EQ(store->LiveBytes(tree_opts.base_stream) +
+                  store->LiveBytes(tree_opts.delta_stream),
+              images.NamedBytes());
+    EXPECT_EQ(invalidations.Repeats(), 0u);
+    EXPECT_TRUE(tree->DirtyPageIds().empty());
+  }
+
+  FaultInjector fi;
+  InvalidationCounter invalidations;
+  ImageTracker images;
+  std::unique_ptr<CloudStore> store;
+  bwtree::BwTreeOptions tree_opts;
+  std::unique_ptr<bwtree::BwTree> tree;
+  std::vector<int> acked;
+};
+
+bwtree::BwTreeOptions ZeroCacheTree() {
+  bwtree::BwTreeOptions opts;
+  opts.read_cache = bwtree::ReadCacheMode::kNone;
+  return opts;
+}
+
+TEST(BwTreeFaultTest, FailedConsolidationAppendKeepsAckedWrites) {
+  bwtree::BwTreeOptions opts = ZeroCacheTree();
+  opts.consolidate_threshold = 4;
+  PublishFixture f(opts);
+  f.WriteAcked({0, 1, 2, 3});
+  f.WriteWithFailedAppend(4);  // the 5th write consolidates.
+  EXPECT_EQ(f.tree->stats().consolidations.Get(), 1u);
+  f.ExpectAckedReadBack();
+  f.WriteAcked({5});
+  f.ExpectAckedReadBack();
+  f.ExpectStorageLevel();
+}
+
+TEST(BwTreeFaultTest, FailedMergedDeltaAppendKeepsAckedWrites) {
+  PublishFixture f(ZeroCacheTree());  // threshold 10: no consolidation.
+  f.WriteAcked({0, 1, 2});
+  f.WriteWithFailedAppend(3);
+  EXPECT_EQ(f.tree->stats().consolidations.Get(), 0u);
+  f.ExpectAckedReadBack();
+  f.WriteAcked({4});
+  f.ExpectAckedReadBack();
+  f.ExpectStorageLevel();
+}
+
+TEST(BwTreeFaultTest, EveryFailedAppendOfASplitKeepsAckedWrites) {
+  bwtree::BwTreeOptions opts = ZeroCacheTree();
+  opts.max_leaf_entries = 8;
+  const std::vector<int> first = {0, 10, 20, 30, 40, 50, 60, 70};
+  uint64_t split_appends = 0;
+  {
+    PublishFixture dry(opts);
+    dry.WriteAcked(first);
+    const uint64_t before = dry.fi.OpCount(FaultOp::kAppend);
+    dry.WriteAcked({80});  // the 9th entry splits the leaf.
+    ASSERT_EQ(dry.tree->stats().splits.Get(), 1u);
+    split_appends = dry.fi.OpCount(FaultOp::kAppend) - before;
+  }
+  // The write's own delta, then the two halves' base images.
+  ASSERT_EQ(split_appends, 3u);
+  for (uint64_t nth = 0; nth < split_appends; ++nth) {
+    SCOPED_TRACE("failed append " + std::to_string(nth));
+    PublishFixture f(opts);
+    f.WriteAcked(first);
+    f.WriteWithFailedAppend(80, nth);
+    f.ExpectAckedReadBack();
+    f.WriteAcked({5});  // lands in the lower half whichever append failed.
+    f.ExpectAckedReadBack();
+    f.ExpectStorageLevel();
+  }
+}
+
+TEST(BwTreeFaultTest, FailedAppendKeepsPageDirtyThroughEviction) {
+  bwtree::BwTreeOptions opts;  // full cache: reads come from memory.
+  opts.consolidate_threshold = 4;
+  PublishFixture f(opts);
+  const auto evict_all = [&f] {
+    std::vector<bwtree::BwTree::PageResidency> pages;
+    f.tree->CollectResidency(&pages);
+    for (const auto& p : pages) f.tree->EvictPage(p.id);
+  };
+  f.WriteAcked({0, 1, 2, 3, 4});
+  f.WriteAcked({10, 11, 12, 13});  // the delta since the last base image.
+  f.WriteWithFailedAppend(14);     // its consolidation fails.
+  EXPECT_EQ(f.tree->DirtyPageIds().size(), 1u);
+  evict_all();  // the page is ahead of its images: it must stay.
+  f.ExpectAckedReadBack();
+  f.WriteAcked({15});
+  evict_all();
+  f.ExpectAckedReadBack();
+  f.ExpectStorageLevel();
 }
 
 // --- RO node degradation ------------------------------------------------------
